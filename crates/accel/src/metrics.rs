@@ -32,6 +32,31 @@ pub struct CompressReport {
 }
 
 impl CompressReport {
+    /// The report of a request the host CPU served instead of the
+    /// engine: sizes only, every cycle and pipeline counter zero.
+    pub fn software(
+        config_name: &'static str,
+        freq_ghz: f64,
+        input_bytes: u64,
+        output_bytes: u64,
+    ) -> Self {
+        Self {
+            config_name,
+            freq_ghz,
+            input_bytes,
+            output_bytes,
+            cycles: 0,
+            ingest_cycles: 0,
+            bank_stall_cycles: 0,
+            huffman_tail_cycles: 0,
+            overhead_cycles: 0,
+            blocks: 0,
+            stored_blocks: 0,
+            tokens: 0,
+            discarded_matches: 0,
+        }
+    }
+
     /// Compression ratio (input/output); ∞-safe (returns 0 for empty
     /// input).
     pub fn ratio(&self) -> f64 {
@@ -86,6 +111,27 @@ pub struct DecompressReport {
 }
 
 impl DecompressReport {
+    /// The decode-side twin of [`CompressReport::software`].
+    pub fn software(
+        config_name: &'static str,
+        freq_ghz: f64,
+        input_bytes: u64,
+        output_bytes: u64,
+    ) -> Self {
+        Self {
+            config_name,
+            freq_ghz,
+            input_bytes,
+            output_bytes,
+            cycles: 0,
+            header_cycles: 0,
+            body_cycles: 0,
+            overhead_cycles: 0,
+            blocks: 0,
+            symbols: 0,
+        }
+    }
+
     /// Output bytes produced per cycle.
     pub fn bytes_per_cycle(&self) -> f64 {
         if self.cycles == 0 {

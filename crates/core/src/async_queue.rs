@@ -6,14 +6,13 @@
 //! unit, jobs served FIFO) and each submission returns a [`JobHandle`]
 //! whose [`wait`](JobHandle::wait) delivers the result.
 
-use crate::framing::{self, Format};
+use crate::exec::Executor;
+use crate::framing::Format;
 use crate::scratch::BufferPool;
-use crate::stats::{Codec, NxStats};
-use crate::{software, CompressOptions, Compressed, Error, Result, Trace, SUBMIT_CYCLES};
+use crate::stats::NxStats;
+use crate::{CompressOptions, Compressed, Error, Result, Trace, SUBMIT_CYCLES};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use nx_accel::{AccelConfig, Accelerator, CompressReport};
-use nx_deflate::ProfileRegistry;
-use nx_telemetry::{Counter, Gauge, Stage, TelemetrySink, TraceContext};
+use nx_telemetry::{Counter, Gauge, Stage, TelemetrySink};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -68,11 +67,6 @@ enum Cmd {
         data: Vec<u8>,
         format: Format,
         opts: CompressOptions,
-        /// Trace continuation from the submitter: the engine thread's
-        /// spans resume the caller's timeline instead of minting a new
-        /// root (how a service request stays one trace across the async
-        /// hop). `None` mints a fresh root per job.
-        ctx: Option<TraceContext>,
         reply: Sender<Result<Compressed>>,
     },
     Shutdown,
@@ -139,153 +133,57 @@ impl JobHandle {
 }
 
 impl AsyncSession {
-    /// Spawns the engine thread behind an unbounded queue.
-    pub(crate) fn spawn(
-        config: AccelConfig,
-        stats: Arc<NxStats>,
-        sink: TelemetrySink,
-        pool: Arc<BufferPool>,
-        profiles: Option<Arc<ProfileRegistry>>,
-    ) -> Self {
-        let (tx, rx) = unbounded::<Cmd>();
-        Self::spawn_with(config, stats, sink, pool, profiles, tx, rx)
-    }
-
-    /// Spawns the engine thread behind a queue of at most `depth`
-    /// outstanding commands — the VAS window credit limit in API form.
+    /// Spawns the engine thread, which owns `exec` for its lifetime: a
+    /// queued job runs the same executor — routing, fault recovery, span
+    /// grammar, stats record — as a synchronous request. With
+    /// `depth = Some(n)` the queue holds at most `n` outstanding commands
+    /// (the VAS window credit limit in API form):
     /// [`try_submit`](Self::try_submit) surfaces a full queue as
-    /// [`Error::QueueOverflow`]; blocking [`submit`](Self::submit) waits
+    /// [`Error::QueueOverflow`], blocking [`submit`](Self::submit) waits
     /// for a slot instead.
-    pub(crate) fn spawn_bounded(
-        config: AccelConfig,
-        stats: Arc<NxStats>,
-        sink: TelemetrySink,
-        pool: Arc<BufferPool>,
-        profiles: Option<Arc<ProfileRegistry>>,
-        depth: usize,
-    ) -> Self {
-        let (tx, rx) = bounded::<Cmd>(depth.max(1));
-        Self::spawn_with(config, stats, sink, pool, profiles, tx, rx)
-    }
-
-    fn spawn_with(
-        config: AccelConfig,
-        stats: Arc<NxStats>,
-        sink: TelemetrySink,
-        pool: Arc<BufferPool>,
-        profiles: Option<Arc<ProfileRegistry>>,
-        tx: Sender<Cmd>,
-        rx: Receiver<Cmd>,
-    ) -> Self {
-        let telemetry = QueueTelemetry::new(sink);
+    pub(crate) fn spawn(mut exec: Executor, pool: Arc<BufferPool>, depth: Option<usize>) -> Self {
+        let (tx, rx) = match depth {
+            Some(depth) => bounded::<Cmd>(depth.max(1)),
+            None => unbounded::<Cmd>(),
+        };
+        let telemetry = QueueTelemetry::new(exec.env().telemetry.clone());
+        let stats = Arc::clone(&exec.env().stats);
         let worker_tel = telemetry.clone();
         let worker_pool = Arc::clone(&pool);
-        let session_stats = Arc::clone(&stats);
         let worker = std::thread::Builder::new()
             .name("nx-engine".into())
             .spawn(move || {
-                let freq_ghz = config.freq_ghz;
-                let mut engine = Accelerator::new(config);
                 while let Ok(cmd) = rx.recv() {
                     match cmd {
                         Cmd::Compress {
                             data,
                             format,
                             opts,
-                            ctx,
                             reply,
                         } => {
-                            let depth = worker_tel.on_dequeue();
-                            // Default options run the modeled accelerator;
-                            // a non-default ladder rung runs the software
-                            // encoder at that level (the fixed-function
-                            // engine has no level knob), reported with
-                            // zero engine cycles like the fallback path. A
-                            // selected canned profile runs the one-pass
-                            // canned encoder; a registry miss is counted
-                            // and degrades to the ladder.
-                            let (bytes, report) = if opts.is_default() {
-                                let (raw, report) = engine.compress(&data);
-                                (framing::wrap(raw, &data, format), report)
-                            } else {
-                                let canned = opts.profile().and_then(|id| {
-                                    profiles
-                                        .as_deref()
-                                        .unwrap_or_else(|| {
-                                            crate::profiles::default_registry().as_ref()
-                                        })
-                                        .get(id)
-                                });
-                                if opts.profile().is_some() && canned.is_none() {
-                                    nx_deflate::profile::record_profile_miss();
-                                }
-                                let (bytes, config_name) = match canned {
-                                    Some(p) => (
-                                        software::compress_with_profile(
-                                            &data,
-                                            opts.engine(),
-                                            p,
-                                            format,
-                                        ),
-                                        "software-canned",
-                                    ),
-                                    None => (
-                                        software::compress_with_engine(
-                                            &data,
-                                            opts.level(),
-                                            opts.engine(),
-                                            format,
-                                        ),
-                                        "software-ladder",
-                                    ),
-                                };
-                                let report = CompressReport {
-                                    config_name,
-                                    freq_ghz,
-                                    input_bytes: data.len() as u64,
-                                    output_bytes: bytes.len() as u64,
-                                    cycles: 0,
-                                    ingest_cycles: 0,
-                                    bank_stall_cycles: 0,
-                                    huffman_tail_cycles: 0,
-                                    overhead_cycles: 0,
-                                    blocks: 0,
-                                    stored_blocks: 0,
-                                    tokens: 0,
-                                    discarded_matches: 0,
-                                };
-                                (bytes, report)
-                            };
-                            stats.record_compress(
-                                Codec::Deflate,
-                                data.len() as u64,
-                                bytes.len() as u64,
-                                report.cycles,
-                            );
-                            // The request's span timeline: queue wait is
-                            // modeled from the depth ahead of the job
-                            // (each queued job costs one service slot). A
-                            // submitted context continues the caller's
-                            // trace; otherwise the job is its own root.
-                            let mut trace = match &ctx {
-                                Some(c) => Trace::begin_in(&worker_tel.sink, c),
-                                None => Trace::begin(&worker_tel.sink),
-                            };
-                            trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-                            trace.span(
-                                Stage::QueueWait,
-                                depth as u64 * SUBMIT_CYCLES,
-                                0,
-                                depth as u64,
-                            );
-                            trace.span(Stage::Engine, report.cycles, data.len() as u64, 0);
-                            trace.finish(bytes.len() as u64);
+                            // The job's timeline opens with its queue
+                            // wait, modeled from the depth ahead of it
+                            // (each queued job costs one service slot);
+                            // the executor's spans continue from there.
+                            let depth = worker_tel.on_dequeue() as u64;
+                            let mut trace = Trace::begin(&worker_tel.sink);
+                            trace.span(Stage::QueueWait, depth * SUBMIT_CYCLES, 0, depth);
+                            let mut bytes = Vec::new();
+                            let result = exec
+                                .compress_into(
+                                    &data,
+                                    format,
+                                    opts,
+                                    Some(&trace.context()),
+                                    &mut bytes,
+                                )
+                                .map(|report| Compressed { bytes, report });
                             // Recycle the job's input buffer: the next
                             // submitter acquiring via `buffer()` reuses
                             // its capacity instead of allocating.
                             worker_pool.release(data);
                             // Receiver may have been dropped; that's fine.
-                            let _ = reply.send(Ok(Compressed { bytes, report }));
+                            let _ = reply.send(result);
                         }
                         Cmd::Shutdown => break,
                     }
@@ -297,7 +195,7 @@ impl AsyncSession {
             worker: Some(worker),
             telemetry,
             pool,
-            stats: session_stats,
+            stats,
         }
     }
 
@@ -337,36 +235,6 @@ impl AsyncSession {
                 data,
                 format,
                 opts,
-                ctx: None,
-                reply,
-            })
-            .map_err(|_| Error::EngineClosed)?;
-        self.telemetry.on_enqueue();
-        Ok(JobHandle { rx })
-    }
-
-    /// Queues a compression job inside the caller's trace: the engine
-    /// thread's submit/queue-wait/engine/complete spans continue the
-    /// context's timeline under its parent span instead of starting a
-    /// fresh root — the async hop stays on one trace id.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EngineClosed`] if the engine thread has exited.
-    pub fn submit_in_trace(
-        &self,
-        data: Vec<u8>,
-        format: Format,
-        opts: CompressOptions,
-        ctx: &TraceContext,
-    ) -> Result<JobHandle> {
-        let (reply, rx) = bounded(1);
-        self.tx
-            .send(Cmd::Compress {
-                data,
-                format,
-                opts,
-                ctx: Some(*ctx),
                 reply,
             })
             .map_err(|_| Error::EngineClosed)?;
@@ -383,27 +251,11 @@ impl AsyncSession {
     /// [`Error::QueueOverflow`] when the queue is at capacity;
     /// [`Error::EngineClosed`] if the engine thread has exited.
     pub fn try_submit(&self, data: Vec<u8>, format: Format) -> Result<JobHandle> {
-        self.try_submit_with(data, format, CompressOptions::default())
-    }
-
-    /// As [`try_submit`](Self::try_submit) with explicit
-    /// [`CompressOptions`]; see [`submit_with`](Self::submit_with).
-    ///
-    /// # Errors
-    ///
-    /// As [`try_submit`](Self::try_submit).
-    pub fn try_submit_with(
-        &self,
-        data: Vec<u8>,
-        format: Format,
-        opts: CompressOptions,
-    ) -> Result<JobHandle> {
         let (reply, rx) = bounded(1);
         match self.tx.try_send(Cmd::Compress {
             data,
             format,
-            opts,
-            ctx: None,
+            opts: CompressOptions::default(),
             reply,
         }) {
             Ok(()) => {

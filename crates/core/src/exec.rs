@@ -1,0 +1,589 @@
+//! The request-execution core: the one place a DEFLATE request runs.
+//!
+//! The hardware has one job descriptor (the CRB) and one place a job runs
+//! (the NX engine behind a VAS window); retry and fallback are properties
+//! of *the job*, not of the API the caller used. This module is that
+//! shape in software:
+//!
+//! * [`Backend::select`] is the only place [`CompressOptions`] become a
+//!   backend — accelerator model, software level ladder, or software
+//!   canned profile.
+//! * [`Executor`] owns one engine (its own [`Accelerator`], so handles
+//!   and sessions never contend on a shared model) plus inflate scratch,
+//!   and runs every request through one span grammar
+//!   (`Submit → {Retry|EratTouch|Fallback}* → Engine → Complete`), one
+//!   [`NxStats`] record, one fault-recovery loop and one canned framing
+//!   policy.
+//!
+//! Every entry point is a thin caller: [`crate::Nx`] checks an executor
+//! out of a per-handle free list, the [`crate::AsyncSession`] worker and
+//! the service engine thread each own one, and a
+//! [`crate::ScratchSession`] *is* one (in its software-only form) plus
+//! caller-owned buffers.
+
+use crate::fault::{self, FaultInjector, FaultKind};
+use crate::framing::{self, Format};
+use crate::stats::{Codec, NxStats};
+use crate::{
+    software, CompressOptions, Error, Result, Trace, SUBMIT_CYCLES, TOUCH_CYCLES_PER_PAGE,
+};
+use nx_accel::{AccelConfig, Accelerator, CompressReport, DecompressReport};
+use nx_deflate::adler32::adler32;
+use nx_deflate::crc32::crc32;
+use nx_deflate::stream::{Flush, StreamEncoder};
+use nx_deflate::{gzip, zlib, CompressionLevel, Engine, InflateScratch, Profile, ProfileRegistry};
+use nx_telemetry::{duration_to_cycles, Stage, TelemetrySink, TraceContext};
+use std::sync::Arc;
+
+/// What an [`Executor`] shares with the [`crate::Nx`] handle it was built
+/// from (and with every other executor of that handle).
+#[derive(Debug, Clone)]
+pub(crate) struct Env {
+    pub(crate) config: AccelConfig,
+    pub(crate) stats: Arc<NxStats>,
+    pub(crate) telemetry: TelemetrySink,
+    pub(crate) faults: Option<Arc<FaultInjector>>,
+    /// `None` falls back to [`crate::profiles::default_registry`] lazily,
+    /// so handles that never touch profiles never pay training.
+    pub(crate) profiles: Option<Arc<ProfileRegistry>>,
+    /// The handle's default options: what an accelerator job degrades to
+    /// when fault recovery gives up on the engine.
+    pub(crate) opts: CompressOptions,
+}
+
+impl Env {
+    pub(crate) fn registry(&self) -> &ProfileRegistry {
+        self.profiles
+            .as_deref()
+            .unwrap_or_else(|| crate::profiles::default_registry().as_ref())
+    }
+}
+
+/// A host-CPU backend for one compress request.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Software<'a> {
+    /// The level ladder: the caller chose a rung (or a profile miss
+    /// degraded to one).
+    Ladder {
+        level: CompressionLevel,
+        engine: Engine,
+    },
+    /// The one-pass canned encoder of a registry profile.
+    Canned {
+        profile: &'a Profile,
+        engine: Engine,
+    },
+}
+
+impl<'a> Software<'a> {
+    /// The software backend `opts` name. An id the registry does not hold
+    /// is counted as one profile miss and degrades to the ladder. The
+    /// registry is consulted only when a profile is named, so requests
+    /// that never touch profiles never pay the default registry's
+    /// training.
+    pub(crate) fn select(opts: CompressOptions, env: &'a Env) -> Self {
+        let engine = opts.engine();
+        match opts.profile().map(|id| env.registry().get(id)) {
+            Some(Some(profile)) => return Software::Canned { profile, engine },
+            Some(None) => nx_deflate::profile::record_profile_miss(),
+            None => {}
+        }
+        Software::Ladder {
+            level: opts.level(),
+            engine,
+        }
+    }
+
+    fn config_name(&self) -> &'static str {
+        match self {
+            Software::Ladder { .. } => "software-ladder",
+            Software::Canned { .. } => "software-canned",
+        }
+    }
+}
+
+/// Where one compress request runs.
+enum Backend<'a> {
+    /// The modeled accelerator (fixed-function: no level knob, like the
+    /// NX unit).
+    Accel(&'a mut Accelerator),
+    Software(Software<'a>),
+}
+
+impl<'a> Backend<'a> {
+    /// The only place [`CompressOptions`] become a backend: default
+    /// options go to the accelerator when the executor has one, anything
+    /// else steers the software paths.
+    fn select(opts: CompressOptions, env: &'a Env, accel: Option<&'a mut Accelerator>) -> Self {
+        match accel {
+            Some(accel) if opts.is_default() => Backend::Accel(accel),
+            _ => Backend::Software(Software::select(opts, env)),
+        }
+    }
+}
+
+/// The engine an executor owns.
+#[derive(Debug)]
+enum Unit {
+    /// A job executor: the modeled accelerator. Software requests it
+    /// serves (non-default options, fault fallback) encode one-shot.
+    Accel(Box<Accelerator>),
+    /// A scratch session's executor — the software path by contract: no
+    /// request ever selects the accelerator, and ladder requests reuse
+    /// this persistent encoder (window, tokenizer and bit-writer buffers
+    /// carried across calls).
+    Session(Box<StreamEncoder>),
+}
+
+/// A cycle report, as the recovery loop prices `engine` spans.
+trait Report {
+    fn cycles(&self) -> u64;
+}
+
+impl Report for CompressReport {
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+}
+
+impl Report for DecompressReport {
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+}
+
+/// One request-execution engine; see the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct Executor {
+    env: Env,
+    unit: Unit,
+    inflate: InflateScratch,
+}
+
+impl Executor {
+    /// A job executor with its own accelerator model.
+    pub(crate) fn new(env: Env) -> Self {
+        Self {
+            unit: Unit::Accel(Box::new(Accelerator::new(env.config.clone()))),
+            env,
+            inflate: InflateScratch::new(),
+        }
+    }
+
+    /// A scratch session's executor: software only, with a persistent
+    /// ladder encoder at `opts`' level and engine.
+    pub(crate) fn session(env: Env, opts: CompressOptions) -> Self {
+        Self {
+            unit: Unit::Session(Box::new(StreamEncoder::with_engine(
+                opts.level(),
+                opts.engine(),
+            ))),
+            env,
+            inflate: InflateScratch::new(),
+        }
+    }
+
+    pub(crate) fn env(&self) -> &Env {
+        &self.env
+    }
+
+    /// Compresses `data` into `format` framing in `out` (replaced), on the
+    /// backend `opts` select. `ctx` continues the caller's trace; `None`
+    /// mints a fresh root.
+    ///
+    /// # Errors
+    ///
+    /// Only under fault injection with software fallback disabled: the
+    /// recovery-exhaustion errors of [`Job::recover`].
+    pub(crate) fn compress_into(
+        &mut self,
+        data: &[u8],
+        format: Format,
+        opts: CompressOptions,
+        ctx: Option<&TraceContext>,
+        out: &mut Vec<u8>,
+    ) -> Result<CompressReport> {
+        let Self { env, unit, .. } = self;
+        let (accel, session) = match unit {
+            Unit::Accel(accel) => (Some(&mut **accel), None),
+            Unit::Session(enc) => (None, Some(&mut **enc)),
+        };
+        let mut job = Job::submit(env, ctx, data, format, out);
+        let report = match Backend::select(opts, env, accel) {
+            Backend::Accel(accel) => {
+                let on_engine = job.recover(fault::Site::Compress, |out| {
+                    let (raw, report) = accel.compress(data);
+                    *out = framing::wrap(raw, data, format);
+                    Ok(report)
+                })?;
+                match on_engine {
+                    Some(report) => report,
+                    // Degraded: the handle's default options name the
+                    // software backend a lost accelerator job runs on.
+                    None => job.compress_software(
+                        Software::select(env.opts, env),
+                        "software-fallback",
+                        None,
+                    ),
+                }
+            }
+            Backend::Software(sw) => job.compress_software(sw, sw.config_name(), session),
+        };
+        let bytes_out = job.complete();
+        env.stats
+            .record_compress(Codec::Deflate, data.len() as u64, bytes_out, report.cycles);
+        Ok(report)
+    }
+
+    /// Decompresses `format`-framed `data` into `out` (replaced): on the
+    /// accelerator (with fault recovery) when this executor has one, in
+    /// software for a scratch session. `opts` name the profile whose
+    /// dictionary satisfies a zlib FDICT stream on the software path.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Deflate`] if the container or stream is malformed; under
+    /// fault injection with software fallback disabled, additionally the
+    /// recovery-exhaustion errors of [`Job::recover`].
+    pub(crate) fn decompress_into(
+        &mut self,
+        data: &[u8],
+        format: Format,
+        opts: CompressOptions,
+        ctx: Option<&TraceContext>,
+        out: &mut Vec<u8>,
+    ) -> Result<DecompressReport> {
+        let Self { env, unit, inflate } = self;
+        let mut job = Job::submit(env, ctx, data, format, out);
+        let (on_engine, software_name) = match unit {
+            Unit::Accel(accel) => (
+                job.recover(fault::Site::Decompress, |out| {
+                    let payload = framing::unwrap(data, format)?;
+                    let (bytes, report) = accel.decompress(payload.deflate_stream)?;
+                    payload.verify(&bytes)?;
+                    *out = bytes;
+                    Ok(report)
+                })?,
+                "software-fallback",
+            ),
+            Unit::Session(_) => (None, "software-inflate"),
+        };
+        let report = match on_engine {
+            Some(report) => report,
+            None => job.inflate_software(software_name, inflate, opts)?,
+        };
+        let bytes_out = job.complete();
+        env.stats
+            .record_decompress(Codec::Deflate, data.len() as u64, bytes_out, report.cycles);
+        Ok(report)
+    }
+}
+
+/// One request in flight — the CRB's worth of state every stage of its
+/// execution needs: the handle context, the span timeline, the source and
+/// the target buffer.
+struct Job<'a> {
+    env: &'a Env,
+    trace: Trace<'a>,
+    data: &'a [u8],
+    format: Format,
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> Job<'a> {
+    /// Opens the request's timeline with its `submit` span.
+    fn submit(
+        env: &'a Env,
+        ctx: Option<&TraceContext>,
+        data: &'a [u8],
+        format: Format,
+        out: &'a mut Vec<u8>,
+    ) -> Self {
+        let mut trace = match ctx {
+            Some(ctx) => Trace::begin_in(&env.telemetry, ctx),
+            None => Trace::begin(&env.telemetry),
+        };
+        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
+        Self {
+            env,
+            trace,
+            data,
+            format,
+            out,
+        }
+    }
+
+    /// Closes the timeline (`complete` span, latency histograms),
+    /// returning the output size.
+    fn complete(mut self) -> u64 {
+        let bytes_out = self.out.len() as u64;
+        self.trace.finish(bytes_out);
+        bytes_out
+    }
+
+    /// Runs the request on a host-CPU backend: a zero-cycle `engine` span
+    /// and a sizes-only report under `config_name`.
+    fn compress_software(
+        &mut self,
+        sw: Software<'_>,
+        config_name: &'static str,
+        session: Option<&mut StreamEncoder>,
+    ) -> CompressReport {
+        match sw {
+            Software::Canned { profile, engine } => {
+                software::compress_with_profile_into(
+                    self.data,
+                    engine,
+                    profile,
+                    self.format,
+                    self.out,
+                );
+            }
+            Software::Ladder { level, engine } => {
+                ladder_into(session, self.data, level, engine, self.format, self.out);
+            }
+        }
+        self.trace.span(Stage::Engine, 0, self.data.len() as u64, 0);
+        CompressReport::software(
+            config_name,
+            self.env.config.freq_ghz,
+            self.data.len() as u64,
+            self.out.len() as u64,
+        )
+    }
+
+    /// Software inflate, verifying container checksums. Decode tables
+    /// rebuild in place in `scratch` and the output is sized from the
+    /// container hint — after warmup this performs no heap allocation.
+    fn inflate_software(
+        &mut self,
+        config_name: &'static str,
+        scratch: &mut InflateScratch,
+        opts: CompressOptions,
+    ) -> Result<DecompressReport> {
+        let (data, out) = (self.data, &mut *self.out);
+        match self.format {
+            Format::RawDeflate => nx_deflate::inflate_into(data, scratch, out)?,
+            Format::Gzip => gzip::decompress_into(data, scratch, out)?,
+            Format::Zlib => match zlib::decompress_into(data, scratch, out) {
+                // An FDICT stream and a profile with a dictionary: retry
+                // through the dictionary-aware decoder, exactly the
+                // inflateSetDictionary dance in zlib.
+                Err(nx_deflate::Error::DictionaryRequired) => {
+                    let dict = opts
+                        .profile()
+                        .and_then(|id| self.env.registry().get(id))
+                        .map(Profile::dict)
+                        .filter(|d| !d.is_empty())
+                        .ok_or(nx_deflate::Error::DictionaryRequired)?;
+                    zlib::decompress_with_dict_into(data, dict, scratch, out)?;
+                }
+                r => r?,
+            },
+        }
+        self.trace.span(Stage::Engine, 0, data.len() as u64, 0);
+        Ok(DecompressReport::software(
+            config_name,
+            self.env.config.freq_ghz,
+            data.len() as u64,
+            self.out.len() as u64,
+        ))
+    }
+
+    /// Runs one accelerator request under the handle's fault injector, if it
+    /// has one: resubmit-from-offset with optional touch-ahead, capped
+    /// exponential backoff, output integrity re-check.
+    ///
+    /// Returns `Ok(Some(report))` when an attempt completed cleanly (its
+    /// bytes are in `out`), `Ok(None)` when the request must degrade to the
+    /// software path (accelerator unavailable, or the attempt budget ran out
+    /// with fallback enabled) — a `fallback` span is on the trace and both
+    /// fallback counters are bumped — and `Err` for genuine input errors
+    /// (never retried) or recovery exhaustion with fallback disabled.
+    fn recover<R: Report>(
+        &mut self,
+        site: fault::Site,
+        mut run: impl FnMut(&mut Vec<u8>) -> Result<R>,
+    ) -> Result<Option<R>> {
+        let Self {
+            env,
+            trace,
+            data,
+            out,
+            ..
+        } = self;
+        let Some(inj) = &env.faults else {
+            let report = run(out)?;
+            trace.span(Stage::Engine, report.cycles(), data.len() as u64, 0);
+            return Ok(Some(report));
+        };
+        let policy = *inj.policy();
+        let req = inj.begin_request();
+        let stats = inj.stats();
+        let freq = env.config.freq_ghz;
+        let mut resident_pages = 0u64;
+        let mut attempt = 0u32;
+        let mut last_fault = None;
+        let fall_back = |trace: &mut Trace<'_>| {
+            stats.bump(&stats.software_fallbacks);
+            env.stats.record_software_fallback();
+            trace.span(Stage::Fallback, 0, data.len() as u64, 0);
+            Ok(None)
+        };
+        while attempt < policy.max_attempts {
+            match inj.submit_fault(site, req, attempt, data.len() as u64, resident_pages) {
+                Some(FaultKind::AccelUnavailable) => {
+                    return if policy.software_fallback {
+                        fall_back(trace)
+                    } else {
+                        Err(Error::AcceleratorUnavailable)
+                    };
+                }
+                Some(
+                    f @ (FaultKind::QueueOverflow
+                    | FaultKind::SubmissionTimeout
+                    | FaultKind::CsbError { .. }),
+                ) => {
+                    // Transient: back off (capped exponential) and retry
+                    // the whole submission.
+                    stats.bump(&stats.retries);
+                    env.stats.record_retry();
+                    if matches!(f, FaultKind::QueueOverflow) {
+                        // A bounced paste (engine queue full at submit)
+                        // is a fault-reject: attributable separately from
+                        // credit- and depth-rejects.
+                        env.stats.record_fault_reject();
+                    }
+                    inj.take_backoff(attempt);
+                    // Detail packs (fault code << 8) | attempt so the
+                    // flight dump names what caused this retry.
+                    trace.span(
+                        Stage::Retry,
+                        duration_to_cycles(policy.backoff(attempt), freq),
+                        0,
+                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
+                    );
+                    last_fault = Some(f);
+                    attempt += 1;
+                    continue;
+                }
+                Some(f @ FaultKind::PageFault { offset }) => {
+                    // Touch the faulting page (plus the touch-ahead
+                    // window) and resubmit; everything up to the touched
+                    // frontier is now resident and cannot fault again.
+                    let newly_resident =
+                        (offset / fault::PAGE_BYTES) + 1 + u64::from(policy.touch_ahead_pages);
+                    let touched = newly_resident.saturating_sub(resident_pages);
+                    trace.span(
+                        Stage::EratTouch,
+                        touched * TOUCH_CYCLES_PER_PAGE,
+                        touched * fault::PAGE_BYTES,
+                        offset / fault::PAGE_BYTES,
+                    );
+                    resident_pages = newly_resident;
+                    stats.bump(&stats.resubmissions);
+                    last_fault = Some(f);
+                    attempt += 1;
+                    continue;
+                }
+                Some(f @ FaultKind::Partial { .. }) => {
+                    // The engine stopped early without an error; the
+                    // library resubmits the remainder (modeled as a full
+                    // resubmission).
+                    stats.bump(&stats.resubmissions);
+                    trace.span(
+                        Stage::Retry,
+                        SUBMIT_CYCLES,
+                        0,
+                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
+                    );
+                    last_fault = Some(f);
+                    attempt += 1;
+                    continue;
+                }
+                Some(FaultKind::BitFlip { .. })
+                | Some(FaultKind::Truncate { .. })
+                | Some(FaultKind::WorkerPanic)
+                | None => {}
+            }
+            // Clean submission: run the engine. Genuine input errors are
+            // not transient — surface them immediately, no retry.
+            let report = run(out)?;
+            trace.span(
+                Stage::Engine,
+                report.cycles(),
+                data.len() as u64,
+                u64::from(attempt),
+            );
+            // Modeled output-integrity check: the engine CRCs its output
+            // stream; an injected in-flight corruption must be caught
+            // here and never escape to the caller.
+            if let Some(k) = inj.output_fault(req, attempt, out.len() as u64) {
+                let mut corrupted = (**out).clone();
+                fault::corrupt(k, &mut corrupted);
+                if corrupted != **out {
+                    stats.bump(&stats.corruptions_detected);
+                }
+                stats.bump(&stats.retries);
+                env.stats.record_retry();
+                inj.take_backoff(attempt);
+                trace.span(
+                    Stage::Retry,
+                    duration_to_cycles(policy.backoff(attempt), freq),
+                    0,
+                    u64::from(attempt),
+                );
+                last_fault = Some(k);
+                attempt += 1;
+                continue;
+            }
+            return Ok(Some(report));
+        }
+        // Attempt budget exhausted.
+        if policy.software_fallback {
+            return fall_back(trace);
+        }
+        Err(match last_fault {
+            Some(FaultKind::QueueOverflow) => Error::QueueOverflow,
+            Some(FaultKind::BitFlip { .. }) | Some(FaultKind::Truncate { .. }) => {
+                Error::CorruptedOutput { attempts: attempt }
+            }
+            _ => Error::SubmissionTimeout { attempts: attempt },
+        })
+    }
+}
+
+/// Level-ladder encode into `out` (cleared first). A scratch session's
+/// persistent encoder streams straight into the caller's buffer; a job
+/// executor encodes one-shot.
+fn ladder_into(
+    session: Option<&mut StreamEncoder>,
+    data: &[u8],
+    level: CompressionLevel,
+    engine: Engine,
+    format: Format,
+    out: &mut Vec<u8>,
+) {
+    let Some(enc) = session else {
+        *out = software::compress_with_engine(data, level, engine, format);
+        return;
+    };
+    if enc.level() != level || enc.engine() != engine {
+        *enc = StreamEncoder::with_engine(level, engine);
+    }
+    enc.reset_with_dict(&[]);
+    out.clear();
+    match format {
+        Format::RawDeflate => enc.write_into(data, Flush::Finish, out),
+        Format::Gzip => {
+            gzip::write_header_into(out);
+            enc.write_into(data, Flush::Finish, out);
+            gzip::write_trailer_into(out, crc32(data), data.len() as u64);
+        }
+        Format::Zlib => {
+            zlib::write_header_into(out, level);
+            enc.write_into(data, Flush::Finish, out);
+            zlib::write_trailer_into(out, adler32(data));
+        }
+    }
+}

@@ -32,6 +32,7 @@
 //! ```
 
 pub mod async_queue;
+mod exec;
 pub mod fault;
 pub mod framing;
 pub mod parallel;
@@ -64,8 +65,9 @@ pub use stream::GzipStream;
 // [`CompressOptions::with_profile`] and [`Nx::with_profiles`].
 pub use nx_deflate::{Profile, ProfileCounters, ProfileId, ProfileRegistry};
 
-use nx_accel::{AccelConfig, Accelerator, CompressReport, DecompressReport};
-use nx_telemetry::{duration_to_cycles, MetricSource, Stage, TelemetrySink, TraceContext};
+use exec::{Env, Executor};
+use nx_accel::{AccelConfig, CompressReport, DecompressReport};
+use nx_telemetry::{MetricSource, Stage, TelemetrySink, TraceContext};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -80,7 +82,7 @@ pub(crate) const COMPLETE_CYCLES: u64 = 400;
 
 /// Modeled cost of touching one faulted page before resubmission
 /// (mirrors `nx_sys::erat`'s 150 ns per touch at 2.5 GHz).
-const TOUCH_CYCLES_PER_PAGE: u64 = 375;
+pub(crate) const TOUCH_CYCLES_PER_PAGE: u64 = 375;
 
 /// Request-local span emission: a cursor over one request's private
 /// cycle timeline. Timelines start at cycle 0 for every request — the
@@ -129,6 +131,18 @@ impl<'a> Trace<'a> {
             parent: ctx.parent_span,
             cursor: ctx.at_cycles,
             active: ctx.sampled && sink.is_enabled(),
+        }
+    }
+
+    /// The continuation point after the spans emitted so far: what a
+    /// stage hands the next one so both land on one timeline.
+    pub(crate) fn context(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.request,
+            parent_span: self.parent,
+            sampled: self.active,
+            child_seq: self.seq,
+            at_cycles: self.cursor,
         }
     }
 
@@ -371,95 +385,63 @@ pub struct Decompressed {
     pub report: DecompressReport,
 }
 
-/// Internal view of a request result's output bytes, so the recovery
-/// loop can run its integrity check over either direction.
-trait Payload {
-    fn payload_ref(&self) -> &[u8];
-    /// Modeled engine cycles this result cost (for `engine` spans).
-    fn engine_cycles(&self) -> u64;
-    fn payload_len(&self) -> usize {
-        self.payload_ref().len()
-    }
-    fn payload_clone(&self) -> Vec<u8> {
-        self.payload_ref().to_vec()
-    }
-}
-
-impl Payload for Compressed {
-    fn payload_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-    fn engine_cycles(&self) -> u64 {
-        self.report.cycles
-    }
-}
-
-impl Payload for Decompressed {
-    fn payload_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-    fn engine_cycles(&self) -> u64 {
-        self.report.cycles
-    }
-}
-
 /// A handle to one modeled accelerator unit.
 ///
-/// Cloning shares the underlying engine (and its statistics), like
-/// multiple threads sharing one NX unit through their VAS windows.
+/// Cloning shares the handle's statistics, buffer pool and idle
+/// executors, like multiple threads sharing one NX unit through their VAS
+/// windows. Requests on clones never serialize on one another: each runs
+/// on an executor (with its own engine model) checked out for the call.
 #[derive(Debug, Clone)]
 pub struct Nx {
-    inner: Arc<Mutex<Accelerator>>,
-    stats: Arc<NxStats>,
-    config: AccelConfig,
-    opts: CompressOptions,
-    faults: Option<Arc<FaultInjector>>,
-    telemetry: TelemetrySink,
+    env: Env,
+    /// Idle executors: a synchronous request pops one (or builds one),
+    /// runs, and pushes it back — the lock is held for the pop and the
+    /// push only, never across a request.
+    idle: Arc<Mutex<Vec<Executor>>>,
     pool: Arc<scratch::BufferPool>,
     decode_stats: Arc<InflateParStats>,
-    /// Canned-profile registry for [`CompressOptions::with_profile`]
-    /// requests; `None` falls back to [`profiles::default_registry`]
-    /// lazily, so handles that never touch profiles never pay training.
-    profiles: Option<Arc<ProfileRegistry>>,
 }
 
 impl Nx {
     /// Creates a handle with an explicit configuration.
     pub fn new(config: AccelConfig) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(Accelerator::new(config.clone()))),
-            stats: Arc::new(NxStats::new()),
-            config,
-            opts: CompressOptions::default(),
-            faults: None,
-            telemetry: TelemetrySink::disabled(),
+            env: Env {
+                config,
+                stats: Arc::new(NxStats::new()),
+                telemetry: TelemetrySink::disabled(),
+                faults: None,
+                profiles: None,
+                opts: CompressOptions::default(),
+            },
+            idle: Arc::default(),
             pool: Arc::new(scratch::BufferPool::default()),
             decode_stats: Arc::new(InflateParStats::default()),
-            profiles: None,
         }
     }
 
     /// Creates a handle whose submissions run under fault injection:
-    /// every compress/decompress goes through the recovery protocol
-    /// (resubmit-from-offset with optional touch-ahead, capped
-    /// exponential backoff, integrity re-check, software fallback)
-    /// against the faults `plan` injects.
+    /// every compress/decompress — synchronous, queued or served — goes
+    /// through the recovery protocol (resubmit-from-offset with optional
+    /// touch-ahead, capped exponential backoff, integrity re-check,
+    /// software fallback) against the faults `plan` injects.
     ///
     /// With [`FaultPlan::none`] the handle behaves identically to
     /// [`Nx::new`] modulo the (cheap) injection checks — the E18
     /// experiment holds that overhead under 5%.
     pub fn with_faults(config: AccelConfig, plan: FaultPlan, policy: RecoveryPolicy) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(Accelerator::new(config.clone()))),
-            stats: Arc::new(NxStats::new()),
-            config,
-            opts: CompressOptions::default(),
-            faults: Some(Arc::new(FaultInjector::new(plan, policy))),
-            telemetry: TelemetrySink::disabled(),
-            pool: Arc::new(scratch::BufferPool::default()),
-            decode_stats: Arc::new(InflateParStats::default()),
-            profiles: None,
-        }
+        Self::new(config).reconfigured(|env| {
+            env.faults = Some(Arc::new(FaultInjector::new(plan, policy)));
+        })
+    }
+
+    /// Applies a configuration change. Executors carry a copy of the
+    /// handle's context, so the reconfigured handle starts an idle list
+    /// of its own rather than inheriting ones built for the old context.
+    fn reconfigured(mut self, change: impl FnOnce(&mut Env)) -> Self {
+        change(&mut self.env);
+        self.idle = Arc::default();
+        self
     }
 
     /// Sets the handle's default [`CompressOptions`]: the level the
@@ -467,9 +449,8 @@ impl Nx {
     /// defaulted options, sessions opened without an explicit level)
     /// compress at. The modeled accelerator itself is fixed-function and
     /// unaffected, exactly like the hardware.
-    pub fn with_options(mut self, opts: CompressOptions) -> Self {
-        self.opts = opts;
-        self
+    pub fn with_options(self, opts: CompressOptions) -> Self {
+        self.reconfigured(|env| env.opts = opts)
     }
 
     /// Attaches a canned-profile registry — typically deserialized at
@@ -478,17 +459,14 @@ impl Nx {
     /// [`CompressOptions::profile`] names a slot in this registry take
     /// the one-pass canned encode path; without an explicit registry the
     /// lazily trained [`profiles::default_registry`] serves lookups.
-    pub fn with_profiles(mut self, registry: Arc<ProfileRegistry>) -> Self {
-        self.profiles = Some(registry);
-        self
+    pub fn with_profiles(self, registry: Arc<ProfileRegistry>) -> Self {
+        self.reconfigured(|env| env.profiles = Some(registry))
     }
 
     /// The canned-profile registry in force (the process-wide default
     /// unless [`with_profiles`](Self::with_profiles) attached one).
     pub fn profile_registry(&self) -> &ProfileRegistry {
-        self.profiles
-            .as_deref()
-            .unwrap_or_else(|| profiles::default_registry().as_ref())
+        self.env.registry()
     }
 
     /// Attaches a telemetry sink: every request stage emits a span, the
@@ -499,9 +477,12 @@ impl Nx {
     /// A [`TelemetrySink::disabled`] sink (the default) reduces every
     /// instrumentation point to a null check — E19 holds the enabled
     /// overhead under 5%.
-    pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
+    pub fn with_telemetry(self, sink: TelemetrySink) -> Self {
         if let Some(reg) = sink.registry() {
-            reg.register_source("nx-stats", Arc::clone(&self.stats) as Arc<dyn MetricSource>);
+            reg.register_source(
+                "nx-stats",
+                Arc::clone(&self.env.stats) as Arc<dyn MetricSource>,
+            );
             reg.register_source(
                 "nx-buffer-pool",
                 Arc::clone(&self.pool) as Arc<dyn MetricSource>,
@@ -522,29 +503,28 @@ impl Nx {
                 "nx-profiles",
                 Arc::new(scratch::ProfileMetrics) as Arc<dyn MetricSource>,
             );
-            if let Some(inj) = &self.faults {
+            if let Some(inj) = &self.env.faults {
                 reg.register_source("nx-fault-stats", Arc::clone(inj) as Arc<dyn MetricSource>);
             }
         }
-        self.telemetry = sink;
-        self
+        self.reconfigured(|env| env.telemetry = sink)
     }
 
     /// The telemetry sink in force (disabled unless
     /// [`with_telemetry`](Self::with_telemetry) attached one).
     pub fn telemetry(&self) -> &TelemetrySink {
-        &self.telemetry
+        &self.env.telemetry
     }
 
     /// The fault injector, if this handle was built with one.
     pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
+        self.env.faults.as_ref()
     }
 
     /// Injection/recovery counters, if this handle was built with a
     /// fault injector.
     pub fn fault_stats(&self) -> Option<&fault::FaultStats> {
-        self.faults.as_deref().map(FaultInjector::stats)
+        self.env.faults.as_deref().map(FaultInjector::stats)
     }
 
     /// A POWER9 NX gzip accelerator.
@@ -559,82 +539,66 @@ impl Nx {
 
     /// The configuration in force.
     pub fn config(&self) -> &AccelConfig {
-        &self.config
+        &self.env.config
     }
 
     /// The handle's default compression options.
     pub fn options(&self) -> CompressOptions {
-        self.opts
+        self.env.opts
     }
 
     /// Aggregate statistics across all requests on this handle.
     pub fn stats(&self) -> &NxStats {
-        &self.stats
+        &self.env.stats
     }
 
-    /// Shared stats arc, for in-crate subsystems (the service front end)
-    /// that record on the handle's counters from their own threads.
-    pub(crate) fn stats_arc(&self) -> &Arc<NxStats> {
-        &self.stats
+    /// A fresh executor bound to this handle's context — what the async
+    /// worker and the service engine thread each own for their lifetime.
+    pub(crate) fn executor(&self) -> Executor {
+        Executor::new(self.env.clone())
+    }
+
+    /// Runs `request` on an idle executor (building one when every
+    /// executor is busy) and returns the executor to the idle list.
+    fn on_executor<R>(&self, request: impl FnOnce(&mut Executor) -> R) -> R {
+        let idle = self.idle.lock().pop();
+        let mut exec = idle.unwrap_or_else(|| self.executor());
+        let result = request(&mut exec);
+        self.idle.lock().push(exec);
+        result
     }
 
     /// Compresses `data` into `format` framing on the accelerator.
     ///
     /// # Errors
     ///
-    /// Never fails for compression today; the `Result` reserves room for
-    /// job-submission failures (queue shutdown) shared with the async
-    /// path.
+    /// As [`compress_with`](Self::compress_with).
     pub fn compress(&self, data: &[u8], format: Format) -> Result<Compressed> {
-        let mut trace = Trace::begin(&self.telemetry);
-        self.compress_traced(data, format, &mut trace)
+        self.compress_with(data, format, CompressOptions::default())
     }
 
-    /// Compresses inside the caller's trace: every span (submit, engine,
-    /// retries, fallback, complete) is recorded under `ctx`'s trace id,
-    /// hanging beneath its parent span. This is how the service's engine
-    /// loop keeps one request's admission, scheduling and execution on a
-    /// single followable timeline.
+    /// Compresses `data` with explicit per-request options. Default
+    /// options go to the accelerator (which has no level knob, like the
+    /// hardware); any other rung runs the software level ladder and a
+    /// selected profile the canned encoder, both reported with zero
+    /// engine cycles.
     ///
     /// # Errors
     ///
-    /// As [`compress`](Self::compress).
-    pub fn compress_in_trace(
+    /// Never fails on a clean handle. Under fault injection with software
+    /// fallback disabled: the recovery-exhaustion errors
+    /// ([`Error::AcceleratorUnavailable`], [`Error::SubmissionTimeout`],
+    /// [`Error::QueueOverflow`], [`Error::CorruptedOutput`]).
+    pub fn compress_with(
         &self,
         data: &[u8],
         format: Format,
         opts: CompressOptions,
-        ctx: &TraceContext,
     ) -> Result<Compressed> {
-        let mut trace = Trace::begin_in(&self.telemetry, ctx);
-        if opts.is_default() {
-            self.compress_traced(data, format, &mut trace)
-        } else {
-            trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-            let out = self.compress_software_at(data, format, opts);
-            trace.finish(out.bytes.len() as u64);
-            Ok(out)
-        }
-    }
-
-    /// The shared traced compression body (accelerator + recovery).
-    fn compress_traced(
-        &self,
-        data: &[u8],
-        format: Format,
-        trace: &mut Trace<'_>,
-    ) -> Result<Compressed> {
-        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-        let out = match self.faults.clone() {
-            None => {
-                let out = self.compress_accel(data, format)?;
-                trace.span(Stage::Engine, out.report.cycles, data.len() as u64, 0);
-                out
-            }
-            Some(inj) => self.compress_recovering(data, format, &inj, trace)?,
-        };
-        trace.finish(out.bytes.len() as u64);
-        Ok(out)
+        let mut bytes = Vec::new();
+        let report =
+            self.on_executor(|exec| exec.compress_into(data, format, opts, None, &mut bytes))?;
+        Ok(Compressed { bytes, report })
     }
 
     /// Decompresses `format`-framed `data` on the accelerator.
@@ -642,360 +606,15 @@ impl Nx {
     /// # Errors
     ///
     /// [`Error::Deflate`] if the container or stream is malformed; under
-    /// fault injection additionally the recovery-exhaustion errors
-    /// ([`Error::AcceleratorUnavailable`], [`Error::SubmissionTimeout`],
-    /// [`Error::QueueOverflow`], [`Error::CorruptedOutput`]) when
-    /// software fallback is disabled.
+    /// fault injection additionally the recovery-exhaustion errors (see
+    /// [`compress_with`](Self::compress_with)) when software fallback is
+    /// disabled.
     pub fn decompress(&self, data: &[u8], format: Format) -> Result<Decompressed> {
-        let mut trace = Trace::begin(&self.telemetry);
-        self.decompress_traced(data, format, &mut trace)
-    }
-
-    /// Decompresses inside the caller's trace — the decode-side twin of
-    /// [`compress_in_trace`](Self::compress_in_trace).
-    ///
-    /// # Errors
-    ///
-    /// As [`decompress`](Self::decompress).
-    pub fn decompress_in_trace(
-        &self,
-        data: &[u8],
-        format: Format,
-        ctx: &TraceContext,
-    ) -> Result<Decompressed> {
-        let mut trace = Trace::begin_in(&self.telemetry, ctx);
-        self.decompress_traced(data, format, &mut trace)
-    }
-
-    /// The shared traced decompression body (accelerator + recovery).
-    fn decompress_traced(
-        &self,
-        data: &[u8],
-        format: Format,
-        trace: &mut Trace<'_>,
-    ) -> Result<Decompressed> {
-        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-        let out = match self.faults.clone() {
-            None => {
-                let out = self.decompress_accel(data, format)?;
-                trace.span(Stage::Engine, out.report.cycles, data.len() as u64, 0);
-                out
-            }
-            Some(inj) => self.decompress_recovering(data, format, &inj, trace)?,
-        };
-        trace.finish(out.bytes.len() as u64);
-        Ok(out)
-    }
-
-    /// The direct accelerator compression path (no injection checks).
-    fn compress_accel(&self, data: &[u8], format: Format) -> Result<Compressed> {
-        let (raw, report) = self.inner.lock().compress(data);
-        let bytes = framing::wrap(raw, data, format);
-        self.stats.record_compress(
-            Codec::Deflate,
-            data.len() as u64,
-            bytes.len() as u64,
-            report.cycles,
-        );
-        Ok(Compressed { bytes, report })
-    }
-
-    /// The direct accelerator decompression path (no injection checks).
-    fn decompress_accel(&self, data: &[u8], format: Format) -> Result<Decompressed> {
-        let payload = framing::unwrap(data, format)?;
-        let (bytes, report) = self.inner.lock().decompress(payload.deflate_stream)?;
-        payload.verify(&bytes)?;
-        self.stats.record_decompress(
-            Codec::Deflate,
-            data.len() as u64,
-            bytes.len() as u64,
-            report.cycles,
-        );
+        let mut bytes = Vec::new();
+        let opts = self.env.opts;
+        let report =
+            self.on_executor(|exec| exec.decompress_into(data, format, opts, None, &mut bytes))?;
         Ok(Decompressed { bytes, report })
-    }
-
-    /// Compresses `data` with explicit per-request options. Default
-    /// options go to the accelerator (which has no level knob, like the
-    /// hardware); any other rung runs the software level ladder, reported
-    /// with zero engine cycles as the fallback path is.
-    ///
-    /// # Errors
-    ///
-    /// As [`compress`](Self::compress).
-    pub fn compress_with(
-        &self,
-        data: &[u8],
-        format: Format,
-        opts: CompressOptions,
-    ) -> Result<Compressed> {
-        if opts.is_default() {
-            return self.compress(data, format);
-        }
-        let mut trace = Trace::begin(&self.telemetry);
-        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-        let out = self.compress_software_at(data, format, opts);
-        trace.finish(out.bytes.len() as u64);
-        Ok(out)
-    }
-
-    /// Software-fallback compression: a valid stream from the CPU path
-    /// (bytes differ from the accelerator's but decode identically).
-    fn compress_software(&self, data: &[u8], format: Format) -> Compressed {
-        self.compress_software_at(data, format, self.opts)
-    }
-
-    fn compress_software_at(
-        &self,
-        data: &[u8],
-        format: Format,
-        opts: CompressOptions,
-    ) -> Compressed {
-        // A selected profile routes through the one-pass canned encoder;
-        // an id the registry does not hold is a profile miss (counted in
-        // the nx-profiles source) and degrades to the level ladder.
-        let mut config_name = "software-fallback";
-        let canned = opts.profile().map(|id| self.profile_registry().get(id));
-        let bytes = match canned {
-            Some(Some(p)) => {
-                config_name = "software-canned";
-                software::compress_with_profile(data, opts.engine(), p, format)
-            }
-            Some(None) => {
-                nx_deflate::profile::record_profile_miss();
-                software::compress_with_engine(data, opts.level(), opts.engine(), format)
-            }
-            None => software::compress_with_engine(data, opts.level(), opts.engine(), format),
-        };
-        self.stats.record_software_fallback();
-        self.stats
-            .record_compress(Codec::Deflate, data.len() as u64, bytes.len() as u64, 0);
-        Compressed {
-            report: CompressReport {
-                config_name,
-                freq_ghz: self.config.freq_ghz,
-                input_bytes: data.len() as u64,
-                output_bytes: bytes.len() as u64,
-                cycles: 0,
-                ingest_cycles: 0,
-                bank_stall_cycles: 0,
-                huffman_tail_cycles: 0,
-                overhead_cycles: 0,
-                blocks: 0,
-                stored_blocks: 0,
-                tokens: 0,
-                discarded_matches: 0,
-            },
-            bytes,
-        }
-    }
-
-    /// Software-fallback decompression: byte-identical output to the
-    /// accelerator path (both implement RFC 1951 exactly).
-    fn decompress_software(&self, data: &[u8], format: Format) -> Result<Decompressed> {
-        let bytes = software::decompress(data, format)?;
-        self.stats.record_software_fallback();
-        self.stats
-            .record_decompress(Codec::Deflate, data.len() as u64, bytes.len() as u64, 0);
-        Ok(Decompressed {
-            report: DecompressReport {
-                config_name: "software-fallback",
-                freq_ghz: self.config.freq_ghz,
-                input_bytes: data.len() as u64,
-                output_bytes: bytes.len() as u64,
-                cycles: 0,
-                header_cycles: 0,
-                body_cycles: 0,
-                overhead_cycles: 0,
-                blocks: 0,
-                symbols: 0,
-            },
-            bytes,
-        })
-    }
-
-    fn compress_recovering(
-        &self,
-        data: &[u8],
-        format: Format,
-        inj: &Arc<FaultInjector>,
-        trace: &mut Trace<'_>,
-    ) -> Result<Compressed> {
-        match self.recover(data, fault::Site::Compress, inj, trace, |nx| {
-            nx.compress_accel(data, format)
-        })? {
-            Some(out) => Ok(out),
-            None => {
-                trace.span(Stage::Fallback, 0, data.len() as u64, 0);
-                Ok(self.compress_software(data, format))
-            }
-        }
-    }
-
-    fn decompress_recovering(
-        &self,
-        data: &[u8],
-        format: Format,
-        inj: &Arc<FaultInjector>,
-        trace: &mut Trace<'_>,
-    ) -> Result<Decompressed> {
-        match self.recover(data, fault::Site::Decompress, inj, trace, |nx| {
-            nx.decompress_accel(data, format)
-        })? {
-            Some(out) => Ok(out),
-            None => {
-                trace.span(Stage::Fallback, 0, data.len() as u64, 0);
-                self.decompress_software(data, format)
-            }
-        }
-    }
-
-    /// The shared recovery loop around one accelerator request.
-    ///
-    /// Returns `Ok(Some(out))` when an attempt completed cleanly,
-    /// `Ok(None)` when the request must degrade to the software path
-    /// (accelerator unavailable, or the attempt budget ran out with
-    /// fallback enabled), and `Err` for genuine input errors (never
-    /// retried) or recovery exhaustion with fallback disabled.
-    fn recover<T: Payload>(
-        &self,
-        data: &[u8],
-        site: fault::Site,
-        inj: &Arc<FaultInjector>,
-        trace: &mut Trace<'_>,
-        run: impl Fn(&Self) -> Result<T>,
-    ) -> Result<Option<T>> {
-        use fault::FaultKind;
-        let policy = *inj.policy();
-        let req = inj.begin_request();
-        let stats = inj.stats();
-        let freq = self.config.freq_ghz;
-        let mut resident_pages = 0u64;
-        let mut attempt = 0u32;
-        let mut last_fault = None;
-        while attempt < policy.max_attempts {
-            match inj.submit_fault(site, req, attempt, data.len() as u64, resident_pages) {
-                Some(FaultKind::AccelUnavailable) => {
-                    return if policy.software_fallback {
-                        stats.bump(&stats.software_fallbacks);
-                        Ok(None)
-                    } else {
-                        Err(Error::AcceleratorUnavailable)
-                    };
-                }
-                Some(
-                    f @ (FaultKind::QueueOverflow
-                    | FaultKind::SubmissionTimeout
-                    | FaultKind::CsbError { .. }),
-                ) => {
-                    // Transient: back off (capped exponential) and retry
-                    // the whole submission.
-                    stats.bump(&stats.retries);
-                    self.stats.record_retry();
-                    if matches!(f, FaultKind::QueueOverflow) {
-                        // A bounced paste (engine queue full at submit)
-                        // is a fault-reject: attributable separately from
-                        // credit- and depth-rejects.
-                        self.stats.record_fault_reject();
-                    }
-                    inj.take_backoff(attempt);
-                    // Detail packs (fault code << 8) | attempt so the
-                    // flight dump names what caused this retry.
-                    trace.span(
-                        Stage::Retry,
-                        duration_to_cycles(policy.backoff(attempt), freq),
-                        0,
-                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
-                    );
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
-                }
-                Some(f @ FaultKind::PageFault { offset: _ }) => {
-                    // Touch the faulting page (plus the touch-ahead
-                    // window) and resubmit; everything up to the touched
-                    // frontier is now resident and cannot fault again.
-                    if let FaultKind::PageFault { offset } = f {
-                        let newly_resident =
-                            (offset / fault::PAGE_BYTES) + 1 + u64::from(policy.touch_ahead_pages);
-                        let touched = newly_resident.saturating_sub(resident_pages);
-                        trace.span(
-                            Stage::EratTouch,
-                            touched * TOUCH_CYCLES_PER_PAGE,
-                            touched * fault::PAGE_BYTES,
-                            offset / fault::PAGE_BYTES,
-                        );
-                        resident_pages = newly_resident;
-                    }
-                    stats.bump(&stats.resubmissions);
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
-                }
-                Some(f @ FaultKind::Partial { .. }) => {
-                    // The engine stopped early without an error; the
-                    // library resubmits the remainder (modeled as a full
-                    // resubmission).
-                    stats.bump(&stats.resubmissions);
-                    trace.span(
-                        Stage::Retry,
-                        SUBMIT_CYCLES,
-                        0,
-                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
-                    );
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
-                }
-                Some(FaultKind::BitFlip { .. })
-                | Some(FaultKind::Truncate { .. })
-                | Some(FaultKind::WorkerPanic)
-                | None => {}
-            }
-            // Clean submission: run the engine. Genuine input errors are
-            // not transient — surface them immediately, no retry.
-            let out = run(self)?;
-            trace.span(
-                Stage::Engine,
-                out.engine_cycles(),
-                data.len() as u64,
-                u64::from(attempt),
-            );
-            // Modeled output-integrity check: the engine CRCs its output
-            // stream; an injected in-flight corruption must be caught
-            // here and never escape to the caller.
-            if let Some(k) = inj.output_fault(req, attempt, out.payload_len() as u64) {
-                let mut corrupted = out.payload_clone();
-                fault::corrupt(k, &mut corrupted);
-                if corrupted != out.payload_ref() {
-                    stats.bump(&stats.corruptions_detected);
-                }
-                stats.bump(&stats.retries);
-                self.stats.record_retry();
-                inj.take_backoff(attempt);
-                trace.span(
-                    Stage::Retry,
-                    duration_to_cycles(policy.backoff(attempt), freq),
-                    0,
-                    u64::from(attempt),
-                );
-                last_fault = Some(k);
-                attempt += 1;
-                continue;
-            }
-            return Ok(Some(out));
-        }
-        // Attempt budget exhausted.
-        if policy.software_fallback {
-            stats.bump(&stats.software_fallbacks);
-            return Ok(None);
-        }
-        Err(match last_fault {
-            Some(FaultKind::QueueOverflow) => Error::QueueOverflow,
-            Some(FaultKind::BitFlip { .. }) | Some(FaultKind::Truncate { .. }) => {
-                Error::CorruptedOutput { attempts: attempt }
-            }
-            _ => Error::SubmissionTimeout { attempts: attempt },
-        })
     }
 
     /// Compresses with the 842 memory-compression engine. Cycles are
@@ -1003,7 +622,7 @@ impl Nx {
     /// encoder's op mix, so mixed 842/DEFLATE workloads report real
     /// throughput for both engines.
     pub fn compress_842(&self, data: &[u8]) -> Vec<u8> {
-        let mut trace = Trace::begin(&self.telemetry);
+        let mut trace = Trace::begin(&self.env.telemetry);
         trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
         let (out, enc_stats) = nx_842::compress_with_stats(data);
         let report = nx_842::model::compress_cycles(
@@ -1011,7 +630,7 @@ impl Nx {
             &enc_stats,
             data.len() as u64,
         );
-        self.stats.record_compress(
+        self.env.stats.record_compress(
             Codec::P842,
             data.len() as u64,
             out.len() as u64,
@@ -1030,7 +649,7 @@ impl Nx {
     ///
     /// [`Error::P842`] if the stream is malformed.
     pub fn decompress_842(&self, data: &[u8]) -> Result<Vec<u8>> {
-        let mut trace = Trace::begin(&self.telemetry);
+        let mut trace = Trace::begin(&self.env.telemetry);
         trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
         let out = nx_842::decompress(data)?;
         // The decoder doesn't report its op mix; price the request as
@@ -1046,7 +665,7 @@ impl Nx {
             &dec_stats,
             out.len() as u64,
         );
-        self.stats.record_decompress(
+        self.env.stats.record_decompress(
             Codec::P842,
             data.len() as u64,
             out.len() as u64,
@@ -1060,13 +679,7 @@ impl Nx {
     /// Opens an asynchronous session: jobs are queued to a dedicated
     /// engine thread, as with POWER9's asynchronous CRB submission.
     pub fn async_session(&self) -> AsyncSession {
-        AsyncSession::spawn(
-            self.config.clone(),
-            Arc::clone(&self.stats),
-            self.telemetry.clone(),
-            Arc::clone(&self.pool),
-            self.profiles.clone(),
-        )
+        AsyncSession::spawn(self.executor(), Arc::clone(&self.pool), None)
     }
 
     /// Opens an asynchronous session whose queue holds at most `depth`
@@ -1074,14 +687,7 @@ impl Nx {
     /// [`AsyncSession::try_submit`] surfaces a full queue as
     /// [`Error::QueueOverflow`].
     pub fn async_session_bounded(&self, depth: usize) -> AsyncSession {
-        AsyncSession::spawn_bounded(
-            self.config.clone(),
-            Arc::clone(&self.stats),
-            self.telemetry.clone(),
-            Arc::clone(&self.pool),
-            self.profiles.clone(),
-            depth,
-        )
+        AsyncSession::spawn(self.executor(), Arc::clone(&self.pool), Some(depth))
     }
 
     /// Opens a sharded parallel compression session at `level`: one
@@ -1090,17 +696,7 @@ impl Nx {
     /// in this handle's [`NxStats`]. See [`parallel`] for the stream
     /// construction.
     pub fn parallel_session(&self, opts: parallel::ParallelOptions, level: u32) -> ParallelSession {
-        ParallelSession::new(
-            opts,
-            level,
-            nx_deflate::Engine::Auto,
-            None,
-            Arc::clone(&self.stats),
-            self.faults.clone(),
-            self.telemetry.clone(),
-            Arc::clone(&self.pool),
-            Arc::clone(&self.decode_stats),
-        )
+        ParallelSession::new(self, opts, level, nx_deflate::Engine::Auto, None)
     }
 
     /// As [`parallel_session`](Self::parallel_session) but taking the
@@ -1115,22 +711,19 @@ impl Nx {
         opts: parallel::ParallelOptions,
         copts: CompressOptions,
     ) -> ParallelSession {
-        let profile = copts
-            .profile()
-            .and_then(|id| self.profile_registry().get(id).cloned());
-        if copts.profile().is_some() && profile.is_none() {
-            nx_deflate::profile::record_profile_miss();
-        }
+        // Resolved once, here: a hit routes single-shard payloads through
+        // the executor's canned backend; a miss is counted and the session
+        // is a plain sharded ladder.
+        let hit = matches!(
+            exec::Software::select(copts, &self.env),
+            exec::Software::Canned { .. }
+        );
         ParallelSession::new(
+            self,
             opts,
             copts.level().get(),
             copts.engine(),
-            profile,
-            Arc::clone(&self.stats),
-            self.faults.clone(),
-            self.telemetry.clone(),
-            Arc::clone(&self.pool),
-            Arc::clone(&self.decode_stats),
+            hit.then_some(copts),
         )
     }
 
@@ -1151,8 +744,14 @@ impl Nx {
     /// A parallel inflater bound to this handle's counters, fault
     /// injector and buffer pool. Construction is cheap — workers are
     /// scoped threads spawned per request.
-    fn decode_inflater(&self) -> ParallelInflater {
-        self.decode_inflater_with(ParallelInflateOptions::default())
+    fn decode_inflater(&self, opts: ParallelInflateOptions) -> ParallelInflater {
+        ParallelInflater::with_parts(
+            opts,
+            Arc::clone(&self.decode_stats),
+            self.env.faults.clone(),
+            Arc::clone(&self.pool),
+            self.env.telemetry.clone(),
+        )
     }
 
     /// Like [`Nx::decompress_parallel`] but with explicit decode options
@@ -1169,20 +768,11 @@ impl Nx {
         format: Format,
         opts: ParallelInflateOptions,
     ) -> Result<Vec<u8>> {
-        let out = self.decode_inflater_with(opts).decompress(data, format)?;
-        self.stats
+        let out = self.decode_inflater(opts).decompress(data, format)?;
+        self.env
+            .stats
             .record_decompress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
         Ok(out)
-    }
-
-    fn decode_inflater_with(&self, opts: ParallelInflateOptions) -> ParallelInflater {
-        ParallelInflater::with_parts(
-            opts,
-            Arc::clone(&self.decode_stats),
-            self.faults.clone(),
-            Arc::clone(&self.pool),
-            self.telemetry.clone(),
-        )
     }
 
     /// Decompresses `data` through the parallel inflate path (speculative
@@ -1195,10 +785,7 @@ impl Nx {
     /// [`Error::Deflate`] for malformed streams — exactly as the serial
     /// decoder reports them.
     pub fn decompress_parallel(&self, data: &[u8], format: Format) -> Result<Vec<u8>> {
-        let out = self.decode_inflater().decompress(data, format)?;
-        self.stats
-            .record_decompress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
-        Ok(out)
+        self.decompress_parallel_with(data, format, ParallelInflateOptions::default())
     }
 
     /// Builds a random-access [`SeekIndex`] over `data` (one serial,
@@ -1210,7 +797,8 @@ impl Nx {
     ///
     /// [`Error::Deflate`] for malformed streams.
     pub fn build_index(&self, data: &[u8], format: Format) -> Result<SeekIndex> {
-        self.decode_inflater().build_index(data, format)
+        self.decode_inflater(ParallelInflateOptions::default())
+            .build_index(data, format)
     }
 
     /// Random-accesses `[offset, offset + len)` of the stream indexed by
@@ -1230,7 +818,7 @@ impl Nx {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        self.decode_inflater()
+        self.decode_inflater(ParallelInflateOptions::default())
             .decompress_at(data, index, offset, len)
     }
 
@@ -1242,14 +830,7 @@ impl Nx {
     ///
     /// [`Error::Deflate`] for an invalid `level`.
     pub fn scratch_session(&self, level: u32) -> Result<ScratchSession> {
-        let level = nx_deflate::CompressionLevel::new(level)?;
-        Ok(ScratchSession::new(
-            Arc::clone(&self.stats),
-            self.telemetry.clone(),
-            level,
-            nx_deflate::Engine::Auto,
-            Arc::clone(&self.pool),
-        ))
+        Ok(self.scratch_session_with(CompressOptions::from_numeric(level)?))
     }
 
     /// As [`scratch_session`](Self::scratch_session) but taking the
@@ -1259,19 +840,10 @@ impl Nx {
     /// tables only for gzip) and its `decompress_into` transparently
     /// supplies the profile dictionary to zlib FDICT streams.
     pub fn scratch_session_with(&self, opts: CompressOptions) -> ScratchSession {
-        let profile = opts
-            .profile()
-            .and_then(|id| self.profile_registry().get(id).cloned());
-        if opts.profile().is_some() && profile.is_none() {
-            nx_deflate::profile::record_profile_miss();
-        }
-        ScratchSession::with_profile(
-            Arc::clone(&self.stats),
-            self.telemetry.clone(),
-            opts.level(),
-            opts.engine(),
+        ScratchSession::new(
+            Executor::session(self.env.clone(), opts),
+            opts,
             Arc::clone(&self.pool),
-            profile,
         )
     }
 

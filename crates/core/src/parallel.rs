@@ -51,12 +51,12 @@ use crate::framing::Format;
 use crate::parallel_inflate::{InflateParStats, ParallelInflateOptions, ParallelInflater};
 use crate::scratch::BufferPool;
 use crate::stats::Codec;
-use crate::{software, Error, NxStats, Result};
+use crate::{CompressOptions, Error, Nx, Result};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use nx_deflate::adler32::{adler32, adler32_combine};
 use nx_deflate::crc32::{crc32, crc32_combine};
 use nx_deflate::stream::{Flush, StreamEncoder};
-use nx_deflate::{gzip, zlib, CompressionLevel, Engine, Profile};
+use nx_deflate::{gzip, zlib, CompressionLevel, Engine};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext, NO_PARENT};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -897,43 +897,45 @@ fn stitch(outs: &[ShardData], total_len: usize, format: Format) -> Vec<u8> {
 }
 
 /// A parallel compression session bound to an [`crate::Nx`] handle: the
-/// engine's traffic is recorded into the handle's [`NxStats`], modeling
-/// a host that fans one request out across accelerator units.
+/// engine's traffic is recorded into the handle's [`crate::NxStats`],
+/// modeling a host that fans one request out across accelerator units.
 #[derive(Debug)]
 pub struct ParallelSession {
     engine: ParallelEngine,
-    stats: Arc<NxStats>,
+    nx: Nx,
     level: u32,
     engine_sel: Engine,
-    /// Canned profile for single-shard (small) payloads: the traffic
-    /// canned profiles target. Multi-shard inputs run the regular sharded
-    /// ladder — per-shard dictionary hand-off and canned preset
-    /// dictionaries are different mechanisms and do not compose.
-    profile: Option<Profile>,
+    /// Options whose canned profile the handle's registry holds: payloads
+    /// that fit one shard — the small-payload traffic canned profiles
+    /// target — run as ordinary requests under them. Multi-shard inputs
+    /// run the regular sharded ladder — per-shard dictionary hand-off and
+    /// canned preset dictionaries are different mechanisms and do not
+    /// compose.
+    canned: Option<CompressOptions>,
 }
 
 impl ParallelSession {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
+        nx: &Nx,
         mut opts: ParallelOptions,
         level: u32,
         engine_sel: Engine,
-        profile: Option<Profile>,
-        stats: Arc<NxStats>,
-        faults: Option<Arc<FaultInjector>>,
-        sink: TelemetrySink,
-        pool: Arc<BufferPool>,
-        decode_stats: Arc<InflateParStats>,
+        canned: Option<CompressOptions>,
     ) -> Self {
         opts.workers = opts.workers.max(1);
-        let engine =
-            ParallelEngine::spawn_with_decode(opts, faults, sink, pool, Some(decode_stats));
+        let engine = ParallelEngine::spawn_with_decode(
+            opts,
+            nx.fault_injector().cloned(),
+            nx.telemetry().clone(),
+            Arc::clone(nx.buffer_pool()),
+            Some(Arc::clone(nx.decode_parallel_stats())),
+        );
         Self {
             engine,
-            stats,
+            nx: nx.clone(),
             level,
             engine_sel,
-            profile,
+            canned,
         }
     }
 
@@ -953,22 +955,16 @@ impl ParallelSession {
     ///
     /// As [`ParallelEngine::compress`].
     pub fn compress(&self, data: &[u8], format: Format) -> Result<Vec<u8>> {
-        // Single-shard payloads — the small-payload traffic canned
-        // profiles target — take the one-pass canned path; anything that
-        // shards runs the regular parallel ladder, since per-shard
-        // history hand-off and a preset dictionary do not compose.
-        if let Some(p) = &self.profile {
+        if let Some(opts) = self.canned {
             if data.len() <= self.engine.opts.chunk_size {
-                let out = software::compress_with_profile(data, self.engine_sel, p, format);
-                self.stats
-                    .record_compress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
-                return Ok(out);
+                return Ok(self.nx.compress_with(data, format, opts)?.bytes);
             }
         }
         let out = self
             .engine
             .compress_traced(data, self.level, self.engine_sel, format, None)?;
-        self.stats
+        self.nx
+            .stats()
             .record_compress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
         Ok(out)
     }
@@ -981,7 +977,8 @@ impl ParallelSession {
     /// As [`ParallelEngine::decompress`].
     pub fn decompress(&self, data: &[u8], format: Format) -> Result<Vec<u8>> {
         let out = self.engine.decompress(data, format)?;
-        self.stats
+        self.nx
+            .stats()
             .record_decompress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
         Ok(out)
     }

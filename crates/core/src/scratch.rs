@@ -7,10 +7,11 @@
 //! * [`BufferPool`] is a shared shelf of byte buffers with hit/miss
 //!   accounting, used by the parallel pool workers (shard output) and the
 //!   async engine (input recycling).
-//! * [`ScratchSession`] bundles a persistent [`StreamEncoder`], an
-//!   [`InflateScratch`] (decode tables + output sizing) and a pool handle
-//!   so repeated same-shape compress/decompress calls through the
-//!   `*_into` APIs stop touching the allocator after warmup.
+//! * [`ScratchSession`] bundles a software-only request executor (a
+//!   persistent [`nx_deflate::StreamEncoder`] plus an
+//!   [`nx_deflate::InflateScratch`] for decode tables + output sizing) and
+//!   a pool handle so repeated same-shape compress/decompress calls
+//!   through the `*_into` APIs stop touching the allocator after warmup.
 //! * [`InflatePathMetrics`] exports the decoder's fast-path/careful-path
 //!   byte counters (the inflate superloop hit rate) as pull metrics.
 //!
@@ -32,14 +33,11 @@
 //! # }
 //! ```
 
+use crate::exec::Executor;
 use crate::framing::Format;
-use crate::stats::{Codec, NxStats};
-use crate::{Result, Trace, SUBMIT_CYCLES};
-use nx_deflate::adler32::adler32;
-use nx_deflate::crc32::crc32;
-use nx_deflate::stream::{Flush, StreamEncoder};
-use nx_deflate::{gzip, zlib, CompressionLevel, Engine, InflateScratch, Profile};
-use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink};
+use crate::{CompressOptions, Result};
+use nx_deflate::{CompressionLevel, Engine, Profile};
+use nx_telemetry::{MetricSource, MetricValue};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -316,65 +314,40 @@ impl MetricSource for ProfileMetrics {
 /// encode side still builds its dynamic Huffman plan per block; see
 /// DESIGN.md's zero-allocation notes).
 ///
-/// Traffic is recorded in the owning handle's [`NxStats`] and its
-/// telemetry sink, like any other facade request.
+/// The session *is* a request executor in its software-only form plus the
+/// caller's buffers: requests run the same routing, span grammar and
+/// stats record as every other entry point, recorded in the owning
+/// handle's [`crate::NxStats`] and telemetry sink.
 #[derive(Debug)]
 pub struct ScratchSession {
-    stats: Arc<NxStats>,
-    telemetry: TelemetrySink,
-    level: CompressionLevel,
-    enc: StreamEncoder,
-    inflate: InflateScratch,
+    exec: Executor,
+    /// Fixed when the session opens: the ladder rung and engine of the
+    /// persistent encoder, and the canned profile (whose dictionary
+    /// `decompress_into` also supplies to zlib FDICT streams).
+    opts: CompressOptions,
     pool: Arc<BufferPool>,
-    /// Canned profile: when set, `compress_into` runs the one-pass canned
-    /// path and `decompress_into` can satisfy zlib FDICT streams with the
-    /// profile's dictionary.
-    profile: Option<Profile>,
 }
 
 impl ScratchSession {
-    pub(crate) fn new(
-        stats: Arc<NxStats>,
-        telemetry: TelemetrySink,
-        level: CompressionLevel,
-        engine: Engine,
-        pool: Arc<BufferPool>,
-    ) -> Self {
-        Self::with_profile(stats, telemetry, level, engine, pool, None)
+    pub(crate) fn new(exec: Executor, opts: CompressOptions, pool: Arc<BufferPool>) -> Self {
+        Self { exec, opts, pool }
     }
 
-    pub(crate) fn with_profile(
-        stats: Arc<NxStats>,
-        telemetry: TelemetrySink,
-        level: CompressionLevel,
-        engine: Engine,
-        pool: Arc<BufferPool>,
-        profile: Option<Profile>,
-    ) -> Self {
-        Self {
-            stats,
-            telemetry,
-            level,
-            enc: StreamEncoder::with_engine(level, engine),
-            inflate: InflateScratch::new(),
-            pool,
-            profile,
-        }
-    }
-
-    /// The canned profile bound to this session, if any.
+    /// The canned profile bound to this session, if its options name one
+    /// the handle's registry holds.
     pub fn profile(&self) -> Option<&Profile> {
-        self.profile.as_ref()
+        let id = self.opts.profile()?;
+        self.exec.env().registry().get(id)
     }
 
     /// The configured compression level.
     pub fn level(&self) -> CompressionLevel {
-        self.level
+        self.opts.level()
     }
 
     /// The configured LZ77 engine selection.
     pub fn engine(&self) -> Engine {
-        self.enc.engine()
+        self.opts.engine()
     }
 
     /// The buffer pool this session shares with its [`crate::Nx`] handle.
@@ -394,64 +367,16 @@ impl ScratchSession {
 
     /// Compresses `data` into `format` framing, writing the complete
     /// container into `out` (cleared first). The persistent encoder's
-    /// window, tokenizer and bit-writer buffers are reused across calls.
+    /// window, tokenizer and bit-writer buffers are reused across calls;
+    /// with a profile the one-pass canned path runs instead.
     ///
     /// # Errors
     ///
     /// Infallible today; the `Result` mirrors [`crate::Nx::compress`].
     pub fn compress_into(&mut self, data: &[u8], format: Format, out: &mut Vec<u8>) -> Result<()> {
-        out.clear();
-        let mut trace = Trace::begin(&self.telemetry);
-        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-        if let Some(p) = &self.profile {
-            // One-pass canned path: dictionary-framed zlib (FDICT +
-            // DICTID), dictionary-primed raw, canned-tables-only gzip —
-            // the same framing policy as software::compress_with_profile,
-            // writing straight into the caller's buffer.
-            let engine = self.enc.engine();
-            match format {
-                Format::RawDeflate => {
-                    nx_deflate::deflate_canned_into(data, engine, p, true, out);
-                }
-                Format::Gzip => {
-                    gzip::write_header_into(out);
-                    nx_deflate::deflate_canned_into(data, engine, p, false, out);
-                    gzip::write_trailer_into(out, crc32(data), data.len() as u64);
-                }
-                Format::Zlib => {
-                    if p.dict().is_empty() {
-                        zlib::write_header_into(out, self.level);
-                        nx_deflate::deflate_canned_into(data, engine, p, false, out);
-                    } else {
-                        zlib::write_header_with_dictid(out, self.level, p.dict_id());
-                        nx_deflate::deflate_canned_into(data, engine, p, true, out);
-                    }
-                    zlib::write_trailer_into(out, adler32(data));
-                }
-            }
-        } else {
-            self.enc.reset_with_dict(&[]);
-            match format {
-                Format::RawDeflate => {
-                    self.enc.write_into(data, Flush::Finish, out);
-                }
-                Format::Gzip => {
-                    gzip::write_header_into(out);
-                    self.enc.write_into(data, Flush::Finish, out);
-                    gzip::write_trailer_into(out, crc32(data), data.len() as u64);
-                }
-                Format::Zlib => {
-                    zlib::write_header_into(out, self.level);
-                    self.enc.write_into(data, Flush::Finish, out);
-                    zlib::write_trailer_into(out, adler32(data));
-                }
-            }
-        }
-        self.stats
-            .record_compress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
-        trace.span(Stage::Engine, 0, data.len() as u64, 0);
-        trace.finish(out.len() as u64);
-        Ok(())
+        self.exec
+            .compress_into(data, format, self.opts, None, out)
+            .map(drop)
     }
 
     /// Decompresses `format`-framed `data` into `out` (cleared first),
@@ -468,31 +393,9 @@ impl ScratchSession {
         format: Format,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        let mut trace = Trace::begin(&self.telemetry);
-        trace.span(Stage::Submit, SUBMIT_CYCLES, data.len() as u64, 0);
-        match format {
-            Format::RawDeflate => nx_deflate::inflate_into(data, &mut self.inflate, out)?,
-            Format::Gzip => gzip::decompress_into(data, &mut self.inflate, out)?,
-            Format::Zlib => match zlib::decompress_into(data, &mut self.inflate, out) {
-                // An FDICT stream and a session profile with a dictionary:
-                // retry through the dictionary-aware decoder, exactly the
-                // inflateSetDictionary dance in zlib.
-                Err(nx_deflate::Error::DictionaryRequired) => {
-                    match self.profile.as_ref().filter(|p| !p.dict().is_empty()) {
-                        Some(p) => {
-                            zlib::decompress_with_dict_into(data, p.dict(), &mut self.inflate, out)?
-                        }
-                        None => return Err(nx_deflate::Error::DictionaryRequired.into()),
-                    }
-                }
-                r => r?,
-            },
-        }
-        self.stats
-            .record_decompress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
-        trace.span(Stage::Engine, 0, data.len() as u64, 0);
-        trace.finish(out.len() as u64);
-        Ok(())
+        self.exec
+            .decompress_into(data, format, self.opts, None, out)
+            .map(drop)
     }
 }
 

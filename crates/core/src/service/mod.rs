@@ -36,6 +36,7 @@ pub mod sched;
 pub use loadgen::{run_storm, run_storm_faulted, LoadGen, StormConfig, StormReport, TenantLoad};
 pub use sched::{jain_index, CreditAccount, DwrrScheduler, QosClass, Rejected, TenantSpec};
 
+use crate::exec::Executor;
 use crate::framing::Format;
 use crate::stats::NxStats;
 use crate::{CompressOptions, Compressed, Nx, COMPLETE_CYCLES, SUBMIT_CYCLES};
@@ -437,19 +438,20 @@ pub struct TenantHandle {
 impl Nx {
     /// Opens a multi-tenant service over this accelerator handle.
     ///
-    /// The service shares the handle's engine, stats, fault injector and
-    /// telemetry: requests go through the same recovery protocol as
-    /// direct calls, and if the handle has an attached telemetry
-    /// registry, per-tenant metrics register as the `nx-service` source.
+    /// The service's engine thread owns a request executor bound to this
+    /// handle's stats, fault injector, profiles and telemetry: requests
+    /// go through the same routing and recovery protocol as direct calls,
+    /// and if the handle has an attached telemetry registry, per-tenant
+    /// metrics register as the `nx-service` source.
     pub fn service(&self, config: ServiceConfig) -> NxService {
-        NxService::start(self.clone(), config)
+        NxService::start(self.executor(), config)
     }
 }
 
 impl NxService {
-    fn start(nx: Nx, config: ServiceConfig) -> Self {
+    fn start(exec: Executor, config: ServiceConfig) -> Self {
         let stats = Arc::new(ServiceStats::default());
-        if let Some(reg) = nx.telemetry().registry() {
+        if let Some(reg) = exec.env().telemetry.registry() {
             reg.register_source("nx-service", Arc::clone(&stats) as Arc<dyn MetricSource>);
         }
         let (signal, wake) = unbounded::<()>();
@@ -464,15 +466,15 @@ impl NxService {
                 open: true,
             }),
             signal,
-            nx_stats: Arc::clone(nx.stats_arc()),
+            nx_stats: Arc::clone(&exec.env().stats),
             stats: Arc::clone(&stats),
             depth_limit: config.engine_depth.max(1),
-            telemetry: nx.telemetry().clone(),
+            telemetry: exec.env().telemetry.clone(),
         });
         let engine_shared = Arc::clone(&shared);
         let engine = std::thread::Builder::new()
             .name("nx-service".into())
-            .spawn(move || Self::engine_loop(nx, engine_shared, wake))
+            .spawn(move || Self::engine_loop(exec, engine_shared, wake))
             .ok();
         Self { shared, engine }
     }
@@ -535,7 +537,7 @@ impl NxService {
         }
     }
 
-    fn engine_loop(nx: Nx, shared: Arc<Shared>, wake: Receiver<()>) {
+    fn engine_loop(mut exec: Executor, shared: Arc<Shared>, wake: Receiver<()>) {
         loop {
             let (batch, still_open) = {
                 let mut st = shared.state.lock();
@@ -606,7 +608,10 @@ impl NxService {
                 ctx.child_seq += 1;
                 ctx.at_cycles += submit_share;
                 let child = ctx.child(dispatch_seq, ctx.child_seq, ctx.at_cycles);
-                let result = nx.compress_in_trace(&job.data, job.format, job.opts, &child);
+                let mut bytes = Vec::new();
+                let result = exec
+                    .compress_into(&job.data, job.format, job.opts, Some(&child), &mut bytes)
+                    .map(|report| Compressed { bytes, report });
                 let mut st = shared.state.lock();
                 let tenant = &mut st.tenants[job.tenant];
                 let complete_seq = tenant.complete_seq;

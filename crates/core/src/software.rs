@@ -5,7 +5,8 @@
 use crate::framing::{self, Format};
 use crate::Result;
 use nx_deflate::adler32::adler32;
-use nx_deflate::{CompressionLevel, Engine, Profile};
+use nx_deflate::crc32::crc32;
+use nx_deflate::{gzip, zlib, CompressionLevel, Engine, Profile};
 
 /// Compresses `data` in software at `level`, framed as `format`.
 ///
@@ -56,20 +57,41 @@ pub fn compress_with_profile(
     profile: &Profile,
     format: Format,
 ) -> Vec<u8> {
+    let mut out = Vec::new();
+    compress_with_profile_into(data, engine, profile, format, &mut out);
+    out
+}
+
+/// [`compress_with_profile`] into a caller-owned buffer (cleared first):
+/// the one place the canned framing policy is spelled.
+pub(crate) fn compress_with_profile_into(
+    data: &[u8],
+    engine: Engine,
+    profile: &Profile,
+    format: Format,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.reserve(data.len() / 2 + 64);
+    // FLEVEL is advisory: canned streams carry the default marker
+    // whatever level the profile tokenizes at.
+    let flevel = CompressionLevel::default();
     match format {
-        Format::RawDeflate => nx_deflate::deflate_canned(data, engine, profile, true),
+        Format::RawDeflate => nx_deflate::deflate_canned_into(data, engine, profile, true, out),
         Format::Gzip => {
-            let raw = nx_deflate::deflate_canned(data, engine, profile, false);
-            framing::wrap(raw, data, Format::Gzip)
+            gzip::write_header_into(out);
+            nx_deflate::deflate_canned_into(data, engine, profile, false, out);
+            gzip::write_trailer_into(out, crc32(data), data.len() as u64);
         }
         Format::Zlib => {
-            if profile.dict().is_empty() {
-                let raw = nx_deflate::deflate_canned(data, engine, profile, false);
-                framing::wrap(raw, data, Format::Zlib)
+            let primed = !profile.dict().is_empty();
+            if primed {
+                zlib::write_header_with_dictid(out, flevel, profile.dict_id());
             } else {
-                let raw = nx_deflate::deflate_canned(data, engine, profile, true);
-                nx_deflate::zlib::wrap_deflate_with_dict(&raw, adler32(data), profile.dict_id())
+                zlib::write_header_into(out, flevel);
             }
+            nx_deflate::deflate_canned_into(data, engine, profile, primed, out);
+            zlib::write_trailer_into(out, adler32(data));
         }
     }
 }

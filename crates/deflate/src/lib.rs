@@ -36,7 +36,8 @@
 //! * [`crc32`] / [`adler32`] — the two checksums used by the containers.
 //! * [`huffman`] — canonical, length-limited prefix codes (package-merge)
 //!   and two-level decoding tables.
-//! * [`lz77`] — tokens, hash chains, greedy and lazy matchers.
+//! * [`lz77`] — tokens, the hash4 match finder with its fastest / greedy /
+//!   lazy tokenizers, and the batched speculative matcher.
 //! * [`encoder`] / [`decoder`] — the block-level DEFLATE encoder and the
 //!   full inflate state machine.
 //! * [`marker`] — the two-stage decoder behind speculative parallel

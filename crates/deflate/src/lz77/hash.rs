@@ -1,144 +1,6 @@
-//! zlib-style hash chains for LZ77 match finding.
-//!
-//! Three-byte prefixes hash into a `head` table; each inserted position is
-//! linked to the previous position with the same hash through a circular
-//! `prev` table covering one window. Walking a chain yields candidate match
-//! positions newest-first, exactly like zlib's `longest_match`.
+//! Match extension shared by every LZ77 match finder.
 
-use crate::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
-
-/// Number of hash buckets (matches zlib's default `hash_bits = 15`).
-pub const HASH_SIZE: usize = 1 << 15;
-
-const HASH_MASK: usize = HASH_SIZE - 1;
-
-/// No-position sentinel in `head`/`prev`.
-const NIL: u32 = u32::MAX;
-
-/// Hash of the three bytes starting at `data[pos]`.
-///
-/// # Panics
-///
-/// Debug-panics if fewer than [`MIN_MATCH`] bytes remain at `pos`.
-#[inline]
-pub fn hash3(data: &[u8], pos: usize) -> usize {
-    debug_assert!(pos + MIN_MATCH <= data.len());
-    let v =
-        u32::from(data[pos]) | (u32::from(data[pos + 1]) << 8) | (u32::from(data[pos + 2]) << 16);
-    // Multiplicative hash; constant from Knuth's golden-ratio family.
-    ((v.wrapping_mul(0x9E37_79B1)) >> 17) as usize & HASH_MASK
-}
-
-/// Hash-chain dictionary over an input buffer.
-#[derive(Debug)]
-pub struct HashChains {
-    head: Vec<u32>,
-    prev: Vec<u32>,
-}
-
-impl HashChains {
-    /// Creates an empty dictionary.
-    pub fn new() -> Self {
-        Self {
-            head: vec![NIL; HASH_SIZE],
-            prev: vec![NIL; WINDOW_SIZE],
-        }
-    }
-
-    /// Clears the dictionary for reuse on a new buffer without
-    /// reallocating or touching the 128 KB `prev` table.
-    ///
-    /// Only `head` is cleared. Stale `prev` entries from the previous
-    /// buffer are unreachable: every chain walk starts at `head[h]`,
-    /// which after a reset only ever holds positions inserted since, and
-    /// each [`insert`](Self::insert) writes `prev[pos & mask]` *before*
-    /// publishing `pos` in `head` — so by induction every slot reachable
-    /// from a fresh head was written in the current run. The remaining
-    /// hazard, circular wrap-around *within* a run (two positions more
-    /// than one window apart sharing a `prev` slot), is exactly what the
-    /// monotonicity guard in [`Candidates::next`] terminates on.
-    pub fn reset(&mut self) {
-        self.head.fill(NIL);
-    }
-
-    /// Inserts position `pos` (requires ≥ 3 bytes available at `pos`).
-    #[inline]
-    pub fn insert(&mut self, data: &[u8], pos: usize) {
-        let h = hash3(data, pos);
-        self.prev[pos & (WINDOW_SIZE - 1)] = self.head[h];
-        self.head[h] = pos as u32;
-    }
-
-    /// Iterates candidate positions for the prefix at `pos`, newest first,
-    /// stopping at the window boundary. The iterator yields at most
-    /// `max_chain` candidates.
-    pub fn candidates(&self, data: &[u8], pos: usize, max_chain: usize) -> Candidates<'_> {
-        let h = hash3(data, pos);
-        Candidates {
-            chains: self,
-            cur: self.head[h],
-            pos,
-            remaining: max_chain,
-        }
-    }
-}
-
-impl Default for HashChains {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Iterator over candidate match positions; see [`HashChains::candidates`].
-///
-/// # Stale-entry guards
-///
-/// The circular `prev` table is never cleared as the window slides (and
-/// [`HashChains::reset`] deliberately leaves it untouched), so a walk can
-/// land on an entry written for a position one or more windows ago. Two
-/// checks in [`next`](Iterator::next) make such entries harmless rather
-/// than requiring an O(window) sweep:
-///
-/// 1. **Distance bound** — a candidate at or beyond `pos`, or more than
-///    `WINDOW_SIZE` behind it, ends the walk: it cannot be expressed as a
-///    DEFLATE distance, and anything further down the chain is older
-///    still.
-/// 2. **Monotonicity** — each hop must move to a strictly *older*
-///    position. A stale slot can point forward (its writer lived in a
-///    previous lap of the circular buffer), which would otherwise cycle
-///    the iterator forever; the guard collapses that hop to end-of-chain.
-#[derive(Debug)]
-pub struct Candidates<'a> {
-    chains: &'a HashChains,
-    cur: u32,
-    pos: usize,
-    remaining: usize,
-}
-
-impl Iterator for Candidates<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 || self.cur == NIL {
-            return None;
-        }
-        let cand = self.cur as usize;
-        // Chain entries older than one window are stale (the circular prev
-        // table has been overwritten); they also violate the DEFLATE
-        // distance bound, so the walk ends there.
-        if cand >= self.pos || self.pos - cand > WINDOW_SIZE {
-            return None;
-        }
-        self.remaining -= 1;
-        self.cur = self.chains.prev[cand & (WINDOW_SIZE - 1)];
-        // Guard against cycles introduced by stale circular entries: the
-        // next candidate must be strictly older.
-        if self.cur != NIL && self.cur as usize >= cand {
-            self.cur = NIL;
-        }
-        Some(cand)
-    }
-}
+use crate::MAX_MATCH;
 
 /// Eight little-endian bytes at `data[pos..]` as a `u64`.
 #[inline]
@@ -151,9 +13,9 @@ fn read8(data: &[u8], pos: usize) -> u64 {
 /// Returns the length of the common prefix of `data[a..]` and `data[b..]`,
 /// capped at [`MAX_MATCH`] and at the end of input.
 ///
-/// The u64-chunked compare + `trailing_zeros` extension is shared by both
-/// match finders (the legacy chains here and [`super::hash4`]) and by the
-/// accelerator's match-engine model.
+/// The u64-chunked compare + `trailing_zeros` extension is shared by the
+/// sequential ([`super::hash4`]) and batched ([`super::batch`]) match
+/// finders and by the accelerator's match-engine model.
 #[inline]
 pub fn match_length(data: &[u8], a: usize, b: usize) -> usize {
     debug_assert!(a < b);
@@ -177,46 +39,6 @@ pub fn match_length(data: &[u8], a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_is_stable_and_in_range() {
-        let data = b"abcabcabc";
-        assert_eq!(hash3(data, 0), hash3(data, 3));
-        assert_eq!(hash3(data, 0), hash3(data, 6));
-        assert!(hash3(data, 0) < HASH_SIZE);
-    }
-
-    #[test]
-    fn candidates_newest_first() {
-        let data = b"xyz....xyz....xyz";
-        let mut hc = HashChains::new();
-        hc.insert(data, 0);
-        hc.insert(data, 7);
-        let got: Vec<usize> = hc.candidates(data, 14, 16).collect();
-        assert_eq!(got, vec![7, 0]);
-    }
-
-    #[test]
-    fn max_chain_limits_walk() {
-        let data = vec![b'a'; 100];
-        let mut hc = HashChains::new();
-        for i in 0..50 {
-            hc.insert(&data, i);
-        }
-        let got: Vec<usize> = hc.candidates(&data, 50, 3).collect();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0], 49);
-    }
-
-    #[test]
-    fn window_bound_respected() {
-        // Insert a position, then query from more than a window away.
-        let data = vec![b'q'; WINDOW_SIZE + 100];
-        let mut hc = HashChains::new();
-        hc.insert(&data, 0);
-        let got: Vec<usize> = hc.candidates(&data, WINDOW_SIZE + 50, 16).collect();
-        assert!(got.is_empty(), "stale candidate {got:?} escaped the window");
-    }
 
     #[test]
     fn match_length_basic() {

@@ -5,10 +5,8 @@
 use nx_deflate::huffman::{build, canonical_codes, decode::roundtrip_symbols};
 use nx_deflate::lz77::batch::tokenize_speculative_into;
 use nx_deflate::lz77::cover::{resolve_cover, Candidate, CoverPicks, MIN_KEEP, WINDOW_LANES};
-use nx_deflate::lz77::hash4::Hash4Matcher;
-use nx_deflate::lz77::{
-    expand_tokens, greedy::tokenize_greedy, lazy::tokenize_lazy, MatcherConfig,
-};
+use nx_deflate::lz77::hash4::{tokenize_greedy4_into, tokenize_lazy4_into, Hash4Matcher};
+use nx_deflate::lz77::{expand_tokens, MatcherConfig};
 use nx_deflate::{deflate, gzip, inflate, zlib, CompressionLevel, Encoder, Engine};
 use proptest::prelude::*;
 
@@ -86,11 +84,13 @@ proptest! {
     #[test]
     fn tokenizers_are_lossless(data in structured_bytes(), level in 1u32..=9) {
         let cfg = MatcherConfig::for_level(level);
-        let tokens = if MatcherConfig::is_lazy_level(level) {
-            tokenize_lazy(&data, &cfg)
+        let mut m = Hash4Matcher::new();
+        let mut tokens = Vec::new();
+        if MatcherConfig::is_lazy_level(level) {
+            tokenize_lazy4_into(&data, 0, &cfg, &mut m, &mut tokens);
         } else {
-            tokenize_greedy(&data, &cfg)
-        };
+            tokenize_greedy4_into(&data, 0, &cfg, &mut m, &mut tokens);
+        }
         prop_assert!(tokens.iter().all(|t| t.is_valid()));
         prop_assert_eq!(expand_tokens(&tokens), data);
     }
@@ -177,10 +177,12 @@ proptest! {
         // speculative parse must produce valid tokens that round-trip
         // too — both at the token level and through the full encoder.
         let cfg = MatcherConfig::for_level(level);
-        let greedy = tokenize_greedy(&data, &cfg);
+        let mut m = Hash4Matcher::new();
+        let mut greedy = Vec::new();
+        tokenize_greedy4_into(&data, 0, &cfg, &mut m, &mut greedy);
         prop_assert_eq!(expand_tokens(&greedy), data.clone());
 
-        let mut m = Hash4Matcher::new();
+        m.reset();
         let mut spec = Vec::new();
         tokenize_speculative_into(&data, 0, level, &mut m, &mut spec);
         prop_assert!(spec.iter().all(|t| t.is_valid()));

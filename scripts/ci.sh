@@ -23,7 +23,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --offline --release
+
+    echo "==> frozen benchmark client builds"
+    # benchmark/ is a package of its own that names nx-core/nx-deflate
+    # items directly; a facade change that breaks it must fail here, not
+    # in the benchmark run.
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
 fi
+
+echo "==> non-test LOC per crate"
+scripts/loc.sh
 
 echo "==> cargo test (tier-1)"
 cargo test --offline -q
@@ -57,6 +66,9 @@ DECODE_PATHS=(
     crates/p842/src/bitio.rs
     crates/core/src/framing.rs
     crates/core/src/software.rs
+    # The request executor: every entry point's hostile streams pass
+    # through its decode and recovery paths.
+    crates/core/src/exec.rs
     crates/accel/src/decomp.rs
     # Telemetry emit/export paths run inside every instrumented request;
     # an observability layer must never be the thing that panics.

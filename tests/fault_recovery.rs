@@ -162,6 +162,69 @@ fn accelerator_unavailable_degrades_to_identical_software_bytes() {
 }
 
 #[test]
+fn queued_jobs_recover_like_synchronous_requests() {
+    // An async job on a faulted handle runs the same executor as a
+    // synchronous request, so the injector sees it: a scripted CSB error
+    // on the first attempt is retried once and the job completes with the
+    // clean run's bytes...
+    let data = nx_corpus::mixed(SEED, 96 * 1024);
+    let clean = Nx::power9().compress(&data, Format::Gzip).expect("clean");
+    let script = |kind| {
+        FaultPlan::script(vec![Scripted {
+            site: Site::Compress,
+            request: 0,
+            attempt: 0,
+            kind,
+        }])
+    };
+    let nx = faulted(
+        script(FaultKind::CsbError {
+            code: CsbCode::Hardware,
+        }),
+        RecoveryPolicy::default(),
+    );
+    let session = nx.async_session();
+    let out = session
+        .submit(data.clone(), Format::Gzip)
+        .expect("submit")
+        .wait()
+        .expect("retried");
+    assert_eq!(
+        out.bytes, clean.bytes,
+        "recovery must not change the payload"
+    );
+    assert_eq!(out.report.cycles, clean.report.cycles);
+    let s = nx.fault_stats().expect("stats");
+    assert_eq!(s.csb_error_count(), 1);
+    assert_eq!(s.retry_count(), 1);
+    assert_eq!(nx.stats().retries(), 1);
+    assert_eq!(s.software_fallback_count(), 0);
+    session.close();
+    // ...and an unavailable accelerator degrades the queued job to the
+    // software path, named and counted as a fallback.
+    let nx = faulted(
+        script(FaultKind::AccelUnavailable),
+        RecoveryPolicy::default(),
+    );
+    let out = nx
+        .async_session()
+        .submit(data.clone(), Format::Gzip)
+        .expect("submit")
+        .wait()
+        .expect("fallback");
+    assert_eq!(out.report.config_name, "software-fallback");
+    assert_eq!(nx.stats().software_fallbacks(), 1);
+    assert_eq!(
+        nx.fault_stats().expect("stats").software_fallback_count(),
+        1
+    );
+    assert_eq!(
+        software::decompress(&out.bytes, Format::Gzip).expect("valid"),
+        data
+    );
+}
+
+#[test]
 fn fallback_disabled_surfaces_typed_errors() {
     let data = nx_corpus::mixed(SEED, 32 * 1024);
     let gz = software::compress(&data, nx_deflate::CompressionLevel::default(), Format::Gzip);

@@ -271,7 +271,10 @@ fn unknown_profile_degrades_to_the_ladder_and_counts_a_miss() {
             CompressOptions::new().with_profile(ProfileId::new(u16::MAX)),
         )
         .expect("compress");
-    assert_eq!(out.report.config_name, "software-fallback");
+    // A miss degrades to a rung the caller's options name — the ladder,
+    // not a fallback: no accelerator job was lost.
+    assert_eq!(out.report.config_name, "software-ladder");
+    assert_eq!(nx.stats().software_fallbacks(), 0);
     assert_eq!(
         software::decompress(&out.bytes, Format::Gzip).unwrap(),
         data
