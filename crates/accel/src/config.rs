@@ -1,6 +1,10 @@
 //! Accelerator configuration: the microarchitectural parameters the paper
 //! discusses, with presets for the two shipped generations.
 
+/// Widest lane window the match engine's fixed per-cycle scratch holds
+/// (four times the z15 width).
+pub const MAX_LANES: usize = 64;
+
 /// Match-cover resolution policy across one lane window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Resolution {
@@ -163,9 +167,11 @@ impl AccelConfig {
     /// # Panics
     ///
     /// Panics on an inconsistent configuration (zero lanes, window beyond
-    /// the DEFLATE bound, zero-sized structures).
+    /// the DEFLATE bound, zero-sized structures, or a shape the hash table
+    /// and lane scratch cannot represent).
     pub fn validate(&self) {
         assert!(self.lanes > 0, "lanes must be positive");
+        assert!(self.lanes <= MAX_LANES, "lanes beyond the lane scratch");
         assert!(
             self.history_bytes > 0 && self.history_bytes <= 32 * 1024,
             "history must be within DEFLATE's 32 KB window"
@@ -175,8 +181,16 @@ impl AccelConfig {
             "history must be a power of two"
         );
         assert!(self.hash_ways > 0 && self.hash_banks > 0);
+        assert!(
+            self.hash_ways <= usize::from(u8::MAX),
+            "hash_ways beyond the per-set FIFO cursor"
+        );
         assert!(self.bank_read_ports > 0);
         assert!(self.hash_bits >= 4 && self.hash_bits <= 20);
+        assert!(
+            self.hash_banks <= 1 << self.hash_bits,
+            "more hash banks than sets"
+        );
         assert!(self.block_bytes >= 1024, "blocks must hold at least 1 KB");
         assert!(self.encode_tokens_per_cycle > 0 && self.out_bytes_per_cycle > 0);
         assert!(self.compare_width >= 3);
@@ -217,6 +231,41 @@ mod tests {
     fn oversized_history_rejected() {
         let mut cfg = AccelConfig::power9();
         cfg.history_bytes = 64 * 1024;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO cursor")]
+    fn ways_beyond_the_cursor_rejected() {
+        // The per-set cursor is a u8: 300 ways used to wrap it silently.
+        let mut cfg = AccelConfig::power9();
+        cfg.hash_ways = 300;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "lane scratch")]
+    fn lanes_beyond_the_scratch_rejected() {
+        let mut cfg = AccelConfig::power9();
+        cfg.lanes = MAX_LANES + 1;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "banks than sets")]
+    fn more_banks_than_sets_rejected() {
+        let mut cfg = AccelConfig::power9();
+        cfg.hash_bits = 4;
+        cfg.hash_banks = 32;
+        cfg.validate();
+    }
+
+    #[test]
+    fn widest_representable_shape_validates() {
+        let mut cfg = AccelConfig::power9();
+        cfg.lanes = MAX_LANES;
+        cfg.hash_ways = 255;
+        cfg.hash_banks = 1 << cfg.hash_bits;
         cfg.validate();
     }
 }

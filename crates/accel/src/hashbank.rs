@@ -19,12 +19,24 @@ pub struct HashBank {
     sets: usize,
     ways: usize,
     banks: usize,
+    /// `32 - hash_bits`: the multiplicative hash keeps its top bits.
+    shift: u32,
+    /// `banks - 1` when `banks` is a power of two (every shipped shape),
+    /// so the bank of a set is a mask rather than a division.
+    bank_mask: Option<usize>,
+    /// Per-bank access counts of the cycle being priced.
+    counts: Vec<u32>,
 }
 
 impl HashBank {
     /// Creates an empty table with `2^hash_bits` sets of `ways` entries
     /// spread over `banks` banks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds what the per-set `u8` cursor addresses.
     pub fn new(hash_bits: u32, ways: usize, banks: usize) -> Self {
+        assert!(ways <= usize::from(u8::MAX), "ways beyond the u8 cursor");
         let sets = 1usize << hash_bits;
         Self {
             slots: vec![NIL; sets * ways],
@@ -32,44 +44,54 @@ impl HashBank {
             sets,
             ways,
             banks,
+            shift: 32 - hash_bits,
+            bank_mask: banks.is_power_of_two().then(|| banks - 1),
+            counts: vec![0; banks],
         }
     }
 
     /// Multiplicative hash of a 3-byte prefix to a set index.
     #[inline]
     pub fn hash(&self, data: &[u8], pos: usize) -> usize {
-        debug_assert!(pos + 3 <= data.len());
-        let v = u32::from(data[pos])
-            | (u32::from(data[pos + 1]) << 8)
-            | (u32::from(data[pos + 2]) << 16);
-        (v.wrapping_mul(0x9E37_79B1) >> (32 - self.sets.trailing_zeros())) as usize % self.sets
+        let b = &data[pos..pos + 3];
+        let v = u32::from(b[0]) | (u32::from(b[1]) << 8) | (u32::from(b[2]) << 16);
+        (v.wrapping_mul(0x9E37_79B1) >> self.shift) as usize
     }
 
     /// The bank a set lives in.
     #[inline]
     pub fn bank_of(&self, set: usize) -> usize {
-        set % self.banks
+        match self.bank_mask {
+            Some(mask) => set & mask,
+            None => set % self.banks,
+        }
     }
 
     /// Returns the valid candidate positions in `set`, newest first.
+    #[inline]
     pub fn lookup(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
-        let base = set * self.ways;
-        let cur = usize::from(self.cursor[set]);
-        let ways = self.ways;
-        (0..ways).filter_map(move |i| {
-            // Newest first: walk backwards from the cursor.
-            let idx = base + (cur + ways - 1 - i) % ways;
-            let v = self.slots[idx];
+        let row = &self.slots[set * self.ways..][..self.ways];
+        let mut way = usize::from(self.cursor[set]);
+        // Newest first: walk backwards from the cursor, wrapping once. A
+        // set fills in cursor order and never empties between resets, so
+        // the first empty way ends the walk.
+        (0..self.ways).map_while(move |_| {
+            way = if way == 0 { row.len() } else { way } - 1;
+            let v = row[way];
             (v != NIL).then_some(v as usize)
         })
     }
 
     /// Inserts `pos` into `set`, evicting FIFO.
+    #[inline]
     pub fn insert(&mut self, set: usize, pos: usize) {
-        let base = set * self.ways;
-        let cur = usize::from(self.cursor[set]);
-        self.slots[base + cur] = pos as u32;
-        self.cursor[set] = ((cur + 1) % self.ways) as u8;
+        let cur = self.cursor[set];
+        self.slots[set * self.ways + usize::from(cur)] = pos as u32;
+        self.cursor[set] = if usize::from(cur) + 1 == self.ways {
+            0
+        } else {
+            cur + 1
+        };
     }
 
     /// Clears all entries (between independent requests — the hardware
@@ -89,26 +111,32 @@ impl HashBank {
         self.ways
     }
 
-    /// Counts the stall cycles implied by a set of same-cycle accesses:
-    /// each bank serves `read_ports` accesses per cycle, so a cycle's
-    /// total stalls are `max_over_banks(ceil(accesses / read_ports)) - 1`.
+    /// Counts the stall cycles implied by one cycle's lane lookups, given
+    /// as the set each lane probes. Identical set indices merge into one
+    /// physical access (the hardware combines duplicate lane requests —
+    /// crucial for runs, where every lane hashes identically); each bank
+    /// then serves `read_ports` accesses per cycle, so the cycle's stalls
+    /// are `max_over_banks(ceil(accesses / read_ports)) - 1`.
     ///
     /// # Panics
     ///
     /// Panics if `read_ports == 0`.
-    pub fn conflict_stalls(&self, sets_accessed: &[usize], read_ports: u32) -> u64 {
+    pub fn conflict_stalls(&mut self, lane_sets: &[usize], read_ports: u32) -> u64 {
         assert!(read_ports > 0, "banks need at least one read port");
-        let mut counts = vec![0u32; self.banks];
-        for &s in sets_accessed {
-            counts[self.bank_of(s)] += 1;
+        self.counts.fill(0);
+        let mut worst = 0u32;
+        for (lane, &set) in lane_sets.iter().enumerate() {
+            if lane_sets[..lane].contains(&set) {
+                continue;
+            }
+            let bank = self.bank_of(set);
+            self.counts[bank] += 1;
+            worst = worst.max(self.counts[bank]);
         }
-        let worst = counts
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .div_ceil(read_ports);
-        u64::from(worst.saturating_sub(1))
+        if worst <= read_ports {
+            return 0; // the common cycle: no bank over its ports
+        }
+        u64::from(worst.div_ceil(read_ports) - 1)
     }
 }
 
@@ -164,7 +192,7 @@ mod tests {
 
     #[test]
     fn conflict_stall_accounting() {
-        let hb = HashBank::new(8, 4, 4);
+        let mut hb = HashBank::new(8, 4, 4);
         // Sets 0 and 4 share bank 0; 1 is bank 1. Single-ported:
         assert_eq!(hb.conflict_stalls(&[0, 4, 1], 1), 1);
         assert_eq!(hb.conflict_stalls(&[0, 1, 2, 3], 1), 0);
@@ -173,5 +201,12 @@ mod tests {
         // Dual-ported: two same-bank accesses are free, four cost one.
         assert_eq!(hb.conflict_stalls(&[0, 4, 1], 2), 0);
         assert_eq!(hb.conflict_stalls(&[0, 4, 8, 12], 2), 1);
+        // Lanes probing the same set are one access.
+        assert_eq!(hb.conflict_stalls(&[4, 0, 4, 4, 0, 4], 1), 1);
+        assert_eq!(hb.conflict_stalls(&[7; 8], 1), 0);
+        // Banks that are not a power of two take the division path.
+        let mut odd = HashBank::new(8, 4, 5);
+        assert_eq!(odd.conflict_stalls(&[0, 5, 10, 1], 1), 2);
+        assert_eq!(odd.conflict_stalls(&[0, 5, 10, 1], 2), 1);
     }
 }

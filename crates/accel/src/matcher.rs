@@ -14,7 +14,7 @@
 //! [`crate::history::HistoryBuffer`] for the structural ring model; a test
 //! here cross-checks the two give identical match lengths).
 
-use crate::config::{AccelConfig, Resolution};
+use crate::config::{AccelConfig, Resolution, MAX_LANES};
 use crate::hashbank::HashBank;
 use nx_deflate::lz77::hash::match_length;
 use nx_deflate::lz77::{dist_code, length_code_index, Token, DIST_EXTRA, LENGTH_EXTRA};
@@ -38,11 +38,19 @@ pub struct MatchOutcome {
 
 /// The match engine. Holds the hash table so repeated requests model a
 /// real engine (the table is reset per request, as the hardware does
-/// between jobs).
+/// between jobs), and the per-cycle scratch of the lane window so a
+/// modeled cycle allocates nothing on the host.
 #[derive(Debug)]
 pub struct MatchEngine {
     cfg: AccelConfig,
     bank: HashBank,
+    /// The set each lane of the current window hashed to.
+    lane_sets: [usize; MAX_LANES],
+    /// The best candidate each lane's comparators found this cycle.
+    lane_matches: [Option<LaneMatch>; MAX_LANES],
+    /// The resolver's cost and choice columns.
+    dp: [f64; MAX_LANES + 1],
+    choice: [Option<LaneMatch>; MAX_LANES],
 }
 
 /// Estimated encoded size of a literal token, in bits (a mid-corpus
@@ -72,7 +80,14 @@ impl MatchEngine {
     pub fn new(cfg: AccelConfig) -> Self {
         cfg.validate();
         let bank = HashBank::new(cfg.hash_bits, cfg.hash_ways, cfg.hash_banks);
-        Self { cfg, bank }
+        Self {
+            cfg,
+            bank,
+            lane_sets: [0; MAX_LANES],
+            lane_matches: [None; MAX_LANES],
+            dp: [0.0; MAX_LANES + 1],
+            choice: [None; MAX_LANES],
+        }
     }
 
     /// The configuration in force.
@@ -98,13 +113,17 @@ impl MatchEngine {
         self.bank.reset();
         let n = data.len();
         let lanes = self.cfg.lanes;
+        // Positions from here on have no 3-byte prefix left to hash.
+        let hash_end = n.saturating_sub(MIN_MATCH - 1);
         let mut tokens = Vec::with_capacity((n - start) / 4 + 8);
         let mut ingest_cycles = 0u64;
         let mut bank_stall_cycles = 0u64;
         let mut discarded = 0u64;
+        // Length of the run of matches `tokens` currently ends in.
+        let mut trailing_matches = 0u64;
 
         // Re-stream history into the dictionary at lane rate.
-        for p in 0..start.min(n.saturating_sub(MIN_MATCH - 1)) {
+        for p in 0..start.min(hash_end) {
             let set = self.bank.hash(data, p);
             self.bank.insert(set, p);
         }
@@ -113,99 +132,63 @@ impl MatchEngine {
         // First position not yet covered by an emitted token.
         let mut emit_until = start;
         let mut cur = start;
-        let mut lane_matches: Vec<Option<LaneMatch>> = vec![None; lanes];
-        let mut accessed_sets: Vec<usize> = Vec::with_capacity(lanes);
 
         while cur < n {
             ingest_cycles += 1;
             let window_end = (cur + lanes).min(n);
-            accessed_sets.clear();
-            for lm in lane_matches.iter_mut() {
-                *lm = None;
+            let hashed = window_end.min(hash_end).saturating_sub(cur);
+            // A window wholly inside a carried match resolves nothing, so
+            // nothing would read its comparators: the hash pipeline still
+            // runs (it is what the cycle model prices), the probe does not.
+            let w0 = emit_until.max(cur);
+            let resolves = w0 < window_end;
+
+            // Phase 1: all lanes hash and probe in parallel.
+            for lane in 0..hashed {
+                let set = self.bank.hash(data, cur + lane);
+                self.lane_sets[lane] = set;
+                if resolves {
+                    self.lane_matches[lane] = self.probe(data, set, cur + lane);
+                }
             }
 
-            // Phase 1: all lanes probe in parallel.
-            for q in cur..window_end {
-                if q + MIN_MATCH > n {
-                    break;
-                }
-                let set = self.bank.hash(data, q);
-                accessed_sets.push(set);
-                let max_len = MAX_MATCH.min(n - q);
-                let mut best: Option<LaneMatch> = None;
-                for cand in self.bank.lookup(set) {
-                    if cand >= q || q - cand > self.cfg.history_bytes {
-                        continue;
-                    }
-                    let len = match_length(data, cand, q);
-                    if len < MIN_MATCH {
-                        continue;
-                    }
-                    // Far 3-byte matches cost more bits than literals.
-                    if len == MIN_MATCH && q - cand > 4096 {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => len > usize::from(b.len),
-                    };
-                    if better {
-                        best = Some(LaneMatch {
-                            len: len as u16,
-                            dist: (q - cand) as u16,
-                        });
-                        if len >= max_len {
-                            break; // comparator saturated
-                        }
-                    }
-                }
-                lane_matches[q - cur] = best;
-            }
-
-            // Port conflicts among this cycle's lookups. Identical set
-            // indices merge into one physical access (the hardware
-            // combines duplicate lane requests — crucial for runs, where
-            // every lane hashes identically).
-            accessed_sets.sort_unstable();
-            accessed_sets.dedup();
+            // Port conflicts among this cycle's lookups.
             bank_stall_cycles += self
                 .bank
-                .conflict_stalls(&accessed_sets, self.cfg.bank_read_ports);
+                .conflict_stalls(&self.lane_sets[..hashed], self.cfg.bank_read_ports);
 
             // Phase 2: insert every ingested position (the dictionary is
             // maintained regardless of cover decisions).
-            for q in cur..window_end {
-                if q + MIN_MATCH <= n {
-                    let set = self.bank.hash(data, q);
-                    self.bank.insert(set, q);
-                }
+            for lane in 0..hashed {
+                self.bank.insert(self.lane_sets[lane], cur + lane);
             }
 
-            // Phase 3: resolve a token cover for [max(cur, emit_until),
-            // window_end).
-            let w0 = emit_until.max(cur);
-            if w0 < window_end {
-                let found = lane_matches.iter().flatten().count() as u64;
-                let emitted = match self.cfg.resolution {
-                    Resolution::Speculative => self.resolve_speculative(
-                        data,
-                        cur,
-                        w0,
-                        window_end,
-                        &lane_matches,
-                        &mut tokens,
-                    ),
+            // Phase 3: resolve a token cover for [w0, window_end).
+            if resolves {
+                let width = window_end - cur;
+                self.lane_matches[hashed..width].fill(None);
+                let found = self.lane_matches[..width].iter().flatten().count() as u64;
+                let before = tokens.len();
+                emit_until = match self.cfg.resolution {
+                    Resolution::Speculative => {
+                        self.resolve_speculative(data, cur, w0, window_end, &mut tokens)
+                    }
                     Resolution::Greedy => {
-                        Self::resolve_greedy(data, cur, w0, window_end, &lane_matches, &mut tokens)
+                        self.resolve_greedy(data, cur, w0, window_end, &mut tokens)
                     }
                 };
-                emit_until = emitted;
-                let used = tokens
+                let emitted = &tokens[before..];
+                let run = emitted
                     .iter()
                     .rev()
                     .take_while(|t| matches!(t, Token::Match { .. }))
-                    .count(); // approximation only used for the waste metric
-                discarded += found.saturating_sub(used as u64);
+                    .count();
+                if run < emitted.len() {
+                    trailing_matches = 0;
+                }
+                trailing_matches += run as u64;
+                // Approximation only used for the waste metric.
+                discarded += found.saturating_sub(trailing_matches);
             }
 
             cur = window_end;
@@ -225,17 +208,52 @@ impl MatchEngine {
         }
     }
 
+    /// One lane's comparators: the longest valid candidate in `set` for
+    /// position `q`, the newest winning ties.
+    #[inline]
+    fn probe(&self, data: &[u8], set: usize, q: usize) -> Option<LaneMatch> {
+        let max_len = MAX_MATCH.min(data.len() - q);
+        let mut best = None;
+        let mut best_len = MIN_MATCH - 1;
+        for cand in self.bank.lookup(set) {
+            if cand >= q || q - cand > self.cfg.history_bytes {
+                continue;
+            }
+            // Only a longer candidate displaces the best so far, and it
+            // must agree at offset `best_len` (in range: `best_len <
+            // max_len` or the loop has already broken).
+            if data[cand + best_len] != data[q + best_len] {
+                continue;
+            }
+            let len = match_length(data, cand, q);
+            if len <= best_len {
+                continue;
+            }
+            // Far 3-byte matches cost more bits than literals.
+            if len == MIN_MATCH && q - cand > 4096 {
+                continue;
+            }
+            best_len = len;
+            best = Some(LaneMatch {
+                len: len as u16,
+                dist: (q - cand) as u16,
+            });
+            if len >= max_len {
+                break; // comparator saturated
+            }
+        }
+        best
+    }
+
     /// Minimum-estimated-bits cover of `[w0, window_end)` via dynamic
     /// programming over the lane window. Returns the first uncovered
     /// position (≥ `window_end` when a match overshoots the window).
-    #[allow(clippy::too_many_arguments)]
     fn resolve_speculative(
-        &self,
+        &mut self,
         data: &[u8],
         cur: usize,
         w0: usize,
         window_end: usize,
-        lane_matches: &[Option<LaneMatch>],
         tokens: &mut Vec<Token>,
     ) -> usize {
         let m = window_end - w0;
@@ -244,13 +262,12 @@ impl MatchEngine {
         // its cost is amortized over the in-window fraction so that long
         // boundary-crossing matches are not penalized (they are the whole
         // point of the design).
-        let mut dp = vec![f64::INFINITY; m + 1];
-        let mut choice: Vec<Option<LaneMatch>> = vec![None; m];
+        let (dp, choice) = (&mut self.dp, &mut self.choice);
         dp[m] = 0.0;
         for i in (0..m).rev() {
             let mut best = LIT_BITS as f64 + dp[i + 1];
             let mut pick = None;
-            if let Some(lm) = lane_matches[w0 + i - cur] {
+            if let Some(lm) = self.lane_matches[w0 + i - cur] {
                 let len = usize::from(lm.len);
                 let inside = (m - i).min(len);
                 let cost = match_bits(lm.len, lm.dist) as f64 * inside as f64 / len as f64;
@@ -287,16 +304,16 @@ impl MatchEngine {
 
     /// First-match-wins cover (the ablation baseline).
     fn resolve_greedy(
+        &self,
         data: &[u8],
         cur: usize,
         w0: usize,
         window_end: usize,
-        lane_matches: &[Option<LaneMatch>],
         tokens: &mut Vec<Token>,
     ) -> usize {
         let mut i = w0;
         while i < window_end {
-            match lane_matches[i - cur] {
+            match self.lane_matches[i - cur] {
                 Some(lm) => {
                     tokens.push(Token::Match {
                         len: lm.len,
@@ -311,6 +328,359 @@ impl MatchEngine {
             }
         }
         i
+    }
+}
+
+#[cfg(test)]
+#[allow(dead_code, clippy::too_many_arguments)]
+/// The lane-window loop and hash table exactly as they stood before the
+/// host-cost rewrite (issue 13), kept as the oracle the proptests below
+/// compare the production loop against. Verbatim apart from the type
+/// names; do not "tidy" it.
+mod reference {
+    use super::*;
+
+    const NIL: u32 = u32::MAX;
+
+    /// The hash table model.
+    #[derive(Debug, Clone)]
+    pub struct ParentBank {
+        /// `sets × ways` positions, row-major.
+        slots: Vec<u32>,
+        /// Per-set FIFO insert cursor.
+        cursor: Vec<u8>,
+        sets: usize,
+        ways: usize,
+        banks: usize,
+    }
+
+    impl ParentBank {
+        /// Creates an empty table with `2^hash_bits` sets of `ways` entries
+        /// spread over `banks` banks.
+        pub fn new(hash_bits: u32, ways: usize, banks: usize) -> Self {
+            let sets = 1usize << hash_bits;
+            Self {
+                slots: vec![NIL; sets * ways],
+                cursor: vec![0; sets],
+                sets,
+                ways,
+                banks,
+            }
+        }
+
+        /// Multiplicative hash of a 3-byte prefix to a set index.
+        #[inline]
+        pub fn hash(&self, data: &[u8], pos: usize) -> usize {
+            debug_assert!(pos + 3 <= data.len());
+            let v = u32::from(data[pos])
+                | (u32::from(data[pos + 1]) << 8)
+                | (u32::from(data[pos + 2]) << 16);
+            (v.wrapping_mul(0x9E37_79B1) >> (32 - self.sets.trailing_zeros())) as usize % self.sets
+        }
+
+        /// The bank a set lives in.
+        #[inline]
+        pub fn bank_of(&self, set: usize) -> usize {
+            set % self.banks
+        }
+
+        /// Returns the valid candidate positions in `set`, newest first.
+        pub fn lookup(&self, set: usize) -> impl Iterator<Item = usize> + '_ {
+            let base = set * self.ways;
+            let cur = usize::from(self.cursor[set]);
+            let ways = self.ways;
+            (0..ways).filter_map(move |i| {
+                // Newest first: walk backwards from the cursor.
+                let idx = base + (cur + ways - 1 - i) % ways;
+                let v = self.slots[idx];
+                (v != NIL).then_some(v as usize)
+            })
+        }
+
+        /// Inserts `pos` into `set`, evicting FIFO.
+        pub fn insert(&mut self, set: usize, pos: usize) {
+            let base = set * self.ways;
+            let cur = usize::from(self.cursor[set]);
+            self.slots[base + cur] = pos as u32;
+            self.cursor[set] = ((cur + 1) % self.ways) as u8;
+        }
+
+        /// Clears all entries (between independent requests — the hardware
+        /// zeroes the table per job so no state leaks across users).
+        pub fn reset(&mut self) {
+            self.slots.fill(NIL);
+            self.cursor.fill(0);
+        }
+
+        /// Number of sets.
+        pub fn sets(&self) -> usize {
+            self.sets
+        }
+
+        /// Associativity.
+        pub fn ways(&self) -> usize {
+            self.ways
+        }
+
+        /// Counts the stall cycles implied by a set of same-cycle accesses:
+        /// each bank serves `read_ports` accesses per cycle, so a cycle's
+        /// total stalls are `max_over_banks(ceil(accesses / read_ports)) - 1`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `read_ports == 0`.
+        pub fn conflict_stalls(&self, sets_accessed: &[usize], read_ports: u32) -> u64 {
+            assert!(read_ports > 0, "banks need at least one read port");
+            let mut counts = vec![0u32; self.banks];
+            for &s in sets_accessed {
+                counts[self.bank_of(s)] += 1;
+            }
+            let worst = counts
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0)
+                .div_ceil(read_ports);
+            u64::from(worst.saturating_sub(1))
+        }
+    }
+
+    #[derive(Debug)]
+    pub struct ParentEngine {
+        cfg: AccelConfig,
+        bank: ParentBank,
+    }
+
+    impl ParentEngine {
+        pub fn new(cfg: AccelConfig) -> Self {
+            let bank = ParentBank::new(cfg.hash_bits, cfg.hash_ways, cfg.hash_banks);
+            Self { cfg, bank }
+        }
+
+        pub fn tokenize_from(&mut self, data: &[u8], start: usize) -> MatchOutcome {
+            assert!(start <= data.len(), "history beyond input");
+            self.bank.reset();
+            let n = data.len();
+            let lanes = self.cfg.lanes;
+            let mut tokens = Vec::with_capacity((n - start) / 4 + 8);
+            let mut ingest_cycles = 0u64;
+            let mut bank_stall_cycles = 0u64;
+            let mut discarded = 0u64;
+
+            // Re-stream history into the dictionary at lane rate.
+            for p in 0..start.min(n.saturating_sub(MIN_MATCH - 1)) {
+                let set = self.bank.hash(data, p);
+                self.bank.insert(set, p);
+            }
+            let history_cycles = (start as u64).div_ceil(lanes as u64);
+
+            // First position not yet covered by an emitted token.
+            let mut emit_until = start;
+            let mut cur = start;
+            let mut lane_matches: Vec<Option<LaneMatch>> = vec![None; lanes];
+            let mut accessed_sets: Vec<usize> = Vec::with_capacity(lanes);
+
+            while cur < n {
+                ingest_cycles += 1;
+                let window_end = (cur + lanes).min(n);
+                accessed_sets.clear();
+                for lm in lane_matches.iter_mut() {
+                    *lm = None;
+                }
+
+                // Phase 1: all lanes probe in parallel.
+                for q in cur..window_end {
+                    if q + MIN_MATCH > n {
+                        break;
+                    }
+                    let set = self.bank.hash(data, q);
+                    accessed_sets.push(set);
+                    let max_len = MAX_MATCH.min(n - q);
+                    let mut best: Option<LaneMatch> = None;
+                    for cand in self.bank.lookup(set) {
+                        if cand >= q || q - cand > self.cfg.history_bytes {
+                            continue;
+                        }
+                        let len = match_length(data, cand, q);
+                        if len < MIN_MATCH {
+                            continue;
+                        }
+                        // Far 3-byte matches cost more bits than literals.
+                        if len == MIN_MATCH && q - cand > 4096 {
+                            continue;
+                        }
+                        let better = match best {
+                            None => true,
+                            Some(b) => len > usize::from(b.len),
+                        };
+                        if better {
+                            best = Some(LaneMatch {
+                                len: len as u16,
+                                dist: (q - cand) as u16,
+                            });
+                            if len >= max_len {
+                                break; // comparator saturated
+                            }
+                        }
+                    }
+                    lane_matches[q - cur] = best;
+                }
+
+                // Port conflicts among this cycle's lookups. Identical set
+                // indices merge into one physical access (the hardware
+                // combines duplicate lane requests — crucial for runs, where
+                // every lane hashes identically).
+                accessed_sets.sort_unstable();
+                accessed_sets.dedup();
+                bank_stall_cycles += self
+                    .bank
+                    .conflict_stalls(&accessed_sets, self.cfg.bank_read_ports);
+
+                // Phase 2: insert every ingested position (the dictionary is
+                // maintained regardless of cover decisions).
+                for q in cur..window_end {
+                    if q + MIN_MATCH <= n {
+                        let set = self.bank.hash(data, q);
+                        self.bank.insert(set, q);
+                    }
+                }
+
+                // Phase 3: resolve a token cover for [max(cur, emit_until),
+                // window_end).
+                let w0 = emit_until.max(cur);
+                if w0 < window_end {
+                    let found = lane_matches.iter().flatten().count() as u64;
+                    let emitted = match self.cfg.resolution {
+                        Resolution::Speculative => self.resolve_speculative(
+                            data,
+                            cur,
+                            w0,
+                            window_end,
+                            &lane_matches,
+                            &mut tokens,
+                        ),
+                        Resolution::Greedy => Self::resolve_greedy(
+                            data,
+                            cur,
+                            w0,
+                            window_end,
+                            &lane_matches,
+                            &mut tokens,
+                        ),
+                    };
+                    emit_until = emitted;
+                    let used = tokens
+                        .iter()
+                        .rev()
+                        .take_while(|t| matches!(t, Token::Match { .. }))
+                        .count(); // approximation only used for the waste metric
+                    discarded += found.saturating_sub(used as u64);
+                }
+
+                cur = window_end;
+            }
+
+            debug_assert_eq!(
+                tokens.iter().map(Token::input_len).sum::<usize>(),
+                n - start,
+                "token cover must be exact"
+            );
+            MatchOutcome {
+                tokens,
+                ingest_cycles,
+                history_cycles,
+                bank_stall_cycles,
+                discarded_matches: discarded,
+            }
+        }
+
+        /// Minimum-estimated-bits cover of `[w0, window_end)` via dynamic
+        /// programming over the lane window. Returns the first uncovered
+        /// position (≥ `window_end` when a match overshoots the window).
+        #[allow(clippy::too_many_arguments)]
+        fn resolve_speculative(
+            &self,
+            data: &[u8],
+            cur: usize,
+            w0: usize,
+            window_end: usize,
+            lane_matches: &[Option<LaneMatch>],
+            tokens: &mut Vec<Token>,
+        ) -> usize {
+            let m = window_end - w0;
+            // dp[i]: min estimated bits to cover positions w0+i .. window_end.
+            // A match crossing the window boundary covers future bytes too;
+            // its cost is amortized over the in-window fraction so that long
+            // boundary-crossing matches are not penalized (they are the whole
+            // point of the design).
+            let mut dp = vec![f64::INFINITY; m + 1];
+            let mut choice: Vec<Option<LaneMatch>> = vec![None; m];
+            dp[m] = 0.0;
+            for i in (0..m).rev() {
+                let mut best = LIT_BITS as f64 + dp[i + 1];
+                let mut pick = None;
+                if let Some(lm) = lane_matches[w0 + i - cur] {
+                    let len = usize::from(lm.len);
+                    let inside = (m - i).min(len);
+                    let cost = match_bits(lm.len, lm.dist) as f64 * inside as f64 / len as f64;
+                    let land = (i + len).min(m);
+                    let total = cost + dp[land];
+                    // Prefer the match on ties: fewer tokens downstream.
+                    if total <= best {
+                        best = total;
+                        pick = Some(lm);
+                    }
+                }
+                dp[i] = best;
+                choice[i] = pick;
+            }
+            // Walk the chosen cover.
+            let mut i = 0usize;
+            while i < m {
+                match choice[i] {
+                    Some(lm) => {
+                        tokens.push(Token::Match {
+                            len: lm.len,
+                            dist: lm.dist,
+                        });
+                        i += usize::from(lm.len);
+                    }
+                    None => {
+                        tokens.push(Token::Literal(data[w0 + i]));
+                        i += 1;
+                    }
+                }
+            }
+            w0 + i
+        }
+
+        /// First-match-wins cover (the ablation baseline).
+        fn resolve_greedy(
+            data: &[u8],
+            cur: usize,
+            w0: usize,
+            window_end: usize,
+            lane_matches: &[Option<LaneMatch>],
+            tokens: &mut Vec<Token>,
+        ) -> usize {
+            let mut i = w0;
+            while i < window_end {
+                match lane_matches[i - cur] {
+                    Some(lm) => {
+                        tokens.push(Token::Match {
+                            len: lm.len,
+                            dist: lm.dist,
+                        });
+                        i += usize::from(lm.len);
+                    }
+                    None => {
+                        tokens.push(Token::Literal(data[i]));
+                        i += 1;
+                    }
+                }
+            }
+            i
+        }
     }
 }
 
@@ -471,5 +841,99 @@ mod tests {
             out.bank_stall_cycles > 0,
             "no stalls on single-ported banks"
         );
+    }
+
+    /// Test input with matches at every scale: a small-alphabet random
+    /// stretch (short, near matches), a motif repeated past `MAX_MATCH`
+    /// (carried matches covering whole windows), random filler, then the
+    /// opening stretch again (far matches, beyond 4096 when long enough).
+    fn structured(seed: u64, len: usize, alphabet: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> 24
+        };
+        let mut data = Vec::with_capacity(len + 64);
+        while data.len() < len {
+            let head = data.len();
+            for _ in 0..next() % 600 {
+                data.push((next() % alphabet) as u8);
+            }
+            let motif = 1 + (next() % 9) as usize;
+            for i in 0..(next() % 700) as usize {
+                data.push(data[data.len().saturating_sub(motif).max(head.min(i))]);
+            }
+            for _ in 0..next() % 300 {
+                data.push(next() as u8);
+            }
+            let again = (next() % 200) as usize;
+            data.extend_from_within(..again.min(data.len()));
+        }
+        data.truncate(len);
+        data
+    }
+
+    fn assert_same_as_parent(cfg: &AccelConfig, data: &[u8], start: usize) {
+        let want = reference::ParentEngine::new(cfg.clone()).tokenize_from(data, start);
+        let mut engine = MatchEngine::new(cfg.clone());
+        // Twice on one engine: scratch left by a request must not leak
+        // into the next.
+        for _ in 0..2 {
+            let got = engine.tokenize_from(data, start);
+            assert_eq!(got.tokens, want.tokens);
+            assert_eq!(got.ingest_cycles, want.ingest_cycles);
+            assert_eq!(got.history_cycles, want.history_cycles);
+            assert_eq!(got.bank_stall_cycles, want.bank_stall_cycles);
+            assert_eq!(got.discarded_matches, want.discarded_matches);
+        }
+    }
+
+    #[test]
+    fn inputs_around_min_match_equal_parent_loop() {
+        for lanes in [1, 3, 8, 16] {
+            let cfg = AccelConfig {
+                lanes,
+                ..AccelConfig::power9()
+            };
+            for len in 0..=2 * MIN_MATCH + 1 {
+                for start in 0..=len {
+                    assert_same_as_parent(&cfg, &b"aaaaaaa"[..len], start);
+                    assert_same_as_parent(&cfg, &b"abcabca"[..len], start);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lane_window_loop_equals_parent_loop(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..12_000,
+            alphabet in 1u64..48,
+            start_eighths in 0usize..9,
+            lanes_pick in 0usize..4,
+            shape in 0usize..3,
+            greedy in proptest::prelude::any::<bool>(),
+        ) {
+            let mut cfg = AccelConfig::power9();
+            cfg.lanes = [1, 3, 8, 16][lanes_pick];
+            if greedy {
+                cfg.resolution = Resolution::Greedy;
+            }
+            match shape {
+                // Off the preset shapes: odd ways and banks, one port.
+                1 => (cfg.hash_ways, cfg.hash_banks, cfg.bank_read_ports) = (3, 5, 1),
+                // A short window and a tiny table: evictions and
+                // out-of-window candidates on every probe.
+                2 => (cfg.history_bytes, cfg.hash_bits, cfg.hash_ways) = (1024, 6, 2),
+                _ => {}
+            }
+            let data = structured(seed, len, alphabet);
+            assert_same_as_parent(&cfg, &data, len * start_eighths / 8);
+        }
     }
 }

@@ -149,6 +149,35 @@ fn decompression_throughput_exceeds_compression_on_compressible_data() {
     );
 }
 
+#[test]
+fn match_only_input_costs_linear_host_time() {
+    // The waste metric used to rescan the trailing run of matches every
+    // window, so a constant byte cost O(tokens^2): 8x the input took > 60x
+    // the time. Linear is 8x; the bound leaves 2x for a noisy host.
+    let data = vec![0x5Au8; 32 << 20];
+    let mut accel = Accelerator::new(AccelConfig::power9());
+    let mut timed = |len: usize| {
+        let mut best = f64::INFINITY;
+        let mut discarded = 0;
+        for _ in 0..2 {
+            let t0 = std::time::Instant::now();
+            let (_, report) = accel.compress(&data[..len]);
+            best = best.min(t0.elapsed().as_secs_f64());
+            discarded = report.discarded_matches;
+        }
+        (best, discarded)
+    };
+    let (small_s, small_discarded) = timed(4 << 20);
+    let (large_s, large_discarded) = timed(32 << 20);
+    assert!(
+        large_s < 16.0 * small_s,
+        "4 MiB took {small_s:.3} s, 32 MiB {large_s:.3} s"
+    );
+    // Only the first windows, before the run is established, waste a probe.
+    assert_eq!(small_discarded, large_discarded);
+    assert!(small_discarded < 64, "{small_discarded} discarded");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
