@@ -61,8 +61,7 @@ const TRAIN_SEED_BASE: u64 = 7_700;
 
 /// Preset-dictionary budget for the shipped profiles. The profiler's
 /// default cap measures best on 1–16 KiB payloads: a deeper dictionary
-/// pushes the most useful fragments to longer distances and its
-/// per-request priming cost grows past the payloads it serves.
+/// pushes the most useful fragments to longer distances.
 const TRAIN_DICT_CAP: usize = nx_deflate::profile::DEFAULT_DICT_CAP;
 
 /// Per-class tokenization level of the shipped profiles, tuned offline

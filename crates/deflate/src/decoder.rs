@@ -336,9 +336,9 @@ impl<'a> Inflater<'a> {
     /// The input is sliced at the containing byte and the residual bits
     /// are skipped, so stored-block byte alignment (which RFC 1951
     /// defines relative to the stream start) is preserved. Callers that
-    /// enter mid-stream usually also need [`prime_window`]
-    /// (`Self::prime_window`) with the 32 KB window recorded alongside
-    /// the offset.
+    /// enter mid-stream usually also need
+    /// [`prime_window`](Self::prime_window) with the 32 KB window recorded
+    /// alongside the offset.
     ///
     /// # Errors
     ///

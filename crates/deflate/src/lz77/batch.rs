@@ -329,8 +329,9 @@ pub fn tokenize_speculative_into(
         let mut i = emit - base;
         while i < lanes {
             let mut pos = base + i;
+            let old = m.rebase(olds[i]); // at use, not ingest: covered lanes never pay
             let (mut len0, mut dist0, steps) =
-                extend_lane(m, data, pos, vals[i], olds[i], budget, cfg.nice_length);
+                extend_lane(m, data, pos, vals[i], old, budget, cfg.nice_length);
             walked += steps;
             if len0 < 4 {
                 // hash4 saw nothing: one head-only hash3 side-probe, the
@@ -391,7 +392,7 @@ pub fn tokenize_speculative_into(
                     data,
                     pos + 1,
                     vals[i + 1],
-                    olds[i + 1],
+                    m.rebase(olds[i + 1]),
                     budget,
                     cfg.nice_length,
                 );

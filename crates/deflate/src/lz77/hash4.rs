@@ -1,15 +1,16 @@
 //! Flat-array hash4 match finder — the compression hot path.
 //!
-//! This is the libdeflate-style successor to the zlib-style chains in
-//! [`super::hash`]: four-byte prefixes hash through one multiplicative
-//! mix into a `head` array of absolute positions, and a circular `prev`
-//! array of *backward u16 deltas* links same-hash positions into chains.
-//! Compared to the 3-byte/`u32`-link design it replaces:
+//! A libdeflate-style matcher: four-byte prefixes hash through one
+//! multiplicative mix into a `head` array of position stamps, and a
+//! circular `prev` array of *backward u16 deltas* links same-hash
+//! positions into chains (the only thing left in [`super::hash`] is the
+//! shared [`match_length`] comparator). Compared to zlib's
+//! 3-byte-hash / absolute-link chains:
 //!
 //! * a 4-byte hash key quarters the collision rate, so a chain walk of
 //!   the same budget inspects far fewer false candidates;
-//! * `prev` stores `u16` deltas (a window is 32 768 ≤ `u16::MAX`), halving
-//!   the table to 64 KB so it stays cache-resident;
+//! * `prev` stores `u16` deltas (a window is 32 768 ≤ `u16::MAX`), so the
+//!   ring is 64 KB and stays cache-resident;
 //! * the chain walk is an inline loop with a last-byte quick reject and
 //!   the shared u64-XOR extension ([`super::hash::match_length`]), not an
 //!   iterator;
@@ -24,8 +25,8 @@
 //! * [`tokenize_fastest_into`] (level 1, [`crate::Level::Fastest`]) —
 //!   head-only greedy: one probe per position, no chain walk at all;
 //! * [`tokenize_greedy4_into`] (levels 2–3) — greedy with a bounded walk;
-//! * [`tokenize_lazy4_into`] (levels 4–9) — the one-token lazy deferral
-//!   state machine of [`super::lazy`] over the hash4 chains.
+//! * [`tokenize_lazy4_into`] (levels 4–9) — zlib's one-token lazy
+//!   deferral (`deflate_slow`) over the hash4 chains.
 //!
 //! All three append per-search chain-walk lengths and lazy deferrals to
 //! local counters that the caller flushes into the process-wide encode
@@ -51,6 +52,9 @@ const HASH3_BITS: u32 = 15;
 const HASH3_SIZE: usize = 1 << HASH3_BITS;
 
 const WMASK: usize = WINDOW_SIZE - 1;
+
+/// Distance [`Hash4Matcher`]'s epoch keeps between one run's stamps and the next's.
+const GAP: u32 = WINDOW_SIZE as u32;
 
 /// Matches at `MIN_MATCH` (3 bytes) only pay off when the distance is
 /// small — three literals are usually cheaper than a far reference.
@@ -128,28 +132,48 @@ impl SearchStats {
     }
 }
 
-/// Flat-array hash4 dictionary: `head[h]` holds `position + 1` of the
-/// newest occurrence of hash `h` (0 = empty), and `prev[pos & WMASK]`
-/// holds the backward delta to the previous position with the same hash
-/// (0 = end of chain).
+/// Flat-array hash4 dictionary: `head[h]` holds the stamp
+/// `base + position + 1` of the newest occurrence of hash `h`, and
+/// `prev[pos & WMASK]` holds the backward delta to the previous position
+/// with the same hash (0 = end of chain).
 ///
 /// # Stale-entry safety
 ///
-/// [`reset`](Self::reset) clears only the head tables (`head` +
-/// `head3`) and leaves the 64 KB `prev` ring untouched. Every walk starts at a `head` slot, which
-/// after a reset only ever holds positions inserted since, and
-/// [`insert`](Self::insert) writes `prev[pos & WMASK]` *before*
-/// publishing `pos` in `head` — so by induction every slot a walk can
-/// reach was written in the current run. Within a run, a slot overwritten
-/// by a position one window later is detected by the distance bound
-/// (deltas always move strictly backward, so walks terminate).
+/// [`reset`](Self::reset) writes no table: it moves the epoch `base` one
+/// window past every stamp the finished run could have published (each
+/// tokenizer declares its buffer length, `extent`, before its first
+/// insert). A stamp `<= base` is therefore a slot nothing was published
+/// in since the reset, and reads as empty — as a zeroed slot did when
+/// `reset` filled the tables — in two places. A stamp leaving the table is
+/// rebased once (`stamp - base`, saturating to 0), so every search keeps
+/// the `pos + 1 | 0` convention. And the chain link an insert writes is cut
+/// by its window bound alone: `base` starts a window above 0 and each
+/// reset leaves a window's gap, so an empty or stale stamp lies more than
+/// a window below a live one.
+///
+/// The 64 KB `prev` ring was never cleared and needs no epoch: every walk
+/// starts at a live `head` slot, and an insert writes `prev[pos & WMASK]`
+/// *before* publishing `pos` in `head` — so by induction every slot a walk
+/// can reach was written in the current run. Within a run, a slot
+/// overwritten by a position one window later is detected by the distance
+/// bound (deltas always move strictly backward, so walks terminate).
+///
+/// The head tables are really zeroed only when `base` plus the next
+/// buffer's length would not fit `u32`, which restarts the epoch.
 #[derive(Debug)]
 pub struct Hash4Matcher {
     head: Vec<u32>,
     prev: Vec<u16>,
-    /// Head-only 3-byte table (see [`HASH3_BITS`]); same `pos + 1` stamp
-    /// convention as `head`, no chain.
+    /// Head-only 3-byte table (see [`HASH3_BITS`]); same stamp convention
+    /// as `head`, no chain.
     head3: Vec<u32>,
+    /// Epoch: a stamp `<= base` is empty. `base + extent + GAP` fits `u32`.
+    base: u32,
+    /// Bound on `position + 1` over everything published since the reset.
+    extent: u32,
+    /// Positions `0..indexed` came from a loaded [`DictImage`];
+    /// [`index_history`] resumes from here.
+    indexed: usize,
     /// Local search statistics; see [`take_stats`](Self::take_stats).
     /// Module-visible so the sibling batch engine records into the same
     /// counters the sequential tokenizers use.
@@ -169,15 +193,49 @@ impl Hash4Matcher {
             head: vec![0; HASH4_SIZE],
             prev: vec![0; WINDOW_SIZE],
             head3: vec![0; HASH3_SIZE],
+            base: GAP,
+            extent: 0,
+            indexed: 0,
             stats: SearchStats::default(),
         }
     }
 
-    /// Clears the dictionary for a new buffer without reallocating; see
-    /// the type docs for why `prev` may keep stale entries.
+    /// Empties the dictionary for a new buffer in O(1); see the type docs
+    /// for the epoch invariant and why `prev` may keep stale entries.
     pub fn reset(&mut self) {
-        self.head.fill(0);
-        self.head3.fill(0);
+        if self.extent != 0 {
+            self.base += self.extent + GAP; // fits: `begin` left the room
+        } // else nothing was published: the epoch is still unused
+        self.extent = 0;
+        self.indexed = 0;
+    }
+
+    /// Declares that positions below `len` will be published. If the epoch
+    /// would overflow, really clears the tables (and forgets a loaded image).
+    fn begin(&mut self, len: usize) {
+        let len = len.min((u32::MAX - 2 * GAP) as usize) as u32;
+        if self.base > u32::MAX - GAP - len {
+            self.head.fill(0);
+            self.head3.fill(0);
+            self.base = GAP;
+            self.indexed = 0;
+        }
+        self.extent = self.extent.max(len);
+    }
+
+    /// Loads what indexing `image`'s dictionary would have built into a
+    /// just-reset matcher; the next buffer must start with that dictionary.
+    pub(crate) fn load_image(&mut self, image: &DictImage) {
+        let n = image.prev.len();
+        self.begin(n);
+        self.prev[..n].copy_from_slice(&image.prev);
+        for &(slot, stamp) in &image.head {
+            self.head[usize::from(slot)] = self.base + u32::from(stamp);
+        }
+        for &(slot, stamp) in &image.head3 {
+            self.head3[usize::from(slot)] = self.base + u32::from(stamp);
+        }
+        self.indexed = n;
     }
 
     /// Takes and clears the accumulated search statistics.
@@ -185,51 +243,46 @@ impl Hash4Matcher {
         std::mem::take(&mut self.stats)
     }
 
+    /// A stamp as the searches read it: `position + 1`, or 0 if stale.
+    #[inline(always)]
+    pub(super) fn rebase(&self, raw: u32) -> u32 {
+        raw.saturating_sub(self.base)
+    }
+
     /// Inserts `pos` (requires `pos + 4 <= data.len()`).
     #[inline]
     pub fn insert(&mut self, data: &[u8], pos: usize) {
+        self.begin(data.len());
         self.insert_ret(data, pos);
     }
 
     /// Inserts `pos` and returns the previous heads for its hash4 and
     /// hash3 buckets (`position + 1`, or 0 if empty) — the entry points a
     /// search continues from, saving a second hash of the same bytes.
-    #[inline]
+    #[inline(always)]
     fn insert_ret(&mut self, data: &[u8], pos: usize) -> (u32, u32) {
-        let h = hash4(data, pos);
-        let old = self.head[h];
-        let stamp = (pos + 1) as u32;
-        self.head[h] = stamp;
-        let delta = stamp.wrapping_sub(old);
-        // Deltas beyond the window (or from an empty bucket) terminate
-        // the chain; in-window deltas always fit u16.
-        self.prev[pos & WMASK] = if old == 0 || delta as usize > WINDOW_SIZE {
-            0
-        } else {
-            delta as u16
-        };
-        let h3 = hash3(data, pos);
-        let old3 = self.head3[h3];
-        self.head3[h3] = stamp;
-        (old, old3)
+        let raw = self.spec_insert(hash4(data, pos), pos);
+        (self.rebase(raw), self.spec_insert3(hash3(data, pos), pos))
     }
 
-    /// Hash4-chain-only insert for the batch engine: publishes `pos`
-    /// under the precomputed hash `h` and returns the previous head
-    /// stamp (the bank-probe result). The hash3 side-table is published
-    /// separately through [`spec_insert3`](Self::spec_insert3).
+    /// Hash4-chain-only insert for the batch engine: publishes `pos` under
+    /// the precomputed hash `h` and returns the previous head stamp (the
+    /// bank-probe result) as stored: [`rebase`](Self::rebase) it before use.
+    /// The hash3 side-table has its own [`spec_insert3`](Self::spec_insert3).
     #[inline(always)]
     pub(super) fn spec_insert(&mut self, h: usize, pos: usize) -> u32 {
-        let old = self.head[h];
-        let stamp = (pos + 1) as u32;
-        let delta = stamp.wrapping_sub(old);
-        self.prev[pos & WMASK] = if old == 0 || delta as usize > WINDOW_SIZE {
+        let raw = self.head[h];
+        let stamp = self.base.wrapping_add(pos as u32 + 1);
+        let delta = stamp.wrapping_sub(raw);
+        // Deltas beyond the window — an empty or stale bucket's always is
+        // — terminate the chain; in-window deltas always fit u16.
+        self.prev[pos & WMASK] = if delta as usize > WINDOW_SIZE {
             0
         } else {
             delta as u16
         };
         self.head[h] = stamp;
-        old
+        raw
     }
 
     /// Head-only hash3 publish for the batch engine: stamps `pos` under
@@ -238,8 +291,8 @@ impl Hash4Matcher {
     /// hash4 walk comes up empty.
     #[inline(always)]
     pub(super) fn spec_insert3(&mut self, h3: usize, pos: usize) -> u32 {
-        let old3 = self.head3[h3];
-        self.head3[h3] = (pos + 1) as u32;
+        let old3 = self.rebase(self.head3[h3]);
+        self.head3[h3] = self.base.wrapping_add((pos + 1) as u32);
         old3
     }
 
@@ -257,7 +310,7 @@ impl Hash4Matcher {
     /// position).
     #[inline]
     pub(super) fn head_stamp(&self, h: usize) -> u32 {
-        self.head[h]
+        self.rebase(self.head[h])
     }
 
     /// Walks the chain starting at `first` (a `position + 1` stamp as
@@ -347,6 +400,39 @@ impl Hash4Matcher {
     }
 }
 
+/// The matcher state a preset dictionary leaves behind, compact enough to
+/// [load](Hash4Matcher::load_image) per request. Covers positions
+/// `0..dict.len() - 3`; the last three hash across the seam into the payload.
+#[derive(Debug, Clone)]
+pub(crate) struct DictImage {
+    /// `prev[..positions]`.
+    prev: Vec<u16>,
+    /// The non-empty slots of `head` and `head3` as `(slot, position + 1)`
+    /// in slot order, so loading stores through each table front to back.
+    head: Vec<(u16, u16)>,
+    head3: Vec<(u16, u16)>,
+}
+
+impl DictImage {
+    /// Runs a fresh matcher over `dict` (at most one window, so positions
+    /// and slots fit `u16`) and keeps what it built.
+    pub(crate) fn build(dict: &[u8]) -> Self {
+        debug_assert!(dict.len() <= WINDOW_SIZE);
+        let n = index_end(dict);
+        let mut m = Hash4Matcher::new();
+        index_history(&mut m, dict, n);
+        let live = |table: &[u32]| {
+            let stamps = table.iter().map(|&raw| m.rebase(raw) as u16);
+            (0..=u16::MAX).zip(stamps).filter(|s| s.1 != 0).collect()
+        };
+        Self {
+            prev: m.prev[..n].to_vec(),
+            head: live(&m.head),
+            head3: live(&m.head3),
+        }
+    }
+}
+
 /// Highest position that can be hashed/inserted (exclusive): positions
 /// need 4 bytes of lookahead.
 #[inline]
@@ -354,11 +440,13 @@ pub(super) fn index_end(data: &[u8]) -> usize {
     data.len().saturating_sub(3)
 }
 
-/// Indexes the history prefix `data[..start]` so tokens emitted for
-/// `data[start..]` may reference back into it.
+/// Opens a run over `data` — every tokenizer's first call: indexes the
+/// history prefix `data[..start]` (past what a loaded [`DictImage`] covers)
+/// so tokens emitted for `data[start..]` may reference back into it.
 pub(super) fn index_history(m: &mut Hash4Matcher, data: &[u8], start: usize) {
-    for p in 0..start.min(index_end(data)) {
-        m.insert(data, p);
+    m.begin(data.len());
+    for p in m.indexed..start.min(index_end(data)) {
+        m.insert_ret(data, p);
     }
 }
 
@@ -368,7 +456,7 @@ fn index_span(m: &mut Hash4Matcher, data: &[u8], from: usize, end: usize) {
     let cov_end = end.min(index_end(data));
     let mut p = from;
     while p < cov_end {
-        m.insert(data, p);
+        m.insert_ret(data, p);
         p += 1;
     }
 }
@@ -607,7 +695,7 @@ pub fn tokenize_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lz77::expand_tokens;
+    use crate::lz77::{expand_tokens, Engine};
 
     fn tokenize(data: &[u8], level: u32) -> Vec<Token> {
         let mut m = Hash4Matcher::new();
@@ -722,6 +810,196 @@ mod tests {
             assert_eq!(expand_tokens(&tokens), data, "level {level}");
             assert!(tokens.iter().all(Token::is_valid), "level {level}");
         }
+    }
+
+    const ENGINES: [Engine; 3] = [Engine::Auto, Engine::Sequential, Engine::Speculative];
+
+    /// Tokens from a matcher nothing has touched — what a reused one must
+    /// reproduce.
+    fn fresh(data: &[u8], start: usize, level: u32, engine: Engine) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        tokenize_into_with(
+            data,
+            start,
+            level,
+            engine,
+            &mut Hash4Matcher::new(),
+            &mut tokens,
+        );
+        tokens
+    }
+
+    fn assert_reuse_matches_fresh(
+        m: &mut Hash4Matcher,
+        data: &[u8],
+        start: usize,
+        level: u32,
+        engine: Engine,
+    ) {
+        let mut tokens = Vec::new();
+        m.reset();
+        tokenize_into_with(data, start, level, engine, m, &mut tokens);
+        assert_eq!(
+            tokens,
+            fresh(data, start, level, engine),
+            "level {level} {engine:?} len {} start {start} base {}",
+            data.len(),
+            m.base
+        );
+    }
+
+    /// Deterministic request stream: `(data, start)` with a random corpus
+    /// kind, a length in `0..=max_len` and a random history split.
+    fn requests(seed: u64, n: usize, max_len: usize) -> impl Iterator<Item = (Vec<u8>, usize)> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as usize
+        };
+        let kinds = nx_corpus::CorpusKind::all();
+        (0..n).map(move |_| {
+            let kind = kinds[next() % kinds.len()];
+            // Half the requests are RPC-sized, where a run's stamps sit
+            // closest to its predecessor's.
+            let len = next() % (if next() % 2 == 0 { 2048 } else { max_len } + 1);
+            let data = kind.generate(next() as u64, len);
+            let start = next() % (len + 1);
+            (data, start)
+        })
+    }
+
+    #[test]
+    fn reused_matcher_tokenizes_like_a_fresh_one() {
+        // One matcher across every level x engine, 8 requests each (216).
+        let mut m = Hash4Matcher::new();
+        let mut reqs = requests(0x5eed, 9 * 3 * 8, 70 << 10);
+        for level in 1..=9 {
+            for engine in ENGINES {
+                for (data, start) in reqs.by_ref().take(8) {
+                    assert_reuse_matches_fresh(&mut m, &data, start, level, engine);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_matcher_matches_fresh_on_every_tiny_input() {
+        // Every string over {a, b} up to 7 bytes, every history split:
+        // the lengths around MIN_MATCH and the 4-byte hash horizon.
+        let mut m = Hash4Matcher::new();
+        for len in 0..=7usize {
+            for bits in 0..1u32 << len {
+                let data: Vec<u8> = (0..len).map(|i| b'a' + (bits >> i & 1) as u8).collect();
+                for start in 0..=len {
+                    for (level, engine) in [1, 6, 9].into_iter().zip(ENGINES) {
+                        assert_reuse_matches_fresh(&mut m, &data, start, level, engine);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn reused_matcher_matches_fresh_on_random_streams(
+            seed in proptest::prelude::any::<u64>(),
+            level in 1u32..=9,
+            engine_pick in 0usize..3,
+        ) {
+            let mut m = Hash4Matcher::new();
+            for (data, start) in requests(seed, 6, 6 << 10) {
+                assert_reuse_matches_fresh(&mut m, &data, start, level, ENGINES[engine_pick]);
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_overflow_really_clears_and_tokens_still_match() {
+        let mut m = Hash4Matcher::new();
+        let mut cleared = 0;
+        for (i, (data, start)) in requests(0xc1ea2, 40, 70 << 10).enumerate() {
+            // Every fourth request, park the epoch a request below its
+            // ceiling: the tables are warm, and one of the next few
+            // requests must take the real clear.
+            if i % 4 == 1 {
+                m.reset();
+                m.base = u32::MAX - GAP - (70 << 10);
+            }
+            let before = m.base;
+            let (level, engine) = (1 + i as u32 % 9, ENGINES[i % 3]);
+            assert_reuse_matches_fresh(&mut m, &data, start, level, engine);
+            if m.base < before {
+                cleared += 1;
+                assert_eq!(m.base, GAP, "a clear restarts the epoch");
+            }
+        }
+        assert!(cleared >= 5, "only {cleared} real clears");
+    }
+
+    /// Tokens for `dict + payload` with the dictionary primed from its
+    /// image on a reused matcher.
+    fn image_primed(
+        m: &mut Hash4Matcher,
+        image: &DictImage,
+        buf: &[u8],
+        start: usize,
+    ) -> Vec<Token> {
+        let mut tokens = Vec::new();
+        m.reset();
+        m.load_image(image);
+        tokenize_into_with(buf, start, 6, Engine::Auto, m, &mut tokens);
+        tokens
+    }
+
+    #[test]
+    fn image_primed_equals_live_primed_across_the_seam() {
+        // Dictionaries of 0..=8 bytes x payloads of 0..=7: every way the
+        // three seam positions (and the 4-byte horizon) can fall.
+        let text = b"abcabcababcabcab";
+        let mut m = Hash4Matcher::new();
+        for dict_len in 0..=8usize {
+            let image = DictImage::build(&text[..dict_len]);
+            assert_eq!(image.prev.len(), dict_len.saturating_sub(3));
+            for payload_len in 0..=7usize {
+                let buf = &text[..dict_len + payload_len];
+                assert_eq!(
+                    image_primed(&mut m, &image, buf, dict_len),
+                    fresh(buf, dict_len, 6, Engine::Auto),
+                    "dict {dict_len} payload {payload_len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_window_image_equals_live_priming_even_across_a_clear() {
+        let dict = nx_corpus::CorpusKind::Logs.generate(7, WINDOW_SIZE);
+        let image = DictImage::build(&dict);
+        assert_eq!(image.prev.len(), WINDOW_SIZE - 3);
+        let mut buf = dict.clone();
+        buf.extend_from_slice(&nx_corpus::CorpusKind::Logs.generate(8, 4096));
+        let want = fresh(&buf, dict.len(), 6, Engine::Auto);
+        let mut m = Hash4Matcher::new();
+        assert_eq!(image_primed(&mut m, &image, &buf, dict.len()), want);
+        // The image fits under the epoch's ceiling but the whole buffer
+        // does not: the clear forgets the image and priming runs live.
+        m.reset();
+        m.base = u32::MAX - GAP - dict.len() as u32 - 100;
+        assert_eq!(image_primed(&mut m, &image, &buf, dict.len()), want);
+        assert_eq!((m.base, m.indexed), (GAP, 0));
+    }
+
+    #[test]
+    fn idle_resets_do_not_spend_the_epoch() {
+        let mut m = Hash4Matcher::new();
+        for _ in 0..(u32::MAX / GAP) as usize + 2 {
+            m.reset();
+        }
+        assert_eq!(m.base, GAP);
     }
 
     #[test]

@@ -192,13 +192,13 @@ pub fn dist_code(dist: u16) -> usize {
 
 /// Reusable LZ77 tokenizer state.
 ///
-/// One-shot tokenization allocates a ~320 KB hash4 dictionary and a token
+/// One-shot tokenization allocates a ~450 KB hash4 dictionary and a token
 /// buffer on every call — fine for one-shot compression, wasteful for
 /// chunked sessions (the streaming encoder, the parallel engine's shard
 /// workers) that tokenize thousands of chunks. A `Tokenizer` owns both
-/// and recycles them: resetting the dictionary clears only the `head`
-/// table (see [`hash4::Hash4Matcher::reset`] for why stale `prev` entries
-/// are safe), and the token buffer keeps its capacity across calls.
+/// and recycles them: resetting the dictionary writes no table (see
+/// [`hash4::Hash4Matcher`] for why stale entries are safe), and the token
+/// buffer keeps its capacity across calls.
 #[derive(Debug, Default)]
 pub struct Tokenizer {
     matcher: hash4::Hash4Matcher,
@@ -206,7 +206,7 @@ pub struct Tokenizer {
 }
 
 impl Tokenizer {
-    /// Creates an empty tokenizer (the ~320 KB of tables are allocated
+    /// Creates an empty tokenizer (the ~450 KB of tables are allocated
     /// once, here).
     pub fn new() -> Self {
         Self::default()

@@ -34,13 +34,13 @@ use crate::encoder::{
     MAX_BLOCK_TOKENS,
 };
 use crate::huffman::{build, canonical_codes, MAX_CODE_LEN};
-use crate::lz77::hash4::{tokenize_into_with, Hash4Matcher};
+use crate::lz77::hash4::{tokenize_into_with, DictImage, Hash4Matcher};
 use crate::lz77::{Engine, Histogram, Token, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS};
 use crate::{Error, Result};
 
 /// Profiles cap their preset dictionary at 3 KiB: enough shared structure
-/// for RPC-sized records while keeping the priming cost (hash inserts over
-/// the dictionary) a small fraction of a 1–16 KiB encode.
+/// for RPC-sized records, near enough the payload that references into it
+/// stay in the short distance codes.
 pub const DEFAULT_DICT_CAP: usize = 3 << 10;
 
 /// Fragment granule the dictionary trainer counts (bytes).
@@ -112,14 +112,15 @@ impl ProfileId {
     }
 }
 
-/// One content class's canned encode state: a preset dictionary plus
-/// validated canned Huffman code lengths, with the dynamic-block plan and
-/// fused emission tables pre-built so per-request work is pure emission.
+/// One content class's canned encode state: a preset dictionary and
+/// validated canned code lengths, with block plan, fused emission tables and
+/// the dictionary's matcher image pre-built: requests just tokenize and emit.
 #[derive(Debug, Clone)]
 pub struct Profile {
     name: String,
     level: CompressionLevel,
     dict: Vec<u8>,
+    image: DictImage,
     litlen_lengths: Vec<u8>,
     dist_lengths: Vec<u8>,
     plan: DynamicPlan,
@@ -170,6 +171,7 @@ impl Profile {
         Ok(Self {
             name: name.into(),
             level,
+            image: DictImage::build(&dict),
             dict,
             litlen_lengths,
             dist_lengths,
@@ -207,50 +209,40 @@ impl Profile {
         let dict = derive_dict(samples, dict_cap);
 
         // Token statistics of the class, encoded the way production will
-        // encode it: dictionary-primed, at the profile's level.
-        let mut litlen_freq = vec![0u32; NUM_LITLEN_SYMBOLS];
-        let mut dist_freq = vec![0u32; NUM_DIST_SYMBOLS];
+        // encode it: dictionary-primed, at the profile's level. The scratch
+        // (one matcher for all samples) is dropped before the profile's
+        // long-lived tables are allocated, so it leaves no hole under them.
         let mut hist = Histogram::new();
-        let mut tokens: Vec<Token> = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        for sample in samples {
-            buf.clear();
-            buf.extend_from_slice(&dict);
-            buf.extend_from_slice(sample);
-            tokens.clear();
+        {
             let mut m = Hash4Matcher::new();
-            tokenize_into_with(
-                &buf,
-                dict.len(),
-                level.get(),
-                Engine::Auto,
-                &mut m,
-                &mut tokens,
-            );
-            hist.clear();
-            for &t in &tokens {
-                hist.record(t);
-            }
-            hist.record_end_of_block();
-            for (f, h) in litlen_freq.iter_mut().zip(&hist.litlen) {
-                *f += *h;
-            }
-            for (f, h) in dist_freq.iter_mut().zip(&hist.dist) {
-                *f += *h;
+            let mut tokens: Vec<Token> = Vec::new();
+            let mut buf: Vec<u8> = Vec::new();
+            let (start, rung) = (dict.len(), level.get());
+            for sample in samples {
+                buf.clear();
+                buf.extend_from_slice(&dict);
+                buf.extend_from_slice(sample);
+                tokens.clear();
+                m.reset();
+                tokenize_into_with(&buf, start, rung, Engine::Auto, &mut m, &mut tokens);
+                for &t in &tokens {
+                    hist.record(t);
+                }
+                hist.record_end_of_block();
             }
         }
         // Full-coverage floor: every expressible symbol keeps a (long)
         // code so the one-pass guard never trips on a missing symbol.
         // Symbols 286/287 and distance codes 30/31 are reserved by RFC
         // 1951 and stay zero.
-        for f in litlen_freq.iter_mut().take(286) {
+        for f in hist.litlen.iter_mut().take(286) {
             *f = (*f).max(1);
         }
-        for f in dist_freq.iter_mut().take(30) {
+        for f in hist.dist.iter_mut().take(30) {
             *f = (*f).max(1);
         }
-        let litlen_lengths = build::limited_lengths(&litlen_freq, MAX_CODE_LEN);
-        let dist_lengths = build::limited_lengths(&dist_freq, MAX_CODE_LEN);
+        let litlen_lengths = build::limited_lengths(&hist.litlen, MAX_CODE_LEN);
+        let dist_lengths = build::limited_lengths(&hist.dist, MAX_CODE_LEN);
         Self::new(name, level, litlen_lengths, dist_lengths, dict)
     }
 
@@ -388,14 +380,8 @@ pub fn deflate_canned_into(
     use_dict: bool,
     out: &mut Vec<u8>,
 ) {
-    // The whole point of the canned path is small-payload throughput:
-    // a fresh matcher's ~450 KB of tables would cost more to allocate
-    // and zero than a 1–16 KiB request spends tokenizing, so the
-    // matcher, token buffer and dict+data staging buffer are per-thread
-    // scratch reused across requests.
     thread_local! {
-        static SCRATCH: std::cell::RefCell<(Hash4Matcher, Vec<Token>, Vec<u8>)> =
-            std::cell::RefCell::new((Hash4Matcher::new(), Vec::new(), Vec::new()));
+        static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
     }
     CANNED_REQUESTS.fetch_add(1, Ordering::Relaxed);
     let dict: &[u8] = if use_dict { &profile.dict } else { &[] };
@@ -404,68 +390,82 @@ pub fn deflate_canned_into(
     }
     let level = profile.level.get().max(1); // level 0 cannot carry dict refs
     SCRATCH.with(|scratch| {
-        let (m, tokens, buf) = &mut *scratch.borrow_mut();
-        m.reset();
-        tokens.clear();
+        let s = &mut *scratch.borrow_mut();
+        s.matcher.reset();
+        s.tokens.clear();
         if dict.is_empty() {
-            tokenize_into_with(data, 0, level, engine, m, tokens);
+            tokenize_into_with(data, 0, level, engine, &mut s.matcher, &mut s.tokens);
         } else {
-            buf.clear();
-            buf.extend_from_slice(dict);
-            buf.extend_from_slice(data);
-            tokenize_into_with(buf, dict.len(), level, engine, m, tokens);
+            s.matcher.load_image(&profile.image);
+            s.buf.clear();
+            s.buf.extend_from_slice(dict);
+            s.buf.extend_from_slice(data);
+            let start = dict.len();
+            tokenize_into_with(&s.buf, start, level, engine, &mut s.matcher, &mut s.tokens);
         }
-        emit_canned_blocks(data, profile, tokens, out);
+        s.writer.clear();
+        emit_canned_blocks(profile, &s.tokens, &mut s.writer, &mut s.hist);
+        s.writer.align_to_byte();
+        s.writer.take_bytes_into(out);
     });
 }
 
-/// Emits `tokens` as canned (or guard-fallback) blocks, appending the
-/// raw stream to `out`.
-fn emit_canned_blocks(data: &[u8], profile: &Profile, tokens: &[Token], out: &mut Vec<u8>) {
-    let mut w = BitWriter::with_capacity(data.len() / 2 + 64);
+/// Everything a canned request works in, kept per thread: a fresh
+/// matcher's ~450 KB of tables alone would cost more to allocate and zero
+/// than a 1–16 KiB request spends tokenizing. Once warm, a request into an
+/// `out` with room allocates nothing (`tests/canned_alloc.rs`).
+#[derive(Default)]
+struct Scratch {
+    matcher: Hash4Matcher,
+    tokens: Vec<Token>,
+    /// dict + data staging buffer.
+    buf: Vec<u8>,
+    writer: BitWriter,
+    hist: Histogram,
+}
+
+/// Emits `tokens` into `w` as canned (or guard-fallback) blocks.
+fn emit_canned_blocks(p: &Profile, tokens: &[Token], w: &mut BitWriter, hist: &mut Histogram) {
     if tokens.is_empty() {
-        encode_fixed_block(&mut w, &[], true);
-        out.extend_from_slice(&w.finish());
+        encode_fixed_block(w, &[], true);
         return;
     }
-    let mut hist = Histogram::new();
     let mut start = 0usize;
     while start < tokens.len() {
         let end = (start + MAX_BLOCK_TOKENS).min(tokens.len());
         let is_final = end == tokens.len();
         let block = &tokens[start..end];
+        hist.clear();
         for &t in block {
             hist.record(t);
         }
         hist.record_end_of_block();
-        match profile.block_bits(&hist) {
-            Some(canned_bits) if canned_bits <= fixed_block_bits(&hist) => {
+        match p.block_bits(hist) {
+            Some(canned_bits) if canned_bits <= fixed_block_bits(hist) => {
                 CANNED_BLOCKS.fetch_add(1, Ordering::Relaxed);
-                profile.plan.write_header(&mut w, is_final);
-                let et = &profile.tables;
+                p.plan.write_header(w, is_final);
+                let et = &p.tables;
                 for &t in block {
-                    et.write_token(&mut w, t);
+                    et.write_token(w, t);
                 }
-                et.write_eob(&mut w);
+                et.write_eob(w);
             }
             _ => {
                 // Misfit: the block's statistics stray from the trained
                 // class. Build exact tables for it — same decision as the
                 // dictionary encoder (dynamic vs fixed, entropy only).
                 FALLBACK_BLOCKS.fetch_add(1, Ordering::Relaxed);
-                let plan = DynamicPlan::from_histogram(&hist);
-                if plan.header_bits() + plan.body_bits(&hist) < fixed_block_bits(&hist) {
-                    plan.write_header(&mut w, is_final);
-                    plan.write_body(&mut w, block);
+                let plan = DynamicPlan::from_histogram(hist);
+                if plan.header_bits() + plan.body_bits(hist) < fixed_block_bits(hist) {
+                    plan.write_header(w, is_final);
+                    plan.write_body(w, block);
                 } else {
-                    encode_fixed_block(&mut w, block, is_final);
+                    encode_fixed_block(w, block, is_final);
                 }
             }
         }
-        hist.clear();
         start = end;
     }
-    out.extend_from_slice(&w.finish());
 }
 
 // ---------------------------------------------------------------------
@@ -649,6 +649,34 @@ mod tests {
         let samples = json_samples();
         let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
         Profile::derive("json", &refs, lvl(level), DEFAULT_DICT_CAP).unwrap()
+    }
+
+    #[test]
+    fn image_primed_tokens_equal_live_primed_for_every_shipped_class() {
+        use nx_corpus::CorpusKind::{Code, Json, Logs, Text, Xmlish};
+        let mut reused = Hash4Matcher::new();
+        for (kind, level) in [(Json, 3), (Logs, 3), (Text, 6), (Xmlish, 1), (Code, 9)] {
+            let samples: Vec<Vec<u8>> = (0..16).map(|i| kind.generate(7_700 + i, 4096)).collect();
+            let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
+            let p = Profile::derive(kind.name(), &refs, lvl(level), DEFAULT_DICT_CAP).unwrap();
+            assert!(p.dict().len() > 64, "{} trained no dictionary", kind.name());
+            for (seed, len) in [(1, 0), (2, 3), (3, 300), (4, 2048), (5, 16 << 10)] {
+                let mut buf = p.dict().to_vec();
+                buf.extend_from_slice(&kind.generate(seed, len));
+                for engine in [Engine::Auto, Engine::Sequential, Engine::Speculative] {
+                    let tokenize = |m: &mut Hash4Matcher| {
+                        let mut tokens = Vec::new();
+                        tokenize_into_with(&buf, p.dict().len(), level, engine, m, &mut tokens);
+                        tokens
+                    };
+                    reused.reset();
+                    reused.load_image(&p.image);
+                    let primed = tokenize(&mut reused);
+                    let live = tokenize(&mut Hash4Matcher::new());
+                    assert_eq!(primed, live, "{} len {len} {engine:?}", kind.name());
+                }
+            }
+        }
     }
 
     #[test]

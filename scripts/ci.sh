@@ -20,6 +20,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc links resolve (nx-deflate)"
+# The kernel crate's docs carry its invariants (epoch reset, stale-entry
+# safety); a link to an item that no longer exists must fail here.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' \
+    cargo doc --offline --no-deps -p nx-deflate
+
 if [[ "$FAST" == "0" ]]; then
     echo "==> cargo build --release (tier-1)"
     cargo build --offline --release
