@@ -21,18 +21,16 @@
 //! [`crate::ScratchSession`] *is* one (in its software-only form) plus
 //! caller-owned buffers.
 
-use crate::fault::{self, FaultInjector, FaultKind};
+use crate::fault::{self, FaultInjector, FaultKind, Recovery, Step};
 use crate::framing::{self, Format};
 use crate::stats::{Codec, NxStats};
-use crate::{
-    software, CompressOptions, Error, Result, Trace, SUBMIT_CYCLES, TOUCH_CYCLES_PER_PAGE,
-};
+use crate::{software, CompressOptions, Error, Result, Trace, SUBMIT_CYCLES};
 use nx_accel::{AccelConfig, Accelerator, CompressReport, DecompressReport};
 use nx_deflate::adler32::adler32;
 use nx_deflate::crc32::crc32;
 use nx_deflate::stream::{Flush, StreamEncoder};
 use nx_deflate::{gzip, zlib, CompressionLevel, Engine, InflateScratch, Profile, ProfileRegistry};
-use nx_telemetry::{duration_to_cycles, Stage, TelemetrySink, TraceContext};
+use nx_telemetry::{Stage, TelemetrySink, TraceContext};
 use std::sync::Arc;
 
 /// What an [`Executor`] shares with the [`crate::Nx`] handle it was built
@@ -135,23 +133,6 @@ enum Unit {
     Session(Box<StreamEncoder>),
 }
 
-/// A cycle report, as the recovery loop prices `engine` spans.
-trait Report {
-    fn cycles(&self) -> u64;
-}
-
-impl Report for CompressReport {
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
-impl Report for DecompressReport {
-    fn cycles(&self) -> u64 {
-        self.cycles
-    }
-}
-
 /// One request-execution engine; see the [module docs](self).
 #[derive(Debug)]
 pub(crate) struct Executor {
@@ -214,7 +195,7 @@ impl Executor {
                 let on_engine = job.recover(fault::Site::Compress, |out| {
                     let (raw, report) = accel.compress(data);
                     *out = framing::wrap(raw, data, format);
-                    Ok(report)
+                    Ok((report.cycles, report))
                 })?;
                 match on_engine {
                     Some(report) => report,
@@ -262,7 +243,7 @@ impl Executor {
                     let (bytes, report) = accel.decompress(payload.deflate_stream)?;
                     payload.verify(&bytes)?;
                     *out = bytes;
-                    Ok(report)
+                    Ok((report.cycles, report))
                 })?,
                 "software-fallback",
             ),
@@ -390,9 +371,9 @@ impl<'a> Job<'a> {
         ))
     }
 
-    /// Runs one accelerator request under the handle's fault injector, if it
-    /// has one: resubmit-from-offset with optional touch-ahead, capped
-    /// exponential backoff, output integrity re-check.
+    /// Runs one accelerator request (`run` yields modeled cycles + report)
+    /// under the handle's fault injector, if it has one, executing the
+    /// steps of [`Recovery`] plus the output integrity re-check.
     ///
     /// Returns `Ok(Some(report))` when an attempt completed cleanly (its
     /// bytes are in `out`), `Ok(None)` when the request must degrade to the
@@ -400,10 +381,10 @@ impl<'a> Job<'a> {
     /// with fallback enabled) — a `fallback` span is on the trace and both
     /// fallback counters are bumped — and `Err` for genuine input errors
     /// (never retried) or recovery exhaustion with fallback disabled.
-    fn recover<R: Report>(
+    fn recover<R>(
         &mut self,
         site: fault::Site,
-        mut run: impl FnMut(&mut Vec<u8>) -> Result<R>,
+        mut run: impl FnMut(&mut Vec<u8>) -> Result<(u64, R)>,
     ) -> Result<Option<R>> {
         let Self {
             env,
@@ -413,142 +394,79 @@ impl<'a> Job<'a> {
             ..
         } = self;
         let Some(inj) = &env.faults else {
-            let report = run(out)?;
-            trace.span(Stage::Engine, report.cycles(), data.len() as u64, 0);
+            let (cycles, report) = run(out)?;
+            trace.span(Stage::Engine, cycles, data.len() as u64, 0);
             return Ok(Some(report));
         };
         let policy = *inj.policy();
         let req = inj.begin_request();
         let stats = inj.stats();
-        let freq = env.config.freq_ghz;
-        let mut resident_pages = 0u64;
-        let mut attempt = 0u32;
-        let mut last_fault = None;
-        let fall_back = |trace: &mut Trace<'_>| {
-            stats.bump(&stats.software_fallbacks);
-            env.stats.record_software_fallback();
-            trace.span(Stage::Fallback, 0, data.len() as u64, 0);
-            Ok(None)
-        };
-        while attempt < policy.max_attempts {
-            match inj.submit_fault(site, req, attempt, data.len() as u64, resident_pages) {
-                Some(FaultKind::AccelUnavailable) => {
-                    return if policy.software_fallback {
-                        fall_back(trace)
-                    } else {
-                        Err(Error::AcceleratorUnavailable)
+        let mut rec = Recovery::new(policy, env.config.freq_ghz);
+        while !rec.exhausted() {
+            let attempt = rec.attempt;
+            let fault = inj.submit_fault(site, req, attempt, data.len() as u64, rec.resident_pages);
+            let step = match rec.submit(fault) {
+                Step::GiveUp => break,
+                Step::Run => {
+                    // Clean submission: run the engine. Genuine input
+                    // errors are not transient — surface them
+                    // immediately, no retry.
+                    let (cycles, report) = run(out)?;
+                    trace.span(Stage::Engine, cycles, data.len() as u64, attempt.into());
+                    // Modeled output-integrity check: the engine CRCs its
+                    // output stream; an injected in-flight corruption must
+                    // be caught here and never escape to the caller.
+                    let Some(k) = inj.output_fault(req, attempt, out.len() as u64) else {
+                        return Ok(Some(report));
                     };
+                    let mut corrupted = (**out).clone();
+                    fault::corrupt(k, &mut corrupted);
+                    if corrupted != **out {
+                        stats.bump(&stats.corruptions_detected);
+                    }
+                    rec.corrupted(k)
                 }
-                Some(
-                    f @ (FaultKind::QueueOverflow
-                    | FaultKind::SubmissionTimeout
-                    | FaultKind::CsbError { .. }),
-                ) => {
-                    // Transient: back off (capped exponential) and retry
-                    // the whole submission.
+                again => again,
+            };
+            if let Step::Again {
+                stage,
+                cycles,
+                bytes,
+                detail,
+                retry,
+            } = step
+            {
+                if retry {
                     stats.bump(&stats.retries);
                     env.stats.record_retry();
-                    if matches!(f, FaultKind::QueueOverflow) {
+                    if rec.last_fault == Some(FaultKind::QueueOverflow) {
                         // A bounced paste (engine queue full at submit)
                         // is a fault-reject: attributable separately from
                         // credit- and depth-rejects.
                         env.stats.record_fault_reject();
                     }
                     inj.take_backoff(attempt);
-                    // Detail packs (fault code << 8) | attempt so the
-                    // flight dump names what caused this retry.
-                    trace.span(
-                        Stage::Retry,
-                        duration_to_cycles(policy.backoff(attempt), freq),
-                        0,
-                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
-                    );
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
-                }
-                Some(f @ FaultKind::PageFault { offset }) => {
-                    // Touch the faulting page (plus the touch-ahead
-                    // window) and resubmit; everything up to the touched
-                    // frontier is now resident and cannot fault again.
-                    let newly_resident =
-                        (offset / fault::PAGE_BYTES) + 1 + u64::from(policy.touch_ahead_pages);
-                    let touched = newly_resident.saturating_sub(resident_pages);
-                    trace.span(
-                        Stage::EratTouch,
-                        touched * TOUCH_CYCLES_PER_PAGE,
-                        touched * fault::PAGE_BYTES,
-                        offset / fault::PAGE_BYTES,
-                    );
-                    resident_pages = newly_resident;
+                } else {
                     stats.bump(&stats.resubmissions);
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
                 }
-                Some(f @ FaultKind::Partial { .. }) => {
-                    // The engine stopped early without an error; the
-                    // library resubmits the remainder (modeled as a full
-                    // resubmission).
-                    stats.bump(&stats.resubmissions);
-                    trace.span(
-                        Stage::Retry,
-                        SUBMIT_CYCLES,
-                        0,
-                        (f.detail_code() << 8) | u64::from(attempt & 0xFF),
-                    );
-                    last_fault = Some(f);
-                    attempt += 1;
-                    continue;
-                }
-                Some(FaultKind::BitFlip { .. })
-                | Some(FaultKind::Truncate { .. })
-                | Some(FaultKind::WorkerPanic)
-                | None => {}
+                trace.span(stage, cycles, bytes, detail);
             }
-            // Clean submission: run the engine. Genuine input errors are
-            // not transient — surface them immediately, no retry.
-            let report = run(out)?;
-            trace.span(
-                Stage::Engine,
-                report.cycles(),
-                data.len() as u64,
-                u64::from(attempt),
-            );
-            // Modeled output-integrity check: the engine CRCs its output
-            // stream; an injected in-flight corruption must be caught
-            // here and never escape to the caller.
-            if let Some(k) = inj.output_fault(req, attempt, out.len() as u64) {
-                let mut corrupted = (**out).clone();
-                fault::corrupt(k, &mut corrupted);
-                if corrupted != **out {
-                    stats.bump(&stats.corruptions_detected);
-                }
-                stats.bump(&stats.retries);
-                env.stats.record_retry();
-                inj.take_backoff(attempt);
-                trace.span(
-                    Stage::Retry,
-                    duration_to_cycles(policy.backoff(attempt), freq),
-                    0,
-                    u64::from(attempt),
-                );
-                last_fault = Some(k);
-                attempt += 1;
-                continue;
-            }
-            return Ok(Some(report));
         }
-        // Attempt budget exhausted.
+        // The accelerator is gone, or the attempt budget is spent.
         if policy.software_fallback {
-            return fall_back(trace);
+            stats.bump(&stats.software_fallbacks);
+            env.stats.record_software_fallback();
+            trace.span(Stage::Fallback, 0, data.len() as u64, 0);
+            return Ok(None);
         }
-        Err(match last_fault {
+        let attempts = rec.attempt;
+        Err(match rec.last_fault {
+            _ if !rec.exhausted() => Error::AcceleratorUnavailable,
             Some(FaultKind::QueueOverflow) => Error::QueueOverflow,
             Some(FaultKind::BitFlip { .. }) | Some(FaultKind::Truncate { .. }) => {
-                Error::CorruptedOutput { attempts: attempt }
+                Error::CorruptedOutput { attempts }
             }
-            _ => Error::SubmissionTimeout { attempts: attempt },
+            _ => Error::SubmissionTimeout { attempts },
         })
     }
 }

@@ -26,6 +26,8 @@
 //! surface a typed [`crate::Error`] — never a panic, never silently
 //! wrong bytes. The adversarial test battery holds the stack to that.
 
+use crate::{SUBMIT_CYCLES, TOUCH_CYCLES_PER_PAGE};
+use nx_telemetry::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -718,6 +720,129 @@ impl FaultInjector {
             true
         } else {
             false
+        }
+    }
+}
+
+/// What the recovery protocol does about one submission attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Nothing the submit phase reacts to: the attempt runs on the engine.
+    Run,
+    /// The accelerator is gone: degrade to the software path (or fail
+    /// typed, when the policy forbids fallback).
+    GiveUp,
+    /// The fault consumed the attempt: account a `stage` span (`Retry` or
+    /// `EratTouch`) of `cycles` over `bytes` with forensic word `detail`,
+    /// then submit again. `retry` tells a whole-attempt retry with
+    /// backoff (transient fault, caught corruption) from a resubmission
+    /// (page touched, partial completion).
+    Again {
+        stage: Stage,
+        cycles: u64,
+        bytes: u64,
+        detail: u64,
+        retry: bool,
+    },
+}
+
+/// The per-request recovery state machine: which fault is this, what
+/// does absorbing it cost, does it consume an attempt. Pure — the
+/// executor's recovery loop ([`crate::exec`]) turns its steps into spans
+/// and counters, the storm driver into service cycles, so the two price
+/// recovery identically by construction.
+#[derive(Debug, Default)]
+pub(crate) struct Recovery {
+    policy: RecoveryPolicy,
+    freq_ghz: f64,
+    /// Submission attempts consumed so far.
+    pub(crate) attempt: u32,
+    /// Leading pages made resident by page-fault touches; a fault inside
+    /// them cannot fire again.
+    pub(crate) resident_pages: u64,
+    /// The last fault absorbed (names the error when attempts run out).
+    pub(crate) last_fault: Option<FaultKind>,
+}
+
+impl Recovery {
+    pub(crate) fn new(policy: RecoveryPolicy, freq_ghz: f64) -> Self {
+        Self {
+            policy,
+            freq_ghz,
+            ..Self::default()
+        }
+    }
+
+    /// Whether the attempt budget is spent.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.attempt >= self.policy.max_attempts
+    }
+
+    /// Classifies the current attempt's submission-phase draw.
+    pub(crate) fn submit(&mut self, fault: Option<FaultKind>) -> Step {
+        let Some(fault) = fault else {
+            return Step::Run;
+        };
+        // Retries pack (fault code << 8) | attempt into their detail word
+        // so a flight dump names what caused each; a touch names its page.
+        let code = (fault.detail_code() << 8) | u64::from(self.attempt & 0xFF);
+        let (stage, cycles, bytes, detail, retry) = match fault {
+            FaultKind::AccelUnavailable => return Step::GiveUp,
+            // Output and worker faults strike after a clean submission.
+            FaultKind::BitFlip { .. } | FaultKind::Truncate { .. } | FaultKind::WorkerPanic => {
+                return Step::Run
+            }
+            // Transient: back off (capped exponential) and retry the
+            // whole submission.
+            FaultKind::QueueOverflow
+            | FaultKind::SubmissionTimeout
+            | FaultKind::CsbError { .. } => (Stage::Retry, self.backoff_cycles(), 0, code, true),
+            // Touch the faulting page (plus the touch-ahead window) and
+            // resubmit; everything up to the touched frontier is now
+            // resident.
+            FaultKind::PageFault { offset } => {
+                let page = offset / PAGE_BYTES;
+                let frontier = page + 1 + u64::from(self.policy.touch_ahead_pages);
+                let touched = frontier.saturating_sub(self.resident_pages);
+                self.resident_pages = frontier;
+                let cycles = touched * TOUCH_CYCLES_PER_PAGE;
+                (Stage::EratTouch, cycles, touched * PAGE_BYTES, page, false)
+            }
+            // The engine stopped early without an error; the library
+            // resubmits the remainder (modeled as one more paste).
+            FaultKind::Partial { .. } => (Stage::Retry, SUBMIT_CYCLES, 0, code, false),
+        };
+        self.again(fault, stage, cycles, bytes, detail, retry)
+    }
+
+    /// An in-flight corruption of the attempt that just ran, caught by
+    /// the output integrity check: retried like a transient.
+    pub(crate) fn corrupted(&mut self, fault: FaultKind) -> Step {
+        let (cycles, detail) = (self.backoff_cycles(), u64::from(self.attempt));
+        self.again(fault, Stage::Retry, cycles, 0, detail, true)
+    }
+
+    fn backoff_cycles(&self) -> u64 {
+        nx_telemetry::duration_to_cycles(self.policy.backoff(self.attempt), self.freq_ghz)
+    }
+
+    fn again(
+        &mut self,
+        fault: FaultKind,
+        stage: Stage,
+        cycles: u64,
+        bytes: u64,
+        detail: u64,
+        retry: bool,
+    ) -> Step {
+        self.last_fault = Some(fault);
+        self.attempt += 1;
+        Step::Again {
+            stage,
+            cycles,
+            bytes,
+            detail,
+            retry,
         }
     }
 }

@@ -3,40 +3,41 @@
 //!
 //! The "millions of users" workload the ROADMAP asks for cannot be tested
 //! with wall clocks: fairness and tail-latency assertions would flake on
-//! load. Instead this module replays the *same* admission, credit and
-//! DWRR machinery as the threaded service on a **virtual cycle clock**:
+//! load. Instead this module drives the *same* state machine as the
+//! threaded service — [`super::sched`]'s `ServiceCore` — on a **virtual
+//! cycle clock**. What is left here is what a driver owns: the arrival
+//! generator, the event loop (an `nx_sim::EventQueue` of completions), a
+//! modeled engine, and the report/SLO/flight-recorder assembly:
 //!
 //! * [`LoadGen`] produces per-tenant open-loop arrival streams —
 //!   exponential inter-arrival gaps, bounded-Pareto payload sizes, payload
 //!   bytes from `nx-corpus` — as a pure function of `(seed, tenant name)`.
 //!   Adding or removing a tenant never perturbs another tenant's stream,
 //!   which is what makes hog-isolation experiments well-posed.
-//! * [`run_storm`] feeds the arrivals through credit admission, the DWRR
-//!   scheduler and a modeled engine (real [`Accelerator`] cycle costs,
-//!   `SUBMIT_CYCLES` paid once per coalesced batch, `COMPLETE_CYCLES` per
-//!   request) and reports per-tenant latency/queue-depth histograms,
-//!   credit stalls, and the Jain fairness index.
-//! * [`run_storm_faulted`] threads the PR 2 fault injector through the
-//!   same path: transient faults cost retries + backoff cycles, an
-//!   unavailable accelerator degrades to a software path priced at
-//!   [`StormConfig::fallback_slowdown`]×, worker deaths add a re-dispatch
-//!   penalty — and *accepted work is never dropped*.
+//! * [`run_storm`] feeds the arrivals through the core and a modeled
+//!   engine (real [`Accelerator`] cycle costs, `SUBMIT_CYCLES` paid once
+//!   per coalesced batch, `COMPLETE_CYCLES` per request) and reports
+//!   per-tenant latency/queue-depth histograms, credit stalls, and the
+//!   Jain fairness index.
+//! * [`run_storm_faulted`] threads the fault injector through the same
+//!   path, priced by the steps the executor's recovery loop executes
+//!   (`fault::Recovery`): retries + backoff, touched pages, a software
+//!   fallback at [`StormConfig::fallback_slowdown`]×, a re-dispatch per
+//!   worker death — and *accepted work is never dropped*.
 //!
 //! Every run emits a [`TraceEvent`] log; two runs from the same seed are
 //! byte-identical (the determinism property test).
 
-use super::sched::{jain_index, CreditAccount, DwrrScheduler, QosClass, TenantSpec};
+use super::sched::{jain_index, request_spans, QosClass, Rejected, ServiceCore, TenantSpec};
 use super::ServiceConfig;
-use crate::fault::{FaultInjector, FaultKind, Site};
-use crate::{COMPLETE_CYCLES, SUBMIT_CYCLES, TOUCH_CYCLES_PER_PAGE};
+use crate::fault::{FaultInjector, Recovery, Site, Step};
+use crate::{COMPLETE_CYCLES, SUBMIT_CYCLES};
 use nx_accel::{AccelConfig, Accelerator};
 use nx_corpus::CorpusKind;
+use nx_sim::{EventQueue, SimTime};
 use nx_telemetry::{
-    duration_to_cycles, FlightRecorder, HistogramSnapshot, LogHistogram, SloEvent, SloEventKind,
-    SloMonitor, SloSpec, SloStatus, SpanEvent, Stage, NO_PARENT,
+    FlightRecorder, HistogramSnapshot, SloEvent, SloEventKind, SloMonitor, SloSpec, SloStatus,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Small deterministic generator (splitmix64) seeded from `(seed, tag)`.
 /// Self-contained so the production crate needs no RNG dependency.
@@ -373,32 +374,36 @@ impl StormReport {
     }
 }
 
-struct TenantAcct {
-    credits: CreditAccount,
-    latency: LogHistogram,
-    depth: LogHistogram,
-    generated: u64,
-    admitted: u64,
-    completed: u64,
-    rejected_no_credit: u64,
-    rejected_queue_full: u64,
-    coalesced_requests: u64,
-    offered_bytes: u64,
-    completed_bytes: u64,
-}
-
+/// One admitted request, as the storm queues it in the core.
 struct VJob {
-    tenant: usize,
     seq: u64,
     bytes: usize,
     seed: u64,
     admitted_at: u64,
 }
 
+/// One dispatched request's completion, scheduled at the cycle it is
+/// done.
+struct Completion {
+    job: VJob,
+    tenant: usize,
+    dispatched_at: u64,
+    /// Engine service cycles, recovery included.
+    service: u64,
+}
+
+/// Fault-recovery work a storm absorbed.
+#[derive(Default, Clone, Copy)]
+struct Recovered {
+    retries: u64,
+    fallbacks: u64,
+    worker_deaths: u64,
+}
+
 /// Runs a fault-free storm: `loads` through credit admission + DWRR +
 /// modeled engine on the virtual clock. Deterministic from `seed`.
 pub fn run_storm(seed: u64, loads: &[TenantLoad], cfg: &StormConfig) -> StormReport {
-    storm_inner(seed, loads, cfg, None)
+    drive(&LoadGen::arrivals(seed, loads), loads, cfg, None)
 }
 
 /// Runs a storm with the fault injector threaded through the engine
@@ -410,44 +415,27 @@ pub fn run_storm_faulted(
     cfg: &StormConfig,
     inj: &FaultInjector,
 ) -> StormReport {
-    storm_inner(seed, loads, cfg, Some(inj))
+    drive(&LoadGen::arrivals(seed, loads), loads, cfg, Some(inj))
 }
 
-fn storm_inner(
-    seed: u64,
+/// The virtual-clock driver: steps the service core through `arrivals`
+/// (sorted by time) with one modeled engine.
+fn drive(
+    arrivals: &[Arrival],
     loads: &[TenantLoad],
     cfg: &StormConfig,
     inj: Option<&FaultInjector>,
 ) -> StormReport {
-    let arrivals = LoadGen::arrivals(seed, loads);
     let config = AccelConfig::power9();
     let freq = config.freq_ghz;
     let mut engine = Accelerator::new(config);
 
-    let mut sched: DwrrScheduler<VJob> = DwrrScheduler::new(
-        cfg.service.quantum_bytes,
-        cfg.service.coalesce_limit,
-        cfg.service.coalesce_batch,
-    );
-    let mut accts: Vec<TenantAcct> = loads
-        .iter()
-        .map(|l| {
-            sched.add_tenant(l.spec.class.weight());
-            TenantAcct {
-                credits: CreditAccount::new(l.spec.credits),
-                latency: LogHistogram::new(),
-                depth: LogHistogram::new(),
-                generated: 0,
-                admitted: 0,
-                completed: 0,
-                rejected_no_credit: 0,
-                rejected_queue_full: 0,
-                coalesced_requests: 0,
-                offered_bytes: 0,
-                completed_bytes: 0,
-            }
-        })
-        .collect();
+    let mut core: ServiceCore<VJob> = ServiceCore::new(&cfg.service);
+    for l in loads {
+        core.open_window(&l.spec);
+    }
+    let mut offered_bytes = vec![0u64; loads.len()];
+    let mut completed_bytes = vec![0u64; loads.len()];
 
     // SLO evaluation on the virtual clock: derived per-class specs
     // unless the config overrides them; tenants map to specs by name.
@@ -472,51 +460,48 @@ fn storm_inner(
     let note_deaths = flight.counter_id("storm_worker_deaths");
 
     let mut trace: Vec<TraceEvent> = Vec::with_capacity(arrivals.len() * 3);
-    // Completion events: Reverse-ordered min-heap on
-    // (time, seq, tenant, admitted_at, dispatched_at, service, bytes).
-    #[allow(clippy::type_complexity)]
-    let mut completions: BinaryHeap<Reverse<(u64, u64, u64, u64, u64, u64, u64)>> =
-        BinaryHeap::new();
+    let mut event = |at: u64, tenant: usize, seq: u64, bytes: u64, kind: TraceKind| {
+        trace.push(TraceEvent {
+            at,
+            tenant: tenant as u32,
+            seq,
+            bytes,
+            kind,
+        });
+    };
+    // Completion events, keyed by virtual cycle (the queue's time unit is
+    // opaque to it; one tick = one cycle here).
+    let mut completions: EventQueue<Completion> = EventQueue::new();
     let mut t = 0u64;
     let mut ai = 0usize;
     let mut engine_free_at = 0u64;
     let mut engine_busy = 0u64;
     let mut makespan = 0u64;
-    let mut batches = 0u64;
-    let mut coalesced_batches = 0u64;
-    let mut coalesced_requests = 0u64;
-    let mut retries = 0u64;
-    let mut fallbacks = 0u64;
-    let mut worker_deaths = 0u64;
-    // admitted_at per in-flight job travels inside VJob.
+    let mut recovered = Recovered::default();
     loop {
         // Dispatch while the engine is idle and work is queued.
-        while engine_free_at <= t && !sched.is_empty() {
-            let batch = match sched.next_batch() {
-                Some(b) => b,
-                None => break,
+        while engine_free_at <= t {
+            let Some(batch) = core.next_batch() else {
+                break;
             };
-            let n = batch.items.len() as u64;
-            batches += 1;
-            if batch.coalesced {
-                coalesced_batches += 1;
-                coalesced_requests += n;
-            }
             // One paste for the whole batch; per-request engine service
             // in FIFO order; one completion notification per request.
             let start = t.max(engine_free_at);
             let mut cursor = start + SUBMIT_CYCLES;
             for job in batch.items {
-                trace.push(TraceEvent {
-                    at: start,
-                    tenant: job.tenant as u32,
-                    seq: job.seq,
-                    bytes: job.bytes as u64,
-                    kind: TraceKind::Dispatch,
-                });
-                let payload = loads[job.tenant].payload.kind.generate(job.seed, job.bytes);
-                let (r0, f0, d0) = (retries, fallbacks, worker_deaths);
-                let service_cycles = match inj {
+                event(
+                    start,
+                    batch.tenant,
+                    job.seq,
+                    job.bytes as u64,
+                    TraceKind::Dispatch,
+                );
+                let payload = loads[batch.tenant]
+                    .payload
+                    .kind
+                    .generate(job.seed, job.bytes);
+                let before = recovered;
+                let service = match inj {
                     None => engine.compress(&payload).1.cycles,
                     Some(inj) => faulted_service_cycles(
                         inj,
@@ -524,43 +509,37 @@ fn storm_inner(
                         &payload,
                         cfg.fallback_slowdown,
                         freq,
-                        &mut retries,
-                        &mut fallbacks,
-                        &mut worker_deaths,
+                        &mut recovered,
                     ),
                 };
                 // Fault-recovery deltas this dispatch caused, as
                 // black-box counter notes (zero deltas are skipped).
-                flight.note(start, note_retries, retries - r0);
-                flight.note(start, note_fallbacks, fallbacks - f0);
-                flight.note(start, note_deaths, worker_deaths - d0);
-                cursor += service_cycles;
-                let done_at = cursor + COMPLETE_CYCLES;
-                if batch.coalesced {
-                    accts[job.tenant].coalesced_requests += 1;
+                for (id, delta) in [
+                    (note_retries, recovered.retries - before.retries),
+                    (note_fallbacks, recovered.fallbacks - before.fallbacks),
+                    (note_deaths, recovered.worker_deaths - before.worker_deaths),
+                ] {
+                    flight.note(start, id, delta);
                 }
-                completions.push(Reverse((
-                    done_at,
-                    job.seq,
-                    job.tenant as u64,
-                    job.admitted_at,
-                    start,
-                    service_cycles,
-                    job.bytes as u64,
-                )));
-                accts[job.tenant].completed_bytes += job.bytes as u64;
+                cursor += service;
+                completed_bytes[batch.tenant] += job.bytes as u64;
+                completions.schedule(
+                    SimTime::from_ps(cursor + COMPLETE_CYCLES),
+                    Completion {
+                        job,
+                        tenant: batch.tenant,
+                        dispatched_at: start,
+                        service,
+                    },
+                );
             }
             engine_free_at = cursor + COMPLETE_CYCLES;
             engine_busy += engine_free_at - start;
         }
         // Advance to the next event.
         let next_arrival = arrivals.get(ai).map(|a| a.at);
-        let next_completion = completions.peek().map(|Reverse(c)| c.0);
-        let next_dispatch = if sched.is_empty() {
-            None
-        } else {
-            Some(engine_free_at)
-        };
+        let next_completion = completions.peek_time().map(SimTime::as_ps);
+        let next_dispatch = (core.queued() > 0).then_some(engine_free_at);
         let next = [next_arrival, next_completion, next_dispatch]
             .into_iter()
             .flatten()
@@ -568,148 +547,89 @@ fn storm_inner(
         let Some(next) = next else { break };
         t = t.max(next);
         // Completions first (credits free before same-cycle arrivals).
-        while let Some(Reverse((at, seq, tenant, admitted_at, dispatched_at, service, bytes))) =
-            completions.peek().copied()
-        {
-            if at > t {
+        while completions.peek_time().is_some_and(|at| at.as_ps() <= t) {
+            let Some((at, done)) = completions.pop() else {
                 break;
-            }
-            completions.pop();
-            let tenant = tenant as usize;
-            accts[tenant].credits.complete();
-            accts[tenant].completed += 1;
-            let latency = at.saturating_sub(admitted_at);
-            accts[tenant].latency.record(latency);
-            if let Some(idx) = tenant_slo[tenant] {
+            };
+            let (at, job) = (at.as_ps(), done.job);
+            let latency = at.saturating_sub(job.admitted_at);
+            core.complete(done.tenant, true);
+            core.tenant_stats(done.tenant).latency.record(latency);
+            if let Some(idx) = tenant_slo[done.tenant] {
                 slo.observe(idx, at, latency, true);
             }
             // The request's whole span set enters the black box at
             // completion, request-local (admission = cycle 0), so the
-            // ring's tail always holds complete recent traces.
-            push_flight_trace(
-                &flight,
-                seq,
-                tenant as u32,
-                bytes,
-                dispatched_at.saturating_sub(admitted_at),
-                service,
-            );
+            // ring's tail always holds complete recent traces — the same
+            // stage chain the threaded service traces live.
+            for span in request_spans(
+                job.seq,
+                done.tenant as u32,
+                job.bytes as u64,
+                (done.dispatched_at.saturating_sub(job.admitted_at), 0),
+                (SUBMIT_CYCLES, 0),
+                Some(done.service),
+            ) {
+                flight.span(&span);
+            }
             makespan = makespan.max(at);
-            trace.push(TraceEvent {
-                at,
-                tenant: tenant as u32,
-                seq,
-                bytes: 0,
-                kind: TraceKind::Complete,
-            });
+            event(at, done.tenant, job.seq, 0, TraceKind::Complete);
         }
         // Then arrivals ≤ t.
-        while ai < arrivals.len() && arrivals[ai].at <= t {
-            let a = arrivals[ai];
+        while let Some(a) = arrivals.get(ai).filter(|a| a.at <= t) {
             let seq = ai as u64;
             ai += 1;
-            let acct = &mut accts[a.tenant];
-            acct.generated += 1;
-            acct.offered_bytes += a.bytes as u64;
-            trace.push(TraceEvent {
-                at: a.at,
-                tenant: a.tenant as u32,
+            let bytes = a.bytes as u64;
+            offered_bytes[a.tenant] += bytes;
+            event(a.at, a.tenant, seq, bytes, TraceKind::Arrive);
+            let admitted = core.admit(a.tenant, bytes, |_| VJob {
                 seq,
-                bytes: a.bytes as u64,
-                kind: TraceKind::Arrive,
+                bytes: a.bytes,
+                seed: a.seed,
+                admitted_at: a.at,
             });
-            if sched.queued() >= cfg.service.engine_depth {
-                acct.rejected_queue_full += 1;
-                // A rejection burns error budget: the tenant offered a
-                // request and the service failed it.
-                if let Some(idx) = tenant_slo[a.tenant] {
-                    slo.observe(idx, a.at, 0, false);
+            let kind = match admitted {
+                Ok(_) => TraceKind::Admit,
+                Err(rejected) => {
+                    // A rejection burns error budget: the tenant offered
+                    // a request and the service failed it.
+                    if let Some(idx) = tenant_slo[a.tenant] {
+                        slo.observe(idx, a.at, 0, false);
+                    }
+                    match rejected {
+                        Rejected::NoCredit => TraceKind::RejectCredit,
+                        // The storm never closes its core.
+                        Rejected::QueueFull | Rejected::Closed => TraceKind::RejectDepth,
+                    }
                 }
-                trace.push(TraceEvent {
-                    at: a.at,
-                    tenant: a.tenant as u32,
-                    seq,
-                    bytes: a.bytes as u64,
-                    kind: TraceKind::RejectDepth,
-                });
-                continue;
-            }
-            if !acct.credits.try_acquire() {
-                acct.rejected_no_credit += 1;
-                if let Some(idx) = tenant_slo[a.tenant] {
-                    slo.observe(idx, a.at, 0, false);
-                }
-                trace.push(TraceEvent {
-                    at: a.at,
-                    tenant: a.tenant as u32,
-                    seq,
-                    bytes: a.bytes as u64,
-                    kind: TraceKind::RejectCredit,
-                });
-                continue;
-            }
-            acct.admitted += 1;
-            sched.push(
-                a.tenant,
-                VJob {
-                    tenant: a.tenant,
-                    seq,
-                    bytes: a.bytes,
-                    seed: a.seed,
-                    admitted_at: a.at,
-                },
-                a.bytes as u64,
-            );
-            let depth_now = sched.queue_depth(a.tenant) as u64;
-            accts[a.tenant].depth.record(depth_now);
-            trace.push(TraceEvent {
-                at: a.at,
-                tenant: a.tenant as u32,
-                seq,
-                bytes: a.bytes as u64,
-                kind: TraceKind::Admit,
-            });
+            };
+            event(a.at, a.tenant, seq, bytes, kind);
         }
     }
 
-    let mut credit_violations = 0u64;
-    for acct in &accts {
-        if acct.credits.in_flight() != 0 {
-            credit_violations += 1;
-        }
-        if acct.credits.admitted() != acct.credits.completed() + acct.credits.failed() {
-            credit_violations += 1;
-        }
-    }
-    let goodputs: Vec<f64> = accts
+    let tenants: Vec<TenantReport> = loads
         .iter()
-        .map(|a| {
-            if a.generated == 0 {
-                1.0
-            } else {
-                a.completed as f64 / a.generated as f64
+        .enumerate()
+        .map(|(i, l)| {
+            let stats = core.tenant_stats(i);
+            TenantReport {
+                name: l.spec.name.clone(),
+                class: l.spec.class,
+                generated: stats.submitted(),
+                admitted: stats.admitted(),
+                completed: stats.completed(),
+                rejected_no_credit: stats.rejected_no_credit(),
+                rejected_queue_full: stats.rejected_queue_full(),
+                credit_stalls: stats.rejected_no_credit(),
+                coalesced_requests: stats.coalesced_requests(),
+                latency: stats.latency().snapshot(),
+                depth: stats.depth().snapshot(),
+                offered_bytes: offered_bytes[i],
+                completed_bytes: completed_bytes[i],
             }
         })
         .collect();
-    let tenants = loads
-        .iter()
-        .zip(accts.iter())
-        .map(|(l, a)| TenantReport {
-            name: l.spec.name.clone(),
-            class: l.spec.class,
-            generated: a.generated,
-            admitted: a.admitted,
-            completed: a.completed,
-            rejected_no_credit: a.rejected_no_credit,
-            rejected_queue_full: a.rejected_queue_full,
-            credit_stalls: a.credits.stalls(),
-            coalesced_requests: a.coalesced_requests,
-            latency: a.latency.snapshot(),
-            depth: a.depth.snapshot(),
-            offered_bytes: a.offered_bytes,
-            completed_bytes: a.completed_bytes,
-        })
-        .collect();
+    let goodputs: Vec<f64> = tenants.iter().map(TenantReport::goodput).collect();
     // Close out the black box: SLO transitions join the dump, and the
     // dump itself fires for every faulted storm (post-incident record)
     // or on any breach in a clean one.
@@ -723,25 +643,23 @@ fn storm_inner(
             SloEventKind::BurnAlert | SloEventKind::BudgetExhausted
         )
     });
-    let flight_dump = if inj.is_some() {
-        Some(flight.dump("fault-storm", makespan))
-    } else if breached {
-        Some(flight.dump("slo-breach", makespan))
-    } else {
-        None
+    let reason = match inj {
+        Some(_) => Some("fault-storm"),
+        None => breached.then_some("slo-breach"),
     };
+    let flight_dump = reason.map(|reason| flight.dump(reason, makespan));
     StormReport {
-        tenants,
         jain_fairness: jain_index(&goodputs),
-        credit_violations,
-        batches,
-        coalesced_batches,
-        coalesced_requests,
+        credit_violations: core.violations() as u64,
+        batches: core.stats().batches(),
+        coalesced_batches: core.stats().coalesced_batches(),
+        coalesced_requests: tenants.iter().map(|t| t.coalesced_requests).sum(),
+        tenants,
         makespan_cycles: makespan,
         engine_busy_cycles: engine_busy,
-        retries,
-        fallbacks,
-        worker_deaths,
+        retries: recovered.retries,
+        fallbacks: recovered.fallbacks,
+        worker_deaths: recovered.worker_deaths,
         trace,
         slo_events,
         slo_statuses: slo.statuses(),
@@ -749,128 +667,53 @@ fn storm_inner(
     }
 }
 
-/// Pushes one completed request's full span set into the flight ring on
-/// a request-local timeline (admission = cycle 0): admit, queue-wait,
-/// dispatch, then engine + complete as children of the dispatch span —
-/// the same stage chain the threaded service traces live.
-fn push_flight_trace(
-    flight: &FlightRecorder,
-    request: u64,
-    tenant: u32,
-    bytes: u64,
-    wait: u64,
-    service: u64,
-) {
-    let mk = |seq: u32, parent: u32, stage: Stage, start: u64, dur: u64, detail: u64| SpanEvent {
-        request,
-        seq,
-        parent,
-        worker: tenant,
-        stage,
-        start_cycles: start,
-        dur_cycles: dur,
-        bytes,
-        detail,
-    };
-    let mut at = 0u64;
-    flight.span(&mk(
-        0,
-        NO_PARENT,
-        Stage::Admit,
-        at,
-        SUBMIT_CYCLES,
-        u64::from(tenant),
-    ));
-    at += SUBMIT_CYCLES;
-    flight.span(&mk(1, NO_PARENT, Stage::QueueWait, at, wait, 0));
-    at += wait;
-    flight.span(&mk(2, NO_PARENT, Stage::Dispatch, at, SUBMIT_CYCLES, 0));
-    at += SUBMIT_CYCLES;
-    flight.span(&mk(3, 2, Stage::Engine, at, service, 0));
-    at += service;
-    flight.span(&mk(4, 2, Stage::Complete, at, COMPLETE_CYCLES, 0));
-}
-
-/// Models one request's engine service time under fault injection,
-/// mirroring the recovery protocol in `Nx::recover`: transient faults
-/// retry with capped exponential backoff, page faults pay touch cycles,
-/// an unavailable accelerator (or an exhausted attempt budget) degrades
-/// to the software path at `fallback_slowdown`× the engine cost —
-/// degrade-to-serial, never drop.
-#[allow(clippy::too_many_arguments)]
+/// One request's engine service time under fault injection: the sum of
+/// what each [`Recovery`] step — the steps `exec::Job::recover` executes —
+/// costs. Giving up on the accelerator degrades to the software path at
+/// `fallback_slowdown`× the engine cost: degrade-to-serial, never drop.
 fn faulted_service_cycles(
     inj: &FaultInjector,
     engine: &mut Accelerator,
     payload: &[u8],
     fallback_slowdown: u64,
     freq_ghz: f64,
-    retries: &mut u64,
-    fallbacks: &mut u64,
-    worker_deaths: &mut u64,
+    recovered: &mut Recovered,
 ) -> u64 {
-    let policy = *inj.policy();
     let req = inj.begin_request();
     let base = engine.compress(payload).1.cycles.max(1);
+    let mut rec = Recovery::new(*inj.policy(), freq_ghz);
     let mut extra = 0u64;
-    let mut resident_pages = 0u64;
-    let mut attempt = 0u32;
-    loop {
-        if attempt >= policy.max_attempts {
-            // Budget exhausted: degrade to software, keep serving.
-            *fallbacks += 1;
-            return extra + base * fallback_slowdown.max(1);
-        }
-        match inj.submit_fault(
+    while !rec.exhausted() {
+        let fault = inj.submit_fault(
             Site::Compress,
             req,
-            attempt,
+            rec.attempt,
             payload.len() as u64,
-            resident_pages,
-        ) {
-            Some(FaultKind::AccelUnavailable) => {
-                *fallbacks += 1;
-                return extra + base * fallback_slowdown.max(1);
-            }
-            Some(
-                FaultKind::QueueOverflow
-                | FaultKind::SubmissionTimeout
-                | FaultKind::CsbError { .. },
-            ) => {
-                *retries += 1;
-                extra += duration_to_cycles(policy.backoff(attempt), freq_ghz);
-                attempt += 1;
-            }
-            Some(FaultKind::PageFault { offset }) => {
-                let newly =
-                    (offset / crate::fault::PAGE_BYTES) + 1 + u64::from(policy.touch_ahead_pages);
-                let touched = newly.saturating_sub(resident_pages);
-                extra += touched * TOUCH_CYCLES_PER_PAGE;
-                resident_pages = newly;
-                attempt += 1;
-            }
-            Some(FaultKind::Partial { .. }) => {
-                extra += SUBMIT_CYCLES;
-                attempt += 1;
-            }
-            _ => {
-                // Clean submission. A worker death during service is
-                // absorbed by re-dispatching serially (one extra paste).
+            rec.resident_pages,
+        );
+        let step = match rec.submit(fault) {
+            Step::GiveUp => break,
+            Step::Run => {
+                // A worker death during service is absorbed by
+                // re-dispatching serially (one extra paste).
                 if inj.worker_fault(req, 0) {
-                    *worker_deaths += 1;
+                    recovered.worker_deaths += 1;
                     extra += 2 * SUBMIT_CYCLES;
                 }
-                if inj.output_fault(req, attempt, base).is_some() {
-                    // In-flight corruption is caught by the integrity
-                    // check and retried like a transient.
-                    *retries += 1;
-                    extra += duration_to_cycles(policy.backoff(attempt), freq_ghz);
-                    attempt += 1;
-                    continue;
+                match inj.output_fault(req, rec.attempt, base) {
+                    Some(k) => rec.corrupted(k),
+                    None => return extra + base,
                 }
-                return extra + base;
             }
+            again => again,
+        };
+        if let Step::Again { cycles, retry, .. } = step {
+            recovered.retries += u64::from(retry);
+            extra += cycles;
         }
     }
+    recovered.fallbacks += 1;
+    extra + base * fallback_slowdown.max(1)
 }
 
 #[cfg(test)]
@@ -1058,5 +901,205 @@ mod tests {
         let dump = r.flight_dump.as_deref().expect("breach dumps");
         assert!(dump.contains("\"reason\":\"slo-breach\""));
         assert!(dump.contains("\"slo_events\":[{"));
+    }
+
+    // -----------------------------------------------------------------
+    // Both drivers, one admission script
+    // -----------------------------------------------------------------
+
+    use crate::service::{NxService, ServiceError};
+    use crate::{Format, Nx};
+
+    /// What a driver observed of the core: the admission decision per
+    /// scripted request (its per-tenant `admit_seq`, or the rejection) and
+    /// the batches in dispatch order, as `(tenant, script indices)`.
+    #[derive(Debug, PartialEq)]
+    struct CoreLog {
+        decisions: Vec<Result<u64, Rejected>>,
+        batches: Vec<(usize, Vec<usize>)>,
+    }
+
+    fn script_loads() -> Vec<TenantLoad> {
+        let kind = CorpusKind::Logs;
+        let load = |name: &str, class, credits| {
+            let dist = PayloadDist::new(kind, 64, 16 << 10, 1.2);
+            TenantLoad::new(TenantSpec::new(name, class, credits), 1.0, dist, 0)
+        };
+        vec![
+            load("rpc", QosClass::Latency, 6),
+            load("bulk", QosClass::Throughput, 4),
+            load("scan", QosClass::Background, 3),
+        ]
+    }
+
+    /// A seeded admission script: `n` requests landing in the same cycle,
+    /// so neither driver completes anything between two admissions.
+    fn script(seed: u64, loads: &[TenantLoad], n: usize) -> Vec<Arrival> {
+        let mut rng = StormRng::new(seed, "script");
+        (0..n)
+            .map(|_| {
+                let tenant = (rng.next_u64() % loads.len() as u64) as usize;
+                Arrival {
+                    at: 1_000,
+                    tenant,
+                    bytes: loads[tenant].payload.sample(&mut rng),
+                    seed: rng.next_u64(),
+                }
+            })
+            .collect()
+    }
+
+    /// The script through the virtual driver, read back from its event log.
+    fn virtual_log(arrivals: &[Arrival], loads: &[TenantLoad], service: &ServiceConfig) -> CoreLog {
+        let cfg = StormConfig {
+            service: service.clone(),
+            ..StormConfig::default()
+        };
+        let report = drive(arrivals, loads, &cfg, None);
+        assert_eq!(report.credit_violations, 0);
+        let mut admitted = vec![0u64; loads.len()];
+        let mut decisions = Vec::new();
+        let mut batches: Vec<(u64, usize, Vec<usize>)> = Vec::new();
+        for ev in &report.trace {
+            let tenant = ev.tenant as usize;
+            match ev.kind {
+                TraceKind::Admit => {
+                    decisions.push(Ok(admitted[tenant]));
+                    admitted[tenant] += 1;
+                }
+                TraceKind::RejectCredit => decisions.push(Err(Rejected::NoCredit)),
+                TraceKind::RejectDepth => decisions.push(Err(Rejected::QueueFull)),
+                // One batch = the dispatches sharing a start cycle.
+                TraceKind::Dispatch => match batches.last_mut() {
+                    Some((at, _, items)) if *at == ev.at => items.push(ev.seq as usize),
+                    _ => batches.push((ev.at, tenant, vec![ev.seq as usize])),
+                },
+                TraceKind::Arrive | TraceKind::Complete => {}
+            }
+        }
+        CoreLog {
+            decisions,
+            batches: batches
+                .into_iter()
+                .map(|(_, t, items)| (t, items))
+                .collect(),
+        }
+    }
+
+    /// The script through `NxService` started paused: admissions go
+    /// through `TenantHandle::submit`, then this thread plays the engine
+    /// loop one batch at a time to read the dispatch order.
+    fn threaded_log(
+        arrivals: &[Arrival],
+        loads: &[TenantLoad],
+        service: &ServiceConfig,
+    ) -> CoreLog {
+        let nx = Nx::power9();
+        let (svc, mut exec, _wake) = NxService::paused(nx.executor(), service.clone());
+        let windows: Vec<_> = loads
+            .iter()
+            .map(|l| svc.open_window(l.spec.clone()))
+            .collect();
+        let mut decisions = Vec::new();
+        let mut tickets = Vec::new();
+        // Script index of each tenant's n-th admitted request.
+        let mut admitted: Vec<Vec<usize>> = vec![Vec::new(); loads.len()];
+        for (i, a) in arrivals.iter().enumerate() {
+            let payload = loads[a.tenant].payload.kind.generate(a.seed, a.bytes);
+            match windows[a.tenant].submit(payload, Format::Gzip) {
+                Ok(ticket) => {
+                    decisions.push(Ok(admitted[a.tenant].len() as u64));
+                    admitted[a.tenant].push(i);
+                    tickets.push((i, a.tenant, ticket));
+                }
+                Err(ServiceError::NoCredit) => decisions.push(Err(Rejected::NoCredit)),
+                Err(ServiceError::QueueFull) => decisions.push(Err(Rejected::QueueFull)),
+                Err(e) => panic!("unexpected rejection {e}"),
+            }
+        }
+        let mut batches = Vec::new();
+        let mut batch_len = vec![0usize; arrivals.len()];
+        loop {
+            let batch = svc.shared.core.lock().next_batch();
+            let Some(batch) = batch else { break };
+            let items: Vec<usize> = batch
+                .items
+                .iter()
+                .map(|job| admitted[batch.tenant][job.admitted.admit_seq as usize])
+                .collect();
+            for &i in &items {
+                batch_len[i] = items.len();
+            }
+            batches.push((batch.tenant, items));
+            NxService::serve(&mut exec, &svc.shared, batch);
+        }
+        for (i, tenant, ticket) in tickets {
+            let served = ticket.wait().expect("admitted requests complete");
+            assert_eq!(Ok(served.admit_seq), decisions[i], "request {i}");
+            assert_eq!(served.complete_seq, served.admit_seq);
+            assert_eq!(served.batched, batch_len[i]);
+            assert_eq!(admitted[tenant][served.admit_seq as usize], i);
+        }
+        assert!(svc.credits_conserved());
+        CoreLog { decisions, batches }
+    }
+
+    #[test]
+    fn both_drivers_make_the_same_decisions_on_one_script() {
+        let loads = script_loads();
+        let configs = [
+            ServiceConfig::default(),
+            ServiceConfig {
+                engine_depth: 5,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                coalesce_limit: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                quantum_bytes: 2 << 10,
+                coalesce_batch: 3,
+                ..ServiceConfig::default()
+            },
+        ];
+        // The matrix must reach both rejections and a coalesced batch.
+        let (mut no_credit, mut queue_full, mut coalesced) = (false, false, false);
+        for (c, service) in configs.iter().enumerate() {
+            for seed in 0..6 {
+                let arrivals = script(seed, &loads, 24);
+                let virt = virtual_log(&arrivals, &loads, service);
+                let real = threaded_log(&arrivals, &loads, service);
+                assert_eq!(virt, real, "config {c} seed {seed}");
+                assert_eq!(virt.decisions.len(), arrivals.len());
+                let dispatched: usize = virt.batches.iter().map(|(_, b)| b.len()).sum();
+                let accepted = virt.decisions.iter().filter(|d| d.is_ok()).count();
+                assert_eq!(dispatched, accepted);
+                no_credit |= virt.decisions.contains(&Err(Rejected::NoCredit));
+                queue_full |= virt.decisions.contains(&Err(Rejected::QueueFull));
+                coalesced |= virt.batches.iter().any(|(_, b)| b.len() > 1);
+            }
+        }
+        assert!(no_credit && queue_full && coalesced);
+    }
+
+    /// Regression: `engine_depth: 0` used to admit one request at a time
+    /// in the threaded service (clamped to 1) and nothing at all in the
+    /// storm. The core applies the service's rule to both.
+    #[test]
+    fn depth_zero_means_a_one_deep_queue_in_both_drivers() {
+        let loads = script_loads();
+        let service = ServiceConfig {
+            engine_depth: 0,
+            ..ServiceConfig::default()
+        };
+        let arrivals = script(3, &loads, 6);
+        let virt = virtual_log(&arrivals, &loads, &service);
+        assert_eq!(virt, threaded_log(&arrivals, &loads, &service));
+        assert_eq!(virt.decisions[0], Ok(0));
+        assert!(virt.decisions[1..]
+            .iter()
+            .all(|d| *d == Err(Rejected::QueueFull)));
+        assert_eq!(virt.batches, vec![(arrivals[0].tenant, vec![0])]);
     }
 }

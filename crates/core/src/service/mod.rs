@@ -25,10 +25,12 @@
 //!   de-multiplexed on completion, amortizing the per-paste submission
 //!   cost for RPC-sized traffic.
 //!
-//! The deterministic open-loop driver in [`loadgen`] replays the same
-//! admission/scheduling/credit machinery on a virtual clock, which is how
-//! the fairness and tail-latency properties are tested without timing
-//! flakiness.
+//! All of that is one thread-free state machine, [`sched`]'s
+//! `ServiceCore`. [`NxService`] here is its threaded driver (the core
+//! behind a mutex, a wake-up channel and one request executor); the
+//! deterministic open-loop storm in [`loadgen`] is its virtual-clock
+//! driver, which is how the fairness and tail-latency properties are
+//! tested without timing flakiness — on the machinery that ships.
 
 pub mod loadgen;
 pub mod sched;
@@ -41,10 +43,9 @@ use crate::framing::Format;
 use crate::stats::NxStats;
 use crate::{CompressOptions, Compressed, Nx, COMPLETE_CYCLES, SUBMIT_CYCLES};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use nx_telemetry::{
-    LogHistogram, MetricSource, MetricValue, Stage, TelemetrySink, TraceContext, NO_PARENT,
-};
+use nx_telemetry::{LogHistogram, MetricSource, MetricValue, TelemetrySink, TraceContext};
 use parking_lot::Mutex;
+use sched::{request_spans, Admitted, Batch, ServiceCore, DISPATCH_SEQ};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -100,6 +101,16 @@ impl std::fmt::Display for ServiceError {
             ServiceError::QueueFull => write!(f, "engine queue at bounded depth"),
             ServiceError::Closed => write!(f, "service closed"),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
+        }
+    }
+}
+
+impl From<Rejected> for ServiceError {
+    fn from(r: Rejected) -> Self {
+        match r {
+            Rejected::NoCredit => ServiceError::NoCredit,
+            Rejected::QueueFull => ServiceError::QueueFull,
+            Rejected::Closed => ServiceError::Closed,
         }
     }
 }
@@ -163,50 +174,31 @@ struct Job {
     data: Vec<u8>,
     format: Format,
     opts: CompressOptions,
-    tenant: usize,
-    admit_seq: u64,
-    /// Trace continuation minted at admission: the engine thread resumes
-    /// this request's timeline exactly where the admit span left it.
+    admitted: Admitted,
+    /// Trace root minted at admission (ids follow admission order); the
+    /// engine thread lays the request's whole timeline on it.
     ctx: TraceContext,
-    /// Tenant queue depth observed at admission (models queue wait).
-    depth_at_admit: u64,
     reply: Sender<Result<Served, ServiceError>>,
 }
 
-/// Mutable service state behind one lock: the scheduler plus per-tenant
-/// credit/sequence accounting.
-struct State {
-    sched: DwrrScheduler<Job>,
-    tenants: Vec<TenantState>,
-    open: bool,
-}
-
-struct TenantState {
-    credits: CreditAccount,
-    admit_seq: u64,
-    complete_seq: u64,
-}
-
 struct Shared {
-    state: Mutex<State>,
-    // (Debug below elides the state: jobs hold reply channels.)
-    /// Wake-up tokens for the engine thread (one per push; spurious
-    /// tokens are harmless, a missed token is covered by the engine's
-    /// bounded recv timeout).
+    /// The service state machine; every admission, dispatch and
+    /// completion is one short critical section on it.
+    core: Mutex<ServiceCore<Job>>,
+    /// Wake-up tokens: one after every push and one after close, on an
+    /// unbounded channel, so an idle engine thread can block on it.
     signal: Sender<()>,
     nx_stats: Arc<NxStats>,
     stats: Arc<ServiceStats>,
-    depth_limit: usize,
     /// The engine handle's sink: admission mints trace contexts here so
     /// service spans and engine spans share one ring (and one sampler).
     telemetry: TelemetrySink,
 }
 
+// Jobs hold reply channels, so the core is elided.
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("depth_limit", &self.depth_limit)
-            .finish_non_exhaustive()
+        f.debug_struct("Shared").finish_non_exhaustive()
     }
 }
 
@@ -444,39 +436,39 @@ impl Nx {
     /// and if the handle has an attached telemetry registry, per-tenant
     /// metrics register as the `nx-service` source.
     pub fn service(&self, config: ServiceConfig) -> NxService {
-        NxService::start(self.executor(), config)
+        let (mut service, exec, wake) = NxService::paused(self.executor(), config);
+        let shared = Arc::clone(&service.shared);
+        service.engine = std::thread::Builder::new()
+            .name("nx-service".into())
+            .spawn(move || NxService::engine_loop(exec, shared, wake))
+            .ok();
+        service
     }
 }
 
 impl NxService {
-    fn start(exec: Executor, config: ServiceConfig) -> Self {
-        let stats = Arc::new(ServiceStats::default());
+    /// The service without its engine thread: admissions queue, nothing
+    /// dispatches until [`engine_loop`](Self::engine_loop) runs on the
+    /// returned executor and wake-up channel.
+    fn paused(exec: Executor, config: ServiceConfig) -> (Self, Executor, Receiver<()>) {
+        let core = ServiceCore::new(&config);
+        let stats = Arc::clone(core.stats());
         if let Some(reg) = exec.env().telemetry.registry() {
             reg.register_source("nx-service", Arc::clone(&stats) as Arc<dyn MetricSource>);
         }
         let (signal, wake) = unbounded::<()>();
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                sched: DwrrScheduler::new(
-                    config.quantum_bytes,
-                    config.coalesce_limit,
-                    config.coalesce_batch,
-                ),
-                tenants: Vec::new(),
-                open: true,
-            }),
+            core: Mutex::new(core),
             signal,
             nx_stats: Arc::clone(&exec.env().stats),
-            stats: Arc::clone(&stats),
-            depth_limit: config.engine_depth.max(1),
+            stats,
             telemetry: exec.env().telemetry.clone(),
         });
-        let engine_shared = Arc::clone(&shared);
-        let engine = std::thread::Builder::new()
-            .name("nx-service".into())
-            .spawn(move || Self::engine_loop(exec, engine_shared, wake))
-            .ok();
-        Self { shared, engine }
+        let service = Self {
+            shared,
+            engine: None,
+        };
+        (service, exec, wake)
     }
 
     /// Opens a receive window for a new tenant and returns its handle.
@@ -488,20 +480,14 @@ impl NxService {
     /// [`CompressOptions`] — the way a tenant binds a canned profile (or
     /// level/engine choice) once at window-open instead of per request.
     pub fn open_window_with(&self, spec: TenantSpec, opts: CompressOptions) -> TenantHandle {
-        let tstats = Arc::new(TenantStats::new(&spec));
-        let mut st = self.shared.state.lock();
-        let idx = st.sched.add_tenant(spec.class.weight());
-        st.tenants.push(TenantState {
-            credits: CreditAccount::new(spec.credits),
-            admit_seq: 0,
-            complete_seq: 0,
-        });
-        drop(st);
-        self.shared.stats.tenants.lock().push(Arc::clone(&tstats));
+        let mut core = self.shared.core.lock();
+        let tenant = core.open_window(&spec);
+        let stats = Arc::clone(core.tenant_stats(tenant));
+        drop(core);
         TenantHandle {
             shared: Arc::clone(&self.shared),
-            tenant: idx,
-            stats: tstats,
+            tenant,
+            stats,
             opts,
         }
     }
@@ -515,12 +501,7 @@ impl NxService {
     /// every admitted request completed or failed typed. Meaningful once
     /// all tickets have been waited on.
     pub fn credits_conserved(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .tenants
-            .iter()
-            .all(|t| t.credits.conservation_ok())
+        self.shared.core.lock().violations() == 0
     }
 
     /// Closes the service: admissions stop, queued requests drain, the
@@ -530,7 +511,7 @@ impl NxService {
     }
 
     fn close_inner(&mut self) {
-        self.shared.state.lock().open = false;
+        self.shared.core.lock().close();
         let _ = self.shared.signal.send(());
         if let Some(h) = self.engine.take() {
             let _ = h.join();
@@ -539,120 +520,76 @@ impl NxService {
 
     fn engine_loop(mut exec: Executor, shared: Arc<Shared>, wake: Receiver<()>) {
         loop {
-            let (batch, still_open) = {
-                let mut st = shared.state.lock();
-                (st.sched.next_batch(), st.open)
+            let (batch, open) = {
+                let mut core = shared.core.lock();
+                (core.next_batch(), core.is_open())
             };
-            let batch = match batch {
-                Some(b) => b,
-                None => {
-                    if !still_open {
-                        return;
-                    }
-                    // Bounded wait covers any lost-token race; a token per
-                    // push makes the common case immediate.
-                    let _ = wake.recv_timeout(Duration::from_millis(20));
-                    continue;
+            match batch {
+                Some(batch) => Self::serve(&mut exec, &shared, batch),
+                // Every push and the close are followed by a token, so a
+                // blocking wait cannot miss either.
+                None if open => {
+                    let _ = wake.recv();
                 }
-            };
-            let n = batch.items.len();
-            shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-            if batch.coalesced {
-                shared
-                    .stats
-                    .coalesced_batches
-                    .fetch_add(1, Ordering::Relaxed);
+                None => return,
             }
-            // One engine submission for the whole batch: the paste cost is
-            // paid once and amortized across the coalesced requests, then
-            // completions are de-multiplexed to their tickets.
-            let submit_share = SUBMIT_CYCLES / n.max(1) as u64;
-            let tenant_stats = shared.stats.tenants.lock().clone();
-            for job in batch.items {
-                // Resume the request's timeline where admission left it:
-                // a queue-wait span (modeled from the depth observed at
-                // admission), a dispatch span carrying the amortized
-                // paste share, then the engine stages as children of the
-                // dispatch span — one trace id end to end.
-                let mut ctx = job.ctx;
-                let wait = job.depth_at_admit * SUBMIT_CYCLES;
+        }
+    }
+
+    /// Executes one engine submission: the paste cost is paid once and
+    /// amortized across the coalesced requests, then completions are
+    /// de-multiplexed to their tickets.
+    fn serve(exec: &mut Executor, shared: &Shared, batch: Batch<Job>) {
+        let n = batch.items.len();
+        let submit_share = SUBMIT_CYCLES / n.max(1) as u64;
+        for job in batch.items {
+            // The request's timeline, one trace id end to end: queue
+            // wait is modeled from the depth observed at admission, the
+            // dispatch span carries the amortized paste share, and the
+            // engine stages hang under it.
+            let (ctx, depth) = (job.ctx, job.admitted.depth_at_admit);
+            let mut at = 0;
+            for span in request_spans(
+                ctx.trace_id,
+                batch.tenant as u32,
+                job.data.len() as u64,
+                (depth * SUBMIT_CYCLES, depth),
+                (submit_share, n as u64),
+                None,
+            ) {
                 if ctx.sampled {
-                    shared.telemetry.emit(
-                        ctx.trace_id,
-                        ctx.child_seq,
-                        NO_PARENT,
-                        Stage::QueueWait,
-                        job.tenant as u32,
-                        ctx.at_cycles,
-                        wait,
-                        job.data.len() as u64,
-                        job.depth_at_admit,
-                    );
+                    shared.telemetry.span(&span);
                 }
-                ctx.child_seq += 1;
-                ctx.at_cycles += wait;
-                let dispatch_seq = ctx.child_seq;
-                if ctx.sampled {
-                    shared.telemetry.emit(
-                        ctx.trace_id,
-                        dispatch_seq,
-                        NO_PARENT,
-                        Stage::Dispatch,
-                        job.tenant as u32,
-                        ctx.at_cycles,
-                        submit_share,
-                        job.data.len() as u64,
-                        n as u64,
-                    );
-                }
-                ctx.child_seq += 1;
-                ctx.at_cycles += submit_share;
-                let child = ctx.child(dispatch_seq, ctx.child_seq, ctx.at_cycles);
-                let mut bytes = Vec::new();
-                let result = exec
-                    .compress_into(&job.data, job.format, job.opts, Some(&child), &mut bytes)
-                    .map(|report| Compressed { bytes, report });
-                let mut st = shared.state.lock();
-                let tenant = &mut st.tenants[job.tenant];
-                let complete_seq = tenant.complete_seq;
-                tenant.complete_seq += 1;
-                match result {
-                    Ok(compressed) => {
-                        tenant.credits.complete();
-                        drop(st);
-                        let latency = submit_share + compressed.report.cycles + COMPLETE_CYCLES;
-                        if let Some(ts) = tenant_stats.get(job.tenant) {
-                            ts.completed.fetch_add(1, Ordering::Relaxed);
-                            // Sampled requests leave their trace id as the
-                            // latency bucket's exemplar: the tail of this
-                            // histogram links straight to a span breakdown.
-                            if ctx.sampled {
-                                ts.latency.record_traced(latency, ctx.trace_id);
-                            } else {
-                                ts.latency.record(latency);
-                            }
-                            if n > 1 {
-                                ts.coalesced_requests.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        let _ = job.reply.send(Ok(Served {
-                            compressed,
-                            admit_seq: job.admit_seq,
-                            complete_seq,
-                            batched: n,
-                            latency_cycles: latency,
-                        }));
-                    }
-                    Err(e) => {
-                        tenant.credits.fail();
-                        drop(st);
-                        if let Some(ts) = tenant_stats.get(job.tenant) {
-                            ts.failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let _ = job.reply.send(Err(ServiceError::Engine(e)));
-                    }
-                }
+                at = span.start_cycles + span.dur_cycles;
             }
+            let child = ctx.child(DISPATCH_SEQ, DISPATCH_SEQ + 1, at);
+            let mut bytes = Vec::new();
+            let result = exec
+                .compress_into(&job.data, job.format, job.opts, Some(&child), &mut bytes)
+                .map(|report| Compressed { bytes, report });
+            let mut core = shared.core.lock();
+            let complete_seq = core.complete(batch.tenant, result.is_ok());
+            let reply = result.map_err(ServiceError::Engine).map(|compressed| {
+                let latency = submit_share + compressed.report.cycles + COMPLETE_CYCLES;
+                // Sampled requests leave their trace id as the latency
+                // bucket's exemplar: the tail of this histogram links
+                // straight to a span breakdown.
+                let histogram = &core.tenant_stats(batch.tenant).latency;
+                if ctx.sampled {
+                    histogram.record_traced(latency, ctx.trace_id);
+                } else {
+                    histogram.record(latency);
+                }
+                Served {
+                    compressed,
+                    admit_seq: job.admitted.admit_seq,
+                    complete_seq,
+                    batched: n,
+                    latency_cycles: latency,
+                }
+            });
+            drop(core);
+            let _ = job.reply.send(reply);
         }
     }
 }
@@ -693,71 +630,34 @@ impl TenantHandle {
         format: Format,
         opts: CompressOptions,
     ) -> Result<Ticket, ServiceError> {
-        self.stats.submitted.fetch_add(1, Ordering::Relaxed);
         let bytes = data.len() as u64;
-        let mut st = self.shared.state.lock();
-        if !st.open {
-            return Err(ServiceError::Closed);
-        }
-        if st.sched.queued() >= self.shared.depth_limit {
-            drop(st);
-            self.stats
-                .rejected_queue_full
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.nx_stats.record_depth_reject();
-            return Err(ServiceError::QueueFull);
-        }
-        if !st.tenants[self.tenant].credits.try_acquire() {
-            drop(st);
-            self.stats
-                .rejected_no_credit
-                .fetch_add(1, Ordering::Relaxed);
-            self.shared.nx_stats.record_credit_reject();
-            return Err(ServiceError::NoCredit);
-        }
-        let admit_seq = st.tenants[self.tenant].admit_seq;
-        st.tenants[self.tenant].admit_seq += 1;
         let (reply, rx) = bounded(1);
-        // Trace admission: span 0 of a fresh request-local timeline. The
-        // context advances past the admit span whether or not the trace
-        // is sampled, so latency arithmetic never depends on sampling.
-        let mut ctx = self.shared.telemetry.begin_trace();
-        if ctx.sampled {
-            self.shared.telemetry.emit(
-                ctx.trace_id,
-                ctx.child_seq,
-                NO_PARENT,
-                Stage::Admit,
-                self.tenant as u32,
-                ctx.at_cycles,
-                SUBMIT_CYCLES,
-                bytes,
-                self.tenant as u64,
-            );
+        let mut core = self.shared.core.lock();
+        let admitted = core.admit(self.tenant, bytes, |admitted| Job {
+            data,
+            format,
+            opts,
+            admitted,
+            // Minted under the core's lock, for accepted requests only:
+            // trace ids (and the sampler) follow admission order.
+            ctx: self.shared.telemetry.begin_trace(),
+            reply,
+        });
+        drop(core);
+        match admitted {
+            Ok(_) => {
+                let _ = self.shared.signal.send(());
+                Ok(Ticket { rx })
+            }
+            Err(rejected) => {
+                match rejected {
+                    Rejected::NoCredit => self.shared.nx_stats.record_credit_reject(),
+                    Rejected::QueueFull => self.shared.nx_stats.record_depth_reject(),
+                    Rejected::Closed => {}
+                }
+                Err(rejected.into())
+            }
         }
-        ctx.child_seq += 1;
-        ctx.at_cycles += SUBMIT_CYCLES;
-        let depth_at_admit = st.sched.queue_depth(self.tenant) as u64;
-        st.sched.push(
-            self.tenant,
-            Job {
-                data,
-                format,
-                opts,
-                tenant: self.tenant,
-                admit_seq,
-                ctx,
-                depth_at_admit,
-                reply,
-            },
-            bytes,
-        );
-        let depth_now = st.sched.queue_depth(self.tenant) as u64;
-        drop(st);
-        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-        self.stats.depth.record(depth_now);
-        let _ = self.shared.signal.send(());
-        Ok(Ticket { rx })
     }
 
     /// This window's observable statistics.
@@ -767,8 +667,6 @@ impl TenantHandle {
 
     /// Credits currently available in this window.
     pub fn credits_available(&self) -> u32 {
-        self.shared.state.lock().tenants[self.tenant]
-            .credits
-            .available()
+        self.shared.core.lock().credits(self.tenant).available()
     }
 }

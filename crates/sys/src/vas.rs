@@ -4,8 +4,10 @@
 //! instruction pair: the CRB cache line is pasted into a *receive window*
 //! mapped into the process. Paste completes with a CR code indicating
 //! acceptance; a full window (no credits) fails the paste and the library
-//! backs off and retries. The model prices the paste round-trip and
-//! enforces window credits.
+//! backs off and retries. This module holds the prices of that path —
+//! the paste round trip, the CPU cost of building a CRB, the retry
+//! backoff — which [`crate::runner`] charges; window credits themselves
+//! are accounted in one place, `nx_core::service::sched`.
 
 use nx_sim::SimTime;
 
@@ -20,263 +22,13 @@ pub const PASTE_RETRY_BACKOFF: SimTime = SimTime::from_us(2);
 /// "cycles offloaded" accounting charges these to the accelerated path).
 pub const SUBMIT_CPU_CYCLES: u64 = 600;
 
-/// A VAS receive window with a bounded credit count.
-#[derive(Debug, Clone)]
-pub struct VasWindow {
-    credits_total: u32,
-    in_flight: u32,
-    accepted: u64,
-    rejected: u64,
-}
-
-impl VasWindow {
-    /// A window with `credits` outstanding-request slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `credits == 0`.
-    pub fn new(credits: u32) -> Self {
-        assert!(credits > 0, "a window needs at least one credit");
-        Self {
-            credits_total: credits,
-            in_flight: 0,
-            accepted: 0,
-            rejected: 0,
-        }
-    }
-
-    /// Attempts a paste; `true` when accepted (a credit is consumed).
-    pub fn try_paste(&mut self) -> bool {
-        if self.in_flight < self.credits_total {
-            self.in_flight += 1;
-            self.accepted += 1;
-            true
-        } else {
-            self.rejected += 1;
-            false
-        }
-    }
-
-    /// Returns a credit at job completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no job was in flight (credit protocol violation).
-    pub fn complete(&mut self) {
-        assert!(self.in_flight > 0, "credit returned with none outstanding");
-        self.in_flight -= 1;
-    }
-
-    /// Currently outstanding jobs.
-    pub fn in_flight(&self) -> u32 {
-        self.in_flight
-    }
-
-    /// Total accepted pastes.
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Total rejected (busy) pastes.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-}
-
-/// Identifier of one open window in a [`WindowTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WindowId(usize);
-
-/// Typed paste outcome from a [`WindowTable`]: the CR code the paste
-/// instruction returns, as an enum rather than a bare bool, so callers
-/// can attribute backpressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PasteOutcome {
-    /// CR 0b0010: the CRB was accepted; one window credit consumed.
-    Accepted,
-    /// CR 0b0000: the window is out of credits; the library backs off
-    /// [`PASTE_RETRY_BACKOFF`] and retries.
-    NoCredit,
-    /// The window id is closed or was never opened.
-    ClosedWindow,
-}
-
-/// The per-process table of open VAS receive windows: the kernel-side
-/// accounting the multi-tenant service mirrors. Each tenant's window is
-/// opened with its own credit budget; pastes are admitted per-window and
-/// counted in aggregate; closing a window with credits still out is a
-/// *credit leak* and is refused.
-#[derive(Debug, Default, Clone)]
-pub struct WindowTable {
-    windows: Vec<Option<VasWindow>>,
-    accepted: u64,
-    rejected: u64,
-}
-
-impl WindowTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens a receive window with `credits` slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `credits == 0` (as [`VasWindow::new`]).
-    pub fn open(&mut self, credits: u32) -> WindowId {
-        self.windows.push(Some(VasWindow::new(credits)));
-        WindowId(self.windows.len() - 1)
-    }
-
-    /// Attempts a paste into `id`, consuming one credit on acceptance.
-    pub fn try_paste(&mut self, id: WindowId) -> PasteOutcome {
-        match self.windows.get_mut(id.0).and_then(Option::as_mut) {
-            None => PasteOutcome::ClosedWindow,
-            Some(w) => {
-                if w.try_paste() {
-                    self.accepted += 1;
-                    PasteOutcome::Accepted
-                } else {
-                    self.rejected += 1;
-                    PasteOutcome::NoCredit
-                }
-            }
-        }
-    }
-
-    /// Returns a credit to `id` at job completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a closed window or with no job in flight (credit
-    /// protocol violation), as [`VasWindow::complete`].
-    pub fn complete(&mut self, id: WindowId) {
-        match self.windows.get_mut(id.0).and_then(Option::as_mut) {
-            Some(w) => w.complete(),
-            None => panic!("credit returned to closed window"),
-        }
-    }
-
-    /// Closes `id`, removing it from the table.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(in_flight)` — and leaves the window open — when
-    /// credits are still out: closing then would leak them.
-    pub fn close(&mut self, id: WindowId) -> Result<(), u32> {
-        match self.windows.get_mut(id.0) {
-            Some(slot @ Some(_)) => {
-                let in_flight = slot.as_ref().map(VasWindow::in_flight).unwrap_or(0);
-                if in_flight > 0 {
-                    Err(in_flight)
-                } else {
-                    *slot = None;
-                    Ok(())
-                }
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// View of one open window.
-    pub fn window(&self, id: WindowId) -> Option<&VasWindow> {
-        self.windows.get(id.0).and_then(Option::as_ref)
-    }
-
-    /// Open windows in the table.
-    pub fn open_windows(&self) -> usize {
-        self.windows.iter().flatten().count()
-    }
-
-    /// Jobs currently in flight across all open windows.
-    pub fn in_flight_total(&self) -> u32 {
-        self.windows
-            .iter()
-            .flatten()
-            .map(VasWindow::in_flight)
-            .sum()
-    }
-
-    /// Aggregate accepted pastes.
-    pub fn accepted_total(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Aggregate rejected (no-credit) pastes.
-    pub fn rejected_total(&self) -> u64 {
-        self.rejected
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn credits_bound_in_flight_jobs() {
-        let mut w = VasWindow::new(2);
-        assert!(w.try_paste());
-        assert!(w.try_paste());
-        assert!(!w.try_paste());
-        assert_eq!(w.in_flight(), 2);
-        assert_eq!(w.rejected(), 1);
-        w.complete();
-        assert!(w.try_paste());
-        assert_eq!(w.accepted(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "credit returned")]
-    fn extra_completion_panics() {
-        let mut w = VasWindow::new(1);
-        w.complete();
-    }
-
-    #[test]
     fn constants_are_sane() {
         assert!(PASTE_LATENCY < SimTime::from_us(1));
         assert!(PASTE_RETRY_BACKOFF > PASTE_LATENCY);
-    }
-
-    #[test]
-    fn window_table_isolates_tenants() {
-        let mut t = WindowTable::new();
-        let a = t.open(1);
-        let b = t.open(2);
-        assert_eq!(t.try_paste(a), PasteOutcome::Accepted);
-        // Window a is out of credits; window b is unaffected.
-        assert_eq!(t.try_paste(a), PasteOutcome::NoCredit);
-        assert_eq!(t.try_paste(b), PasteOutcome::Accepted);
-        assert_eq!(t.in_flight_total(), 2);
-        assert_eq!(t.accepted_total(), 2);
-        assert_eq!(t.rejected_total(), 1);
-        t.complete(a);
-        assert_eq!(t.try_paste(a), PasteOutcome::Accepted);
-    }
-
-    #[test]
-    fn window_table_close_refuses_credit_leaks() {
-        let mut t = WindowTable::new();
-        let w = t.open(2);
-        assert_eq!(t.try_paste(w), PasteOutcome::Accepted);
-        // A window with a credit still out cannot close.
-        assert_eq!(t.close(w), Err(1));
-        t.complete(w);
-        assert_eq!(t.close(w), Ok(()));
-        // Pastes into a closed window are typed, not panics.
-        assert_eq!(t.try_paste(w), PasteOutcome::ClosedWindow);
-        assert_eq!(t.open_windows(), 0);
-        // Closing twice is idempotent.
-        assert_eq!(t.close(w), Ok(()));
-    }
-
-    #[test]
-    #[should_panic(expected = "closed window")]
-    fn completion_into_closed_window_panics() {
-        let mut t = WindowTable::new();
-        let w = t.open(1);
-        assert_eq!(t.close(w), Ok(()));
-        t.complete(w);
     }
 }

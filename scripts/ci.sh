@@ -35,6 +35,10 @@ if [[ "$FAST" == "0" ]]; then
     # items directly; a facade change that breaks it must fail here, not
     # in the benchmark run.
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    # benchmark/ is frozen with its own lock file; cargo adds an entry
+    # there for every path dependency nx-core gains (nx-sim, issue 15).
+    # That edit belongs to a benchmark change, not to this tree.
+    git checkout -q -- benchmark/Cargo.lock 2> /dev/null || true
 fi
 
 echo "==> non-test LOC per crate"
@@ -111,11 +115,10 @@ DECODE_PATHS=(
     # bytes -- both must fail with typed errors.
     crates/deflate/src/profile.rs
     # The multi-tenant service front end handles hostile tenants by
-    # design: admission, scheduling and the storm driver must reject
-    # with typed errors, never panic.
-    crates/core/src/service/mod.rs
-    crates/core/src/service/sched.rs
-    crates/core/src/service/loadgen.rs
+    # design: the state machine and both of its drivers must reject with
+    # typed errors, never panic (every file of the tier, present or
+    # future).
+    crates/core/src/service/*.rs
 )
 GATE_FAIL=0
 for f in "${DECODE_PATHS[@]}"; do
@@ -363,18 +366,21 @@ if [[ "$FAST" == "0" ]]; then
     fi
 
     echo "==> multi-tenant service gate (E23: fairness, QoS, tail latency)"
-    # The storm runs on a virtual cycle clock, so fairness and latency are
-    # deterministic; only the coalescing-identity pass touches threads
-    # (and checks bytes, not time). Snapshot the committed Latency-class
-    # p99 before e23 overwrites the file, then gate:
+    # The storm runs the shipping service state machine on a virtual
+    # cycle clock, so every number in the report is deterministic; only
+    # the coalescing-identity pass touches threads, and all it writes
+    # to the file is a boolean.
+    # Gate it the way the modeled tables are gated -- e23 must rewrite
+    # BENCH_SERVICE.json byte-identical to the committed file -- plus
+    # the contract the file records:
     #   - credit conservation: zero violations, clean and chaos storms
     #   - Jain fairness >= 0.8 over per-tenant goodput
     #   - QoS priority: Latency-class p99 under Background-class p50
     #   - coalesced batches byte-identical to individual submissions
-    #   - tail latency within 1.1x the committed baseline
-    sbaseline=$(awk -F'"section": "summary".*"latency_p99_us": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_SERVICE.json)
+    # Regenerate the file only when the service is *meant* to move.
+    committed=$(mktemp)
+    cp BENCH_SERVICE.json "$committed"
     cargo run --offline --release -p nx-bench --bin tables -- e23 > /dev/null
-    sfresh=$(awk -F'"section": "summary".*"latency_p99_us": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_SERVICE.json)
     python3 -m json.tool BENCH_SERVICE.json > /dev/null
     if ! grep -q '"credit_violations": 0' BENCH_SERVICE.json; then
         echo "==> FAIL: the storm leaked window credits"
@@ -398,23 +404,12 @@ if [[ "$FAST" == "0" ]]; then
         exit 1
     fi
     echo "    Jain fairness: ${jain} (bar 0.8)"
-    if [[ -n "$sbaseline" ]]; then
-        if ! awk -v f="$sfresh" -v b="$sbaseline" 'BEGIN{exit !(f <= 1.1 * b)}'; then
-            # The virtual clock is deterministic, but keep the same
-            # one-re-measure damper as the E20-E22 gates so a stray
-            # stale build never trips the gate.
-            echo "    service p99 ${sfresh} us above 1.1x baseline; re-measuring once"
-            cargo run --offline --release -p nx-bench --bin tables -- e23 > /dev/null
-            sfresh=$(awk -F'"section": "summary".*"latency_p99_us": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_SERVICE.json)
-        fi
-        if ! awk -v f="$sfresh" -v b="$sbaseline" 'BEGIN{exit !(f <= 1.1 * b)}'; then
-            echo "==> FAIL: service p99 ${sfresh} us regressed >10% vs committed ${sbaseline} us"
-            exit 1
-        fi
-        echo "    Latency-class p99: ${sfresh} us (committed baseline ${sbaseline} us)"
-    else
-        echo "    no committed baseline found; recorded ${sfresh} us"
+    if ! diff "$committed" BENCH_SERVICE.json; then
+        echo "==> FAIL: the storm moved (< committed, > this build)"
+        exit 1
     fi
+    rm -f "$committed"
+    echo "    BENCH_SERVICE.json byte-identical to the committed file"
 
     echo "==> tracing overhead gate (E24: always-on 5%, 1-in-256 1%)"
     # E24 interleaves tracing-off / always-sample / 1-in-256 handles at

@@ -257,6 +257,69 @@ fn service_drains_on_close_and_depth_rejects_are_typed() {
     assert!(service.credits_conserved());
 }
 
+/// The engine thread blocks on its wake-up channel when idle (no poll):
+/// a token follows every push and the close, so none can be missed.
+/// Four submitter threads alternate bursts with full drains — the engine
+/// goes idle and must be woken again hundreds of times — then the
+/// service closes with work in flight. A lost wake-up would hang a
+/// `wait()`, so the scenario runs under a watchdog.
+#[test]
+fn blocking_engine_never_misses_a_wake_up() {
+    const CREDITS: u32 = 8;
+    let (done, finished) = std::sync::mpsc::channel();
+    let scenario = std::thread::spawn(move || {
+        let nx = Nx::power9();
+        let service = nx.service(ServiceConfig::default());
+        let classes = [
+            QosClass::Latency,
+            QosClass::Throughput,
+            QosClass::Background,
+        ];
+        let windows: Vec<_> = (0..4)
+            .map(|i| {
+                service.open_window(TenantSpec::new(&format!("t{i}"), classes[i % 3], CREDITS))
+            })
+            .collect();
+        let payload = |i: usize| CorpusKind::Logs.generate(i as u64, 512 + (i * 977) % 6000);
+        std::thread::scope(|s| {
+            for (t, w) in windows.iter().enumerate() {
+                s.spawn(move || {
+                    for round in 0..40 {
+                        let burst: Vec<_> = (0..1 + (round + t) % 5)
+                            .map(|i| w.submit(payload(round * 7 + i), Format::Gzip))
+                            .collect();
+                        for ticket in burst {
+                            let ticket = ticket.expect("a drained window has credit");
+                            ticket.wait().expect("admitted request resolves Ok");
+                        }
+                    }
+                });
+            }
+        });
+        let in_flight: Vec<_> = windows
+            .iter()
+            .flat_map(|w| (0..6).map(move |i| w.submit(payload(i), Format::Gzip)))
+            .collect();
+        service.close();
+        for ticket in in_flight {
+            let ticket = ticket.expect("six requests fit eight credits");
+            ticket.wait().expect("work in flight at close resolves Ok");
+        }
+        for w in &windows {
+            assert_eq!(w.credits_available(), CREDITS, "credits conserved");
+            assert_eq!(w.stats().admitted(), w.stats().completed());
+            assert_eq!(w.stats().failed(), 0);
+            let late = w.submit(payload(0), Format::Gzip);
+            assert!(matches!(late, Err(ServiceError::Closed)));
+        }
+        let _ = done.send(());
+    });
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("service hung or failed: a wake-up was lost");
+    scenario.join().expect("scenario thread");
+}
+
 // ---------------------------------------------------------------------
 // 2. Property tests
 // ---------------------------------------------------------------------
