@@ -27,9 +27,9 @@
 //!    back to the serial decoder, so output (and errors) are always
 //!    byte-identical to a serial inflate.
 //!
-//! Multi-member gzip streams take the easy road instead: member headers are
-//! found by magic-byte scan and whole members decode member-per-worker,
-//! chain-validated by their recorded lengths.
+//! Multi-member gzip streams take the easy road instead: the trailers say
+//! where every member's output goes, so the result is allocated once and
+//! workers decode members straight into their slices (`plan_members`).
 //!
 //! The module also builds a serializable [`SeekIndex`] — a list of
 //! (bit offset, output offset, ≤32 KB window snapshot) checkpoints — so
@@ -42,12 +42,12 @@ use crate::scratch::BufferPool;
 use crate::{software, Error, Result};
 use nx_deflate::crc32::crc32;
 use nx_deflate::{
-    gzip, resolve_markers_into, BlockProbe, Error as DeflateError, Inflater, MarkerInflater,
-    WINDOW_SIZE,
+    gzip, resolve_markers_into, BlockProbe, Error as DeflateError, InflateScratch, Inflater,
+    MarkerInflater, WINDOW_SIZE,
 };
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Modeled decode streaming rate for shard spans: 8 compressed bytes per
 /// cycle, matching the encode-side shard model. Decode span timelines are
@@ -76,10 +76,9 @@ const SCAN_GIVE_UP: usize = 2;
 /// consecutive-empty-span give-up.
 const SCAN_BUDGET_PER_BYTE: u64 = 16;
 
-/// Upper bound on gzip member candidates considered for member-parallel
-/// decode; beyond this the O(candidates) parallel bookkeeping stops paying
-/// and the serial member walk wins anyway.
-const MAX_MEMBER_CANDIDATES: usize = 4096;
+/// Longest gzip member header the member planner looks at: a full FEXTRA
+/// plus generous FNAME / FCOMMENT. A longer one is simply not planned.
+const MAX_MEMBER_HEADER: usize = 128 * 1024;
 
 /// Magic bytes that open a serialized [`SeekIndex`].
 pub const SEEK_INDEX_MAGIC: [u8; 4] = *b"NXSI";
@@ -328,18 +327,54 @@ impl SeekIndex {
 /// Splits `len` compressed bytes into `chunk`-sized units for the shard
 /// span model; an empty input is one (empty) shard.
 fn chunk_sizes(len: usize, chunk: usize) -> Vec<usize> {
-    let chunk = chunk.max(1);
     if len == 0 {
         return vec![0];
     }
-    let mut out = Vec::with_capacity(len.div_ceil(chunk));
-    let mut rest = len;
-    while rest > 0 {
-        let take = rest.min(chunk);
-        out.push(take);
-        rest -= take;
-    }
-    out
+    let chunk = chunk.max(1);
+    (0..len)
+        .step_by(chunk)
+        .map(|at| chunk.min(len - at))
+        .collect()
+}
+
+/// Runs `job` over `0..n` on up to `workers` threads (the caller plus
+/// scoped helpers) pulling indices from one counter, each with its own
+/// `init()` state, so uneven items balance. A `None` from `job` stops the
+/// hand-out; results are in index order, `None` where none was produced.
+fn fan_out<S, T: Send>(
+    n: usize,
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
+) -> Vec<Option<T>> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            match job(&mut state, i) {
+                Some(r) => done.push((i, r)),
+                None => next.store(n, Ordering::Relaxed),
+            }
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        // The caller is the first worker: it already holds a CPU, which a
+        // freshly spawned thread may wait milliseconds to be given.
+        let handles: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(worker)).collect();
+        let mine = worker();
+        // A worker that died simply leaves its items without a result.
+        let theirs = handles.into_iter().filter_map(|h| h.join().ok()).flatten();
+        for (i, r) in theirs.chain(mine) {
+            results[i] = Some(r);
+        }
+    });
+    results
 }
 
 /// Outcome of a speculative single-stream attempt.
@@ -352,22 +387,13 @@ enum Spec {
     NotAttempted,
 }
 
-/// Per-chunk worker result for the speculative path.
-enum ChunkResult {
+/// What a speculative chunk decoded to; a chunk result is `(body, end bit,
+/// stream finished)`, or `None` after a decode error or injected fault.
+enum Body {
     /// Chunk 0: plain bytes from a known-history decode.
-    Leader {
-        bytes: Vec<u8>,
-        end_bit: u64,
-        finished: bool,
-    },
+    Bytes(Vec<u8>),
     /// Chunk ≥ 1: marker cells awaiting the patch pass.
-    Spec {
-        cells: Vec<u16>,
-        end_bit: u64,
-        finished: bool,
-    },
-    /// Decode error or injected fault.
-    Failed,
+    Cells(Vec<u16>),
 }
 
 /// The parallel + seekable decoder. Cheap to construct: workers are scoped
@@ -437,12 +463,7 @@ impl ParallelInflater {
     ///
     /// Exactly those of the serial reference decode.
     pub fn decompress(&self, data: &[u8], format: Format) -> Result<Vec<u8>> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let out = self.decompress_inner(data, format, None)?;
-        self.stats
-            .bytes_out
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.decompress_inner(data, format, None)
     }
 
     /// As [`decompress`](Self::decompress), inside the caller's trace:
@@ -460,18 +481,18 @@ impl ParallelInflater {
         format: Format,
         ctx: &TraceContext,
     ) -> Result<Vec<u8>> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let out = self.decompress_inner(data, format, Some(ctx))?;
-        self.stats
-            .bytes_out
-            .fetch_add(out.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.decompress_inner(data, format, Some(ctx))
     }
 
-    /// Emits one `shard` span per decode unit on the modeled round-robin
-    /// wave timeline (see the encode-side twin in [`crate::parallel`]).
-    /// `sizes` are the compressed bytes each unit consumed.
-    fn emit_decode_shards(&self, ctx: Option<&TraceContext>, sizes: &[usize]) {
+    /// Emits one span per decode unit on the modeled round-robin wave
+    /// timeline (see the encode-side twin in [`crate::parallel`]): `shard`
+    /// spans for the `sizes` compressed bytes each chunk or member took, or
+    /// one `fallback` span over a serial re-decode, whose `detail` says why
+    /// — 1 = a planned member did not validate, 2 = speculation miss, 3 =
+    /// member plan rejected (candidates / trailers inconsistent). The worker
+    /// is the modeled one: the real hand-out is dynamic, and naming it
+    /// would make traces differ from run to run.
+    fn emit_spans(&self, ctx: Option<&TraceContext>, stage: Stage, sizes: &[usize], detail: u64) {
         let Some(ctx) = ctx else { return };
         if !ctx.sampled || !self.telemetry.is_enabled() {
             return;
@@ -485,35 +506,14 @@ impl ParallelInflater {
                 ctx.trace_id,
                 ctx.child_seq + i as u32,
                 ctx.parent_span,
-                Stage::Shard,
+                stage,
                 (i as u64 % workers) as u32,
                 start,
                 dur,
                 sz as u64,
-                0,
+                detail,
             );
         }
-    }
-
-    /// Emits a `fallback` span covering the serial re-decode. `detail`
-    /// says why: 1 = member chain broke, 2 = speculation miss.
-    fn emit_decode_fallback(&self, ctx: Option<&TraceContext>, bytes: u64, detail: u64) {
-        let Some(ctx) = ctx else { return };
-        if !ctx.sampled || !self.telemetry.is_enabled() {
-            return;
-        }
-        let dur = (bytes / DECODE_BYTES_PER_CYCLE).max(1);
-        self.telemetry.emit(
-            ctx.trace_id,
-            ctx.child_seq,
-            ctx.parent_span,
-            Stage::Fallback,
-            0,
-            ctx.at_cycles,
-            dur,
-            bytes,
-            detail,
-        );
     }
 
     fn decompress_inner(
@@ -522,22 +522,35 @@ impl ParallelInflater {
         format: Format,
         ctx: Option<&TraceContext>,
     ) -> Result<Vec<u8>> {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let out = self.route(data, format, ctx)?;
+        self.stats
+            .bytes_out
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        Ok(out)
+    }
+
+    /// Picks the decode route: member fan-out for multi-member gzip,
+    /// speculation for a large single stream, serial otherwise.
+    fn route(&self, data: &[u8], format: Format, ctx: Option<&TraceContext>) -> Result<Vec<u8>> {
         let request = self.faults.as_ref().map_or(0, |f| f.begin_request());
-        if format == Format::Gzip {
-            let cands = member_candidates(data);
-            if cands.len() > 1 && self.opts.workers > 1 && cands.len() <= MAX_MEMBER_CANDIDATES {
-                if let Some(out) = self.members_parallel(data, &cands, request) {
-                    // Member slice sizes from consecutive candidate
-                    // offsets (the last member runs to end of input).
-                    let sizes: Vec<usize> = cands
-                        .iter()
-                        .zip(cands.iter().skip(1).chain(std::iter::once(&data.len())))
-                        .map(|(a, b)| b - a)
-                        .collect();
-                    self.emit_decode_shards(ctx, &sizes);
-                    return Ok(out);
-                }
-                self.emit_decode_fallback(ctx, data.len() as u64, 1);
+        // The member scan reads the whole input: only pay for it when
+        // there are workers to fan out to.
+        if format == Format::Gzip && self.opts.workers > 1 {
+            let plan = plan_members(data);
+            if plan.as_ref().is_none_or(|p| p.len() > 1) {
+                let detail = match plan {
+                    Some(plan) => match self.members_parallel(data, &plan, request) {
+                        Some(out) => {
+                            let sizes: Vec<usize> = plan.iter().map(|m| m.end - m.start).collect();
+                            self.emit_spans(ctx, Stage::Shard, &sizes, 0);
+                            return Ok(out);
+                        }
+                        None => 1,
+                    },
+                    None => 3,
+                };
+                self.emit_spans(ctx, Stage::Fallback, &[data.len()], detail);
                 return self.serial_fallback(data, format);
             }
         }
@@ -545,35 +558,26 @@ impl ParallelInflater {
         let Ok(un) = framing::unwrap(data, format) else {
             // Malformed container: let the serial reference produce the
             // canonical error (or succeed where it is more permissive).
-            self.emit_decode_shards(ctx, &[data.len()]);
+            self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
             return self.decompress_serial(data, format);
         };
         match self.speculative(un.deflate_stream, request) {
-            Spec::Done(out) => {
-                if un.verify(&out).is_ok() {
-                    let sizes: Vec<usize> =
-                        chunk_sizes(un.deflate_stream.len(), self.opts.chunk_size);
-                    self.emit_decode_shards(ctx, &sizes);
-                    Ok(out)
-                } else {
-                    self.stats
-                        .speculation_misses
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.emit_decode_fallback(ctx, data.len() as u64, 2);
-                    self.serial_fallback(data, format)
-                }
+            Spec::Done(out) if un.verify(&out).is_ok() => {
+                let sizes = chunk_sizes(un.deflate_stream.len(), self.opts.chunk_size);
+                self.emit_spans(ctx, Stage::Shard, &sizes, 0);
+                Ok(out)
             }
-            Spec::Miss => {
+            Spec::Done(_) | Spec::Miss => {
                 self.stats
                     .speculation_misses
                     .fetch_add(1, Ordering::Relaxed);
-                self.emit_decode_fallback(ctx, data.len() as u64, 2);
+                self.emit_spans(ctx, Stage::Fallback, &[data.len()], 2);
                 self.serial_fallback(data, format)
             }
             Spec::NotAttempted => {
                 // Deliberate serial decode (small input / one worker):
                 // the whole stream is one shard.
-                self.emit_decode_shards(ctx, &[data.len()]);
+                self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
                 self.decompress_serial(data, format)
             }
         }
@@ -621,72 +625,43 @@ impl ParallelInflater {
 
     // ---- multi-member fast path -------------------------------------
 
-    /// Decodes gzip members member-per-worker, chain-validating candidate
-    /// offsets against each decoded member's recorded length. Returns
-    /// `None` on any break in the chain (the caller falls back).
-    fn members_parallel(&self, data: &[u8], cands: &[usize], request: u64) -> Option<Vec<u8>> {
-        let n = cands.len();
-        let nthreads = self.opts.workers.min(n).max(1);
-        // (member index, decoded payload + consumed length) per worker.
-        type MemberSlot = (usize, Option<(Vec<u8>, usize)>);
-        let collected: Vec<Vec<MemberSlot>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|w| {
-                    let inj = self.faults.clone();
-                    s.spawn(move || {
-                        let mut outs = Vec::new();
-                        let mut i = w;
-                        while i < n {
-                            let r = if inj
-                                .as_ref()
-                                .is_some_and(|j| j.worker_fault(request, i as u64))
-                            {
-                                None
-                            } else {
-                                gzip::decompress_with_header(&data[cands[i]..])
-                                    .ok()
-                                    .map(|(payload, _h, used)| (payload, used))
-                            };
-                            outs.push((i, r));
-                            i += nthreads;
-                        }
-                        outs
-                    })
-                })
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        let mut slots: Vec<Option<(Vec<u8>, usize)>> = Vec::new();
-        slots.resize_with(n, || None);
-        for group in collected {
-            for (i, r) in group {
-                slots[i] = r;
-            }
+    /// Decodes a member plan in place: the output is allocated once and
+    /// split into the members' disjoint slices, which [`fan_out`] workers
+    /// fill, each reusing one scratch and one staging buffer. `None` — the
+    /// caller falls back to serial — unless every [`decode_member`] holds.
+    fn members_parallel(&self, data: &[u8], plan: &[Member], request: u64) -> Option<Vec<u8>> {
+        // Every member's fault draw happens here, in index order, so the
+        // fault counters do not depend on which worker ran what.
+        let inj = self.faults.as_deref();
+        let dead = |i: &u64| inj.is_some_and(|j| j.worker_fault(request, *i));
+        if (0..plan.len() as u64).filter(dead).count() > 0 {
+            return None;
         }
-        // Chain-validate from offset 0: each member must start at a decoded
-        // candidate and hand off exactly at its recorded end. False
-        // candidates (magic bytes inside compressed data) are simply never
-        // reached by the chain.
-        let mut out: Vec<u8> = Vec::new();
-        let mut pos = 0usize;
-        let mut chained = 0u64;
-        while pos < data.len() {
-            let idx = cands.binary_search(&pos).ok()?;
-            let (payload, used) = slots[idx].take()?;
-            if used == 0 {
-                return None;
-            }
-            if out.is_empty() {
-                out = payload;
-            } else {
-                out.extend_from_slice(&payload);
-            }
-            pos += used;
-            chained += 1;
+        let total = plan
+            .iter()
+            .try_fold(0usize, |sum, m| sum.checked_add(m.out_len))?;
+        // A planned size the host cannot even reserve is not worth an
+        // abort: let the serial walk discover what the stream really is.
+        Vec::<u8>::new().try_reserve_exact(total).ok()?;
+        // Zeroed pages are first touched by the workers, in parallel.
+        let mut out = vec![0u8; total];
+        let mut rest = out.as_mut_slice();
+        let slots: Vec<Mutex<&mut [u8]>> = plan
+            .iter()
+            .map(|m| rest.split_off_mut(..m.out_len).map(Mutex::new))
+            .collect::<Option<_>>()?;
+        let fresh = || (InflateScratch::new(), Vec::new());
+        let landed = fan_out(plan.len(), self.opts.workers, fresh, |state, i| {
+            let mut dst = slots[i].lock().ok()?;
+            decode_member(data, &plan[i], &mut state.0, &mut state.1, &mut dst).then_some(())
+        });
+        drop(slots);
+        if !landed.iter().all(Option::is_some) {
+            return None;
         }
         self.stats
             .members_parallel
-            .fetch_add(chained, Ordering::Relaxed);
+            .fetch_add(plan.len() as u64, Ordering::Relaxed);
         Some(out)
     }
 
@@ -703,40 +678,17 @@ impl ParallelInflater {
             return Spec::Miss;
         };
         let n_chunks = bounds.len() + 1;
-        let nthreads = self.opts.workers.min(n_chunks);
-        let collected: Vec<Vec<(usize, ChunkResult)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..nthreads)
-                .map(|w| {
-                    let bounds = &bounds;
-                    let inj = self.faults.clone();
-                    s.spawn(move || {
-                        let mut outs = Vec::new();
-                        let mut k = w;
-                        while k < n_chunks {
-                            let r = if inj
-                                .as_ref()
-                                .is_some_and(|j| j.worker_fault(request, k as u64))
-                            {
-                                ChunkResult::Failed
-                            } else {
-                                decode_chunk(payload, bounds, k)
-                            };
-                            outs.push((k, r));
-                            k += nthreads;
-                        }
-                        outs
-                    })
-                })
-                .collect();
-            handles.into_iter().filter_map(|h| h.join().ok()).collect()
-        });
-        let mut slots: Vec<Option<ChunkResult>> = Vec::new();
-        slots.resize_with(n_chunks, || None);
-        for group in collected {
-            for (k, r) in group {
-                slots[k] = Some(r);
-            }
-        }
+        // A chunk whose worker was killed or hit a decode error is `None`.
+        let decode = |(): &mut (), k: usize| {
+            let inj = self.faults.as_ref();
+            let dead = inj.is_some_and(|j| j.worker_fault(request, k as u64));
+            Some(if dead {
+                None
+            } else {
+                decode_chunk(payload, &bounds, k)
+            })
+        };
+        let mut slots = fan_out(n_chunks, self.opts.workers, || (), decode);
         // Sequential patch-and-repair pass. Invariant: `out` holds the
         // exact serial output up to bit `cur_end` (always a true block
         // boundary, since a decode walk from a true boundary only stops
@@ -775,54 +727,36 @@ impl ParallelInflater {
                     Err(_) => return Spec::Miss,
                 }
             }
-            match slots[k].take() {
-                Some(ChunkResult::Leader {
-                    bytes,
-                    end_bit,
-                    finished: fin,
-                }) => {
-                    if out.is_empty() {
-                        out = bytes;
-                    } else {
-                        out.extend_from_slice(&bytes);
-                    }
-                    cur_end = end_bit;
-                    finished = fin;
-                    spliced += 1;
-                    k += 1;
-                }
-                Some(ChunkResult::Spec {
-                    cells,
-                    end_bit,
-                    finished: fin,
-                }) => {
+            // Worker failed (decode error or injected fault): skip; the
+            // gap check above repairs the span serially.
+            let Some((body, end_bit, fin)) = slots[k].take().flatten() else {
+                missed += 1;
+                k += 1;
+                continue;
+            };
+            match body {
+                // Only chunk 0 decodes to bytes, and nothing precedes it.
+                Body::Bytes(bytes) => out = bytes,
+                Body::Cells(cells) => {
                     let wlo = out.len().saturating_sub(WINDOW_SIZE);
                     let mut window = self.pool.acquire();
                     window.extend_from_slice(&out[wlo..]);
                     let resolved = resolve_markers_into(&cells, &window, &mut out);
                     self.pool.release(window);
-                    match resolved {
-                        Ok(patched) => {
-                            self.stats
-                                .marker_patch_bytes
-                                .fetch_add(patched, Ordering::Relaxed);
-                            cur_end = end_bit;
-                            finished = fin;
-                            spliced += 1;
-                            k += 1;
-                        }
-                        // Marker cells inconsistent with the window —
-                        // cannot happen off a true boundary; bail safely.
-                        Err(_) => return Spec::Miss,
-                    }
-                }
-                // Worker failed (decode error or injected fault): skip;
-                // the gap check above repairs the span serially.
-                _ => {
-                    missed += 1;
-                    k += 1;
+                    // Marker cells inconsistent with the window cannot
+                    // happen off a true boundary; bail safely.
+                    let Ok(patched) = resolved else {
+                        return Spec::Miss;
+                    };
+                    self.stats
+                        .marker_patch_bytes
+                        .fetch_add(patched, Ordering::Relaxed);
                 }
             }
+            cur_end = end_bit;
+            finished = fin;
+            spliced += 1;
+            k += 1;
         }
         if !finished && repair_to(payload, &mut out, cur_end, None).is_err() {
             return Spec::Miss;
@@ -1029,19 +963,126 @@ fn verify_member_trailer(data: &[u8], trailer_at: usize, member_out: &[u8]) -> R
     Ok(trailer_at + 8)
 }
 
-/// Scans `data` for plausible gzip member starts: magic + DEFLATE method +
-/// clear reserved FLG bits. Always cheap (one linear pass); false
-/// positives are weeded out by chain validation.
-fn member_candidates(data: &[u8]) -> Vec<usize> {
-    let mut cands = Vec::new();
-    let mut i = 0usize;
-    while i + 3 < data.len() {
-        if data[i] == 0x1F && data[i + 1] == 0x8B && data[i + 2] == 8 && data[i + 3] & 0xE0 == 0 {
-            cands.push(i);
-        }
-        i += 1;
+/// One gzip member of a decode plan.
+struct Member {
+    /// Offset of the member's magic bytes.
+    start: usize,
+    /// Offset of its DEFLATE payload (just past the header).
+    payload: usize,
+    /// Offset just past its trailer: the next start, or end of input.
+    end: usize,
+    /// Decoded bytes its ISIZE trailer claims.
+    out_len: usize,
+}
+
+impl Member {
+    /// Ends the member at `end`, reading its ISIZE from the four bytes
+    /// before. ISIZE is attacker-controlled and sizes the output: a claim
+    /// beyond DEFLATE's 1032x expansion of the member's own compressed
+    /// span is refused, as is a span too short for a trailer.
+    fn close(&mut self, data: &[u8], end: usize) -> Option<()> {
+        let isize_at = end.checked_sub(4).filter(|&at| at >= self.payload + 4)?;
+        let claim = <[u8; 4]>::try_from(data.get(isize_at..end)?).ok()?;
+        self.out_len = usize::try_from(u32::from_le_bytes(claim)).ok()?;
+        self.end = end;
+        (self.out_len <= (end - self.start).saturating_mul(1032)).then_some(())
     }
-    cands
+}
+
+/// Offset of the next `1f 8b 08` at or after `from`. Blocks of 64 bytes
+/// are tested for a `1f 8b` pair without an early exit, so the test
+/// vectorizes and (a pair being a 1-in-65536 event) almost never branches;
+/// only a block that has one is walked byte by byte.
+fn next_magic(data: &[u8], from: usize) -> Option<usize> {
+    let mut at = from;
+    while at + 3 <= data.len() {
+        let end = (at + 64).min(data.len() - 2);
+        let pairs = data[at..end].iter().zip(&data[at + 1..=end]);
+        if pairs.fold(false, |hit, (&a, &b)| hit | ((a == 0x1F) & (b == 0x8B))) {
+            if let Some(i) = (at..end).find(|&i| data[i..].starts_with(&[0x1F, 0x8B, 8])) {
+                return Some(i);
+            }
+        }
+        at = end;
+    }
+    None
+}
+
+/// The candidate filter, cheapest test first (rapidgzip's order): a gzip
+/// member plausibly starts at `start` if [`gzip::parse_header`] accepts a
+/// header within [`MAX_MEMBER_HEADER`] bytes and the first DEFLATE block
+/// header behind it is well-formed — not the reserved type, a stored
+/// block's `LEN == !NLEN`, a dynamic block's tables build. Returns the
+/// payload's offset.
+fn member_payload(data: &[u8], start: usize) -> Option<usize> {
+    let window = &data[start..data.len().min(start + MAX_MEMBER_HEADER)];
+    let payload = start + gzip::parse_header(window).ok()?.1;
+    let mut trial = MarkerInflater::new_at(data, payload as u64 * 8).ok()?;
+    // A zero-cell budget stops the trial right after the block header:
+    // running out of budget means the header was accepted.
+    let first_block = trial.decode_block(0);
+    matches!(first_block, Ok(()) | Err(DeflateError::OutputLimitExceeded)).then_some(payload)
+}
+
+/// Plans a member-parallel decode of `data` from its trailers alone: every
+/// start that passes [`member_payload`] [`Member::close`]s its predecessor.
+/// The scan resumes past an accepted header, so magic bytes inside an FNAME
+/// are never candidates; a survivor is still only a candidate — the decode
+/// confirms it by exact landing. Returns the members found (fewer than
+/// two: not a multi-member stream), or `None` when there are several but
+/// the trailers are inconsistent or the first is not at offset 0, or when
+/// false starts (each may scan a header window for a NUL) have cost a
+/// second pass over the input.
+fn plan_members(data: &[u8]) -> Option<Vec<Member>> {
+    let mut plan: Vec<Member> = Vec::new();
+    let mut budget = data.len();
+    let mut from = 0usize;
+    while let Some(start) = next_magic(data, from) {
+        from = start + 1;
+        let Some(payload) = member_payload(data, start) else {
+            budget = budget.checked_sub(MAX_MEMBER_HEADER.min(data.len() - start))?;
+            continue;
+        };
+        if let Some(prev) = plan.last_mut() {
+            prev.close(data, start)?;
+        }
+        plan.push(Member {
+            start,
+            payload,
+            end: data.len(),
+            out_len: 0,
+        });
+        from = payload;
+    }
+    if plan.len() > 1 {
+        plan.last_mut()?.close(data, data.len())?;
+        plan.first().filter(|m| m.start == 0)?;
+    }
+    Some(plan)
+}
+
+/// Decodes one planned member through the worker's reused `scratch` and
+/// `staging` buffer and, only if it validates, copies it into its slice
+/// of the output: the DEFLATE stream must end exactly at the trailer,
+/// yield exactly `dst.len()` bytes (its ISIZE) and match its CRC-32.
+fn decode_member(
+    data: &[u8],
+    m: &Member,
+    scratch: &mut InflateScratch,
+    staging: &mut Vec<u8>,
+    dst: &mut [u8],
+) -> bool {
+    let body = &data[m.payload..m.end - 8];
+    let mut inf = Inflater::with_reuse(body, std::mem::take(scratch), std::mem::take(staging));
+    inf.reserve_output(dst.len());
+    let landed = inf.run(dst.len()).is_ok() && inf.byte_position() == body.len();
+    (*staging, *scratch) = inf.into_parts();
+    let trailer_ok = || verify_member_trailer(data, m.end - 8, staging).is_ok();
+    let valid = landed && staging.len() == dst.len() && trailer_ok();
+    if valid {
+        dst.copy_from_slice(staging);
+    }
+    valid
 }
 
 /// Probes for one block boundary per `chunk`-byte span, scanning the
@@ -1113,15 +1154,7 @@ fn repair_to(
         let wlo = out.len().saturating_sub(WINDOW_SIZE);
         inf.prime_window(&out[wlo..]);
     }
-    loop {
-        if inf.is_finished() {
-            break;
-        }
-        if let Some(t) = until {
-            if base + inf.bit_position() >= t {
-                break;
-            }
-        }
+    while !inf.is_finished() && until.is_none_or(|t| base + inf.bit_position() < t) {
         inf.decode_block(usize::MAX)?;
     }
     let end = base + inf.bit_position();
@@ -1133,56 +1166,23 @@ fn repair_to(
 /// Decodes chunk `k` of the speculative split: `[bounds[k-1], bounds[k])`
 /// in bit space (chunk 0 starts at bit 0; the last chunk runs to stream
 /// end). Chunk 0 decodes plainly; later chunks decode into marker cells.
-fn decode_chunk(payload: &[u8], bounds: &[u64], k: usize) -> ChunkResult {
+/// `None` on a decode error.
+fn decode_chunk(payload: &[u8], bounds: &[u64], k: usize) -> Option<(Body, u64, bool)> {
     let stop = bounds.get(k).copied();
     if k == 0 {
         let mut inf = Inflater::new(payload);
-        loop {
-            if inf.is_finished() {
-                break;
-            }
-            if let Some(sb) = stop {
-                if inf.bit_position() >= sb {
-                    break;
-                }
-            }
-            if inf.decode_block(usize::MAX).is_err() {
-                return ChunkResult::Failed;
-            }
+        while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
+            inf.decode_block(usize::MAX).ok()?;
         }
-        let end_bit = inf.bit_position();
-        let finished = inf.is_finished();
-        ChunkResult::Leader {
-            bytes: inf.into_output(),
-            end_bit,
-            finished,
-        }
+        let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
+        Some((Body::Bytes(inf.into_output()), end_bit, finished))
     } else {
-        let mut inf = match MarkerInflater::new_at(payload, bounds[k - 1]) {
-            Ok(i) => i,
-            Err(_) => return ChunkResult::Failed,
-        };
-        loop {
-            if inf.is_finished() {
-                break;
-            }
-            if let Some(sb) = stop {
-                if inf.bit_position() >= sb {
-                    break;
-                }
-            }
-            if inf.decode_block(usize::MAX).is_err() {
-                return ChunkResult::Failed;
-            }
+        let mut inf = MarkerInflater::new_at(payload, bounds[k - 1]).ok()?;
+        while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
+            inf.decode_block(usize::MAX).ok()?;
         }
-        let end_bit = inf.bit_position();
-        let finished = inf.is_finished();
-        let (cells, _scratch) = inf.into_parts();
-        ChunkResult::Spec {
-            cells,
-            end_bit,
-            finished,
-        }
+        let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
+        Some((Body::Cells(inf.into_parts().0), end_bit, finished))
     }
 }
 
@@ -1227,9 +1227,22 @@ mod tests {
                 CompressionLevel::default(),
             ));
         }
-        let cands = member_candidates(&stream);
-        for s in starts {
-            assert!(cands.contains(&s));
+        let plan = plan_members(&stream).expect("consistent trailers");
+        assert_eq!(plan.iter().map(|m| m.start).collect::<Vec<_>>(), starts);
+        assert!(plan
+            .iter()
+            .all(|m| m.payload == m.start + 10 && m.out_len == 15));
+        assert_eq!(plan[3].end, stream.len());
+        // The blockwise scan agrees with the obvious one at every start,
+        // block seam and tail length, including magic cut off by the end.
+        let mut hay = nx_corpus::mixed(7, 300);
+        for at in [0, 1, 7, 62, 63, 64, 127, 190, 290, 296, 297, 298] {
+            hay[at..(at + 3).min(300)].copy_from_slice(&[0x1F, 0x8B, 8][..(300 - at).min(3)]);
+        }
+        for from in 0..=hay.len() {
+            let naive =
+                (from..hay.len().saturating_sub(2)).find(|&i| hay[i..i + 3] == [0x1F, 0x8B, 8]);
+            assert_eq!(next_magic(&hay, from), naive, "from {from}");
         }
     }
 
@@ -1247,6 +1260,53 @@ mod tests {
         assert_eq!(out, expect);
         assert_eq!(par.stats().members_parallel(), 8);
         assert_eq!(par.stats().serial_fallbacks(), 0);
+    }
+
+    #[test]
+    fn member_spans_carry_real_sizes_and_dropped_plans_say_why() {
+        let sink = TelemetrySink::enabled(nx_telemetry::MetricsRegistry::new());
+        let par = ParallelInflater::with_parts(
+            opts(2, 32 * 1024),
+            Arc::default(),
+            None,
+            Arc::default(),
+            sink.clone(),
+        );
+        let parts: Vec<Vec<u8>> = [30_000usize, 5, 70_000]
+            .iter()
+            .map(|&n| gzip::compress(&corpus(n), CompressionLevel::default()))
+            .collect();
+        let stream = parts.concat();
+        let spans_of = |data: &[u8]| {
+            let ctx = sink.begin_trace();
+            let res = par.decompress_in_trace(data, Format::Gzip, &ctx);
+            let spans: Vec<_> = sink
+                .trace()
+                .into_iter()
+                .filter(|e| e.request == ctx.trace_id)
+                .map(|e| (e.stage, e.bytes, e.detail))
+                .collect();
+            (res.is_ok(), spans)
+        };
+        let sizes: Vec<_> = parts
+            .iter()
+            .map(|p| (Stage::Shard, p.len() as u64, 0))
+            .collect();
+        assert_eq!(spans_of(&stream), (true, sizes));
+        // A lying ISIZE is caught by the planner (3); a wrong CRC only by
+        // the member's decode (1). Both fall back and report serial's error.
+        let trailer = parts[0].len() + parts[1].len();
+        let mut lying = stream.clone();
+        lying[trailer - 4..trailer].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        let whole = stream.len() as u64;
+        assert_eq!(spans_of(&lying), (false, vec![(Stage::Fallback, whole, 3)]));
+        let mut bad_crc = stream.clone();
+        bad_crc[trailer - 8] ^= 1;
+        assert_eq!(
+            spans_of(&bad_crc),
+            (false, vec![(Stage::Fallback, whole, 1)])
+        );
+        assert_eq!(par.stats().serial_fallbacks(), 2);
     }
 
     #[test]

@@ -17,27 +17,37 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nx_core::{Format, Nx};
+use nx_core::{Format, Nx, ParallelInflateOptions, ParallelInflater};
 
 /// System allocator wrapper that counts every allocation event
-/// (`alloc`, `alloc_zeroed`, and growth via `realloc`).
+/// (`alloc`, `alloc_zeroed`, and growth via `realloc`), and separately
+/// those of at least [`LARGE`] bytes.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+const LARGE: usize = 64 * 1024;
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= LARGE {
+        LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -141,4 +151,33 @@ fn scratch_session_steady_state_allocation_profile() {
         0,
         "pool acquire/release cycle must not allocate"
     );
+
+    // --- Member-parallel inflate: buffers per worker, not per member. ---
+    // One output for the whole stream (plus the planner's reservation
+    // probe of the same size) and one staging buffer per worker; every
+    // member decodes to 64 KiB, so a per-member `Vec` would show up as
+    // 32 more.
+    const MEMBERS: usize = 32;
+    const WORKERS: usize = 2;
+    let data = nx_corpus::CorpusKind::Text.generate(0xA110C, MEMBERS * LARGE);
+    let mut stream = Vec::new();
+    for part in data.chunks(LARGE) {
+        sess.compress_into(part, Format::Gzip, &mut comp)
+            .expect("compress is infallible");
+        stream.extend_from_slice(&comp);
+    }
+    let inflater = ParallelInflater::new(ParallelInflateOptions {
+        workers: WORKERS,
+        ..Default::default()
+    });
+    let large_before = LARGE_ALLOCATIONS.load(Ordering::SeqCst);
+    let decoded = inflater.decompress(&stream, Format::Gzip).expect("valid");
+    let large = LARGE_ALLOCATIONS.load(Ordering::SeqCst) - large_before;
+    assert_eq!(decoded, data);
+    assert!(
+        large <= 2 + WORKERS as u64,
+        "{large} allocations of >= 64 KiB for {MEMBERS} members on {WORKERS} workers"
+    );
+    assert_eq!(inflater.stats().members_parallel(), MEMBERS as u64);
+    assert_eq!(inflater.stats().serial_fallbacks(), 0);
 }

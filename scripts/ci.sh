@@ -196,7 +196,7 @@ if [[ "$FAST" == "0" ]]; then
         if ! awk -v f="$fresh" -v b="$baseline" 'BEGIN{exit !(f >= 0.9 * b)}'; then
             # Bench-host throughput swings run to run on shared machines;
             # re-measure once before declaring a regression (same damper
-            # as the E21/E22 gates below).
+            # as the E21 gate below).
             echo "    inflate ${fresh} MB/s below 0.9x baseline; re-measuring once"
             cargo run --offline --release -p nx-bench --bin tables -- e20 > /dev/null
             fresh=$(awk -F'"section": "summary".*"inflate_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_KERNELS.json)
@@ -247,34 +247,17 @@ if [[ "$FAST" == "0" ]]; then
         echo "    no committed baseline found; recorded ${dfresh} MB/s"
     fi
 
-    echo "==> parallel inflate gate (E22, regression bar 10%)"
-    # Same pattern as E21: snapshot the committed 4-worker multi-member
-    # decode throughput, rerun the sweep, fail on a >10% regression, and
-    # require every parallel decode (speculative chunks, member fan-out,
-    # seek-index reads) to have matched the serial bytes exactly.
-    pbaseline=$(awk -F'"section": "summary".*"multi_member_4w_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_INFLATE_PAR.json)
+    echo "==> parallel inflate gate (E22, byte identity)"
+    # Deterministic half only: every parallel decode of the sweep
+    # (speculative chunks, member fan-out, seek-index reads) must have
+    # matched the serial bytes exactly. Its speed is judged by `nxbench`
+    # pairs (`parallel_io` `decompress_mb_per_s`, `core.pinflate_*`), not
+    # here.
     cargo run --offline --release -p nx-bench --bin tables -- e22 > /dev/null
-    pfresh=$(awk -F'"section": "summary".*"multi_member_4w_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_INFLATE_PAR.json)
     python3 -m json.tool BENCH_INFLATE_PAR.json > /dev/null
     if ! grep -q '"all_identical": true' BENCH_INFLATE_PAR.json; then
         echo "==> FAIL: a parallel decode diverged from the serial bytes"
         exit 1
-    fi
-    if [[ -n "$pbaseline" ]]; then
-        if ! awk -v f="$pfresh" -v b="$pbaseline" 'BEGIN{exit !(f >= 0.9 * b)}'; then
-            # Thread scheduling is noisy on shared hosts; re-measure once
-            # before declaring a regression.
-            echo "    parallel inflate ${pfresh} MB/s below 0.9x baseline; re-measuring once"
-            cargo run --offline --release -p nx-bench --bin tables -- e22 > /dev/null
-            pfresh=$(awk -F'"section": "summary".*"multi_member_4w_mb_per_s": ' '/"section": "summary"/{split($2,a,","); print a[1]}' BENCH_INFLATE_PAR.json)
-        fi
-        if ! awk -v f="$pfresh" -v b="$pbaseline" 'BEGIN{exit !(f >= 0.9 * b)}'; then
-            echo "==> FAIL: parallel inflate ${pfresh} MB/s regressed >10% vs committed ${pbaseline} MB/s"
-            exit 1
-        fi
-        echo "    parallel inflate: ${pfresh} MB/s (committed baseline ${pbaseline} MB/s)"
-    else
-        echo "    no committed baseline found; recorded ${pfresh} MB/s"
     fi
 
     echo "==> speculative matcher gate (E25, regression bar 10%)"

@@ -10,8 +10,13 @@
 //! exactly the bytes a full serial decode would place at that range,
 //! without decoding the prefix.
 
+use std::io::Write;
+use std::process::{Command, Stdio};
+
 use nx_core::{software, Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
-use nx_deflate::CompressionLevel;
+use nx_deflate::bitio::BitWriter;
+use nx_deflate::crc32::crc32;
+use nx_deflate::{CompressionLevel, Token};
 
 const SEED: u64 = 0x5EEC_AB1E;
 
@@ -110,6 +115,318 @@ fn truncated_multi_member_degrades_to_serial_error() {
     // fall back and surface the serial error, not a bogus payload.
     assert!(inf.decompress(cut, Format::Gzip).is_err());
     assert!(inf.stats().serial_fallbacks() >= 1);
+}
+
+/// Decodes with the system `gzip -dc`; `None` when there is no such binary.
+fn gzip_dc(gz: &[u8]) -> Option<Vec<u8>> {
+    let mut child = Command::new("gzip")
+        .arg("-dc")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let payload = gz.to_vec();
+    let writer = std::thread::spawn(move || {
+        let _ = stdin.write_all(&payload);
+    });
+    let out = child.wait_with_output().ok()?;
+    writer.join().ok()?;
+    assert!(out.status.success(), "gzip -dc rejected a valid stream");
+    Some(out.stdout)
+}
+
+/// Optional gzip header fields for [`member`].
+#[derive(Default, Clone, Copy)]
+struct Fields<'a> {
+    extra: Option<&'a [u8]>,
+    name: Option<&'a [u8]>,
+    comment: Option<&'a [u8]>,
+    hcrc: bool,
+}
+
+/// One gzip member around `raw`, a DEFLATE stream that decodes to `payload`.
+fn member(raw: &[u8], payload: &[u8], f: Fields) -> Vec<u8> {
+    let flg = u8::from(f.hcrc) << 1
+        | u8::from(f.extra.is_some()) << 2
+        | u8::from(f.name.is_some()) << 3
+        | u8::from(f.comment.is_some()) << 4;
+    let mut m = vec![0x1F, 0x8B, 8, flg, 0, 0, 0, 0, 0, 255];
+    if let Some(x) = f.extra {
+        m.extend_from_slice(&(x.len() as u16).to_le_bytes());
+        m.extend_from_slice(x);
+    }
+    for text in [f.name, f.comment].into_iter().flatten() {
+        m.extend_from_slice(text);
+        m.push(0);
+    }
+    if f.hcrc {
+        let crc16 = crc32(&m) as u16;
+        m.extend_from_slice(&crc16.to_le_bytes());
+    }
+    m.extend_from_slice(raw);
+    m.extend_from_slice(&crc32(payload).to_le_bytes());
+    m.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    m
+}
+
+/// A member whose DEFLATE stream is written at `level` (0 = stored only).
+fn member_at(payload: &[u8], level: u32, f: Fields) -> Vec<u8> {
+    let level = CompressionLevel::new(level).expect("valid level");
+    member(&nx_deflate::deflate(payload, level), payload, f)
+}
+
+/// A member that is one fixed-Huffman block of literals.
+fn fixed_member(payload: &[u8]) -> Vec<u8> {
+    let tokens: Vec<Token> = payload.iter().map(|&b| Token::Literal(b)).collect();
+    let mut w = BitWriter::new();
+    nx_deflate::encoder::encode_fixed_block(&mut w, &tokens, true);
+    member(&w.finish(), payload, Fields::default())
+}
+
+/// A stream under test (the concatenation of `members`) and the payload
+/// it decodes to.
+struct Shape {
+    name: &'static str,
+    members: Vec<Vec<u8>>,
+    payload: Vec<u8>,
+}
+
+impl Shape {
+    /// From `(member, its payload)` pairs.
+    fn new(name: &'static str, parts: Vec<(Vec<u8>, Vec<u8>)>) -> Self {
+        let payload = parts.iter().flat_map(|(_, p)| p.iter().copied()).collect();
+        let members = parts.into_iter().map(|(m, _)| m).collect();
+        Self {
+            name,
+            members,
+            payload,
+        }
+    }
+}
+
+/// The member shapes the planner has to get right.
+fn member_shapes() -> Vec<Shape> {
+    let plain = Fields::default();
+    let mut shapes = Vec::new();
+    let mixed = |i: u64, n: usize| nx_corpus::mixed(SEED + i, n);
+    let at = |payload: Vec<u8>, level: u32, f: Fields| (member_at(&payload, level, f), payload);
+
+    shapes.push(Shape::new(
+        "32 equal members",
+        (0..32).map(|i| at(mixed(i, 16 * 1024), 6, plain)).collect(),
+    ));
+    let fixed_only = b"fixed-Huffman literals only".to_vec();
+    shapes.push(Shape::new(
+        "wildly unequal members",
+        vec![
+            at(Vec::new(), 6, plain),
+            at(vec![b'x'], 6, plain),
+            at(mixed(1, 3 << 20), 1, plain),
+            at(mixed(2, 150_000), 0, plain),
+            (fixed_member(&fixed_only), fixed_only),
+            at(mixed(3, 40_000), 9, plain),
+        ],
+    ));
+    let all = Fields {
+        extra: Some(b"AB\x04\x00\x1f\x8b\x08\x00"),
+        name: Some(b"name.txt"),
+        comment: Some(b"a comment"),
+        hcrc: true,
+    };
+    let only = |f: Fields<'static>| at(mixed(4, 20_000), 6, f);
+    shapes.push(Shape::new(
+        "optional header fields",
+        vec![
+            only(all),
+            only(Fields {
+                extra: all.extra,
+                ..plain
+            }),
+            only(Fields {
+                name: all.name,
+                ..plain
+            }),
+            only(Fields {
+                comment: all.comment,
+                ..plain
+            }),
+            only(Fields {
+                hcrc: true,
+                ..plain
+            }),
+            only(plain),
+        ],
+    ));
+    let evil_name = Fields {
+        name: Some(b"\x1f\x8b\x08\x01evil\x1f\x8b\x08"),
+        ..plain
+    };
+    shapes.push(Shape::new(
+        "gzip magic inside an FNAME",
+        (0..4).map(|i| at(mixed(i, 30_000), 6, evil_name)).collect(),
+    ));
+    // A stored block carries its payload verbatim, so a whole valid
+    // member inside one is a false start that passes every cheap filter.
+    let inner = member_at(b"a complete gzip member, inside a stored block", 6, plain);
+    let mut carrier = mixed(5, 5_000);
+    carrier.extend_from_slice(&inner);
+    carrier.extend_from_slice(&mixed(6, 5_000));
+    shapes.push(Shape::new(
+        "valid member embedded in a stored block",
+        vec![
+            at(mixed(7, 20_000), 6, plain),
+            at(carrier, 0, plain),
+            at(mixed(8, 20_000), 6, plain),
+        ],
+    ));
+    // Magic + a plausible header + an empty fixed block, but no trailer.
+    let mut planted = Vec::new();
+    for i in 0..40u64 {
+        planted.extend_from_slice(&mixed(100 + i, 700));
+        planted.extend_from_slice(&[0x1F, 0x8B, 8, 0, 0, 0, 0, 0, 0, 255, 0x03, 0x00]);
+    }
+    shapes.push(Shape::new(
+        "magic planted in compressed data",
+        vec![
+            at(planted.clone(), 0, plain),
+            at(mixed(9, 50_000), 6, plain),
+            at(planted, 0, plain),
+        ],
+    ));
+
+    shapes
+}
+
+const WORKER_COUNTS: [usize; 5] = [1, 2, 3, 4, 8];
+
+#[test]
+fn member_shapes_decode_like_serial_at_every_worker_count() {
+    for Shape {
+        name,
+        members,
+        payload,
+    } in member_shapes()
+    {
+        let stream = members.concat();
+        let serial = inflater(1).decompress_serial(&stream, Format::Gzip);
+        assert!(serial.as_ref() == Ok(&payload), "{name}: serial oracle");
+        if let Some(system) = gzip_dc(&stream) {
+            assert!(system == payload, "{name}: gzip -dc disagrees");
+        }
+        // A false start that survives the planner's filters costs the
+        // plan; every other shape must really decode member-parallel.
+        let false_starts = name.starts_with("valid member") || name.starts_with("magic planted");
+        let parallel = if false_starts {
+            (0, 1)
+        } else {
+            (members.len() as u64, 0)
+        };
+        for workers in WORKER_COUNTS {
+            let inf = inflater(workers);
+            let got = inf.decompress(&stream, Format::Gzip);
+            assert!(got == serial, "{name}: workers={workers} diverged");
+            let took = (
+                inf.stats().members_parallel(),
+                inf.stats().serial_fallbacks(),
+            );
+            let want = if workers > 1 { parallel } else { (0, 0) };
+            assert_eq!(took, want, "{name}: workers={workers} (members, fallbacks)");
+        }
+    }
+}
+
+#[test]
+fn corrupt_members_report_the_serial_error_at_every_worker_count() {
+    for Shape { name, members, .. } in member_shapes() {
+        // Damage a member in the middle of the stream, three ways.
+        let victim = members.len() / 2;
+        let end: usize = members[..=victim].iter().map(Vec::len).sum();
+        let stream = members.concat();
+        let flip = |at: usize| {
+            let mut bad = stream.clone();
+            bad[at] ^= 0x40;
+            bad
+        };
+        let cases = [
+            ("crc", flip(end - 8)),
+            ("isize", flip(end - 2)),
+            (
+                "truncated",
+                stream[..end - members[victim].len() / 2].to_vec(),
+            ),
+        ];
+        for (what, bad) in cases {
+            let serial = inflater(1).decompress_serial(&bad, Format::Gzip);
+            assert!(serial.is_err(), "{name}/{what}: serial accepts the damage");
+            for workers in WORKER_COUNTS {
+                let inf = inflater(workers);
+                let got = inf.decompress(&bad, Format::Gzip);
+                assert!(got == serial, "{name}/{what}: workers={workers}: {got:?}");
+            }
+        }
+    }
+}
+
+/// Peak resident set of this process so far, in KiB (`None` off Linux).
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn lying_isize_trailers_cost_no_memory() {
+    // ISIZE sizes the member plan's one allocation, so 64 tiny members
+    // that each claim ~4 GiB must be turned away before anything is
+    // reserved for them.
+    let mut stream = Vec::new();
+    for i in 0..64u8 {
+        let mut m = member_at(&[b'a' + i % 26; 20], 6, Fields::default());
+        let n = m.len();
+        m[n - 4..].copy_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        stream.extend_from_slice(&m);
+    }
+    let serial = inflater(1).decompress_serial(&stream, Format::Gzip);
+    assert!(serial.is_err());
+    let before = peak_rss_kib();
+    for workers in [1, 2, 4] {
+        let inf = inflater(workers);
+        assert_eq!(inf.decompress(&stream, Format::Gzip), serial);
+        if workers > 1 {
+            assert_eq!(inf.stats().serial_fallbacks(), 1, "the plan is dropped");
+        }
+    }
+    if let (Some(before), Some(after)) = (before, peak_rss_kib()) {
+        assert!(
+            after - before < 16 * 1024,
+            "peak RSS grew {} KiB",
+            after - before
+        );
+    }
+}
+
+#[test]
+fn a_stream_of_false_starts_is_not_scanned_quadratically() {
+    // After one real member: 4 MiB of `1f 8b 08 08` (magic + FNAME flag)
+    // with no NUL anywhere, so each of the million candidates would scan
+    // for its name's terminator to the end of its header window. The
+    // planner gives up after one extra pass over the input and the
+    // request takes the serial walk, which rejects the second "member".
+    let mut stream = gzip(&nx_corpus::mixed(SEED, 10_000));
+    stream.extend([0x1F, 0x8B, 8, 8].repeat(1 << 20));
+    let serial = inflater(1).decompress_serial(&stream, Format::Gzip);
+    assert!(serial.is_err());
+    let inf = inflater(2);
+    let started = std::time::Instant::now();
+    assert_eq!(inf.decompress(&stream, Format::Gzip), serial);
+    assert_eq!(inf.stats().serial_fallbacks(), 1);
+    // Unbounded, the scan reads ~128 GiB here; bounded, a few MiB.
+    assert!(
+        started.elapsed().as_secs() < 20,
+        "planner scan is not bounded"
+    );
 }
 
 /// Minimal xorshift64* generator: deterministic fuzz positions without
