@@ -12,14 +12,16 @@
 //! * **Part A** sweeps worker count × stream shape (single member /
 //!   multi-member) and reports decode MB/s against the serial walk,
 //!   plus the speculation miss rate and marker patch volume.
-//! * **Part B** prices random access: build-index cost, serialized
-//!   index size, and the latency of ranged reads at several depths —
-//!   each compared against what a prefix decode would have cost.
+//! * **Part B** prices random access in deterministic units: per stream
+//!   shape the checkpoints and serialized index bytes (sparse, and what
+//!   whole windows would have cost), and per ranged read the bytes decoded
+//!   against the bytes returned.
 //!
 //! Every parallel decode is verified byte-identical to the serial
 //! decode before its timing is reported. `run()` writes
 //! `BENCH_INFLATE_PAR.json`; `scripts/ci.sh` gates on `all_identical`
-//! only — the speed is judged by `nxbench` pairs (`parallel_io`).
+//! and on Part B's rows reproducing to the byte — the speed is judged by
+//! `nxbench` pairs (`parallel_io`).
 //!
 //! Caveat: wall-clock speedup needs real cores. On a single-core host
 //! the sweep still validates correctness and counters, but speedups
@@ -72,10 +74,13 @@ struct DecodeCell {
 struct SeekCell {
     offset: u64,
     len: usize,
-    seek_us: f64,
-    prefix_decode_us: f64,
+    decoded_bytes: u64,
     identical: bool,
 }
+
+/// The seek index over one stream shape: checkpoints, serialized bytes, and
+/// what those would be with every referenced window kept whole.
+type IndexCell = (&'static str, usize, usize, usize);
 
 struct Measured {
     cells: Vec<DecodeCell>,
@@ -85,25 +90,18 @@ struct Measured {
     /// misses / (chunks + misses) over the whole single-member sweep.
     miss_rate: f64,
     marker_patch_bytes: u64,
-    index_build_ms: f64,
-    index_bytes: usize,
-    index_checkpoints: usize,
+    indexes: [IndexCell; 2],
     host_threads: usize,
     all_identical: bool,
 }
 
-/// Wall-clock seconds of one call to `f`.
-fn timed<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// Best-of-[`PASSES`] wall-clock seconds.
+/// Best-of-[`PASSES`] wall-clock seconds of one call to `f`.
 fn best_of<F: FnMut()>(mut f: F) -> f64 {
     let mut t = f64::INFINITY;
     for _ in 0..PASSES {
-        t = t.min(timed(&mut f));
+        let t0 = Instant::now();
+        f();
+        t = t.min(t0.elapsed().as_secs_f64());
     }
     t
 }
@@ -184,37 +182,34 @@ fn measured() -> &'static Measured {
             }
         }
 
-        // Part B: the seek index over the single-member stream.
+        // Part B: the seek index over both shapes, reads in the single one.
         let inf = inflater(4);
-        let mut index_opt = None;
-        let index_build_ms = best_of(|| {
-            index_opt = Some(inf.build_index(&single, Format::Gzip).expect("index"));
-        }) * 1e3;
-        let index = index_opt.expect("index built");
-        let index_bytes = index.to_bytes().len();
+        let index = inf.build_index(&single, Format::Gzip).expect("index");
+        let multi_index = inf.build_index(&multi, Format::Gzip).expect("index");
+        let indexes = [("single-member", &index), ("multi-member", &multi_index)];
+        let indexes = indexes.map(|(shape, index)| {
+            let (checkpoints, sparse_bytes) = (index.checkpoints(), index.to_bytes().len());
+            let kept = checkpoints.iter().filter(|c| !c.runs.is_empty());
+            let dropped: usize = kept.map(|c| (32 << 10) - c.window.len()).sum();
+            (
+                shape,
+                checkpoints.len(),
+                sparse_bytes,
+                sparse_bytes + dropped,
+            )
+        });
         let mut seeks = Vec::new();
         for (offset, len) in SEEKS {
+            let before = inf.stats().seek_decoded_bytes();
             let out = inf
                 .decompress_at(&single, &index, offset, len)
                 .expect("seek");
             let identical = out == payload[offset as usize..offset as usize + len];
             all_identical &= identical;
-            let seek_us = best_of(|| {
-                std::hint::black_box(
-                    inf.decompress_at(&single, &index, offset, len)
-                        .expect("seek")
-                        .len(),
-                );
-            }) * 1e6;
-            // What the same read costs without the index: decode the
-            // prefix serially, then slice.
-            let prefix_decode_us =
-                t_single * ((offset as f64 + len as f64) / payload.len() as f64) * 1e6;
             seeks.push(SeekCell {
                 offset,
                 len,
-                seek_us,
-                prefix_decode_us,
+                decoded_bytes: inf.stats().seek_decoded_bytes() - before,
                 identical,
             });
         }
@@ -230,9 +225,7 @@ fn measured() -> &'static Measured {
                 misses as f64 / (chunks + misses) as f64
             },
             marker_patch_bytes,
-            index_build_ms,
-            index_bytes,
-            index_checkpoints: index.checkpoints().len(),
+            indexes,
             host_threads: std::thread::available_parallelism().map_or(1, usize::from),
             all_identical,
         }
@@ -260,11 +253,18 @@ fn render_json(m: &Measured) -> String {
             )
         })
         .collect();
+    for (shape, checkpoints, sparse, full) in m.indexes {
+        rows.push(format!(
+            "  {{\"section\": \"index\", \"shape\": \"{shape}\", \"checkpoints\": {checkpoints}, \
+             \"sparse_bytes\": {sparse}, \"full_bytes\": {full}, \"sparse_pct_of_output\": {:.2}}}",
+            sparse as f64 * 100.0 / PAYLOAD_LEN as f64,
+        ));
+    }
     for s in &m.seeks {
         rows.push(format!(
-            "  {{\"section\": \"seek\", \"offset\": {}, \"len\": {}, \"seek_us\": {:.1}, \
-             \"prefix_decode_us\": {:.1}, \"identical\": {}}}",
-            s.offset, s.len, s.seek_us, s.prefix_decode_us, s.identical,
+            "  {{\"section\": \"seek\", \"offset\": {}, \"len\": {}, \"decoded_bytes\": {}, \
+             \"returned_bytes\": {}, \"identical\": {}}}",
+            s.offset, s.len, s.decoded_bytes, s.len, s.identical,
         ));
     }
     rows.push(format!(
@@ -273,7 +273,6 @@ fn render_json(m: &Measured) -> String {
          \"single_member_4w_mb_per_s\": {:.3}, \"multi_member_4w_mb_per_s\": {:.3}, \
          \"speedup_single_4w\": {:.3}, \"speedup_multi_4w\": {:.3}, \
          \"speculation_miss_rate\": {:.4}, \"marker_patch_bytes\": {}, \
-         \"index_build_ms\": {:.2}, \"index_bytes\": {}, \"index_checkpoints\": {}, \
          \"host_threads\": {}, \"all_identical\": {}}}",
         m.serial_single_mb_per_s,
         m.serial_multi_mb_per_s,
@@ -283,9 +282,6 @@ fn render_json(m: &Measured) -> String {
         cell_for(m, "multi-member", 4).speedup,
         m.miss_rate,
         m.marker_patch_bytes,
-        m.index_build_ms,
-        m.index_bytes,
-        m.index_checkpoints,
         m.host_threads,
         m.all_identical,
     ));
@@ -313,8 +309,7 @@ pub fn metrics() -> Vec<MetricRow> {
             "ratio",
         ),
         MetricRow::new("speculation_miss_rate", m.miss_rate, "ratio"),
-        MetricRow::new("index_build_ms", m.index_build_ms, "us"),
-        MetricRow::new("index_bytes", m.index_bytes as f64, "bytes"),
+        MetricRow::new("index_bytes", m.indexes[0].2 as f64, "bytes"),
         MetricRow::new(
             "outputs_identical",
             f64::from(u8::from(m.all_identical)),
@@ -338,16 +333,18 @@ pub fn run() -> String {
         ]);
     }
 
-    let mut seek_table = Table::new(vec!["offset", "len", "seek us", "prefix-decode us", "win"]);
+    let mut seek_table = Table::new(vec!["offset", "len", "decoded", "decoded / returned"]);
     for s in &m.seeks {
         seek_table.row(vec![
             s.offset.to_string(),
             s.len.to_string(),
-            format!("{:.1}", s.seek_us),
-            format!("{:.1}", s.prefix_decode_us),
-            format!("{:.1}x", s.prefix_decode_us / s.seek_us.max(1e-9)),
+            s.decoded_bytes.to_string(),
+            format!("{:.2}", s.decoded_bytes as f64 / s.len as f64),
         ]);
     }
+    let index_line = |(shape, checkpoints, sparse, full): IndexCell| {
+        format!("{shape} {checkpoints} checkpoints in {sparse} B ({full} B with whole windows); ")
+    };
 
     let json = render_json(m);
     let json_note = match std::fs::write(JSON_PATH, &json) {
@@ -360,8 +357,7 @@ pub fn run() -> String {
          4 workers the member-per-worker path runs at {:.1} MB/s ({:.2}x) and the speculative \
          single-member path at {:.1} MB/s ({:.2}x, miss rate {:.1}%, {} marker bytes patched). \
          Host exposes {} thread(s) — speedups need real cores.\n\n{}\n\
-         Seek index: {} checkpoints, {} KiB serialized, built in {:.1} ms (one serial decode). \
-         Ranged reads vs decoding the prefix serially:\n\n{}\n\
+         Seek index: {}ranged reads in the single-member stream:\n\n{}\n\
          All outputs byte-identical to serial: {}.\n\n{json_note}\n",
         PAYLOAD_LEN >> 20,
         m.serial_single_mb_per_s,
@@ -373,9 +369,7 @@ pub fn run() -> String {
         m.marker_patch_bytes,
         m.host_threads,
         table.render(),
-        m.index_checkpoints,
-        m.index_bytes >> 10,
-        m.index_build_ms,
+        m.indexes.map(index_line).concat(),
         seek_table.render(),
         m.all_identical,
     )
@@ -403,23 +397,21 @@ mod tests {
             seeks: vec![SeekCell {
                 offset: 4096,
                 len: 1024,
-                seek_us: 120.0,
-                prefix_decode_us: 900.0,
+                decoded_bytes: 5000,
                 identical: true,
             }],
             serial_single_mb_per_s: 110.0,
             serial_multi_mb_per_s: 115.0,
             miss_rate: 0.25,
             marker_patch_bytes: 1 << 20,
-            index_build_ms: 80.0,
-            index_bytes: 300 << 10,
-            index_checkpoints: 8,
+            indexes: [("single-member", 8, 30 << 10, 300 << 10); 2],
             host_threads: 4,
             all_identical: true,
         };
         let json = render_json(&m);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 10);
+        assert_eq!(json.matches("{\"section\"").count(), 12);
+        assert!(json.contains("\"decoded_bytes\": 5000, \"returned_bytes\": 1024"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"multi_member_4w_mb_per_s\": 400.000"));
         assert!(json.contains("\"speculation_miss_rate\": 0.2500"));

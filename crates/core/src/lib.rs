@@ -400,6 +400,9 @@ pub struct Nx {
     idle: Arc<Mutex<Vec<Executor>>>,
     pool: Arc<scratch::BufferPool>,
     decode_stats: Arc<InflateParStats>,
+    /// The inflater behind `build_index` / `decompress_at`, made once: it
+    /// keeps the warm read state, and its default worker count is a syscall.
+    seeker: Arc<std::sync::OnceLock<ParallelInflater>>,
 }
 
 impl Nx {
@@ -417,6 +420,7 @@ impl Nx {
             idle: Arc::default(),
             pool: Arc::new(scratch::BufferPool::default()),
             decode_stats: Arc::new(InflateParStats::default()),
+            seeker: Arc::default(),
         }
     }
 
@@ -441,6 +445,7 @@ impl Nx {
     fn reconfigured(mut self, change: impl FnOnce(&mut Env)) -> Self {
         change(&mut self.env);
         self.idle = Arc::default();
+        self.seeker = Arc::default();
         self
     }
 
@@ -788,23 +793,25 @@ impl Nx {
         self.decompress_parallel_with(data, format, ParallelInflateOptions::default())
     }
 
-    /// Builds a random-access [`SeekIndex`] over `data` (one serial,
-    /// checkpoint-recording decode). See
-    /// [`ParallelInflater::decompress_indexed`] to keep the decoded bytes
-    /// as well.
+    fn seeker(&self) -> &ParallelInflater {
+        let fresh = || self.decode_inflater(ParallelInflateOptions::default());
+        self.seeker.get_or_init(fresh)
+    }
+
+    /// Builds a random-access [`SeekIndex`] over `data`: one
+    /// checkpoint-recording decode, member-parallel for multi-member gzip.
     ///
     /// # Errors
     ///
     /// [`Error::Deflate`] for malformed streams.
     pub fn build_index(&self, data: &[u8], format: Format) -> Result<SeekIndex> {
-        self.decode_inflater(ParallelInflateOptions::default())
-            .build_index(data, format)
+        self.seeker().build_index(data, format)
     }
 
     /// Random-accesses `[offset, offset + len)` of the stream indexed by
     /// `index` without decoding the prefix: decode restarts at the
-    /// nearest preceding checkpoint with its 32 KB window snapshot.
-    /// `len` is clamped at end of stream.
+    /// nearest preceding checkpoint, from the window bytes it kept, and
+    /// stops just past the range. `len` is clamped at end of stream.
     ///
     /// # Errors
     ///
@@ -818,8 +825,7 @@ impl Nx {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        self.decode_inflater(ParallelInflateOptions::default())
-            .decompress_at(data, index, offset, len)
+        self.seeker().decompress_at(data, index, offset, len)
     }
 
     /// Opens a zero-allocation scratch session at `level`: a persistent

@@ -31,10 +31,10 @@
 //! where every member's output goes, so the result is allocated once and
 //! workers decode members straight into their slices (`plan_members`).
 //!
-//! The module also builds a serializable [`SeekIndex`] — a list of
-//! (bit offset, output offset, ≤32 KB window snapshot) checkpoints — so
+//! The module also builds a serializable [`SeekIndex`] — a list of (bit
+//! offset, output offset, referenced window bytes) checkpoints — so
 //! [`ParallelInflater::decompress_at`] can random-access any slice of the
-//! decompressed stream without decoding the prefix.
+//! decompressed stream, decoding little more than it returns.
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
@@ -43,9 +43,10 @@ use crate::{software, Error, Result};
 use nx_deflate::crc32::crc32;
 use nx_deflate::{
     gzip, resolve_markers_into, BlockProbe, Error as DeflateError, InflateScratch, Inflater,
-    MarkerInflater, WINDOW_SIZE,
+    MarkerInflater, MARKER_BASE, MAX_MATCH, WINDOW_SIZE,
 };
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
+use std::mem::take;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -60,8 +61,8 @@ const DECODE_BYTES_PER_CYCLE: u64 = 8;
 const DEFAULT_CHUNK: usize = 256 * 1024;
 
 /// Output bytes between seek-index checkpoints (before rounding to block
-/// boundaries).
-const DEFAULT_CHECKPOINT_EVERY: usize = 1024 * 1024;
+/// boundaries): a ranged read decodes half of this, on average, first.
+const DEFAULT_CHECKPOINT_EVERY: usize = 64 * 1024;
 
 /// Consecutive boundary-free chunk spans before the scanner gives up on
 /// the whole stream (blocks larger than two chunks make chunk-grained
@@ -83,8 +84,8 @@ const MAX_MEMBER_HEADER: usize = 128 * 1024;
 /// Magic bytes that open a serialized [`SeekIndex`].
 pub const SEEK_INDEX_MAGIC: [u8; 4] = *b"NXSI";
 
-/// Serialization format version.
-const SEEK_INDEX_VERSION: u8 = 1;
+/// Serialization format version written; version 1 (whole windows) loads.
+const SEEK_INDEX_VERSION: u8 = 2;
 
 /// Tuning knobs for [`ParallelInflater`].
 #[derive(Debug, Clone, Copy)]
@@ -121,6 +122,7 @@ pub struct InflateParStats {
     members_parallel: AtomicU64,
     serial_fallbacks: AtomicU64,
     seek_index_hits: AtomicU64,
+    seek_decoded_bytes: AtomicU64,
     bytes_out: AtomicU64,
 }
 
@@ -148,6 +150,8 @@ impl InflateParStats {
         serial_fallbacks,
         /// `decompress_at` calls served from a seek index.
         seek_index_hits,
+        /// Bytes those calls decoded, returned or not (read amplification).
+        seek_decoded_bytes,
         /// Total decompressed bytes produced.
         bytes_out,
     }
@@ -155,7 +159,7 @@ impl InflateParStats {
 
 impl MetricSource for InflateParStats {
     fn collect(&self, out: &mut Vec<(String, MetricValue)>) {
-        let counters: [(&str, u64); 8] = [
+        let counters: [(&str, u64); 9] = [
             ("nx_decode_parallel_requests_total", self.requests()),
             ("nx_decode_parallel_chunks_total", self.chunks_decoded()),
             (
@@ -175,6 +179,10 @@ impl MetricSource for InflateParStats {
                 "nx_decode_parallel_seek_index_hits_total",
                 self.seek_index_hits(),
             ),
+            (
+                "nx_decode_parallel_seek_decoded_bytes_total",
+                self.seek_decoded_bytes(),
+            ),
             ("nx_decode_parallel_bytes_out_total", self.bytes_out()),
         ];
         for (name, v) in counters {
@@ -184,29 +192,48 @@ impl MetricSource for InflateParStats {
 }
 
 /// One random-access entry point into a compressed stream: resume decoding
-/// at `bit_offset` with `window` as dictionary, knowing `out_offset` bytes
-/// precede it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// at `bit_offset`, `out_offset` bytes in, with `runs` of `window` as the
+/// history the data behind it reaches back into.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeekCheckpoint {
     /// Absolute bit offset (from the start of the *container*) of a block
-    /// boundary — or of a member's first block, in which case `window` is
-    /// empty.
+    /// boundary, or of a member's first block.
     pub bit_offset: u64,
     /// Decompressed bytes preceding this checkpoint.
     pub out_offset: u64,
-    /// The trailing ≤32 KB of output at this point; empty at member
-    /// starts, where DEFLATE history resets.
+    /// The ascending, disjoint `(offset, len)` runs later data references
+    /// of the 32 KB window ending here (offset 0 is 32 768 bytes back): one
+    /// for a whole window, none at a member start, where history resets.
+    pub runs: Vec<(u16, u16)>,
+    /// The bytes of `runs`, back to back.
     pub window: Vec<u8>,
+}
+
+impl SeekCheckpoint {
+    /// Rebuilds in `dict` the window from its first referenced byte on.
+    fn window_into(&self, dict: &mut Vec<u8>) {
+        dict.clear();
+        let first = self.runs.first().map_or(WINDOW_SIZE, |r| usize::from(r.0));
+        dict.resize(WINDOW_SIZE - first, 0);
+        let mut bytes = self.window.as_slice();
+        for &(offset, len) in &self.runs {
+            let (run, rest) = bytes.split_at(usize::from(len));
+            dict[usize::from(offset) - first..][..run.len()].copy_from_slice(run);
+            bytes = rest;
+        }
+    }
 }
 
 /// A serializable random-access index over a compressed stream.
 ///
-/// Built by [`ParallelInflater::build_index`] (or
-/// [`ParallelInflater::decompress_indexed`]); consumed by
+/// Built by [`ParallelInflater::build_index`]; consumed by
 /// [`ParallelInflater::decompress_at`]. The wire format is
 /// `"NXSI" u8:version u8:format u64:total_out u32:count` followed by
-/// `count` records of `u64:bit_offset u64:out_offset u32:wlen` + window
-/// bytes, all little-endian.
+/// `count` records of `u64:bit_offset u64:out_offset u32:wlen u16:runs`,
+/// `runs` pairs of `u16:offset u16:len` and the `wlen` window bytes, all
+/// little-endian; a version 1 record has no runs, its bytes being the
+/// trailing window whole. The index has no checksum of its own: a
+/// damaged one yields a typed error or wrong bytes, never an unbounded read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeekIndex {
     format: Format,
@@ -215,6 +242,14 @@ pub struct SeekIndex {
 }
 
 impl SeekIndex {
+    fn new(format: Format) -> Self {
+        Self {
+            format,
+            total_out: 0,
+            checkpoints: Vec::new(),
+        }
+    }
+
     /// Container format the index was built for.
     pub fn format(&self) -> Format {
         self.format
@@ -232,95 +267,80 @@ impl SeekIndex {
 
     /// Serializes the index (see the type docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body: usize = self
-            .checkpoints
-            .iter()
-            .map(|c| 8 + 8 + 4 + c.window.len())
-            .sum();
-        let mut out = Vec::with_capacity(4 + 1 + 1 + 8 + 4 + body);
-        out.extend_from_slice(&SEEK_INDEX_MAGIC);
+        let mut out = SEEK_INDEX_MAGIC.to_vec();
         out.push(SEEK_INDEX_VERSION);
-        out.push(match self.format {
-            Format::RawDeflate => 0,
-            Format::Gzip => 1,
-            Format::Zlib => 2,
-        });
+        out.push(self.format as u8);
         out.extend_from_slice(&self.total_out.to_le_bytes());
         out.extend_from_slice(&(self.checkpoints.len() as u32).to_le_bytes());
         for c in &self.checkpoints {
             out.extend_from_slice(&c.bit_offset.to_le_bytes());
             out.extend_from_slice(&c.out_offset.to_le_bytes());
             out.extend_from_slice(&(c.window.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(c.runs.len() as u16).to_le_bytes());
+            for (offset, len) in &c.runs {
+                out.extend_from_slice(&offset.to_le_bytes());
+                out.extend_from_slice(&len.to_le_bytes());
+            }
             out.extend_from_slice(&c.window);
         }
         out
     }
 
-    /// Deserializes an index produced by [`SeekIndex::to_bytes`].
+    /// Deserializes what [`SeekIndex::to_bytes`] wrote, now or at version 1.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidSeekIndex`] on bad magic, version, truncation,
-    /// oversized windows or non-monotonic offsets.
+    /// offsets that do not ascend, or runs that are unsorted, overlap,
+    /// leave the window or do not add up to the window bytes.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        fn take<'a>(data: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-            let s = data.get(*pos..*pos + n).ok_or(Error::InvalidSeekIndex)?;
-            *pos += n;
-            Ok(s)
-        }
-        fn le_u32(s: &[u8]) -> u32 {
-            let mut b = [0u8; 4];
-            b.copy_from_slice(s);
-            u32::from_le_bytes(b)
-        }
-        fn le_u64(s: &[u8]) -> u64 {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(s);
-            u64::from_le_bytes(b)
-        }
-        let mut pos = 0usize;
-        if take(data, &mut pos, 4)? != SEEK_INDEX_MAGIC {
-            return Err(Error::InvalidSeekIndex);
-        }
-        if take(data, &mut pos, 1)?[0] != SEEK_INDEX_VERSION {
-            return Err(Error::InvalidSeekIndex);
-        }
-        let format = match take(data, &mut pos, 1)?[0] {
-            0 => Format::RawDeflate,
-            1 => Format::Gzip,
-            2 => Format::Zlib,
-            _ => return Err(Error::InvalidSeekIndex),
+        let mut rest = data;
+        let mut read = |n: usize| {
+            let (head, tail) = rest.split_at_checked(n).ok_or(Error::InvalidSeekIndex)?;
+            rest = tail;
+            Ok::<_, Error>(head)
         };
-        let total_out = le_u64(take(data, &mut pos, 8)?);
-        let count = le_u32(take(data, &mut pos, 4)?) as usize;
-        let mut checkpoints = Vec::new();
-        let mut prev_out = 0u64;
-        for i in 0..count {
-            let bit_offset = le_u64(take(data, &mut pos, 8)?);
-            let out_offset = le_u64(take(data, &mut pos, 8)?);
-            let wlen = le_u32(take(data, &mut pos, 4)?) as usize;
-            if wlen > WINDOW_SIZE || out_offset > total_out {
-                return Err(Error::InvalidSeekIndex);
+        let le = |s: &[u8]| s.iter().rev().fold(0u64, |v, &b| v << 8 | u64::from(b));
+        let valid = |ok: bool| ok.then_some(()).ok_or(Error::InvalidSeekIndex);
+        valid(read(4)? == SEEK_INDEX_MAGIC)?;
+        let version = read(1)?[0];
+        valid((1..=SEEK_INDEX_VERSION).contains(&version))?;
+        // The wire code `to_bytes` writes is the format's discriminant.
+        let formats = [Format::RawDeflate, Format::Gzip, Format::Zlib];
+        let format = formats.get(usize::from(read(1)?[0]));
+        let mut index = Self::new(*format.ok_or(Error::InvalidSeekIndex)?);
+        index.total_out = le(read(8)?);
+        for _ in 0..le(read(4)?) {
+            let (bit_offset, out_offset) = (le(read(8)?), le(read(8)?));
+            let wlen = le(read(4)?) as usize;
+            let mut runs = Vec::new();
+            if version == 1 && wlen > 0 {
+                runs.push((WINDOW_SIZE.saturating_sub(wlen) as u16, wlen as u16));
+            } else if version > 1 {
+                for _ in 0..le(read(2)?) {
+                    runs.push((le(read(2)?) as u16, le(read(2)?) as u16));
+                }
             }
-            if i > 0 && out_offset < prev_out {
-                return Err(Error::InvalidSeekIndex);
+            // Each run starts at or past the end of the one before.
+            let (mut end, mut sum) = (0usize, 0usize);
+            for &(offset, len) in &runs {
+                valid(usize::from(offset) >= end && len > 0)?;
+                end = usize::from(offset) + usize::from(len);
+                sum += usize::from(len);
             }
-            prev_out = out_offset;
-            let window = take(data, &mut pos, wlen)?.to_vec();
-            checkpoints.push(SeekCheckpoint {
+            valid(end <= WINDOW_SIZE && sum == wlen && out_offset <= index.total_out)?;
+            if let Some(prev) = index.checkpoints.last() {
+                valid(prev.bit_offset < bit_offset && prev.out_offset <= out_offset)?;
+            }
+            index.checkpoints.push(SeekCheckpoint {
                 bit_offset,
                 out_offset,
-                window,
+                runs,
+                window: read(wlen)?.to_vec(),
             });
         }
-        if pos != data.len() {
-            return Err(Error::InvalidSeekIndex);
-        }
-        Ok(Self {
-            format,
-            total_out,
-            checkpoints,
-        })
+        valid(rest.is_empty())?;
+        Ok(index)
     }
 }
 
@@ -407,12 +427,22 @@ pub struct ParallelInflater {
     /// Span sink for traced decodes (disabled by default — the untraced
     /// paths never touch it).
     telemetry: TelemetrySink,
+    /// Idle ranged-read states: a read pops one (or starts one) and pushes
+    /// it back, so a warm read allocates its result only.
+    seek_idle: parking_lot::Mutex<Vec<Walker>>,
 }
 
-impl Default for ParallelInflater {
-    fn default() -> Self {
-        Self::new(ParallelInflateOptions::default())
-    }
+/// A worker's reused buffers: a decode's tables and output (one stream whole,
+/// for its checksum), the window a ranged read rebuilds, and an index
+/// build's marker pass with the window bytes it saw used.
+#[derive(Debug, Default)]
+struct Walker {
+    scratch: InflateScratch,
+    out: Vec<u8>,
+    dict: Vec<u8>,
+    marker: InflateScratch,
+    cells: Vec<u16>,
+    live: Vec<bool>,
 }
 
 impl ParallelInflater {
@@ -444,6 +474,7 @@ impl ParallelInflater {
             faults,
             pool,
             telemetry,
+            seek_idle: Default::default(),
         }
     }
 
@@ -627,8 +658,8 @@ impl ParallelInflater {
 
     /// Decodes a member plan in place: the output is allocated once and
     /// split into the members' disjoint slices, which [`fan_out`] workers
-    /// fill, each reusing one scratch and one staging buffer. `None` — the
-    /// caller falls back to serial — unless every [`decode_member`] holds.
+    /// fill, each reusing one [`Walker`] to stage a member in. `None` — the
+    /// caller falls back to serial — unless every [`Walker::member`] holds.
     fn members_parallel(&self, data: &[u8], plan: &[Member], request: u64) -> Option<Vec<u8>> {
         // Every member's fault draw happens here, in index order, so the
         // fault counters do not depend on which worker ran what.
@@ -650,11 +681,12 @@ impl ParallelInflater {
             .iter()
             .map(|m| rest.split_off_mut(..m.out_len).map(Mutex::new))
             .collect::<Option<_>>()?;
-        let fresh = || (InflateScratch::new(), Vec::new());
-        let landed = fan_out(plan.len(), self.opts.workers, fresh, |state, i| {
+        let stage = |state: &mut Walker, i: usize| {
             let mut dst = slots[i].lock().ok()?;
-            decode_member(data, &plan[i], &mut state.0, &mut state.1, &mut dst).then_some(())
-        });
+            state.member(data, &plan[i], usize::MAX)?;
+            (state.out.len() == dst.len()).then(|| dst.copy_from_slice(&state.out))
+        };
+        let landed = fan_out(plan.len(), self.opts.workers, Walker::default, stage);
         drop(slots);
         if !landed.iter().all(Option::is_some) {
             return None;
@@ -772,74 +804,72 @@ impl ParallelInflater {
 
     // ---- seek index -------------------------------------------------
 
-    /// Decompresses `data` serially while recording a [`SeekIndex`]
-    /// checkpoint at the first block boundary past every
-    /// `checkpoint_every` output bytes (and at every member start).
+    /// Builds a [`SeekIndex`] for `data`: one decode (members of a
+    /// multi-member gzip in parallel) that checks the container's checksums,
+    /// keeps none of the output and records a checkpoint on every member
+    /// start and first block boundary past `checkpoint_every` output bytes.
     ///
     /// # Errors
     ///
     /// Any container or DEFLATE error in the stream.
-    pub fn decompress_indexed(&self, data: &[u8], format: Format) -> Result<(Vec<u8>, SeekIndex)> {
-        let every = self.opts.checkpoint_every.max(WINDOW_SIZE);
-        let mut checkpoints: Vec<SeekCheckpoint> = Vec::new();
-        let mut out: Vec<u8> = Vec::new();
+    pub fn build_index(&self, data: &[u8], format: Format) -> Result<SeekIndex> {
+        let (every, all) = (self.opts.checkpoint_every.max(WINDOW_SIZE), usize::MAX);
+        let (mut index, mut state) = (SeekIndex::new(format), Walker::default());
         match format {
             Format::Gzip => {
+                if let Some(index) = self.index_members(data, every) {
+                    return Ok(index);
+                }
                 let mut pos = 0usize;
                 loop {
                     let member = data.get(pos..).ok_or(DeflateError::UnexpectedEof)?;
-                    let (_header, pstart) = gzip::parse_header(member)?;
-                    let base_bits = ((pos + pstart) as u64) * 8;
-                    let member_base = out.len();
-                    let used = walk_stream(
-                        &member[pstart..],
-                        base_bits,
-                        every,
-                        &mut checkpoints,
-                        &mut out,
-                    )?;
-                    let trailer_at = pos + pstart + used;
-                    pos = verify_member_trailer(data, trailer_at, &out[member_base..])?;
+                    let payload = pos + gzip::parse_header(member)?.1;
+                    let used = state.walk(&data[payload..], payload, every, all, &mut index)?;
+                    pos = verify_member_trailer(data, payload + used, &state.out)?;
                     if pos >= data.len() {
-                        break;
+                        return Ok(index);
                     }
                 }
             }
             Format::Zlib => {
                 let un = framing::unwrap(data, format)?;
-                walk_stream(un.deflate_stream, 16, every, &mut checkpoints, &mut out)?;
-                un.verify(&out)?;
+                state.walk(un.deflate_stream, 2, every, all, &mut index)?;
+                un.verify(&state.out)?;
             }
-            Format::RawDeflate => {
-                walk_stream(data, 0, every, &mut checkpoints, &mut out)?;
-            }
+            Format::RawDeflate => state.walk(data, 0, every, all, &mut index).map(drop)?,
         }
-        let index = SeekIndex {
-            format,
-            total_out: out.len() as u64,
-            checkpoints,
-        };
-        Ok((out, index))
+        Ok(index)
     }
 
-    /// Builds a [`SeekIndex`] for `data`, discarding the decoded output.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelInflater::decompress_indexed`].
-    pub fn build_index(&self, data: &[u8], format: Format) -> Result<SeekIndex> {
-        self.decompress_indexed(data, format).map(|(_, idx)| idx)
+    /// The member-parallel build: a checkpoint depends on nothing before its
+    /// member's start, so [`fan_out`] workers build the serial walk's index.
+    /// `None` (that walk decides) unless every [`Walker::member`] holds.
+    fn index_members(&self, data: &[u8], every: usize) -> Option<SeekIndex> {
+        let plan = plan_members(data).filter(|p| p.len() > 1 && self.opts.workers > 1)?;
+        let walk = |state: &mut Walker, i: usize| state.member(data, &plan[i], every);
+        let mut index = SeekIndex::new(Format::Gzip);
+        for part in fan_out(plan.len(), self.opts.workers, Walker::default, walk) {
+            let part = part?;
+            for mut checkpoint in part.checkpoints {
+                checkpoint.out_offset += index.total_out;
+                index.checkpoints.push(checkpoint);
+            }
+            index.total_out += part.total_out;
+        }
+        Some(index)
     }
 
     /// Random-accesses `[offset, offset + len)` of the decompressed stream
-    /// using `index`, decoding only from the nearest preceding checkpoint —
-    /// never the prefix. `len` is clamped at end of stream.
+    /// using `index`: decoding starts at the nearest preceding checkpoint
+    /// and stops within one stored block (one match, inside a Huffman
+    /// block) of the range's end. `len` is clamped at end of stream.
     ///
     /// # Errors
     ///
     /// [`Error::SeekOutOfRange`] if `offset` lies past the end,
-    /// [`Error::InvalidSeekIndex`] if the index is inconsistent with
-    /// `data`, plus any DEFLATE error while decoding the spanned blocks.
+    /// [`Error::InvalidSeekIndex`] if the index is inconsistent with `data`,
+    /// plus any DEFLATE error in the spanned blocks (`OutputLimitExceeded`:
+    /// the index points at data that outgrows the read's bound).
     pub fn decompress_at(
         &self,
         data: &[u8],
@@ -847,106 +877,171 @@ impl ParallelInflater {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let first_ok = index.checkpoints.first().is_some_and(|c| c.out_offset == 0);
-        if !first_ok {
+        if index.checkpoints.first().is_none_or(|c| c.out_offset != 0) {
             return Err(Error::InvalidSeekIndex);
         }
         if offset > index.total_out {
             return Err(Error::SeekOutOfRange);
         }
         let want = (len as u64).min(index.total_out - offset) as usize;
-        let mut result = Vec::with_capacity(want);
-        if want == 0 {
-            return Ok(result);
-        }
+        // `total_out` is the index's word; the input bounds what can exist.
+        let mut result = Vec::with_capacity(want.min(data.len().saturating_mul(1032)));
         self.stats.seek_index_hits.fetch_add(1, Ordering::Relaxed);
-        let end = offset + want as u64;
-        let mut cursor = offset;
-        // Greatest checkpoint at or before the cursor.
-        let mut ci = match index
-            .checkpoints
-            .binary_search_by(|c| c.out_offset.cmp(&cursor))
-        {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        while cursor < end {
-            let cp = &index.checkpoints[ci];
-            if cp.out_offset > cursor {
-                return Err(Error::InvalidSeekIndex);
-            }
-            let mut inf = Inflater::new_at(data, cp.bit_offset)?;
-            if !cp.window.is_empty() {
-                inf.prime_window(&cp.window);
-            }
-            inf.reserve_output((end - cp.out_offset) as usize);
-            while !inf.is_finished() && cp.out_offset + (inf.output().len() as u64) < end {
-                inf.decode_block(usize::MAX)?;
-            }
+        let (mut state, mut decoded_bytes) = (self.seek_idle.lock().pop().unwrap_or_default(), 0);
+        let sized = |v: u64| usize::try_from(v).map_err(|_| Error::InvalidSeekIndex);
+        let at_or_before = |c: &SeekCheckpoint| c.out_offset <= offset;
+        let mut ci = index.checkpoints.partition_point(at_or_before) - 1;
+        while result.len() < want {
+            let (cp, cursor) = (&index.checkpoints[ci], offset + result.len() as u64);
+            let input = data.get(sized(cp.bit_offset / 8)?..);
+            let input = input.ok_or(Error::InvalidSeekIndex)?;
+            let lo = sized(cursor - cp.out_offset)?;
+            let need = lo.saturating_add(want - result.len());
+            cp.window_into(&mut state.dict);
+            let mut inf =
+                Inflater::with_reuse(input, take(&mut state.scratch), take(&mut state.out));
+            inf.skip_bits(cp.bit_offset % 8)?;
+            inf.prime_window(&state.dict);
+            let decoded = decode_to(&mut inf, input, need);
             let produced = inf.output();
-            let avail_end = cp.out_offset + produced.len() as u64;
-            if avail_end > cursor {
-                let lo = (cursor - cp.out_offset) as usize;
-                let hi = produced.len().min((end - cp.out_offset) as usize);
-                result.extend_from_slice(&produced[lo..hi]);
-                cursor = cp.out_offset + hi as u64;
-            }
-            if cursor >= end {
-                break;
-            }
-            // The stream finished before covering the range: the next
-            // member resumes at `cursor` and must have its own checkpoint.
-            match index.checkpoints[ci + 1..]
-                .iter()
-                .position(|c| c.out_offset == cursor)
-            {
-                Some(step) => ci += 1 + step,
-                None => return Err(Error::InvalidSeekIndex),
+            let covered = produced.get(lo..need.min(produced.len()));
+            result.extend_from_slice(covered.unwrap_or_default());
+            decoded_bytes += produced.len() as u64;
+            (state.out, state.scratch) = inf.into_parts();
+            decoded?;
+            if result.len() < want {
+                // The stream ended inside the range: the next member resumes
+                // at the cursor, from a checkpoint of its own.
+                let cursor = offset + result.len() as u64;
+                let mut later = index.checkpoints[ci + 1..].iter();
+                let hop = later.position(|c| c.out_offset == cursor);
+                ci += 1 + hop.ok_or(Error::InvalidSeekIndex)?;
             }
         }
+        self.seek_idle.lock().push(state);
+        let amplified = &self.stats.seek_decoded_bytes;
+        amplified.fetch_add(decoded_bytes, Ordering::Relaxed);
         Ok(result)
     }
 }
 
-/// Walks one DEFLATE stream block-by-block, appending its output to `out`
-/// and pushing checkpoints (member start + every `every` output bytes).
-/// Returns the compressed bytes consumed.
-fn walk_stream(
-    payload: &[u8],
-    base_bits: u64,
-    every: usize,
-    checkpoints: &mut Vec<SeekCheckpoint>,
-    out: &mut Vec<u8>,
-) -> Result<usize> {
-    checkpoints.push(SeekCheckpoint {
-        bit_offset: base_bits,
-        out_offset: out.len() as u64,
-        window: Vec::new(),
-    });
-    let member_base = out.len() as u64;
-    let mut inf = Inflater::new(payload);
-    let mut next_cp = every as u64;
-    while !inf.is_finished() {
-        inf.decode_block(usize::MAX)?;
-        if !inf.is_finished() && inf.output().len() as u64 >= next_cp {
-            let produced = inf.output();
-            let wlo = produced.len().saturating_sub(WINDOW_SIZE);
-            checkpoints.push(SeekCheckpoint {
-                bit_offset: base_bits + inf.bit_position(),
-                out_offset: member_base + produced.len() as u64,
-                window: produced[wlo..].to_vec(),
-            });
-            next_cp = produced.len() as u64 + every as u64;
+/// Decodes blocks until `need` bytes are out or the stream ends. A block's
+/// limit is `need` plus the most one token can add (a stored block, told by
+/// the two BTYPE bits after BFINAL, comes whole), so the block that reaches
+/// `need` stops there: a limit hit with the range covered is the way out.
+fn decode_to(inf: &mut Inflater, input: &[u8], need: usize) -> Result<()> {
+    while !inf.is_finished() && inf.output().len() < need {
+        let bit = inf.bit_position();
+        let header = input.iter().skip((bit / 8) as usize).take(2).rev();
+        let header = header.fold(0xFF, |bits, &byte| bits << 8 | u32::from(byte));
+        let stored = (header >> (bit % 8 + 1)) & 3 == 0;
+        let slack = if stored {
+            usize::from(u16::MAX)
+        } else {
+            MAX_MATCH
+        };
+        match inf.decode_block(need.saturating_add(slack)) {
+            Err(DeflateError::OutputLimitExceeded) if inf.output().len() >= need => break,
+            block => block?,
         }
     }
-    let used = inf.byte_position();
-    let member_out = inf.into_output();
-    if out.is_empty() {
-        *out = member_out;
-    } else {
-        out.extend_from_slice(&member_out);
+    Ok(())
+}
+
+impl Walker {
+    /// Walks one planned member: `None` unless its DEFLATE stream ends
+    /// exactly at the trailer, within the bytes its ISIZE claims, and
+    /// matches the trailer. Returns its checkpoints, `every` bytes apart.
+    fn member(&mut self, data: &[u8], m: &Member, every: usize) -> Option<SeekIndex> {
+        let (body, mut part) = (&data[m.payload..m.end - 8], SeekIndex::new(Format::Gzip));
+        self.out.reserve(m.out_len.saturating_sub(self.out.len()));
+        let used = self
+            .walk(body, m.payload, every, m.out_len, &mut part)
+            .ok()?;
+        let checked = verify_member_trailer(data, m.end - 8, &self.out).is_ok();
+        (used == body.len() && checked).then_some(part)
     }
-    Ok(used)
+
+    /// Walks the DEFLATE stream `payload`, `at` bytes into its container,
+    /// into `self.out` (at most `limit` bytes): `index` gains a checkpoint at
+    /// its start and at the first block boundary past every `every` bytes,
+    /// and its length. Returns the compressed bytes used.
+    fn walk(
+        &mut self,
+        payload: &[u8],
+        at: usize,
+        every: usize,
+        limit: usize,
+        index: &mut SeekIndex,
+    ) -> Result<usize> {
+        let mut push = |bit: u64, out: usize, sparse: SeekCheckpoint| {
+            index.checkpoints.push(SeekCheckpoint {
+                bit_offset: at as u64 * 8 + bit,
+                out_offset: index.total_out + out as u64,
+                ..sparse
+            });
+        };
+        push(0, 0, SeekCheckpoint::default());
+        let mut inf = Inflater::with_reuse(payload, take(&mut self.scratch), take(&mut self.out));
+        let mut next_cp = every;
+        while !inf.is_finished() {
+            inf.decode_block(limit)?;
+            let produced = inf.output();
+            if !inf.is_finished() && produced.len() >= next_cp {
+                let window = &produced[produced.len().saturating_sub(WINDOW_SIZE)..];
+                let sparse = self.referenced(payload, inf.bit_position(), window);
+                push(inf.bit_position(), produced.len(), sparse);
+                next_cp = produced.len().saturating_add(every);
+            }
+        }
+        let used = inf.byte_position();
+        (self.out, self.scratch) = inf.into_parts();
+        index.total_out += self.out.len() as u64;
+        Ok(used)
+    }
+
+    /// The marker pass: decodes one window of cells from block boundary
+    /// `bit` and returns the runs of `window` (the output before `bit`)
+    /// their markers name, with the bytes. One window of cells is all that
+    /// can reference it: a match further on reaches at most 32 KB back, into
+    /// cells that are bytes or markers already. A token that starts inside
+    /// the window ends within `MAX_MATCH` of it or is a stored block, which
+    /// references nothing, so running out of budget is as good as finishing;
+    /// any other error the walk meets next, and fails.
+    fn referenced(&mut self, payload: &[u8], bit: u64, window: &[u8]) -> SeekCheckpoint {
+        let (tables, cells) = (take(&mut self.marker), take(&mut self.cells));
+        let Ok(mut pass) = MarkerInflater::with_reuse_at(payload, bit, tables, cells) else {
+            return SeekCheckpoint::default(); // No input left: the walk fails next.
+        };
+        let mut more = true;
+        while more && !pass.is_finished() && pass.cells().len() < WINDOW_SIZE {
+            more = pass.decode_block(WINDOW_SIZE + MAX_MATCH).is_ok();
+        }
+        self.live.clear();
+        self.live.resize(WINDOW_SIZE + 1, false);
+        // Cell `MARKER_BASE + k` is the byte `k + 1` back, window offset
+        // `WINDOW_SIZE - 1 - k`; a literal cell lands on the spare slot.
+        for &cell in pass.cells() {
+            self.live[usize::from((u16::MAX - cell).min(MARKER_BASE))] = true;
+        }
+        (self.cells, self.marker) = pass.into_parts();
+        let base = WINDOW_SIZE - window.len();
+        let mut sparse = SeekCheckpoint::default();
+        for at in (base..WINDOW_SIZE).filter(|&at| self.live[at]) {
+            match sparse.runs.last_mut() {
+                // A gap shorter than a run header is cheaper kept than split.
+                Some((start, len)) if at < usize::from(*start + *len) + 4 => {
+                    *len = at as u16 + 1 - *start;
+                }
+                _ => sparse.runs.push((at as u16, 1)),
+            }
+        }
+        for &(start, len) in &sparse.runs {
+            let run = &window[usize::from(start) - base..][..usize::from(len)];
+            sparse.window.extend_from_slice(run);
+        }
+        sparse
+    }
 }
 
 /// Validates the 8-byte gzip trailer at `trailer_at` against the decoded
@@ -1059,30 +1154,6 @@ fn plan_members(data: &[u8]) -> Option<Vec<Member>> {
         plan.first().filter(|m| m.start == 0)?;
     }
     Some(plan)
-}
-
-/// Decodes one planned member through the worker's reused `scratch` and
-/// `staging` buffer and, only if it validates, copies it into its slice
-/// of the output: the DEFLATE stream must end exactly at the trailer,
-/// yield exactly `dst.len()` bytes (its ISIZE) and match its CRC-32.
-fn decode_member(
-    data: &[u8],
-    m: &Member,
-    scratch: &mut InflateScratch,
-    staging: &mut Vec<u8>,
-    dst: &mut [u8],
-) -> bool {
-    let body = &data[m.payload..m.end - 8];
-    let mut inf = Inflater::with_reuse(body, std::mem::take(scratch), std::mem::take(staging));
-    inf.reserve_output(dst.len());
-    let landed = inf.run(dst.len()).is_ok() && inf.byte_position() == body.len();
-    (*staging, *scratch) = inf.into_parts();
-    let trailer_ok = || verify_member_trailer(data, m.end - 8, staging).is_ok();
-    let valid = landed && staging.len() == dst.len() && trailer_ok();
-    if valid {
-        dst.copy_from_slice(staging);
-    }
-    valid
 }
 
 /// Probes for one block boundary per `chunk`-byte span, scanning the
@@ -1340,6 +1411,119 @@ mod tests {
         assert!(SeekIndex::from_bytes(&bad).is_err());
     }
 
+    /// A one-checkpoint v2 wire index whose window record is `runs` over
+    /// `wlen` bytes, behind a member-start checkpoint.
+    fn wire(runs: &[(u16, u16)], wlen: u32, bit_offsets: [u64; 2]) -> Vec<u8> {
+        let mut w = SEEK_INDEX_MAGIC.to_vec();
+        w.extend([SEEK_INDEX_VERSION, 1]);
+        w.extend(100_000u64.to_le_bytes());
+        w.extend(2u32.to_le_bytes());
+        w.extend(bit_offsets[0].to_le_bytes());
+        w.extend([0u8; 8 + 4 + 2]);
+        w.extend(bit_offsets[1].to_le_bytes());
+        w.extend(70_000u64.to_le_bytes());
+        w.extend(wlen.to_le_bytes());
+        w.extend((runs.len() as u16).to_le_bytes());
+        for (offset, len) in runs {
+            w.extend(offset.to_le_bytes());
+            w.extend(len.to_le_bytes());
+        }
+        w.extend(vec![7u8; wlen as usize]);
+        w
+    }
+
+    #[test]
+    fn from_bytes_rejects_runs_that_break_the_window() {
+        let ok = SeekIndex::from_bytes(&wire(&[(10, 5), (15, 1), (32_760, 8)], 14, [80, 900]));
+        let cp = &ok.expect("a well-formed index loads").checkpoints[1];
+        assert_eq!((cp.runs.len(), cp.window.len()), (3, 14));
+        let mut dict = Vec::new();
+        cp.window_into(&mut dict);
+        assert_eq!(dict.len(), WINDOW_SIZE - 10);
+        assert_eq!(
+            (dict[..6].to_vec(), dict[6], dict[dict.len() - 8]),
+            (vec![7; 6], 0, 7)
+        );
+        for (what, bad) in [
+            ("unsorted", wire(&[(100, 4), (50, 4)], 8, [80, 900])),
+            ("overlapping", wire(&[(100, 4), (103, 4)], 8, [80, 900])),
+            ("past the window", wire(&[(32_766, 4)], 4, [80, 900])),
+            ("empty run", wire(&[(100, 0), (200, 4)], 4, [80, 900])),
+            ("short of the payload", wire(&[(100, 4)], 8, [80, 900])),
+            (
+                "beyond the payload",
+                wire(&[(100, 4), (200, 8)], 8, [80, 900]),
+            ),
+            ("bit offsets descend", wire(&[(100, 4)], 4, [900, 80])),
+            ("bit offsets repeat", wire(&[(100, 4)], 4, [80, 80])),
+        ] {
+            let got = SeekIndex::from_bytes(&bad);
+            assert!(
+                matches!(got, Err(Error::InvalidSeekIndex)),
+                "{what}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn index_does_not_depend_on_the_worker_count() {
+        let stream: Vec<u8> = (0..6)
+            .flat_map(|i| gzip::compress(&corpus(150_000 + i * 9_000), CompressionLevel::default()))
+            .collect();
+        let serial = ParallelInflater::new(opts(1, 32 * 1024));
+        let want = serial.build_index(&stream, Format::Gzip).unwrap();
+        assert!(want.checkpoints().len() > 6, "interior checkpoints");
+        for workers in [2, 3, 8] {
+            let par = ParallelInflater::new(opts(workers, 32 * 1024));
+            assert_eq!(par.build_index(&stream, Format::Gzip).unwrap(), want);
+        }
+        // A member that does not check drops the plan: the serial walk's error.
+        let mut bad = stream.clone();
+        let last = bad.len() - 6;
+        bad[last] ^= 1;
+        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        assert_eq!(
+            par.build_index(&bad, Format::Gzip),
+            serial.build_index(&bad, Format::Gzip)
+        );
+        assert!(serial.build_index(&bad, Format::Gzip).is_err());
+    }
+
+    #[test]
+    fn windows_nobody_needs_are_not_stored() {
+        // Stored blocks reference nothing, so every checkpoint between
+        // them is bare; so is a member start reached mid-walk.
+        let noise: Vec<u8> = (0..300_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut stream = gzip::compress(&noise, CompressionLevel::new(0).unwrap());
+        stream.extend(gzip::compress(
+            &corpus(200_000),
+            CompressionLevel::default(),
+        ));
+        let par = ParallelInflater::new(ParallelInflateOptions {
+            workers: 1,
+            chunk_size: 32 * 1024,
+            checkpoint_every: 32 * 1024,
+        });
+        let idx = par.build_index(&stream, Format::Gzip).unwrap();
+        let (stored, text): (Vec<_>, Vec<_>) = idx
+            .checkpoints()
+            .iter()
+            .partition(|c| c.out_offset <= noise.len() as u64);
+        assert!(stored.len() > 4 && stored.iter().all(|c| c.runs.is_empty()));
+        assert!(text.iter().any(|c| !c.runs.is_empty()));
+        // Sparse means sparse: far less than the window, in few runs.
+        for c in text {
+            assert!(c.window.len() < WINDOW_SIZE / 2 && c.runs.len() < 2_000);
+        }
+        let expect = par.decompress_serial(&stream, Format::Gzip).unwrap();
+        for (off, len) in [(70_000u64, 5_000usize), (299_000, 3_000), (420_000, 9_000)] {
+            let got = par.decompress_at(&stream, &idx, off, len).unwrap();
+            assert_eq!(got, &expect[off as usize..off as usize + len]);
+        }
+    }
+
     #[test]
     fn decompress_at_returns_correct_slices() {
         let data = corpus(400_000);
@@ -1373,8 +1557,8 @@ mod tests {
         let mut expect = a.clone();
         expect.extend_from_slice(&b);
         let par = ParallelInflater::new(opts(2, 32 * 1024));
-        let (out, idx) = par.decompress_indexed(&stream, Format::Gzip).unwrap();
-        assert_eq!(out, expect);
+        let idx = par.build_index(&stream, Format::Gzip).unwrap();
+        assert_eq!(idx.total_out(), expect.len() as u64);
         let got = par.decompress_at(&stream, &idx, 99_000, 3000).unwrap();
         assert_eq!(got, &expect[99_000..102_000]);
     }
@@ -1387,8 +1571,8 @@ mod tests {
         assert_eq!(par.decompress(&zl, Format::Zlib).unwrap(), data);
         let raw = nx_deflate::deflate(&data, CompressionLevel::default());
         assert_eq!(par.decompress(&raw, Format::RawDeflate).unwrap(), data);
-        let (out, idx) = par.decompress_indexed(&zl, Format::Zlib).unwrap();
-        assert_eq!(out, data);
+        let idx = par.build_index(&zl, Format::Zlib).unwrap();
+        assert_eq!(idx.total_out(), data.len() as u64);
         let got = par.decompress_at(&zl, &idx, 70_000, 1000).unwrap();
         assert_eq!(got, &data[70_000..71_000]);
     }

@@ -11,25 +11,32 @@
 //! block (see DESIGN.md), so the bar there is a constant, bounded
 //! allocation count per iteration — no growth, no leaks.
 //!
+//! The same counters bound what the parallel decoder allocates: large
+//! buffers per worker rather than per member, a warm ranged read's result
+//! and nothing else, and no more than its range for a read through a
+//! forged or damaged seek index.
+//!
 //! Everything lives in one `#[test]` because the counter is process-wide
 //! and the harness runs sibling tests on concurrent threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nx_core::{Format, Nx, ParallelInflateOptions, ParallelInflater};
+use nx_core::{Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
 
 /// System allocator wrapper that counts every allocation event
-/// (`alloc`, `alloc_zeroed`, and growth via `realloc`), and separately
-/// those of at least [`LARGE`] bytes.
+/// (`alloc`, `alloc_zeroed`, and growth via `realloc`) and the bytes they
+/// asked for, and separately the events of at least [`LARGE`] bytes.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 const LARGE: usize = 64 * 1024;
 
 fn count(size: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if size >= LARGE {
         LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
@@ -61,6 +68,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Bytes of one checkpoint's record in a serialized (v2) seek index, which
+/// opens with an 18-byte header.
+fn record_len(cp: &nx_core::SeekCheckpoint) -> usize {
+    8 + 8 + 4 + 2 + 4 * cp.runs.len() + cp.window.len()
 }
 
 const FORMATS: [Format; 3] = [Format::RawDeflate, Format::Gzip, Format::Zlib];
@@ -180,4 +193,93 @@ fn scratch_session_steady_state_allocation_profile() {
     );
     assert_eq!(inflater.stats().members_parallel(), MEMBERS as u64);
     assert_eq!(inflater.stats().serial_fallbacks(), 0);
+
+    // --- Ranged reads: a warm read allocates its result, nothing else. ---
+    let index = nx.build_index(&stream, Format::Gzip).expect("valid");
+    let read = |offset: usize| {
+        let got = nx.decompress_at(&stream, &index, offset as u64, LARGE);
+        assert_eq!(got.expect("in range"), data[offset..offset + LARGE]);
+    };
+    for warm in [3, 5, 14, 20, 27] {
+        read(warm * LARGE + 777);
+    }
+    let (before, large_before) = (allocs(), LARGE_ALLOCATIONS.load(Ordering::SeqCst));
+    read(9 * LARGE + 4_321);
+    let large = LARGE_ALLOCATIONS.load(Ordering::SeqCst) - large_before;
+    assert_eq!((allocs() - before, large), (1, 1), "a warm 64 KiB read");
+
+    // --- An untrusted index cannot make a read cost more than its range. ---
+    // 64 MiB of zeros is one run of distance-1 matches: any entry point
+    // into it decodes on for megabytes if nothing stops it.
+    let zeros = vec![0u8; 64 << 20];
+    sess.compress_into(&zeros, Format::Gzip, &mut comp)
+        .expect("compress is infallible");
+    let honest = nx.build_index(&comp, Format::Gzip).expect("valid");
+    let wire = honest.to_bytes();
+    // Every checkpoint after the first claims to sit 4 KiB from the end
+    // (the record is bit offset, then output offset), and one entry point
+    // is moved off its block boundary.
+    let mut forged = wire.clone();
+    let mut at = 18;
+    for (i, cp) in honest.checkpoints().iter().enumerate() {
+        if i > 0 {
+            let claim = zeros.len() as u64 - 4096 - (honest.checkpoints().len() - i) as u64;
+            forged[at + 8..at + 16].copy_from_slice(&claim.to_le_bytes());
+        }
+        if i == 3 {
+            forged[at] ^= 5;
+        }
+        at += record_len(cp);
+    }
+    assert_eq!(at, wire.len());
+    let forged = SeekIndex::from_bytes(&forged).expect("offsets still ascend");
+    let reader = ParallelInflater::new(ParallelInflateOptions::default());
+    // One read from each forged entry point, the off-boundary one included.
+    for back in 4096..4096 + honest.checkpoints().len() as u64 - 1 {
+        let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
+        let got = reader.decompress_at(&comp, &forged, zeros.len() as u64 - back, 4096);
+        let cost = ALLOCATED_BYTES.load(Ordering::SeqCst) - before;
+        // A typed error or 4 KiB of something; never the megabytes behind
+        // the entry point.
+        assert!(got.is_err() || got.is_ok_and(|bytes| bytes.len() == 4096));
+        assert!(cost < 1 << 20, "a forged index cost {cost} bytes");
+    }
+
+    // --- Nor can any single damaged byte of it. ---
+    let data = nx_corpus::mixed(0xA110C, 8 * LARGE);
+    sess.compress_into(&data, Format::Gzip, &mut comp)
+        .expect("compress is infallible");
+    let stream = comp.as_slice();
+    let index = nx.build_index(stream, Format::Gzip).expect("valid");
+    assert!(index.checkpoints().len() > 2, "interior checkpoints");
+    let wire = index.to_bytes();
+    let mut damaged = wire.clone();
+    let (mut misread, mut refused) = (0, 0);
+    // Each byte is tried by a read that starts just behind its checkpoint.
+    let mut behind = vec![100; 18];
+    for cp in index.checkpoints() {
+        behind.extend(std::iter::repeat_n(cp.out_offset + 100, record_len(cp)));
+    }
+    assert_eq!(behind.len(), wire.len());
+    for at in 0..wire.len() {
+        damaged[at] ^= 0x10 << (at % 4);
+        let offset = behind[at];
+        if let Ok(loaded) = SeekIndex::from_bytes(&damaged) {
+            let before = ALLOCATED_BYTES.load(Ordering::SeqCst);
+            let got = reader.decompress_at(stream, &loaded, offset, 2_000);
+            let cost = ALLOCATED_BYTES.load(Ordering::SeqCst) - before;
+            let from = loaded.checkpoints().iter().rev();
+            let from = from.map(|c| c.out_offset).find(|&o| o <= offset);
+            let bound = offset - from.unwrap_or(0) + 2_000 + 65_535;
+            assert!(cost <= 4 * bound + 4096, "byte {at}: {cost} > {bound}");
+            let want = data.get(offset as usize..offset as usize + 2_000);
+            misread += u64::from(got.is_ok() && got.ok().as_deref() != want);
+        } else {
+            refused += 1;
+        }
+        damaged[at] = wire[at];
+    }
+    // Structural damage is refused at load; window bytes carry no check,
+    // so damage there reads back wrong: the index is a trusted sidecar.
+    assert!(refused > 0 && misread > 0 && refused + misread < wire.len() as u64);
 }

@@ -9,7 +9,8 @@
 //! histogram — the `nx-encode-paths` source added in PR 5), the
 //! parallel-decode counters (`nx_decode_parallel_*`: speculative
 //! chunks, misses, marker patch bytes, member fan-out, seek-index
-//! hits), and the latency histograms with their percentiles.
+//! hits with bytes decoded against bytes returned), and the latency
+//! histograms with their percentiles.
 //!
 //! ```text
 //! cargo run --release -p nx-core --example nxtop            # dashboard
@@ -181,6 +182,7 @@ fn main() {
             &slo.statuses(),
             &sink.trace(),
             sink.trace_dropped(),
+            got.len(),
         ),
     }
 }
@@ -191,6 +193,7 @@ fn render_dashboard(
     slo: &[SloStatus],
     trace: &[SpanEvent],
     dropped: u64,
+    seek_returned: usize,
 ) {
     println!("nxtop — unified telemetry snapshot");
     println!("==================================\n");
@@ -210,6 +213,21 @@ fn render_dashboard(
             MetricValue::Histogram(_) => {}
         }
     }
+
+    // Ranged-read amplification: what the indexed reads decoded for what
+    // they returned.
+    let counter = |name: &str| {
+        let named = snapshot.iter().find(|(n, _)| n == name);
+        named.map_or(0, |(_, v)| match v {
+            MetricValue::Counter(c) => *c,
+            _ => 0,
+        })
+    };
+    println!(
+        "\nseek reads: {} hits, {} B decoded / {seek_returned} B returned",
+        counter("nx_decode_parallel_seek_index_hits_total"),
+        counter("nx_decode_parallel_seek_decoded_bytes_total"),
+    );
 
     // Speculative batch-matcher panel: how many matches the cover
     // resolver kept per 8-position window (0 = all-literal window).

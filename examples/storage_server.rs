@@ -92,8 +92,8 @@ fn main() {
     // ---- Read path: ranged GETs from a compressed object. ----
     // A 16 MiB object stored as one gzip member. Building the seek index
     // costs one decode; after that every ranged read restarts at the
-    // nearest checkpoint (bit offset + 32 KB window) instead of
-    // inflating the whole prefix.
+    // nearest checkpoint (bit offset + the window bytes later data
+    // references) instead of inflating the whole prefix.
     println!("\nread path: ranged GETs from one 16 MiB compressed object");
     let nx = Nx::power9();
     let object = nx_corpus::mixed(99, 16 << 20);

@@ -248,15 +248,18 @@ if [[ "$FAST" == "0" ]]; then
     fi
 
     echo "==> parallel inflate gate (E22, byte identity)"
-    # Deterministic half only: every parallel decode of the sweep
-    # (speculative chunks, member fan-out, seek-index reads) must have
-    # matched the serial bytes exactly. Its speed is judged by `nxbench`
-    # pairs (`parallel_io` `decompress_mb_per_s`, `core.pinflate_*`), not
-    # here.
+    # Deterministic half only: every parallel decode of the sweep matched
+    # the serial bytes, and the seek rows (checkpoints, index bytes, bytes
+    # decoded per read) reproduce the committed file's. Speed is judged
+    # by `nxbench` pairs (`parallel_io`, `core.pinflate_*`), not here.
     cargo run --offline --release -p nx-bench --bin tables -- e22 > /dev/null
     python3 -m json.tool BENCH_INFLATE_PAR.json > /dev/null
     if ! grep -q '"all_identical": true' BENCH_INFLATE_PAR.json; then
         echo "==> FAIL: a parallel decode diverged from the serial bytes"
+        exit 1
+    fi
+    if git diff -U0 BENCH_INFLATE_PAR.json | grep -E '^[-+] .*"section": "(index|seek)"'; then
+        echo "==> FAIL: the seek index or a ranged read moved (- committed, + this build)"
         exit 1
     fi
 

@@ -119,21 +119,27 @@ fn truncated_multi_member_degrades_to_serial_error() {
 
 /// Decodes with the system `gzip -dc`; `None` when there is no such binary.
 fn gzip_dc(gz: &[u8]) -> Option<Vec<u8>> {
+    system_gzip("-dc", gz)
+}
+
+/// Pipes `input` through the system `gzip <flags>`; `None` when there is no
+/// such binary.
+fn system_gzip(flags: &str, input: &[u8]) -> Option<Vec<u8>> {
     let mut child = Command::new("gzip")
-        .arg("-dc")
+        .arg(flags)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .ok()?;
     let mut stdin = child.stdin.take().expect("stdin piped");
-    let payload = gz.to_vec();
+    let payload = input.to_vec();
     let writer = std::thread::spawn(move || {
         let _ = stdin.write_all(&payload);
     });
     let out = child.wait_with_output().ok()?;
     writer.join().ok()?;
-    assert!(out.status.success(), "gzip -dc rejected a valid stream");
+    assert!(out.status.success(), "gzip {flags} rejected its input");
     Some(out.stdout)
 }
 
@@ -476,6 +482,153 @@ fn seek_index_random_slices_match_serial_bytes() {
     assert!(inf
         .decompress_at(&gz, &index, full.len() as u64 + 1, 1)
         .is_err());
+}
+
+/// The stream shapes ranged reads are checked on: name, stream, format.
+fn seek_shapes() -> Vec<(&'static str, Vec<u8>, Format)> {
+    let level = |n: u32| CompressionLevel::new(n).expect("valid level");
+    let text = nx_corpus::mixed(SEED ^ 0x5EE4, 2 << 20);
+    let mut shapes = vec![(
+        "single-member level 6",
+        software::compress(&text, level(6), Format::Gzip),
+        Format::Gzip,
+    )];
+    let fastest: Vec<u8> = text
+        .chunks(64 << 10)
+        .flat_map(|part| software::compress(part, level(1), Format::Gzip))
+        .collect();
+    shapes.push(("32-member fastest", fastest, Format::Gzip));
+    // Random bytes: the encoder stores them, in blocks of up to 65 535.
+    let mut rng = Rng(SEED | 1);
+    let noise: Vec<u8> = (0..1_500_000).map(|_| (rng.next() >> 24) as u8).collect();
+    let mut stored = member_at(&noise, 0, Fields::default());
+    stored.extend(member_at(&text[..300_000], 6, Fields::default()));
+    shapes.push(("stored-heavy", stored, Format::Gzip));
+    // Long runs: distance-1 matches that cross every checkpoint.
+    let mut runs = vec![0u8; 700_000];
+    runs.extend(std::iter::repeat_n(b"ab".as_slice(), 300_000).flatten());
+    runs.extend_from_slice(&text[..100_000]);
+    shapes.push(("long runs", gzip(&runs), Format::Gzip));
+    let tiny: Vec<u8> = (0..1000u64)
+        .flat_map(|i| gzip(&nx_corpus::mixed(i, 1 + (i as usize * 7) % 90)))
+        .collect();
+    shapes.push(("1000 tiny members", tiny, Format::Gzip));
+    if let Some(foreign) = system_gzip("-9c", &text[..1 << 20]) {
+        shapes.push(("foreign gzip -9", foreign, Format::Gzip));
+    }
+    // Plain text: Huffman blocks only, nothing the encoder would store.
+    let prose = nx_corpus::CorpusKind::Text.generate(SEED, 1 << 20);
+    let zlib = software::compress(&prose, level(6), Format::Zlib);
+    shapes.push(("zlib text", zlib, Format::Zlib));
+    let raw = software::compress(&text[..1 << 20], level(6), Format::RawDeflate);
+    shapes.push(("raw", raw, Format::RawDeflate));
+    shapes
+}
+
+#[test]
+fn ranged_reads_match_serial_at_every_spacing_and_decode_what_they_return() {
+    for (name, stream, format) in seek_shapes() {
+        let serial = inflater(1)
+            .decompress_serial(&stream, format)
+            .expect("the shape decodes");
+        let total = serial.len() as u64;
+        for every in [32 << 10, 64 << 10, 256 << 10, 1 << 20] {
+            let inf = ParallelInflater::new(ParallelInflateOptions {
+                workers: 2,
+                chunk_size: 32 * 1024,
+                checkpoint_every: every,
+            });
+            let index = inf.build_index(&stream, format).expect("index");
+            assert_eq!(index.total_out(), total, "{name}");
+            let wire = index.to_bytes();
+            assert_eq!(SeekIndex::from_bytes(&wire).as_ref(), Ok(&index), "{name}");
+            let mut rng = Rng(SEED ^ every as u64);
+            let mut overshoot = 0;
+            for round in 0..2_000 {
+                // Mostly short reads anywhere; some long, some empty, some
+                // clamped by the end of the stream.
+                let offset = match round % 8 {
+                    0 => total - rng.next() % 5_000.min(total + 1),
+                    _ => rng.next() % (total + 1),
+                };
+                let len = match round % 16 {
+                    3 => 0,
+                    5 => (rng.next() % 400_000) as usize,
+                    // As long as the longest stored block.
+                    7 => 65_535,
+                    _ => (rng.next() % 9_000) as usize,
+                };
+                let before = inf.stats().seek_decoded_bytes();
+                let got = inf.decompress_at(&stream, &index, offset, len);
+                let decoded = inf.stats().seek_decoded_bytes() - before;
+                let end = (offset as usize + len).min(serial.len());
+                let what = format!("{name} every={every} offset={offset} len={len}");
+                assert!(
+                    got.as_deref() == Ok(&serial[offset as usize..end]),
+                    "{what}"
+                );
+                // Never more than from the checkpoint to one stored block
+                // past the range: at most what a prefix decode would cost.
+                let from = index.checkpoints().iter().rev();
+                let from = from.map(|c| c.out_offset).find(|&at| at <= offset);
+                let asked = end as u64 - from.expect("a checkpoint at 0");
+                assert!(decoded <= asked + 65_535, "{what}: decoded {decoded}");
+                overshoot = overshoot.max(decoded.saturating_sub(asked));
+            }
+            // A read stops within one match of its end, except inside a
+            // stored block, which comes whole (here: up to 65 535 bytes).
+            match name {
+                "stored-heavy" => assert!(overshoot > 60_000, "{name}: {overshoot}"),
+                "zlib text" => assert!(overshoot <= 258, "{name}: {overshoot}"),
+                _ => {}
+            }
+        }
+    }
+}
+
+#[test]
+fn a_version_1_index_still_loads_and_reads_the_same() {
+    // Both files were written by the parent commit's `build_index` /
+    // `to_bytes` (whole 32 KB windows, 32 KiB spacing, two members).
+    let stream = include_bytes!("fixtures/seek_v1.gz");
+    let wire = include_bytes!("fixtures/seek_v1.nxsi");
+    assert_eq!(wire[4], 1, "the fixture is a version 1 index");
+    let index = SeekIndex::from_bytes(wire).expect("version 1 loads");
+    let whole: Vec<_> = index.checkpoints().iter().map(|c| c.runs.clone()).collect();
+    assert_eq!(
+        whole,
+        [vec![], vec![(0, 32_768)], vec![(0, 32_768)], vec![]]
+    );
+    let inf = inflater(2);
+    let serial = inf.decompress_serial(stream, Format::Gzip).expect("serial");
+    assert_eq!(index.total_out(), serial.len() as u64);
+    // The index built today has the same checkpoints, sparser windows.
+    let opts = ParallelInflateOptions {
+        workers: 1,
+        chunk_size: 32 * 1024,
+        checkpoint_every: 32 * 1024,
+    };
+    let today = ParallelInflater::new(opts);
+    let today = today.build_index(stream, Format::Gzip).expect("index");
+    let places = |i: &SeekIndex| -> Vec<_> {
+        let at = |c: &nx_core::SeekCheckpoint| (c.bit_offset, c.out_offset);
+        i.checkpoints().iter().map(at).collect()
+    };
+    assert_eq!(places(&today), places(&index));
+    assert!(today.to_bytes().len() * 4 < wire.len());
+    let mut rng = Rng(SEED);
+    for _ in 0..500 {
+        let offset = rng.next() % (serial.len() as u64 + 1);
+        let len = (rng.next() % 60_000) as usize;
+        let want = &serial[offset as usize..(offset as usize + len).min(serial.len())];
+        for index in [&index, &today] {
+            let got = inf.decompress_at(stream, index, offset, len);
+            assert!(got.as_deref() == Ok(want), "offset={offset} len={len}");
+        }
+    }
+    // Re-serialized, it is a version 2 index that reads the same.
+    let again = SeekIndex::from_bytes(&index.to_bytes()).expect("round trip");
+    assert_eq!((index.to_bytes()[4], &again), (2, &index));
 }
 
 #[test]
