@@ -10,6 +10,9 @@ const MOD: u32 = 65_521;
 /// the standard zlib bound.
 const NMAX: usize = 5552;
 
+/// Byte lanes [`Adler32::update`] sums side by side.
+const LANES: usize = 16;
+
 /// Incremental Adler-32 state.
 ///
 /// ```
@@ -45,19 +48,39 @@ impl Adler32 {
         }
     }
 
-    /// Folds `data` into the checksum.
+    /// Folds `data` into the checksum, `LANES` interleaved byte lanes at a
+    /// time so the inner loop vectorizes: lane `j` keeps `s[j]`, the sum of
+    /// its bytes, and `t[j]`, the running sum of `s[j]`, which weighs the
+    /// lane's `k`-th of `m` bytes `m - k`. Byte `LANES·k + j` of `n` belongs
+    /// in `b` `n - (LANES·k + j)` times, hence the fold
+    /// `b += n·a + Σ (LANES·t[j] - j·s[j])`, once per chunk of at most
+    /// `NMAX` bytes (which keeps every `t[j]` far inside a `u32`).
     pub fn update(&mut self, data: &[u8]) {
-        let (mut a, mut b) = (self.a, self.b);
+        let (mut a, mut b) = (u64::from(self.a), u64::from(self.b));
         for chunk in data.chunks(NMAX) {
-            for &byte in chunk {
-                a += u32::from(byte);
+            let (mut s, mut t) = ([0u32; LANES], [0u32; LANES]);
+            let groups = chunk.chunks_exact(LANES);
+            let tail = groups.remainder();
+            b += (chunk.len() - tail.len()) as u64 * a;
+            for group in groups {
+                for j in 0..LANES {
+                    s[j] += u32::from(group[j]);
+                    t[j] += s[j];
+                }
+            }
+            for j in 0..LANES {
+                a += u64::from(s[j]);
+                b += LANES as u64 * u64::from(t[j]) - j as u64 * u64::from(s[j]);
+            }
+            for &byte in tail {
+                a += u64::from(byte);
                 b += a;
             }
-            a %= MOD;
-            b %= MOD;
+            a %= u64::from(MOD);
+            b %= u64::from(MOD);
         }
-        self.a = a;
-        self.b = b;
+        self.a = a as u32;
+        self.b = b as u32;
     }
 
     /// Returns the current checksum `(b << 16) | a`.
@@ -121,6 +144,29 @@ mod tests {
     #[test]
     fn empty_is_one() {
         assert_eq!(adler32(b""), 1);
+    }
+
+    /// Byte-at-a-time Adler-32, reduced at every step.
+    fn reference(data: &[u8]) -> u32 {
+        let (a, b) = data.iter().fold((1u32, 0u32), |(a, b), &x| {
+            let a = (a + u32::from(x)) % MOD;
+            (a, (b + a) % MOD)
+        });
+        (b << 16) | a
+    }
+
+    #[test]
+    fn lanes_equal_the_bytewise_sum_at_every_length() {
+        let data: Vec<u8> = (0..3 * NMAX + 41)
+            .map(|i| (i * 31 % 251) as u8 ^ (i >> 7) as u8)
+            .collect();
+        let near_chunk_ends = (1..=3).flat_map(|k| k * NMAX - 40..=k * NMAX + 40);
+        for len in (0..=300).chain(near_chunk_ends) {
+            assert_eq!(adler32(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+        // The largest lane sums a chunk can hold.
+        let ones = vec![0xFFu8; 3 * NMAX];
+        assert_eq!(adler32(&ones), reference(&ones));
     }
 
     #[test]

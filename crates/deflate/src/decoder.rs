@@ -28,6 +28,17 @@
 //!
 //! Bytes produced by each path are counted process-wide; see
 //! [`decode_path_counters`].
+//!
+//! # Set-up proportional to the request
+//!
+//! A 2 KiB response must not pay what a megabyte stream amortizes.
+//! Dynamic-block tables are recalled, not rebuilt, when the header is
+//! bit-identical to one the [`InflateScratch`] has seen repeat (its table
+//! memo); the fast loop's zero-filled slack opens at what the remaining
+//! input can plausibly produce and doubles back to 64 KiB; and the
+//! one-shot entry points decode on the calling thread's scratch
+//! (`one_shot`), so the memo hits across independent calls and a warm
+//! call allocates only its result.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,9 +86,8 @@ pub fn inflate(data: &[u8]) -> Result<Vec<u8>> {
 /// The limit makes the decoder safe against decompression bombs when the
 /// caller knows an upper bound.
 pub fn inflate_with_limit(data: &[u8], limit: usize) -> Result<Vec<u8>> {
-    let mut inf = Inflater::new(data);
-    inf.run(limit)?;
-    Ok(inf.into_output())
+    let body = |scratch: &mut _, out: &mut _| decode_into(data, &[], limit, scratch, out);
+    one_shot(data.len(), &[], body).map(|(out, _)| out)
 }
 
 /// Decodes a raw DEFLATE stream with the fast loop disabled — the
@@ -102,12 +112,46 @@ pub fn inflate_careful(data: &[u8]) -> Result<Vec<u8>> {
 ///
 /// As [`inflate`].
 pub fn inflate_into(data: &[u8], scratch: &mut InflateScratch, out: &mut Vec<u8>) -> Result<()> {
+    decode_into(data, &[], usize::MAX, scratch, out).map(drop)
+}
+
+/// The one decode body behind every one-shot and `_into` entry point of
+/// this crate: `data` decoded against `dict` (may be empty) into `out`
+/// (cleared first), tables in `scratch`. Returns the input bytes consumed.
+pub(crate) fn decode_into(
+    data: &[u8],
+    dict: &[u8],
+    limit: usize,
+    scratch: &mut InflateScratch,
+    out: &mut Vec<u8>,
+) -> Result<usize> {
     let mut inf = Inflater::with_reuse(data, std::mem::take(scratch), std::mem::take(out));
-    let res = inf.run(usize::MAX);
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res
+    inf.prime_window(dict);
+    let res = inf.run(limit);
+    let used = inf.byte_position();
+    (*out, *scratch) = inf.into_parts();
+    res.map(|()| used)
+}
+
+/// Runs an `_into` decode body on the calling thread's long-lived
+/// [`InflateScratch`], so independent one-shot calls reuse one another's
+/// decode tables (the scratch's table memo), and on a fresh output reserved
+/// once for `dict`'s window plus what `input_len` bytes plausibly decode
+/// to: a warm call allocates only its result. Per thread that scratch
+/// holds what the traffic built: ~7 KiB of shared tables and ~6 KiB per
+/// repeating header, at most [`TABLE_WAYS`] of them.
+pub(crate) fn one_shot<T>(
+    input_len: usize,
+    dict: &[u8],
+    body: impl FnOnce(&mut InflateScratch, &mut Vec<u8>) -> Result<T>,
+) -> Result<(Vec<u8>, T)> {
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<InflateScratch> = std::cell::RefCell::default();
+    }
+    let window = dict.len().min(crate::WINDOW_SIZE);
+    let mut out = Vec::with_capacity(window + initial_capacity(input_len));
+    let extra = SCRATCH.with(|scratch| body(&mut scratch.borrow_mut(), &mut out))?;
+    Ok((out, extra))
 }
 
 /// Per-block structural record collected when tracing is enabled — the
@@ -134,10 +178,8 @@ pub struct BlockTrace {
 ///
 /// As [`inflate`].
 pub fn inflate_with_dict(data: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
-    let mut inf = Inflater::new(data);
-    inf.prime_window(dict);
-    inf.run(usize::MAX)?;
-    Ok(inf.into_output())
+    let body = |scratch: &mut _, out: &mut _| decode_into(data, dict, usize::MAX, scratch, out);
+    one_shot(data.len(), dict, body).map(|(out, _)| out)
 }
 
 /// Decodes a dictionary-primed raw DEFLATE stream into a caller-provided
@@ -153,13 +195,7 @@ pub fn inflate_with_dict_into(
     scratch: &mut InflateScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let mut inf = Inflater::with_reuse(data, std::mem::take(scratch), std::mem::take(out));
-    inf.prime_window(dict);
-    let res = inf.run(usize::MAX);
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res
+    decode_into(data, dict, usize::MAX, scratch, out).map(drop)
 }
 
 /// Decodes a raw DEFLATE stream while recording the per-block structure —
@@ -193,17 +229,95 @@ pub(crate) fn fixed_decode_tables() -> &'static (DecodeTable, DecodeTable) {
     })
 }
 
+/// Headers an [`InflateScratch`] remembers: the five shipped profile
+/// classes and a few more.
+const TABLE_WAYS: usize = 8;
+/// 32-bit words of the longest dynamic header: 14 + 19·3 bits, then 316
+/// code lengths of at most 7 code + 7 repeat bits each.
+const MAX_HEADER_WORDS: usize = (14 + 19 * 3 + 316 * 14_usize).div_ceil(32);
+
+/// One remembered dynamic header: its exact bit string (HLIT through the
+/// last code length) and, once it has been seen twice, its decode tables.
+#[derive(Debug, Default)]
+struct TableWay {
+    /// The header, LSB-first in 32-bit words; the last holds `nbits % 32`.
+    words: Vec<u32>,
+    /// Header length in bits; 0 = nothing remembered.
+    nbits: u32,
+    /// Whether `litlen` / `dist` are this header's tables.
+    kept: bool,
+    litlen: DecodeTable,
+    dist: DecodeTable,
+}
+
+impl TableWay {
+    /// `reader` advanced past this way's header, if its next bits are
+    /// exactly that header.
+    fn recall<'a>(&self, reader: &BitReader<'a>) -> Option<BitReader<'a>> {
+        if self.nbits == 0 || reader.bits_remaining() < u64::from(self.nbits) {
+            return None;
+        }
+        let mut past = reader.clone();
+        for (word, at) in self.words.iter().zip((0..self.nbits).step_by(32)) {
+            if past.read_bits((self.nbits - at).min(32)) != Ok(*word) {
+                return None;
+            }
+        }
+        Some(past)
+    }
+
+    /// Remembers the bits from `start` to bit `end` as this way's header,
+    /// its tables not kept.
+    fn record(&mut self, mut start: BitReader, end: u64) {
+        let nbits = (end - start.bits_consumed()) as u32;
+        (self.nbits, self.kept) = (0, false);
+        self.words.clear();
+        self.words.reserve(MAX_HEADER_WORDS);
+        for at in (0..nbits).step_by(32) {
+            // The parse just read these bits; a way that cannot stays empty.
+            let Ok(word) = start.read_bits((nbits - at).min(32)) else {
+                return;
+            };
+            self.words.push(word);
+        }
+        self.nbits = nbits;
+    }
+}
+
 /// Reusable inflate working state: merged decode tables, the code-length
 /// table, and the code-length staging vector. Holding one of these across
 /// requests makes dynamic-block table construction allocation-free in
 /// steady state (tables rebuild in place; see
 /// [`DecodeTable::rebuild_litlen`]).
+///
+/// # The table memo
+///
+/// The scratch remembers the exact bit strings of the last `TABLE_WAYS`
+/// (8) dynamic headers it parsed, and `read_dynamic_tables` compares the
+/// reader's next bits with every string, whole, before parsing. A header
+/// seen for the first time builds the shared `litlen` / `dist` pair in
+/// place, as ever, and leaves only its string behind; seen a second time
+/// it *repeats*, so it is built once more into tables of its own, kept
+/// beside the string; from the third time on it is a hit, which skips the
+/// parse. **Hit ⇔ bit-identical header** (no hash, length or profile-id
+/// shortcut): parsing is a pure function of those bits, so a hit yields
+/// the same tables and consumed-bit count, and no error, only finished
+/// builds being kept. New strings go round-robin into ways that keep no
+/// tables, so one-off headers cannot evict a repeating one while any
+/// other way is free; a build that fails remembers nothing. This pays on
+/// traffic that *repeats a dynamic header* (streams written from canned
+/// tables); encoders that fit a header to each block never repeat one,
+/// and there the memo costs a short compare per way and a copy of the
+/// header per block, the tables being built where they always were.
 #[derive(Debug, Default)]
 pub struct InflateScratch {
-    pub(crate) litlen: DecodeTable,
-    pub(crate) dist: DecodeTable,
-    pub(crate) cl: DecodeTable,
-    pub(crate) lengths: Vec<u8>,
+    litlen: DecodeTable,
+    dist: DecodeTable,
+    ways: Vec<TableWay>,
+    cl: DecodeTable,
+    lengths: Vec<u8>,
+    table_hits: u64,
+    table_builds: u64,
 }
 
 impl InflateScratch {
@@ -211,27 +325,84 @@ impl InflateScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// `(hits, builds)` of the table memo over this scratch's life: dynamic
+    /// headers answered from kept tables, and headers parsed and built.
+    pub fn table_stats(&self) -> (u64, u64) {
+        (self.table_hits, self.table_builds)
+    }
 }
 
-/// Output capacity heuristic for a fresh decode: DEFLATE payloads in the
-/// wild typically expand 2–4×; cap the upfront guess so a tiny hostile
+/// The most slack the fast loop opens (and zero-fills) at once.
+const FAST_CHUNK: usize = 64 * 1024;
+
+/// What `input_len` bytes of DEFLATE plausibly decode to: payloads in the
+/// wild expand 2–4×. Seeds output capacity and the fast loop's first slack
+/// region; floored so small streams do not regrow, capped so a tiny hostile
 /// input cannot force a large reservation.
 fn initial_capacity(input_len: usize) -> usize {
-    input_len.saturating_mul(4).min(1 << 20)
+    input_len.saturating_mul(4).clamp(4096, 1 << 20)
 }
 
-/// Parses a dynamic-block header (HLIT/HDIST/HCLEN, the code-length code,
-/// and the run-length-encoded literal/distance lengths) from `reader` and
-/// rebuilds `scratch.litlen` / `scratch.dist` in place.
+/// Yields the literal/length and distance tables of the dynamic-block
+/// header at `reader` (HLIT/HDIST/HCLEN, the code-length code, and the
+/// run-length-encoded lengths), consuming it: from `scratch`'s table memo
+/// when it holds this very header, else parsed and built in place.
 ///
 /// Shared by the regular [`Inflater`], the marker-mode decoder
 /// ([`crate::marker::MarkerInflater`]), and the speculative block-boundary
 /// probe — the header's internal consistency checks (alphabet bounds, the
 /// Kraft inequality via table construction, a present end-of-block code)
 /// are exactly what makes bit-offset probing for block starts reliable.
-pub(crate) fn read_dynamic_tables(
+pub(crate) fn read_dynamic_tables<'s>(
     reader: &mut BitReader,
-    scratch: &mut InflateScratch,
+    scratch: &'s mut InflateScratch,
+) -> Result<(&'s DecodeTable, &'s DecodeTable)> {
+    let (cl, lengths) = (&mut scratch.cl, &mut scratch.lengths);
+    let mut remembered = scratch.ways.iter().enumerate();
+    let kept = match remembered.find_map(|(i, w)| Some((i, w.recall(reader)?))) {
+        Some((at, past)) if scratch.ways[at].kept => {
+            *reader = past;
+            scratch.table_hits += 1;
+            Some(at)
+        }
+        // The second sighting: this header repeats, so keep its tables.
+        Some((at, _)) => {
+            let way = &mut scratch.ways[at];
+            let nbits = std::mem::take(&mut way.nbits);
+            parse_dynamic_header(reader, cl, lengths, &mut way.litlen, &mut way.dist)?;
+            (way.nbits, way.kept) = (nbits, true);
+            scratch.table_builds += 1;
+            Some(at)
+        }
+        None => {
+            let (start, ways) = (reader.clone(), &mut scratch.ways);
+            parse_dynamic_header(reader, cl, lengths, &mut scratch.litlen, &mut scratch.dist)?;
+            if ways.len() < TABLE_WAYS {
+                ways.push(TableWay::default());
+            }
+            // The string alone goes round-robin into a way that keeps no
+            // tables, and only when all of them do, over one that does.
+            let (n, from) = (ways.len(), scratch.table_builds as usize);
+            let unkept = (0..n).map(|k| (from + k) % n).find(|&i| !ways[i].kept);
+            ways[unkept.unwrap_or(from % n)].record(start, reader.bits_consumed());
+            scratch.table_builds += 1;
+            None
+        }
+    };
+    Ok(match kept {
+        Some(at) => (&scratch.ways[at].litlen, &scratch.ways[at].dist),
+        None => (&scratch.litlen, &scratch.dist),
+    })
+}
+
+/// Parses the header at `reader` and rebuilds `litlen` / `dist` in place.
+fn parse_dynamic_header(
+    reader: &mut BitReader,
+    cl: &mut DecodeTable,
+    lengths: &mut Vec<u8>,
+    litlen: &mut DecodeTable,
+    dist: &mut DecodeTable,
 ) -> Result<()> {
     let hlit = reader.read_bits(5)? as usize + 257;
     let hdist = reader.read_bits(5)? as usize + 1;
@@ -244,15 +415,14 @@ pub(crate) fn read_dynamic_tables(
     for &sym in CODELEN_ORDER.iter().take(hclen) {
         cl_lengths[sym] = reader.read_bits(3)? as u8;
     }
-    scratch.cl.rebuild_plain(&cl_lengths)?;
+    cl.rebuild_plain(&cl_lengths)?;
 
     let total = hlit + hdist;
-    scratch.lengths.clear();
-    scratch.lengths.resize(total, 0);
-    let (cl_table, lengths) = (&scratch.cl, &mut scratch.lengths);
+    lengths.clear();
+    lengths.resize(total, 0);
     let mut i = 0usize;
     while i < total {
-        let sym = cl_table.decode(reader)?;
+        let sym = cl.decode(reader)?;
         match sym {
             0..=15 => {
                 lengths[i] = sym as u8;
@@ -291,12 +461,11 @@ pub(crate) fn read_dynamic_tables(
     }
 
     // The literal/length alphabet must contain the end-of-block code.
-    if scratch.lengths[256] == 0 {
+    if lengths[256] == 0 {
         return Err(Error::InvalidCodeLengths);
     }
-    scratch.litlen.rebuild_litlen(&scratch.lengths[..hlit])?;
-    scratch.dist.rebuild_dist(&scratch.lengths[hlit..])?;
-    Ok(())
+    litlen.rebuild_litlen(&lengths[..hlit])?;
+    dist.rebuild_dist(&lengths[hlit..])
 }
 
 /// Incremental inflate engine over a borrowed input slice.
@@ -318,15 +487,8 @@ impl<'a> Inflater<'a> {
     /// decoded size (e.g. from a gzip ISIZE trailer) should refine it via
     /// [`reserve_output`](Self::reserve_output).
     pub fn new(data: &'a [u8]) -> Self {
-        Self {
-            reader: BitReader::new(data),
-            out: Vec::with_capacity(initial_capacity(data.len())),
-            primed: 0,
-            finished: false,
-            trace: None,
-            scratch: InflateScratch::default(),
-            fast_enabled: true,
-        }
+        let out = Vec::with_capacity(initial_capacity(data.len()));
+        Self::with_reuse(data, InflateScratch::default(), out)
     }
 
     /// Creates an engine positioned at an arbitrary **bit** offset into
@@ -405,6 +567,10 @@ impl<'a> Inflater<'a> {
     pub fn prime_window(&mut self, dict: &[u8]) {
         assert!(self.out.is_empty(), "prime_window after decoding started");
         let d = &dict[dict.len().saturating_sub(crate::WINDOW_SIZE)..];
+        // Room for the window and the fast loop's first slack region at
+        // once, so priming and that first `resize` reallocate at most once.
+        let slack = initial_capacity(self.reader.input().len()).min(FAST_CHUNK);
+        self.out.reserve(d.len() + slack);
         self.out.extend_from_slice(d);
         self.primed = d.len();
     }
@@ -477,15 +643,10 @@ impl<'a> Inflater<'a> {
                 // block so the table borrows don't pin `self`, and moved
                 // back unconditionally to keep their capacity for reuse.
                 let mut scratch = std::mem::take(&mut self.scratch);
-                let built = self.read_dynamic_tables_into(&mut scratch);
+                let built = read_dynamic_tables(&mut self.reader, &mut scratch);
                 header_end_bits = self.reader.bits_consumed();
-                let res = built.and_then(|()| {
-                    self.huffman_block(
-                        &scratch.litlen,
-                        &scratch.dist,
-                        limit,
-                        collect.then_some(&mut tokens),
-                    )
+                let res = built.and_then(|(litlen, dist)| {
+                    self.huffman_block(litlen, dist, limit, collect.then_some(&mut tokens))
                 });
                 self.scratch = scratch;
                 res?;
@@ -529,9 +690,8 @@ impl<'a> Inflater<'a> {
 
     /// Consumes the engine, returning the decoded bytes (excluding any
     /// primed dictionary).
-    pub fn into_output(mut self) -> Vec<u8> {
-        self.out.drain(..self.primed);
-        self.out
+    pub fn into_output(self) -> Vec<u8> {
+        self.into_parts().0
     }
 
     fn push(&mut self, b: u8, limit: usize) -> Result<()> {
@@ -561,10 +721,6 @@ impl<'a> Inflater<'a> {
         self.out.resize(start + usize::from(len), 0);
         self.reader.read_bytes(&mut self.out[start..])?;
         Ok(header_end)
-    }
-
-    fn read_dynamic_tables_into(&mut self, scratch: &mut InflateScratch) -> Result<()> {
-        read_dynamic_tables(&mut self.reader, scratch)
     }
 
     fn huffman_block(
@@ -680,16 +836,21 @@ impl<'a> Inflater<'a> {
     ///   near the limit it defers to the careful loop's exact check.
     fn fast_loop(&mut self, litlen: &DecodeTable, dist: &DecodeTable, limit: usize) {
         const SLACK: usize = 274;
-        const CHUNK: usize = 64 * 1024;
         let data = self.reader.input();
         let (mut acc, mut nbits, mut pos) = self.reader.fast_state();
         let mut wpos = self.out.len();
         let start_wpos = wpos;
         let limit_bound = self.primed.saturating_add(limit);
+        // The zero-filled slack region opens at what the remaining input
+        // can plausibly produce and doubles back to `FAST_CHUNK`: a 2 KiB
+        // response must not memset 64 KiB, and anything past 16 KiB of
+        // input opens at the full chunk.
+        let mut chunk = initial_capacity(data.len() - pos).min(FAST_CHUNK);
         'outer: while pos + 16 <= data.len() {
             // Open a slack region: resize (not reserve) so the wide copies
             // below can index freely; trimmed back to `wpos` on exit.
-            let target = wpos.saturating_add(CHUNK).min(limit_bound);
+            let target = wpos.saturating_add(chunk).min(limit_bound);
+            chunk = (2 * chunk).min(FAST_CHUNK);
             if target < wpos.saturating_add(SLACK) {
                 break;
             }

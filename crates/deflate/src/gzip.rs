@@ -6,6 +6,7 @@
 
 use crate::crc32::Crc32;
 use crate::encoder::CompressionLevel;
+use crate::zlib::read4;
 use crate::{decoder, Error, Result};
 
 /// gzip magic bytes.
@@ -119,13 +120,8 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 ///
 /// See [`decompress`].
 pub fn decompress_with_header(data: &[u8]) -> Result<(Vec<u8>, GzipHeader, usize)> {
-    let (header, pos) = parse_header(data)?;
-    let mut inf = decoder::Inflater::new(&data[pos..]);
-    inf.reserve_output(isize_hint(data));
-    inf.run(usize::MAX)?;
-    let used_payload = inf.byte_position();
-    let out = inf.into_output();
-    let used = verify_trailer(data, pos + used_payload, &out)?;
+    let body = |scratch: &mut _, out: &mut _| member_into(data, scratch, out);
+    let (out, (header, used)) = decoder::one_shot(data.len(), &[], body)?;
     Ok((out, header, used))
 }
 
@@ -141,21 +137,29 @@ pub fn decompress_into(
     scratch: &mut decoder::InflateScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    let (_header, pos) = parse_header(data)?;
+    let (_header, used) = member_into(data, scratch, out)?;
+    if used != data.len() {
+        return Err(Error::TrailingData);
+    }
+    Ok(())
+}
+
+/// The one member decode body: header, payload into `out` (cleared first,
+/// sized from ISIZE), trailer. Returns the header and the member's length.
+fn member_into(
+    data: &[u8],
+    scratch: &mut decoder::InflateScratch,
+    out: &mut Vec<u8>,
+) -> Result<(GzipHeader, usize)> {
+    let (header, pos) = parse_header(data)?;
     let mut inf =
         decoder::Inflater::with_reuse(&data[pos..], std::mem::take(scratch), std::mem::take(out));
     inf.reserve_output(isize_hint(data));
     let res = inf.run(usize::MAX);
     let used_payload = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
+    (*out, *scratch) = inf.into_parts();
     res?;
-    let used = verify_trailer(data, pos + used_payload, out)?;
-    if used != data.len() {
-        return Err(Error::TrailingData);
-    }
-    Ok(())
+    Ok((header, verify_trailer(data, pos + used_payload, out)?))
 }
 
 /// Output-size hint from the member's ISIZE trailer field. Exact for the
@@ -247,14 +251,6 @@ pub fn parse_header(data: &[u8]) -> Result<(GzipHeader, usize)> {
     }
     let _ = flg & FTEXT; // advisory only
     Ok((header, pos))
-}
-
-/// Reads the 4-byte field at `at`, surfacing truncation as a typed error
-/// instead of panicking on the slice conversion.
-fn read4(data: &[u8], at: usize) -> Result<[u8; 4]> {
-    data.get(at..at + 4)
-        .and_then(|s| <[u8; 4]>::try_from(s).ok())
-        .ok_or(Error::UnexpectedEof)
 }
 
 /// Iterator over the members of a (possibly multi-member) gzip stream —

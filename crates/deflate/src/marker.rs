@@ -166,7 +166,7 @@ impl<'a> MarkerInflater<'a> {
                 // pin `self`; moved back unconditionally for reuse.
                 let mut scratch = std::mem::take(&mut self.scratch);
                 let res = read_dynamic_tables(&mut self.reader, &mut scratch)
-                    .and_then(|()| self.huffman_block(&scratch.litlen, &scratch.dist, limit));
+                    .and_then(|(litlen, dist)| self.huffman_block(litlen, dist, limit));
                 self.scratch = scratch;
                 res?;
             }

@@ -34,7 +34,7 @@ use crate::encoder::{
     MAX_BLOCK_TOKENS,
 };
 use crate::huffman::{build, canonical_codes, MAX_CODE_LEN};
-use crate::lz77::hash4::{tokenize_into_with, DictImage, Hash4Matcher};
+use crate::lz77::hash4::{tokenize_into_with, with_thread_matcher, DictImage, Hash4Matcher};
 use crate::lz77::{Engine, Histogram, Token, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS};
 use crate::{Error, Result};
 
@@ -389,34 +389,33 @@ pub fn deflate_canned_into(
         DICT_ENCODES.fetch_add(1, Ordering::Relaxed);
     }
     let level = profile.level.get().max(1); // level 0 cannot carry dict refs
-    SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        s.matcher.reset();
-        s.tokens.clear();
-        if dict.is_empty() {
-            tokenize_into_with(data, 0, level, engine, &mut s.matcher, &mut s.tokens);
-        } else {
-            s.matcher.load_image(&profile.image);
-            s.buf.clear();
-            s.buf.extend_from_slice(dict);
-            s.buf.extend_from_slice(data);
-            let start = dict.len();
-            tokenize_into_with(&s.buf, start, level, engine, &mut s.matcher, &mut s.tokens);
-        }
-        s.writer.clear();
-        emit_canned_blocks(profile, &s.tokens, &mut s.writer, &mut s.hist);
-        s.writer.align_to_byte();
-        s.writer.take_bytes_into(out);
+    with_thread_matcher(|matcher| {
+        SCRATCH.with(|scratch| {
+            let s = &mut *scratch.borrow_mut();
+            s.tokens.clear();
+            if dict.is_empty() {
+                tokenize_into_with(data, 0, level, engine, matcher, &mut s.tokens);
+            } else {
+                matcher.load_image(&profile.image);
+                s.buf.clear();
+                s.buf.extend_from_slice(dict);
+                s.buf.extend_from_slice(data);
+                let start = dict.len();
+                tokenize_into_with(&s.buf, start, level, engine, matcher, &mut s.tokens);
+            }
+            s.writer.clear();
+            emit_canned_blocks(profile, &s.tokens, &mut s.writer, &mut s.hist);
+            s.writer.align_to_byte();
+            s.writer.take_bytes_into(out);
+        })
     });
 }
 
-/// Everything a canned request works in, kept per thread: a fresh
-/// matcher's ~450 KB of tables alone would cost more to allocate and zero
-/// than a 1–16 KiB request spends tokenizing. Once warm, a request into an
-/// `out` with room allocates nothing (`tests/canned_alloc.rs`).
+/// Everything a canned request works in besides the thread's matcher
+/// ([`with_thread_matcher`]), kept per thread. Once warm, a request into
+/// an `out` with room allocates nothing (`tests/canned_alloc.rs`).
 #[derive(Default)]
 struct Scratch {
-    matcher: Hash4Matcher,
     tokens: Vec<Token>,
     /// dict + data staging buffer.
     buf: Vec<u8>,

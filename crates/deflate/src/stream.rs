@@ -661,4 +661,38 @@ mod tests {
         assert_eq!(out, b"done");
         assert!(dec.push(b"trailing garbage").unwrap().is_empty());
     }
+
+    #[test]
+    fn inflate_stream_recalls_a_repeated_block_header() {
+        // A canned stream writes its profile's header verbatim before every
+        // block: the stream's scratch builds it once and recalls it after,
+        // to the same bytes as the one-shot decoder, however it is fed.
+        let kind = nx_corpus::CorpusKind::Json;
+        let samples: Vec<Vec<u8>> = (0..16).map(|i| kind.generate(40 + i, 4096)).collect();
+        let refs: Vec<&[u8]> = samples.iter().map(|s| s.as_slice()).collect();
+        let profile = crate::Profile::derive("json", &refs, lvl(3), 0).unwrap();
+        let data = kind.generate(7, 3 << 20);
+        let comp = crate::deflate_canned(&data, crate::Engine::Auto, &profile, false);
+        let blocks = crate::inflate_traced(&comp).unwrap().1.len() as u64;
+        assert!(blocks > 2, "{blocks} blocks");
+        for chunk in [comp.len(), 60_001, 4_093] {
+            let mut dec = InflateStream::new();
+            let out: Vec<u8> = comp
+                .chunks(chunk)
+                .flat_map(|c| dec.push(c).unwrap())
+                .collect();
+            assert!(dec.is_finished());
+            assert!(out == data, "chunk {chunk}");
+            let (hits, builds) = dec.scratch.table_stats();
+            assert!(
+                builds < blocks && hits + builds >= blocks,
+                "{hits} hits, {builds} builds"
+            );
+        }
+        // A damaged block fails as it does in the one-shot decoder.
+        let mut bad = comp.clone();
+        bad[comp.len() / 2] ^= 0x55;
+        let mut dec = InflateStream::new();
+        assert_eq!(dec.push(&bad).err(), crate::inflate(&bad).err());
+    }
 }

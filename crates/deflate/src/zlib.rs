@@ -24,7 +24,7 @@ const CMF: u8 = 0x78;
 /// ```
 pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    write_header(&mut out, level);
+    header(&mut out, level, None);
     out.extend_from_slice(&crate::deflate(data, level));
     out.extend_from_slice(&adler32(data).to_be_bytes());
     out
@@ -34,7 +34,7 @@ pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
 /// is the Adler-32 of the *uncompressed* payload.
 pub fn wrap_deflate(deflate_stream: &[u8], adler: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(deflate_stream.len() + 6);
-    write_header(&mut out, CompressionLevel::default());
+    header(&mut out, CompressionLevel::default(), None);
     out.extend_from_slice(deflate_stream);
     out.extend_from_slice(&adler.to_be_bytes());
     out
@@ -44,7 +44,7 @@ pub fn wrap_deflate(deflate_stream: &[u8], adler: u32) -> Vec<u8> {
 /// FLEVEL advisory from `level`) to `out` — the streaming half of
 /// [`wrap_deflate`] for callers assembling a stream into a reused buffer.
 pub fn write_header_into(out: &mut Vec<u8>, level: CompressionLevel) {
-    write_header(out, level);
+    header(out, level, None);
 }
 
 /// Appends the big-endian Adler-32 trailer to `out`. `adler` is the
@@ -53,22 +53,21 @@ pub fn write_trailer_into(out: &mut Vec<u8>, adler: u32) {
     out.extend_from_slice(&adler.to_be_bytes());
 }
 
-fn write_header(out: &mut Vec<u8>, level: CompressionLevel) {
-    // FLEVEL advisory bits per zlib convention.
+/// CMF, then FLG = FLEVEL (advisory, per zlib convention) | FDICT | the
+/// FCHECK that makes `CMF*256 + FLG` a multiple of 31, then any DICTID.
+fn header(out: &mut Vec<u8>, level: CompressionLevel, dictid: Option<u32>) {
     let flevel: u8 = match level.get() {
         0..=1 => 0,
         2..=5 => 1,
         6 => 2,
         _ => 3,
     };
-    let mut flg = flevel << 6; // FDICT=0
-                               // FCHECK makes (CMF*256 + FLG) a multiple of 31.
+    let flg = (flevel << 6) | if dictid.is_some() { 0x20 } else { 0 };
     let rem = (u16::from(CMF) * 256 + u16::from(flg)) % 31;
-    if rem != 0 {
-        flg += (31 - rem) as u8;
+    out.extend_from_slice(&[CMF, flg + ((31 - rem) % 31) as u8]);
+    if let Some(dictid) = dictid {
+        out.extend_from_slice(&dictid.to_be_bytes());
     }
-    out.push(CMF);
-    out.push(flg);
 }
 
 /// Compresses `data` against a preset dictionary into a zlib stream with
@@ -79,7 +78,7 @@ pub fn compress_with_dict(data: &[u8], level: CompressionLevel, dict: &[u8]) -> 
         return compress(data, level);
     }
     let mut out = Vec::with_capacity(data.len() / 2 + 20);
-    write_header_with_dictid(&mut out, level, adler32(dict));
+    header(&mut out, level, Some(adler32(dict)));
     out.extend_from_slice(&crate::encoder::deflate_with_dict(data, level, dict));
     out.extend_from_slice(&adler32(data).to_be_bytes());
     out
@@ -89,21 +88,7 @@ pub fn compress_with_dict(data: &[u8], level: CompressionLevel, dict: &[u8]) -> 
 /// to `out` — the streaming half of [`compress_with_dict`] for callers
 /// assembling a dictionary-primed stream into a reused buffer.
 pub fn write_header_with_dictid(out: &mut Vec<u8>, level: CompressionLevel, dictid: u32) {
-    let flevel: u8 = match level.get() {
-        0..=1 => 0,
-        2..=5 => 1,
-        6 => 2,
-        _ => 3,
-    };
-    let mut flg = (flevel << 6) | 0x20;
-    // FCHECK makes (CMF*256 + FLG) a multiple of 31.
-    let rem = (u16::from(CMF) * 256 + u16::from(flg)) % 31;
-    if rem != 0 {
-        flg += (31 - rem) as u8;
-    }
-    out.push(CMF);
-    out.push(flg);
-    out.extend_from_slice(&dictid.to_be_bytes());
+    header(out, level, Some(dictid));
 }
 
 /// Wraps an already-produced raw DEFLATE stream (encoded against a preset
@@ -126,42 +111,13 @@ pub fn wrap_deflate_with_dict(deflate_stream: &[u8], adler: u32, dictid: u32) ->
 ///   dictionary or requests a different one (DICTID mismatch);
 /// * otherwise as [`decompress`].
 pub fn decompress_with_dict(data: &[u8], dict: &[u8]) -> Result<Vec<u8>> {
-    if data.len() < 10 {
-        return Err(Error::UnexpectedEof);
-    }
-    let (cmf, flg) = (data[0], data[1]);
-    if cmf & 0x0F != 8 || cmf >> 4 > 7 || (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
-        return Err(Error::BadZlibHeader);
-    }
-    if flg & 0x20 == 0 {
-        return Err(Error::DictionaryMismatch); // no dictionary requested
-    }
-    let dictid = u32::from_be_bytes(read4(data, 2)?);
-    if dictid != adler32(dict) {
-        return Err(Error::DictionaryMismatch);
-    }
-    let mut inf = decoder::Inflater::new(&data[6..]);
-    inf.prime_window(dict);
-    inf.run(usize::MAX)?;
-    let used = inf.byte_position();
-    let out = inf.into_output();
-    let trailer_at = 6 + used;
-    if trailer_at + 4 > data.len() {
-        return Err(Error::UnexpectedEof);
-    }
-    if trailer_at + 4 != data.len() {
-        return Err(Error::TrailingData);
-    }
-    let stored = u32::from_be_bytes(read4(data, trailer_at)?);
-    if stored != adler32(&out) {
-        return Err(Error::ZlibChecksumMismatch);
-    }
-    Ok(out)
+    let body = |scratch: &mut _, out: &mut _| decode(data, Some(dict), scratch, out);
+    decoder::one_shot(data.len(), dict, body).map(|(out, ())| out)
 }
 
 /// Reads the 4-byte field at `at`, surfacing truncation as a typed error
 /// instead of panicking on the slice conversion.
-fn read4(data: &[u8], at: usize) -> Result<[u8; 4]> {
+pub(crate) fn read4(data: &[u8], at: usize) -> Result<[u8; 4]> {
     data.get(at..at + 4)
         .and_then(|s| <[u8; 4]>::try_from(s).ok())
         .ok_or(Error::UnexpectedEof)
@@ -178,39 +134,8 @@ fn read4(data: &[u8], at: usize) -> Result<[u8; 4]> {
 /// * any DEFLATE error from the payload;
 /// * [`Error::TrailingData`] if bytes follow the trailer.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
-    if data.len() < 6 {
-        return Err(Error::UnexpectedEof);
-    }
-    let cmf = data[0];
-    let flg = data[1];
-    if cmf & 0x0F != 8 {
-        return Err(Error::BadZlibHeader); // method must be DEFLATE
-    }
-    if cmf >> 4 > 7 {
-        return Err(Error::BadZlibHeader); // window > 32 KB
-    }
-    if (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
-        return Err(Error::BadZlibHeader);
-    }
-    if flg & 0x20 != 0 {
-        return Err(Error::DictionaryRequired);
-    }
-    let mut inf = decoder::Inflater::new(&data[2..]);
-    inf.run(usize::MAX)?;
-    let used = inf.byte_position();
-    let out = inf.into_output();
-    let trailer_at = 2 + used;
-    if trailer_at + 4 > data.len() {
-        return Err(Error::UnexpectedEof);
-    }
-    if trailer_at + 4 != data.len() {
-        return Err(Error::TrailingData);
-    }
-    let stored = u32::from_be_bytes(read4(data, trailer_at)?);
-    if stored != adler32(&out) {
-        return Err(Error::ZlibChecksumMismatch);
-    }
-    Ok(out)
+    let body = |scratch: &mut _, out: &mut _| decode(data, None, scratch, out);
+    decoder::one_shot(data.len(), &[], body).map(|(out, ())| out)
 }
 
 /// Decompresses a zlib stream into a caller-provided buffer, reusing
@@ -225,37 +150,7 @@ pub fn decompress_into(
     scratch: &mut decoder::InflateScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if data.len() < 6 {
-        return Err(Error::UnexpectedEof);
-    }
-    let cmf = data[0];
-    let flg = data[1];
-    if cmf & 0x0F != 8 || cmf >> 4 > 7 || (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
-        return Err(Error::BadZlibHeader);
-    }
-    if flg & 0x20 != 0 {
-        return Err(Error::DictionaryRequired);
-    }
-    let mut inf =
-        decoder::Inflater::with_reuse(&data[2..], std::mem::take(scratch), std::mem::take(out));
-    let res = inf.run(usize::MAX);
-    let used = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res?;
-    let trailer_at = 2 + used;
-    if trailer_at + 4 > data.len() {
-        return Err(Error::UnexpectedEof);
-    }
-    if trailer_at + 4 != data.len() {
-        return Err(Error::TrailingData);
-    }
-    let stored = u32::from_be_bytes(read4(data, trailer_at)?);
-    if stored != adler32(out) {
-        return Err(Error::ZlibChecksumMismatch);
-    }
-    Ok(())
+    decode(data, None, scratch, out)
 }
 
 /// Decompresses an FDICT zlib stream into a caller-provided buffer,
@@ -274,38 +169,46 @@ pub fn decompress_with_dict_into(
     scratch: &mut decoder::InflateScratch,
     out: &mut Vec<u8>,
 ) -> Result<()> {
-    if data.len() < 10 {
+    decode(data, Some(dict), scratch, out)
+}
+
+/// The one zlib decode body: header, FDICT/DICTID against `dict` (`None` =
+/// the caller has no dictionary), payload into `out`, trailer.
+fn decode(
+    data: &[u8],
+    dict: Option<&[u8]>,
+    scratch: &mut decoder::InflateScratch,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let payload_at = if dict.is_some() { 6 } else { 2 };
+    if data.len() < payload_at + 4 {
         return Err(Error::UnexpectedEof);
     }
     let (cmf, flg) = (data[0], data[1]);
+    // Method must be DEFLATE, window <= 32 KB, FCHECK valid.
     if cmf & 0x0F != 8 || cmf >> 4 > 7 || (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
         return Err(Error::BadZlibHeader);
     }
-    if flg & 0x20 == 0 {
-        return Err(Error::DictionaryMismatch); // no dictionary requested
+    match (flg & 0x20 != 0, dict) {
+        (false, None) => {}
+        (true, None) => return Err(Error::DictionaryRequired),
+        (false, Some(_)) => return Err(Error::DictionaryMismatch), // none requested
+        (true, Some(dict)) => {
+            if u32::from_be_bytes(read4(data, 2)?) != adler32(dict) {
+                return Err(Error::DictionaryMismatch);
+            }
+        }
     }
-    let dictid = u32::from_be_bytes(read4(data, 2)?);
-    if dictid != adler32(dict) {
-        return Err(Error::DictionaryMismatch);
-    }
-    let mut inf =
-        decoder::Inflater::with_reuse(&data[6..], std::mem::take(scratch), std::mem::take(out));
-    inf.prime_window(dict);
-    let res = inf.run(usize::MAX);
-    let used = inf.byte_position();
-    let (o, s) = inf.into_parts();
-    *scratch = s;
-    *out = o;
-    res?;
-    let trailer_at = 6 + used;
+    let dict = dict.unwrap_or_default();
+    let used = decoder::decode_into(&data[payload_at..], dict, usize::MAX, scratch, out)?;
+    let trailer_at = payload_at + used;
     if trailer_at + 4 > data.len() {
         return Err(Error::UnexpectedEof);
     }
     if trailer_at + 4 != data.len() {
         return Err(Error::TrailingData);
     }
-    let stored = u32::from_be_bytes(read4(data, trailer_at)?);
-    if stored != adler32(out) {
+    if u32::from_be_bytes(read4(data, trailer_at)?) != adler32(out) {
         return Err(Error::ZlibChecksumMismatch);
     }
     Ok(())

@@ -296,6 +296,27 @@ proptest! {
     }
 
     #[test]
+    fn adler32_update_is_split_invariant(
+        data in prop::collection::vec(any::<u8>(), 0..20_000),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        use nx_deflate::adler32::Adler32;
+        // Byte-at-a-time reference, reduced every step.
+        let (a, b) = data.iter().fold((1u32, 0u32), |(a, b), &x| {
+            let a = (a + u32::from(x)) % 65_521;
+            (a, (b + a) % 65_521)
+        });
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let (mut sum, mut from) = (Adler32::new(), 0);
+        for cut in cuts.into_iter().chain([data.len()]) {
+            sum.update(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(sum.finish(), (b << 16) | a);
+    }
+
+    #[test]
     fn crc32_combine_matches_concatenation(
         x in prop::collection::vec(any::<u8>(), 0..4096),
         y in prop::collection::vec(any::<u8>(), 0..4096),

@@ -105,7 +105,13 @@ fn mutate(base: &[u8], rng: &mut Rng) -> Vec<u8> {
 /// point; the explicit checks pin the output-limit contract and the
 /// software/accelerator agreement.
 fn assault(nx: &Nx, format: Format, m: &[u8]) {
-    if let Ok(out) = nx_deflate::inflate_with_limit(m, LIMIT) {
+    // The one-shot call decodes on this thread's long-lived scratch, whose
+    // table memo the earlier cases filled; a fresh scratch is the oracle.
+    let warm = nx_deflate::inflate_with_limit(m, LIMIT);
+    let mut fresh = nx_deflate::Inflater::new(m);
+    let fresh = fresh.run(LIMIT).map(|()| fresh.into_output());
+    assert_eq!(warm, fresh, "long-lived and fresh scratch disagree");
+    if let Ok(out) = warm {
         assert!(out.len() <= LIMIT, "inflate exceeded its output limit");
     }
     let sw = software::decompress(m, format);

@@ -112,7 +112,13 @@ fn case(format: Format, seed: u64) -> Result<(), TestCaseError> {
     let pool = bases(format);
     let base = &pool[rng.below(pool.len())];
     let m = mutate(base, &mut rng);
-    if let Ok(out) = nx_deflate::inflate_with_limit(&m, LIMIT) {
+    // The one-shot call decodes on this thread's long-lived scratch, whose
+    // table memo the earlier cases filled; a fresh scratch is the oracle.
+    let warm = nx_deflate::inflate_with_limit(&m, LIMIT);
+    let mut fresh = nx_deflate::Inflater::new(&m);
+    let fresh = fresh.run(LIMIT).map(|()| fresh.into_output());
+    prop_assert_eq!(&warm, &fresh, "long-lived and fresh scratch disagree");
+    if let Ok(out) = warm {
         prop_assert!(out.len() <= LIMIT, "inflate exceeded its output limit");
     }
     // The container parser has no explicit cap; boundedness comes from
