@@ -27,32 +27,26 @@ pub(crate) fn wrap(raw: Vec<u8>, original: &[u8], format: Format) -> Vec<u8> {
     }
 }
 
-/// A parsed container: the raw stream plus the trailer expectations.
+/// A parsed container: the raw stream plus the container it closes with.
 #[derive(Debug)]
 pub(crate) struct Unwrapped<'a> {
     /// The raw DEFLATE payload.
     pub deflate_stream: &'a [u8],
-    expected_crc32: Option<u32>,
-    expected_adler: Option<u32>,
-    expected_len: Option<u32>,
+    data: &'a [u8],
+    format: Format,
 }
 
 impl Unwrapped<'_> {
     /// Verifies the decoded payload against the container trailer.
     pub fn verify(&self, decoded: &[u8]) -> Result<()> {
-        if let Some(c) = self.expected_crc32 {
-            if c != crc32(decoded) {
-                return Err(DeflateError::GzipChecksumMismatch.into());
-            }
-        }
-        if let Some(l) = self.expected_len {
-            if l != (decoded.len() & 0xFFFF_FFFF) as u32 {
-                return Err(DeflateError::GzipChecksumMismatch.into());
-            }
-        }
-        if let Some(a) = self.expected_adler {
-            if a != adler32(decoded) {
-                return Err(DeflateError::ZlibChecksumMismatch.into());
+        let n = self.data.len();
+        match self.format {
+            Format::RawDeflate => {}
+            Format::Gzip => gzip::verify_trailer(self.data, n - 8, decoded).map(drop)?,
+            Format::Zlib => {
+                if u32::from_be_bytes(trailer4(self.data, n - 4)?) != adler32(decoded) {
+                    return Err(DeflateError::ZlibChecksumMismatch.into());
+                }
             }
         }
         Ok(())
@@ -69,62 +63,20 @@ fn trailer4(data: &[u8], at: usize) -> std::result::Result<[u8; 4], DeflateError
 
 /// Parses a container down to its raw DEFLATE payload without inflating.
 pub(crate) fn unwrap(data: &[u8], format: Format) -> Result<Unwrapped<'_>> {
-    match format {
-        Format::RawDeflate => Ok(Unwrapped {
-            deflate_stream: data,
-            expected_crc32: None,
-            expected_adler: None,
-            expected_len: None,
-        }),
+    let n = data.len();
+    let payload = match format {
+        Format::RawDeflate => 0..n,
         Format::Gzip => {
-            if data.len() < 18 {
+            // The one RFC 1952 header walk (optional fields, FHCRC), shared
+            // with every other gzip door.
+            let start = gzip::parse_header(data)?.1;
+            if start + 8 > n {
                 return Err(DeflateError::UnexpectedEof.into());
             }
-            if data[0..2] != [0x1F, 0x8B] || data[2] != 8 {
-                return Err(DeflateError::BadGzipHeader.into());
-            }
-            let flg = data[3];
-            if flg & 0b1110_0000 != 0 {
-                return Err(DeflateError::BadGzipHeader.into());
-            }
-            // Skip the optional header fields (RFC 1952 §2.3.1) so the
-            // payload slice starts at the DEFLATE stream even for
-            // foreign producers (`gzip(1)` sets FNAME by default).
-            let mut pos = 10usize;
-            if flg & 0x04 != 0 {
-                // FEXTRA: u16 length + payload.
-                if pos + 2 > data.len() {
-                    return Err(DeflateError::UnexpectedEof.into());
-                }
-                pos += 2 + usize::from(u16::from_le_bytes([data[pos], data[pos + 1]]));
-            }
-            for flag in [0x08, 0x10] {
-                // FNAME, FCOMMENT: zero-terminated strings.
-                if flg & flag != 0 {
-                    let end = data
-                        .get(pos..)
-                        .and_then(|rest| rest.iter().position(|&b| b == 0))
-                        .ok_or(DeflateError::UnexpectedEof)?;
-                    pos += end + 1;
-                }
-            }
-            if flg & 0x02 != 0 {
-                // FHCRC: CRC-16 of the header.
-                pos += 2;
-            }
-            let n = data.len();
-            if pos + 8 > n {
-                return Err(DeflateError::UnexpectedEof.into());
-            }
-            Ok(Unwrapped {
-                deflate_stream: &data[pos..n - 8],
-                expected_crc32: Some(u32::from_le_bytes(trailer4(data, n - 8)?)),
-                expected_len: Some(u32::from_le_bytes(trailer4(data, n - 4)?)),
-                expected_adler: None,
-            })
+            start..n - 8
         }
         Format::Zlib => {
-            if data.len() < 6 {
+            if n < 6 {
                 return Err(DeflateError::UnexpectedEof.into());
             }
             if data[0] & 0x0F != 8
@@ -133,15 +85,14 @@ pub(crate) fn unwrap(data: &[u8], format: Format) -> Result<Unwrapped<'_>> {
             {
                 return Err(DeflateError::BadZlibHeader.into());
             }
-            let n = data.len();
-            Ok(Unwrapped {
-                deflate_stream: &data[2..n - 4],
-                expected_adler: Some(u32::from_be_bytes(trailer4(data, n - 4)?)),
-                expected_crc32: None,
-                expected_len: None,
-            })
+            2..n - 4
         }
-    }
+    };
+    Ok(Unwrapped {
+        deflate_stream: &data[payload],
+        data,
+        format,
+    })
 }
 
 #[cfg(test)]

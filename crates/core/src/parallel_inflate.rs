@@ -40,7 +40,6 @@ use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
 use crate::scratch::BufferPool;
 use crate::{software, Error, Result};
-use nx_deflate::crc32::crc32;
 use nx_deflate::{
     gzip, resolve_markers_into, BlockProbe, Error as DeflateError, InflateScratch, Inflater,
     MarkerInflater, MARKER_BASE, MAX_MATCH, WINDOW_SIZE,
@@ -825,7 +824,7 @@ impl ParallelInflater {
                     let member = data.get(pos..).ok_or(DeflateError::UnexpectedEof)?;
                     let payload = pos + gzip::parse_header(member)?.1;
                     let used = state.walk(&data[payload..], payload, every, all, &mut index)?;
-                    pos = verify_member_trailer(data, payload + used, &state.out)?;
+                    pos = gzip::verify_trailer(data, payload + used, &state.out)?;
                     if pos >= data.len() {
                         return Ok(index);
                     }
@@ -958,7 +957,7 @@ impl Walker {
         let used = self
             .walk(body, m.payload, every, m.out_len, &mut part)
             .ok()?;
-        let checked = verify_member_trailer(data, m.end - 8, &self.out).is_ok();
+        let checked = gzip::verify_trailer(data, m.end - 8, &self.out).is_ok();
         (used == body.len() && checked).then_some(part)
     }
 
@@ -1042,20 +1041,6 @@ impl Walker {
         }
         sparse
     }
-}
-
-/// Validates the 8-byte gzip trailer at `trailer_at` against the decoded
-/// bytes of the member it closes, returning the offset just past it.
-fn verify_member_trailer(data: &[u8], trailer_at: usize, member_out: &[u8]) -> Result<usize> {
-    let tb = data
-        .get(trailer_at..trailer_at + 8)
-        .ok_or(DeflateError::UnexpectedEof)?;
-    let stored_crc = u32::from_le_bytes([tb[0], tb[1], tb[2], tb[3]]);
-    let stored_len = u32::from_le_bytes([tb[4], tb[5], tb[6], tb[7]]);
-    if stored_crc != crc32(member_out) || stored_len != (member_out.len() & 0xFFFF_FFFF) as u32 {
-        return Err(DeflateError::GzipChecksumMismatch.into());
-    }
-    Ok(trailer_at + 8)
 }
 
 /// One gzip member of a decode plan.

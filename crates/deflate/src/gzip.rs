@@ -4,7 +4,7 @@
 //! consumes; the accelerator computes the trailer CRC-32 inline with the
 //! data movement.
 
-use crate::crc32::Crc32;
+use crate::crc32::crc32;
 use crate::encoder::CompressionLevel;
 use crate::zlib::read4;
 use crate::{decoder, Error, Result};
@@ -47,22 +47,15 @@ pub struct GzipHeader {
 /// ```
 pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 32);
-    out.extend_from_slice(&MAGIC);
-    out.push(METHOD_DEFLATE);
-    out.push(0); // FLG: no optional fields
-    out.extend_from_slice(&0u32.to_le_bytes()); // MTIME
-                                                // XFL: 2 = max compression, 4 = fastest (gzip convention).
-    out.push(match level.get() {
+    write_header_into(&mut out);
+    // XFL: 2 = max compression, 4 = fastest (gzip convention).
+    out[8] = match level.get() {
         9 => 2,
         1 => 4,
         _ => 0,
-    });
-    out.push(255); // OS = unknown
+    };
     out.extend_from_slice(&crate::deflate(data, level));
-    let mut crc = Crc32::new();
-    crc.update(data);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    write_trailer_into(&mut out, crc32(data), data.len() as u64);
     out
 }
 
@@ -174,17 +167,16 @@ fn isize_hint(data: &[u8]) -> usize {
 }
 
 /// Validates the 8-byte CRC-32 + ISIZE trailer at `trailer_at` against the
-/// decoded payload, returning the total member length.
-fn verify_trailer(data: &[u8], trailer_at: usize, out: &[u8]) -> Result<usize> {
-    if trailer_at + 8 > data.len() {
-        return Err(Error::UnexpectedEof);
-    }
+/// decoded payload `out` of the member it closes, returning the offset just
+/// past it. ISIZE is compared first: a lying length costs no CRC pass.
+///
+/// # Errors
+///
+/// [`Error::UnexpectedEof`], else [`Error::GzipChecksumMismatch`].
+pub fn verify_trailer(data: &[u8], trailer_at: usize, out: &[u8]) -> Result<usize> {
     let stored_crc = u32::from_le_bytes(read4(data, trailer_at)?);
     let stored_len = u32::from_le_bytes(read4(data, trailer_at + 4)?);
-    if stored_crc != crate::crc32::crc32(out) {
-        return Err(Error::GzipChecksumMismatch);
-    }
-    if stored_len != (out.len() & 0xFFFF_FFFF) as u32 {
+    if stored_len != (out.len() & 0xFFFF_FFFF) as u32 || stored_crc != crc32(out) {
         return Err(Error::GzipChecksumMismatch);
     }
     Ok(trailer_at + 8)
@@ -243,7 +235,7 @@ pub fn parse_header(data: &[u8]) -> Result<(GzipHeader, usize)> {
             return Err(Error::UnexpectedEof);
         }
         let stored = u16::from_le_bytes([data[pos], data[pos + 1]]);
-        let computed = (crate::crc32::crc32(&data[..pos]) & 0xFFFF) as u16;
+        let computed = (crc32(&data[..pos]) & 0xFFFF) as u16;
         if stored != computed {
             return Err(Error::GzipChecksumMismatch);
         }
@@ -375,6 +367,31 @@ mod tests {
         let n = gz.len();
         gz[n - 1] ^= 0x01;
         assert_eq!(decompress(&gz), Err(Error::GzipChecksumMismatch));
+    }
+
+    #[test]
+    fn verify_trailer_is_the_one_check_every_door_calls() {
+        let out = b"the decoded member";
+        let mut data = b"..member bytes..".to_vec();
+        let at = data.len();
+        write_trailer_into(&mut data, crc32(out), out.len() as u64);
+        assert_eq!(verify_trailer(&data, at, out), Ok(at + 8));
+        for cut in at..at + 8 {
+            assert_eq!(
+                verify_trailer(&data[..cut], at, out),
+                Err(Error::UnexpectedEof)
+            );
+        }
+        // A lying ISIZE and a lying CRC-32 are the same error class.
+        assert_eq!(
+            verify_trailer(&data, at, &out[1..]),
+            Err(Error::GzipChecksumMismatch)
+        );
+        data[at] ^= 1;
+        assert_eq!(
+            verify_trailer(&data, at, out),
+            Err(Error::GzipChecksumMismatch)
+        );
     }
 
     #[test]

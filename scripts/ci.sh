@@ -70,6 +70,9 @@ DECODE_PATHS=(
     crates/deflate/src/gzip.rs
     crates/deflate/src/zlib.rs
     crates/deflate/src/stream.rs
+    # Every untrusted decode's output runs through the checksums.
+    crates/deflate/src/crc32.rs
+    crates/deflate/src/adler32.rs
     # The scratch/pool layer sits on every reuse-path request.
     crates/core/src/scratch.rs
     crates/p842/src/decode.rs
@@ -131,6 +134,25 @@ for f in "${DECODE_PATHS[@]}"; do
 done
 if [[ "$GATE_FAIL" != "0" ]]; then
     echo "==> FAIL: decode paths must return typed errors, not panic"
+    exit 1
+fi
+
+echo "==> unsafe gate"
+# The workspace has one non-test `unsafe`: the call into the pclmulqdq
+# CRC-32 kernel behind its CPU-feature test (crc32.rs), with the reason it
+# is sound on the line above. Anything else fails here. (`unsafe` in a
+# comment does not count; test modules sit below `#[cfg(test)]`.)
+UNSAFE=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0; prev = "" }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && $0 !~ /^[[:space:]]*\/\// && /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ {
+        print FILENAME ": " (prev ~ /^[[:space:]]*\/\/ SAFETY:/ ? "SAFETY" : "bare") ": " $0
+    }
+    { prev = $0 }')
+if [[ $(grep -c . <<< "$UNSAFE") != 1 ]] ||
+    ! grep -q '^crates/deflate/src/crc32.rs: SAFETY: .*unsafe { fold(' <<< "$UNSAFE"; then
+    echo "$UNSAFE"
+    echo "==> FAIL: non-test unsafe must be the one dispatch line in crc32.rs, under a // SAFETY: comment"
     exit 1
 fi
 

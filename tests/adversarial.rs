@@ -240,3 +240,89 @@ fn decode_is_deterministic_on_hostile_input() {
         }
     }
 }
+
+/// A gzip member with every optional header field (FEXTRA + FNAME +
+/// FCOMMENT + FHCRC, header CRC-16 right) around `data`, and the length
+/// of that header.
+fn member_with_full_header(data: &[u8]) -> (Vec<u8>, usize) {
+    // FLG 0x1E = FHCRC | FEXTRA | FNAME | FCOMMENT; MTIME set, OS = unix.
+    let mut gz = vec![0x1F, 0x8B, 8, 0x1E, 0x78, 0x56, 0x34, 0x12, 0, 3];
+    gz.extend_from_slice(b"\x05\x00ab\x01\x00x"); // XLEN, one subfield
+    gz.extend_from_slice(b"a file name\0a comment \x1f\x8b\x08 with a magic in it\0");
+    let hcrc = nx_deflate::crc32::crc32(&gz) as u16;
+    gz.extend_from_slice(&hcrc.to_le_bytes());
+    let header = gz.len();
+    let lvl = CompressionLevel::new(6).expect("valid level");
+    gz.extend_from_slice(&software::compress(data, lvl, Format::RawDeflate));
+    nx_deflate::gzip::write_trailer_into(
+        &mut gz,
+        nx_deflate::crc32::crc32(data),
+        data.len() as u64,
+    );
+    (gz, header)
+}
+
+/// Every gzip decode door's verdict on `m`, by name.
+fn gzip_doors(nx: &Nx, m: &[u8]) -> Vec<(&'static str, nx_core::Result<Vec<u8>>)> {
+    let mut session = nx.scratch_session(6).expect("valid level");
+    let mut into = Vec::new();
+    let scratch = session.decompress_into(m, Format::Gzip, &mut into);
+    let indexed = nx
+        .build_index(m, Format::Gzip)
+        .and_then(|index| nx.decompress_at(m, &index, 0, usize::MAX));
+    vec![
+        (
+            "gzip::decompress",
+            nx_deflate::gzip::decompress(m).map_err(Into::into),
+        ),
+        (
+            "software::decompress",
+            software::decompress(m, Format::Gzip),
+        ),
+        (
+            "Nx::decompress",
+            nx.decompress(m, Format::Gzip).map(|d| d.bytes),
+        ),
+        (
+            "Nx::decompress_parallel",
+            nx.decompress_parallel(m, Format::Gzip),
+        ),
+        ("ScratchSession::decompress_into", scratch.map(|()| into)),
+        ("Nx::build_index", indexed),
+    ]
+}
+
+#[test]
+fn every_gzip_door_reads_and_checks_the_same_optional_header() {
+    // `framing::unwrap` used to walk the header itself and skip FHCRC, so
+    // a damaged header decoded `Ok` through two doors and failed the rest.
+    let data = nx_corpus::mixed(0xF4C2C, 700);
+    let (gz, header) = member_with_full_header(&data);
+    let nx = Nx::power9();
+    for (door, got) in gzip_doors(&nx, &gz) {
+        assert_eq!(got.as_deref(), Ok(&data[..]), "{door}: intact header");
+    }
+    // One header bit flipped: where the header walk itself rejects the
+    // member, every door reports that same error; nowhere is it accepted.
+    for bit in 0..header * 8 {
+        let mut m = gz.clone();
+        m[bit / 8] ^= 1 << (bit % 8);
+        let walk = nx_deflate::gzip::parse_header(&m).err();
+        for (door, got) in gzip_doors(&nx, &m) {
+            assert!(got.is_err(), "{door}: accepted header bit {bit} flipped");
+            if let Some(e) = &walk {
+                assert_eq!(
+                    got,
+                    Err(e.clone().into()),
+                    "{door}: header bit {bit} flipped"
+                );
+            }
+        }
+    }
+    // Every truncation inside the header: a typed error, never a panic.
+    for cut in 0..=header {
+        for (door, got) in gzip_doors(&nx, &gz[..cut]) {
+            assert!(got.is_err(), "{door}: accepted a header cut at {cut}");
+        }
+    }
+}
