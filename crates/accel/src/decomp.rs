@@ -8,16 +8,19 @@
 //! throughput rises with the compression ratio of the input — a shape E2
 //! reproduces.
 //!
-//! Functionally the model simply inflates the stream (tracing block
-//! structure via [`nx_deflate::inflate_traced`]) and prices each block:
-//! header parse at `header_bits_per_cycle`, dynamic-table load, one cycle
-//! per `symbols_per_cycle` symbols plus extra copy cycles for matches
-//! longer than the copy width.
+//! Functionally the model simply inflates the stream, on the software
+//! decoder's fast loop, and prices what that decoder *counted* as it ran
+//! ([`nx_deflate::inflate_traced_into`]): a block costs its header parse at
+//! `header_bits_per_cycle`, a dynamic-table load and one cycle per
+//! `symbols_per_cycle` literals and matches; a match of `len` bytes costs
+//! `⌈len / copy_bytes_per_cycle⌉ − 1` copy cycles more. That term depends
+//! on the length alone, so summing it over the stream's match-length
+//! histogram is the same integer arithmetic as walking a token list — one
+//! is never built, and no engine parameter crosses into `nx-deflate`.
 
 use crate::config::AccelConfig;
 use crate::metrics::DecompressReport;
-use nx_deflate::lz77::Token;
-use nx_deflate::Result;
+use nx_deflate::{InflateScratch, Result};
 
 /// The decompression engine.
 #[derive(Debug)]
@@ -38,45 +41,54 @@ impl Decompressor {
     ///
     /// Propagates [`nx_deflate::Error`] for malformed streams.
     pub fn decompress(&self, stream: &[u8]) -> Result<(Vec<u8>, DecompressReport)> {
-        let (out, trace) = nx_deflate::inflate_traced(stream)?;
-        let d = &self.cfg.decomp;
+        let (mut scratch, mut out) = (InflateScratch::new(), Vec::new());
+        let (report, _) = self.decompress_into(stream, 0, &mut scratch, &mut out)?;
+        Ok((out, report))
+    }
 
-        let mut header_cycles = 0u64;
-        let mut body_cycles = 0u64;
-        let mut symbols = 0u64;
-        for block in &trace {
+    /// As [`decompress`](Self::decompress), into `out` (cleared; reserved
+    /// once for `size_hint` decoded bytes, 0 = unknown) on the caller's
+    /// `scratch`. Also returns how many bytes of `stream` were consumed.
+    pub fn decompress_into(
+        &self,
+        stream: &[u8],
+        size_hint: usize,
+        scratch: &mut InflateScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(DecompressReport, usize)> {
+        let trace = nx_deflate::inflate_traced_into(stream, size_hint, scratch, out)?;
+        let d = &self.cfg.decomp;
+        let (mut header_cycles, mut body_cycles, mut symbols) = (0u64, 0u64, 0u64);
+        for block in &trace.blocks {
             header_cycles += block.header_bits.div_ceil(d.header_bits_per_cycle);
             if block.btype == 2 {
                 header_cycles += d.table_load_cycles;
             }
-            if block.btype == 0 {
+            let block_symbols = block.literals + block.matches;
+            symbols += block_symbols;
+            body_cycles += match block.btype {
                 // Stored blocks stream through the copy datapath.
-                body_cycles += block.output_bytes.div_ceil(d.copy_bytes_per_cycle);
-                continue;
-            }
-            symbols += block.tokens.len() as u64;
-            body_cycles += (block.tokens.len() as u64).div_ceil(d.symbols_per_cycle);
-            for t in &block.tokens {
-                if let Token::Match { len, .. } = t {
-                    let copy_cycles = u64::from(*len).div_ceil(d.copy_bytes_per_cycle);
-                    body_cycles += copy_cycles.saturating_sub(1);
-                }
-            }
+                0 => block.output_bytes.div_ceil(d.copy_bytes_per_cycle),
+                _ => block_symbols.div_ceil(d.symbols_per_cycle),
+            };
         }
-        let cycles = header_cycles + body_cycles + self.cfg.request_overhead_cycles;
+        for (len, &n) in trace.match_lens.iter().enumerate() {
+            let copy_cycles = (len as u64).div_ceil(d.copy_bytes_per_cycle);
+            body_cycles += n * copy_cycles.saturating_sub(1);
+        }
         let report = DecompressReport {
             config_name: self.cfg.name,
             freq_ghz: self.cfg.freq_ghz,
             input_bytes: stream.len() as u64,
             output_bytes: out.len() as u64,
-            cycles,
+            cycles: header_cycles + body_cycles + self.cfg.request_overhead_cycles,
             header_cycles,
             body_cycles,
             overhead_cycles: self.cfg.request_overhead_cycles,
-            blocks: trace.len() as u64,
+            blocks: trace.blocks.len() as u64,
             symbols,
         };
-        Ok((out, report))
+        Ok((report, trace.consumed))
     }
 }
 

@@ -4,8 +4,8 @@
 
 use crate::config::AccelConfig;
 use crate::decomp::Decompressor;
-use crate::huffenc::BlockEncoder;
-use crate::matcher::MatchEngine;
+use crate::huffenc::{BlockCost, BlockEncoder};
+use crate::matcher::{MatchEngine, MatchOutcome};
 use crate::metrics::{CompressReport, DecompressReport};
 
 /// One modeled accelerator instance (compression and decompression
@@ -48,35 +48,7 @@ impl Accelerator {
     pub fn compress(&mut self, data: &[u8]) -> (Vec<u8>, CompressReport) {
         let m = self.matcher.tokenize(data);
         let e = self.encoder.encode(data, &m.tokens);
-
-        // Two-stage flow shop over blocks: stage 1 is ingest (shared with
-        // frequency counting), stage 2 is table build + encode pass from
-        // the double-buffered symbol store.
-        let mut finish1 = 0u64;
-        let mut finish2 = 0u64;
-        for b in &e.blocks {
-            finish1 += b.ingest_cycles;
-            finish2 = finish1.max(finish2) + b.build_encode_cycles;
-        }
-        let makespan = finish2.max(m.ingest_cycles);
-        let huffman_tail = makespan - m.ingest_cycles.min(makespan);
-        let cycles = makespan + m.bank_stall_cycles + self.cfg.request_overhead_cycles;
-
-        let report = CompressReport {
-            config_name: self.cfg.name,
-            freq_ghz: self.cfg.freq_ghz,
-            input_bytes: data.len() as u64,
-            output_bytes: e.stream.len() as u64,
-            cycles,
-            ingest_cycles: m.ingest_cycles,
-            bank_stall_cycles: m.bank_stall_cycles,
-            huffman_tail_cycles: huffman_tail,
-            overhead_cycles: self.cfg.request_overhead_cycles,
-            blocks: e.blocks.len() as u64,
-            stored_blocks: e.stored_blocks,
-            tokens: m.tokens.len() as u64,
-            discarded_matches: m.discarded_matches,
-        };
+        let report = request_report(&self.cfg, &m, &e.blocks, e.stored_blocks, data, &e.stream);
         (e.stream, report)
     }
 
@@ -88,6 +60,46 @@ impl Accelerator {
     /// hardware likewise terminates the job with an error CSB.
     pub fn decompress(&mut self, stream: &[u8]) -> nx_deflate::Result<(Vec<u8>, DecompressReport)> {
         self.decomp.decompress(stream)
+    }
+
+    /// The decompression engine, for callers with their own scratch and output.
+    pub fn decompressor(&self) -> &Decompressor {
+        &self.decomp
+    }
+}
+
+/// Prices one request (one CRB): after any history reload, a two-stage flow
+/// shop over `blocks` -- stage 1 is ingest (shared with frequency counting),
+/// stage 2 table build + encode pass from the double-buffered symbol store.
+fn request_report(
+    cfg: &AccelConfig,
+    m: &MatchOutcome,
+    blocks: &[BlockCost],
+    stored_blocks: u64,
+    input: &[u8],
+    output: &[u8],
+) -> CompressReport {
+    let ingest_cycles = m.history_cycles + m.ingest_cycles;
+    let (mut finish1, mut finish2) = (m.history_cycles, m.history_cycles);
+    for b in blocks {
+        finish1 += b.ingest_cycles;
+        finish2 = finish1.max(finish2) + b.build_encode_cycles;
+    }
+    let makespan = finish2.max(ingest_cycles);
+    CompressReport {
+        config_name: cfg.name,
+        freq_ghz: cfg.freq_ghz,
+        input_bytes: input.len() as u64,
+        output_bytes: output.len() as u64,
+        cycles: makespan + m.bank_stall_cycles + cfg.request_overhead_cycles,
+        ingest_cycles,
+        bank_stall_cycles: m.bank_stall_cycles,
+        huffman_tail_cycles: makespan - ingest_cycles,
+        overhead_cycles: cfg.request_overhead_cycles,
+        blocks: blocks.len() as u64,
+        stored_blocks,
+        tokens: m.tokens.len() as u64,
+        discarded_matches: m.discarded_matches,
     }
 }
 
@@ -145,17 +157,6 @@ impl AccelStream {
             .encoder
             .encode_into(&mut self.w, chunk, &m.tokens, last);
 
-        // Per-CRB makespan: history reload + the usual two-stage pipeline.
-        let mut finish1 = m.history_cycles;
-        let mut finish2 = m.history_cycles;
-        for b in &blocks {
-            finish1 += b.ingest_cycles;
-            finish2 = finish1.max(finish2) + b.build_encode_cycles;
-        }
-        let makespan = finish2.max(m.history_cycles + m.ingest_cycles);
-        let cycles = makespan + m.bank_stall_cycles + self.cfg.request_overhead_cycles;
-        self.total_cycles += cycles;
-
         if last {
             self.w.align_to_byte();
             self.finished = true;
@@ -175,21 +176,8 @@ impl AccelStream {
             }
         }
 
-        let report = CompressReport {
-            config_name: self.cfg.name,
-            freq_ghz: self.cfg.freq_ghz,
-            input_bytes: chunk.len() as u64,
-            output_bytes: bytes.len() as u64,
-            cycles,
-            ingest_cycles: m.ingest_cycles + m.history_cycles,
-            bank_stall_cycles: m.bank_stall_cycles,
-            huffman_tail_cycles: makespan - (m.history_cycles + m.ingest_cycles).min(makespan),
-            overhead_cycles: self.cfg.request_overhead_cycles,
-            blocks: blocks.len() as u64,
-            stored_blocks: stored,
-            tokens: m.tokens.len() as u64,
-            discarded_matches: m.discarded_matches,
-        };
+        let report = request_report(&self.cfg, &m, &blocks, stored, chunk, &bytes);
+        self.total_cycles += report.cycles;
         (bytes, report)
     }
 

@@ -239,10 +239,10 @@ impl Executor {
         let (on_engine, software_name) = match unit {
             Unit::Accel(accel) => (
                 job.recover(fault::Site::Decompress, |out| {
-                    let payload = framing::unwrap(data, format)?;
-                    let (bytes, report) = accel.decompress(payload.deflate_stream)?;
-                    payload.verify(&bytes)?;
-                    *out = bytes;
+                    let un = framing::unwrap(data, format)?;
+                    let model = accel.decompressor();
+                    let (report, used) = model.decompress_into(un.stream, un.hint, inflate, out)?;
+                    un.verify(used, out)?;
                     Ok((report.cycles, report))
                 })?,
                 "software-fallback",
@@ -502,6 +502,26 @@ fn ladder_into(
             zlib::write_header_into(out, level);
             enc.write_into(data, Flush::Finish, out);
             zlib::write_trailer_into(out, adler32(data));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Format, Nx};
+
+    #[test]
+    fn the_model_decodes_on_the_executors_own_scratch() {
+        // The model used to inflate on a fresh `InflateScratch` per call, so
+        // the executor's table memo never saw a default-door decode.
+        let nx = Nx::power9();
+        let data = nx_corpus::CorpusKind::Json.generate(5, 2048);
+        let stream = nx.compress(&data, Format::Zlib).unwrap().bytes;
+        // One dynamic header: remembered, then its tables kept, then a hit.
+        for hits_and_builds in [(0, 1), (0, 2), (1, 2), (2, 2)] {
+            assert_eq!(nx.decompress(&stream, Format::Zlib).unwrap().bytes, data);
+            let stats = nx.on_executor(|exec| exec.inflate.table_stats());
+            assert_eq!(stats, hits_and_builds);
         }
     }
 }

@@ -30,42 +30,37 @@ pub(crate) fn wrap(raw: Vec<u8>, original: &[u8], format: Format) -> Vec<u8> {
 /// A parsed container: the raw stream plus the container it closes with.
 #[derive(Debug)]
 pub(crate) struct Unwrapped<'a> {
-    /// The raw DEFLATE payload.
-    pub deflate_stream: &'a [u8],
-    data: &'a [u8],
+    /// The raw DEFLATE payload (through the last byte a trailer leaves).
+    pub stream: &'a [u8],
+    /// The decoded size the container claims (gzip ISIZE); 0 = unknown.
+    pub hint: usize,
+    /// The payload and the trailer behind it.
+    tail: &'a [u8],
     format: Format,
 }
 
 impl Unwrapped<'_> {
-    /// Verifies the decoded payload against the container trailer.
-    pub fn verify(&self, decoded: &[u8]) -> Result<()> {
-        let n = self.data.len();
-        match self.format {
-            Format::RawDeflate => {}
-            Format::Gzip => gzip::verify_trailer(self.data, n - 8, decoded).map(drop)?,
-            Format::Zlib => {
-                if u32::from_be_bytes(trailer4(self.data, n - 4)?) != adler32(decoded) {
-                    return Err(DeflateError::ZlibChecksumMismatch.into());
-                }
-            }
+    /// Verifies `decoded` against the trailer that must sit where the stream
+    /// *ended*, `consumed` bytes into the payload, and end the container: what
+    /// `gzip::decompress` / `zlib::decompress` check, variant for variant.
+    pub fn verify(&self, consumed: usize, decoded: &[u8]) -> Result<()> {
+        let end = match self.format {
+            Format::RawDeflate => self.tail.len(),
+            Format::Gzip => gzip::verify_trailer(self.tail, consumed, decoded)?,
+            Format::Zlib => zlib::verify_trailer(self.tail, consumed, decoded)?,
+        };
+        if end != self.tail.len() {
+            return Err(DeflateError::TrailingData.into());
         }
         Ok(())
     }
 }
 
-/// Reads the 4-byte trailer field at `at`, surfacing truncation as a
-/// typed error instead of panicking on the slice conversion.
-fn trailer4(data: &[u8], at: usize) -> std::result::Result<[u8; 4], DeflateError> {
-    data.get(at..at + 4)
-        .and_then(|s| <[u8; 4]>::try_from(s).ok())
-        .ok_or(DeflateError::UnexpectedEof)
-}
-
 /// Parses a container down to its raw DEFLATE payload without inflating.
 pub(crate) fn unwrap(data: &[u8], format: Format) -> Result<Unwrapped<'_>> {
     let n = data.len();
-    let payload = match format {
-        Format::RawDeflate => 0..n,
+    let (payload_at, trailer, hint) = match format {
+        Format::RawDeflate => (0, 0, 0),
         Format::Gzip => {
             // The one RFC 1952 header walk (optional fields, FHCRC), shared
             // with every other gzip door.
@@ -73,24 +68,24 @@ pub(crate) fn unwrap(data: &[u8], format: Format) -> Result<Unwrapped<'_>> {
             if start + 8 > n {
                 return Err(DeflateError::UnexpectedEof.into());
             }
-            start..n - 8
+            (start, 8, gzip::isize_hint(data))
         }
         Format::Zlib => {
             if n < 6 {
                 return Err(DeflateError::UnexpectedEof.into());
             }
-            if data[0] & 0x0F != 8
-                || (u16::from(data[0]) * 256 + u16::from(data[1])) % 31 != 0
-                || data[1] & 0x20 != 0
-            {
+            // CM = 8 (DEFLATE), FDICT clear, FCHECK right.
+            let header = u16::from_be_bytes([data[0], data[1]]);
+            if header & 0x0F20 != 0x0800 || !header.is_multiple_of(31) {
                 return Err(DeflateError::BadZlibHeader.into());
             }
-            2..n - 4
+            (2, 4, 0)
         }
     };
     Ok(Unwrapped {
-        deflate_stream: &data[payload],
-        data,
+        stream: &data[payload_at..n - trailer],
+        hint,
+        tail: &data[payload_at..],
         format,
     })
 }
@@ -108,12 +103,8 @@ mod tests {
         for format in [Format::RawDeflate, Format::Gzip, Format::Zlib] {
             let framed = wrap(raw.clone(), data, format);
             let un = unwrap(&framed, format).unwrap();
-            assert_eq!(
-                nx_deflate::inflate(un.deflate_stream).unwrap(),
-                data,
-                "{format:?}"
-            );
-            un.verify(data).unwrap();
+            assert_eq!(nx_deflate::inflate(un.stream).unwrap(), data, "{format:?}");
+            un.verify(un.stream.len(), data).unwrap();
         }
     }
 
@@ -124,7 +115,7 @@ mod tests {
         let framed = wrap(raw, data, Format::Gzip);
         let un = unwrap(&framed, Format::Gzip).unwrap();
         assert!(matches!(
-            un.verify(b"another payload"),
+            un.verify(un.stream.len(), b"another payload"),
             Err(Error::Deflate(_))
         ));
     }
@@ -148,9 +139,9 @@ mod tests {
         framed.extend_from_slice(&nx_deflate::crc32::crc32(data).to_le_bytes());
         framed.extend_from_slice(&(data.len() as u32).to_le_bytes());
         let un = unwrap(&framed, Format::Gzip).unwrap();
-        let out = nx_deflate::inflate(un.deflate_stream).unwrap();
+        let out = nx_deflate::inflate(un.stream).unwrap();
         assert_eq!(out, data);
-        un.verify(&out).unwrap();
+        un.verify(un.stream.len(), &out).unwrap();
         // Truncated mid-FNAME (no terminator) is an EOF, not garbage.
         assert!(unwrap(&framed[..16], Format::Gzip).is_err());
     }
@@ -172,9 +163,19 @@ mod tests {
     }
 
     #[test]
-    fn trailer4_rejects_short_reads() {
-        assert!(trailer4(&[1, 2, 3], 0).is_err());
-        assert!(trailer4(&[1, 2, 3, 4], 1).is_err());
-        assert_eq!(trailer4(&[1, 2, 3, 4], 0), Ok([1, 2, 3, 4]));
+    fn short_trailer_reads_are_typed_errors() {
+        // The trailer is read where the decoder stopped; a stream that ends
+        // too close to the end of the buffer must be an EOF, not a panic on
+        // the slice conversion.
+        let data = b"short trailer payload";
+        let raw = deflate(data, CompressionLevel::default());
+        for format in [Format::Gzip, Format::Zlib] {
+            let framed = wrap(raw.clone(), data, format);
+            let un = unwrap(&framed, format).unwrap();
+            for past in 1..=9 {
+                let got = un.verify(un.stream.len() + past, data);
+                assert_eq!(got, Err(DeflateError::UnexpectedEof.into()), "{format:?}");
+            }
+        }
     }
 }

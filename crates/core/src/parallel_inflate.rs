@@ -398,8 +398,8 @@ fn fan_out<S, T: Send>(
 
 /// Outcome of a speculative single-stream attempt.
 enum Spec {
-    /// Speculation confirmed; the assembled output.
-    Done(Vec<u8>),
+    /// Speculation confirmed: the output, and the payload bytes it took.
+    Done(Vec<u8>, usize),
     /// Attempted and failed — count a miss and fall back.
     Miss,
     /// Not worth attempting (too small, one worker, no boundaries probed).
@@ -591,13 +591,13 @@ impl ParallelInflater {
             self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
             return self.decompress_serial(data, format);
         };
-        match self.speculative(un.deflate_stream, request) {
-            Spec::Done(out) if un.verify(&out).is_ok() => {
-                let sizes = chunk_sizes(un.deflate_stream.len(), self.opts.chunk_size);
+        match self.speculative(un.stream, request) {
+            Spec::Done(out, used) if un.verify(used, &out).is_ok() => {
+                let sizes = chunk_sizes(un.stream.len(), self.opts.chunk_size);
                 self.emit_spans(ctx, Stage::Shard, &sizes, 0);
                 Ok(out)
             }
-            Spec::Done(_) | Spec::Miss => {
+            Spec::Done(..) | Spec::Miss => {
                 self.stats
                     .speculation_misses
                     .fetch_add(1, Ordering::Relaxed);
@@ -789,8 +789,11 @@ impl ParallelInflater {
             spliced += 1;
             k += 1;
         }
-        if !finished && repair_to(payload, &mut out, cur_end, None).is_err() {
-            return Spec::Miss;
+        if !finished {
+            match repair_to(payload, &mut out, cur_end, None) {
+                Ok((end, _)) => cur_end = end,
+                Err(_) => return Spec::Miss,
+            }
         }
         self.stats
             .chunks_decoded
@@ -798,7 +801,7 @@ impl ParallelInflater {
         self.stats
             .speculation_misses
             .fetch_add(missed, Ordering::Relaxed);
-        Spec::Done(out)
+        Spec::Done(out, cur_end.div_ceil(8) as usize)
     }
 
     // ---- seek index -------------------------------------------------
@@ -832,8 +835,8 @@ impl ParallelInflater {
             }
             Format::Zlib => {
                 let un = framing::unwrap(data, format)?;
-                state.walk(un.deflate_stream, 2, every, all, &mut index)?;
-                un.verify(&state.out)?;
+                let used = state.walk(un.stream, 2, every, all, &mut index)?;
+                un.verify(used, &state.out)?;
             }
             Format::RawDeflate => state.walk(data, 0, every, all, &mut index).map(drop)?,
         }

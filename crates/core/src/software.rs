@@ -102,10 +102,11 @@ pub(crate) fn compress_with_profile_into(
 ///
 /// [`crate::Error::Deflate`] for malformed containers or streams.
 pub fn decompress(data: &[u8], format: Format) -> Result<Vec<u8>> {
-    let un = framing::unwrap(data, format)?;
-    let out = nx_deflate::inflate(un.deflate_stream)?;
-    un.verify(&out)?;
-    Ok(out)
+    Ok(match format {
+        Format::RawDeflate => nx_deflate::inflate(data)?,
+        Format::Gzip => gzip::decompress(data)?,
+        Format::Zlib => zlib::decompress(data)?,
+    })
 }
 
 /// Decompresses `format`-framed `data` with a preset dictionary — the

@@ -282,4 +282,31 @@ fn scratch_session_steady_state_allocation_profile() {
     // Structural damage is refused at load; window bytes carry no check,
     // so damage there reads back wrong: the index is a trusted sidecar.
     assert!(refused > 0 && misread > 0 && refused + misread < wire.len() as u64);
+
+    // --- The modeled decompressor: its output and O(blocks) of records. ---
+    // The default `Nx::decompress` door prices a stream from counts the
+    // decode loops take as they run. It used to replay one `Vec<Token>` per
+    // block (6 B a token, grown by doubling: megabytes per MiB of output).
+    let data = nx_corpus::mixed(0xA110C, 1 << 20);
+    let stream = nx.compress(&data, Format::Gzip).expect("infallible").bytes;
+    for _ in 0..WARMUP {
+        let back = nx.decompress(&stream, Format::Gzip).expect("valid");
+        assert_eq!(back.bytes, data);
+    }
+    let (before, bytes_before) = (allocs(), ALLOCATED_BYTES.load(Ordering::SeqCst));
+    let back = nx.decompress(&stream, Format::Gzip).expect("valid");
+    let events = allocs() - before;
+    let bytes = ALLOCATED_BYTES.load(Ordering::SeqCst) - bytes_before;
+    assert_eq!(back.bytes.len(), data.len());
+    let blocks = back.report.blocks;
+    assert!(blocks >= 4, "a megabyte is several blocks");
+    // The output (reserved once: ISIZE plus the fast loop's 64 KiB slack),
+    // the trace (a 2 KiB histogram, 48-byte block records grown by
+    // doubling) and the request's spans.
+    let budget = data.len() as u64 + 65_536 + 4096 + 128 * blocks;
+    assert!(bytes <= budget, "a warm model decode asked for {bytes} B");
+    assert!(
+        events <= 8 + blocks,
+        "a warm model decode allocated {events} x"
+    );
 }

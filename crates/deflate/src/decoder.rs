@@ -155,7 +155,8 @@ pub(crate) fn one_shot<T>(
 }
 
 /// Per-block structural record collected when tracing is enabled — the
-/// input to `nx-accel`'s decompressor cycle model.
+/// input to `nx-accel`'s decompressor cycle model. Counts, not tokens: the
+/// loops tally matches; literals are what those leave of `output_bytes`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockTrace {
     /// Block type field (0 stored, 1 fixed, 2 dynamic).
@@ -163,12 +164,53 @@ pub struct BlockTrace {
     /// Bits consumed by the block header (incl. BFINAL/BTYPE and, for
     /// dynamic blocks, the whole code-length stream).
     pub header_bits: u64,
-    /// Decoded tokens (empty for stored blocks).
-    pub tokens: Vec<crate::lz77::Token>,
+    /// Literal symbols decoded (0 for stored blocks).
+    pub literals: u64,
+    /// Length/distance symbols decoded (0 for stored blocks).
+    pub matches: u64,
     /// Uncompressed bytes this block produced.
     pub output_bytes: u64,
     /// Total bits of the block including the header.
     pub total_bits: u64,
+}
+
+/// What a traced decode saw of one stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamTrace {
+    /// One record per block, in stream order.
+    pub blocks: Vec<BlockTrace>,
+    /// `match_lens[len]` matches of length `len` (3..=258), all blocks.
+    pub match_lens: [u64; crate::MAX_MATCH + 1],
+    /// Input bytes consumed, rounded up to whole bytes.
+    pub consumed: usize,
+}
+
+impl Default for StreamTrace {
+    fn default() -> Self {
+        Self {
+            blocks: Vec::new(),
+            match_lens: [0; crate::MAX_MATCH + 1],
+            consumed: 0,
+        }
+    }
+}
+
+/// A trace in the making: the stream's record and the open block's counts.
+#[derive(Debug, Default)]
+struct Tracer {
+    trace: StreamTrace,
+    matches: u64,
+    match_bytes: u64,
+}
+
+impl Tracer {
+    /// A match of `len` bytes passed every check and is about to be copied.
+    #[inline(always)]
+    fn matched(&mut self, len: usize) {
+        self.trace.match_lens[len.min(crate::MAX_MATCH)] += 1;
+        self.matches += 1;
+        self.match_bytes += len as u64;
+    }
 }
 
 /// Decodes a raw DEFLATE stream produced against a preset dictionary
@@ -198,18 +240,32 @@ pub fn inflate_with_dict_into(
     decode_into(data, dict, usize::MAX, scratch, out).map(drop)
 }
 
-/// Decodes a raw DEFLATE stream while recording the per-block structure —
-/// the hook the accelerator's decompressor cycle model is driven from.
+/// Decodes a raw DEFLATE stream as [`inflate_into`] does, recording the
+/// per-block structure as it goes — the hook the accelerator's decompressor
+/// cycle model is driven from. `size_hint` is the decoded size the container
+/// claims (0 = unknown, capped as in [`Inflater::reserve_output`]): with the
+/// fast loop's slack on top, a true hint makes `out`'s one reservation its last.
 ///
 /// # Errors
 ///
 /// As [`inflate`].
-pub fn inflate_traced(data: &[u8]) -> Result<(Vec<u8>, Vec<BlockTrace>)> {
-    let mut inf = Inflater::new(data);
-    inf.enable_tracing();
-    inf.run(usize::MAX)?;
-    let trace = inf.take_trace();
-    Ok((inf.into_output(), trace))
+pub fn inflate_traced_into(
+    data: &[u8],
+    size_hint: usize,
+    scratch: &mut InflateScratch,
+    out: &mut Vec<u8>,
+) -> Result<StreamTrace> {
+    let mut inf = Inflater::with_reuse(data, std::mem::take(scratch), std::mem::take(out));
+    let seed = initial_capacity(data.len());
+    inf.reserve_output(size_hint.max(seed) + seed.min(FAST_CHUNK));
+    inf.trace = Some(Box::default());
+    let res = inf.run(usize::MAX);
+    let (consumed, tracer) = (inf.byte_position(), inf.trace.take().unwrap_or_default());
+    (*out, *scratch) = inf.into_parts();
+    res.map(|()| StreamTrace {
+        consumed,
+        ..tracer.trace
+    })
 }
 
 /// The fixed-Huffman decode tables never change (RFC 1951 §3.2.6);
@@ -476,7 +532,7 @@ pub struct Inflater<'a> {
     /// Bytes of preset dictionary at the front of `out` (never returned).
     primed: usize,
     finished: bool,
-    trace: Option<Vec<BlockTrace>>,
+    trace: Option<Box<Tracer>>,
     scratch: InflateScratch,
     fast_enabled: bool,
 }
@@ -592,18 +648,6 @@ impl<'a> Inflater<'a> {
         Ok(())
     }
 
-    /// Enables structural tracing: each decoded block is recorded as a
-    /// [`BlockTrace`], retrievable with [`take_trace`](Self::take_trace).
-    pub fn enable_tracing(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Returns the collected block traces (empty if tracing was never
-    /// enabled).
-    pub fn take_trace(&mut self) -> Vec<BlockTrace> {
-        self.trace.take().unwrap_or_default()
-    }
-
     /// Runs the state machine to stream end.
     ///
     /// # Errors
@@ -626,8 +670,6 @@ impl<'a> Inflater<'a> {
         let out_start = self.out.len();
         let bfinal = self.reader.read_bits(1)? == 1;
         let btype = self.reader.read_bits(2)? as u8;
-        let collect = self.trace.is_some();
-        let mut tokens: Vec<crate::lz77::Token> = Vec::new();
         let header_end_bits;
         match btype {
             0b00 => {
@@ -636,7 +678,7 @@ impl<'a> Inflater<'a> {
             0b01 => {
                 header_end_bits = self.reader.bits_consumed();
                 let (litlen, dist) = fixed_decode_tables();
-                self.huffman_block(litlen, dist, limit, collect.then_some(&mut tokens))?;
+                self.huffman_block(litlen, dist, limit)?;
             }
             0b10 => {
                 // The scratch tables are moved out for the duration of the
@@ -645,22 +687,26 @@ impl<'a> Inflater<'a> {
                 let mut scratch = std::mem::take(&mut self.scratch);
                 let built = read_dynamic_tables(&mut self.reader, &mut scratch);
                 header_end_bits = self.reader.bits_consumed();
-                let res = built.and_then(|(litlen, dist)| {
-                    self.huffman_block(litlen, dist, limit, collect.then_some(&mut tokens))
-                });
+                let res = built.and_then(|(litlen, dist)| self.huffman_block(litlen, dist, limit));
                 self.scratch = scratch;
                 res?;
             }
             _ => return Err(Error::ReservedBlockType),
         }
-        if let Some(trace) = &mut self.trace {
-            trace.push(BlockTrace {
+        if let Some(t) = &mut self.trace {
+            let output_bytes = (self.out.len() - out_start) as u64;
+            // Stored bytes are no symbols; elsewhere the literals produced
+            // what the matches did not.
+            let huffman_bytes = if btype == 0 { 0 } else { output_bytes };
+            t.trace.blocks.push(BlockTrace {
                 btype,
                 header_bits: header_end_bits - start_bits,
-                tokens,
-                output_bytes: (self.out.len() - out_start) as u64,
+                literals: huffman_bytes.saturating_sub(t.match_bytes),
+                matches: std::mem::take(&mut t.matches),
+                output_bytes,
                 total_bits: self.reader.bits_consumed() - start_bits,
             });
+            t.match_bytes = 0;
         }
         if bfinal {
             self.finished = true;
@@ -728,17 +774,18 @@ impl<'a> Inflater<'a> {
         litlen: &DecodeTable,
         dist: &DecodeTable,
         limit: usize,
-        mut tokens: Option<&mut Vec<crate::lz77::Token>>,
     ) -> Result<()> {
-        // The fast loop skips per-token bookkeeping, so tracing runs
-        // entirely on the careful path.
-        let use_fast = tokens.is_none() && self.fast_enabled && litlen.is_merged();
+        let use_fast = self.fast_enabled && litlen.is_merged();
         let mut careful_bytes = 0u64;
         let res = loop {
-            if use_fast {
-                self.fast_loop(litlen, dist, limit);
+            // One loop in the source, instantiated with and without its
+            // tally: the untraced one compiles to the loop alone.
+            match (use_fast, self.trace.is_some()) {
+                (true, true) => self.fast_loop::<true>(litlen, dist, limit),
+                (true, false) => self.fast_loop::<false>(litlen, dist, limit),
+                (false, _) => {}
             }
-            match self.careful_token(litlen, dist, limit, &mut tokens, &mut careful_bytes) {
+            match self.careful_token(litlen, dist, limit, &mut careful_bytes) {
                 Ok(true) => break Ok(()),
                 Ok(false) => {}
                 Err(e) => break Err(e),
@@ -757,16 +804,11 @@ impl<'a> Inflater<'a> {
         litlen: &DecodeTable,
         dist: &DecodeTable,
         limit: usize,
-        tokens: &mut Option<&mut Vec<crate::lz77::Token>>,
         careful_bytes: &mut u64,
     ) -> Result<bool> {
         let e = litlen.decode_entry(&mut self.reader)?;
         if e & M_LIT != 0 {
-            let b = m_payload(e) as u8;
-            if let Some(ts) = tokens.as_deref_mut() {
-                ts.push(crate::lz77::Token::Literal(b));
-            }
-            self.push(b, limit)?;
+            self.push(m_payload(e) as u8, limit)?;
             *careful_bytes += 1;
             return Ok(false);
         }
@@ -790,11 +832,8 @@ impl<'a> Inflater<'a> {
         if self.out.len() - self.primed + len > limit {
             return Err(Error::OutputLimitExceeded);
         }
-        if let Some(ts) = tokens.as_deref_mut() {
-            ts.push(crate::lz77::Token::Match {
-                len: len as u16,
-                dist: distance as u16,
-            });
+        if let Some(tracer) = &mut self.trace {
+            tracer.matched(len);
         }
         let start = self.out.len() - distance;
         if distance >= len {
@@ -834,8 +873,17 @@ impl<'a> Inflater<'a> {
     /// * **limit**: the slack fence never extends past `primed + limit`,
     ///   so the fast loop can never overrun the caller's output limit —
     ///   near the limit it defers to the careful loop's exact check.
-    fn fast_loop(&mut self, litlen: &DecodeTable, dist: &DecodeTable, limit: usize) {
+    ///
+    /// `TALLY` (a traced decode) counts a match where it is committed, so one
+    /// handed back through `snap` is counted by the careful loop alone.
+    fn fast_loop<const TALLY: bool>(
+        &mut self,
+        litlen: &DecodeTable,
+        dist: &DecodeTable,
+        limit: usize,
+    ) {
         const SLACK: usize = 274;
+        let mut tracer = self.trace.as_deref_mut();
         let data = self.reader.input();
         let (mut acc, mut nbits, mut pos) = self.reader.fast_state();
         let mut wpos = self.out.len();
@@ -943,6 +991,9 @@ impl<'a> Inflater<'a> {
                     (acc, nbits, pos, wpos) = snap;
                     break 'outer;
                 }
+                if let (true, Some(tracer)) = (TALLY, tracer.as_deref_mut()) {
+                    tracer.matched(len);
+                }
                 let src = wpos - distance;
                 if distance == 1 {
                     let b = out[src];
@@ -987,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::bitio::BitWriter;
     use crate::encoder::{encode_stored_block, CompressionLevel};
+    use crate::lz77::Token;
 
     #[test]
     fn decodes_empty_stored_final_block() {
@@ -1156,25 +1208,51 @@ mod tests {
         assert_eq!(inflate(&w.finish()).unwrap(), b"first|second");
     }
 
+    /// One traced decode on a fresh scratch, fast loop on or off.
+    fn traced(data: &[u8], dict: &[u8], fast: bool) -> Result<(Vec<u8>, StreamTrace)> {
+        let mut inf = Inflater::new(data);
+        inf.prime_window(dict);
+        if !fast {
+            inf.disable_fast_path();
+        }
+        inf.trace = Some(Box::default());
+        inf.run(usize::MAX)?;
+        let (consumed, tracer) = (inf.byte_position(), inf.trace.take().unwrap());
+        let trace = StreamTrace {
+            consumed,
+            ..tracer.trace
+        };
+        Ok((inf.into_output(), trace))
+    }
+
+    /// Σ len · n\[len\]: the bytes the tallied matches produced.
+    fn match_bytes(trace: &StreamTrace) -> u64 {
+        let per_len = trace.match_lens.iter().enumerate();
+        per_len.map(|(len, &n)| len as u64 * n).sum()
+    }
+
     #[test]
     fn tracing_records_block_structure() {
         let data: Vec<u8> = b"trace me trace me trace me ".repeat(20);
         let comp = crate::deflate(&data, CompressionLevel::new(6).unwrap());
-        let (out, trace) = inflate_traced(&comp).unwrap();
+        let (out, trace) = traced(&comp, &[], true).unwrap();
         assert_eq!(out, data);
-        assert!(!trace.is_empty());
-        let total_out: u64 = trace.iter().map(|b| b.output_bytes).sum();
+        assert!(!trace.blocks.is_empty());
+        assert_eq!(trace.consumed, comp.len());
+        let total_out: u64 = trace.blocks.iter().map(|b| b.output_bytes).sum();
         assert_eq!(total_out, data.len() as u64);
-        for b in &trace {
+        for b in &trace.blocks {
             assert!(b.header_bits >= 3);
             assert!(b.total_bits >= b.header_bits);
-            if b.btype != 0 {
-                let span: usize = b.tokens.iter().map(|t| t.input_len()).sum();
-                assert_eq!(span as u64, b.output_bytes);
-            }
+            assert!(b.btype != 0 && b.matches > 0);
         }
+        // Every output byte is a literal or part of a tallied match.
+        let literals: u64 = trace.blocks.iter().map(|b| b.literals).sum();
+        assert_eq!(literals + match_bytes(&trace), total_out);
+        let matches: u64 = trace.blocks.iter().map(|b| b.matches).sum();
+        assert_eq!(matches, trace.match_lens.iter().sum::<u64>());
         // Total bits accounted matches the stream length (±7 padding bits).
-        let bits: u64 = trace.iter().map(|b| b.total_bits).sum();
+        let bits: u64 = trace.blocks.iter().map(|b| b.total_bits).sum();
         assert!(comp.len() as u64 * 8 - bits < 8);
     }
 
@@ -1182,14 +1260,159 @@ mod tests {
     fn tracing_handles_stored_blocks() {
         let mut w = BitWriter::new();
         encode_stored_block(&mut w, b"plain", true);
-        let (out, trace) = inflate_traced(&w.finish()).unwrap();
+        let (out, trace) = traced(&w.finish(), &[], true).unwrap();
         assert_eq!(out, b"plain");
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].btype, 0);
-        assert_eq!(trace[0].output_bytes, 5);
-        assert!(trace[0].tokens.is_empty());
+        assert_eq!(trace.blocks.len(), 1);
+        let block = &trace.blocks[0];
+        assert_eq!((block.btype, block.output_bytes), (0, 5));
+        assert_eq!((block.literals, block.matches), (0, 0));
+        assert_eq!(match_bytes(&trace), 0);
         // Header: 3 bits + pad to byte + 32 bits LEN/NLEN = 40 bits.
-        assert_eq!(trace[0].header_bits, 40);
+        assert_eq!(block.header_bits, 40);
+    }
+
+    /// What a token list says a traced decode of it must tally: per block
+    /// `(literals, matches)`, per stream the length histogram.
+    struct Expected {
+        blocks: Vec<(u64, u64)>,
+        match_lens: [u64; crate::MAX_MATCH + 1],
+    }
+
+    /// `tokens` written as dynamic blocks of `per_block` tokens each,
+    /// decoded traced on both loops: the two traces must agree block for
+    /// block, and with the token list block for block.
+    fn assert_tally_matches_tokens(tokens: &[Token], per_block: usize, what: &str) {
+        let data = crate::lz77::expand_tokens(tokens);
+        let mut w = BitWriter::new();
+        let mut want = Expected {
+            blocks: Vec::new(),
+            match_lens: [0; crate::MAX_MATCH + 1],
+        };
+        let chunks: Vec<&[Token]> = tokens.chunks(per_block).collect();
+        for (i, chunk) in chunks.iter().enumerate() {
+            crate::encoder::encode_dynamic_block(&mut w, chunk, i + 1 == chunks.len());
+            let lens = chunk.iter().filter_map(|t| match t {
+                Token::Match { len, .. } => Some(usize::from(*len)),
+                Token::Literal(_) => None,
+            });
+            let matches = lens.clone().count() as u64;
+            lens.for_each(|len| want.match_lens[len] += 1);
+            want.blocks.push((chunk.len() as u64 - matches, matches));
+        }
+        if tokens.is_empty() {
+            crate::encoder::encode_dynamic_block(&mut w, &[], true);
+            want.blocks.push((0, 0));
+        }
+        let stream = w.finish();
+        let (fast_out, fast) = traced(&stream, &[], true).expect(what);
+        let (careful_out, careful) = traced(&stream, &[], false).expect(what);
+        assert_eq!(fast_out, data, "{what}");
+        assert_eq!(careful_out, data, "{what}");
+        assert_eq!(fast, careful, "{what}: fast and careful tallies differ");
+        assert_eq!(fast.match_lens, want.match_lens, "{what}");
+        let got: Vec<(u64, u64)> = fast
+            .blocks
+            .iter()
+            .map(|b| (b.literals, b.matches))
+            .collect();
+        assert_eq!(got, want.blocks, "{what}: per-block (literals, matches)");
+        assert_eq!(inflate(&stream).expect(what), data, "{what}: untraced");
+    }
+
+    #[test]
+    fn tally_equals_the_token_list_on_every_corpus_level_and_engine() {
+        use crate::encoder::{deflate_tokens_with, Strategy};
+        use crate::Engine;
+        for &kind in nx_corpus::CorpusKind::all() {
+            let data = kind.generate(0x7A11, 96 << 10);
+            for level in [1u32, 3, 6, 9] {
+                for engine in [Engine::Auto, Engine::Sequential, Engine::Speculative] {
+                    let lvl = CompressionLevel::new(level).unwrap();
+                    let tokens = deflate_tokens_with(&data, lvl, Strategy::Default, engine);
+                    let what = format!("{} level {level} {engine:?}", kind.name());
+                    assert_tally_matches_tokens(&tokens, 20_000, &what);
+                    // The stream the encoder itself writes (stored and fixed
+                    // blocks where it prefers them): both loops, one trace.
+                    let stream = crate::Encoder::with_engine(lvl, engine).compress(&data);
+                    let fast = traced(&stream, &[], true).expect(&what);
+                    assert_eq!(fast, traced(&stream, &[], false).expect(&what), "{what}");
+                    assert_eq!(fast.0, data, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tally_at_the_edges_of_the_fast_loop() {
+        let lit = |i: usize| Token::Literal((i * 31 % 251) as u8);
+        // Streams of 0 / 1 / 257 / 258 / 259 bytes, all literals and as one
+        // literal plus the longest run the length fits.
+        for n in [0usize, 1, 257, 258, 259] {
+            let literals: Vec<Token> = (0..n).map(lit).collect();
+            assert_tally_matches_tokens(&literals, usize::MAX, &format!("{n} literals"));
+            if n >= 4 {
+                let len = (n - 1).min(crate::MAX_MATCH) as u16;
+                let mut run = vec![lit(0), Token::Match { len, dist: 1 }];
+                run.extend((0..n - 1 - usize::from(len)).map(lit));
+                assert_tally_matches_tokens(&run, usize::MAX, &format!("{n}-byte run"));
+            }
+        }
+        // len = 258 at dist = 1, back to back, long enough for the fast loop.
+        let mut runs = vec![lit(7)];
+        runs.extend(std::iter::repeat_n(Token::Match { len: 258, dist: 1 }, 400));
+        assert_tally_matches_tokens(&runs, usize::MAX, "len 258 dist 1");
+        // Block boundaries every few tokens: each lands inside the fast
+        // loop's 274-byte output margin or its 16-byte input margin, so
+        // every hand-over between the loops is exercised.
+        let data = nx_corpus::CorpusKind::Logs.generate(0x7A11, 64 << 10);
+        let tokens = crate::deflate_tokens(&data, CompressionLevel::new(6).unwrap());
+        for per_block in [1usize, 2, 3, 7, 40, 41] {
+            let n = (per_block * 600).min(tokens.len());
+            assert_tally_matches_tokens(&tokens[..n], per_block, &format!("{per_block}/block"));
+        }
+    }
+
+    #[test]
+    fn tally_on_a_preset_dictionary_stream() {
+        let dict = nx_corpus::CorpusKind::Json.generate(1, 16 << 10);
+        let data = nx_corpus::CorpusKind::Json.generate(2, 48 << 10);
+        let level = CompressionLevel::new(6).unwrap();
+        let stream = crate::encoder::deflate_with_dict(&data, level, &dict);
+        let (fast_out, fast) = traced(&stream, &dict, true).unwrap();
+        let (careful_out, careful) = traced(&stream, &dict, false).unwrap();
+        assert_eq!(fast_out, data);
+        assert_eq!(careful_out, data);
+        assert_eq!(fast, careful);
+        let literals: u64 = fast.blocks.iter().map(|b| b.literals).sum();
+        assert_eq!(literals + match_bytes(&fast), data.len() as u64);
+        assert_eq!(inflate_with_dict(&stream, &dict).unwrap(), data);
+    }
+
+    #[test]
+    fn traced_and_untraced_decodes_agree_on_every_truncation_and_bit_flip() {
+        let data = nx_corpus::CorpusKind::Text.generate(0x7A11, 4 << 10);
+        let stream = crate::deflate(&data, CompressionLevel::new(6).unwrap());
+        let mut scratch = InflateScratch::new();
+        let mut check = |mutant: &[u8], what: &str| {
+            let plain = inflate(mutant);
+            let mut out = Vec::new();
+            let on_fast = inflate_traced_into(mutant, 0, &mut scratch, &mut out);
+            assert_eq!(on_fast.as_ref().err(), plain.as_ref().err(), "{what}");
+            if let (Ok(trace), Ok(plain)) = (&on_fast, &plain) {
+                assert_eq!(&out, plain, "{what}");
+                let careful = traced(mutant, &[], false).expect(what);
+                assert_eq!((&careful.0, &careful.1), (plain, trace), "{what}");
+            }
+        };
+        for cut in 0..=stream.len() {
+            check(&stream[..cut], &format!("cut at {cut}"));
+        }
+        let mut mutant = stream.clone();
+        for bit in 0..stream.len() * 8 {
+            mutant[bit / 8] ^= 1 << (bit % 8);
+            check(&mutant, &format!("bit {bit} flipped"));
+            mutant[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

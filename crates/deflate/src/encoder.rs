@@ -736,7 +736,7 @@ pub const CODELEN_ORDER: [usize; 19] = [
 /// A code-length-alphabet instruction produced by run-length encoding the
 /// combined literal/length + distance code lengths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClSym {
+pub(crate) enum ClSym {
     /// Emit a literal code length 0..=15.
     Len(u8),
     /// Symbol 16: repeat previous length 3–6 times.
@@ -748,7 +748,7 @@ enum ClSym {
 }
 
 /// Run-length encodes `lengths` into code-length-alphabet instructions.
-fn rle_code_lengths(lengths: &[u8]) -> Vec<ClSym> {
+pub(crate) fn rle_code_lengths(lengths: &[u8]) -> Vec<ClSym> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < lengths.len() {
@@ -789,7 +789,7 @@ fn rle_code_lengths(lengths: &[u8]) -> Vec<ClSym> {
 }
 
 impl ClSym {
-    fn symbol(self) -> usize {
+    pub(crate) fn symbol(self) -> usize {
         match self {
             ClSym::Len(v) => usize::from(v),
             ClSym::Rep(_) => 16,

@@ -159,7 +159,7 @@ fn member_into(
 /// common single-member case (modulo 2³²); for multi-member streams it is
 /// merely the last member's size, which is still a harmless capacity hint
 /// — [`decoder::Inflater::reserve_output`] caps hostile values.
-fn isize_hint(data: &[u8]) -> usize {
+pub fn isize_hint(data: &[u8]) -> usize {
     match read4(data, data.len().saturating_sub(4)) {
         Ok(b) => u32::from_le_bytes(b) as usize,
         Err(_) => 0,

@@ -17,87 +17,62 @@
 /// nonzero frequency it receives length 1 (a zero-length code cannot be
 /// decoded). Returns an all-zero vector when every frequency is zero.
 pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
-    let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
-    let mut lengths = vec![0u8; freqs.len()];
-    match used.len() {
-        0 => return lengths,
-        1 => {
-            lengths[used[0]] = 1;
-            return lengths;
-        }
-        _ => {}
-    }
-
-    // Standard heap-free two-queue construction over nodes sorted by weight.
+    /// A leaf carries its symbol; an internal node `usize::MAX` and the
+    /// indices of its children.
     #[derive(Clone, Copy)]
     struct Node {
         weight: u64,
-        /// Index into `nodes`; leaves reference `usize::MAX` children.
         left: usize,
         right: usize,
         symbol: usize,
     }
-    let mut leaves: Vec<Node> = used
-        .iter()
-        .map(|&s| Node {
-            weight: u64::from(freqs[s]),
+    let mut lengths = vec![0u8; freqs.len()];
+    let mut nodes: Vec<Node> = (0..freqs.len())
+        .filter(|&s| freqs[s] > 0)
+        .map(|symbol| Node {
+            weight: u64::from(freqs[symbol]),
             left: usize::MAX,
             right: usize::MAX,
-            symbol: s,
+            symbol,
         })
         .collect();
-    leaves.sort_by_key(|n| n.weight);
-
-    let mut nodes: Vec<Node> = leaves.clone();
-    let mut internal: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let mut leaf_i = 0usize;
-
-    let take_min = |leaf_i: &mut usize,
-                    internal: &mut std::collections::VecDeque<usize>,
-                    nodes: &Vec<Node>,
-                    leaves: &Vec<Node>| {
-        let leaf_w = leaves.get(*leaf_i).map(|n| n.weight);
-        let int_w = internal.front().map(|&i| nodes[i].weight);
-        match (leaf_w, int_w) {
-            (Some(lw), Some(iw)) if lw <= iw => {
-                let idx = *leaf_i;
-                *leaf_i += 1;
-                idx
-            }
-            (Some(_), None) => {
-                let idx = *leaf_i;
-                *leaf_i += 1;
-                idx
-            }
-            (_, Some(_)) => internal.pop_front().unwrap(),
-            (None, None) => unreachable!("queues exhausted prematurely"),
-        }
-    };
-
-    let total_leaves = leaves.len();
-    for _ in 0..total_leaves - 1 {
-        let a = take_min(&mut leaf_i, &mut internal, &nodes, &leaves);
-        let b = take_min(&mut leaf_i, &mut internal, &nodes, &leaves);
-        let parent = Node {
-            weight: nodes[a].weight + nodes[b].weight,
-            left: a,
-            right: b,
-            symbol: usize::MAX,
-        };
-        nodes.push(parent);
-        internal.push_back(nodes.len() - 1);
+    nodes.sort_by_key(|n| n.weight);
+    let n = nodes.len();
+    if n == 0 {
+        return lengths;
     }
 
-    // Depth-first traversal from the root assigns depths.
-    let root = nodes.len() - 1;
-    let mut stack = vec![(root, 0u8)];
+    // Heap-free two-queue construction: the sorted leaves are one queue,
+    // the internal nodes (made in nondecreasing weight order, so `nodes[n..]`
+    // is sorted too) the other; a leaf goes first on equal weight.
+    let (mut leaf, mut internal) = (0usize, n);
+    for _ in 1..n {
+        let mut take_min = |nodes: &[Node]| {
+            let leaf_first = leaf < n
+                && (internal == nodes.len() || nodes[leaf].weight <= nodes[internal].weight);
+            leaf += usize::from(leaf_first);
+            internal += usize::from(!leaf_first);
+            (if leaf_first { leaf } else { internal }) - 1
+        };
+        let (left, right) = (take_min(&nodes), take_min(&nodes));
+        nodes.push(Node {
+            weight: nodes[left].weight + nodes[right].weight,
+            left,
+            right,
+            symbol: usize::MAX,
+        });
+    }
+
+    // Depth-first traversal from the root assigns depths (a lone leaf is
+    // its own root and still needs one bit).
+    let mut stack = vec![(nodes.len() - 1, 0u8)];
     while let Some((idx, depth)) = stack.pop() {
-        let n = nodes[idx];
-        if n.symbol != usize::MAX {
-            lengths[n.symbol] = depth.max(1);
+        let node = nodes[idx];
+        if node.symbol != usize::MAX {
+            lengths[node.symbol] = depth.max(1);
         } else {
-            stack.push((n.left, depth + 1));
-            stack.push((n.right, depth + 1));
+            stack.push((node.left, depth + 1));
+            stack.push((node.right, depth + 1));
         }
     }
     lengths
@@ -116,98 +91,253 @@ pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
 /// DEFLATE's alphabets (≤ 288 symbols, limit 15; ≤ 19 symbols, limit 7)
 /// always fit.
 pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
-    let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
-    let mut lengths = vec![0u8; freqs.len()];
-    match used.len() {
-        0 => return lengths,
-        1 => {
-            lengths[used[0]] = 1;
-            return lengths;
-        }
-        _ => {}
-    }
-    assert!(
-        used.len() <= 1usize << max_len,
-        "cannot code {} symbols within {} bits",
-        used.len(),
-        max_len
-    );
-
     // Fast path: if unconstrained Huffman already fits, it is optimal.
-    let plain = huffman_lengths(freqs);
-    if plain.iter().all(|&l| l <= max_len) {
-        return plain;
+    let mut lengths = huffman_lengths(freqs);
+    if lengths.iter().all(|&l| l <= max_len) {
+        return lengths;
     }
+    // The used symbols, lightest first (ties in symbol order).
+    let mut order: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+    order.sort_by_key(|&s| freqs[s]);
+    let n = order.len();
+    assert!(
+        n <= 1usize << max_len,
+        "cannot code {n} symbols within {max_len} bits"
+    );
+    let singles: Vec<u64> = order.iter().map(|&s| u64::from(freqs[s])).collect();
 
-    // Package-merge. Items are (weight, set-of-leaves); we track leaf
-    // membership as per-symbol counts folded incrementally: each time a leaf
-    // appears in a chosen package at some level its length grows by one.
-    //
-    // Representation: at each level we carry a list of packages; a package
-    // is (weight, Vec<u16> leaf indices into `used`). Alphabet sizes here
-    // are ≤ 288 so the quadratic bookkeeping is cheap and clear.
-    #[derive(Clone)]
-    struct Pkg {
-        weight: u64,
-        leaves: Vec<u16>,
-    }
-
-    let mut singles: Vec<Pkg> = used
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| Pkg {
-            weight: u64::from(freqs[s]),
-            leaves: vec![i as u16],
-        })
-        .collect();
-    singles.sort_by_key(|p| p.weight);
-
-    let mut level: Vec<Pkg> = singles.clone();
+    // Package-merge in prefix-count form. Level 1 is the singles; level
+    // k + 1 merges them with the packages (adjacent pairs) of level k, a
+    // single first on equal weight. A level keeps only its items' weights
+    // and which of them are singles: the first `m` items of a level are
+    // its first `s` singles -- the `s` lightest symbols, one bit each --
+    // and its first `m - s` packages, i.e. the first `2 (m - s)` items of
+    // the level below. No leaf list is ever built.
+    let (mut level, mut merged) = (singles.clone(), Vec::with_capacity(2 * n));
+    let mut is_single = Vec::with_capacity(2 * n * usize::from(max_len));
+    let mut starts = Vec::with_capacity(usize::from(max_len));
     for _ in 1..max_len {
-        // Package: pair adjacent items.
-        let mut packaged: Vec<Pkg> = Vec::with_capacity(level.len() / 2);
-        let mut it = level.chunks_exact(2);
-        for pair in &mut it {
-            let mut leaves = pair[0].leaves.clone();
-            leaves.extend_from_slice(&pair[1].leaves);
-            packaged.push(Pkg {
-                weight: pair[0].weight + pair[1].weight,
-                leaves,
-            });
+        starts.push(is_single.len());
+        merged.clear();
+        let mut next = 0usize;
+        for pair in level.chunks_exact(2) {
+            let package = pair[0] + pair[1];
+            let lighter = singles[next..].partition_point(|&w| w <= package);
+            merged.extend_from_slice(&singles[next..next + lighter]);
+            is_single.resize(is_single.len() + lighter, true);
+            next += lighter;
+            merged.push(package);
+            is_single.push(false);
         }
-        // Merge with the singles of the next level.
-        let mut merged = Vec::with_capacity(packaged.len() + singles.len());
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < singles.len() || b < packaged.len() {
-            let take_single = b >= packaged.len()
-                || (a < singles.len() && singles[a].weight <= packaged[b].weight);
-            if take_single {
-                merged.push(singles[a].clone());
-                a += 1;
-            } else {
-                let leaves = std::mem::take(&mut packaged[b].leaves);
-                merged.push(Pkg {
-                    weight: packaged[b].weight,
-                    leaves,
-                });
-                b += 1;
-            }
-        }
-        level = merged;
+        merged.extend_from_slice(&singles[next..]);
+        is_single.resize(is_single.len() + (n - next), true);
+        std::mem::swap(&mut level, &mut merged);
     }
 
-    // Choose the first 2n-2 items; each leaf occurrence adds one bit.
-    let n = used.len();
-    let mut counts = vec![0u8; n];
-    for pkg in level.iter().take(2 * n - 2) {
-        for &leaf in &pkg.leaves {
-            counts[leaf as usize] += 1;
+    // Select the first 2n - 2 items of the top level and follow the
+    // packages down.
+    lengths.fill(0);
+    let mut take = (2 * n - 2).min(level.len());
+    for &start in starts.iter().rev() {
+        let taken = &is_single[start..start + take];
+        let s = taken.iter().filter(|&&single| single).count();
+        for &sym in &order[..s] {
+            lengths[sym] += 1;
         }
+        take = 2 * (take - s);
     }
-    for (i, &s) in used.iter().enumerate() {
-        lengths[s] = counts[i];
+    for &sym in &order[..take] {
+        lengths[sym] += 1;
     }
     lengths
+}
+
+#[cfg(test)]
+/// The constructions as they stood before the prefix-count rewrite
+/// (issue 23): package-merge with every package's leaf list cloned at every
+/// level. Kept verbatim as the oracle the tests below diff against.
+mod reference {
+    pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
+        let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+
+        // Standard heap-free two-queue construction over nodes sorted by weight.
+        #[derive(Clone, Copy)]
+        struct Node {
+            weight: u64,
+            /// Index into `nodes`; leaves reference `usize::MAX` children.
+            left: usize,
+            right: usize,
+            symbol: usize,
+        }
+        let mut leaves: Vec<Node> = used
+            .iter()
+            .map(|&s| Node {
+                weight: u64::from(freqs[s]),
+                left: usize::MAX,
+                right: usize::MAX,
+                symbol: s,
+            })
+            .collect();
+        leaves.sort_by_key(|n| n.weight);
+
+        let mut nodes: Vec<Node> = leaves.clone();
+        let mut internal: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
+        let mut leaf_i = 0usize;
+
+        let take_min = |leaf_i: &mut usize,
+                        internal: &mut std::collections::VecDeque<usize>,
+                        nodes: &Vec<Node>,
+                        leaves: &Vec<Node>| {
+            let leaf_w = leaves.get(*leaf_i).map(|n| n.weight);
+            let int_w = internal.front().map(|&i| nodes[i].weight);
+            match (leaf_w, int_w) {
+                (Some(lw), Some(iw)) if lw <= iw => {
+                    let idx = *leaf_i;
+                    *leaf_i += 1;
+                    idx
+                }
+                (Some(_), None) => {
+                    let idx = *leaf_i;
+                    *leaf_i += 1;
+                    idx
+                }
+                (_, Some(_)) => internal.pop_front().unwrap(),
+                (None, None) => unreachable!("queues exhausted prematurely"),
+            }
+        };
+
+        let total_leaves = leaves.len();
+        for _ in 0..total_leaves - 1 {
+            let a = take_min(&mut leaf_i, &mut internal, &nodes, &leaves);
+            let b = take_min(&mut leaf_i, &mut internal, &nodes, &leaves);
+            let parent = Node {
+                weight: nodes[a].weight + nodes[b].weight,
+                left: a,
+                right: b,
+                symbol: usize::MAX,
+            };
+            nodes.push(parent);
+            internal.push_back(nodes.len() - 1);
+        }
+
+        // Depth-first traversal from the root assigns depths.
+        let root = nodes.len() - 1;
+        let mut stack = vec![(root, 0u8)];
+        while let Some((idx, depth)) = stack.pop() {
+            let n = nodes[idx];
+            if n.symbol != usize::MAX {
+                lengths[n.symbol] = depth.max(1);
+            } else {
+                stack.push((n.left, depth + 1));
+                stack.push((n.right, depth + 1));
+            }
+        }
+        lengths
+    }
+
+    pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
+        let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+        assert!(
+            used.len() <= 1usize << max_len,
+            "cannot code {} symbols within {} bits",
+            used.len(),
+            max_len
+        );
+
+        // Fast path: if unconstrained Huffman already fits, it is optimal.
+        let plain = huffman_lengths(freqs);
+        if plain.iter().all(|&l| l <= max_len) {
+            return plain;
+        }
+
+        // Package-merge. Items are (weight, set-of-leaves); we track leaf
+        // membership as per-symbol counts folded incrementally: each time a leaf
+        // appears in a chosen package at some level its length grows by one.
+        //
+        // Representation: at each level we carry a list of packages; a package
+        // is (weight, Vec<u16> leaf indices into `used`). Alphabet sizes here
+        // are ≤ 288 so the quadratic bookkeeping is cheap and clear.
+        #[derive(Clone)]
+        struct Pkg {
+            weight: u64,
+            leaves: Vec<u16>,
+        }
+
+        let mut singles: Vec<Pkg> = used
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| Pkg {
+                weight: u64::from(freqs[s]),
+                leaves: vec![i as u16],
+            })
+            .collect();
+        singles.sort_by_key(|p| p.weight);
+
+        let mut level: Vec<Pkg> = singles.clone();
+        for _ in 1..max_len {
+            // Package: pair adjacent items.
+            let mut packaged: Vec<Pkg> = Vec::with_capacity(level.len() / 2);
+            let mut it = level.chunks_exact(2);
+            for pair in &mut it {
+                let mut leaves = pair[0].leaves.clone();
+                leaves.extend_from_slice(&pair[1].leaves);
+                packaged.push(Pkg {
+                    weight: pair[0].weight + pair[1].weight,
+                    leaves,
+                });
+            }
+            // Merge with the singles of the next level.
+            let mut merged = Vec::with_capacity(packaged.len() + singles.len());
+            let (mut a, mut b) = (0usize, 0usize);
+            while a < singles.len() || b < packaged.len() {
+                let take_single = b >= packaged.len()
+                    || (a < singles.len() && singles[a].weight <= packaged[b].weight);
+                if take_single {
+                    merged.push(singles[a].clone());
+                    a += 1;
+                } else {
+                    let leaves = std::mem::take(&mut packaged[b].leaves);
+                    merged.push(Pkg {
+                        weight: packaged[b].weight,
+                        leaves,
+                    });
+                    b += 1;
+                }
+            }
+            level = merged;
+        }
+
+        // Choose the first 2n-2 items; each leaf occurrence adds one bit.
+        let n = used.len();
+        let mut counts = vec![0u8; n];
+        for pkg in level.iter().take(2 * n - 2) {
+            for &leaf in &pkg.leaves {
+                counts[leaf as usize] += 1;
+            }
+        }
+        for (i, &s) in used.iter().enumerate() {
+            lengths[s] = counts[i];
+        }
+        lengths
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +463,153 @@ mod tests {
             assert_eq!(lengths[4], 0);
             assert_eq!(lengths[6], 0);
             assert!(lengths[1] > 0 && lengths[3] > 0 && lengths[5] > 0);
+        }
+    }
+    /// Both constructions against their pre-rewrite bodies, at every limit
+    /// that can hold the histogram. Returns how many of the calls took the
+    /// package-merge fallback.
+    fn diff_against_reference(freqs: &[u32], what: &str) -> usize {
+        let plain = huffman_lengths(freqs);
+        assert_eq!(plain, reference::huffman_lengths(freqs), "{what}");
+        let used = freqs.iter().filter(|&&f| f > 0).count();
+        let mut fallbacks = 0;
+        for max_len in [7u8, 9, 11, 15] {
+            if used <= 1 << max_len {
+                let got = limited_lengths(freqs, max_len);
+                assert_eq!(
+                    got,
+                    reference::limited_lengths(freqs, max_len),
+                    "{what} limit {max_len}"
+                );
+                fallbacks += usize::from(plain.iter().any(|&l| l > max_len));
+            }
+        }
+        fallbacks
+    }
+
+    /// Every alphabet the encoder builds for `data` at `level`: each
+    /// block's literal/length and distance histograms (blocks cut where
+    /// `Encoder::compress_into` cuts them) and the code-length alphabet of
+    /// the header they yield.
+    fn diff_encoder_histograms(data: &[u8], level: u32, what: &str) -> usize {
+        use crate::encoder::{self, CompressionLevel, Strategy, MAX_BLOCK_BYTES, MAX_BLOCK_TOKENS};
+        let level = CompressionLevel::new(level).unwrap();
+        let tokens =
+            encoder::deflate_tokens_with(data, level, Strategy::Default, crate::Engine::Auto);
+        let mut hist = crate::lz77::Histogram::new();
+        let (mut in_block, mut span, mut fallbacks) = (0usize, 0usize, 0usize);
+        for (i, &t) in tokens.iter().enumerate() {
+            hist.record(t);
+            in_block += 1;
+            span += t.input_len();
+            if i + 1 == tokens.len() || in_block >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
+                hist.record_end_of_block();
+                fallbacks += diff_against_reference(&hist.litlen, what);
+                fallbacks += diff_against_reference(&hist.dist, what);
+                let mut header = limited_lengths(&hist.litlen, 15);
+                header.extend(limited_lengths(&hist.dist, 15));
+                let mut cl_freq = vec![0u32; 19];
+                for s in encoder::rle_code_lengths(&header) {
+                    cl_freq[s.symbol()] += 1;
+                }
+                fallbacks += diff_against_reference(&cl_freq, what);
+                hist.clear();
+                (in_block, span) = (0, 0);
+            }
+        }
+        fallbacks
+    }
+
+    /// The `nxbench` seed rule (`benchmark/src/workload.rs`).
+    fn corpus_seed(seed: u64, i: u64) -> u64 {
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(i.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            | (1 << 32)
+    }
+
+    /// Every alphabet of the four `nxbench` workloads' inputs at seed 42, at
+    /// levels 1 / 6 / 9 (80 MiB x 3: ~12 s in the dev profile).
+    #[test]
+    fn prefix_count_form_matches_the_leaf_list_form_on_nxbench_histograms() {
+        let mut fallbacks = 0;
+        let mixed = [(8u64, 4 << 20), (16, 1 << 20), (1, 32 << 20)];
+        for (w, &(n, len)) in mixed.iter().enumerate() {
+            for i in 0..n {
+                let data = nx_corpus::mixed(corpus_seed(42, i), len);
+                for level in [1, 6, 9] {
+                    let what = format!("workload {w} buffer {i} level {level}");
+                    fallbacks += diff_encoder_histograms(&data, level, &what);
+                }
+            }
+        }
+        let classes = [
+            nx_corpus::CorpusKind::Json,
+            nx_corpus::CorpusKind::Logs,
+            nx_corpus::CorpusKind::Text,
+        ];
+        for i in 0..20u64 {
+            for (c, class) in classes.iter().enumerate() {
+                let data = class.generate(corpus_seed(42, i * 16 + c as u64), 2 << 10);
+                for level in [1, 6, 9] {
+                    let what = format!("rpc {i} {} level {level}", class.name());
+                    fallbacks += diff_encoder_histograms(&data, level, &what);
+                }
+            }
+        }
+        println!("{fallbacks} calls took the package-merge fallback");
+        assert!(fallbacks > 1000, "only {fallbacks} took the fallback");
+    }
+
+    #[test]
+    fn prefix_count_form_matches_on_skewed_flat_and_sparse_histograms() {
+        // Fibonacci weights (the deepest plain tree), exact and perturbed,
+        // at every alphabet size a limit of 7 or 15 can hold.
+        let mut fib = vec![1u32, 1];
+        while fib.len() < 40 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        let mut fallbacks = 0;
+        for n in 2..=fib.len() {
+            fallbacks += diff_against_reference(&fib[..n], "fibonacci");
+            let reversed: Vec<u32> = fib[..n].iter().rev().copied().collect();
+            fallbacks += diff_against_reference(&reversed, "fibonacci reversed");
+            for bump in [1u32, 2, 3] {
+                let near: Vec<u32> = fib[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &f)| f + (i as u32 * bump) % 3)
+                    .collect();
+                fallbacks += diff_against_reference(&near, "near-fibonacci");
+            }
+        }
+        assert!(fallbacks > 100, "only {fallbacks} took the fallback");
+        // All-equal weights (every comparison is a tie) and the used-symbol
+        // counts at the edges of DEFLATE's alphabets.
+        for used in [2usize, 3, 19, 286, 288] {
+            for weight in [1u32, 7, u32::MAX] {
+                diff_against_reference(&vec![weight; used], "all equal");
+            }
+            let ramp: Vec<u32> = (0..used as u32).map(|i| 1 << (i % 31)).collect();
+            diff_against_reference(&ramp, "powers of two");
+            let mut sparse = vec![0u32; 288];
+            for i in 0..used {
+                sparse[(i * 7) % 288] += fib[i % 30];
+            }
+            diff_against_reference(&sparse, "sparse");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prefix_count_form_matches_on_random_sparse_histograms(
+            picks in proptest::collection::vec((0usize..288, 0u32..24, 1u32..16), 2..120),
+        ) {
+            // Weights spread over 24 octaves so deep trees are common.
+            let mut freqs = vec![0u32; 288];
+            for (sym, octave, mantissa) in picks {
+                freqs[sym] = mantissa << octave;
+            }
+            diff_against_reference(&freqs, "random sparse");
         }
     }
 }

@@ -59,8 +59,8 @@ pub mod stream;
 pub mod zlib;
 
 pub use decoder::{
-    decode_path_counters, inflate, inflate_into, inflate_traced, inflate_with_dict,
-    inflate_with_dict_into, inflate_with_limit, BlockTrace, InflateScratch, Inflater,
+    decode_path_counters, inflate, inflate_into, inflate_traced_into, inflate_with_dict,
+    inflate_with_dict_into, inflate_with_limit, BlockTrace, InflateScratch, Inflater, StreamTrace,
 };
 pub use encoder::{
     deflate, deflate_tokens, deflate_tokens_with, deflate_with_dict, encode_counters,

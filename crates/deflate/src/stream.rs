@@ -673,7 +673,9 @@ mod tests {
         let profile = crate::Profile::derive("json", &refs, lvl(3), 0).unwrap();
         let data = kind.generate(7, 3 << 20);
         let comp = crate::deflate_canned(&data, crate::Engine::Auto, &profile, false);
-        let blocks = crate::inflate_traced(&comp).unwrap().1.len() as u64;
+        let (scratch, out) = (&mut Default::default(), &mut Vec::new());
+        let trace = crate::inflate_traced_into(&comp, 0, scratch, out).unwrap();
+        let blocks = trace.blocks.len() as u64;
         assert!(blocks > 2, "{blocks} blocks");
         for chunk in [comp.len(), 60_001, 4_093] {
             let mut dec = InflateStream::new();

@@ -201,7 +201,14 @@ fn decode(
     }
     let dict = dict.unwrap_or_default();
     let used = decoder::decode_into(&data[payload_at..], dict, usize::MAX, scratch, out)?;
-    let trailer_at = payload_at + used;
+    verify_trailer(data, payload_at + used, out).map(drop)
+}
+
+/// Validates the Adler-32 trailer at `trailer_at`, which must end `data`,
+/// against the decoded payload `out`, returning the offset just past it:
+/// [`Error::UnexpectedEof`], [`Error::TrailingData`], else
+/// [`Error::ZlibChecksumMismatch`].
+pub fn verify_trailer(data: &[u8], trailer_at: usize, out: &[u8]) -> Result<usize> {
     if trailer_at + 4 > data.len() {
         return Err(Error::UnexpectedEof);
     }
@@ -211,7 +218,7 @@ fn decode(
     if u32::from_be_bytes(read4(data, trailer_at)?) != adler32(out) {
         return Err(Error::ZlibChecksumMismatch);
     }
-    Ok(())
+    Ok(data.len())
 }
 
 #[cfg(test)]

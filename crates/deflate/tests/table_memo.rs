@@ -9,8 +9,16 @@ use nx_corpus::CorpusKind;
 use nx_deflate::bitio::BitWriter;
 use nx_deflate::encoder::CODELEN_ORDER;
 use nx_deflate::{
-    deflate, inflate_into, inflate_traced, CompressionLevel, Error, InflateScratch, MarkerInflater,
+    deflate, inflate_into, inflate_traced_into, BlockTrace, CompressionLevel, Error,
+    InflateScratch, MarkerInflater,
 };
+
+/// The block records of one of our own streams.
+fn blocks_of(stream: &[u8]) -> Vec<BlockTrace> {
+    let (scratch, out) = (&mut InflateScratch::new(), &mut Vec::new());
+    let trace = inflate_traced_into(stream, 0, scratch, out).expect("our own stream");
+    trace.blocks
+}
 
 /// More distinct headers than the memo has ways (8).
 const HEADERS: usize = 12;
@@ -24,7 +32,7 @@ fn streams(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         .map(|i| {
             let data = kinds[i % 3].generate(900 + i as u64, 2048 + 160 * i);
             let stream = deflate(&data, level);
-            let (_, blocks) = inflate_traced(&stream).expect("our own stream");
+            let blocks = blocks_of(&stream);
             assert_eq!((blocks.len(), blocks[0].btype), (1, 2), "one dynamic block");
             (stream, data)
         })
@@ -34,7 +42,7 @@ fn streams(n: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
 /// Bits of `stream`'s first block header, BFINAL and BTYPE included: the
 /// memo's string is stream bits `3..header_end`.
 fn header_end(stream: &[u8]) -> usize {
-    inflate_traced(stream).expect("our own stream").1[0].header_bits as usize
+    blocks_of(stream)[0].header_bits as usize
 }
 
 fn flip(stream: &[u8], bit: usize) -> Vec<u8> {

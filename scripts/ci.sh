@@ -62,6 +62,10 @@ echo "==> decode-path panic gate"
 DECODE_PATHS=(
     crates/deflate/src/decoder.rs
     crates/deflate/src/huffman/decode.rs
+    # Every dynamic block of every encoder, the accelerator model's
+    # included, builds its code lengths and canonical codes here.
+    crates/deflate/src/huffman/build.rs
+    crates/deflate/src/huffman/mod.rs
     # The speculative parallel-inflate path feeds untrusted bit offsets
     # and marker buffers through these.
     crates/deflate/src/marker.rs

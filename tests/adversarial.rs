@@ -262,34 +262,41 @@ fn member_with_full_header(data: &[u8]) -> (Vec<u8>, usize) {
     (gz, header)
 }
 
-/// Every gzip decode door's verdict on `m`, by name.
-fn gzip_doors(nx: &Nx, m: &[u8]) -> Vec<(&'static str, nx_core::Result<Vec<u8>>)> {
+/// Every single-stream decode door's verdict on `m`, by name.
+fn stream_doors(
+    nx: &Nx,
+    format: Format,
+    m: &[u8],
+) -> Vec<(&'static str, nx_core::Result<Vec<u8>>)> {
     let mut session = nx.scratch_session(6).expect("valid level");
     let mut into = Vec::new();
-    let scratch = session.decompress_into(m, Format::Gzip, &mut into);
+    let scratch = session.decompress_into(m, format, &mut into);
+    let deflate = match format {
+        Format::Gzip => nx_deflate::gzip::decompress(m),
+        Format::Zlib => nx_deflate::zlib::decompress(m),
+        Format::RawDeflate => nx_deflate::inflate(m),
+    };
+    vec![
+        ("nx_deflate", deflate.map_err(Into::into)),
+        ("software::decompress", software::decompress(m, format)),
+        ("Nx::decompress", nx.decompress(m, format).map(|d| d.bytes)),
+        ("ScratchSession::decompress_into", scratch.map(|()| into)),
+    ]
+}
+
+/// Every gzip decode door's verdict on `m`, by name: the single-stream
+/// doors plus the two that also read multi-member files.
+fn gzip_doors(nx: &Nx, m: &[u8]) -> Vec<(&'static str, nx_core::Result<Vec<u8>>)> {
     let indexed = nx
         .build_index(m, Format::Gzip)
         .and_then(|index| nx.decompress_at(m, &index, 0, usize::MAX));
-    vec![
-        (
-            "gzip::decompress",
-            nx_deflate::gzip::decompress(m).map_err(Into::into),
-        ),
-        (
-            "software::decompress",
-            software::decompress(m, Format::Gzip),
-        ),
-        (
-            "Nx::decompress",
-            nx.decompress(m, Format::Gzip).map(|d| d.bytes),
-        ),
-        (
-            "Nx::decompress_parallel",
-            nx.decompress_parallel(m, Format::Gzip),
-        ),
-        ("ScratchSession::decompress_into", scratch.map(|()| into)),
-        ("Nx::build_index", indexed),
-    ]
+    let mut doors = stream_doors(nx, Format::Gzip, m);
+    doors.push((
+        "Nx::decompress_parallel",
+        nx.decompress_parallel(m, Format::Gzip),
+    ));
+    doors.push(("Nx::build_index", indexed));
+    doors
 }
 
 #[test]
@@ -323,6 +330,92 @@ fn every_gzip_door_reads_and_checks_the_same_optional_header() {
     for cut in 0..=header {
         for (door, got) in gzip_doors(&nx, &gz[..cut]) {
             assert!(got.is_err(), "{door}: accepted a header cut at {cut}");
+        }
+    }
+}
+
+#[test]
+fn every_door_checks_the_trailer_where_the_deflate_stream_ends() {
+    // The accelerator and `software` doors used to read the trailer off
+    // the end of the buffer whatever the decoder consumed: junk in front of
+    // it was ignored, and two equal members decoded `Ok` as one.
+    use nx_deflate::Error as E;
+    let nx = Nx::power9();
+    let data = nx_corpus::mixed(0xE0D, 2200);
+    let other = nx_corpus::mixed(0xE0E, 2200);
+    let level = |l| CompressionLevel::new(l).expect("valid level");
+    // A final block ending mid-byte, hand-built: 3 header bits, three
+    // 8-bit fixed codes and the 7-bit end-of-block make 34 bits.
+    let abc: Vec<_> = b"abc"
+        .iter()
+        .map(|&b| nx_deflate::Token::Literal(b))
+        .collect();
+    let mut w = nx_deflate::bitio::BitWriter::new();
+    nx_deflate::encoder::encode_fixed_block(&mut w, &abc, true);
+    assert_eq!(w.bit_len(), 34);
+    let mid_byte = w.finish();
+    for format in [Format::Gzip, Format::Zlib] {
+        let gzip = format == Format::Gzip;
+        let trailer = if gzip { 8 } else { 4 };
+        // gzip reads the trailer first (junk is a wrong checksum), zlib
+        // asks first whether the trailer is the end of the buffer.
+        let junk_in_front = if gzip {
+            E::GzipChecksumMismatch
+        } else {
+            E::TrailingData
+        };
+        let framed_abc = if gzip {
+            nx_deflate::gzip::wrap_deflate(&mid_byte, nx_deflate::crc32::crc32(b"abc"), 3)
+        } else {
+            nx_deflate::zlib::wrap_deflate(&mid_byte, nx_deflate::adler32::adler32(b"abc"))
+        };
+        let goods = [
+            (
+                "dynamic",
+                software::compress(&data, level(6), format),
+                &data[..],
+            ),
+            // Stored blocks: the stream ends on a byte boundary.
+            (
+                "stored",
+                software::compress(&data, level(0), format),
+                &data[..],
+            ),
+            ("mid-byte", framed_abc, &b"abc"[..]),
+        ];
+        let second = software::compress(&other, level(6), format);
+        for (shape, good, plain) in &goods {
+            let at = good.len() - trailer;
+            let spliced = [&good[..at], b"JUNKJUNKJUNK", &good[at..]].concat();
+            let cases = [
+                ("intact", good.clone(), None),
+                (
+                    "junk before the trailer",
+                    spliced,
+                    Some(junk_in_front.clone()),
+                ),
+                (
+                    "junk after the trailer",
+                    [good, &b"JUNK"[..]].concat(),
+                    Some(E::TrailingData),
+                ),
+                (
+                    "two equal members",
+                    [&good[..], good].concat(),
+                    Some(E::TrailingData),
+                ),
+                (
+                    "two different members",
+                    [&good[..], &second].concat(),
+                    Some(E::TrailingData),
+                ),
+            ];
+            for (case, m, error) in cases {
+                let want = error.map_or(Ok(plain.to_vec()), |e| Err(nx_core::Error::from(e)));
+                for (door, got) in stream_doors(&nx, format, &m) {
+                    assert_eq!(got, want, "{format:?} {shape} {case}: {door}");
+                }
+            }
         }
     }
 }
