@@ -15,7 +15,7 @@
 //! simply picks the cheapest by exact bit cost.
 
 use nx_deflate::encoder::DynamicPlan;
-use nx_deflate::lz77::{Histogram, Token};
+use nx_deflate::lz77::Histogram;
 
 /// A named, preloaded table.
 #[derive(Debug, Clone)]
@@ -30,75 +30,65 @@ impl CannedTable {
     pub fn plan(&self) -> &DynamicPlan {
         &self.plan
     }
+
+    /// Exact encoded size (header + body bits) of a block with histogram
+    /// `hist` against this table.
+    pub fn cost_bits(&self, hist: &Histogram) -> u64 {
+        self.plan.header_bits() + self.plan.body_bits(hist)
+    }
 }
 
-/// A set of canned tables to select among per block.
+/// A set of canned tables to select among per block: never empty, so
+/// selection always has an answer.
 #[derive(Debug, Clone)]
 pub struct CannedSet {
-    tables: Vec<CannedTable>,
+    first: CannedTable,
+    rest: Vec<CannedTable>,
 }
 
 impl CannedSet {
     /// The standard four-profile set.
     pub fn standard() -> Self {
-        let profiles: [(&'static str, Vec<u8>); 4] = [
-            ("text", sample_text()),
-            ("structured", sample_structured()),
-            ("binary", sample_binary()),
-            ("run-heavy", sample_runs()),
-        ];
-        let tables = profiles
-            .into_iter()
-            .map(|(name, sample)| CannedTable {
-                name,
-                plan: plan_from_sample(&sample),
-            })
-            .collect();
-        Self { tables }
+        Self::from_samples(
+            ("text", &sample_text()),
+            &[
+                ("structured", &sample_structured()),
+                ("binary", &sample_binary()),
+                ("run-heavy", &sample_runs()),
+            ],
+        )
     }
 
     /// Builds a set from caller-provided samples (the NX library's
-    /// application-specific canned-table path).
-    pub fn from_samples(samples: &[(&'static str, &[u8])]) -> Self {
-        let tables = samples
-            .iter()
-            .map(|(name, s)| CannedTable {
-                name,
-                plan: plan_from_sample(s),
-            })
-            .collect();
-        Self { tables }
+    /// application-specific canned-table path): one at least.
+    pub fn from_samples(first: (&'static str, &[u8]), rest: &[(&'static str, &[u8])]) -> Self {
+        let table = |&(name, sample): &(&'static str, &[u8])| CannedTable {
+            name,
+            plan: plan_from_sample(sample),
+        };
+        Self {
+            first: table(&first),
+            rest: rest.iter().map(table).collect(),
+        }
     }
 
-    /// Number of tables.
-    pub fn len(&self) -> usize {
-        self.tables.len()
+    /// The tables, in the order they were given.
+    pub fn tables(&self) -> impl Iterator<Item = &CannedTable> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// The tables.
-    pub fn tables(&self) -> &[CannedTable] {
-        &self.tables
-    }
-
-    /// Picks the cheapest table for `hist` by exact encoded size
-    /// (header + body bits). Returns `(index, total_bits)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty.
-    pub fn select(&self, hist: &Histogram) -> (usize, u64) {
-        assert!(!self.tables.is_empty(), "no canned tables loaded");
-        self.tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, t.plan.header_bits() + t.plan.body_bits(hist)))
-            .min_by_key(|&(_, bits)| bits)
-            .expect("nonempty set")
+    /// Picks the cheapest table for `hist` by exact encoded size (the first
+    /// of equals). Returns it with its total bits.
+    pub fn select(&self, hist: &Histogram) -> (&CannedTable, u64) {
+        let first = (&self.first, self.first.cost_bits(hist));
+        self.rest.iter().fold(first, |best, table| {
+            let bits = table.cost_bits(hist);
+            if bits < best.1 {
+                (table, bits)
+            } else {
+                best
+            }
+        })
     }
 }
 
@@ -113,11 +103,7 @@ impl Default for CannedSet {
 /// resulting code can encode *any* block.
 fn plan_from_sample(sample: &[u8]) -> DynamicPlan {
     let tokens = nx_deflate::deflate_tokens(sample, nx_deflate::CompressionLevel::default());
-    let mut hist = Histogram::new();
-    for t in &tokens {
-        hist.record(*t);
-    }
-    hist.record_end_of_block();
+    let mut hist = Histogram::of(&tokens);
     for f in hist.litlen.iter_mut().take(286) {
         *f = (*f).max(1);
     }
@@ -183,29 +169,24 @@ fn deterministic(len: usize, mut step: impl FnMut(u64, &mut Vec<u8>)) -> Vec<u8>
     out
 }
 
-/// Exact bit cost of encoding `tokens` against table `idx` — used by the
-/// encoder's accounting and by tests.
-pub fn cost_bits(set: &CannedSet, idx: usize, tokens: &[Token]) -> u64 {
-    let mut hist = Histogram::new();
-    for t in tokens {
-        hist.record(*t);
-    }
-    hist.record_end_of_block();
-    let plan = set.tables()[idx].plan();
-    plan.header_bits() + plan.body_bits(&hist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nx_deflate::bitio::BitWriter;
     use nx_deflate::inflate;
+    use nx_deflate::lz77::Token;
+
+    fn histogram_of(data: &[u8]) -> Histogram {
+        Histogram::of(&nx_deflate::deflate_tokens(
+            data,
+            nx_deflate::CompressionLevel::default(),
+        ))
+    }
 
     #[test]
     fn standard_set_has_four_distinct_profiles() {
         let set = CannedSet::standard();
-        assert_eq!(set.len(), 4);
-        let names: Vec<&str> = set.tables().iter().map(|t| t.name).collect();
+        let names: Vec<&str> = set.tables().map(|t| t.name).collect();
         assert_eq!(names, vec!["text", "structured", "binary", "run-heavy"]);
     }
 
@@ -218,7 +199,7 @@ mod tests {
             Token::Match { len: 3, dist: 2 },
             Token::Match { len: 258, dist: 3 },
         ];
-        for (i, t) in set.tables().iter().enumerate() {
+        for (i, t) in set.tables().enumerate() {
             let mut w = BitWriter::new();
             t.plan().write_header(&mut w, true);
             t.plan().write_body(&mut w, &tokens);
@@ -231,32 +212,22 @@ mod tests {
     fn selection_matches_profile() {
         let set = CannedSet::standard();
         // A text-like histogram should not select the run-heavy table.
-        let text = sample_text();
-        let tokens = nx_deflate::deflate_tokens(&text, nx_deflate::CompressionLevel::default());
-        let mut hist = Histogram::new();
-        for t in &tokens {
-            hist.record(*t);
-        }
-        hist.record_end_of_block();
-        let (idx, _) = set.select(&hist);
-        assert_eq!(set.tables()[idx].name, "text");
+        let (table, _) = set.select(&histogram_of(&sample_text()));
+        assert_eq!(table.name, "text");
     }
 
     #[test]
     fn selection_minimizes_cost() {
         let set = CannedSet::standard();
-        let data = sample_structured();
-        let tokens = nx_deflate::deflate_tokens(&data, nx_deflate::CompressionLevel::default());
-        let mut hist = Histogram::new();
-        for t in &tokens {
-            hist.record(*t);
-        }
-        hist.record_end_of_block();
+        let hist = histogram_of(&sample_structured());
         let (best, best_bits) = set.select(&hist);
-        for i in 0..set.len() {
+        assert_eq!(best.cost_bits(&hist), best_bits);
+        for t in set.tables() {
             assert!(
-                cost_bits(&set, i, &tokens) >= best_bits,
-                "table {i} beats selected {best}"
+                t.cost_bits(&hist) >= best_bits,
+                "table {} beats selected {}",
+                t.name,
+                best.name
             );
         }
     }
@@ -264,12 +235,13 @@ mod tests {
     #[test]
     fn custom_sample_sets_work() {
         let sample = b"abcabcabcabc".repeat(100);
-        let set = CannedSet::from_samples(&[("custom", &sample)]);
-        assert_eq!(set.len(), 1);
+        let set = CannedSet::from_samples(("custom", &sample), &[]);
+        assert_eq!(set.tables().count(), 1);
         let tokens = vec![Token::Literal(b'z')];
+        let (only, _) = set.select(&Histogram::of(&tokens));
         let mut w = BitWriter::new();
-        set.tables()[0].plan().write_header(&mut w, true);
-        set.tables()[0].plan().write_body(&mut w, &tokens);
+        only.plan().write_header(&mut w, true);
+        only.plan().write_body(&mut w, &tokens);
         assert_eq!(inflate(&w.finish()).unwrap(), b"z");
     }
 }

@@ -46,11 +46,20 @@ pub struct EncodeOutcome {
     pub stored_blocks: u64,
 }
 
+/// [`HuffmanMode`] with what the mode works from: canned mode *is* its
+/// (never empty) table set, so no block can find the mode without tables.
+#[derive(Debug)]
+enum Mode {
+    Fixed,
+    Dynamic,
+    Canned(Box<CannedSet>),
+}
+
 /// The entropy-coding unit.
 #[derive(Debug)]
 pub struct BlockEncoder {
     cfg: AccelConfig,
-    canned: Option<CannedSet>,
+    mode: Mode,
 }
 
 impl BlockEncoder {
@@ -58,22 +67,19 @@ impl BlockEncoder {
     /// set is preloaded; use [`with_canned`](Self::with_canned) for
     /// application-specific tables.
     pub fn new(cfg: AccelConfig) -> Self {
-        let canned = matches!(cfg.huffman, HuffmanMode::Canned).then(CannedSet::standard);
-        Self { cfg, canned }
+        let mode = match cfg.huffman {
+            HuffmanMode::Fixed => Mode::Fixed,
+            HuffmanMode::Dynamic => Mode::Dynamic,
+            HuffmanMode::Canned => Mode::Canned(Box::default()),
+        };
+        Self { cfg, mode }
     }
 
     /// Creates a canned-mode encoder with an explicit table set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is empty.
     pub fn with_canned(mut cfg: AccelConfig, set: CannedSet) -> Self {
-        assert!(!set.is_empty(), "canned mode needs at least one table");
         cfg.huffman = HuffmanMode::Canned;
-        Self {
-            cfg,
-            canned: Some(set),
-        }
+        let mode = Mode::Canned(Box::new(set));
+        Self { cfg, mode }
     }
 
     /// Encodes `tokens` (an exact cover of `data`) into a complete DEFLATE
@@ -162,15 +168,11 @@ impl BlockEncoder {
         tokens: &[Token],
         is_final: bool,
     ) -> (u64, bool) {
-        let mut hist = Histogram::new();
-        for &t in tokens {
-            hist.record(t);
-        }
-        hist.record_end_of_block();
+        let hist = Histogram::of(tokens);
         let stored_bits = 7 + 40 * (bytes.len() as u64 / 65_535 + 1) + bytes.len() as u64 * 8;
 
-        match self.cfg.huffman {
-            HuffmanMode::Fixed => {
+        match &self.mode {
+            Mode::Fixed => {
                 let fixed_bits = fixed_block_bits(&hist);
                 if stored_bits < fixed_bits {
                     encode_stored(w, bytes, is_final);
@@ -180,7 +182,7 @@ impl BlockEncoder {
                     (0, false)
                 }
             }
-            HuffmanMode::Dynamic => {
+            Mode::Dynamic => {
                 let plan = DynamicPlan::from_histogram(&hist);
                 let dyn_bits = plan.header_bits() + plan.body_bits(&hist);
                 if stored_bits < dyn_bits {
@@ -193,16 +195,14 @@ impl BlockEncoder {
                     (self.cfg.table_build_cycles, false)
                 }
             }
-            HuffmanMode::Canned => {
-                let set = self.canned.as_ref().expect("canned mode has tables");
-                let (idx, canned_bits) = set.select(&hist);
+            Mode::Canned(set) => {
+                let (table, canned_bits) = set.select(&hist);
                 if stored_bits < canned_bits {
                     encode_stored(w, bytes, is_final);
                     (self.cfg.canned_select_cycles, true)
                 } else {
-                    let plan = set.tables()[idx].plan();
-                    plan.write_header(w, is_final);
-                    plan.write_body(w, tokens);
+                    table.plan().write_header(w, is_final);
+                    table.plan().write_body(w, tokens);
                     (self.cfg.canned_select_cycles, false)
                 }
             }
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn custom_canned_set_roundtrips() {
         let sample = b"sensor=1;temp=23.5;state=ok;".repeat(300);
-        let set = crate::canned::CannedSet::from_samples(&[("sensor", &sample)]);
+        let set = crate::canned::CannedSet::from_samples(("sensor", &sample), &[]);
         let enc = BlockEncoder::with_canned(AccelConfig::power9(), set);
         let data = b"sensor=9;temp=19.1;state=ok;".repeat(500);
         let tokens = MatchEngine::new(AccelConfig::power9())

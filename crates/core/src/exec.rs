@@ -26,8 +26,6 @@ use crate::framing::{self, Format};
 use crate::stats::{Codec, NxStats};
 use crate::{software, CompressOptions, Error, Result, Trace, SUBMIT_CYCLES};
 use nx_accel::{AccelConfig, Accelerator, CompressReport, DecompressReport};
-use nx_deflate::adler32::adler32;
-use nx_deflate::crc32::crc32;
 use nx_deflate::stream::{Flush, StreamEncoder};
 use nx_deflate::{gzip, zlib, CompressionLevel, Engine, InflateScratch, Profile, ProfileRegistry};
 use nx_telemetry::{Stage, TelemetrySink, TraceContext};
@@ -194,7 +192,8 @@ impl Executor {
             Backend::Accel(accel) => {
                 let on_engine = job.recover(fault::Site::Compress, |out| {
                     let (raw, report) = accel.compress(data);
-                    *out = framing::wrap(raw, data, format);
+                    let body = |out: &mut Vec<u8>| out.extend_from_slice(&raw);
+                    framing::frame(out, data, format, CompressionLevel::default(), None, body);
                     Ok((report.cycles, report))
                 })?;
                 match on_engine {
@@ -211,6 +210,10 @@ impl Executor {
             Backend::Software(sw) => job.compress_software(sw, sw.config_name(), session),
         };
         let bytes_out = job.complete();
+        // A caller may keep a job's output: no slack worth a page (shrinks in place).
+        if matches!(unit, Unit::Accel(_)) && out.capacity() - out.len() > 4096 {
+            out.shrink_to_fit();
+        }
         env.stats
             .record_compress(Codec::Deflate, data.len() as u64, bytes_out, report.cycles);
         Ok(report)
@@ -490,20 +493,9 @@ fn ladder_into(
         *enc = StreamEncoder::with_engine(level, engine);
     }
     enc.reset_with_dict(&[]);
-    out.clear();
-    match format {
-        Format::RawDeflate => enc.write_into(data, Flush::Finish, out),
-        Format::Gzip => {
-            gzip::write_header_into(out);
-            enc.write_into(data, Flush::Finish, out);
-            gzip::write_trailer_into(out, crc32(data), data.len() as u64);
-        }
-        Format::Zlib => {
-            zlib::write_header_into(out, level);
-            enc.write_into(data, Flush::Finish, out);
-            zlib::write_trailer_into(out, adler32(data));
-        }
-    }
+    framing::frame(out, data, format, level, None, |out| {
+        enc.write_into(data, Flush::Finish, out)
+    });
 }
 
 #[cfg(test)]

@@ -18,12 +18,30 @@ pub enum Format {
     Zlib,
 }
 
-/// Wraps an accelerator-produced raw stream in the requested container.
-pub(crate) fn wrap(raw: Vec<u8>, original: &[u8], format: Format) -> Vec<u8> {
+/// Frames a raw DEFLATE stream in place -- the one place a compress path
+/// spells a container: `out` (cleared first) gets the header, what `body`
+/// appends, and the trailer over `data`. `dictid` marks a zlib stream FDICT.
+pub(crate) fn frame(
+    out: &mut Vec<u8>,
+    data: &[u8],
+    format: Format,
+    flevel: nx_deflate::CompressionLevel,
+    dictid: Option<u32>,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    out.clear();
+    out.reserve(data.len() / 2 + 64);
+    match (format, dictid) {
+        (Format::RawDeflate, _) => {}
+        (Format::Gzip, _) => gzip::write_header_into(out),
+        (Format::Zlib, Some(dictid)) => zlib::write_header_with_dictid(out, flevel, dictid),
+        (Format::Zlib, None) => zlib::write_header_into(out, flevel),
+    }
+    body(out);
     match format {
-        Format::RawDeflate => raw,
-        Format::Gzip => gzip::wrap_deflate(&raw, crc32(original), original.len() as u64),
-        Format::Zlib => zlib::wrap_deflate(&raw, adler32(original)),
+        Format::RawDeflate => {}
+        Format::Gzip => gzip::write_trailer_into(out, crc32(data), data.len() as u64),
+        Format::Zlib => zlib::write_trailer_into(out, adler32(data)),
     }
 }
 
@@ -95,6 +113,15 @@ mod tests {
     use super::*;
     use crate::Error;
     use nx_deflate::{deflate, CompressionLevel};
+
+    fn wrap(raw: Vec<u8>, original: &[u8], format: Format) -> Vec<u8> {
+        let mut out = vec![0xEE; 3]; // stale bytes: `frame` replaces them
+        let level = CompressionLevel::default();
+        frame(&mut out, original, format, level, None, |out| {
+            out.extend_from_slice(&raw)
+        });
+        out
+    }
 
     #[test]
     fn wrap_unwrap_roundtrip() {

@@ -4,9 +4,7 @@
 
 use crate::framing::{self, Format};
 use crate::Result;
-use nx_deflate::adler32::adler32;
-use nx_deflate::crc32::crc32;
-use nx_deflate::{gzip, zlib, CompressionLevel, Engine, Profile};
+use nx_deflate::{gzip, zlib, CompressionLevel, Encoder, Engine, Profile};
 
 /// Compresses `data` in software at `level`, framed as `format`.
 ///
@@ -33,8 +31,12 @@ pub fn compress_with_engine(
     engine: Engine,
     format: Format,
 ) -> Vec<u8> {
-    let raw = nx_deflate::Encoder::with_engine(level, engine).compress(data);
-    framing::wrap(raw, data, format)
+    let mut out = Vec::new();
+    let flevel = CompressionLevel::default(); // one-shot streams carry it whatever the level
+    framing::frame(&mut out, data, format, flevel, None, |out| {
+        Encoder::with_engine(level, engine).compress_to(data, out)
+    });
+    out
 }
 
 /// Compresses `data` through the **one-pass canned path** of `profile`
@@ -62,8 +64,8 @@ pub fn compress_with_profile(
     out
 }
 
-/// [`compress_with_profile`] into a caller-owned buffer (cleared first):
-/// the one place the canned framing policy is spelled.
+/// [`compress_with_profile`] into a caller-owned buffer (replaced): the
+/// one place the canned framing policy is spelled.
 pub(crate) fn compress_with_profile_into(
     data: &[u8],
     engine: Engine,
@@ -71,29 +73,17 @@ pub(crate) fn compress_with_profile_into(
     format: Format,
     out: &mut Vec<u8>,
 ) {
-    out.clear();
-    out.reserve(data.len() / 2 + 64);
-    // FLEVEL is advisory: canned streams carry the default marker
-    // whatever level the profile tokenizes at.
-    let flevel = CompressionLevel::default();
-    match format {
-        Format::RawDeflate => nx_deflate::deflate_canned_into(data, engine, profile, true, out),
-        Format::Gzip => {
-            gzip::write_header_into(out);
-            nx_deflate::deflate_canned_into(data, engine, profile, false, out);
-            gzip::write_trailer_into(out, crc32(data), data.len() as u64);
-        }
-        Format::Zlib => {
-            let primed = !profile.dict().is_empty();
-            if primed {
-                zlib::write_header_with_dictid(out, flevel, profile.dict_id());
-            } else {
-                zlib::write_header_into(out, flevel);
-            }
-            nx_deflate::deflate_canned_into(data, engine, profile, primed, out);
-            zlib::write_trailer_into(out, adler32(data));
-        }
-    }
+    // What each container can express; only zlib says so in its header.
+    let primed = !profile.dict().is_empty();
+    let (use_dict, dictid) = match format {
+        Format::RawDeflate => (true, None),
+        Format::Gzip => (false, None),
+        Format::Zlib => (primed, primed.then(|| profile.dict_id())),
+    };
+    let flevel = CompressionLevel::default(); // advisory: canned streams carry the default
+    framing::frame(out, data, format, flevel, dictid, |out| {
+        nx_deflate::deflate_canned_into(data, engine, profile, use_dict, out)
+    });
 }
 
 /// Decompresses `format`-framed `data` in software.

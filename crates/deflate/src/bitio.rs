@@ -10,6 +10,17 @@ use crate::{Error, Result};
 
 /// Accumulating LSB-first bit writer over an owned byte buffer.
 ///
+/// **Store discipline.** At most 7 bits wait in the accumulator between
+/// calls. [`write_bits`](Self::write_bits) ORs the new run in above them
+/// (7 + 57 = 64 bits at most), stores all eight accumulator bytes at the end
+/// of the buffer unconditionally, then sets the buffer's length to cover the
+/// complete bytes only: one fixed-width store and a length set, no
+/// variable-length copy behind a branch on a bit count no predictor can
+/// learn. Bytes past the length are scratch the next call overwrites, so the
+/// length is exact after every call: `byte_len`, `bit_len`,
+/// `take_bytes_into` and `align_to_byte` never settle anything first and
+/// may be interleaved with writes freely.
+///
 /// ```
 /// use nx_deflate::bitio::BitWriter;
 ///
@@ -35,8 +46,16 @@ impl BitWriter {
 
     /// Creates a writer with `cap` bytes of pre-allocated output space.
     pub fn with_capacity(cap: usize) -> Self {
+        Self::from_vec(Vec::with_capacity(cap))
+    }
+
+    /// Adopts `out` and appends to it: the bit stream starts byte-aligned
+    /// behind whatever `out` already holds (a container's header), which
+    /// [`byte_len`](Self::byte_len) and [`bit_len`](Self::bit_len) count
+    /// too, and [`finish`](Self::finish) hands the same vector back.
+    pub fn from_vec(out: Vec<u8>) -> Self {
         Self {
-            out: Vec::with_capacity(cap),
+            out,
             acc: 0,
             nbits: 0,
         }
@@ -51,22 +70,17 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 57, "bit run too long: {n}");
-        debug_assert!(n == 64 || value < (1u64 << n), "value wider than bit count");
+        debug_assert!(value < (1u64 << n), "value wider than bit count");
         self.acc |= value << self.nbits;
         self.nbits += n;
-        if self.nbits >= 8 {
-            // Flush every complete byte in one extend instead of a
-            // byte-at-a-time push loop. `nbits` never exceeds 7 + 57 =
-            // 64, so `bytes <= 8`.
-            let bytes = (self.nbits >> 3) as usize;
-            self.out.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
-            self.acc = if bytes == 8 {
-                0
-            } else {
-                self.acc >> (bytes * 8)
-            };
-            self.nbits &= 7;
-        }
+        // `nbits` never exceeds 7 + 57 = 64, so `bytes <= 8`.
+        let bytes = self.nbits >> 3;
+        let len = self.out.len();
+        self.out.extend_from_slice(&self.acc.to_le_bytes());
+        self.out.truncate(len + bytes as usize);
+        // Two half shifts: `bytes` may be 8, and a shift by 64 overflows.
+        self.acc = self.acc >> (bytes * 4) >> (bytes * 4);
+        self.nbits &= 7;
     }
 
     /// Pads with zero bits to the next byte boundary (no-op if aligned).
@@ -351,6 +365,107 @@ mod tests {
         w.write_bits(0xFF, 8);
         assert_eq!(w.bit_len(), 11);
         assert_eq!(w.byte_len(), 1);
+    }
+
+    /// What the writer must do, one bit at a time: the bits not yet
+    /// drained, least-significant first.
+    #[derive(Default)]
+    struct BitAtATime(Vec<bool>);
+
+    impl BitAtATime {
+        fn write_bits(&mut self, value: u64, n: u32) {
+            self.0.extend((0..n).map(|i| value >> i & 1 == 1));
+        }
+
+        fn align_to_byte(&mut self) {
+            self.0.resize(self.0.len().next_multiple_of(8), false);
+        }
+
+        /// Drains the complete bytes, as `take_bytes` does.
+        fn take_bytes(&mut self) -> Vec<u8> {
+            let whole = self.0.len() / 8 * 8;
+            let bytes = self.0[..whole].chunks(8).map(|byte| {
+                let bits = byte.iter().enumerate();
+                bits.fold(0u8, |acc, (i, &bit)| acc | u8::from(bit) << i)
+            });
+            let bytes = bytes.collect();
+            self.0.drain(..whole);
+            bytes
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Write(u64, u32),
+        Take,
+        TakeInto,
+        Align,
+        Clear,
+    }
+
+    /// Three writes in four; the widths are the accumulator's corners.
+    fn op((kind, value, width): (u8, u64, usize)) -> Op {
+        let n = [0u32, 1, 7, 8, 9, 48, 57][width];
+        match kind {
+            0..=11 => Op::Write(value & ((1 << n) - 1), n),
+            12 => Op::Take,
+            13 => Op::TakeInto,
+            14 => Op::Align,
+            _ => Op::Clear,
+        }
+    }
+
+    proptest::proptest! {
+        /// Every call leaves `byte_len` / `bit_len` exact and every drain
+        /// hands over exactly the complete bytes, from a writer that starts
+        /// with no capacity, one with plenty, and one that adopted a vector.
+        #[test]
+        fn writer_matches_a_bit_at_a_time_reference(
+            ops in proptest::collection::vec((0u8..16, proptest::prelude::any::<u64>(), 0usize..7), 1..200),
+            adopted in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20),
+        ) {
+            let writers = [
+                (BitWriter::new(), Vec::new()),
+                (BitWriter::with_capacity(4096), Vec::new()),
+                (BitWriter::from_vec(adopted.clone()), adopted),
+            ];
+            for (mut w, prefix) in writers {
+                let mut model = BitAtATime::default();
+                model.0.extend(prefix.iter().flat_map(|&b| (0..8).map(move |i| b >> i & 1 == 1)));
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for op in ops.iter().copied().map(op) {
+                    match op {
+                        Op::Write(value, n) => {
+                            w.write_bits(value, n);
+                            model.write_bits(value, n);
+                        }
+                        Op::Take => {
+                            got.extend(w.take_bytes());
+                            want.extend(model.take_bytes());
+                        }
+                        Op::TakeInto => {
+                            w.take_bytes_into(&mut got);
+                            want.extend(model.take_bytes());
+                        }
+                        Op::Align => {
+                            w.align_to_byte();
+                            model.align_to_byte();
+                        }
+                        Op::Clear => {
+                            w.clear();
+                            model.0.clear();
+                        }
+                    }
+                    proptest::prop_assert_eq!(w.bit_len(), model.0.len() as u64, "{:?}", op);
+                    proptest::prop_assert_eq!(w.byte_len(), model.0.len() / 8, "{:?}", op);
+                    proptest::prop_assert_eq!(&got, &want, "{:?}", op);
+                }
+                got.extend(w.finish());
+                model.align_to_byte();
+                want.extend(model.take_bytes());
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

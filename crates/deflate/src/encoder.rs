@@ -11,11 +11,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::bitio::BitWriter;
-use crate::huffman::{build, canonical_codes, Code, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN};
+use crate::huffman::{
+    build, first_codes, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
+};
 use crate::lz77::hash4::{Hash4Matcher, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS};
 use crate::lz77::{
-    self, dist_code, length_code_index, Engine, Histogram, Token, DIST_BASE, DIST_EXTRA,
-    LENGTH_BASE, LENGTH_EXTRA, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
+    self, dist_code, Engine, Histogram, Token, DIST_BASE, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA,
+    NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
 };
 use crate::{Error, Result};
 
@@ -163,39 +165,16 @@ static BLOCKS_STORED: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_FIXED: AtomicU64 = AtomicU64::new(0);
 static BLOCKS_DYNAMIC: AtomicU64 = AtomicU64::new(0);
 static LAZY_DEFERRALS: AtomicU64 = AtomicU64::new(0);
-static CHAIN_HIST: [AtomicU64; CHAIN_HIST_BUCKETS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static BLOCKS_BY_LEVEL: [AtomicU64; 5] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static CHAIN_HIST: [AtomicU64; CHAIN_HIST_BUCKETS] =
+    [const { AtomicU64::new(0) }; CHAIN_HIST_BUCKETS];
+static BLOCKS_BY_LEVEL: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
 // Speculative batch-engine cover statistics (see `lz77::batch`).
 static SPEC_WINDOWS: AtomicU64 = AtomicU64::new(0);
 static SPEC_CANDIDATES: AtomicU64 = AtomicU64::new(0);
 static SPEC_COVERED: AtomicU64 = AtomicU64::new(0);
 static SPEC_DISCARDED: AtomicU64 = AtomicU64::new(0);
-static SPEC_COVER_HIST: [AtomicU64; SPEC_COVER_BUCKETS] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static SPEC_COVER_HIST: [AtomicU64; SPEC_COVER_BUCKETS] =
+    [const { AtomicU64::new(0) }; SPEC_COVER_BUCKETS];
 
 /// Snapshot of the process-wide encode counters; see [`encode_counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -295,6 +274,10 @@ pub const MAX_BLOCK_BYTES: usize = 128 << 10;
 /// Largest stored-block payload (RFC 1951: 16-bit LEN field).
 pub const MAX_STORED_BLOCK: usize = 65_535;
 
+/// Largest one-shot input that tokenizes on the thread's scratch; see
+/// [`deflate_tokens_with`] for why size decides.
+const THREAD_SCRATCH_MAX: usize = 2 * crate::WINDOW_SIZE;
+
 /// Match-finding strategy, mirroring zlib's `Z_DEFAULT_STRATEGY` /
 /// `Z_HUFFMAN_ONLY` / `Z_RLE`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -315,16 +298,7 @@ pub enum Strategy {
 /// Tokenizes `data` according to `level`'s strategy without entropy-coding
 /// it. Level 0 returns one literal token per byte.
 pub fn deflate_tokens(data: &[u8], level: CompressionLevel) -> Vec<Token> {
-    deflate_tokens_with_strategy(data, level, Strategy::Default)
-}
-
-/// Tokenizes `data` under an explicit [`Strategy`].
-pub fn deflate_tokens_with_strategy(
-    data: &[u8],
-    level: CompressionLevel,
-    strategy: Strategy,
-) -> Vec<Token> {
-    deflate_tokens_with(data, level, strategy, Engine::Auto)
+    deflate_tokens_with(data, level, Strategy::Default, Engine::Auto)
 }
 
 /// Tokenizes `data` under an explicit [`Strategy`] and match [`Engine`].
@@ -349,8 +323,8 @@ pub fn deflate_tokens_with(
                 // zeroing a matcher costs more than tokenizing with it, so
                 // borrow the thread's; at 1–32 MiB the fresh zero-page
                 // tables measured 6–10 % faster than reused ones.
-                if data.len() <= 2 * crate::WINDOW_SIZE {
-                    lz77::hash4::with_thread_matcher(tokenize)
+                if data.len() <= THREAD_SCRATCH_MAX {
+                    lz77::with_thread_tokenizer(|m, _| tokenize(m))
                 } else {
                     tokenize(&mut Hash4Matcher::new())
                 }
@@ -395,8 +369,21 @@ fn tokenize_rle(data: &[u8]) -> Vec<Token> {
 /// must prime its window with the same dictionary
 /// ([`crate::decoder::inflate_with_dict`]).
 pub fn deflate_with_dict(data: &[u8], level: CompressionLevel, dict: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    deflate_with_dict_to(data, level, dict, &mut out);
+    out
+}
+
+/// [`deflate_with_dict`], appending the stream to `out` (a container's
+/// header may already be there).
+pub(crate) fn deflate_with_dict_to(
+    data: &[u8],
+    level: CompressionLevel,
+    dict: &[u8],
+    out: &mut Vec<u8>,
+) {
     if level.get() == 0 || dict.is_empty() {
-        return deflate(data, level);
+        return Encoder::new(level).compress_to(data, out);
     }
     let dict = &dict[dict.len().saturating_sub(crate::WINDOW_SIZE)..];
     let mut buf = Vec::with_capacity(dict.len() + data.len());
@@ -405,36 +392,18 @@ pub fn deflate_with_dict(data: &[u8], level: CompressionLevel, dict: &[u8]) -> V
     let mut m = Hash4Matcher::new();
     let mut tokens = Vec::with_capacity(data.len() / 4 + 8);
     lz77::hash4::tokenize_into(&buf, dict.len(), level.get(), &mut m, &mut tokens);
-    let mut w = BitWriter::with_capacity(data.len() / 2 + 64);
+    let mut w = BitWriter::from_vec(std::mem::take(out));
     if tokens.is_empty() {
         encode_fixed_block(&mut w, &[], true);
-        return w.finish();
     }
     let rung = Level::from_numeric(level.get());
-    let mut hist = Histogram::new();
-    let mut start_tok = 0usize;
-    while start_tok < tokens.len() {
-        let end_tok = (start_tok + MAX_BLOCK_TOKENS).min(tokens.len());
-        let is_final = end_tok == tokens.len();
-        // No stored fallback here: stored blocks cannot express
-        // dictionary references, and dictionary use targets small,
-        // compressible records anyway — emit entropy-coded blocks only.
-        for &t in &tokens[start_tok..end_tok] {
-            hist.record(t);
-        }
-        hist.record_end_of_block();
-        BLOCKS_BY_LEVEL[rung.index()].fetch_add(1, Ordering::Relaxed);
-        let plan = DynamicPlan::from_histogram(&hist);
-        if plan.header_bits() + plan.body_bits(&hist) < fixed_block_bits(&hist) {
-            plan.write_header(&mut w, is_final);
-            plan.write_body(&mut w, &tokens[start_tok..end_tok]);
-        } else {
-            encode_fixed_block(&mut w, &tokens[start_tok..end_tok], is_final);
-        }
-        hist.clear();
-        start_tok = end_tok;
+    let last = tokens.len().saturating_sub(1) / MAX_BLOCK_TOKENS;
+    for (i, block) in tokens.chunks(MAX_BLOCK_TOKENS).enumerate() {
+        // No stored fallback: a stored block cannot express dictionary
+        // references, and dictionary use targets compressible records.
+        choose_and_encode_block(&mut w, None, block, &Histogram::of(block), i == last, rung);
     }
-    w.finish()
+    *out = w.finish();
 }
 
 /// One-shot raw-DEFLATE compression of `data` at `level`.
@@ -512,9 +481,18 @@ impl Encoder {
 
     /// Compresses `data` into a complete raw DEFLATE stream.
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let mut w = BitWriter::with_capacity(data.len() / 2 + 64);
+        let mut out = Vec::with_capacity(data.len() / 2 + 64);
+        self.compress_to(data, &mut out);
+        out
+    }
+
+    /// Compresses `data`, appending the complete stream to `out` in place:
+    /// the writer adopts the vector (a container's header may already be
+    /// there) and hands it back, so framing costs no second buffer.
+    pub fn compress_to(&self, data: &[u8], out: &mut Vec<u8>) {
+        let mut w = BitWriter::from_vec(std::mem::take(out));
         self.compress_into(&mut w, data);
-        w.finish()
+        *out = w.finish();
     }
 
     /// Compresses `data`, appending the stream to an existing writer.
@@ -528,10 +506,24 @@ impl Encoder {
             encode_fixed_block(w, &[], true);
             return;
         }
-        let tokens = deflate_tokens_with(data, self.level, self.strategy, self.engine);
-        // Split into blocks of bounded token count with one running pass:
-        // the histogram accumulates as tokens stream by, so each block's
-        // cost model needs no second scan of its tokens.
+        let level = self.level.get();
+        if self.strategy == Strategy::Default && data.len() <= THREAD_SCRATCH_MAX {
+            // Up to a window or two the thread lends its token buffer as
+            // well as its matcher: the request allocates its output only.
+            lz77::with_thread_tokenizer(|m, tokens| {
+                lz77::hash4::tokenize_into_with(data, 0, level, self.engine, m, tokens);
+                self.emit_blocks(w, data, tokens);
+            });
+        } else {
+            let tokens = deflate_tokens_with(data, self.level, self.strategy, self.engine);
+            self.emit_blocks(w, data, &tokens);
+        }
+    }
+
+    /// Splits `tokens` (an exact cover of `data`) into blocks of bounded
+    /// token count and input span in one pass: the histogram accumulates as
+    /// tokens stream by, so no block's tokens are scanned twice.
+    fn emit_blocks(&self, w: &mut BitWriter, data: &[u8], tokens: &[Token]) {
         let rung = Level::from_numeric(self.level.get());
         let mut hist = Histogram::new();
         let mut start_tok = 0usize;
@@ -543,9 +535,9 @@ impl Encoder {
             let is_last = i + 1 == tokens.len();
             if is_last || i + 1 - start_tok >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
                 hist.record_end_of_block();
-                choose_and_encode_block_with(
+                choose_and_encode_block(
                     w,
-                    &data[start_byte..start_byte + span],
+                    Some(&data[start_byte..start_byte + span]),
                     &tokens[start_tok..=i],
                     &hist,
                     is_last,
@@ -593,28 +585,42 @@ pub fn encode_stored_block(w: &mut BitWriter, bytes: &[u8], is_final: bool) {
 }
 
 /// The fixed literal/length code lengths of RFC 1951 §3.2.6.
-pub fn fixed_litlen_lengths() -> [u8; NUM_LITLEN_SYMBOLS] {
-    let mut l = [0u8; NUM_LITLEN_SYMBOLS];
-    for (i, item) in l.iter_mut().enumerate() {
-        *item = match i {
-            0..=143 => 8,
-            144..=255 => 9,
-            256..=279 => 7,
-            _ => 8,
-        };
+pub const fn fixed_litlen_lengths() -> [u8; NUM_LITLEN_SYMBOLS] {
+    let mut l = [8u8; NUM_LITLEN_SYMBOLS];
+    let mut i = 144;
+    while i < 280 {
+        l[i] = if i < 256 { 9 } else { 7 };
+        i += 1;
     }
     l
 }
 
 /// The fixed distance code lengths (all 5 bits, including the two reserved
 /// symbols).
-pub fn fixed_dist_lengths() -> [u8; NUM_DIST_SYMBOLS] {
+pub const fn fixed_dist_lengths() -> [u8; NUM_DIST_SYMBOLS] {
     [5u8; NUM_DIST_SYMBOLS]
 }
 
-/// Fused per-block emission tables, precomputed once from the chosen code
-/// arrays so the body loop does at most one table load per alphabet and
-/// exactly one `write_bits` per token:
+const FIXED_LITLEN: [u8; NUM_LITLEN_SYMBOLS] = fixed_litlen_lengths();
+const FIXED_DIST: [u8; NUM_DIST_SYMBOLS] = fixed_dist_lengths();
+
+/// Exact body bits (every counted symbol's code plus its extra bits) of
+/// `hist` under the given code lengths: four dot products, no branch per
+/// symbol.
+fn body_bits(hist: &Histogram, litlen: &[u8], dist: &[u8]) -> u64 {
+    fn dot(freqs: &[u32], bits: &[u8]) -> u64 {
+        let each = freqs.iter().zip(bits);
+        each.map(|(&f, &b)| u64::from(f) * u64::from(b)).sum()
+    }
+    dot(&hist.litlen, litlen)
+        + dot(&hist.litlen[257..], &LENGTH_EXTRA)
+        + dot(&hist.dist, dist)
+        + dot(&hist.dist, &DIST_EXTRA)
+}
+
+/// Fused emission tables, built once per block straight from the code
+/// lengths, so the body loop does one table load per alphabet and at most
+/// one `write_bits` per token:
 ///
 /// * `lit[b]` packs a literal's Huffman code as `bits << 4 | len`;
 /// * `len_sym[len - 3]` packs a match length's Huffman code *already
@@ -623,109 +629,133 @@ pub fn fixed_dist_lengths() -> [u8; NUM_DIST_SYMBOLS] {
 /// * `dist_sym[code]` packs a distance code as `bits << 4 | len` (the
 ///   distance extra value depends on the token and is OR-ed in last).
 ///
-/// Worst case per match stays 15 + 5 + 15 + 13 = 48 bits, within the
-/// writer's 57-bit limit.
+/// A symbol without a code keeps a zero entry (so only the match lengths of
+/// used length codes are filled). A match is at most 15 + 5 + 15 + 13 = 48
+/// bits, within the writer's 57.
 #[derive(Debug, Clone)]
 pub(crate) struct EmitTables {
     lit: [u32; 256],
     len_sym: [u32; 256],
     dist_sym: [u32; NUM_DIST_SYMBOLS],
-    eob_bits: u32,
-    eob_len: u32,
+    pub(crate) eob: Code,
 }
 
 impl EmitTables {
-    pub(crate) fn build(litlen: &[Code], dist: &[Code]) -> Self {
+    /// Walks both alphabets in symbol order handing out canonical codes
+    /// from `next` / `dist_next` (see [`first_codes`]).
+    fn build(
+        litlen: &[u8; NUM_LITLEN_SYMBOLS],
+        mut next: FirstCodes,
+        dist: &[u8; NUM_DIST_SYMBOLS],
+        mut dist_next: FirstCodes,
+    ) -> Self {
         let mut t = EmitTables {
             lit: [0; 256],
             len_sym: [0; 256],
             dist_sym: [0; NUM_DIST_SYMBOLS],
-            eob_bits: u32::from(litlen[usize::from(lz77::END_OF_BLOCK)].bits),
-            eob_len: u32::from(litlen[usize::from(lz77::END_OF_BLOCK)].len),
+            eob: Code::default(),
         };
-        for (b, slot) in t.lit.iter_mut().enumerate() {
-            let c = litlen[b];
-            *slot = u32::from(c.bits) << 4 | u32::from(c.len);
+        let packed = |c: Code| u32::from(c.bits) << 4 | u32::from(c.len);
+        for (slot, &len) in t.lit.iter_mut().zip(&litlen[..256]) {
+            if len > 0 {
+                *slot = packed(next_code(&mut next, len));
+            }
         }
-        for (i, slot) in t.len_sym.iter_mut().enumerate() {
-            let len = (i + 3) as u16;
-            let li = length_code_index(len);
-            let c = litlen[257 + li];
-            let merged = u32::from(c.bits) | (u32::from(len - LENGTH_BASE[li]) << c.len);
-            let total = u32::from(c.len) + u32::from(LENGTH_EXTRA[li]);
-            *slot = merged << 5 | total;
+        if litlen[256] > 0 {
+            t.eob = next_code(&mut next, litlen[256]);
         }
-        for (i, slot) in t.dist_sym.iter_mut().enumerate().take(dist.len()) {
-            let c = dist[i];
-            *slot = u32::from(c.bits) << 4 | u32::from(c.len);
+        for (li, &len) in litlen[257..286].iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            let c = next_code(&mut next, len);
+            // Code 284 stops one short of its 5 extra bits: 258 is code 285.
+            let base = LENGTH_BASE[li];
+            let end = LENGTH_BASE.get(li + 1).copied().unwrap_or(259);
+            let total = u32::from(len) + u32::from(LENGTH_EXTRA[li]);
+            for l in base..end {
+                let merged = u32::from(c.bits) | u32::from(l - base) << len;
+                t.len_sym[usize::from(l - 3)] = merged << 5 | total;
+            }
+        }
+        for (slot, &len) in t.dist_sym.iter_mut().zip(dist) {
+            if len > 0 {
+                *slot = packed(next_code(&mut dist_next, len));
+            }
         }
         t
     }
 
-    /// Writes one token: a single `write_bits` call either way.
+    /// Exact bits `token` takes under these tables, and whether every code
+    /// it needs exists.
     #[inline]
-    pub(crate) fn write_token(&self, w: &mut BitWriter, token: Token) {
+    pub(crate) fn token_bits(&self, token: Token) -> (u32, bool) {
         match token {
             Token::Literal(b) => {
-                let e = self.lit[usize::from(b)];
-                debug_assert!(e & 15 != 0, "literal {b} has no code in this table");
-                w.write_bits(u64::from(e >> 4), e & 15);
+                let n = self.lit[usize::from(b)] & 15;
+                (n, n != 0)
             }
             Token::Match { len, dist: d } => {
-                let le = self.len_sym[usize::from(len - 3)];
-                debug_assert!(le & 31 != 0, "match length {len} has no code");
-                let mut acc = u64::from(le >> 5);
-                let mut n = le & 31;
+                let n = self.len_sym[usize::from(len - 3)] & 31;
                 let di = dist_code(d);
-                let de = self.dist_sym[di];
-                debug_assert!(de & 15 != 0, "distance code {di} missing");
-                acc |= u64::from(de >> 4) << n;
-                n += de & 15;
-                acc |= u64::from(d - DIST_BASE[di]) << n;
-                w.write_bits(acc, n + u32::from(DIST_EXTRA[di]));
+                let dn = self.dist_sym[di] & 15;
+                (n + dn + u32::from(DIST_EXTRA[di]), n != 0 && dn != 0)
             }
         }
     }
 
-    pub(crate) fn write_eob(&self, w: &mut BitWriter) {
-        w.write_bits(u64::from(self.eob_bits), self.eob_len);
+    /// Writes a block body: every token, then end-of-block. A match is one
+    /// `write_bits` call; literals (15 bits at most) gather and go out three
+    /// or more to a call -- when a fourth might not fit, and before a match.
+    pub(crate) fn write_body(&self, w: &mut BitWriter, tokens: &[Token]) {
+        let (mut acc, mut n) = (0u64, 0u32);
+        for &token in tokens {
+            match token {
+                Token::Literal(b) => {
+                    let e = self.lit[usize::from(b)];
+                    debug_assert!(e & 15 != 0, "literal {b} has no code in this table");
+                    acc |= u64::from(e >> 4) << n;
+                    n += e & 15;
+                    if n > 57 - 15 {
+                        w.write_bits(acc, n);
+                        (acc, n) = (0, 0);
+                    }
+                }
+                Token::Match { len, dist: d } => {
+                    w.write_bits(acc, n);
+                    let le = self.len_sym[usize::from(len - 3)];
+                    debug_assert!(le & 31 != 0, "match length {len} has no code");
+                    acc = u64::from(le >> 5);
+                    n = le & 31;
+                    let di = dist_code(d);
+                    let de = self.dist_sym[di];
+                    debug_assert!(de & 15 != 0, "distance code {di} missing");
+                    acc |= u64::from(de >> 4) << n;
+                    n += de & 15;
+                    acc |= u64::from(d - DIST_BASE[di]) << n;
+                    w.write_bits(acc, n + u32::from(DIST_EXTRA[di]));
+                    (acc, n) = (0, 0);
+                }
+            }
+        }
+        // At most 42 literal bits wait here: the end-of-block code fits.
+        acc |= u64::from(self.eob.bits) << n;
+        w.write_bits(acc, n + u32::from(self.eob.len));
     }
 }
 
-/// The fixed-code canonical tables never change; build once per process.
-fn fixed_codes() -> &'static (Vec<Code>, Vec<Code>) {
-    static CODES: OnceLock<(Vec<Code>, Vec<Code>)> = OnceLock::new();
-    CODES.get_or_init(|| {
-        match (
-            canonical_codes(&fixed_litlen_lengths()),
-            canonical_codes(&fixed_dist_lengths()),
-        ) {
-            (Ok(l), Ok(d)) => (l, d),
-            // RFC 1951 §3.2.6 constants: a complete code by definition.
-            _ => unreachable!("fixed code lengths form a valid code"),
-        }
-    })
-}
-
-/// Fixed-code emission tables, likewise process-wide.
-fn fixed_emit_tables() -> &'static EmitTables {
+/// Fixed-code emission tables: they never change, so build once per process
+/// (RFC 1951 §3.2.6 constants: a complete code by definition).
+pub(crate) fn fixed_emit_tables() -> &'static EmitTables {
     static TABLES: OnceLock<EmitTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let (litlen, dist) = fixed_codes();
-        EmitTables::build(litlen, dist)
-    })
+    TABLES.get_or_init(|| DynamicPlan::from_lengths(&FIXED_LITLEN, &FIXED_DIST).emit_tables())
 }
 
 /// Emits one fixed-Huffman (type 1) block containing `tokens`.
 pub fn encode_fixed_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
     BLOCKS_FIXED.fetch_add(1, Ordering::Relaxed);
-    let et = fixed_emit_tables();
-    w.write_bits(u64::from(is_final), 1);
-    w.write_bits(0b01, 2); // BTYPE=01
-    for &t in tokens {
-        et.write_token(w, t);
-    }
-    et.write_eob(w);
+    w.write_bits(u64::from(is_final) | 0b01 << 1, 3); // BFINAL, BTYPE=01
+    fixed_emit_tables().write_body(w, tokens);
 }
 
 /// Order in which code-length code lengths are transmitted (RFC 1951).
@@ -733,98 +763,84 @@ pub const CODELEN_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
-/// A code-length-alphabet instruction produced by run-length encoding the
-/// combined literal/length + distance code lengths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ClSym {
-    /// Emit a literal code length 0..=15.
-    Len(u8),
-    /// Symbol 16: repeat previous length 3–6 times.
-    Rep(u8),
-    /// Symbol 17: run of zeros, 3–10 long.
-    Zero(u8),
-    /// Symbol 18: run of zeros, 11–138 long.
-    ZeroLong(u8),
-}
-
-/// Run-length encodes `lengths` into code-length-alphabet instructions.
-pub(crate) fn rle_code_lengths(lengths: &[u8]) -> Vec<ClSym> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < lengths.len() {
-        let v = lengths[i];
-        let mut run = 1usize;
-        while i + run < lengths.len() && lengths[i + run] == v {
-            run += 1;
-        }
-        if v == 0 {
-            let mut left = run;
-            while left >= 11 {
-                let take = left.min(138);
-                out.push(ClSym::ZeroLong(take as u8));
-                left -= take;
-            }
-            if left >= 3 {
-                out.push(ClSym::Zero(left as u8));
-                left = 0;
-            }
-            for _ in 0..left {
-                out.push(ClSym::Len(0));
-            }
-        } else {
-            out.push(ClSym::Len(v));
-            let mut left = run - 1;
-            while left >= 3 {
-                let take = left.min(6);
-                out.push(ClSym::Rep(take as u8));
-                left -= take;
-            }
-            for _ in 0..left {
-                out.push(ClSym::Len(v));
-            }
-        }
-        i += run;
-    }
-    out
+/// One instruction of the run-length-coded header: a symbol of the
+/// code-length alphabet (0..=15 a code length, 16 repeat the previous one
+/// 3–6 times, 17 / 18 a run of 3–10 / 11–138 zeros) and the value of the
+/// extra bits behind it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ClSym {
+    pub(crate) sym: u8,
+    extra: u8,
 }
 
 impl ClSym {
-    pub(crate) fn symbol(self) -> usize {
-        match self {
-            ClSym::Len(v) => usize::from(v),
-            ClSym::Rep(_) => 16,
-            ClSym::Zero(_) => 17,
-            ClSym::ZeroLong(_) => 18,
-        }
-    }
-
-    fn extra(self) -> Option<(u64, u32)> {
-        match self {
-            ClSym::Len(_) => None,
-            ClSym::Rep(n) => Some((u64::from(n - 3), 2)),
-            ClSym::Zero(n) => Some((u64::from(n - 3), 3)),
-            ClSym::ZeroLong(n) => Some((u64::from(n - 11), 7)),
-        }
+    /// How many extra bits follow the symbol.
+    fn extra_bits(self) -> u32 {
+        [0, 2, 3, 7][usize::from(self.sym).saturating_sub(15)]
     }
 }
 
-/// The fully planned dynamic block header + code tables.
+/// Most instructions a header can hold: one per transmitted code length.
+const MAX_CL_SYMS: usize = NUM_LITLEN_SYMBOLS + NUM_DIST_SYMBOLS;
+
+/// Run-length encodes `lengths` into code-length-alphabet instructions,
+/// written to the front of `out`; returns how many.
+fn rle_code_lengths(lengths: &[u8], out: &mut [ClSym; MAX_CL_SYMS]) -> usize {
+    let mut n = 0usize;
+    let mut push = |sym: u8, extra: usize| {
+        out[n] = ClSym {
+            sym,
+            extra: extra as u8,
+        };
+        n += 1;
+    };
+    let mut i = 0usize;
+    while i < lengths.len() {
+        let v = lengths[i];
+        let mut left = lengths[i..].iter().take_while(|&&l| l == v).count();
+        i += left;
+        if v != 0 {
+            // A repeat needs a length in front of it to repeat.
+            push(v, 0);
+            left -= 1;
+        }
+        while left >= 3 {
+            let (sym, least, most) = match v {
+                0 if left >= 11 => (18, 11, 138),
+                0 => (17, 3, 10),
+                _ => (16, 3, 6),
+            };
+            let take = left.min(most);
+            push(sym, take - least);
+            left -= take;
+        }
+        (0..left).for_each(|_| push(v, 0));
+    }
+    n
+}
+
+/// The fully planned dynamic block header + code tables: a plain
+/// fixed-size value (about 1 KB), built on the stack with no allocation.
 ///
 /// Building the plan is separated from writing it so callers (the block
 /// chooser here, and the accelerator's cycle model) can obtain exact bit
 /// costs before committing.
 #[derive(Debug, Clone)]
 pub struct DynamicPlan {
-    litlen_lengths: Vec<u8>,
-    dist_lengths: Vec<u8>,
-    litlen_codes: Vec<Code>,
-    dist_codes: Vec<Code>,
-    cl_lengths: Vec<u8>,
-    cl_codes: Vec<Code>,
-    cl_syms: Vec<ClSym>,
+    litlen_lengths: [u8; NUM_LITLEN_SYMBOLS],
+    dist_lengths: [u8; NUM_DIST_SYMBOLS],
+    /// What validating the lengths leaves behind, and all
+    /// [`EmitTables::build`] needs besides them.
+    litlen_first: FirstCodes,
+    dist_first: FirstCodes,
+    cl_lengths: [u8; 19],
+    /// The run-length-coded lengths are `cl_syms[..cl_count]`.
+    cl_syms: [ClSym; MAX_CL_SYMS],
+    cl_count: usize,
     hlit: usize,
     hdist: usize,
     hclen: usize,
+    header_bits: u64,
 }
 
 impl DynamicPlan {
@@ -834,14 +850,14 @@ impl DynamicPlan {
     /// two codes are forced into each alphabet (zlib does the same) so the
     /// emitted trees are always complete and interoperable.
     pub fn from_histogram(hist: &Histogram) -> Self {
-        let mut litlen_freq = hist.litlen.clone();
-        let mut dist_freq = hist.dist.clone();
+        let (mut litlen_freq, mut dist_freq) = (hist.litlen, hist.dist);
         force_min_codes(&mut litlen_freq);
         force_min_codes(&mut dist_freq);
-
-        let litlen_lengths = build::limited_lengths(&litlen_freq, MAX_CODE_LEN);
-        let dist_lengths = build::limited_lengths(&dist_freq, MAX_CODE_LEN);
-        Self::from_lengths(litlen_lengths, dist_lengths)
+        let mut litlen = [0u8; NUM_LITLEN_SYMBOLS];
+        let mut dist = [0u8; NUM_DIST_SYMBOLS];
+        build::limited_lengths_into(&litlen_freq, MAX_CODE_LEN, &mut litlen);
+        build::limited_lengths_into(&dist_freq, MAX_CODE_LEN, &mut dist);
+        Self::from_lengths(&litlen, &dist)
     }
 
     /// Plans a block around externally supplied code lengths — the
@@ -854,135 +870,134 @@ impl DynamicPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the lengths exceed the DEFLATE limits or oversubscribe
-    /// the code space.
-    pub fn from_lengths(litlen_lengths: Vec<u8>, dist_lengths: Vec<u8>) -> Self {
-        let hlit = litlen_lengths
-            .iter()
-            .rposition(|&l| l > 0)
-            .map_or(257, |p| (p + 1).max(257));
-        let hdist = dist_lengths
-            .iter()
-            .rposition(|&l| l > 0)
-            .map_or(1, |p| (p + 1).max(1));
+    /// Panics if the lengths exceed the DEFLATE limits (15 bits, 288 / 32
+    /// symbols) or oversubscribe the code space.
+    pub fn from_lengths(litlen: &[u8], dist: &[u8]) -> Self {
+        let mut litlen_lengths = [0u8; NUM_LITLEN_SYMBOLS];
+        let mut dist_lengths = [0u8; NUM_DIST_SYMBOLS];
+        litlen_lengths[..litlen.len()].copy_from_slice(litlen);
+        dist_lengths[..dist.len()].copy_from_slice(dist);
+        let hlit = (litlen_lengths.iter().rposition(|&l| l > 0)).map_or(257, |p| (p + 1).max(257));
+        let hdist = (dist_lengths.iter().rposition(|&l| l > 0)).map_or(1, |p| p + 1);
 
-        let mut combined = Vec::with_capacity(hlit + hdist);
-        combined.extend_from_slice(&litlen_lengths[..hlit]);
-        combined.extend_from_slice(&dist_lengths[..hdist]);
-        let cl_syms = rle_code_lengths(&combined);
+        // One run-length pass over both alphabets: a run may cross from the
+        // literal/length lengths into the distance lengths.
+        let mut combined = [0u8; MAX_CL_SYMS];
+        combined[..hlit].copy_from_slice(&litlen_lengths[..hlit]);
+        combined[hlit..hlit + hdist].copy_from_slice(&dist_lengths[..hdist]);
+        let mut cl_syms = [ClSym::default(); MAX_CL_SYMS];
+        let cl_count = rle_code_lengths(&combined[..hlit + hdist], &mut cl_syms);
 
-        let mut cl_freq = vec![0u32; 19];
-        for s in &cl_syms {
-            cl_freq[s.symbol()] += 1;
+        let mut cl_freq = [0u32; 19];
+        for s in &cl_syms[..cl_count] {
+            cl_freq[usize::from(s.sym)] += 1;
         }
-        let mut cl_lengths = build::limited_lengths(&cl_freq, MAX_CODELEN_CODE_LEN);
-        // The code-length alphabet must itself be decodable; a single used
-        // symbol yields an incomplete 1-bit code, which inflate
-        // implementations accept for this alphabet, but force two codes for
-        // maximum compatibility.
+        let mut cl_lengths = [0u8; 19];
+        build::limited_lengths_into(&cl_freq, MAX_CODELEN_CODE_LEN, &mut cl_lengths);
+        // A single used symbol yields an incomplete 1-bit code, which
+        // inflate implementations accept for this alphabet; force two codes
+        // anyway, for maximum compatibility.
         if cl_lengths.iter().filter(|&&l| l > 0).count() == 1 {
-            if let Some(used) = cl_lengths.iter().position(|&l| l > 0) {
-                let other = usize::from(used == 0);
-                cl_lengths[used] = 1;
-                cl_lengths[other] = 1;
-            }
+            cl_lengths[usize::from(cl_lengths[0] > 0)] = 1;
         }
+        let hclen =
+            (CODELEN_ORDER.iter().rposition(|&s| cl_lengths[s] > 0)).map_or(4, |p| (p + 1).max(4));
 
-        let hclen = CODELEN_ORDER
-            .iter()
-            .rposition(|&s| cl_lengths[s] > 0)
-            .map_or(4, |p| (p + 1).max(4));
-
-        let litlen_codes = codes_or_panic(&litlen_lengths);
-        let dist_codes = codes_or_panic(&dist_lengths);
-        let cl_codes = codes_or_panic(&cl_lengths);
-
+        let mut header_bits = 3 + 5 + 5 + 4 + 3 * hclen as u64; // BFINAL+BTYPE, HLIT, HDIST, HCLEN
+        for s in &cl_syms[..cl_count] {
+            header_bits += u64::from(cl_lengths[usize::from(s.sym)]) + u64::from(s.extra_bits());
+        }
         Self {
+            litlen_first: first_codes_or_panic(&litlen_lengths),
+            dist_first: first_codes_or_panic(&dist_lengths),
             litlen_lengths,
             dist_lengths,
-            litlen_codes,
-            dist_codes,
             cl_lengths,
-            cl_codes,
             cl_syms,
+            cl_count,
             hlit,
             hdist,
             hclen,
+            header_bits,
         }
     }
 
     /// Exact size in bits of the header (from BFINAL through the code-length
     /// stream).
     pub fn header_bits(&self) -> u64 {
-        let mut bits = 3 + 5 + 5 + 4; // BFINAL+BTYPE, HLIT, HDIST, HCLEN
-        bits += 3 * self.hclen as u64;
-        for s in &self.cl_syms {
-            bits += u64::from(self.cl_lengths[s.symbol()]);
-            if let Some((_, n)) = s.extra() {
-                bits += u64::from(n);
-            }
-        }
-        bits
+        self.header_bits
     }
 
     /// Exact size in bits of the body for `hist` (tokens + end-of-block),
     /// excluding the header.
     pub fn body_bits(&self, hist: &Histogram) -> u64 {
-        let mut bits = 0u64;
-        for (sym, &f) in hist.litlen.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            bits += u64::from(f) * u64::from(self.litlen_lengths[sym]);
-            if sym > 256 {
-                bits += u64::from(f) * u64::from(LENGTH_EXTRA[sym - 257]);
-            }
-        }
-        for (sym, &f) in hist.dist.iter().enumerate() {
-            if f == 0 {
-                continue;
-            }
-            bits += u64::from(f) * u64::from(self.dist_lengths[sym]);
-            bits += u64::from(f) * u64::from(DIST_EXTRA[sym]);
-        }
-        bits
+        body_bits(hist, &self.litlen_lengths, &self.dist_lengths)
     }
 
     /// Writes the block header (BFINAL, BTYPE=10, table description).
     pub fn write_header(&self, w: &mut BitWriter, is_final: bool) {
         BLOCKS_DYNAMIC.fetch_add(1, Ordering::Relaxed);
-        w.write_bits(u64::from(is_final), 1);
-        w.write_bits(0b10, 2);
-        w.write_bits(self.hlit as u64 - 257, 5);
-        w.write_bits(self.hdist as u64 - 1, 5);
-        w.write_bits(self.hclen as u64 - 4, 4);
+        self.render_header(w, is_final);
+    }
+
+    /// The header's bits, a few fields to a `write_bits` call.
+    fn render_header(&self, w: &mut BitWriter, is_final: bool) {
+        let mut acc = u64::from(is_final) | 0b10 << 1;
+        acc |= (self.hlit as u64 - 257) << 3 | (self.hdist as u64 - 1) << 8;
+        w.write_bits(acc | (self.hclen as u64 - 4) << 13, 17);
+        let (mut acc, mut n) = (0u64, 0u32);
         for &s in CODELEN_ORDER.iter().take(self.hclen) {
-            w.write_bits(u64::from(self.cl_lengths[s]), 3);
+            acc |= u64::from(self.cl_lengths[s]) << n;
+            n += 3;
         }
-        for s in &self.cl_syms {
-            let c = self.cl_codes[s.symbol()];
-            debug_assert!(c.len > 0, "emitting unused code-length symbol");
-            w.write_bits(u64::from(c.bits), u32::from(c.len));
-            if let Some((v, n)) = s.extra() {
-                w.write_bits(v, n);
+        w.write_bits(acc, n); // at most 19 x 3 = 57 bits
+        let mut next = first_codes_or_panic(&self.cl_lengths);
+        let mut codes = [Code::default(); 19];
+        for (code, &len) in codes.iter_mut().zip(&self.cl_lengths) {
+            if len > 0 {
+                *code = next_code(&mut next, len);
             }
+        }
+        // A code-length symbol is at most 7 + 7 bits: four to a call.
+        for four in self.cl_syms[..self.cl_count].chunks(4) {
+            let (mut acc, mut n) = (0u64, 0u32);
+            for s in four {
+                let c = codes[usize::from(s.sym)];
+                debug_assert!(c.len > 0, "emitting unused code-length symbol");
+                acc |= (u64::from(c.bits) | u64::from(s.extra) << c.len) << n;
+                n += u32::from(c.len) + s.extra_bits();
+            }
+            w.write_bits(acc, n);
+        }
+    }
+
+    /// Renders the header once, for a plan that outlives its block (a
+    /// canned profile's).
+    pub(crate) fn rendered_header(&self) -> RenderedHeader {
+        let mut w = BitWriter::new();
+        self.render_header(&mut w, false);
+        let word = |seven: &[u8]| {
+            let mut le = [0u8; 8];
+            le[..seven.len()].copy_from_slice(seven);
+            u64::from_le_bytes(le)
+        };
+        RenderedHeader {
+            bits: self.header_bits,
+            words: w.finish().chunks(7).map(word).collect(),
         }
     }
 
     /// Writes the block body — all `tokens` then end-of-block — through
     /// freshly fused [`EmitTables`] (one `write_bits` per token).
     pub fn write_body(&self, w: &mut BitWriter, tokens: &[Token]) {
-        let et = EmitTables::build(&self.litlen_codes, &self.dist_codes);
-        for &t in tokens {
-            et.write_token(w, t);
-        }
-        et.write_eob(w);
+        self.emit_tables().write_body(w, tokens);
     }
 
-    /// Fuses this plan's codes into [`EmitTables`] once — the canned-profile
-    /// path caches the result so one-pass blocks skip the per-block build.
+    /// Fuses this plan's codes into [`EmitTables`] — once per block; the
+    /// canned-profile path keeps the result with the profile.
     pub(crate) fn emit_tables(&self) -> EmitTables {
-        EmitTables::build(&self.litlen_codes, &self.dist_codes)
+        let (litlen, dist) = (&self.litlen_lengths, &self.dist_lengths);
+        EmitTables::build(litlen, self.litlen_first, dist, self.dist_first)
     }
 
     /// The planned literal/length code lengths (for inspection/tests).
@@ -996,16 +1011,32 @@ impl DynamicPlan {
     }
 }
 
-/// Builds canonical codes for lengths that must already describe a valid
-/// code (all internal callers pass lengths from the limited builder).
-///
-/// # Panics
-///
-/// Panics on invalid (oversubscribed or over-long) lengths — reachable
-/// only through [`DynamicPlan::from_lengths`] with bad caller input,
-/// which that constructor documents.
-fn codes_or_panic(lengths: &[u8]) -> Vec<Code> {
-    match canonical_codes(lengths) {
+/// A block header that never changes (a canned profile's), rendered once:
+/// the bits [`DynamicPlan::write_header`] writes, 56 to a word, BFINAL clear.
+#[derive(Debug, Clone)]
+pub(crate) struct RenderedHeader {
+    words: Vec<u64>,
+    pub(crate) bits: u64,
+}
+
+impl RenderedHeader {
+    /// Replays the header with BFINAL (its first bit) patched in: a dozen
+    /// `write_bits` calls where deriving it takes a hundred.
+    pub(crate) fn write(&self, w: &mut BitWriter, is_final: bool) {
+        BLOCKS_DYNAMIC.fetch_add(1, Ordering::Relaxed);
+        let mut left = self.bits as u32;
+        for (i, &word) in self.words.iter().enumerate() {
+            w.write_bits(word | u64::from(is_final && i == 0), left.min(56));
+            left = left.saturating_sub(56);
+        }
+    }
+}
+
+/// First canonical codes of lengths that must describe a valid code; the
+/// panic is reachable only through [`DynamicPlan::from_lengths`] with bad
+/// caller input, which that constructor documents.
+fn first_codes_or_panic(lengths: &[u8]) -> FirstCodes {
+    match first_codes(lengths) {
         Ok(c) => c,
         Err(e) => panic!("invalid code lengths for dynamic plan: {e:?}"),
     }
@@ -1027,12 +1058,7 @@ fn force_min_codes(freqs: &mut [u32]) {
 
 /// Emits one dynamic-Huffman (type 2) block containing `tokens`.
 pub fn encode_dynamic_block(w: &mut BitWriter, tokens: &[Token], is_final: bool) {
-    let mut hist = Histogram::new();
-    for &t in tokens {
-        hist.record(t);
-    }
-    hist.record_end_of_block();
-    let plan = DynamicPlan::from_histogram(&hist);
+    let plan = DynamicPlan::from_histogram(&Histogram::of(tokens));
     plan.write_header(w, is_final);
     plan.write_body(w, tokens);
 }
@@ -1040,64 +1066,17 @@ pub fn encode_dynamic_block(w: &mut BitWriter, tokens: &[Token], is_final: bool)
 /// Exact bit cost of encoding `tokens` with the fixed tables (including
 /// the 3-bit block header and end-of-block).
 pub fn fixed_block_bits(hist: &Histogram) -> u64 {
-    let litlen = fixed_litlen_lengths();
-    let dist = fixed_dist_lengths();
-    let mut bits = 3u64;
-    for (sym, &f) in hist.litlen.iter().enumerate() {
-        if f == 0 {
-            continue;
-        }
-        bits += u64::from(f) * u64::from(litlen[sym]);
-        if sym > 256 {
-            bits += u64::from(f) * u64::from(LENGTH_EXTRA[sym - 257]);
-        }
-    }
-    for (sym, &f) in hist.dist.iter().enumerate() {
-        if f == 0 {
-            continue;
-        }
-        bits += u64::from(f) * (u64::from(dist[sym]) + u64::from(DIST_EXTRA[sym]));
-    }
-    bits
+    3 + body_bits(hist, &FIXED_LITLEN, &FIXED_DIST)
 }
 
-/// Emits `tokens` (whose concatenated input is `bytes`) as whichever block
-/// type is smallest: stored, fixed or dynamic. This is the zlib
-/// `_tr_flush_block` decision.
-pub fn choose_and_encode_block(w: &mut BitWriter, bytes: &[u8], tokens: &[Token], is_final: bool) {
-    choose_and_encode_block_at(w, bytes, tokens, is_final, CompressionLevel::default());
-}
-
-/// As [`choose_and_encode_block`], attributing the block to `level`'s
-/// ladder rung in the per-level encode counters.
-pub fn choose_and_encode_block_at(
+/// The one block decision (zlib's `_tr_flush_block`): emits `tokens` as
+/// whichever of stored, fixed or dynamic is smallest by exact bit cost, from
+/// their histogram (end-of-block included), and counts the block under
+/// `rung`. `stored` is the input the tokens cover; `None` where a stored
+/// block cannot stand in for them (they reference a preset dictionary).
+pub fn choose_and_encode_block(
     w: &mut BitWriter,
-    bytes: &[u8],
-    tokens: &[Token],
-    is_final: bool,
-    level: CompressionLevel,
-) {
-    let mut hist = Histogram::new();
-    for &t in tokens {
-        hist.record(t);
-    }
-    hist.record_end_of_block();
-    choose_and_encode_block_with(
-        w,
-        bytes,
-        tokens,
-        &hist,
-        is_final,
-        Level::from_numeric(level.get()),
-    );
-}
-
-/// The cost-model core: picks the cheapest of stored / fixed / dynamic by
-/// exact bit cost from an already-accumulated histogram (which must
-/// include the end-of-block symbol) and emits the block.
-pub(crate) fn choose_and_encode_block_with(
-    w: &mut BitWriter,
-    bytes: &[u8],
+    stored: Option<&[u8]>,
     tokens: &[Token],
     hist: &Histogram,
     is_final: bool,
@@ -1108,16 +1087,360 @@ pub(crate) fn choose_and_encode_block_with(
     let dynamic_bits = plan.header_bits() + plan.body_bits(hist);
     let fixed_bits = fixed_block_bits(hist);
     // Stored: alignment padding (≤7) + per-chunk 5-byte headers + payload.
-    let chunks = bytes.len().div_ceil(MAX_STORED_BLOCK).max(1) as u64;
-    let stored_bits = 7 + chunks * (3 + 32 + 4) + bytes.len() as u64 * 8;
-
-    if stored_bits < dynamic_bits.min(fixed_bits) {
+    let stored = stored.filter(|bytes| {
+        let chunks = bytes.len().div_ceil(MAX_STORED_BLOCK).max(1) as u64;
+        7 + chunks * (3 + 32 + 4) + bytes.len() as u64 * 8 < dynamic_bits.min(fixed_bits)
+    });
+    if let Some(bytes) = stored {
         encode_stored(w, bytes, is_final);
     } else if fixed_bits <= dynamic_bits {
         encode_fixed_block(w, tokens, is_final);
     } else {
         plan.write_header(w, is_final);
         plan.write_body(w, tokens);
+    }
+}
+
+#[cfg(test)]
+/// The plan as it stood before issue 24 -- `Vec` fields, three
+/// `canonical_codes` vectors, a second table packed from them per block --
+/// kept verbatim (but for the histogram's field types and `extra`'s return
+/// type, which moved) as the oracle [`reference::diff_plan`] diffs against.
+pub(crate) mod reference {
+    use super::{
+        fixed_block_bits, fixed_dist_lengths, fixed_litlen_lengths, force_min_codes, BitWriter,
+        Code, Histogram, CODELEN_ORDER, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA,
+        MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
+    };
+    use crate::huffman::build::reference::parent as build;
+    use crate::huffman::canonical_codes;
+
+    /// A code-length-alphabet instruction produced by run-length encoding the
+    /// combined literal/length + distance code lengths.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ClSym {
+        /// Emit a literal code length 0..=15.
+        Len(u8),
+        /// Symbol 16: repeat previous length 3–6 times.
+        Rep(u8),
+        /// Symbol 17: run of zeros, 3–10 long.
+        Zero(u8),
+        /// Symbol 18: run of zeros, 11–138 long.
+        ZeroLong(u8),
+    }
+
+    impl ClSym {
+        pub fn symbol(self) -> usize {
+            match self {
+                ClSym::Len(v) => usize::from(v),
+                ClSym::Rep(_) => 16,
+                ClSym::Zero(_) => 17,
+                ClSym::ZeroLong(_) => 18,
+            }
+        }
+
+        /// In the new form: the symbol and the value of its extra bits.
+        pub fn packed(self) -> super::ClSym {
+            let (sym, extra) = (self.symbol() as u8, extra(self).map_or(0, |(v, _)| v as u8));
+            super::ClSym { sym, extra }
+        }
+    }
+
+    /// Run-length encodes `lengths` into code-length-alphabet instructions.
+    pub(crate) fn rle_code_lengths(lengths: &[u8]) -> Vec<ClSym> {
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        while i < lengths.len() {
+            let v = lengths[i];
+            let mut run = 1usize;
+            while i + run < lengths.len() && lengths[i + run] == v {
+                run += 1;
+            }
+            if v == 0 {
+                let mut left = run;
+                while left >= 11 {
+                    let take = left.min(138);
+                    out.push(ClSym::ZeroLong(take as u8));
+                    left -= take;
+                }
+                if left >= 3 {
+                    out.push(ClSym::Zero(left as u8));
+                    left = 0;
+                }
+                for _ in 0..left {
+                    out.push(ClSym::Len(0));
+                }
+            } else {
+                out.push(ClSym::Len(v));
+                let mut left = run - 1;
+                while left >= 3 {
+                    let take = left.min(6);
+                    out.push(ClSym::Rep(take as u8));
+                    left -= take;
+                }
+                for _ in 0..left {
+                    out.push(ClSym::Len(v));
+                }
+            }
+            i += run;
+        }
+        out
+    }
+
+    fn extra(s: ClSym) -> Option<(u64, u32)> {
+        match s {
+            ClSym::Len(_) => None,
+            ClSym::Rep(n) => Some((u64::from(n - 3), 2)),
+            ClSym::Zero(n) => Some((u64::from(n - 3), 3)),
+            ClSym::ZeroLong(n) => Some((u64::from(n - 11), 7)),
+        }
+    }
+
+    pub struct DynamicPlan {
+        litlen_lengths: Vec<u8>,
+        dist_lengths: Vec<u8>,
+        litlen_codes: Vec<Code>,
+        dist_codes: Vec<Code>,
+        cl_lengths: Vec<u8>,
+        cl_codes: Vec<Code>,
+        cl_syms: Vec<ClSym>,
+        hlit: usize,
+        hdist: usize,
+        hclen: usize,
+    }
+
+    impl DynamicPlan {
+        pub fn from_histogram(hist: &Histogram) -> Self {
+            let mut litlen_freq = hist.litlen.to_vec();
+            let mut dist_freq = hist.dist.to_vec();
+            force_min_codes(&mut litlen_freq);
+            force_min_codes(&mut dist_freq);
+
+            let litlen_lengths = build::limited_lengths(&litlen_freq, MAX_CODE_LEN);
+            let dist_lengths = build::limited_lengths(&dist_freq, MAX_CODE_LEN);
+            Self::from_lengths(litlen_lengths, dist_lengths)
+        }
+
+        /// Plans a block around externally supplied code lengths — the
+        /// "canned DHT" path, where a precomputed table is transmitted instead
+        /// of one generated from the block's own statistics.
+        ///
+        /// The lengths must describe valid (non-oversubscribed) codes; symbols
+        /// the block uses must have nonzero lengths or
+        /// [`write_body`](Self::write_body) will panic.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the lengths exceed the DEFLATE limits or oversubscribe
+        /// the code space.
+        pub fn from_lengths(litlen_lengths: Vec<u8>, dist_lengths: Vec<u8>) -> Self {
+            let hlit = litlen_lengths
+                .iter()
+                .rposition(|&l| l > 0)
+                .map_or(257, |p| (p + 1).max(257));
+            let hdist = dist_lengths
+                .iter()
+                .rposition(|&l| l > 0)
+                .map_or(1, |p| (p + 1).max(1));
+
+            let mut combined = Vec::with_capacity(hlit + hdist);
+            combined.extend_from_slice(&litlen_lengths[..hlit]);
+            combined.extend_from_slice(&dist_lengths[..hdist]);
+            let cl_syms = rle_code_lengths(&combined);
+
+            let mut cl_freq = vec![0u32; 19];
+            for s in &cl_syms {
+                cl_freq[s.symbol()] += 1;
+            }
+            let mut cl_lengths = build::limited_lengths(&cl_freq, MAX_CODELEN_CODE_LEN);
+            // The code-length alphabet must itself be decodable; a single used
+            // symbol yields an incomplete 1-bit code, which inflate
+            // implementations accept for this alphabet, but force two codes for
+            // maximum compatibility.
+            if cl_lengths.iter().filter(|&&l| l > 0).count() == 1 {
+                if let Some(used) = cl_lengths.iter().position(|&l| l > 0) {
+                    let other = usize::from(used == 0);
+                    cl_lengths[used] = 1;
+                    cl_lengths[other] = 1;
+                }
+            }
+
+            let hclen = CODELEN_ORDER
+                .iter()
+                .rposition(|&s| cl_lengths[s] > 0)
+                .map_or(4, |p| (p + 1).max(4));
+
+            let litlen_codes = codes_or_panic(&litlen_lengths);
+            let dist_codes = codes_or_panic(&dist_lengths);
+            let cl_codes = codes_or_panic(&cl_lengths);
+
+            Self {
+                litlen_lengths,
+                dist_lengths,
+                litlen_codes,
+                dist_codes,
+                cl_lengths,
+                cl_codes,
+                cl_syms,
+                hlit,
+                hdist,
+                hclen,
+            }
+        }
+
+        /// Exact size in bits of the header (from BFINAL through the code-length
+        /// stream).
+        pub fn header_bits(&self) -> u64 {
+            let mut bits = 3 + 5 + 5 + 4; // BFINAL+BTYPE, HLIT, HDIST, HCLEN
+            bits += 3 * self.hclen as u64;
+            for s in &self.cl_syms {
+                bits += u64::from(self.cl_lengths[s.symbol()]);
+                if let Some((_, n)) = extra(*s) {
+                    bits += u64::from(n);
+                }
+            }
+            bits
+        }
+
+        /// Exact size in bits of the body for `hist` (tokens + end-of-block),
+        /// excluding the header.
+        pub fn body_bits(&self, hist: &Histogram) -> u64 {
+            let mut bits = 0u64;
+            for (sym, &f) in hist.litlen.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                bits += u64::from(f) * u64::from(self.litlen_lengths[sym]);
+                if sym > 256 {
+                    bits += u64::from(f) * u64::from(LENGTH_EXTRA[sym - 257]);
+                }
+            }
+            for (sym, &f) in hist.dist.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                bits += u64::from(f) * u64::from(self.dist_lengths[sym]);
+                bits += u64::from(f) * u64::from(DIST_EXTRA[sym]);
+            }
+            bits
+        }
+
+        /// Writes the block header (BFINAL, BTYPE=10, table description).
+        pub fn write_header(&self, w: &mut BitWriter, is_final: bool) {
+            w.write_bits(u64::from(is_final), 1);
+            w.write_bits(0b10, 2);
+            w.write_bits(self.hlit as u64 - 257, 5);
+            w.write_bits(self.hdist as u64 - 1, 5);
+            w.write_bits(self.hclen as u64 - 4, 4);
+            for &s in CODELEN_ORDER.iter().take(self.hclen) {
+                w.write_bits(u64::from(self.cl_lengths[s]), 3);
+            }
+            for s in &self.cl_syms {
+                let c = self.cl_codes[s.symbol()];
+                debug_assert!(c.len > 0, "emitting unused code-length symbol");
+                w.write_bits(u64::from(c.bits), u32::from(c.len));
+                if let Some((v, n)) = extra(*s) {
+                    w.write_bits(v, n);
+                }
+            }
+        }
+    }
+
+    fn codes_or_panic(lengths: &[u8]) -> Vec<Code> {
+        match canonical_codes(lengths) {
+            Ok(c) => c,
+            Err(e) => panic!("invalid code lengths for dynamic plan: {e:?}"),
+        }
+    }
+
+    /// Everything `hist`'s plan decides, new against old: the three length
+    /// sets, `hlit` / `hdist` / `hclen`, `header_bits`, the header's bytes
+    /// (written, and replayed from its rendered form, at either BFINAL and
+    /// off a byte boundary) and every fused table entry of a coded symbol.
+    pub fn diff_plan(hist: &Histogram, what: &str) {
+        let (new, old) = (
+            super::DynamicPlan::from_histogram(hist),
+            DynamicPlan::from_histogram(hist),
+        );
+        assert_eq!(new.litlen_lengths[..], old.litlen_lengths[..], "{what}");
+        assert_eq!(new.dist_lengths[..], old.dist_lengths[..], "{what}");
+        assert_eq!(new.cl_lengths[..], old.cl_lengths[..], "{what}");
+        let old_syms: Vec<super::ClSym> = old.cl_syms.iter().map(|s| s.packed()).collect();
+        assert_eq!(new.cl_syms[..new.cl_count], old_syms[..], "{what}");
+        let counts = |p: (usize, usize, usize)| p;
+        assert_eq!(
+            counts((new.hlit, new.hdist, new.hclen)),
+            counts((old.hlit, old.hdist, old.hclen)),
+            "{what}"
+        );
+        assert_eq!(new.header_bits(), old.header_bits(), "{what}");
+        // (The old sums index past `LENGTH_EXTRA` on a reserved symbol.)
+        if hist.litlen[286..] == [0, 0] && hist.dist[30..] == [0, 0] {
+            assert_eq!(new.body_bits(hist), old.body_bits(hist), "{what}");
+            assert_eq!(fixed_block_bits(hist), old_fixed_block_bits(hist), "{what}");
+        }
+        let rendered = new.rendered_header();
+        for is_final in [false, true] {
+            let mut want = BitWriter::new();
+            want.write_bits(0b101, 3);
+            old.write_header(&mut want, is_final);
+            let want = want.finish();
+            let mut got = BitWriter::new();
+            got.write_bits(0b101, 3);
+            new.write_header(&mut got, is_final);
+            assert_eq!(got.bit_len(), 3 + new.header_bits(), "{what}");
+            assert_eq!(got.finish(), want, "{what} final {is_final}");
+            let mut replay = BitWriter::new();
+            replay.write_bits(0b101, 3);
+            rendered.write(&mut replay, is_final);
+            assert_eq!(replay.finish(), want, "{what} rendered, final {is_final}");
+        }
+        let et = new.emit_tables();
+        let packed = |c: Code| u32::from(c.bits) << 4 | u32::from(c.len);
+        for (b, &c) in old.litlen_codes[..256].iter().enumerate() {
+            assert_eq!(et.lit[b], packed(c), "{what} literal {b}");
+        }
+        assert_eq!(et.eob, old.litlen_codes[256], "{what}");
+        for len in 3..=258u16 {
+            let li = crate::lz77::length_code_index(len);
+            let c = old.litlen_codes[257 + li];
+            if c.len > 0 {
+                let merged = u32::from(c.bits) | (u32::from(len - LENGTH_BASE[li]) << c.len);
+                let total = u32::from(c.len) + u32::from(LENGTH_EXTRA[li]);
+                assert_eq!(
+                    et.len_sym[usize::from(len - 3)],
+                    merged << 5 | total,
+                    "{what} length {len}"
+                );
+            } else {
+                assert_eq!(et.len_sym[usize::from(len - 3)], 0, "{what} length {len}");
+            }
+        }
+        for (d, &c) in old.dist_codes.iter().enumerate() {
+            assert_eq!(et.dist_sym[d], packed(c), "{what} distance code {d}");
+        }
+    }
+
+    fn old_fixed_block_bits(hist: &Histogram) -> u64 {
+        let litlen = fixed_litlen_lengths();
+        let dist = fixed_dist_lengths();
+        let mut bits = 3u64;
+        for (sym, &f) in hist.litlen.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            bits += u64::from(f) * u64::from(litlen[sym]);
+            if sym > 256 {
+                bits += u64::from(f) * u64::from(LENGTH_EXTRA[sym - 257]);
+            }
+        }
+        for (sym, &f) in hist.dist.iter().enumerate() {
+            if f == 0 {
+                continue;
+            }
+            bits += u64::from(f) * (u64::from(dist[sym]) + u64::from(DIST_EXTRA[sym]));
+        }
+        bits
     }
 }
 
@@ -1277,8 +1600,7 @@ mod tests {
             *f = 1;
         }
         let plan = DynamicPlan::from_histogram(&hist);
-        let canned =
-            DynamicPlan::from_lengths(plan.litlen_lengths().to_vec(), plan.dist_lengths().to_vec());
+        let canned = DynamicPlan::from_lengths(plan.litlen_lengths(), plan.dist_lengths());
         let tokens = vec![
             Token::Literal(b'q'),
             Token::Literal(0xFE),
@@ -1294,21 +1616,137 @@ mod tests {
 
     #[test]
     fn rle_code_lengths_edge_runs() {
+        use reference::ClSym::{Len, Rep, Zero, ZeroLong};
+        let rle = |lengths: &[u8]| {
+            let mut syms = [ClSym::default(); MAX_CL_SYMS];
+            let n = rle_code_lengths(lengths, &mut syms);
+            let old = reference::rle_code_lengths(lengths);
+            let packed: Vec<ClSym> = old.iter().map(|s| s.packed()).collect();
+            assert_eq!(syms[..n], packed[..]);
+            old
+        };
         // 138-long zero run → single ZeroLong(138); 139 → ZeroLong(138)+...
-        let lengths = vec![0u8; 138];
-        assert_eq!(rle_code_lengths(&lengths), vec![ClSym::ZeroLong(138)]);
-        let lengths = vec![0u8; 139];
+        assert_eq!(rle(&[0u8; 138]), vec![ZeroLong(138)]);
         // 139 = 138 + 1: trailing single zero emitted literally.
-        assert_eq!(
-            rle_code_lengths(&lengths),
-            vec![ClSym::ZeroLong(138), ClSym::Len(0)]
-        );
+        assert_eq!(rle(&[0u8; 139]), vec![ZeroLong(138), Len(0)]);
         // Nonzero run of 8: Len + Rep(6) + Len.
-        let lengths = vec![7u8; 8];
-        assert_eq!(
-            rle_code_lengths(&lengths),
-            vec![ClSym::Len(7), ClSym::Rep(6), ClSym::Len(7)]
-        );
+        assert_eq!(rle(&[7u8; 8]), vec![Len(7), Rep(6), Len(7)]);
+        // Every run length around the three repeat forms' bounds.
+        for run in 1..=300 {
+            rle(&vec![0u8; run]);
+            rle(&vec![9u8; run]);
+            let mixed: Vec<u8> = (0..run).map(|i| [0, 0, 0, 5, 5, 5, 5, 0][i % 8]).collect();
+            assert!(rle(&mixed).iter().all(|s| !matches!(s, Zero(n) if *n > 10)));
+        }
+        // The longest header there is: no run anywhere.
+        let jagged: Vec<u8> = (0..MAX_CL_SYMS).map(|i| 1 + (i % 2) as u8).collect();
+        assert_eq!(rle(&jagged).len(), MAX_CL_SYMS);
+    }
+
+    /// A histogram with `weight(i)` on every `step`-th literal/length symbol
+    /// below `litlen` and every distance symbol below `dist`.
+    fn histogram(
+        litlen: usize,
+        dist: usize,
+        step: usize,
+        weight: impl Fn(usize) -> u32,
+    ) -> Histogram {
+        let mut hist = Histogram::new();
+        (0..litlen)
+            .step_by(step)
+            .for_each(|s| hist.litlen[s] = weight(s));
+        (0..dist).for_each(|s| hist.dist[s] = weight(s));
+        hist
+    }
+
+    #[test]
+    fn plan_matches_the_parent_on_edge_histograms() {
+        // 0 / 1 / 2 used symbols: the forced-two-codes rule, in both
+        // alphabets, at either end of them.
+        reference::diff_plan(&Histogram::new(), "empty");
+        for only in [0usize, 1, 255, 256, 285] {
+            let mut hist = Histogram::new();
+            hist.litlen[only] = 7;
+            reference::diff_plan(&hist, "one literal/length symbol");
+            hist.dist[only % 30] = 3;
+            reference::diff_plan(&hist, "and one distance symbol");
+            hist.litlen[256] += 1;
+            hist.dist[29] += 1;
+            reference::diff_plan(&hist, "two of each");
+        }
+        // Whole alphabets (19 and 30 symbols inside them, 286 the
+        // transmittable one, 288 with the reserved pair), all weights equal,
+        // at both ends of the weight range.
+        for (litlen, dist) in [(19, 19), (30, 30), (286, 30), (288, 32)] {
+            for weight in [1u32, 7, u32::MAX] {
+                reference::diff_plan(&histogram(litlen, dist, 1, |_| weight), "all equal");
+            }
+            reference::diff_plan(&histogram(litlen, dist, 3, |s| 1 << (s % 31)), "octaves");
+        }
+        // Fibonacci weights make the deepest tree: past 15 bits in the
+        // literal/length alphabet (package-merge at limit 15), and the
+        // jagged lengths that leaves put the code-length alphabet past 7.
+        let mut fib = vec![1u32, 1];
+        while fib.len() < 45 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        for used in [20usize, 24, 30, 45] {
+            for bump in 0..3u32 {
+                let weight = |s: usize| fib[s % used] + (s as u32 * bump) % 3;
+                let plain = build::huffman_lengths(&histogram(used, 0, 1, weight).litlen);
+                assert!(
+                    bump > 0 || plain.iter().any(|&l| l > MAX_CODE_LEN),
+                    "no fallback"
+                );
+                reference::diff_plan(&histogram(used, used.min(30), 1, weight), "fibonacci");
+                reference::diff_plan(&histogram(286, 30, 7, weight), "sparse fibonacci");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn plan_matches_the_parent_on_random_sparse_histograms(
+            litlen in proptest::collection::vec((0usize..286, 0u32..24, 1u32..16), 0..120),
+            dist in proptest::collection::vec((0usize..30, 0u32..24, 1u32..16), 0..20),
+        ) {
+            // Weights spread over 24 octaves so deep trees are common.
+            let mut hist = Histogram::new();
+            for (sym, octave, mantissa) in litlen {
+                hist.litlen[sym] = mantissa << octave;
+            }
+            for (sym, octave, mantissa) in dist {
+                hist.dist[sym] = mantissa << octave;
+            }
+            reference::diff_plan(&hist, "random sparse");
+        }
+    }
+
+    #[test]
+    fn the_block_decision_is_one_body() {
+        // Stored, fixed and dynamic each win somewhere, and a block that
+        // may not be stored (its tokens reach into a dictionary) takes the
+        // cheaper entropy coding instead.
+        let noise: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let tokens: Vec<Token> = noise.iter().map(|&b| Token::Literal(b)).collect();
+        let hist = Histogram::of(&tokens);
+        let emit = |stored: Option<&[u8]>| {
+            let mut w = BitWriter::new();
+            choose_and_encode_block(&mut w, stored, &tokens, &hist, true, Level::Default);
+            w.finish()
+        };
+        let (stored, coded) = (emit(Some(&noise)), emit(None));
+        assert_eq!(stored.len(), noise.len() + 5, "noise goes stored");
+        assert_eq!(stored[0] & 0b110, 0b000);
+        assert_ne!(coded[0] & 0b110, 0b000, "but not where it may not");
+        assert_eq!(inflate(&stored).unwrap(), noise);
+        assert_eq!(inflate(&coded).unwrap(), noise);
+        let bits = coded.len() as u64 * 8;
+        let plan = DynamicPlan::from_histogram(&hist);
+        let cheaper = fixed_block_bits(&hist).min(plan.header_bits() + plan.body_bits(&hist));
+        assert!(bits - cheaper < 8, "{bits} bits written, {cheaper} planned");
     }
 
     #[test]
@@ -1324,7 +1762,7 @@ mod tests {
     #[test]
     fn huffman_only_strategy_emits_no_matches() {
         let data = b"aaaa bbbb aaaa bbbb".repeat(50);
-        let tokens = deflate_tokens_with_strategy(&data, level(6), Strategy::HuffmanOnly);
+        let tokens = deflate_tokens_with(&data, level(6), Strategy::HuffmanOnly, Engine::Auto);
         assert!(tokens.iter().all(|t| matches!(t, Token::Literal(_))));
         let out = Encoder::with_strategy(level(6), Strategy::HuffmanOnly).compress(&data);
         assert_eq!(inflate(&out).unwrap(), data);
@@ -1340,7 +1778,7 @@ mod tests {
         let out = enc.compress(&data);
         assert_eq!(inflate(&out).unwrap(), data);
         // The run compresses away; check tokens have only dist-1 matches.
-        let tokens = deflate_tokens_with_strategy(&data, level(6), Strategy::Rle);
+        let tokens = deflate_tokens_with(&data, level(6), Strategy::Rle, Engine::Auto);
         for t in &tokens {
             if let Token::Match { dist, .. } = t {
                 assert_eq!(*dist, 1, "RLE must never emit dist > 1");

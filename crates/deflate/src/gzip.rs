@@ -46,7 +46,7 @@ pub struct GzipHeader {
 /// # }
 /// ```
 pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 32);
+    let mut out = Vec::with_capacity(data.len() / 2 + 64);
     write_header_into(&mut out);
     // XFL: 2 = max compression, 4 = fastest (gzip convention).
     out[8] = match level.get() {
@@ -54,7 +54,7 @@ pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
         1 => 4,
         _ => 0,
     };
-    out.extend_from_slice(&crate::deflate(data, level));
+    crate::Encoder::new(level).compress_to(data, &mut out);
     write_trailer_into(&mut out, crc32(data), data.len() as u64);
     out
 }

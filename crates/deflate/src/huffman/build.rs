@@ -1,85 +1,105 @@
-//! Code-length construction: frequency histogram → per-symbol code lengths.
+//! Code-length construction: frequency histogram → per-symbol code lengths,
+//! on fixed stack arrays (no allocation) and in time proportional to the
+//! symbols a block *used*.
 //!
-//! Two constructions are provided:
+//! [`limited_lengths_into`] builds the classic two-queue Huffman tree and,
+//! when it is deeper than `max_len`, falls back to **package-merge** on the
+//! same sorted leaves. DEFLATE caps literal/length and distance codes at 15
+//! bits and the code-length alphabet at 7, so this is the constructor the
+//! encoder (and the hardware model in `nx-accel`, which mimics the on-chip
+//! table builder) uses; [`huffman_lengths`] is the same with no limit.
 //!
-//! * [`huffman_lengths`] — classic two-queue Huffman, optimal but with
-//!   unbounded depth;
-//! * [`limited_lengths`] — the **package-merge** algorithm, producing
-//!   optimal code lengths under a maximum-length constraint. DEFLATE caps
-//!   literal/length and distance codes at 15 bits and the code-length
-//!   alphabet at 7 bits, so this is the constructor the encoder (and the
-//!   hardware model in `nx-accel`, which mimics the on-chip table builder)
-//!   actually uses.
+//! **Lengths are reproducible because ties are.** Code lengths decide stream
+//! bytes and several optimal trees usually exist, so every choice is pinned:
+//! leaves are ordered by weight, then symbol (the sort key is
+//! `weight << 16 | symbol`, so an unstable sort yields the stable order),
+//! and where a leaf and a package weigh the same the *leaf* goes first, in
+//! the Huffman merge and in every package-merge level alike. A rewrite of
+//! this file is therefore checked by diffing lengths against the bodies it
+//! replaced (`mod reference` below), never by comparing costs.
 
-/// Builds optimal unbounded Huffman code lengths for `freqs`.
-///
-/// Symbols with zero frequency receive length 0. If exactly one symbol has
-/// nonzero frequency it receives length 1 (a zero-length code cannot be
-/// decoded). Returns an all-zero vector when every frequency is zero.
-pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
-    /// A leaf carries its symbol; an internal node `usize::MAX` and the
-    /// indices of its children.
-    #[derive(Clone, Copy)]
-    struct Node {
-        weight: u64,
-        left: usize,
-        right: usize,
-        symbol: usize,
-    }
-    let mut lengths = vec![0u8; freqs.len()];
-    let mut nodes: Vec<Node> = (0..freqs.len())
-        .filter(|&s| freqs[s] > 0)
-        .map(|symbol| Node {
-            weight: u64::from(freqs[symbol]),
-            left: usize::MAX,
-            right: usize::MAX,
-            symbol,
-        })
-        .collect();
-    nodes.sort_by_key(|n| n.weight);
-    let n = nodes.len();
-    if n == 0 {
-        return lengths;
-    }
+/// The largest alphabet the scratch holds: DEFLATE's literal/length one.
+pub const MAX_SYMBOLS: usize = 288;
 
-    // Heap-free two-queue construction: the sorted leaves are one queue,
-    // the internal nodes (made in nondecreasing weight order, so `nodes[n..]`
-    // is sorted too) the other; a leaf goes first on equal weight.
-    let (mut leaf, mut internal) = (0usize, n);
-    for _ in 1..n {
-        let mut take_min = |nodes: &[Node]| {
-            let leaf_first = leaf < n
-                && (internal == nodes.len() || nodes[leaf].weight <= nodes[internal].weight);
-            leaf += usize::from(leaf_first);
-            internal += usize::from(!leaf_first);
-            (if leaf_first { leaf } else { internal }) - 1
-        };
-        let (left, right) = (take_min(&nodes), take_min(&nodes));
-        nodes.push(Node {
-            weight: nodes[left].weight + nodes[right].weight,
-            left,
-            right,
-            symbol: usize::MAX,
-        });
-    }
+/// Scratch size for the two small alphabets (distance, code-length), which
+/// should not pay for clearing the large one's.
+const SMALL_SYMBOLS: usize = 32;
 
-    // Depth-first traversal from the root assigns depths (a lone leaf is
-    // its own root and still needs one bit).
-    let mut stack = vec![(nodes.len() - 1, 0u8)];
-    while let Some((idx, depth)) = stack.pop() {
-        let node = nodes[idx];
-        if node.symbol != usize::MAX {
-            lengths[node.symbol] = depth.max(1);
-        } else {
-            stack.push((node.left, depth + 1));
-            stack.push((node.right, depth + 1));
+/// The used symbols of `freqs` as `weight << 16 | symbol` keys, lightest
+/// first (ties in symbol order); returns how many there are.
+fn sorted_leaves<const N: usize>(freqs: &[u32], keys: &mut [u64; N]) -> usize {
+    let mut n = 0;
+    for (symbol, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            keys[n] = u64::from(f) << 16 | symbol as u64;
+            n += 1;
         }
     }
-    lengths
+    keys[..n].sort_unstable();
+    n
 }
 
-/// Builds optimal code lengths for `freqs` subject to `max_len`, using the
-/// package-merge algorithm.
+/// Two-queue Huffman over the sorted `leaves` (at most `N`), writing each
+/// leaf's depth to its symbol's slot of `lengths`; returns the deepest.
+///
+/// The leaves are one queue; the packages, made in nondecreasing weight
+/// order, are the other, and `made` of them exist while package `made` is
+/// being paired. A node's parent is always a later package, which is what
+/// lets one backward pass over the packages turn `up[]` into depths in
+/// place before the leaves read theirs.
+fn huffman_depths<const N: usize>(leaves: &[u64], lengths: &mut [u8]) -> u8 {
+    let n = leaves.len();
+    if n < 2 {
+        // A lone symbol still needs one bit: a zero-length code cannot be
+        // decoded.
+        leaves
+            .iter()
+            .for_each(|&k| lengths[(k & 0xFFFF) as usize] = 1);
+        return n as u8;
+    }
+    let mut weight = [0u64; N];
+    // The parent (a package index) of each leaf and of each package.
+    let (mut leaf_up, mut up) = ([0u16; N], [0u16; N]);
+    let (mut leaf, mut package) = (0usize, 0usize);
+    for made in 0..n - 1 {
+        let mut sum = 0;
+        for _ in 0..2 {
+            // A leaf goes first on equal weight.
+            if leaf < n && (package == made || leaves[leaf] >> 16 <= weight[package]) {
+                sum += leaves[leaf] >> 16;
+                leaf_up[leaf] = made as u16;
+                leaf += 1;
+            } else {
+                sum += weight[package];
+                up[package] = made as u16;
+                package += 1;
+            }
+        }
+        weight[made] = sum;
+    }
+    let root = n - 2;
+    up[root] = 0;
+    for p in (0..root).rev() {
+        up[p] = up[usize::from(up[p])] + 1;
+    }
+    let mut deepest = 0;
+    for (&key, &parent) in leaves.iter().zip(&leaf_up) {
+        let depth = up[usize::from(parent)] + 1;
+        lengths[(key & 0xFFFF) as usize] = depth as u8;
+        deepest = deepest.max(depth);
+    }
+    deepest.min(255) as u8
+}
+
+/// Optimal unbounded Huffman code lengths for `freqs`:
+/// [`limited_lengths`] with no limit.
+pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
+    limited_lengths(freqs, u8::MAX)
+}
+
+/// Builds optimal code lengths for `freqs` subject to `max_len` into
+/// `lengths[..freqs.len()]`: the plain Huffman tree when it fits (it is then
+/// optimal), else package-merge.
 ///
 /// Zero-frequency symbols receive length 0; a single used symbol receives
 /// length 1. The result always satisfies the Kraft equality over used
@@ -87,76 +107,252 @@ pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics if the constraint is infeasible, i.e. `used_symbols > 2^max_len`.
-/// DEFLATE's alphabets (≤ 288 symbols, limit 15; ≤ 19 symbols, limit 7)
-/// always fit.
-pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
-    // Fast path: if unconstrained Huffman already fits, it is optimal.
-    let mut lengths = huffman_lengths(freqs);
-    if lengths.iter().all(|&l| l <= max_len) {
-        return lengths;
+/// Panics if the tree is too deep and the constraint infeasible
+/// (`used_symbols > 2^max_len`; DEFLATE's alphabets — ≤ 288 symbols, limit
+/// 15; ≤ 19 symbols, limit 7 — always fit) or `max_len` outside `1..=15`,
+/// and if `freqs` is longer than [`MAX_SYMBOLS`] or than `lengths`.
+pub fn limited_lengths_into(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
+    fn build<const N: usize>(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
+        assert!(freqs.len() <= N, "alphabet larger than DEFLATE's");
+        let mut keys = [0u64; N];
+        let n = sorted_leaves(freqs, &mut keys);
+        lengths.fill(0);
+        if huffman_depths::<N>(&keys[..n], lengths) > max_len {
+            package_merge::<N>(&keys[..n], max_len, lengths);
+        }
     }
-    // The used symbols, lightest first (ties in symbol order).
-    let mut order: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
-    order.sort_by_key(|&s| freqs[s]);
-    let n = order.len();
+    let lengths = &mut lengths[..freqs.len()];
+    if freqs.len() <= SMALL_SYMBOLS {
+        build::<SMALL_SYMBOLS>(freqs, max_len, lengths);
+    } else {
+        build::<MAX_SYMBOLS>(freqs, max_len, lengths);
+    }
+}
+
+/// [`limited_lengths_into`] a fresh vector.
+pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
+    let mut lengths = vec![0u8; freqs.len()];
+    limited_lengths_into(freqs, max_len, &mut lengths);
+    lengths
+}
+
+/// Package-merge in prefix-count form over the sorted `leaves` (at most
+/// `N`), replacing `lengths`. Level 1 is the singles (the leaves); level
+/// k + 1 merges them with the packages (adjacent pairs) of level k, a single
+/// first on equal weight. A level keeps only its items' weights and which of
+/// them are singles: the first `m` items of a level are its first `s`
+/// singles -- the `s` lightest symbols, one bit each -- and its first `m - s`
+/// packages, i.e. the first `2 (m - s)` items of the level below. No leaf
+/// list is ever built; a level is under `2n` items.
+fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]) {
+    let n = leaves.len();
     assert!(
-        n <= 1usize << max_len,
+        (1..=15).contains(&max_len) && n <= 1usize << max_len,
         "cannot code {n} symbols within {max_len} bits"
     );
-    let singles: Vec<u64> = order.iter().map(|&s| u64::from(freqs[s])).collect();
-
-    // Package-merge in prefix-count form. Level 1 is the singles; level
-    // k + 1 merges them with the packages (adjacent pairs) of level k, a
-    // single first on equal weight. A level keeps only its items' weights
-    // and which of them are singles: the first `m` items of a level are
-    // its first `s` singles -- the `s` lightest symbols, one bit each --
-    // and its first `m - s` packages, i.e. the first `2 (m - s)` items of
-    // the level below. No leaf list is ever built.
-    let (mut level, mut merged) = (singles.clone(), Vec::with_capacity(2 * n));
-    let mut is_single = Vec::with_capacity(2 * n * usize::from(max_len));
-    let mut starts = Vec::with_capacity(usize::from(max_len));
-    for _ in 1..max_len {
-        starts.push(is_single.len());
-        merged.clear();
-        let mut next = 0usize;
-        for pair in level.chunks_exact(2) {
+    let (mut level, mut merged) = ([[0u64; N]; 2], [[0u64; N]; 2]);
+    let (mut level, mut merged) = (level.as_flattened_mut(), merged.as_flattened_mut());
+    let mut is_single = [[false; N]; 28];
+    let is_single = is_single.as_flattened_mut();
+    let mut starts = [0usize; 14];
+    for (slot, &leaf) in level.iter_mut().zip(leaves) {
+        *slot = leaf >> 16;
+    }
+    let (mut level_len, mut flags) = (n, 0usize);
+    for start in starts.iter_mut().take(usize::from(max_len) - 1) {
+        *start = flags;
+        let (mut next, mut len) = (0usize, 0usize);
+        for pair in level[..level_len].chunks_exact(2) {
             let package = pair[0] + pair[1];
-            let lighter = singles[next..].partition_point(|&w| w <= package);
-            merged.extend_from_slice(&singles[next..next + lighter]);
-            is_single.resize(is_single.len() + lighter, true);
+            let lighter = leaves[next..].partition_point(|&leaf| leaf >> 16 <= package);
+            for &leaf in &leaves[next..next + lighter] {
+                merged[len] = leaf >> 16;
+                len += 1;
+            }
+            is_single[flags..flags + lighter].fill(true);
+            flags += lighter + 1; // the package's flag stays false
             next += lighter;
-            merged.push(package);
-            is_single.push(false);
+            merged[len] = package;
+            len += 1;
         }
-        merged.extend_from_slice(&singles[next..]);
-        is_single.resize(is_single.len() + (n - next), true);
+        for &leaf in &leaves[next..] {
+            merged[len] = leaf >> 16;
+            len += 1;
+        }
+        is_single[flags..flags + (n - next)].fill(true);
+        flags += n - next;
         std::mem::swap(&mut level, &mut merged);
+        level_len = len;
     }
 
     // Select the first 2n - 2 items of the top level and follow the
     // packages down.
     lengths.fill(0);
-    let mut take = (2 * n - 2).min(level.len());
-    for &start in starts.iter().rev() {
+    let mut take = (2 * n - 2).min(level_len);
+    for &start in starts[..usize::from(max_len) - 1].iter().rev() {
         let taken = &is_single[start..start + take];
         let s = taken.iter().filter(|&&single| single).count();
-        for &sym in &order[..s] {
-            lengths[sym] += 1;
+        for &leaf in &leaves[..s] {
+            lengths[(leaf & 0xFFFF) as usize] += 1;
         }
         take = 2 * (take - s);
     }
-    for &sym in &order[..take] {
-        lengths[sym] += 1;
+    for &leaf in &leaves[..take] {
+        lengths[(leaf & 0xFFFF) as usize] += 1;
     }
-    lengths
 }
 
 #[cfg(test)]
 /// The constructions as they stood before the prefix-count rewrite
 /// (issue 23): package-merge with every package's leaf list cloned at every
 /// level. Kept verbatim as the oracle the tests below diff against.
-mod reference {
+pub(crate) mod reference {
+    /// The bodies issue 24 replaced (two-queue Huffman on a `Vec<Node>` with a
+    /// DFS stack, package-merge on `Vec`s), verbatim.
+    pub mod parent {
+        /// Builds optimal unbounded Huffman code lengths for `freqs`.
+        ///
+        /// Symbols with zero frequency receive length 0. If exactly one symbol has
+        /// nonzero frequency it receives length 1 (a zero-length code cannot be
+        /// decoded). Returns an all-zero vector when every frequency is zero.
+        pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
+            /// A leaf carries its symbol; an internal node `usize::MAX` and the
+            /// indices of its children.
+            #[derive(Clone, Copy)]
+            struct Node {
+                weight: u64,
+                left: usize,
+                right: usize,
+                symbol: usize,
+            }
+            let mut lengths = vec![0u8; freqs.len()];
+            let mut nodes: Vec<Node> = (0..freqs.len())
+                .filter(|&s| freqs[s] > 0)
+                .map(|symbol| Node {
+                    weight: u64::from(freqs[symbol]),
+                    left: usize::MAX,
+                    right: usize::MAX,
+                    symbol,
+                })
+                .collect();
+            nodes.sort_by_key(|n| n.weight);
+            let n = nodes.len();
+            if n == 0 {
+                return lengths;
+            }
+
+            // Heap-free two-queue construction: the sorted leaves are one queue,
+            // the internal nodes (made in nondecreasing weight order, so `nodes[n..]`
+            // is sorted too) the other; a leaf goes first on equal weight.
+            let (mut leaf, mut internal) = (0usize, n);
+            for _ in 1..n {
+                let mut take_min = |nodes: &[Node]| {
+                    let leaf_first = leaf < n
+                        && (internal == nodes.len()
+                            || nodes[leaf].weight <= nodes[internal].weight);
+                    leaf += usize::from(leaf_first);
+                    internal += usize::from(!leaf_first);
+                    (if leaf_first { leaf } else { internal }) - 1
+                };
+                let (left, right) = (take_min(&nodes), take_min(&nodes));
+                nodes.push(Node {
+                    weight: nodes[left].weight + nodes[right].weight,
+                    left,
+                    right,
+                    symbol: usize::MAX,
+                });
+            }
+
+            // Depth-first traversal from the root assigns depths (a lone leaf is
+            // its own root and still needs one bit).
+            let mut stack = vec![(nodes.len() - 1, 0u8)];
+            while let Some((idx, depth)) = stack.pop() {
+                let node = nodes[idx];
+                if node.symbol != usize::MAX {
+                    lengths[node.symbol] = depth.max(1);
+                } else {
+                    stack.push((node.left, depth + 1));
+                    stack.push((node.right, depth + 1));
+                }
+            }
+            lengths
+        }
+
+        /// Builds optimal code lengths for `freqs` subject to `max_len`, using the
+        /// package-merge algorithm.
+        ///
+        /// Zero-frequency symbols receive length 0; a single used symbol receives
+        /// length 1. The result always satisfies the Kraft equality over used
+        /// symbols (a complete code) unless fewer than two symbols are used.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the constraint is infeasible, i.e. `used_symbols > 2^max_len`.
+        /// DEFLATE's alphabets (≤ 288 symbols, limit 15; ≤ 19 symbols, limit 7)
+        /// always fit.
+        pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
+            // Fast path: if unconstrained Huffman already fits, it is optimal.
+            let mut lengths = huffman_lengths(freqs);
+            if lengths.iter().all(|&l| l <= max_len) {
+                return lengths;
+            }
+            // The used symbols, lightest first (ties in symbol order).
+            let mut order: Vec<usize> = (0..freqs.len()).filter(|&s| freqs[s] > 0).collect();
+            order.sort_by_key(|&s| freqs[s]);
+            let n = order.len();
+            assert!(
+                n <= 1usize << max_len,
+                "cannot code {n} symbols within {max_len} bits"
+            );
+            let singles: Vec<u64> = order.iter().map(|&s| u64::from(freqs[s])).collect();
+
+            // Package-merge in prefix-count form. Level 1 is the singles; level
+            // k + 1 merges them with the packages (adjacent pairs) of level k, a
+            // single first on equal weight. A level keeps only its items' weights
+            // and which of them are singles: the first `m` items of a level are
+            // its first `s` singles -- the `s` lightest symbols, one bit each --
+            // and its first `m - s` packages, i.e. the first `2 (m - s)` items of
+            // the level below. No leaf list is ever built.
+            let (mut level, mut merged) = (singles.clone(), Vec::with_capacity(2 * n));
+            let mut is_single = Vec::with_capacity(2 * n * usize::from(max_len));
+            let mut starts = Vec::with_capacity(usize::from(max_len));
+            for _ in 1..max_len {
+                starts.push(is_single.len());
+                merged.clear();
+                let mut next = 0usize;
+                for pair in level.chunks_exact(2) {
+                    let package = pair[0] + pair[1];
+                    let lighter = singles[next..].partition_point(|&w| w <= package);
+                    merged.extend_from_slice(&singles[next..next + lighter]);
+                    is_single.resize(is_single.len() + lighter, true);
+                    next += lighter;
+                    merged.push(package);
+                    is_single.push(false);
+                }
+                merged.extend_from_slice(&singles[next..]);
+                is_single.resize(is_single.len() + (n - next), true);
+                std::mem::swap(&mut level, &mut merged);
+            }
+
+            // Select the first 2n - 2 items of the top level and follow the
+            // packages down.
+            lengths.fill(0);
+            let mut take = (2 * n - 2).min(level.len());
+            for &start in starts.iter().rev() {
+                let taken = &is_single[start..start + take];
+                let s = taken.iter().filter(|&&single| single).count();
+                for &sym in &order[..s] {
+                    lengths[sym] += 1;
+                }
+                take = 2 * (take - s);
+            }
+            for &sym in &order[..take] {
+                lengths[sym] += 1;
+            }
+            lengths
+        }
+    }
+
     pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
         let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
         let mut lengths = vec![0u8; freqs.len()];
@@ -465,17 +661,25 @@ mod tests {
             assert!(lengths[1] > 0 && lengths[3] > 0 && lengths[5] > 0);
         }
     }
-    /// Both constructions against their pre-rewrite bodies, at every limit
-    /// that can hold the histogram. Returns how many of the calls took the
-    /// package-merge fallback.
+    /// Both constructions against their bodies before issue 24 (`parent`)
+    /// and before issue 23, at every limit that can hold the histogram.
+    /// Returns how many of the calls took the package-merge fallback.
     fn diff_against_reference(freqs: &[u32], what: &str) -> usize {
         let plain = huffman_lengths(freqs);
         assert_eq!(plain, reference::huffman_lengths(freqs), "{what}");
+        assert_eq!(plain, reference::parent::huffman_lengths(freqs), "{what}");
         let used = freqs.iter().filter(|&&f| f > 0).count();
         let mut fallbacks = 0;
         for max_len in [7u8, 9, 11, 15] {
             if used <= 1 << max_len {
-                let got = limited_lengths(freqs, max_len);
+                // Into a dirty buffer longer than the alphabet: the tail is
+                // not the builder's to touch.
+                let mut got = vec![0xAAu8; freqs.len() + 3];
+                limited_lengths_into(freqs, max_len, &mut got);
+                assert_eq!(got[freqs.len()..], [0xAA; 3], "{what} limit {max_len}");
+                got.truncate(freqs.len());
+                let want = reference::parent::limited_lengths(freqs, max_len);
+                assert_eq!(got, want, "{what} limit {max_len}");
                 assert_eq!(
                     got,
                     reference::limited_lengths(freqs, max_len),
@@ -489,8 +693,8 @@ mod tests {
 
     /// Every alphabet the encoder builds for `data` at `level`: each
     /// block's literal/length and distance histograms (blocks cut where
-    /// `Encoder::compress_into` cuts them) and the code-length alphabet of
-    /// the header they yield.
+    /// `Encoder::compress_into` cuts them), the code-length alphabet of
+    /// the header they yield, and the plan made of the three.
     fn diff_encoder_histograms(data: &[u8], level: u32, what: &str) -> usize {
         use crate::encoder::{self, CompressionLevel, Strategy, MAX_BLOCK_BYTES, MAX_BLOCK_TOKENS};
         let level = CompressionLevel::new(level).unwrap();
@@ -509,10 +713,11 @@ mod tests {
                 let mut header = limited_lengths(&hist.litlen, 15);
                 header.extend(limited_lengths(&hist.dist, 15));
                 let mut cl_freq = vec![0u32; 19];
-                for s in encoder::rle_code_lengths(&header) {
+                for s in encoder::reference::rle_code_lengths(&header) {
                     cl_freq[s.symbol()] += 1;
                 }
                 fallbacks += diff_against_reference(&cl_freq, what);
+                encoder::reference::diff_plan(&hist, what);
                 hist.clear();
                 (in_block, span) = (0, 0);
             }
@@ -528,7 +733,7 @@ mod tests {
     }
 
     /// Every alphabet of the four `nxbench` workloads' inputs at seed 42, at
-    /// levels 1 / 6 / 9 (80 MiB x 3: ~12 s in the dev profile).
+    /// levels 1 / 3 / 6 / 9 (80 MiB x 4: ~20 s in the dev profile).
     #[test]
     fn prefix_count_form_matches_the_leaf_list_form_on_nxbench_histograms() {
         let mut fallbacks = 0;
@@ -536,7 +741,7 @@ mod tests {
         for (w, &(n, len)) in mixed.iter().enumerate() {
             for i in 0..n {
                 let data = nx_corpus::mixed(corpus_seed(42, i), len);
-                for level in [1, 6, 9] {
+                for level in [1, 3, 6, 9] {
                     let what = format!("workload {w} buffer {i} level {level}");
                     fallbacks += diff_encoder_histograms(&data, level, &what);
                 }
@@ -550,7 +755,7 @@ mod tests {
         for i in 0..20u64 {
             for (c, class) in classes.iter().enumerate() {
                 let data = class.generate(corpus_seed(42, i * 16 + c as u64), 2 << 10);
-                for level in [1, 6, 9] {
+                for level in [1, 3, 6, 9] {
                     let what = format!("rpc {i} {} level {level}", class.name());
                     fallbacks += diff_encoder_histograms(&data, level, &what);
                 }
@@ -583,6 +788,15 @@ mod tests {
             }
         }
         assert!(fallbacks > 100, "only {fallbacks} took the fallback");
+        // No symbol, and one alone at either end of each alphabet.
+        for len in [2usize, 19, 30, 286, 288] {
+            diff_against_reference(&vec![0; len], "none used");
+            for only in [0, len - 1] {
+                let mut one = vec![0u32; len];
+                one[only] = 1 + only as u32;
+                diff_against_reference(&one, "one used");
+            }
+        }
         // All-equal weights (every comparison is a tie) and the used-symbol
         // counts at the edges of DEFLATE's alphabets.
         for used in [2usize, 3, 19, 286, 288] {

@@ -506,8 +506,9 @@ mod tests {
 
     #[test]
     fn decodes_codes_longer_than_root() {
-        // Create an alphabet that forces >9-bit codes: skewed frequencies.
-        let mut freqs = vec![0u32; 300];
+        // Create an alphabet that forces >9-bit codes: skewed frequencies
+        // over the largest alphabet the length builder takes.
+        let mut freqs = vec![0u32; crate::huffman::build::MAX_SYMBOLS];
         for (i, f) in freqs.iter_mut().enumerate() {
             *f = 1 + (i as u32 % 7) + if i < 4 { 100_000 } else { 0 };
         }
@@ -516,7 +517,7 @@ mod tests {
             lengths.iter().any(|&l| l > 9),
             "need long codes for this test"
         );
-        let symbols: Vec<u16> = (0..300u16).collect();
+        let symbols: Vec<u16> = (0..freqs.len() as u16).collect();
         assert_eq!(roundtrip_symbols(&lengths, &symbols).unwrap(), symbols);
     }
 

@@ -21,6 +21,10 @@ pub const MAX_CODE_LEN: u8 = 15;
 /// Maximum code length for the code-length alphabet.
 pub const MAX_CODELEN_CODE_LEN: u8 = 7;
 
+/// The first canonical code of each length, indexed by length: see
+/// [`first_codes`].
+pub type FirstCodes = [u16; MAX_CODE_LEN as usize + 1];
+
 /// An emit-ready Huffman code for one symbol.
 ///
 /// `bits` is stored **stream-reversed**: DEFLATE packs Huffman codes into
@@ -74,74 +78,60 @@ pub fn canonical_codes(lengths: &[u8]) -> Result<Vec<Code>> {
 ///
 /// As [`canonical_codes`].
 pub fn canonical_codes_into(lengths: &[u8], out: &mut Vec<Code>) -> Result<()> {
+    let mut next = first_codes(lengths)?;
     out.clear();
-    let max_len = lengths.iter().copied().max().unwrap_or(0);
-    if max_len == 0 {
-        out.resize(lengths.len(), Code::default());
-        return Ok(());
-    }
-    if max_len > MAX_CODE_LEN {
-        return Err(Error::InvalidCodeLengths);
-    }
-    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
-    for &l in lengths {
-        count[l as usize] += 1;
-    }
-    count[0] = 0;
-
-    // Kraft inequality check: oversubscription is a hard error.
-    let mut space: u64 = 1 << max_len;
-    for len in 1..=max_len {
-        let need = u64::from(count[len as usize]) << (max_len - len);
-        if need > space {
-            return Err(Error::InvalidCodeLengths);
-        }
-        space -= need;
-    }
-
-    // First canonical code of each length.
-    let mut next = [0u16; MAX_CODE_LEN as usize + 2];
-    let mut code = 0u16;
-    for len in 1..=max_len {
-        code = (code + count[len as usize - 1] as u16) << 1;
-        next[len as usize] = code;
-    }
-
     out.resize(lengths.len(), Code::default());
-    for (sym, &len) in lengths.iter().enumerate() {
+    for (code, &len) in out.iter_mut().zip(lengths) {
         if len > 0 {
-            let canon = next[len as usize];
-            next[len as usize] += 1;
-            out[sym] = Code {
-                bits: reverse_bits(canon, len),
-                len,
-            };
+            *code = next_code(&mut next, len);
         }
     }
     Ok(())
 }
 
-/// Returns `true` if `lengths` describe a *complete* code (Kraft sum exactly
-/// 1), `false` if incomplete.
+/// The first canonical code of each length (`[len]`, RFC 1951 §3.2.2): all
+/// a canonical assignment needs besides the lengths -- walk the symbols in
+/// order, hand each the next code of its length. Computing it validates.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidCodeLengths`] on oversubscription.
-pub fn is_complete(lengths: &[u8]) -> Result<bool> {
-    let max_len = lengths.iter().copied().max().unwrap_or(0);
-    if max_len == 0 {
-        return Ok(false);
+/// [`Error::InvalidCodeLengths`] if a length exceeds [`MAX_CODE_LEN`] or the
+/// lengths over-subscribe the code space (Kraft sum > 1).
+pub fn first_codes(lengths: &[u8]) -> Result<FirstCodes> {
+    if lengths.iter().fold(0, |seen, &l| seen | l) > MAX_CODE_LEN {
+        return Err(Error::InvalidCodeLengths);
     }
-    let mut space: i64 = 1 << max_len;
+    // Unused symbols come in long runs, each a chain of dependent
+    // increments: count the used ones only.
+    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
     for &l in lengths {
         if l > 0 {
-            space -= 1 << (max_len - l);
-            if space < 0 {
-                return Err(Error::InvalidCodeLengths);
-            }
+            count[usize::from(l & MAX_CODE_LEN)] += 1;
         }
     }
-    Ok(space == 0)
+    // Kraft inequality in units of 2^-15: oversubscription is a hard error.
+    let mut space = 1u32 << MAX_CODE_LEN;
+    let mut first = [0u16; MAX_CODE_LEN as usize + 1];
+    let mut code = 0u32;
+    for len in 1..=usize::from(MAX_CODE_LEN) {
+        space = space
+            .checked_sub(count[len] << (usize::from(MAX_CODE_LEN) - len))
+            .ok_or(Error::InvalidCodeLengths)?;
+        code = (code + count[len - 1]) << 1;
+        first[len] = code as u16;
+    }
+    Ok(first)
+}
+
+/// Hands out the next stream-reversed code of length `len > 0`.
+#[inline]
+pub(crate) fn next_code(next: &mut FirstCodes, len: u8) -> Code {
+    let canon = next[usize::from(len)];
+    next[usize::from(len)] += 1;
+    Code {
+        bits: reverse_bits(canon, len),
+        len,
+    }
 }
 
 #[cfg(test)]
@@ -183,15 +173,12 @@ mod tests {
         let codes = canonical_codes(&[1, 0]).unwrap();
         assert_eq!(codes[0], Code { bits: 0, len: 1 });
         assert_eq!(codes[1], Code::default());
-        assert!(!is_complete(&[1, 0]).unwrap());
-        assert!(is_complete(&[1, 1]).unwrap());
     }
 
     #[test]
     fn all_zero_lengths_yield_empty_code() {
         let codes = canonical_codes(&[0, 0, 0]).unwrap();
         assert!(codes.iter().all(|c| c.len == 0));
-        assert!(!is_complete(&[0, 0, 0]).unwrap());
     }
 
     #[test]

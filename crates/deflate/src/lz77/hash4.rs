@@ -646,22 +646,6 @@ pub fn tokenize_lazy4_into(
     }
 }
 
-/// Runs `f` on the calling thread's long-lived matcher, [`reset`] in O(1)
-/// first: a fresh matcher's ~450 KB of tables cost more to allocate and
-/// zero than a 1–16 KiB request spends tokenizing.
-///
-/// [`reset`]: Hash4Matcher::reset
-pub(crate) fn with_thread_matcher<R>(f: impl FnOnce(&mut Hash4Matcher) -> R) -> R {
-    thread_local! {
-        static MATCHER: std::cell::RefCell<Hash4Matcher> = std::cell::RefCell::default();
-    }
-    MATCHER.with(|matcher| {
-        let m = &mut *matcher.borrow_mut();
-        m.reset();
-        f(m)
-    })
-}
-
 /// Dispatches to the engine's tokenizer for `level`, appending tokens
 /// for `data[start..]` with `data[..start]` as history, then flushes the
 /// accumulated search statistics into the process-wide telemetry. The

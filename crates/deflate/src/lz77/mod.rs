@@ -252,14 +252,34 @@ impl Tokenizer {
     }
 }
 
+/// Runs `f` on the calling thread's long-lived [`Tokenizer`], taken apart:
+/// its matcher, reset in O(1) first, and its cleared token buffer. A fresh
+/// matcher's ~450 KB of tables cost more to allocate and zero than a 1–16 KiB
+/// request spends tokenizing, and a buffer that keeps its capacity lets such
+/// a request allocate nothing but its output. `f` must not re-enter.
+pub(crate) fn with_thread_tokenizer<R>(
+    f: impl FnOnce(&mut hash4::Hash4Matcher, &mut Vec<Token>) -> R,
+) -> R {
+    thread_local! {
+        static TOKENIZER: std::cell::RefCell<Tokenizer> = std::cell::RefCell::default();
+    }
+    TOKENIZER.with(|tokenizer| {
+        let t = &mut *tokenizer.borrow_mut();
+        t.matcher.reset();
+        t.tokens.clear();
+        f(&mut t.matcher, &mut t.tokens)
+    })
+}
+
 /// Per-block symbol frequency histograms, as maintained by both the
-/// software encoder and the accelerator's hardware counters.
+/// software encoder and the accelerator's hardware counters: two plain
+/// arrays, so a block's histogram lives on the stack.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    /// Literal/length symbol counts (288 entries).
-    pub litlen: Vec<u32>,
-    /// Distance symbol counts (32 entries).
-    pub dist: Vec<u32>,
+    /// Literal/length symbol counts.
+    pub litlen: [u32; NUM_LITLEN_SYMBOLS],
+    /// Distance symbol counts.
+    pub dist: [u32; NUM_DIST_SYMBOLS],
 }
 
 impl Default for Histogram {
@@ -272,9 +292,17 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self {
-            litlen: vec![0; NUM_LITLEN_SYMBOLS],
-            dist: vec![0; NUM_DIST_SYMBOLS],
+            litlen: [0; NUM_LITLEN_SYMBOLS],
+            dist: [0; NUM_DIST_SYMBOLS],
         }
+    }
+
+    /// The histogram of one block: `tokens` and the end-of-block marker.
+    pub fn of(tokens: &[Token]) -> Self {
+        let mut hist = Self::new();
+        tokens.iter().for_each(|&t| hist.record(t));
+        hist.record_end_of_block();
+        hist
     }
 
     /// Counts one token.
@@ -294,17 +322,9 @@ impl Histogram {
         self.litlen[usize::from(END_OF_BLOCK)] += 1;
     }
 
-    /// Zeroes all counts, keeping the allocations — the running-histogram
-    /// block loop clears between blocks instead of reallocating.
+    /// Zeroes all counts.
     pub fn clear(&mut self) {
-        self.litlen.fill(0);
-        self.dist.fill(0);
-    }
-
-    /// Total number of recorded tokens (excluding end-of-block).
-    pub fn token_count(&self) -> u64 {
-        let lit: u64 = self.litlen.iter().map(|&c| u64::from(c)).sum();
-        lit - u64::from(self.litlen[usize::from(END_OF_BLOCK)])
+        *self = Self::new();
     }
 }
 
@@ -470,7 +490,6 @@ mod tests {
         assert_eq!(h.dist[0], 1);
         assert_eq!(h.dist[29], 1);
         assert_eq!(h.litlen[256], 1);
-        assert_eq!(h.token_count(), 3);
     }
 
     #[test]

@@ -30,12 +30,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::adler32::adler32;
 use crate::bitio::BitWriter;
 use crate::encoder::{
-    encode_fixed_block, fixed_block_bits, CompressionLevel, DynamicPlan, EmitTables,
-    MAX_BLOCK_TOKENS,
+    choose_and_encode_block, encode_fixed_block, fixed_emit_tables, CompressionLevel, DynamicPlan,
+    EmitTables, Level, RenderedHeader, MAX_BLOCK_TOKENS,
 };
-use crate::huffman::{build, canonical_codes, MAX_CODE_LEN};
-use crate::lz77::hash4::{tokenize_into_with, with_thread_matcher, DictImage, Hash4Matcher};
-use crate::lz77::{Engine, Histogram, Token, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS};
+use crate::huffman::{build, first_codes, MAX_CODE_LEN};
+use crate::lz77::hash4::{tokenize_into_with, DictImage, Hash4Matcher};
+use crate::lz77::{
+    with_thread_tokenizer, Engine, Histogram, Token, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
+};
 use crate::{Error, Result};
 
 /// Profiles cap their preset dictionary at 3 KiB: enough shared structure
@@ -113,8 +115,9 @@ impl ProfileId {
 }
 
 /// One content class's canned encode state: a preset dictionary and
-/// validated canned code lengths, with block plan, fused emission tables and
-/// the dictionary's matcher image pre-built: requests just tokenize and emit.
+/// validated canned code lengths, with the block header rendered as bits,
+/// the fused emission tables and the dictionary's matcher image pre-built:
+/// requests just tokenize and emit.
 #[derive(Debug, Clone)]
 pub struct Profile {
     name: String,
@@ -123,9 +126,8 @@ pub struct Profile {
     image: DictImage,
     litlen_lengths: Vec<u8>,
     dist_lengths: Vec<u8>,
-    plan: DynamicPlan,
+    header: RenderedHeader,
     tables: EmitTables,
-    header_bits: u64,
 }
 
 impl Profile {
@@ -159,15 +161,13 @@ impl Profile {
             return Err(Error::InvalidProfile);
         }
         // Pre-validate so DynamicPlan::from_lengths cannot panic.
-        canonical_codes(&litlen_lengths).map_err(|_| Error::InvalidProfile)?;
-        canonical_codes(&dist_lengths).map_err(|_| Error::InvalidProfile)?;
+        first_codes(&litlen_lengths).map_err(|_| Error::InvalidProfile)?;
+        first_codes(&dist_lengths).map_err(|_| Error::InvalidProfile)?;
         let mut dict = dict;
         if dict.len() > crate::WINDOW_SIZE {
             dict.drain(..dict.len() - crate::WINDOW_SIZE);
         }
-        let plan = DynamicPlan::from_lengths(litlen_lengths.clone(), dist_lengths.clone());
-        let tables = plan.emit_tables();
-        let header_bits = plan.header_bits();
+        let plan = DynamicPlan::from_lengths(&litlen_lengths, &dist_lengths);
         Ok(Self {
             name: name.into(),
             level,
@@ -175,9 +175,8 @@ impl Profile {
             dict,
             litlen_lengths,
             dist_lengths,
-            plan,
-            tables,
-            header_bits,
+            header: plan.rendered_header(),
+            tables: plan.emit_tables(),
         })
     }
 
@@ -278,23 +277,7 @@ impl Profile {
 
     /// Exact bit cost of this profile's block header.
     pub fn header_bits(&self) -> u64 {
-        self.header_bits
-    }
-
-    /// Exact canned cost (header + body) in bits for a block histogram,
-    /// or `None` if the block uses a symbol this profile has no code for.
-    pub fn block_bits(&self, hist: &Histogram) -> Option<u64> {
-        for (sym, &f) in hist.litlen.iter().enumerate() {
-            if f > 0 && self.litlen_lengths[sym] == 0 {
-                return None;
-            }
-        }
-        for (sym, &f) in hist.dist.iter().enumerate() {
-            if f > 0 && self.dist_lengths[sym] == 0 {
-                return None;
-            }
-        }
-        Some(self.header_bits + self.plan.body_bits(hist))
+        self.header.bits
     }
 }
 
@@ -372,7 +355,10 @@ pub fn deflate_canned(data: &[u8], engine: Engine, profile: &Profile, use_dict: 
 }
 
 /// As [`deflate_canned`], appending the raw DEFLATE stream to `out` —
-/// the allocation-reusing form scratch sessions drive.
+/// the allocation-reusing form scratch sessions drive: matcher, token
+/// buffer (`lz77::with_thread_tokenizer`) and staging are the thread's, so once
+/// warm a request into an `out` with room allocates nothing
+/// (`tests/canned_alloc.rs`).
 pub fn deflate_canned_into(
     data: &[u8],
     engine: Engine,
@@ -381,7 +367,8 @@ pub fn deflate_canned_into(
     out: &mut Vec<u8>,
 ) {
     thread_local! {
-        static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::default();
+        /// dict + data staging buffer.
+        static STAGING: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
     }
     CANNED_REQUESTS.fetch_add(1, Ordering::Relaxed);
     let dict: &[u8] = if use_dict { &profile.dict } else { &[] };
@@ -389,81 +376,58 @@ pub fn deflate_canned_into(
         DICT_ENCODES.fetch_add(1, Ordering::Relaxed);
     }
     let level = profile.level.get().max(1); // level 0 cannot carry dict refs
-    with_thread_matcher(|matcher| {
-        SCRATCH.with(|scratch| {
-            let s = &mut *scratch.borrow_mut();
-            s.tokens.clear();
-            if dict.is_empty() {
-                tokenize_into_with(data, 0, level, engine, matcher, &mut s.tokens);
-            } else {
-                matcher.load_image(&profile.image);
-                s.buf.clear();
-                s.buf.extend_from_slice(dict);
-                s.buf.extend_from_slice(data);
-                let start = dict.len();
-                tokenize_into_with(&s.buf, start, level, engine, matcher, &mut s.tokens);
-            }
-            s.writer.clear();
-            emit_canned_blocks(profile, &s.tokens, &mut s.writer, &mut s.hist);
-            s.writer.align_to_byte();
-            s.writer.take_bytes_into(out);
-        })
+    with_thread_tokenizer(|matcher, tokens| {
+        if dict.is_empty() {
+            tokenize_into_with(data, 0, level, engine, matcher, tokens);
+        } else {
+            matcher.load_image(&profile.image);
+            STAGING.with(|staging| {
+                let buf = &mut *staging.borrow_mut();
+                buf.clear();
+                buf.extend_from_slice(dict);
+                buf.extend_from_slice(data);
+                tokenize_into_with(buf, dict.len(), level, engine, matcher, tokens);
+            });
+        }
+        // The writer adopts `out`: the stream is written where it stays.
+        let mut w = BitWriter::from_vec(std::mem::take(out));
+        emit_canned_blocks(profile, tokens, &mut w);
+        *out = w.finish();
     });
 }
 
-/// Everything a canned request works in besides the thread's matcher
-/// ([`with_thread_matcher`]), kept per thread. Once warm, a request into
-/// an `out` with room allocates nothing (`tests/canned_alloc.rs`).
-#[derive(Default)]
-struct Scratch {
-    tokens: Vec<Token>,
-    /// dict + data staging buffer.
-    buf: Vec<u8>,
-    writer: BitWriter,
-    hist: Histogram,
-}
-
 /// Emits `tokens` into `w` as canned (or guard-fallback) blocks.
-fn emit_canned_blocks(p: &Profile, tokens: &[Token], w: &mut BitWriter, hist: &mut Histogram) {
+fn emit_canned_blocks(p: &Profile, tokens: &[Token], w: &mut BitWriter) {
     if tokens.is_empty() {
         encode_fixed_block(w, &[], true);
         return;
     }
-    let mut start = 0usize;
-    while start < tokens.len() {
-        let end = (start + MAX_BLOCK_TOKENS).min(tokens.len());
-        let is_final = end == tokens.len();
-        let block = &tokens[start..end];
-        hist.clear();
+    let fixed = fixed_emit_tables();
+    let last = (tokens.len() - 1) / MAX_BLOCK_TOKENS;
+    for (i, block) in tokens.chunks(MAX_BLOCK_TOKENS).enumerate() {
+        // The guard, in one pass over the tokens: the block's exact cost on
+        // the canned tables and on the fixed ones, and whether the profile
+        // has a code for every symbol it uses.
+        let mut canned_bits = p.header.bits + u64::from(p.tables.eob.len);
+        let mut fixed_bits = 3 + u64::from(fixed.eob.len);
+        let mut covered = true;
         for &t in block {
-            hist.record(t);
+            let (bits, has_codes) = p.tables.token_bits(t);
+            canned_bits += u64::from(bits);
+            covered &= has_codes;
+            fixed_bits += u64::from(fixed.token_bits(t).0);
         }
-        hist.record_end_of_block();
-        match p.block_bits(hist) {
-            Some(canned_bits) if canned_bits <= fixed_block_bits(hist) => {
-                CANNED_BLOCKS.fetch_add(1, Ordering::Relaxed);
-                p.plan.write_header(w, is_final);
-                let et = &p.tables;
-                for &t in block {
-                    et.write_token(w, t);
-                }
-                et.write_eob(w);
-            }
-            _ => {
-                // Misfit: the block's statistics stray from the trained
-                // class. Build exact tables for it — same decision as the
-                // dictionary encoder (dynamic vs fixed, entropy only).
-                FALLBACK_BLOCKS.fetch_add(1, Ordering::Relaxed);
-                let plan = DynamicPlan::from_histogram(hist);
-                if plan.header_bits() + plan.body_bits(hist) < fixed_block_bits(hist) {
-                    plan.write_header(w, is_final);
-                    plan.write_body(w, block);
-                } else {
-                    encode_fixed_block(w, block, is_final);
-                }
-            }
+        if covered && canned_bits <= fixed_bits {
+            CANNED_BLOCKS.fetch_add(1, Ordering::Relaxed);
+            p.header.write(w, i == last);
+            p.tables.write_body(w, block);
+        } else {
+            // Misfit: the block strays from the trained class. Exact tables
+            // for it, by the dictionary encoder's decision (entropy only).
+            FALLBACK_BLOCKS.fetch_add(1, Ordering::Relaxed);
+            let rung = Level::from_numeric(p.level.get());
+            choose_and_encode_block(w, None, block, &Histogram::of(block), i == last, rung);
         }
-        start = end;
     }
 }
 

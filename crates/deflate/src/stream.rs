@@ -24,9 +24,9 @@
 
 use crate::bitio::BitWriter;
 use crate::encoder::{
-    choose_and_encode_block_at, encode_fixed_block, CompressionLevel, MAX_BLOCK_TOKENS,
+    choose_and_encode_block, encode_fixed_block, CompressionLevel, Level, MAX_BLOCK_TOKENS,
 };
-use crate::lz77::{Engine, Token, Tokenizer};
+use crate::lz77::{Engine, Histogram, Token, Tokenizer};
 use crate::WINDOW_SIZE;
 
 /// Chunk-boundary behaviour for [`StreamEncoder::write`].
@@ -185,12 +185,14 @@ impl StreamEncoder {
                     .sum();
                 let is_last_block = end_tok == tokens.len();
                 let is_final = is_last_block && flush == Flush::Finish;
-                choose_and_encode_block_at(
+                let block = &tokens[start_tok..end_tok];
+                choose_and_encode_block(
                     &mut self.w,
-                    &chunk[byte_pos..byte_pos + span],
-                    &tokens[start_tok..end_tok],
+                    Some(&chunk[byte_pos..byte_pos + span]),
+                    block,
+                    &Histogram::of(block),
                     is_final,
-                    self.level,
+                    Level::from_numeric(self.level.get()),
                 );
                 start_tok = end_tok;
                 byte_pos += span;

@@ -23,11 +23,7 @@ const CMF: u8 = 0x78;
 /// # }
 /// ```
 pub fn compress(data: &[u8], level: CompressionLevel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    header(&mut out, level, None);
-    out.extend_from_slice(&crate::deflate(data, level));
-    out.extend_from_slice(&adler32(data).to_be_bytes());
-    out
+    compress_with_dict(data, level, &[])
 }
 
 /// Wraps an already-produced raw DEFLATE stream in zlib framing. `adler`
@@ -72,14 +68,12 @@ fn header(out: &mut Vec<u8>, level: CompressionLevel, dictid: Option<u32>) {
 
 /// Compresses `data` against a preset dictionary into a zlib stream with
 /// the FDICT flag and DICTID field (RFC 1950 §2.2), the wire format of
-/// zlib's `deflateSetDictionary`.
+/// zlib's `deflateSetDictionary`; a plain stream when `dict` is empty. The
+/// DEFLATE stream is encoded behind the header, where it stays.
 pub fn compress_with_dict(data: &[u8], level: CompressionLevel, dict: &[u8]) -> Vec<u8> {
-    if dict.is_empty() {
-        return compress(data, level);
-    }
-    let mut out = Vec::with_capacity(data.len() / 2 + 20);
-    header(&mut out, level, Some(adler32(dict)));
-    out.extend_from_slice(&crate::encoder::deflate_with_dict(data, level, dict));
+    let mut out = Vec::with_capacity(data.len() / 2 + 64);
+    header(&mut out, level, (!dict.is_empty()).then(|| adler32(dict)));
+    crate::encoder::deflate_with_dict_to(data, level, dict, &mut out);
     out.extend_from_slice(&adler32(data).to_be_bytes());
     out
 }

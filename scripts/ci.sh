@@ -53,6 +53,9 @@ echo "==> fault suite + fuzz smoke (release)"
 # these suites exist precisely to catch decoder edges.
 cargo test --offline --release -q -p nx-core \
     --test adversarial --test fuzz_smoke --test fault_recovery
+# The encode route's allocation counts hold in the profile that ships:
+# inlining decides whether a "value on the stack" stays one.
+cargo test --offline --release -q -p nx-deflate --test encode_alloc
 
 echo "==> decode-path panic gate"
 # No .unwrap()/.expect( in non-test code on the untrusted-input decode
@@ -91,6 +94,11 @@ DECODE_PATHS=(
     # user bytes through its lane-window loop and hash table.
     crates/accel/src/matcher.rs
     crates/accel/src/hashbank.rs
+    # ... and entropy-codes them through its block encoder and, in canned
+    # mode, the table set -- which is part of the mode's value and never
+    # empty, so neither has a lookup that could fail.
+    crates/accel/src/huffenc.rs
+    crates/accel/src/canned.rs
     # Telemetry emit/export paths run inside every instrumented request;
     # an observability layer must never be the thing that panics.
     crates/telemetry/src/histogram.rs

@@ -54,7 +54,19 @@ cd "$(dirname "$0")/.."
 # every framing caller came out of `framing.rs` (no second trailer reader)
 # and `software::decompress` (now the `nx-deflate` doors themselves). Both
 # sit exactly where they sat, so their caps stay.
-declare -A CAP=([accel]=1820 [deflate]=7545 [core]=8024 [sys]=1589)
+# Issue 24 (the entropy back end on the stack) lowered two. nx-accel 1820 ->
+# 1794: `CannedSet` is never empty by construction and `CannedTable::
+# cost_bits` is the one spelling of a table's cost, so `select`'s panics,
+# `len` / `is_empty`, the free `cost_bits` and three hand-rolled histogram
+# loops went. nx-deflate 7545 -> 7543: the `Vec`-building Huffman, plan and
+# canonical-code bodies, two of the three `choose_and_encode_block*`
+# spellings, the canned path's scratch writer + histogram and three unused
+# `pub` items (`huffman::is_complete`, `Histogram::token_count`,
+# `deflate_tokens_with_strategy`) paid for the stack builder, the rendered
+# canned header, the in-place writer and the layer docs. nx-core's
+# `framing::frame` (one place a compress path spells a container) came out
+# exactly even: 8024 stays.
+declare -A CAP=([accel]=1794 [deflate]=7543 [core]=8024 [sys]=1589)
 
 total=0
 over=0
