@@ -6,40 +6,35 @@
 //! single member at probed block boundaries and decodes chunks ahead of
 //! the unknown 32 KB window into marker buffers, patching them once the
 //! predecessor's window resolves, and (c) serializes a [`SeekIndex`]
-//! (bit offset + window snapshot per checkpoint) so `decompress_at`
-//! random-accesses a member without inflating its prefix.
+//! (entry point + referenced window bytes per checkpoint) so
+//! `decompress_at` random-accesses a member without inflating its prefix.
 //!
-//! * **Part A** sweeps worker count × stream shape (single member /
-//!   multi-member) and reports decode MB/s against the serial walk,
-//!   plus the speculation miss rate and marker patch volume.
-//! * **Part B** prices random access in deterministic units: per stream
-//!   shape the checkpoints and serialized index bytes (sparse, and what
-//!   whole windows would have cost), and per ranged read the bytes decoded
-//!   against the bytes returned.
+//! Every cell this experiment writes is deterministic — a byte count, a
+//! route counter or a boolean — so `scripts/ci.sh` gates the committed
+//! `BENCH_INFLATE_PAR.json` by byte identity (`git diff --exit-code`). The
+//! speed of these routes is a host-clock figure and is judged by `nxbench`
+//! pairs (`parallel_io`, traced `core.pinflate_*` / `core.seek_*`).
 //!
-//! Every parallel decode is verified byte-identical to the serial
-//! decode before its timing is reported. `run()` writes
-//! `BENCH_INFLATE_PAR.json`; `scripts/ci.sh` gates on `all_identical`
-//! and on Part B's rows reproducing to the byte — the speed is judged by
-//! `nxbench` pairs (`parallel_io`).
-//!
-//! Caveat: wall-clock speedup needs real cores. On a single-core host
-//! the sweep still validates correctness and counters, but speedups
-//! hover at or below 1.0x — the JSON records `host_threads` so readers
-//! can interpret the figures.
+//! * **Part A** decodes both stream shapes (single member / multi-member)
+//!   at every worker count: identical to serial or not, and the route taken
+//!   (members fanned out, speculative chunks spliced and missed).
+//! * **Part B** prices random access in bytes: per shape the checkpoints
+//!   and serialized index bytes (sparse, and what whole windows would have
+//!   cost), per ranged read the bytes decoded against the bytes returned,
+//!   and the amplification of `nxbench parallel_io`'s seeded 1 000-read
+//!   sweep of 64 KiB reads over 32 members written at `Fastest`.
 
 use super::MetricRow;
 use crate::{Table, SEED};
-use nx_core::{software, Format, ParallelInflateOptions, ParallelInflater};
-use nx_deflate::CompressionLevel;
+use nx_core::{software, CompressOptions, Format, Nx, ParallelInflateOptions, ParallelInflater};
+use nx_deflate::{CompressionLevel, Level};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
 pub const TITLE: &str = "Parallel inflate: speculative chunks, member fan-out, seek index";
 
 /// Where the machine-readable rows land (workspace root under
-/// `cargo run`). The CI gate checks this file's `all_identical`.
+/// `cargo run`). The CI gate requires it to reproduce the committed file.
 pub const JSON_PATH: &str = "BENCH_INFLATE_PAR.json";
 
 /// Uncompressed payload length for both stream shapes.
@@ -51,9 +46,6 @@ const MEMBER_LEN: usize = 1 << 20;
 /// Worker counts swept in Part A.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// Timed passes per cell; the minimum is reported.
-const PASSES: usize = 3;
-
 /// Ranged reads priced in Part B: (offset, len).
 const SEEKS: [(u64, usize); 3] = [
     (64 << 10, 4 << 10),
@@ -61,12 +53,18 @@ const SEEKS: [(u64, usize); 3] = [
     ((PAYLOAD_LEN as u64) - (256 << 10), 128 << 10),
 ];
 
-/// One (shape, workers) cell of the Part A sweep.
+/// The amplification sweep: `nxbench parallel_io`'s members, reads and seed.
+const SWEEP_MEMBERS: usize = 32;
+const SWEEP_READS: usize = 1_000;
+const SWEEP_LEN: usize = 64 << 10;
+
+/// One (shape, workers) cell of the Part A sweep: the route it took.
 struct DecodeCell {
     shape: &'static str,
     workers: usize,
-    mb_per_s: f64,
-    speedup: f64,
+    members_parallel: u64,
+    chunks: u64,
+    misses: u64,
     identical: bool,
 }
 
@@ -85,25 +83,13 @@ type IndexCell = (&'static str, usize, usize, usize);
 struct Measured {
     cells: Vec<DecodeCell>,
     seeks: Vec<SeekCell>,
-    serial_single_mb_per_s: f64,
-    serial_multi_mb_per_s: f64,
     /// misses / (chunks + misses) over the whole single-member sweep.
     miss_rate: f64,
     marker_patch_bytes: u64,
     indexes: [IndexCell; 2],
-    host_threads: usize,
+    /// Bytes decoded and returned by the amplification sweep.
+    sweep: (u64, u64),
     all_identical: bool,
-}
-
-/// Best-of-[`PASSES`] wall-clock seconds of one call to `f`.
-fn best_of<F: FnMut()>(mut f: F) -> f64 {
-    let mut t = f64::INFINITY;
-    for _ in 0..PASSES {
-        let t0 = Instant::now();
-        f();
-        t = t.min(t0.elapsed().as_secs_f64());
-    }
-    t
 }
 
 fn inflater(workers: usize) -> ParallelInflater {
@@ -111,6 +97,36 @@ fn inflater(workers: usize) -> ParallelInflater {
         workers,
         ..Default::default()
     })
+}
+
+/// `nxbench parallel_io`'s seeded sweep: `(decoded, returned)` bytes and
+/// whether every read matched.
+fn amplification() -> ((u64, u64), bool) {
+    let nx = Nx::power9();
+    let data = nx_corpus::mixed(SEED, SWEEP_MEMBERS << 20);
+    let fastest = CompressOptions::from_level(Level::Fastest);
+    let mut stream = Vec::new();
+    for part in data.chunks(1 << 20) {
+        let member = nx
+            .compress_with(part, Format::Gzip, fastest)
+            .expect("compress");
+        stream.extend_from_slice(&member.bytes);
+    }
+    let index = nx.build_index(&stream, Format::Gzip).expect("index");
+    let (stats, mut identical) = (nx.decode_parallel_stats(), true);
+    let before = stats.seek_decoded_bytes();
+    let mut state = SEED | 1;
+    for _ in 0..SWEEP_READS {
+        // xorshift64, as `nxbench` draws its offsets.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let offset = (state % (data.len() - SWEEP_LEN) as u64) as usize;
+        let got = nx.decompress_at(&stream, &index, offset as u64, SWEEP_LEN);
+        identical &= got.is_ok_and(|got| got == data[offset..offset + SWEEP_LEN]);
+    }
+    let decoded = stats.seek_decoded_bytes() - before;
+    ((decoded, (SWEEP_READS * SWEEP_LEN) as u64), identical)
 }
 
 /// Runs the sweep once per process; `run()` and [`metrics`] share it.
@@ -126,57 +142,26 @@ fn measured() -> &'static Measured {
             .collect();
 
         let mut all_identical = true;
-
-        // Serial baselines through the same members-walk the parallel
-        // path falls back to.
-        let reference = inflater(1);
-        let t_single = best_of(|| {
-            std::hint::black_box(
-                reference
-                    .decompress_serial(&single, Format::Gzip)
-                    .expect("serial")
-                    .len(),
-            );
-        });
-        let t_multi = best_of(|| {
-            std::hint::black_box(
-                reference
-                    .decompress_serial(&multi, Format::Gzip)
-                    .expect("serial")
-                    .len(),
-            );
-        });
-
         let mut cells = Vec::new();
-        let mut chunks = 0u64;
-        let mut misses = 0u64;
-        let mut marker_patch_bytes = 0u64;
-        for (shape, stream, t_serial) in [
-            ("single-member", &single, t_single),
-            ("multi-member", &multi, t_multi),
-        ] {
+        let (mut chunks, mut misses, mut marker_patch_bytes) = (0u64, 0u64, 0u64);
+        for (shape, stream) in [("single-member", &single), ("multi-member", &multi)] {
             for workers in WORKERS {
                 let inf = inflater(workers);
-                let out = inf.decompress(stream, Format::Gzip).expect("parallel");
-                let identical = out == payload;
+                let out = inf.decompress(stream, Format::Gzip);
+                let identical = out.is_ok_and(|out| out == payload);
                 all_identical &= identical;
-                let t = best_of(|| {
-                    std::hint::black_box(
-                        inf.decompress(stream, Format::Gzip)
-                            .expect("parallel")
-                            .len(),
-                    );
-                });
+                let stats = inf.stats();
                 if shape == "single-member" {
-                    chunks += inf.stats().chunks_decoded();
-                    misses += inf.stats().speculation_misses();
-                    marker_patch_bytes += inf.stats().marker_patch_bytes();
+                    chunks += stats.chunks_decoded();
+                    misses += stats.speculation_misses();
+                    marker_patch_bytes += stats.marker_patch_bytes();
                 }
                 cells.push(DecodeCell {
                     shape,
                     workers,
-                    mb_per_s: payload.len() as f64 / t / 1e6,
-                    speedup: t_serial / t,
+                    members_parallel: stats.members_parallel(),
+                    chunks: stats.chunks_decoded(),
+                    misses: stats.speculation_misses(),
                     identical,
                 });
             }
@@ -213,12 +198,12 @@ fn measured() -> &'static Measured {
                 identical,
             });
         }
+        let (sweep, identical) = amplification();
+        all_identical &= identical;
 
         Measured {
             cells,
             seeks,
-            serial_single_mb_per_s: payload.len() as f64 / t_single / 1e6,
-            serial_multi_mb_per_s: payload.len() as f64 / t_multi / 1e6,
             miss_rate: if chunks + misses == 0 {
                 0.0
             } else {
@@ -226,18 +211,15 @@ fn measured() -> &'static Measured {
             },
             marker_patch_bytes,
             indexes,
-            host_threads: std::thread::available_parallelism().map_or(1, usize::from),
+            sweep,
             all_identical,
         }
     })
 }
 
-/// The Part A cell for `shape` at `workers`.
-fn cell_for<'m>(m: &'m Measured, shape: &str, workers: usize) -> &'m DecodeCell {
-    m.cells
-        .iter()
-        .find(|c| c.shape == shape && c.workers == workers)
-        .expect("swept cell")
+/// Decoded bytes per returned byte of the amplification sweep.
+fn ratio(m: &Measured) -> f64 {
+    m.sweep.0 as f64 / m.sweep.1 as f64
 }
 
 /// Renders the machine-readable rows ([`JSON_PATH`]).
@@ -248,8 +230,8 @@ fn render_json(m: &Measured) -> String {
         .map(|c| {
             format!(
                 "  {{\"section\": \"decode\", \"shape\": \"{}\", \"workers\": {}, \
-                 \"mb_per_s\": {:.3}, \"speedup\": {:.3}, \"identical\": {}}}",
-                c.shape, c.workers, c.mb_per_s, c.speedup, c.identical,
+                 \"members_parallel\": {}, \"chunks\": {}, \"misses\": {}, \"identical\": {}}}",
+                c.shape, c.workers, c.members_parallel, c.chunks, c.misses, c.identical,
             )
         })
         .collect();
@@ -268,22 +250,17 @@ fn render_json(m: &Measured) -> String {
         ));
     }
     rows.push(format!(
-        "  {{\"section\": \"summary\", \"serial_mb_per_s\": {:.3}, \
-         \"serial_multi_mb_per_s\": {:.3}, \
-         \"single_member_4w_mb_per_s\": {:.3}, \"multi_member_4w_mb_per_s\": {:.3}, \
-         \"speedup_single_4w\": {:.3}, \"speedup_multi_4w\": {:.3}, \
-         \"speculation_miss_rate\": {:.4}, \"marker_patch_bytes\": {}, \
-         \"host_threads\": {}, \"all_identical\": {}}}",
-        m.serial_single_mb_per_s,
-        m.serial_multi_mb_per_s,
-        cell_for(m, "single-member", 4).mb_per_s,
-        cell_for(m, "multi-member", 4).mb_per_s,
-        cell_for(m, "single-member", 4).speedup,
-        cell_for(m, "multi-member", 4).speedup,
-        m.miss_rate,
-        m.marker_patch_bytes,
-        m.host_threads,
-        m.all_identical,
+        "  {{\"section\": \"amplification\", \"members\": {SWEEP_MEMBERS}, \"reads\": {SWEEP_READS}, \
+         \"len\": {SWEEP_LEN}, \"decoded_bytes\": {}, \"returned_bytes\": {}, \
+         \"decoded_per_returned\": {:.4}}}",
+        m.sweep.0,
+        m.sweep.1,
+        ratio(m),
+    ));
+    rows.push(format!(
+        "  {{\"section\": \"summary\", \"speculation_miss_rate\": {:.4}, \
+         \"marker_patch_bytes\": {}, \"all_identical\": {}}}",
+        m.miss_rate, m.marker_patch_bytes, m.all_identical,
     ));
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
@@ -292,24 +269,9 @@ fn render_json(m: &Measured) -> String {
 pub fn metrics() -> Vec<MetricRow> {
     let m = measured();
     vec![
-        MetricRow::new("inflate_serial_mb_per_s", m.serial_single_mb_per_s, "MB/s"),
-        MetricRow::new(
-            "single_member_4w_mb_per_s",
-            cell_for(m, "single-member", 4).mb_per_s,
-            "MB/s",
-        ),
-        MetricRow::new(
-            "multi_member_4w_mb_per_s",
-            cell_for(m, "multi-member", 4).mb_per_s,
-            "MB/s",
-        ),
-        MetricRow::new(
-            "speedup_multi_4w",
-            cell_for(m, "multi-member", 4).speedup,
-            "ratio",
-        ),
         MetricRow::new("speculation_miss_rate", m.miss_rate, "ratio"),
         MetricRow::new("index_bytes", m.indexes[0].2 as f64, "bytes"),
+        MetricRow::new("seek_amplification", ratio(m), "ratio"),
         MetricRow::new(
             "outputs_identical",
             f64::from(u8::from(m.all_identical)),
@@ -322,13 +284,21 @@ pub fn metrics() -> Vec<MetricRow> {
 pub fn run() -> String {
     let m = measured();
 
-    let mut table = Table::new(vec!["shape", "workers", "MB/s", "vs serial", "verified"]);
+    let mut table = Table::new(vec![
+        "shape",
+        "workers",
+        "members fanned out",
+        "chunks spliced",
+        "chunks missed",
+        "verified",
+    ]);
     for c in &m.cells {
         table.row(vec![
             c.shape.to_string(),
             c.workers.to_string(),
-            format!("{:.1}", c.mb_per_s),
-            format!("{:.2}x", c.speedup),
+            c.members_parallel.to_string(),
+            c.chunks.to_string(),
+            c.misses.to_string(),
             if c.identical { "ok" } else { "FAIL" }.to_string(),
         ]);
     }
@@ -353,24 +323,21 @@ pub fn run() -> String {
     };
 
     format!(
-        "## E22 — {TITLE}\n\nHeadline: an {} MiB payload decodes serially at {:.1} MB/s; at \
-         4 workers the member-per-worker path runs at {:.1} MB/s ({:.2}x) and the speculative \
-         single-member path at {:.1} MB/s ({:.2}x, miss rate {:.1}%, {} marker bytes patched). \
-         Host exposes {} thread(s) — speedups need real cores.\n\n{}\n\
+        "## E22 — {TITLE}\n\nHeadline: an {} MiB payload, single-member and in {} members, \
+         decodes identically at 1/2/4/8 workers (speculation miss rate {:.1}%, {} marker bytes \
+         patched); speed is `nxbench parallel_io`'s.\n\n{}\n\
          Seek index: {}ranged reads in the single-member stream:\n\n{}\n\
-         All outputs byte-identical to serial: {}.\n\n{json_note}\n",
+         {SWEEP_READS} seeded {} KiB reads over {SWEEP_MEMBERS} `Fastest` members decode {:.3}x \
+         what they return.\n\nAll outputs byte-identical to serial: {}.\n\n{json_note}\n",
         PAYLOAD_LEN >> 20,
-        m.serial_single_mb_per_s,
-        cell_for(m, "multi-member", 4).mb_per_s,
-        cell_for(m, "multi-member", 4).speedup,
-        cell_for(m, "single-member", 4).mb_per_s,
-        cell_for(m, "single-member", 4).speedup,
+        PAYLOAD_LEN / MEMBER_LEN,
         m.miss_rate * 100.0,
         m.marker_patch_bytes,
-        m.host_threads,
         table.render(),
         m.indexes.map(index_line).concat(),
         seek_table.render(),
+        SWEEP_LEN >> 10,
+        ratio(m),
         m.all_identical,
     )
 }
@@ -388,8 +355,9 @@ mod tests {
                     ["single-member", "multi-member"].map(|shape| DecodeCell {
                         shape,
                         workers: w,
-                        mb_per_s: 100.0 * w as f64,
-                        speedup: w as f64 * 0.9,
+                        members_parallel: 8,
+                        chunks: 3,
+                        misses: 1,
                         identical: true,
                     })
                 })
@@ -400,23 +368,22 @@ mod tests {
                 decoded_bytes: 5000,
                 identical: true,
             }],
-            serial_single_mb_per_s: 110.0,
-            serial_multi_mb_per_s: 115.0,
             miss_rate: 0.25,
             marker_patch_bytes: 1 << 20,
             indexes: [("single-member", 8, 30 << 10, 300 << 10); 2],
-            host_threads: 4,
+            sweep: (3_000, 2_000),
             all_identical: true,
         };
         let json = render_json(&m);
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 12);
+        assert_eq!(json.matches("{\"section\"").count(), 13);
         assert!(json.contains("\"decoded_bytes\": 5000, \"returned_bytes\": 1024"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"multi_member_4w_mb_per_s\": 400.000"));
+        assert!(json.contains("\"decoded_per_returned\": 1.5000"));
         assert!(json.contains("\"speculation_miss_rate\": 0.2500"));
         assert!(json.contains("\"all_identical\": true"));
-        assert!(json.contains("\"serial_multi_mb_per_s\": 115.000"));
+        // Host-clock figures stay out of the gated file.
+        assert!(!json.contains("mb_per_s") && !json.contains("speedup"));
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //! workers decode members straight into their slices (`plan_members`).
 //!
 //! The module also builds a serializable [`SeekIndex`] — a list of (bit
-//! offset, output offset, referenced window bytes) checkpoints — so
-//! [`ParallelInflater::decompress_at`] can random-access any slice of the
-//! decompressed stream, decoding little more than it returns.
+//! offset, output offset, referenced window bytes) checkpoints, inside
+//! blocks as well as between them — so [`ParallelInflater::decompress_at`]
+//! can random-access any slice of the decompressed stream, decoding little
+//! more than it returns.
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
@@ -59,8 +60,8 @@ const DECODE_BYTES_PER_CYCLE: u64 = 8;
 /// chunks must be large enough to amortise the scan.
 const DEFAULT_CHUNK: usize = 256 * 1024;
 
-/// Output bytes between seek-index checkpoints (before rounding to block
-/// boundaries): a ranged read decodes half of this, on average, first.
+/// Output bytes between seek-index checkpoints: a ranged read decodes half
+/// of this, on average, before its range.
 const DEFAULT_CHECKPOINT_EVERY: usize = 64 * 1024;
 
 /// Consecutive boundary-free chunk spans before the scanner gives up on
@@ -83,8 +84,8 @@ const MAX_MEMBER_HEADER: usize = 128 * 1024;
 /// Magic bytes that open a serialized [`SeekIndex`].
 pub const SEEK_INDEX_MAGIC: [u8; 4] = *b"NXSI";
 
-/// Serialization format version written; version 1 (whole windows) loads.
-const SEEK_INDEX_VERSION: u8 = 2;
+/// Serialization format version written; versions 1 and 2 load.
+const SEEK_INDEX_VERSION: u8 = 3;
 
 /// Tuning knobs for [`ParallelInflater`].
 #[derive(Debug, Clone, Copy)]
@@ -95,8 +96,8 @@ pub struct ParallelInflateOptions {
     /// Compressed bytes per speculative chunk. Inputs shorter than two
     /// chunks decode serially.
     pub chunk_size: usize,
-    /// Decompressed bytes between seek-index checkpoints (rounded up to
-    /// the enclosing block boundary; at least one window).
+    /// Decompressed bytes between seek-index checkpoints (at least one
+    /// window): each sits where the token that would cross the mark begins.
     pub checkpoint_every: usize,
 }
 
@@ -191,13 +192,16 @@ impl MetricSource for InflateParStats {
 }
 
 /// One random-access entry point into a compressed stream: resume decoding
-/// at `bit_offset`, `out_offset` bytes in, with `runs` of `window` as the
-/// history the data behind it reaches back into.
+/// at `bit_offset` in the block begun at `block_bit`, `out_offset` bytes in,
+/// with `runs` of `window` as the history the data behind it reaches into.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeekCheckpoint {
-    /// Absolute bit offset (from the start of the *container*) of a block
-    /// boundary, or of a member's first block.
+    /// Absolute bit offset (from the start of the *container*) of the token
+    /// (in a stored block, the byte) the read resumes at.
     pub bit_offset: u64,
+    /// Absolute bit offset of the header of the block `bit_offset` is in;
+    /// equal to it at a block boundary.
+    pub block_bit: u64,
     /// Decompressed bytes preceding this checkpoint.
     pub out_offset: u64,
     /// The ascending, disjoint `(offset, len)` runs later data references
@@ -228,11 +232,12 @@ impl SeekCheckpoint {
 /// Built by [`ParallelInflater::build_index`]; consumed by
 /// [`ParallelInflater::decompress_at`]. The wire format is
 /// `"NXSI" u8:version u8:format u64:total_out u32:count` followed by
-/// `count` records of `u64:bit_offset u64:out_offset u32:wlen u16:runs`,
-/// `runs` pairs of `u16:offset u16:len` and the `wlen` window bytes, all
-/// little-endian; a version 1 record has no runs, its bytes being the
-/// trailing window whole. The index has no checksum of its own: a
-/// damaged one yields a typed error or wrong bytes, never an unbounded read.
+/// `count` records of `u64:bit_offset u64:out_offset u64:block_bit u32:wlen
+/// u16:runs`, `runs` pairs of `u16:offset u16:len` and the `wlen` window
+/// bytes, all little-endian; a version 2 record has no `block_bit`, a
+/// version 1 record no runs either (its bytes are the trailing window
+/// whole). The index has no checksum of its own: a damaged one yields a
+/// typed error or wrong bytes, never an unbounded read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeekIndex {
     format: Format,
@@ -274,6 +279,7 @@ impl SeekIndex {
         for c in &self.checkpoints {
             out.extend_from_slice(&c.bit_offset.to_le_bytes());
             out.extend_from_slice(&c.out_offset.to_le_bytes());
+            out.extend_from_slice(&c.block_bit.to_le_bytes());
             out.extend_from_slice(&(c.window.len() as u32).to_le_bytes());
             out.extend_from_slice(&(c.runs.len() as u16).to_le_bytes());
             for (offset, len) in &c.runs {
@@ -285,13 +291,14 @@ impl SeekIndex {
         out
     }
 
-    /// Deserializes what [`SeekIndex::to_bytes`] wrote, now or at version 1.
+    /// Deserializes what [`SeekIndex::to_bytes`] wrote, now or at version 1 or 2.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidSeekIndex`] on bad magic, version, truncation,
-    /// offsets that do not ascend, or runs that are unsorted, overlap,
-    /// leave the window or do not add up to the window bytes.
+    /// offsets that do not ascend (block bits may repeat, never pass their
+    /// bit offset), or runs that are unsorted, overlap, leave the window or
+    /// do not add up to the window bytes.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
         let mut rest = data;
         let mut read = |n: usize| {
@@ -311,6 +318,8 @@ impl SeekIndex {
         index.total_out = le(read(8)?);
         for _ in 0..le(read(4)?) {
             let (bit_offset, out_offset) = (le(read(8)?), le(read(8)?));
+            let block_bit = (version > 2).then(|| read(8).map(le));
+            let block_bit = block_bit.transpose()?.unwrap_or(bit_offset);
             let wlen = le(read(4)?) as usize;
             let mut runs = Vec::new();
             if version == 1 && wlen > 0 {
@@ -328,11 +337,14 @@ impl SeekIndex {
                 sum += usize::from(len);
             }
             valid(end <= WINDOW_SIZE && sum == wlen && out_offset <= index.total_out)?;
+            valid(block_bit <= bit_offset)?;
             if let Some(prev) = index.checkpoints.last() {
                 valid(prev.bit_offset < bit_offset && prev.out_offset <= out_offset)?;
+                valid(prev.block_bit <= block_bit)?;
             }
             index.checkpoints.push(SeekCheckpoint {
                 bit_offset,
+                block_bit,
                 out_offset,
                 runs,
                 window: read(wlen)?.to_vec(),
@@ -809,7 +821,8 @@ impl ParallelInflater {
     /// Builds a [`SeekIndex`] for `data`: one decode (members of a
     /// multi-member gzip in parallel) that checks the container's checksums,
     /// keeps none of the output and records a checkpoint on every member
-    /// start and first block boundary past `checkpoint_every` output bytes.
+    /// start and where the token crossing each `checkpoint_every` output
+    /// bytes begins, inside a block or between two.
     ///
     /// # Errors
     ///
@@ -863,8 +876,8 @@ impl ParallelInflater {
 
     /// Random-accesses `[offset, offset + len)` of the decompressed stream
     /// using `index`: decoding starts at the nearest preceding checkpoint
-    /// and stops within one stored block (one match, inside a Huffman
-    /// block) of the range's end. `len` is clamped at end of stream.
+    /// and stops within one match of the range's end. `len` is clamped at
+    /// end of stream.
     ///
     /// # Errors
     ///
@@ -889,60 +902,57 @@ impl ParallelInflater {
         // `total_out` is the index's word; the input bounds what can exist.
         let mut result = Vec::with_capacity(want.min(data.len().saturating_mul(1032)));
         self.stats.seek_index_hits.fetch_add(1, Ordering::Relaxed);
-        let (mut state, mut decoded_bytes) = (self.seek_idle.lock().pop().unwrap_or_default(), 0);
+        let (mut state, mut decoded) = (self.seek_idle.lock().pop().unwrap_or_default(), 0);
         let sized = |v: u64| usize::try_from(v).map_err(|_| Error::InvalidSeekIndex);
         let at_or_before = |c: &SeekCheckpoint| c.out_offset <= offset;
         let mut ci = index.checkpoints.partition_point(at_or_before) - 1;
-        while result.len() < want {
-            let (cp, cursor) = (&index.checkpoints[ci], offset + result.len() as u64);
-            let input = data.get(sized(cp.bit_offset / 8)?..);
-            let input = input.ok_or(Error::InvalidSeekIndex)?;
-            let lo = sized(cursor - cp.out_offset)?;
-            let need = lo.saturating_add(want - result.len());
-            cp.window_into(&mut state.dict);
-            let mut inf =
-                Inflater::with_reuse(input, take(&mut state.scratch), take(&mut state.out));
-            inf.skip_bits(cp.bit_offset % 8)?;
-            inf.prime_window(&state.dict);
-            let decoded = decode_to(&mut inf, input, need);
-            let produced = inf.output();
-            let covered = produced.get(lo..need.min(produced.len()));
-            result.extend_from_slice(covered.unwrap_or_default());
-            decoded_bytes += produced.len() as u64;
-            (state.out, state.scratch) = inf.into_parts();
-            decoded?;
-            if result.len() < want {
-                // The stream ended inside the range: the next member resumes
-                // at the cursor, from a checkpoint of its own.
-                let cursor = offset + result.len() as u64;
-                let mut later = index.checkpoints[ci + 1..].iter();
-                let hop = later.position(|c| c.out_offset == cursor);
-                ci += 1 + hop.ok_or(Error::InvalidSeekIndex)?;
+        // One closure, so that every way out of it hands the pooled state back.
+        let read = (|| {
+            while result.len() < want {
+                let (cp, cursor) = (&index.checkpoints[ci], offset + result.len() as u64);
+                let base = cp.block_bit / 8 * 8;
+                let input = data.get(sized(base / 8)?..);
+                let input = input.ok_or(Error::InvalidSeekIndex)?;
+                let lo = sized(cursor - cp.out_offset)?;
+                let need = lo.saturating_add(want - result.len());
+                cp.window_into(&mut state.dict);
+                let (tables, out) = (take(&mut state.scratch), take(&mut state.out));
+                let mut inf = Inflater::with_reuse(input, tables, out);
+                inf.prime_window(&state.dict);
+                // A point the data does not have is the index's fault.
+                let entered = inf.resume_at(cp.block_bit - base, cp.bit_offset - base);
+                let status = entered.map_err(|_| Error::InvalidSeekIndex);
+                let status = status.and_then(|()| decode_to(&mut inf, need));
+                let produced = inf.output();
+                let covered = produced.get(lo..need.min(produced.len()));
+                result.extend_from_slice(covered.unwrap_or_default());
+                decoded += produced.len() as u64;
+                (state.out, state.scratch) = inf.into_parts();
+                status?;
+                if result.len() < want {
+                    // The stream ended inside the range: the next member
+                    // resumes at the cursor, from a checkpoint of its own.
+                    let cursor = offset + result.len() as u64;
+                    let mut later = index.checkpoints[ci + 1..].iter();
+                    let hop = later.position(|c| c.out_offset == cursor);
+                    ci += 1 + hop.ok_or(Error::InvalidSeekIndex)?;
+                }
             }
-        }
+            Ok(())
+        })();
         self.seek_idle.lock().push(state);
         let amplified = &self.stats.seek_decoded_bytes;
-        amplified.fetch_add(decoded_bytes, Ordering::Relaxed);
-        Ok(result)
+        amplified.fetch_add(decoded, Ordering::Relaxed);
+        read.map(|()| result)
     }
 }
 
-/// Decodes blocks until `need` bytes are out or the stream ends. A block's
-/// limit is `need` plus the most one token can add (a stored block, told by
-/// the two BTYPE bits after BFINAL, comes whole), so the block that reaches
-/// `need` stops there: a limit hit with the range covered is the way out.
-fn decode_to(inf: &mut Inflater, input: &[u8], need: usize) -> Result<()> {
+/// Decodes blocks until `need` bytes are out or the stream ends, under a
+/// limit of `need` plus the most one token adds: a limit hit with the range
+/// covered is the way out.
+fn decode_to(inf: &mut Inflater, need: usize) -> Result<()> {
     while !inf.is_finished() && inf.output().len() < need {
-        let bit = inf.bit_position();
-        let header = input.iter().skip((bit / 8) as usize).take(2).rev();
-        let header = header.fold(0xFF, |bits, &byte| bits << 8 | u32::from(byte));
-        let stored = (header >> (bit % 8 + 1)) & 3 == 0;
-        let slack = if stored {
-            usize::from(u16::MAX)
-        } else {
-            MAX_MATCH
-        };
-        match inf.decode_block(need.saturating_add(slack)) {
+        match inf.decode_block(need.saturating_add(MAX_MATCH)) {
             Err(DeflateError::OutputLimitExceeded) if inf.output().len() >= need => break,
             block => block?,
         }
@@ -964,10 +974,10 @@ impl Walker {
         (used == body.len() && checked).then_some(part)
     }
 
-    /// Walks the DEFLATE stream `payload`, `at` bytes into its container,
-    /// into `self.out` (at most `limit` bytes): `index` gains a checkpoint at
-    /// its start and at the first block boundary past every `every` bytes,
-    /// and its length. Returns the compressed bytes used.
+    /// Walks the DEFLATE stream `payload`, `at` bytes into its container, into
+    /// `self.out` (at most `limit` bytes): `index` gains a checkpoint at its start
+    /// and where the token crossing each `every` bytes of output begins (in a
+    /// stored block, the byte), and its length. Returns the compressed bytes used.
     fn walk(
         &mut self,
         payload: &[u8],
@@ -976,24 +986,30 @@ impl Walker {
         limit: usize,
         index: &mut SeekIndex,
     ) -> Result<usize> {
-        let mut push = |bit: u64, out: usize, sparse: SeekCheckpoint| {
+        let base = at as u64 * 8;
+        let mut push = |(block, bit): (u64, u64), out: usize, sparse: SeekCheckpoint| {
             index.checkpoints.push(SeekCheckpoint {
-                bit_offset: at as u64 * 8 + bit,
+                bit_offset: base + bit,
+                block_bit: base + block,
                 out_offset: index.total_out + out as u64,
                 ..sparse
             });
         };
-        push(0, 0, SeekCheckpoint::default());
+        push((0, 0), 0, SeekCheckpoint::default());
         let mut inf = Inflater::with_reuse(payload, take(&mut self.scratch), take(&mut self.out));
         let mut next_cp = every;
         while !inf.is_finished() {
-            inf.decode_block(limit)?;
-            let produced = inf.output();
-            if !inf.is_finished() && produced.len() >= next_cp {
-                let window = &produced[produced.len().saturating_sub(WINDOW_SIZE)..];
-                let sparse = self.referenced(payload, inf.bit_position(), window);
-                push(inf.bit_position(), produced.len(), sparse);
-                next_cp = produced.len().saturating_add(every);
+            // A decode that stops at the mark stands where the checkpoint
+            // goes, inside its block, and goes on from there.
+            match inf.decode_block(next_cp.min(limit)) {
+                Err(DeflateError::OutputLimitExceeded) if next_cp < limit => {
+                    let (produced, at) = (inf.output(), (inf.block_bit(), inf.bit_position()));
+                    let window = &produced[produced.len().saturating_sub(WINDOW_SIZE)..];
+                    let sparse = self.referenced(payload, at, window);
+                    push(at, produced.len(), sparse);
+                    next_cp = produced.len().saturating_add(every);
+                }
+                block => block?,
             }
         }
         let used = inf.byte_position();
@@ -1002,17 +1018,17 @@ impl Walker {
         Ok(used)
     }
 
-    /// The marker pass: decodes one window of cells from block boundary
-    /// `bit` and returns the runs of `window` (the output before `bit`)
-    /// their markers name, with the bytes. One window of cells is all that
-    /// can reference it: a match further on reaches at most 32 KB back, into
-    /// cells that are bytes or markers already. A token that starts inside
-    /// the window ends within `MAX_MATCH` of it or is a stored block, which
-    /// references nothing, so running out of budget is as good as finishing;
-    /// any other error the walk meets next, and fails.
-    fn referenced(&mut self, payload: &[u8], bit: u64, window: &[u8]) -> SeekCheckpoint {
+    /// The marker pass: decodes one window of cells from `at` (block bit,
+    /// bit), entered as a read enters it, and returns the runs of `window`
+    /// (the output before it) their markers name, with the bytes. One window
+    /// of cells is all that can reference it: a match further on reaches at
+    /// most 32 KB back, into cells that are bytes or markers already. A token
+    /// that starts inside the window ends within `MAX_MATCH` of it or is a
+    /// stored byte, so running out of budget is as good as finishing; any
+    /// other error the walk meets next, and fails.
+    fn referenced(&mut self, payload: &[u8], at: (u64, u64), window: &[u8]) -> SeekCheckpoint {
         let (tables, cells) = (take(&mut self.marker), take(&mut self.cells));
-        let Ok(mut pass) = MarkerInflater::with_reuse_at(payload, bit, tables, cells) else {
+        let Ok(mut pass) = MarkerInflater::with_reuse_at(payload, at, tables, cells) else {
             return SeekCheckpoint::default(); // No input left: the walk fails next.
         };
         let mut more = true;
@@ -1157,12 +1173,7 @@ fn scan_boundaries(payload: &[u8], chunk: usize) -> Option<Vec<u64>> {
     while target + chunk / 2 < payload.len() {
         let lo = (target as u64) * 8;
         let hi = ((target + chunk).min(payload.len().saturating_sub(2)) as u64) * 8;
-        let mut bit = lo;
-        if let Some(&last) = bounds.last() {
-            if bit <= last {
-                bit = last + 1;
-            }
-        }
+        let mut bit = bounds.last().map_or(lo, |&last| lo.max(last + 1));
         let mut found = None;
         while bit < hi {
             if budget == 0 {
@@ -1189,11 +1200,7 @@ fn scan_boundaries(payload: &[u8], chunk: usize) -> Option<Vec<u64>> {
         }
         target += chunk;
     }
-    if bounds.is_empty() {
-        None
-    } else {
-        Some(bounds)
-    }
+    (!bounds.is_empty()).then_some(bounds)
 }
 
 /// Serially decodes from bit `from_bit` (a true block boundary) with the
@@ -1207,16 +1214,13 @@ fn repair_to(
     from_bit: u64,
     until: Option<u64>,
 ) -> std::result::Result<(u64, bool), DeflateError> {
-    let base = (from_bit / 8) * 8;
-    let mut inf = Inflater::new_at(payload, from_bit)?;
-    if !out.is_empty() {
-        let wlo = out.len().saturating_sub(WINDOW_SIZE);
-        inf.prime_window(&out[wlo..]);
-    }
-    while !inf.is_finished() && until.is_none_or(|t| base + inf.bit_position() < t) {
+    let mut inf = Inflater::new(payload);
+    inf.prime_window(&out[out.len().saturating_sub(WINDOW_SIZE)..]);
+    inf.resume_at(from_bit, from_bit)?;
+    while !inf.is_finished() && until.is_none_or(|t| inf.bit_position() < t) {
         inf.decode_block(usize::MAX)?;
     }
-    let end = base + inf.bit_position();
+    let end = inf.bit_position();
     let fin = inf.is_finished();
     out.extend_from_slice(inf.output());
     Ok((end, fin))
@@ -1229,20 +1233,16 @@ fn repair_to(
 fn decode_chunk(payload: &[u8], bounds: &[u64], k: usize) -> Option<(Body, u64, bool)> {
     let stop = bounds.get(k).copied();
     if k == 0 {
-        let mut inf = Inflater::new(payload);
-        while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
-            inf.decode_block(usize::MAX).ok()?;
-        }
-        let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
-        Some((Body::Bytes(inf.into_output()), end_bit, finished))
-    } else {
-        let mut inf = MarkerInflater::new_at(payload, bounds[k - 1]).ok()?;
-        while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
-            inf.decode_block(usize::MAX).ok()?;
-        }
-        let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
-        Some((Body::Cells(inf.into_parts().0), end_bit, finished))
+        let mut out = Vec::new();
+        let (end_bit, finished) = repair_to(payload, &mut out, 0, stop).ok()?;
+        return Some((Body::Bytes(out), end_bit, finished));
     }
+    let mut inf = MarkerInflater::new_at(payload, bounds[k - 1]).ok()?;
+    while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
+        inf.decode_block(usize::MAX).ok()?;
+    }
+    let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
+    Some((Body::Cells(inf.into_parts().0), end_bit, finished))
 }
 
 #[cfg(test)]
@@ -1399,17 +1399,21 @@ mod tests {
         assert!(SeekIndex::from_bytes(&bad).is_err());
     }
 
-    /// A one-checkpoint v2 wire index whose window record is `runs` over
-    /// `wlen` bytes, behind a member-start checkpoint.
-    fn wire(runs: &[(u16, u16)], wlen: u32, bit_offsets: [u64; 2]) -> Vec<u8> {
+    /// A two-checkpoint wire index, a member start and one whose window
+    /// record is `runs` over `wlen` bytes; `at` holds each checkpoint's
+    /// `(bit_offset, block_bit)`.
+    fn wire(runs: &[(u16, u16)], wlen: u32, at: [(u64, u64); 2]) -> Vec<u8> {
         let mut w = SEEK_INDEX_MAGIC.to_vec();
         w.extend([SEEK_INDEX_VERSION, 1]);
         w.extend(100_000u64.to_le_bytes());
         w.extend(2u32.to_le_bytes());
-        w.extend(bit_offsets[0].to_le_bytes());
-        w.extend([0u8; 8 + 4 + 2]);
-        w.extend(bit_offsets[1].to_le_bytes());
+        w.extend(at[0].0.to_le_bytes());
+        w.extend(0u64.to_le_bytes());
+        w.extend(at[0].1.to_le_bytes());
+        w.extend([0u8; 4 + 2]);
+        w.extend(at[1].0.to_le_bytes());
         w.extend(70_000u64.to_le_bytes());
+        w.extend(at[1].1.to_le_bytes());
         w.extend(wlen.to_le_bytes());
         w.extend((runs.len() as u16).to_le_bytes());
         for (offset, len) in runs {
@@ -1420,10 +1424,17 @@ mod tests {
         w
     }
 
+    /// Checkpoints at block boundaries `a` and `b`.
+    fn bounds(a: u64, b: u64) -> [(u64, u64); 2] {
+        [(a, a), (b, b)]
+    }
+
     #[test]
     fn from_bytes_rejects_runs_that_break_the_window() {
-        let ok = SeekIndex::from_bytes(&wire(&[(10, 5), (15, 1), (32_760, 8)], 14, [80, 900]));
-        let cp = &ok.expect("a well-formed index loads").checkpoints[1];
+        let ok = wire(&[(10, 5), (15, 1), (32_760, 8)], 14, bounds(80, 900));
+        let cp = &SeekIndex::from_bytes(&ok)
+            .expect("a well-formed index loads")
+            .checkpoints[1];
         assert_eq!((cp.runs.len(), cp.window.len()), (3, 14));
         let mut dict = Vec::new();
         cp.window_into(&mut dict);
@@ -1432,18 +1443,36 @@ mod tests {
             (dict[..6].to_vec(), dict[6], dict[dict.len() - 8]),
             (vec![7; 6], 0, 7)
         );
+        // Inside a block: the second checkpoint's block began at bit 80 too.
+        let inside = wire(&[(100, 4)], 4, [(80, 80), (900, 80)]);
+        let cp = &SeekIndex::from_bytes(&inside).expect("loads").checkpoints[1];
+        assert_eq!((cp.bit_offset, cp.block_bit), (900, 80));
         for (what, bad) in [
-            ("unsorted", wire(&[(100, 4), (50, 4)], 8, [80, 900])),
-            ("overlapping", wire(&[(100, 4), (103, 4)], 8, [80, 900])),
-            ("past the window", wire(&[(32_766, 4)], 4, [80, 900])),
-            ("empty run", wire(&[(100, 0), (200, 4)], 4, [80, 900])),
-            ("short of the payload", wire(&[(100, 4)], 8, [80, 900])),
+            ("unsorted", wire(&[(100, 4), (50, 4)], 8, bounds(80, 900))),
+            (
+                "overlapping",
+                wire(&[(100, 4), (103, 4)], 8, bounds(80, 900)),
+            ),
+            ("past the window", wire(&[(32_766, 4)], 4, bounds(80, 900))),
+            ("empty run", wire(&[(100, 0), (200, 4)], 4, bounds(80, 900))),
+            (
+                "short of the payload",
+                wire(&[(100, 4)], 8, bounds(80, 900)),
+            ),
             (
                 "beyond the payload",
-                wire(&[(100, 4), (200, 8)], 8, [80, 900]),
+                wire(&[(100, 4), (200, 8)], 8, bounds(80, 900)),
             ),
-            ("bit offsets descend", wire(&[(100, 4)], 4, [900, 80])),
-            ("bit offsets repeat", wire(&[(100, 4)], 4, [80, 80])),
+            ("bit offsets descend", wire(&[(100, 4)], 4, bounds(900, 80))),
+            ("bit offsets repeat", wire(&[(100, 4)], 4, bounds(80, 80))),
+            (
+                "block bit past its bit offset",
+                wire(&[(100, 4)], 4, [(80, 80), (900, 901)]),
+            ),
+            (
+                "block bits descend",
+                wire(&[(100, 4)], 4, [(80, 70), (900, 60)]),
+            ),
         ] {
             let got = SeekIndex::from_bytes(&bad);
             assert!(

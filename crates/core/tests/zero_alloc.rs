@@ -72,10 +72,11 @@ fn allocs() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
-/// Bytes of one checkpoint's record in a serialized (v2) seek index, which
-/// opens with an 18-byte header.
+/// Bytes of one checkpoint's record in a serialized (v3) seek index, which
+/// opens with an 18-byte header: bit offset, output offset, block bit,
+/// window length, run count, runs, window.
 fn record_len(cp: &nx_core::SeekCheckpoint) -> usize {
-    8 + 8 + 4 + 2 + 4 * cp.runs.len() + cp.window.len()
+    8 + 8 + 8 + 4 + 2 + 4 * cp.runs.len() + cp.window.len()
 }
 
 const FORMATS: [Format; 3] = [Format::RawDeflate, Format::Gzip, Format::Zlib];
@@ -225,6 +226,36 @@ fn scratch_session_steady_state_allocation_profile() {
     let large = LARGE_ALLOCATIONS.load(Ordering::SeqCst) - large_before;
     assert_eq!((allocs() - before, large), (1, 1), "a warm 64 KiB read");
 
+    // --- A read that fails hands its state back: the next one is warm. ---
+    // Every `?` in the read loop used to drop the pooled state (up to the
+    // commit before issue 25), so the read after a failure rebuilt its
+    // tables and output buffer. A stored member's checkpoints sit inside
+    // stored payloads; one moved off its byte is refused, typed, on entry.
+    let noise = nx_corpus::CorpusKind::Random.generate(0xA110C, 4 * LARGE);
+    let stored = nx_deflate::gzip::compress(&noise, nx_deflate::CompressionLevel::new(0).unwrap());
+    let honest = nx.build_index(&stored, Format::Gzip).expect("valid");
+    let cp = &honest.checkpoints()[1];
+    assert!(cp.block_bit < cp.bit_offset, "inside a stored block");
+    let mut wire = honest.to_bytes();
+    let at = 18 + record_len(&honest.checkpoints()[0]);
+    wire[at..at + 8].copy_from_slice(&(cp.bit_offset + 1).to_le_bytes());
+    let forged = SeekIndex::from_bytes(&wire).expect("offsets still ascend");
+    let offset = cp.out_offset as usize + 10;
+    let read = |index: &SeekIndex| nx.decompress_at(&stored, index, offset as u64, 4096);
+    for _ in 0..WARMUP {
+        assert_eq!(
+            read(&honest).expect("in range"),
+            noise[offset..offset + 4096]
+        );
+    }
+    assert_eq!(read(&forged), Err(nx_core::Error::InvalidSeekIndex));
+    let before = allocs();
+    assert_eq!(
+        read(&honest).expect("in range"),
+        noise[offset..offset + 4096]
+    );
+    assert_eq!(allocs() - before, 1, "a warm read after a failed one");
+
     // --- An untrusted index cannot make a read cost more than its range. ---
     // 64 MiB of zeros is one run of distance-1 matches: any entry point
     // into it decodes on for megabytes if nothing stops it.
@@ -235,7 +266,7 @@ fn scratch_session_steady_state_allocation_profile() {
     let wire = honest.to_bytes();
     // Every checkpoint after the first claims to sit 4 KiB from the end
     // (the record is bit offset, then output offset), and one entry point
-    // is moved off its block boundary.
+    // is moved off its token boundary.
     let mut forged = wire.clone();
     let mut at = 18;
     for (i, cp) in honest.checkpoints().iter().enumerate() {

@@ -287,6 +287,16 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// Moves to bit `bit` of the input in O(1), dropping what is buffered: a
+    /// block's middle, or the start of a token an engine could not finish.
+    pub(crate) fn seek(&mut self, bit: u64) -> Result<()> {
+        let pos = usize::try_from(bit / 8)
+            .ok()
+            .filter(|&p| p <= self.data.len());
+        (self.pos, self.acc, self.nbits) = (pos.ok_or(Error::UnexpectedEof)?, 0, 0);
+        self.read_bits((bit % 8) as u32).map(drop)
+    }
+
     /// Total bits consumed from the underlying slice so far.
     pub fn bits_consumed(&self) -> u64 {
         self.pos as u64 * 8 - u64::from(self.nbits)

@@ -400,9 +400,98 @@ fn initial_capacity(input_len: usize) -> usize {
     input_len.saturating_mul(4).clamp(4096, 1 << 20)
 }
 
-/// Yields the literal/length and distance tables of the dynamic-block
+/// The block an engine stands in between two tokens, `start` being its header's bit:
+/// dacha's `CompressedBlockBody` minus `pending_ref`, as no engine stops inside a token.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Open {
+    start: u64,
+    pub(crate) last: bool,
+    pub(crate) body: Body,
+}
+
+/// A stored block's payload bytes still to come, or where a Huffman block's
+/// tables are: the fixed pair, the scratch's shared pair, or a kept way's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body {
+    Stored(u16),
+    Fixed,
+    Shared,
+    Kept(usize),
+}
+
+impl InflateScratch {
+    /// The `(litlen, dist)` pair of a Huffman block's `body`.
+    pub(crate) fn tables(&self, body: Body) -> (&DecodeTable, &DecodeTable) {
+        match body {
+            Body::Shared => (&self.litlen, &self.dist),
+            Body::Kept(at) => (&self.ways[at].litlen, &self.ways[at].dist),
+            _ => (&fixed_decode_tables().0, &fixed_decode_tables().1),
+        }
+    }
+}
+
+/// Reads the block header at `reader` — through the table memo, a stored
+/// block's through LEN/NLEN — and opens the block.
+pub(crate) fn open_block(reader: &mut BitReader, scratch: &mut InflateScratch) -> Result<Open> {
+    let start = reader.bits_consumed();
+    let last = reader.read_bits(1)? == 1;
+    let body = match reader.read_bits(2)? {
+        0b00 => {
+            reader.align_to_byte();
+            let len_nlen = reader.read_bits(32)?;
+            let len = len_nlen as u16;
+            (len == !(len_nlen >> 16) as u16)
+                .then_some(Body::Stored(len))
+                .ok_or(Error::StoredLengthMismatch)?
+        }
+        0b01 => Body::Fixed,
+        0b10 => read_dynamic_tables(reader, scratch)?,
+        _ => return Err(Error::ReservedBlockType),
+    };
+    Ok(Open { start, last, body })
+}
+
+/// Moves `reader` to `block_bit`, opens the block whose header is there and
+/// moves on to `bit_offset`, a token boundary in it (in a stored payload, a
+/// byte): the one way into a block's middle, O(1) in the body it skips.
+/// `None`, no block open, when the two are equal: a block boundary.
+pub(crate) fn enter_block(
+    reader: &mut BitReader,
+    scratch: &mut InflateScratch,
+    block_bit: u64,
+    bit_offset: u64,
+) -> Result<Option<Open>> {
+    reader.seek(block_bit)?;
+    if bit_offset == block_bit {
+        return Ok(None);
+    }
+    let mut open = open_block(reader, scratch)?;
+    let into = bit_offset.checked_sub(reader.bits_consumed());
+    let into = into.ok_or(Error::UnexpectedEof)?;
+    if let Body::Stored(left) = &mut open.body {
+        let bytes = u16::try_from(into / 8)
+            .ok()
+            .filter(|&n| into % 8 == 0 && n <= *left);
+        *left -= bytes.ok_or(Error::UnexpectedEof)?;
+    }
+    reader.seek(bit_offset).map(|()| Some(open))
+}
+
+/// How many of a stored block's `left` payload bytes to copy with `room`
+/// bytes of output to go, and why fewer stop: the limit or the input.
+pub(crate) fn stored_share(left: u16, room: usize, reader: &BitReader) -> (usize, Result<()>) {
+    let avail = (reader.bits_remaining() / 8).min(u64::from(left)) as usize;
+    let n = avail.min(room);
+    match n < usize::from(left) {
+        false => (n, Ok(())),
+        true if n < avail => (n, Err(Error::OutputLimitExceeded)),
+        true => (n, Err(Error::UnexpectedEof)),
+    }
+}
+
+/// Says where the literal/length and distance tables of the dynamic-block
 /// header at `reader` (HLIT/HDIST/HCLEN, the code-length code, and the
-/// run-length-encoded lengths), consuming it: from `scratch`'s table memo
+/// run-length-encoded lengths) are, consuming it: in `scratch`'s table memo
 /// when it holds this very header, else parsed and built in place.
 ///
 /// Shared by the regular [`Inflater`], the marker-mode decoder
@@ -410,10 +499,7 @@ fn initial_capacity(input_len: usize) -> usize {
 /// probe — the header's internal consistency checks (alphabet bounds, the
 /// Kraft inequality via table construction, a present end-of-block code)
 /// are exactly what makes bit-offset probing for block starts reliable.
-pub(crate) fn read_dynamic_tables<'s>(
-    reader: &mut BitReader,
-    scratch: &'s mut InflateScratch,
-) -> Result<(&'s DecodeTable, &'s DecodeTable)> {
+fn read_dynamic_tables(reader: &mut BitReader, scratch: &mut InflateScratch) -> Result<Body> {
     let (cl, lengths) = (&mut scratch.cl, &mut scratch.lengths);
     let mut remembered = scratch.ways.iter().enumerate();
     let kept = match remembered.find_map(|(i, w)| Some((i, w.recall(reader)?))) {
@@ -446,10 +532,7 @@ pub(crate) fn read_dynamic_tables<'s>(
             None
         }
     };
-    Ok(match kept {
-        Some(at) => (&scratch.ways[at].litlen, &scratch.ways[at].dist),
-        None => (&scratch.litlen, &scratch.dist),
-    })
+    Ok(kept.map_or(Body::Shared, Body::Kept))
 }
 
 /// Parses the header at `reader` and rebuilds `litlen` / `dist` in place.
@@ -532,6 +615,11 @@ pub struct Inflater<'a> {
     /// Bytes of preset dictionary at the front of `out` (never returned).
     primed: usize,
     finished: bool,
+    /// The block the engine stopped inside, if it did.
+    pub(crate) open: Option<Open>,
+    /// Where the careful loop's token began, for a failing one to go back to
+    /// (a field: as a local, live across the token, it cost 2 KiB streams 4–6 %).
+    token_bit: u64,
     trace: Option<Box<Tracer>>,
     scratch: InflateScratch,
     fast_enabled: bool,
@@ -547,31 +635,21 @@ impl<'a> Inflater<'a> {
         Self::with_reuse(data, InflateScratch::default(), out)
     }
 
-    /// Creates an engine positioned at an arbitrary **bit** offset into
-    /// `data` — the random-access entry point used by the seek index: a
-    /// deflate block boundary recorded earlier need not fall on a byte.
-    ///
-    /// The input is sliced at the containing byte and the residual bits
-    /// are skipped, so stored-block byte alignment (which RFC 1951
-    /// defines relative to the stream start) is preserved. Callers that
-    /// enter mid-stream usually also need
-    /// [`prime_window`](Self::prime_window) with the 32 KB window recorded
-    /// alongside the offset.
+    /// Enters the block whose header begins at bit `block_bit` at
+    /// `bit_offset`, a token boundary inside it: where
+    /// [`block_bit`](Self::block_bit) and [`bit_position`](Self::bit_position)
+    /// stood when a decode stopped there. Reads the header (through the
+    /// table memo) and moves the reader, in O(1) of the body skipped; equal
+    /// offsets are a block boundary and read nothing. Offsets count from the
+    /// start of this engine's input, whose byte alignment stored blocks keep.
     ///
     /// # Errors
     ///
-    /// [`Error::UnexpectedEof`] if `bit_offset` lies beyond `data`.
-    pub fn new_at(data: &'a [u8], bit_offset: u64) -> Result<Self> {
-        let byte = usize::try_from(bit_offset / 8).map_err(|_| Error::UnexpectedEof)?;
-        if byte >= data.len() {
-            return Err(Error::UnexpectedEof);
-        }
-        let mut inf = Self::new(&data[byte..]);
-        let rem = (bit_offset % 8) as u32;
-        if rem > 0 {
-            inf.reader.read_bits(rem)?;
-        }
-        Ok(inf)
+    /// The header's own; [`Error::UnexpectedEof`] if an offset lies past
+    /// the input or `bit_offset` is no point of the block.
+    pub fn resume_at(&mut self, block_bit: u64, bit_offset: u64) -> Result<()> {
+        self.open = enter_block(&mut self.reader, &mut self.scratch, block_bit, bit_offset)?;
+        Ok(())
     }
 
     /// Creates an engine that reuses a previous decode's scratch tables
@@ -583,6 +661,8 @@ impl<'a> Inflater<'a> {
             out,
             primed: 0,
             finished: false,
+            open: None,
+            token_bit: 0,
             trace: None,
             scratch,
             fast_enabled: true,
@@ -631,23 +711,6 @@ impl<'a> Inflater<'a> {
         self.primed = d.len();
     }
 
-    /// Consumes `n` bits without interpreting them — positions the engine
-    /// mid-stream (the streaming decoder re-enters at a block boundary it
-    /// recorded earlier).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnexpectedEof`] if fewer than `n` bits are available.
-    pub fn skip_bits(&mut self, n: u64) -> Result<()> {
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(32) as u32;
-            self.reader.read_bits(take)?;
-            left -= u64::from(take);
-        }
-        Ok(())
-    }
-
     /// Runs the state machine to stream end.
     ///
     /// # Errors
@@ -660,7 +723,10 @@ impl<'a> Inflater<'a> {
         Ok(())
     }
 
-    /// Decodes exactly one block (header + body).
+    /// Decodes one block (header + body), or the rest of the one it stopped
+    /// inside: a call that hits `limit` or the end of the input stops where
+    /// the token that does not fit begins (the block stays open), one that
+    /// cannot read a header where the block begins.
     ///
     /// # Errors
     ///
@@ -668,36 +734,36 @@ impl<'a> Inflater<'a> {
     pub fn decode_block(&mut self, limit: usize) -> Result<()> {
         let start_bits = self.reader.bits_consumed();
         let out_start = self.out.len();
-        let bfinal = self.reader.read_bits(1)? == 1;
-        let btype = self.reader.read_bits(2)? as u8;
-        let header_end_bits;
-        match btype {
-            0b00 => {
-                header_end_bits = self.stored_block(limit)?;
-            }
-            0b01 => {
-                header_end_bits = self.reader.bits_consumed();
-                let (litlen, dist) = fixed_decode_tables();
-                self.huffman_block(litlen, dist, limit)?;
-            }
-            0b10 => {
-                // The scratch tables are moved out for the duration of the
-                // block so the table borrows don't pin `self`, and moved
-                // back unconditionally to keep their capacity for reuse.
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let built = read_dynamic_tables(&mut self.reader, &mut scratch);
-                header_end_bits = self.reader.bits_consumed();
-                let res = built.and_then(|(litlen, dist)| self.huffman_block(litlen, dist, limit));
+        let open = match self.open {
+            Some(open) => open,
+            None => open_block(&mut self.reader, &mut self.scratch)
+                .or_else(|e| self.reader.seek(start_bits).and(Err(e)))?,
+        };
+        let header_end_bits = self.reader.bits_consumed();
+        self.open = Some(open);
+        match open.body {
+            Body::Stored(left) => self.stored_block(left, limit)?,
+            tables => {
+                // The scratch is moved out for the body so the table borrows
+                // don't pin `self`, and moved back unconditionally to keep
+                // its capacity for reuse.
+                let scratch = std::mem::take(&mut self.scratch);
+                let (litlen, dist) = scratch.tables(tables);
+                let res = self.huffman_block(litlen, dist, limit);
                 self.scratch = scratch;
                 res?;
             }
-            _ => return Err(Error::ReservedBlockType),
         }
+        self.open = None;
         if let Some(t) = &mut self.trace {
             let output_bytes = (self.out.len() - out_start) as u64;
             // Stored bytes are no symbols; elsewhere the literals produced
             // what the matches did not.
-            let huffman_bytes = if btype == 0 { 0 } else { output_bytes };
+            let (btype, huffman_bytes) = match open.body {
+                Body::Stored(_) => (0, 0),
+                Body::Fixed => (1, output_bytes),
+                _ => (2, output_bytes),
+            };
             t.trace.blocks.push(BlockTrace {
                 btype,
                 header_bits: header_end_bits - start_bits,
@@ -708,10 +774,14 @@ impl<'a> Inflater<'a> {
             });
             t.match_bytes = 0;
         }
-        if bfinal {
-            self.finished = true;
-        }
+        self.finished |= open.last;
         Ok(())
+    }
+
+    /// Bit at which the block the engine stands in began: the open block's
+    /// header, or [`bit_position`](Self::bit_position) between blocks.
+    pub fn block_bit(&self) -> u64 {
+        self.open.map_or(self.bit_position(), |open| open.start)
     }
 
     /// Whether the final block has been decoded.
@@ -748,25 +818,17 @@ impl<'a> Inflater<'a> {
         Ok(())
     }
 
-    /// Decodes a stored block body, returning the absolute bit position at
-    /// which the header (through NLEN) ended.
-    fn stored_block(&mut self, limit: usize) -> Result<u64> {
-        self.reader.align_to_byte();
-        let mut hdr = [0u8; 4];
-        self.reader.read_bytes(&mut hdr)?;
-        let header_end = self.reader.bits_consumed();
-        let len = u16::from_le_bytes([hdr[0], hdr[1]]);
-        let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
-        if len != !nlen {
-            return Err(Error::StoredLengthMismatch);
-        }
-        if self.out.len() - self.primed + usize::from(len) > limit {
-            return Err(Error::OutputLimitExceeded);
-        }
+    /// Copies what fits of a stored block's `left` payload bytes.
+    fn stored_block(&mut self, left: u16, limit: usize) -> Result<()> {
+        let room = limit.saturating_sub(self.out.len() - self.primed);
+        let (n, stop) = stored_share(left, room, &self.reader);
         let start = self.out.len();
-        self.out.resize(start + usize::from(len), 0);
+        self.out.resize(start + n, 0);
         self.reader.read_bytes(&mut self.out[start..])?;
-        Ok(header_end)
+        if let Some(Open { body, .. }) = &mut self.open {
+            *body = Body::Stored(left - n as u16);
+        }
+        stop
     }
 
     fn huffman_block(
@@ -785,10 +847,13 @@ impl<'a> Inflater<'a> {
                 (true, false) => self.fast_loop::<false>(litlen, dist, limit),
                 (false, _) => {}
             }
+            // A token that fails is not begun: the reader goes back to its
+            // start, where the block resumes after the limit or end of input.
+            self.token_bit = self.reader.bits_consumed();
             match self.careful_token(litlen, dist, limit, &mut careful_bytes) {
                 Ok(true) => break Ok(()),
                 Ok(false) => {}
-                Err(e) => break Err(e),
+                Err(e) => break self.reader.seek(self.token_bit).and(Err(e)),
             }
         };
         if careful_bytes > 0 {

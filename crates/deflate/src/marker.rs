@@ -24,15 +24,15 @@
 //!    trailing window is known, [`resolve_markers_into`] rewrites the
 //!    cell buffer into plain bytes in one cheap sequential pass.
 //!
-//! The marker decoder deliberately reuses the regular decoder's tables
-//! and header parser ([`crate::decoder::read_dynamic_tables`]): both
+//! The marker decoder deliberately reuses the regular decoder's tables,
+//! header parser and block entry ([`crate::Inflater::resume_at`]): both
 //! paths accept exactly the same streams, which is what lets the
 //! parallel driver fall back to serial inflate with identical results
 //! (including identical errors) whenever speculation misses.
 
 use crate::bitio::BitReader;
-use crate::decoder::{fixed_decode_tables, read_dynamic_tables, InflateScratch};
-use crate::huffman::decode::{m_extra, m_payload, M_EOB, M_EXC, M_LIT};
+use crate::decoder::{enter_block, open_block, stored_share, Body, InflateScratch, Open};
+use crate::huffman::decode::{m_extra, m_payload, DecodeTable, M_EOB, M_EXC, M_LIT};
 use crate::{Error, Result, WINDOW_SIZE};
 
 /// First cell value that encodes a window reference instead of a
@@ -60,10 +60,11 @@ const DEEP_CELLS: usize = 4096;
 /// sequences of empty blocks stay bounded by it.
 const MAX_TRIAL_BLOCKS: usize = 64;
 
-/// An inflate engine that enters a stream at an arbitrary bit offset
-/// and decodes into marker cells (see the module docs). Structurally a
-/// careful-path-only sibling of [`crate::Inflater`]; drives the same
-/// bit reader, tables, and header parser.
+/// An inflate engine that enters a stream at an arbitrary bit offset —
+/// a block boundary, or a token inside a block — and decodes into marker
+/// cells (see the module docs). Structurally a careful-path-only sibling of
+/// [`crate::Inflater`]; drives the same bit reader, tables, header parser
+/// and block entry. Unlike it, it does not resume after stopping.
 #[derive(Debug)]
 pub struct MarkerInflater<'a> {
     reader: BitReader<'a>,
@@ -73,6 +74,8 @@ pub struct MarkerInflater<'a> {
     base_bits: u64,
     out: Vec<u16>,
     finished: bool,
+    /// The block entered in the middle, until its rest is decoded.
+    open: Option<Open>,
     scratch: InflateScratch,
 }
 
@@ -85,37 +88,39 @@ impl<'a> MarkerInflater<'a> {
     ///
     /// [`Error::UnexpectedEof`] if the offset lies beyond the input.
     pub fn new_at(data: &'a [u8], bit_offset: u64) -> Result<Self> {
-        Self::with_reuse_at(data, bit_offset, InflateScratch::default(), Vec::new())
+        let at = (bit_offset, bit_offset);
+        Self::with_reuse_at(data, at, InflateScratch::default(), Vec::new())
     }
 
-    /// As [`new_at`](Self::new_at), but reusing a previous decode's
-    /// scratch tables and cell buffer (cleared, capacity kept) — the
-    /// zero-allocation steady state for workers and the probe.
+    /// As [`new_at`](Self::new_at), but entering at `(block_bit,
+    /// bit_offset)` as [`crate::Inflater::resume_at`] does (equal offsets: a
+    /// block boundary) and reusing a previous decode's scratch tables and
+    /// cell buffer (cleared, capacity kept) — the zero-allocation steady
+    /// state for workers, the probe and the seek index's marker pass.
     ///
     /// # Errors
     ///
-    /// As [`new_at`](Self::new_at).
+    /// As [`crate::Inflater::resume_at`].
+    // Inlined into the probe's per-candidate trial: out of line it cost ~20 %.
+    #[inline(always)]
     pub fn with_reuse_at(
         data: &'a [u8],
-        bit_offset: u64,
-        scratch: InflateScratch,
+        (block_bit, bit_offset): (u64, u64),
+        mut scratch: InflateScratch,
         mut out: Vec<u16>,
     ) -> Result<Self> {
-        let byte = usize::try_from(bit_offset / 8).map_err(|_| Error::UnexpectedEof)?;
-        if byte >= data.len() {
-            return Err(Error::UnexpectedEof);
-        }
+        let byte = usize::try_from(block_bit / 8).map_err(|_| Error::UnexpectedEof)?;
+        let mut reader = BitReader::new(data.get(byte..).ok_or(Error::UnexpectedEof)?);
+        let base_bits = block_bit / 8 * 8;
+        let (block, at) = (block_bit % 8, bit_offset.saturating_sub(base_bits));
+        let open = enter_block(&mut reader, &mut scratch, block, at)?;
         out.clear();
-        let mut reader = BitReader::new(&data[byte..]);
-        let rem = (bit_offset % 8) as u32;
-        if rem > 0 {
-            reader.read_bits(rem)?;
-        }
         Ok(Self {
             reader,
-            base_bits: bit_offset - u64::from(rem),
+            base_bits,
             out,
             finished: false,
+            open,
             scratch,
         })
     }
@@ -144,72 +149,55 @@ impl<'a> MarkerInflater<'a> {
         (self.out, self.scratch)
     }
 
-    /// Decodes exactly one block (header + body) into cells, failing
-    /// with [`Error::OutputLimitExceeded`] once the buffer would exceed
-    /// `limit` cells.
+    /// Decodes one block (header + body) into cells — the first call, the
+    /// rest of the block entered — failing with
+    /// [`Error::OutputLimitExceeded`] once the buffer would exceed `limit`
+    /// cells.
     ///
     /// # Errors
     ///
     /// Any [`Error`] the serial decoder would report for the same
     /// construct, plus the limit above.
     pub fn decode_block(&mut self, limit: usize) -> Result<()> {
-        let bfinal = self.reader.read_bits(1)? == 1;
-        let btype = self.reader.read_bits(2)? as u8;
-        match btype {
-            0b00 => self.stored_block(limit)?,
-            0b01 => {
-                let (litlen, dist) = fixed_decode_tables();
-                self.huffman_block(litlen, dist, limit)?;
+        let open = self.open.take();
+        let open = open.map_or_else(|| open_block(&mut self.reader, &mut self.scratch), Ok)?;
+        match open.body {
+            // All there, so a probe that hits the limit inside has proven it.
+            Body::Stored(len) if u64::from(len) * 8 > self.reader.bits_remaining() => {
+                return Err(Error::UnexpectedEof);
             }
-            0b10 => {
+            Body::Stored(len) => self.stored_block(len, limit)?,
+            tables => {
                 // Tables move out for the block so their borrows don't
                 // pin `self`; moved back unconditionally for reuse.
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let res = read_dynamic_tables(&mut self.reader, &mut scratch)
-                    .and_then(|(litlen, dist)| self.huffman_block(litlen, dist, limit));
+                let scratch = std::mem::take(&mut self.scratch);
+                let (litlen, dist) = scratch.tables(tables);
+                let res = self.huffman_block(litlen, dist, limit);
                 self.scratch = scratch;
                 res?;
             }
-            _ => return Err(Error::ReservedBlockType),
         }
-        if bfinal {
-            self.finished = true;
-        }
+        self.finished |= open.last;
         Ok(())
     }
 
-    fn stored_block(&mut self, limit: usize) -> Result<()> {
-        self.reader.align_to_byte();
-        let mut hdr = [0u8; 4];
-        self.reader.read_bytes(&mut hdr)?;
-        let len = u16::from_le_bytes([hdr[0], hdr[1]]);
-        let nlen = u16::from_le_bytes([hdr[2], hdr[3]]);
-        if len != !nlen {
-            return Err(Error::StoredLengthMismatch);
-        }
-        // Validate availability up front so a probe hitting the limit
-        // below has still proven the payload is in bounds.
-        if u64::from(len) * 8 > self.reader.bits_remaining() {
-            return Err(Error::UnexpectedEof);
-        }
-        if self.out.len() + usize::from(len) > limit {
-            return Err(Error::OutputLimitExceeded);
-        }
-        let mut left = usize::from(len);
+    fn stored_block(&mut self, len: u16, limit: usize) -> Result<()> {
+        let (n, stop) = stored_share(len, limit.saturating_sub(self.out.len()), &self.reader);
         let mut buf = [0u8; 512];
-        while left > 0 {
-            let take = left.min(buf.len());
+        for at in (0..n).step_by(buf.len()) {
+            let take = (n - at).min(buf.len());
             self.reader.read_bytes(&mut buf[..take])?;
             self.out.extend(buf[..take].iter().map(|&b| u16::from(b)));
-            left -= take;
         }
-        Ok(())
+        stop
     }
 
+    // Out of line: inlined into the block bookkeeping, it measured 1–8 % slower.
+    #[inline(never)]
     fn huffman_block(
         &mut self,
-        litlen: &crate::huffman::decode::DecodeTable,
-        dist: &crate::huffman::decode::DecodeTable,
+        litlen: &DecodeTable,
+        dist: &DecodeTable,
         limit: usize,
     ) -> Result<()> {
         loop {
@@ -341,14 +329,15 @@ impl BlockProbe {
 
     /// One trial decode from `bit_offset`, chaining blocks until the
     /// cell `budget` is spent, the stream finishes, or a decode error
-    /// rejects the candidate. `decode_block` cannot resume mid-block
-    /// after a budget overrun, so each stage re-enters from the offset
-    /// afresh; the deep stage only runs for shallow survivors, keeping
-    /// the re-decode cost negligible.
+    /// rejects the candidate. Each stage enters from the offset afresh, so
+    /// its verdict (block count included) is a fresh decode's; the deep
+    /// stage only runs for shallow survivors, keeping the re-decode cost
+    /// negligible.
     fn trial(&mut self, data: &[u8], bit_offset: u64, budget: usize) -> bool {
         let scratch = std::mem::take(&mut self.scratch);
         let cells = std::mem::take(&mut self.cells);
-        let Ok(mut inf) = MarkerInflater::with_reuse_at(data, bit_offset, scratch, cells) else {
+        let at = (bit_offset, bit_offset);
+        let Ok(mut inf) = MarkerInflater::with_reuse_at(data, at, scratch, cells) else {
             return false;
         };
         let mut blocks = 0usize;

@@ -23,11 +23,13 @@
 //! ```
 
 use crate::bitio::BitWriter;
+use crate::decoder::{InflateScratch, Inflater, Open};
 use crate::encoder::{
     choose_and_encode_block, encode_fixed_block, CompressionLevel, Level, MAX_BLOCK_TOKENS,
 };
 use crate::lz77::{Engine, Histogram, Token, Tokenizer};
 use crate::WINDOW_SIZE;
+use std::mem::take;
 
 /// Chunk-boundary behaviour for [`StreamEncoder::write`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,13 +242,15 @@ impl StreamEncoder {
 }
 
 /// A push-based streaming decompressor: feed compressed bytes as they
-/// arrive, collect output as blocks complete.
+/// arrive, collect output as their tokens complete.
 ///
-/// Decoding is block-at-a-time: after each [`push`](InflateStream::push)
-/// the engine decodes every block that is now fully available and holds
-/// position at the first incomplete one. The 32 KB window is carried
-/// internally, so consumed input and produced output can both be dropped
-/// by the caller.
+/// Every [`push`](InflateStream::push) returns each byte whose token is
+/// complete in the input so far, not only whole blocks (image-png's
+/// `ZlibStream` progress guarantee): the engine stops where the input cuts
+/// a token off and the next push continues the same block there, on the
+/// tables it already has — no block is decoded twice. Consumed input is
+/// dropped up to that token (or up to the header it could not yet read),
+/// and the 32 KB window is carried internally, so the caller keeps neither.
 ///
 /// ```
 /// use nx_deflate::stream::InflateStream;
@@ -269,14 +273,15 @@ impl StreamEncoder {
 pub struct InflateStream {
     /// Unconsumed compressed input (compacted to whole bytes).
     buf: Vec<u8>,
-    /// Bit offset of the next undecoded block within `buf`.
-    bit_pos: u64,
+    /// Where the engine stood in `buf` when the input ran out: a bit and
+    /// the block open there, if any (its tables are in `scratch`).
+    at: (u64, Option<Open>),
     /// The carried output window (last ≤ 32 KB of produced output).
     window: Vec<u8>,
     /// Reusable decode tables + length scratch, carried across pushes so
     /// steady-state decoding stops allocating.
-    scratch: crate::decoder::InflateScratch,
-    /// Reusable per-block output buffer (swapped into each engine).
+    scratch: InflateScratch,
+    /// Reusable output buffer (swapped into each push's engine).
     block_out: Vec<u8>,
     finished: bool,
     total_out: u64,
@@ -298,8 +303,8 @@ impl InflateStream {
         self.total_out
     }
 
-    /// Feeds more compressed bytes; returns the output of every block
-    /// completed by this push.
+    /// Feeds more compressed bytes; returns the output of every token this
+    /// push completed.
     ///
     /// # Errors
     ///
@@ -310,63 +315,33 @@ impl InflateStream {
             return Ok(Vec::new());
         }
         self.buf.extend_from_slice(bytes);
-        let mut produced = Vec::new();
-        loop {
-            // Attempt one block from the current bit position on an engine
-            // primed with the carried window, recycling the decode tables
-            // and per-block output buffer across pushes.
-            let mut inf = crate::decoder::Inflater::with_reuse(
-                &self.buf,
-                std::mem::take(&mut self.scratch),
-                std::mem::take(&mut self.block_out),
-            );
-            inf.prime_window(&self.window);
-            if inf.skip_bits(self.bit_pos).is_err() {
-                // Not even the position's bits are present yet.
-                let (out, scratch) = inf.into_parts();
-                (self.block_out, self.scratch) = (out, scratch);
-                break;
-            }
-            let status = inf.decode_block(usize::MAX);
-            let (bit_pos, block_final) = (inf.bit_position(), inf.is_finished());
-            let (out, scratch) = inf.into_parts();
-            self.scratch = scratch;
-            match status {
-                Ok(()) => {
-                    self.bit_pos = bit_pos;
-                    self.total_out += out.len() as u64;
-                    // Update the carried window.
-                    self.window.extend_from_slice(&out);
-                    let excess = self.window.len().saturating_sub(crate::WINDOW_SIZE);
-                    if excess > 0 {
-                        self.window.drain(..excess);
-                    }
-                    if block_final {
-                        self.finished = true;
-                    }
-                    produced.extend_from_slice(&out);
-                    self.block_out = out;
-                    // Compact consumed whole bytes.
-                    let whole = (self.bit_pos / 8) as usize;
-                    if whole > 0 {
-                        self.buf.drain(..whole);
-                        self.bit_pos %= 8;
-                    }
-                    if self.finished {
-                        break;
-                    }
-                }
-                Err(crate::Error::UnexpectedEof) => {
-                    self.block_out = out;
-                    break; // need more input
-                }
-                Err(e) => {
-                    self.block_out = out;
-                    return Err(e);
-                }
-            }
+        // One engine per push, primed with the carried window and stood
+        // where the last one stopped, recycling tables and output buffer.
+        let (scratch, out) = (take(&mut self.scratch), take(&mut self.block_out));
+        let mut inf = Inflater::with_reuse(&self.buf, scratch, out);
+        inf.prime_window(&self.window);
+        let (bit, open) = self.at;
+        let status = inf.resume_at(bit, bit).and_then(|()| {
+            inf.open = open;
+            inf.run(usize::MAX)
+        });
+        (self.at, self.finished) = ((inf.bit_position(), inf.open), inf.is_finished());
+        (self.block_out, self.scratch) = inf.into_parts();
+        let out = &self.block_out;
+        self.total_out += out.len() as u64;
+        self.window
+            .extend_from_slice(&out[out.len().saturating_sub(WINDOW_SIZE)..]);
+        let excess = self.window.len().saturating_sub(WINDOW_SIZE);
+        self.window.drain(..excess);
+        // Compact consumed whole bytes.
+        self.buf.drain(..(self.at.0 / 8) as usize);
+        self.at.0 %= 8;
+        // The stream stands at the token that failed, if one did, so pushing
+        // again reports the same error.
+        match status {
+            Ok(()) | Err(crate::Error::UnexpectedEof) => Ok(out.clone()),
+            Err(e) => Err(e),
         }
-        Ok(produced)
     }
 
     /// Declares end of input.

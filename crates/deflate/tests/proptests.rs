@@ -286,6 +286,28 @@ proptest! {
     }
 
     #[test]
+    fn inflate_stream_matches_oneshot_at_any_push_boundaries(
+        data in structured_bytes(),
+        level in 0u32..=9,
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..12),
+    ) {
+        // Pushes cut anywhere — inside headers, LEN/NLEN, tokens — and each
+        // returns exactly what the tokens complete so far decode to.
+        let comp = deflate(&data, CompressionLevel::new(level).unwrap());
+        let mut points: Vec<usize> = cuts.iter().map(|c| c.index(comp.len() + 1)).collect();
+        points.extend([0, comp.len()]);
+        points.sort_unstable();
+        let mut dec = nx_deflate::InflateStream::new();
+        let mut out = Vec::new();
+        for w in points.windows(2) {
+            out.extend(dec.push(&comp[w[0]..w[1]]).unwrap());
+            prop_assert_eq!(&out, &complete_tokens(&comp[..w[1]]));
+        }
+        prop_assert!(dec.is_finished());
+        prop_assert_eq!(out, data);
+    }
+
+    #[test]
     fn adler32_combine_matches_concatenation(
         x in prop::collection::vec(any::<u8>(), 0..4096),
         y in prop::collection::vec(any::<u8>(), 0..4096),
@@ -342,4 +364,61 @@ proptest! {
             prop_assert_eq!(out, data);
         }
     }
+}
+
+/// What an engine decodes from `prefix` before the end of it cuts a header
+/// or token off: every byte whose token is complete.
+fn complete_tokens(prefix: &[u8]) -> Vec<u8> {
+    let mut inf = nx_deflate::Inflater::new(prefix);
+    let _ = inf.run(usize::MAX);
+    inf.output().to_vec()
+}
+
+/// A small stream of every block type — dynamic, stored, fixed, dynamic —
+/// pushed in two (and three) pieces split at every byte, so a boundary falls
+/// inside each header, each stored LEN/NLEN and each token's bits.
+#[test]
+fn inflate_stream_resumes_at_every_split_of_a_small_stream() {
+    use nx_deflate::bitio::BitWriter;
+    use nx_deflate::encoder::{encode_dynamic_block, encode_fixed_block, encode_stored_block};
+    let level = CompressionLevel::new(6).unwrap();
+    let parts: Vec<Vec<u8>> = (0..3)
+        .map(|i| nx_corpus::CorpusKind::Logs.generate(i, 300))
+        .collect();
+    let mut w = BitWriter::new();
+    encode_dynamic_block(&mut w, &nx_deflate::deflate_tokens(&parts[0], level), false);
+    encode_stored_block(&mut w, b"stored bytes between the coded ones", false);
+    encode_fixed_block(&mut w, &nx_deflate::deflate_tokens(&parts[1], level), false);
+    encode_dynamic_block(&mut w, &nx_deflate::deflate_tokens(&parts[2], level), true);
+    let comp = w.finish();
+    let data = [
+        &parts[0][..],
+        b"stored bytes between the coded ones",
+        &parts[1],
+        &parts[2],
+    ]
+    .concat();
+    // Where the first dynamic header and the stored block's LEN/NLEN lie.
+    let trace = nx_deflate::inflate_traced_into(&comp, 0, &mut Default::default(), &mut Vec::new());
+    let blocks = trace.expect("valid stream").blocks;
+    let header = ..blocks[0].header_bits.div_ceil(8) as usize;
+    let stored_at = (blocks[0].total_bits + blocks[1].header_bits) / 8;
+    let len_nlen = stored_at as usize - 4..stored_at as usize;
+    for split in 0..comp.len() {
+        for second in [split, split + 1] {
+            let mut dec = nx_deflate::InflateStream::new();
+            let mut out = dec.push(&comp[..split]).unwrap();
+            assert_eq!(out, complete_tokens(&comp[..split]), "split {split}");
+            out.extend(dec.push(&comp[split..second.min(comp.len())]).unwrap());
+            out.extend(dec.push(&comp[second.min(comp.len())..]).unwrap());
+            let inside = match split {
+                s if header.contains(&s) => "inside the dynamic header",
+                s if len_nlen.contains(&s) => "inside LEN/NLEN",
+                _ => "",
+            };
+            assert!(dec.is_finished(), "split {split} {inside}");
+            assert!(out == data, "split {split} {inside}");
+        }
+    }
+    assert!(header.end > 8 && len_nlen.start > header.end);
 }

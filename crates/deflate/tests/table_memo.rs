@@ -59,7 +59,7 @@ fn bytes_via(scratch: &mut InflateScratch, stream: &[u8]) -> Result<Vec<u8>, Err
 /// The marker-mode decoder calls `read_dynamic_tables` itself.
 fn cells_via(scratch: &mut InflateScratch, stream: &[u8]) -> Result<Vec<u16>, Error> {
     let tables = std::mem::take(scratch);
-    let mut pass = MarkerInflater::with_reuse_at(stream, 0, tables, Vec::new())?;
+    let mut pass = MarkerInflater::with_reuse_at(stream, (0, 0), tables, Vec::new())?;
     let mut status = Ok(());
     while status.is_ok() && !pass.is_finished() {
         status = pass.decode_block(1 << 20);

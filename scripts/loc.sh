@@ -66,7 +66,19 @@ cd "$(dirname "$0")/.."
 # canned header, the in-place writer and the layer docs. nx-core's
 # `framing::frame` (one place a compress path spells a container) came out
 # exactly even: 8024 stays.
-declare -A CAP=([accel]=1794 [deflate]=7543 [core]=8024 [sys]=1589)
+# Issue 25 (resumable in-block positions) raised nx-deflate 7543 -> 7582,
+# inside the 40 it allowed: the open-block state (`Open`, `Body`), the one
+# header reader both engines share (`open_block`), the entry at `(block_bit,
+# bit_offset)` (`enter_block`, `Inflater::resume_at` / `block_bit`,
+# `BitReader::seek`) and the stored block that stops at a byte
+# (`stored_share`), ~110 lines with their docs, against ~70 the change
+# deleted: `InflateStream`'s restart-from-the-header loop, `skip_bits`,
+# `Inflater::new_at`, and the two engines' copies of the LEN/NLEN parse and
+# the BTYPE dispatch. nx-core's checkpoints inside blocks, wire v3 and the
+# read that hands its pooled state back on every exit came out even against
+# the BTYPE peek in `decode_to` and two decode bodies folded into
+# `repair_to`: 8024 stays.
+declare -A CAP=([accel]=1794 [deflate]=7582 [core]=8024 [sys]=1589)
 
 total=0
 over=0
