@@ -3,78 +3,17 @@
 //! ```text
 //! cargo run --release -p nx-bench --bin tables -- all
 //! cargo run --release -p nx-bench --bin tables -- e1 e5 e10
-//! cargo run --release -p nx-bench --bin tables -- e17 --json out.json
 //! cargo run --release -p nx-bench --bin tables -- list
 //! ```
 //!
-//! `--json <path>` additionally writes the machine-readable metrics of
-//! every selected experiment that exposes them, as a JSON array of
-//! `{"experiment": id, "title": t, "metric": name, "value": v,
-//! "unit": u}` rows.
+//! E17–E26 also rewrite their `BENCH_*.json` file in the working
+//! directory (deterministic cells only).
 
 use nx_bench::exp;
 use std::process::ExitCode;
 
-/// One emitted JSON row: experiment id, experiment title, metric row.
-struct JsonRow<'a> {
-    experiment: &'a str,
-    title: &'a str,
-    row: exp::MetricRow,
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control chars) so
-/// titles and units can carry arbitrary text without a JSON dependency.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders metric rows as a JSON array — hand-rolled so the harness
-/// stays dependency-free.
-fn render_json(rows: &[JsonRow<'_>]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "  {{\"experiment\": \"{}\", \"title\": \"{}\", \"metric\": \"{}\", \
-             \"value\": {}, \"unit\": \"{}\"}}{sep}\n",
-            escape(r.experiment),
-            escape(r.title),
-            escape(r.row.name),
-            r.row.value,
-            escape(r.row.unit)
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--json requires a path argument");
-                return ExitCode::FAILURE;
-            }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let registry = exp::all();
 
     if args.is_empty() || args[0] == "list" {
@@ -82,7 +21,7 @@ fn main() -> ExitCode {
         for e in &registry {
             println!("  {:>4}  {}", e.id, e.title);
         }
-        println!("\nusage: tables all | <id> [<id> ...] [--json <path>]");
+        println!("\nusage: tables all | <id> [<id> ...]");
         return ExitCode::SUCCESS;
     }
 
@@ -102,7 +41,6 @@ fn main() -> ExitCode {
         sel
     };
 
-    let mut json_rows: Vec<JsonRow<'_>> = Vec::new();
     for e in &selected {
         let t0 = std::time::Instant::now();
         let report = (e.run)();
@@ -112,23 +50,6 @@ fn main() -> ExitCode {
             e.id,
             t0.elapsed().as_secs_f64()
         );
-        if let Some(metrics) = e.metrics {
-            for row in metrics() {
-                json_rows.push(JsonRow {
-                    experiment: e.id,
-                    title: e.title,
-                    row,
-                });
-            }
-        }
-    }
-
-    if let Some(path) = json_path {
-        if let Err(err) = std::fs::write(&path, render_json(&json_rows)) {
-            eprintln!("failed to write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[wrote {} metric row(s) to {path}]", json_rows.len());
     }
     ExitCode::SUCCESS
 }

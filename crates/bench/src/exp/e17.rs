@@ -1,156 +1,89 @@
-//! E17 — Sharded parallel compression engine scaling.
+//! E17 — Sharded parallel compression engine: what sharding costs in bytes.
 //!
-//! Measures the `nx_core::parallel` pigz-style engine (shards primed
-//! with the previous shard's trailing 32 KB, sync-flush boundaries,
-//! CRC folded with `crc32_combine`) against the single-threaded
-//! `nx_core::software::compress` baseline on a 16 MiB mixed corpus,
-//! at 1/2/4/8 workers. This is the software analogue of handing one
-//! stream to multiple accelerator engines: the shard seams cost a few
-//! tenths of a percent of ratio, the dictionary hand-off keeps
-//! cross-shard matches, and the coordinator never touches the payload.
+//! Runs the `nx_core::parallel` pigz-style engine (shards primed with the
+//! previous shard's trailing 32 KB, sync-flush boundaries, CRC folded with
+//! `crc32_combine`) against the single-threaded
+//! `nx_core::software::compress` baseline on a 16 MiB mixed corpus, at
+//! 1/2/4/8 workers. This is the software analogue of handing one stream to
+//! multiple accelerator engines: the shard seams cost a few tenths of a
+//! percent of ratio, the dictionary hand-off keeps cross-shard matches, and
+//! the output is the same stream whichever worker count wrote it.
 //!
-//! Speedup tracks the *host's* core count: on a single-core container
-//! the workers time-slice and speedup stays ≈ 1×, so the report prints
-//! the detected parallelism next to the numbers.
+//! `run()` writes `BENCH_PARALLEL.json` (bytes, ratios, shard counts,
+//! identity). Scaling is a host-clock figure: `nxbench parallel_io`
+//! `compress_mb_per_s` and, traced, `core.parallel_scaling`.
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_core::parallel::{ParallelEngine, ParallelOptions};
 use nx_core::Format;
 use nx_deflate::CompressionLevel;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Parallel sharded compression engine scaling vs serial";
+pub const TITLE: &str = "Parallel sharded compression engine: seam cost vs serial";
 
-/// Corpus size (matches `benches/parallel.rs`).
+/// Where the machine-readable rows land (workspace root under
+/// `cargo run`).
+pub const JSON_PATH: &str = "BENCH_PARALLEL.json";
+
+/// Corpus size.
 const TOTAL: usize = 16 << 20;
 
 /// Worker counts swept.
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
-/// One measured sweep point.
-struct Point {
-    workers: usize,
-    secs: f64,
-    bytes_out: usize,
-}
-
-struct Measured {
-    serial_secs: f64,
-    serial_bytes: usize,
-    points: Vec<Point>,
-}
-
-/// Best-of-`n` wall-clock seconds for `f`.
-fn best_of<F: FnMut() -> usize>(n: usize, mut f: F) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut bytes = 0;
-    for _ in 0..n {
-        let t0 = Instant::now();
-        bytes = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, bytes)
-}
-
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let data = nx_corpus::mixed(SEED, TOTAL);
-        let level = CompressionLevel::new(6).expect("level 6");
-        let (serial_secs, serial_bytes) = best_of(2, || {
-            nx_core::software::compress(&data, level, Format::Gzip).len()
-        });
-        let points = WORKERS
-            .iter()
-            .map(|&workers| {
-                let engine = ParallelEngine::new(ParallelOptions {
-                    workers,
-                    ..ParallelOptions::default()
-                });
-                let (secs, bytes_out) = best_of(2, || {
-                    engine.compress(&data, 6, Format::Gzip).expect("pool").len()
-                });
-                Point {
-                    workers,
-                    secs,
-                    bytes_out,
-                }
-            })
-            .collect();
-        Measured {
-            serial_secs,
-            serial_bytes,
-            points,
-        }
-    })
-}
-
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    let mut rows = vec![
-        MetricRow::new(
-            "serial_mb_per_s",
-            TOTAL as f64 / m.serial_secs / 1e6,
-            "MB/s",
-        ),
-        MetricRow::new("serial_bytes_out", m.serial_bytes as f64, "bytes"),
-    ];
-    for p in &m.points {
-        let (mbps, speedup): (&'static str, &'static str) = match p.workers {
-            1 => ("sharded_w1_mb_per_s", "sharded_w1_speedup"),
-            2 => ("sharded_w2_mb_per_s", "sharded_w2_speedup"),
-            4 => ("sharded_w4_mb_per_s", "sharded_w4_speedup"),
-            _ => ("sharded_w8_mb_per_s", "sharded_w8_speedup"),
-        };
-        rows.push(MetricRow::new(mbps, TOTAL as f64 / p.secs / 1e6, "MB/s"));
-        rows.push(MetricRow::new(speedup, m.serial_secs / p.secs, "ratio"));
-    }
-    rows.push(MetricRow::new(
-        "host_parallelism",
-        host_parallelism() as f64,
-        "count",
-    ));
-    rows
-}
-
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs the experiment and renders its report.
+/// Runs the experiment, writes [`JSON_PATH`], renders the report.
 pub fn run() -> String {
-    let m = measured();
-    let mut table = Table::new(vec!["config", "MB/s", "speedup", "ratio", "size vs serial"]);
+    let data = nx_corpus::mixed(SEED, TOTAL);
+    let level = CompressionLevel::new(6).expect("level 6");
+    let serial = nx_core::software::compress(&data, level, Format::Gzip).len();
+    let ratio = |bytes: usize| TOTAL as f64 / bytes as f64;
+
+    let mut rows = vec![Row::new("serial")
+        .val("bytes_out", serial)
+        .fixed("ratio", ratio(serial), 4)];
+    let mut table = Table::new(vec!["config", "bytes out", "ratio", "size vs serial"]);
     table.row(vec![
         "serial".to_string(),
-        format!("{:.1}", TOTAL as f64 / m.serial_secs / 1e6),
-        "1.00x".to_string(),
-        format!("{:.3}", TOTAL as f64 / m.serial_bytes as f64),
+        serial.to_string(),
+        format!("{:.3}", ratio(serial)),
         "+0.00%".to_string(),
     ]);
-    for p in &m.points {
+    let mut first: Option<Vec<u8>> = None;
+    let mut all_identical = true;
+    for workers in WORKERS {
+        let engine = ParallelEngine::new(ParallelOptions {
+            workers,
+            ..ParallelOptions::default()
+        });
+        let out = engine.compress(&data, 6, Format::Gzip).expect("pool");
+        let identical = nx_core::software::decompress(&out, Format::Gzip).is_ok_and(|d| d == data)
+            && first.as_ref().is_none_or(|f| *f == out);
+        all_identical &= identical;
+        let growth_pct = (out.len() as f64 / serial as f64 - 1.0) * 100.0;
+        rows.push(
+            Row::new("sharded")
+                .val("workers", workers)
+                .val("shards", engine.stats().shards())
+                .val("bytes_out", out.len())
+                .fixed("ratio", ratio(out.len()), 4)
+                .fixed("size_vs_serial_pct", growth_pct, 2)
+                .val("identical", identical),
+        );
         table.row(vec![
-            format!("sharded x{}", p.workers),
-            format!("{:.1}", TOTAL as f64 / p.secs / 1e6),
-            format!("{:.2}x", m.serial_secs / p.secs),
-            format!("{:.3}", TOTAL as f64 / p.bytes_out as f64),
-            format!(
-                "{:+.2}%",
-                (p.bytes_out as f64 / m.serial_bytes as f64 - 1.0) * 100.0
-            ),
+            format!("sharded x{workers}"),
+            out.len().to_string(),
+            format!("{:.3}", ratio(out.len())),
+            format!("{growth_pct:+.2}%"),
         ]);
+        first.get_or_insert(out);
     }
+    rows.push(Row::new("summary").val("all_identical", all_identical));
+    let note = write_rows(JSON_PATH, &rows);
+
     format!(
         "## E17 — {TITLE}\n\n16 MiB mixed corpus, gzip level 6, 128 KiB shards with 32 KB \
-         dictionary hand-off; host parallelism = {} core(s). Speedup is bounded by the \
-         host's cores — on a single-core host the workers time-slice and the sweep \
-         measures sharding overhead instead.\n\n{}",
-        host_parallelism(),
+         dictionary hand-off. Every worker count writes the same stream, and it decodes \
+         to the input: {all_identical}. Speed is `nxbench parallel_io`'s.\n\n{}\n{note}\n",
         table.render()
     )
 }
@@ -174,28 +107,5 @@ mod tests {
             "sharding grew output by {:.3}%",
             growth * 100.0
         );
-    }
-
-    #[test]
-    fn metric_names_are_unique() {
-        // The JSON emitter keys rows by (experiment, metric); a duplicate
-        // would silently shadow a measurement.
-        let all = [
-            "serial_mb_per_s",
-            "serial_bytes_out",
-            "sharded_w1_mb_per_s",
-            "sharded_w1_speedup",
-            "sharded_w2_mb_per_s",
-            "sharded_w2_speedup",
-            "sharded_w4_mb_per_s",
-            "sharded_w4_speedup",
-            "sharded_w8_mb_per_s",
-            "sharded_w8_speedup",
-            "host_parallelism",
-        ];
-        let mut sorted = all.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), all.len());
     }
 }

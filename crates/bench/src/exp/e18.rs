@@ -1,4 +1,4 @@
-//! E18 — Fault-injection sweep: throughput and tail latency vs fault rate.
+//! E18 — Fault-injection sweep: recovery work vs fault rate.
 //!
 //! Exercises the `nx_core::fault` subsystem end to end. Part A drives the
 //! functional `Nx` handle through `Nx::with_faults` across injected fault
@@ -6,22 +6,19 @@
 //! the touch-ahead mitigation (touch the faulting page plus a window so
 //! the resubmission runs fault-free through it). Every response is
 //! checked byte-identical against the clean reference — recovery must
-//! never change the answer, only the latency. Part B replays the same
-//! comparison in the `nx_sys` discrete-event simulator, where CSB error
-//! injection composes with the stochastic ERAT page-fault model and the
-//! retry/touch-ahead/touch-first policies of the paper's Section V.
+//! never change the answer, only the work done — and the cell records that
+//! work: page faults, retries, resubmissions, software fallbacks, all
+//! replayable from the plan seed. Part B replays the same comparison in
+//! the `nx_sys` discrete-event simulator, where CSB error injection
+//! composes with the stochastic ERAT page-fault model and the
+//! retry/touch-ahead/touch-first policies of the paper's Section V; its
+//! GB/s and p99 are modeled time.
 //!
-//! The zero-rate row doubles as the instrumentation-overhead check: a
-//! seeded plan whose rates are all zero still runs the full draw-and-
-//! recover machinery, and the report prints its cost next to an
-//! uninstrumented baseline (the acceptance bar is ≤ 5%).
-//!
-//! `run()` emits `BENCH_FAULTS.json` with the full sweep (one object per
-//! cell); `tables --json` additionally gets a curated set of scalar
-//! metrics.
+//! `run()` writes `BENCH_FAULTS.json` with the full sweep (one object per
+//! cell). What a quiet plan costs on the host is `nxbench`'s business
+//! (`telemetry.always_overhead_share` prices the instrumented path).
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_accel::AccelConfig;
 use nx_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
 use nx_core::{Format, Nx};
@@ -30,11 +27,9 @@ use nx_deflate::CompressionLevel;
 use nx_sys::crb::Function;
 use nx_sys::erat::FaultPolicy;
 use nx_sys::{CompletionMode, RequestStream, SystemSim, Topology};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Fault-injection sweep: recovery cost, retry vs touch-ahead";
+pub const TITLE: &str = "Fault-injection sweep: recovery work, retry vs touch-ahead";
 
 /// Where the machine-readable sweep lands (relative to the invocation
 /// directory, i.e. the workspace root under `cargo run`).
@@ -59,12 +54,6 @@ const SIM_TOUCH_WINDOW: u64 = 32;
 struct FnCell {
     policy: &'static str,
     rate: f64,
-    /// Decompression throughput over produced bytes, MB/s.
-    mb_per_s: f64,
-    /// p99 of the per-request decompress latency, µs.
-    p99_us: f64,
-    /// Compression-direction throughput over consumed bytes, MB/s.
-    compress_mb_per_s: f64,
     page_faults: u64,
     retries: u64,
     resubmissions: u64,
@@ -80,14 +69,6 @@ struct SysCell {
     faults: u64,
     csb_errors: u64,
     retries: u64,
-}
-
-struct Measured {
-    /// Instrumented-but-quiet cost vs an uninstrumented handle,
-    /// as a fraction (0.03 = 3% slower).
-    rate0_overhead: f64,
-    cells: Vec<FnCell>,
-    sys: Vec<SysCell>,
 }
 
 /// The shared request set: raw payloads and their gzip framings.
@@ -109,76 +90,36 @@ impl Inputs {
     }
 }
 
-fn inputs() -> &'static Inputs {
-    static CELL: OnceLock<Inputs> = OnceLock::new();
-    CELL.get_or_init(|| Inputs::build(REQUESTS, REQ_BYTES))
-}
-
-fn p99(lat_us: &mut [f64]) -> f64 {
-    if lat_us.is_empty() {
-        return 0.0;
-    }
-    lat_us.sort_by(f64::total_cmp);
-    let idx = ((lat_us.len() as f64 * 0.99).ceil() as usize).clamp(1, lat_us.len());
-    lat_us[idx - 1]
-}
-
 /// Runs one Part A cell: the full request set through a faulted handle,
 /// verifying every answer against the clean reference.
 fn run_cell(ins: &Inputs, policy_name: &'static str, rate: f64, policy: RecoveryPolicy) -> FnCell {
     let plan = FaultPlan::seeded(SEED ^ (rate * 1000.0) as u64, FaultRates::sweep(rate));
     let nx = Nx::with_faults(AccelConfig::power9(), plan, policy);
 
-    let mut lat = Vec::with_capacity(ins.gz.len());
-    let mut out_bytes = 0usize;
-    let t0 = Instant::now();
     for (gz, chunk) in ins.gz.iter().zip(&ins.chunks) {
-        let t = Instant::now();
         let out = nx.decompress(gz, Format::Gzip).expect("recovery exhausted");
-        lat.push(t.elapsed().as_secs_f64() * 1e6);
         assert_eq!(
             out.bytes, *chunk,
             "recovered decompression must be byte-identical"
         );
-        out_bytes += out.bytes.len();
     }
-    let secs = t0.elapsed().as_secs_f64();
-
-    let mut in_bytes = 0usize;
-    let ct0 = Instant::now();
     for chunk in ins.chunks.iter().step_by(5) {
         let out = nx
             .compress(chunk, Format::Gzip)
             .expect("recovery exhausted");
         let back = nx_core::software::decompress(&out.bytes, Format::Gzip).expect("framing intact");
         assert_eq!(back, *chunk, "recovered compression must round-trip");
-        in_bytes += chunk.len();
     }
-    let csecs = ct0.elapsed().as_secs_f64();
 
     let stats = nx.fault_stats().expect("faulted handle exposes stats");
     FnCell {
         policy: policy_name,
         rate,
-        mb_per_s: out_bytes as f64 / secs / 1e6,
-        p99_us: p99(&mut lat),
-        compress_mb_per_s: in_bytes as f64 / csecs / 1e6,
         page_faults: stats.page_fault_count(),
         retries: stats.retry_count(),
         resubmissions: stats.resubmission_count(),
         fallbacks: stats.software_fallback_count(),
     }
-}
-
-/// Wall-clock seconds to decompress the whole request set on `nx`.
-fn decompress_secs(nx: &Nx) -> f64 {
-    let ins = inputs();
-    let t0 = Instant::now();
-    for gz in &ins.gz {
-        let out = nx.decompress(gz, Format::Gzip).expect("valid stream");
-        std::hint::black_box(out.bytes.len());
-    }
-    t0.elapsed().as_secs_f64()
 }
 
 /// Runs one Part B cell: the simulator under `policy` with `injected`
@@ -213,171 +154,87 @@ fn run_sim_cell(policy_name: &'static str, policy: FaultPolicy, injected: f64) -
     }
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        // Warm the shared inputs outside any timed region.
-        let _ = inputs();
-
-        // Interleave the two handles (best-of-4 each) so scheduler noise
-        // hits both sides evenly — the passes are only ~100 ms long.
-        let plain = Nx::power9();
-        let quiet = Nx::with_faults(
-            AccelConfig::power9(),
-            FaultPlan::seeded(SEED, FaultRates::none()),
-            RecoveryPolicy::default(),
-        );
-        let (mut baseline, mut instrumented) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..4 {
-            baseline = baseline.min(decompress_secs(&plain));
-            instrumented = instrumented.min(decompress_secs(&quiet));
-        }
-        let rate0_overhead = instrumented / baseline - 1.0;
-
-        let mut cells = Vec::new();
-        for &rate in &RATES {
-            cells.push(run_cell(inputs(), "retry", rate, RecoveryPolicy::default()));
-            cells.push(run_cell(
-                inputs(),
-                "ahead",
-                rate,
-                RecoveryPolicy::touch_ahead(16),
-            ));
-        }
-
-        let p = SIM_PAGE_FAULT_P;
-        let sys = SIM_INJECTED
-            .iter()
-            .flat_map(|&injected| {
-                [
-                    run_sim_cell(
-                        "retry",
-                        FaultPolicy::RetryOnFault {
-                            fault_probability: p,
-                        },
-                        injected,
-                    ),
-                    run_sim_cell(
-                        "ahead",
-                        FaultPolicy::TouchAhead {
-                            fault_probability: p,
-                            window_pages: SIM_TOUCH_WINDOW,
-                        },
-                        injected,
-                    ),
-                    run_sim_cell(
-                        "touchfirst",
-                        FaultPolicy::TouchFirst {
-                            fault_probability: p,
-                        },
-                        injected,
-                    ),
-                ]
-            })
-            .collect();
-
-        Measured {
-            rate0_overhead,
-            cells,
-            sys,
-        }
-    })
+struct Measured {
+    cells: Vec<FnCell>,
+    sys: Vec<SysCell>,
 }
 
-/// Renders the full sweep as a JSON array, one object per cell.
-fn render_sweep_json(m: &Measured) -> String {
-    let mut rows = vec![format!(
-        "  {{\"section\": \"overhead\", \"rate0_overhead_pct\": {:.3}}}",
-        m.rate0_overhead * 100.0
-    )];
-    for c in &m.cells {
-        rows.push(format!(
-            "  {{\"section\": \"functional\", \"policy\": \"{}\", \"rate\": {}, \
-             \"mb_per_s\": {:.3}, \"p99_us\": {:.3}, \"compress_mb_per_s\": {:.3}, \
-             \"page_faults\": {}, \"retries\": {}, \"resubmissions\": {}, \
-             \"software_fallbacks\": {}, \"verified\": true}}",
-            c.policy,
-            c.rate,
-            c.mb_per_s,
-            c.p99_us,
-            c.compress_mb_per_s,
-            c.page_faults,
-            c.retries,
-            c.resubmissions,
-            c.fallbacks
-        ));
+/// Runs both sweeps.
+fn measure() -> Measured {
+    let ins = Inputs::build(REQUESTS, REQ_BYTES);
+    let mut cells = Vec::new();
+    for &rate in &RATES {
+        cells.push(run_cell(&ins, "retry", rate, RecoveryPolicy::default()));
+        cells.push(run_cell(&ins, "ahead", rate, RecoveryPolicy::touch_ahead(16)));
     }
-    for s in &m.sys {
-        rows.push(format!(
-            "  {{\"section\": \"system\", \"policy\": \"{}\", \"injected\": {}, \
-             \"gb_per_s\": {:.3}, \"p99_us\": {:.3}, \"page_faults\": {}, \
-             \"csb_errors\": {}, \"retries\": {}}}",
-            s.policy, s.injected, s.gbps, s.p99_us, s.faults, s.csb_errors, s.retries
-        ));
-    }
-    format!("[\n{}\n]\n", rows.join(",\n"))
+
+    let p = SIM_PAGE_FAULT_P;
+    let sys = SIM_INJECTED
+        .iter()
+        .flat_map(|&injected| {
+            [
+                run_sim_cell(
+                    "retry",
+                    FaultPolicy::RetryOnFault {
+                        fault_probability: p,
+                    },
+                    injected,
+                ),
+                run_sim_cell(
+                    "ahead",
+                    FaultPolicy::TouchAhead {
+                        fault_probability: p,
+                        window_pages: SIM_TOUCH_WINDOW,
+                    },
+                    injected,
+                ),
+                run_sim_cell(
+                    "touchfirst",
+                    FaultPolicy::TouchFirst {
+                        fault_probability: p,
+                    },
+                    injected,
+                ),
+            ]
+        })
+        .collect();
+    Measured { cells, sys }
 }
 
-/// Static metric names for the curated `tables --json` rows; the full
-/// sweep lives in `BENCH_FAULTS.json`.
-fn cell_metric_names(policy: &str, permille: u32) -> Option<(&'static str, &'static str)> {
-    match (policy, permille) {
-        ("retry", 0) => Some(("retry_r000_mb_per_s", "retry_r000_p99_us")),
-        ("retry", 20) => Some(("retry_r020_mb_per_s", "retry_r020_p99_us")),
-        ("retry", 50) => Some(("retry_r050_mb_per_s", "retry_r050_p99_us")),
-        ("retry", 100) => Some(("retry_r100_mb_per_s", "retry_r100_p99_us")),
-        ("retry", 200) => Some(("retry_r200_mb_per_s", "retry_r200_p99_us")),
-        ("retry", 500) => Some(("retry_r500_mb_per_s", "retry_r500_p99_us")),
-        ("ahead", 0) => Some(("ahead_r000_mb_per_s", "ahead_r000_p99_us")),
-        ("ahead", 20) => Some(("ahead_r020_mb_per_s", "ahead_r020_p99_us")),
-        ("ahead", 50) => Some(("ahead_r050_mb_per_s", "ahead_r050_p99_us")),
-        ("ahead", 100) => Some(("ahead_r100_mb_per_s", "ahead_r100_p99_us")),
-        ("ahead", 200) => Some(("ahead_r200_mb_per_s", "ahead_r200_p99_us")),
-        ("ahead", 500) => Some(("ahead_r500_mb_per_s", "ahead_r500_p99_us")),
-        _ => None,
-    }
-}
-
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    let mut rows = vec![MetricRow::new(
-        "rate0_overhead_pct",
-        m.rate0_overhead * 100.0,
-        "percent",
-    )];
-    for c in &m.cells {
-        let pm = (c.rate * 1000.0).round() as u32;
-        if let Some((mbps, p99)) = cell_metric_names(c.policy, pm) {
-            rows.push(MetricRow::new(mbps, c.mb_per_s, "MB/s"));
-            rows.push(MetricRow::new(p99, c.p99_us, "us"));
-        }
-    }
-    for s in &m.sys {
-        if (s.injected - 0.3).abs() < 1e-9 {
-            let (gbps, p99): (&'static str, &'static str) = match s.policy {
-                "retry" => ("sim_retry_i300_gbps", "sim_retry_i300_p99_us"),
-                "ahead" => ("sim_ahead_i300_gbps", "sim_ahead_i300_p99_us"),
-                _ => ("sim_touchfirst_i300_gbps", "sim_touchfirst_i300_p99_us"),
-            };
-            rows.push(MetricRow::new(gbps, s.gbps, "GB/s"));
-            rows.push(MetricRow::new(p99, s.p99_us, "us"));
-        }
-    }
-    rows
+/// The full sweep, one row per cell ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    let functional = m.cells.iter().map(|c| {
+        Row::new("functional")
+            .str("policy", c.policy)
+            .val("rate", c.rate)
+            .val("page_faults", c.page_faults)
+            .val("retries", c.retries)
+            .val("resubmissions", c.resubmissions)
+            .val("software_fallbacks", c.fallbacks)
+            .val("verified", true)
+    });
+    let system = m.sys.iter().map(|s| {
+        Row::new("system")
+            .str("policy", s.policy)
+            .val("injected", s.injected)
+            .fixed("gb_per_s", s.gbps, 3)
+            .fixed("p99_us", s.p99_us, 3)
+            .val("page_faults", s.faults)
+            .val("csb_errors", s.csb_errors)
+            .val("retries", s.retries)
+    });
+    functional.chain(system).collect()
 }
 
 /// Runs the experiment, writes `BENCH_FAULTS.json`, renders the report.
 pub fn run() -> String {
-    let m = measured();
+    let m = measure();
 
     let mut fn_table = Table::new(vec![
         "policy",
         "rate",
-        "MB/s",
-        "p99 µs",
         "faults",
+        "retries",
         "resubmits",
         "fallbacks",
     ]);
@@ -385,9 +242,8 @@ pub fn run() -> String {
         fn_table.row(vec![
             c.policy.to_string(),
             format!("{:.2}", c.rate),
-            format!("{:.1}", c.mb_per_s),
-            format!("{:.0}", c.p99_us),
             c.page_faults.to_string(),
+            c.retries.to_string(),
             c.resubmissions.to_string(),
             c.fallbacks.to_string(),
         ]);
@@ -413,24 +269,17 @@ pub fn run() -> String {
             s.retries.to_string(),
         ]);
     }
-
-    let json = render_sweep_json(m);
-    let json_note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("full sweep written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let note = write_rows(JSON_PATH, &rows(&m));
 
     format!(
         "## E18 — {TITLE}\n\nPart A: {REQUESTS} × {} KiB gzip requests per cell through \
          `Nx::with_faults`; every response verified byte-identical to the clean \
          reference. `retry` resubmits from the faulting offset with only that page \
-         made resident; `ahead` touches 16 pages past the fault. Quiet-plan overhead \
-         vs an uninstrumented handle: {:+.2}% (bar: ≤ 5%).\n\n{}\nPart B: simulator, \
+         made resident; `ahead` touches 16 pages past the fault.\n\n{}\nPart B: simulator, \
          POWER9 chip, 96 × 4 MiB saturating compress requests; ERAT page-fault \
          probability {:.2} per page, with injected CSB-error pressure on top \
-         (retried with capped exponential backoff).\n\n{}\n{json_note}\n",
+         (retried with capped exponential backoff).\n\n{}\n{note}\n",
         REQ_BYTES >> 10,
-        m.rate0_overhead * 100.0,
         fn_table.render(),
         SIM_PAGE_FAULT_P,
         sys_table.render()
@@ -453,49 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_are_unique() {
-        let mut names: Vec<&str> = Vec::new();
-        for policy in ["retry", "ahead"] {
-            for pm in [0, 20, 50, 100, 200, 500] {
-                let (a, b) = cell_metric_names(policy, pm).unwrap();
-                names.push(a);
-                names.push(b);
-            }
-        }
-        names.extend([
-            "rate0_overhead_pct",
-            "sim_retry_i300_gbps",
-            "sim_retry_i300_p99_us",
-            "sim_ahead_i300_gbps",
-            "sim_ahead_i300_p99_us",
-            "sim_touchfirst_i300_gbps",
-            "sim_touchfirst_i300_p99_us",
-        ]);
-        let n = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), n);
-    }
-
-    #[test]
-    fn p99_picks_the_tail() {
-        let mut lat: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(p99(&mut lat), 99.0);
-        let mut one = vec![7.0];
-        assert_eq!(p99(&mut one), 7.0);
-        assert_eq!(p99(&mut []), 0.0);
-    }
-
-    #[test]
     fn sweep_json_is_well_formed() {
         let m = Measured {
-            rate0_overhead: 0.01,
             cells: vec![FnCell {
                 policy: "retry",
                 rate: 0.1,
-                mb_per_s: 100.0,
-                p99_us: 5000.0,
-                compress_mb_per_s: 40.0,
                 page_faults: 12,
                 retries: 3,
                 resubmissions: 12,
@@ -511,9 +322,14 @@ mod tests {
                 retries: 25,
             }],
         };
-        let json = render_sweep_json(&m);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 3);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = crate::render_rows(&rows(&m));
+        assert_eq!(
+            json,
+            "[\n  {\"section\": \"functional\", \"policy\": \"retry\", \"rate\": 0.1, \
+             \"page_faults\": 12, \"retries\": 3, \"resubmissions\": 12, \
+             \"software_fallbacks\": 0, \"verified\": true},\n  {\"section\": \"system\", \
+             \"policy\": \"ahead\", \"injected\": 0.3, \"gb_per_s\": 10.000, \
+             \"p99_us\": 900.000, \"page_faults\": 40, \"csb_errors\": 20, \"retries\": 25}\n]\n"
+        );
     }
 }

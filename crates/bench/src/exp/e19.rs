@@ -1,41 +1,33 @@
-//! E19 — Telemetry overhead: the instrumented request path vs the no-op
-//! sink, plus a determinism pin on the span traces.
+//! E19 — Telemetry determinism: a faulted run's span trace and registry
+//! exports, replayed.
 //!
-//! The observability layer (`nx-telemetry`) promises two things at once:
-//! that a disabled sink costs essentially nothing on the hot path, and
-//! that an enabled sink's span traces are *deterministic* — pure
-//! functions of the workload and fault seed, never of thread scheduling
-//! or wall clock. This experiment measures the first claim and pins the
-//! second.
+//! The observability layer (`nx-telemetry`) promises that an enabled
+//! sink's span traces are *deterministic* — pure functions of the
+//! workload and fault seed, never of thread scheduling or wall clock.
+//! This experiment runs one faulted workload twice from the same seed on
+//! two fresh instrumented handles and records whether the Chrome-trace
+//! dumps are byte-identical; the trace of the first run lands in
+//! `BENCH_TRACE.json`.
 //!
-//! Part A drives the same decompression request set through two `Nx`
-//! handles — one with the default disabled sink, one with a live
-//! registry, histograms and span ring — interleaved best-of-4 so
-//! scheduler noise hits both sides evenly (the e18 pattern). The
-//! acceptance bar is ≤ 5% overhead. Part B runs one faulted workload
-//! twice from the same seed on two fresh instrumented handles and
-//! asserts the Chrome-trace dumps are byte-identical; the trace of the
-//! first run lands in `BENCH_TRACE.json` and all three exporters
-//! (Prometheus, JSON snapshot, Chrome trace) are exercised on live data.
-//!
-//! `run()` emits `BENCH_OBS.json` with per-workload overheads and the
-//! determinism verdict; `tables --json` gets the curated scalars.
+//! `run()` writes `BENCH_OBS.json`: the determinism verdict, the span count
+//! and the number of series in the handle's registry snapshot. (Not the
+//! size of its Prometheus or JSON export: the registry also carries the
+//! process-wide kernel counters, whose values — and so whose digits —
+//! depend on what else the process ran first.) What the instrumented path
+//! costs on the host is `nxbench`'s `telemetry.always_overhead_share`.
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, SEED};
 use nx_accel::AccelConfig;
 use nx_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
 use nx_core::{Format, Nx};
 use nx_corpus::CorpusKind;
 use nx_deflate::CompressionLevel;
-use nx_telemetry::{to_chrome_trace, to_json, to_prometheus, MetricsRegistry, TelemetrySink};
-use std::sync::OnceLock;
-use std::time::Instant;
+use nx_telemetry::{to_chrome_trace, MetricValue, MetricsRegistry, TelemetrySink};
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Telemetry overhead: instrumented vs no-op sink, trace determinism";
+pub const TITLE: &str = "Telemetry determinism: a pinned faulted trace, replayed";
 
-/// Where the machine-readable overhead rows land (workspace root under
+/// Where the machine-readable rows land (workspace root under
 /// `cargo run`).
 pub const JSON_PATH: &str = "BENCH_OBS.json";
 
@@ -46,40 +38,19 @@ pub const TRACE_PATH: &str = "BENCH_TRACE.json";
 /// 2.5 GHz POWER9 core clock the span domain is priced in).
 const CYCLES_PER_US: f64 = 2500.0;
 
-/// Per-workload request count and size. 32 × 256 KiB keeps each timed
-/// pass around the e18 scale: long enough to swamp timer noise, short
-/// enough that best-of-4 × 2 sides × 3 workloads stays quick.
+/// Request count and size of the pinned workload.
 const REQUESTS: usize = 32;
 const REQ_BYTES: usize = 256 << 10;
 
-/// Corpus kinds swept (the E10 executor mix: text-ish, structured, binary).
-const WORKLOADS: [(&str, CorpusKind); 3] = [
-    ("text", CorpusKind::Text),
-    ("json", CorpusKind::Json),
-    ("binary", CorpusKind::Binary),
-];
-
-/// One overhead cell.
-struct Cell {
-    workload: &'static str,
-    baseline_mb_per_s: f64,
-    instrumented_mb_per_s: f64,
-    /// Fractional slowdown (0.03 = 3%).
-    overhead: f64,
-}
-
 struct Measured {
-    cells: Vec<Cell>,
     /// Both faulted replays produced byte-identical Chrome traces.
     trace_deterministic: bool,
     /// Spans recorded by the pinned run.
     trace_spans: usize,
     /// The pinned run's Chrome trace (written to [`TRACE_PATH`]).
     chrome: String,
-    /// Prometheus text exposition length (exporter smoke evidence).
-    prometheus_bytes: usize,
-    /// JSON snapshot length (exporter smoke evidence).
-    json_bytes: usize,
+    /// Series in the pinned handle's registry snapshot.
+    series: usize,
 }
 
 /// Builds one workload's gzip request set.
@@ -91,24 +62,6 @@ fn workload(kind: CorpusKind) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Wall-clock seconds to decompress the request set on `nx`, returning
-/// the produced byte count alongside.
-fn decompress_pass(nx: &Nx, gz: &[Vec<u8>]) -> (f64, usize) {
-    let mut out_bytes = 0usize;
-    let t0 = Instant::now();
-    for g in gz {
-        let out = nx.decompress(g, Format::Gzip).expect("valid stream");
-        out_bytes += out.bytes.len();
-        std::hint::black_box(out.bytes.len());
-    }
-    (t0.elapsed().as_secs_f64(), out_bytes)
-}
-
-/// An instrumented handle: live registry, histograms, span ring.
-fn instrumented_nx() -> Nx {
-    Nx::power9().with_telemetry(TelemetrySink::enabled(MetricsRegistry::new()))
-}
-
 /// A faulted + instrumented handle from a fixed seed (the determinism
 /// pin re-runs this exact construction).
 fn pinned_nx() -> Nx {
@@ -118,8 +71,8 @@ fn pinned_nx() -> Nx {
 }
 
 /// Runs the faulted workload once on a fresh pinned handle and returns
-/// its Chrome trace plus span count and registry exports.
-fn pinned_trace(gz: &[Vec<u8>]) -> (String, usize, String, String) {
+/// its Chrome trace, span count and registry snapshot.
+fn pinned_trace(gz: &[Vec<u8>]) -> (String, usize, Vec<(String, MetricValue)>) {
     let nx = pinned_nx();
     for g in gz {
         let out = nx.decompress(g, Format::Gzip).expect("recovery exhausted");
@@ -132,133 +85,35 @@ fn pinned_trace(gz: &[Vec<u8>]) -> (String, usize, String, String) {
         .registry()
         .expect("enabled sink has a registry")
         .snapshot();
-    (chrome, spans.len(), to_prometheus(&snap), to_json(&snap))
+    (chrome, spans.len(), snap)
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut cells = Vec::new();
-        for (name, kind) in WORKLOADS {
-            let gz = workload(kind);
-            let plain = Nx::power9();
-            let traced = instrumented_nx();
-            // Interleave best-of-4 so scheduler noise hits both sides.
-            let (mut base, mut inst) = (f64::INFINITY, f64::INFINITY);
-            let mut out_bytes = 0usize;
-            for _ in 0..4 {
-                let (b, ob) = decompress_pass(&plain, &gz);
-                base = base.min(b);
-                out_bytes = ob;
-                let (t, _) = decompress_pass(&traced, &gz);
-                inst = inst.min(t);
-            }
-            cells.push(Cell {
-                workload: name,
-                baseline_mb_per_s: out_bytes as f64 / base / 1e6,
-                instrumented_mb_per_s: out_bytes as f64 / inst / 1e6,
-                overhead: inst / base - 1.0,
-            });
-        }
-
-        // Part B: the determinism pin. Two fresh handles, same fault
-        // seed, same workload → byte-identical Chrome traces.
-        let gz = workload(CorpusKind::Logs);
-        let (chrome_a, spans, prometheus, json) = pinned_trace(&gz);
-        let (chrome_b, _, _, _) = pinned_trace(&gz);
-
-        Measured {
-            cells,
-            trace_deterministic: chrome_a == chrome_b,
-            trace_spans: spans,
-            chrome: chrome_a,
-            prometheus_bytes: prometheus.len(),
-            json_bytes: json.len(),
-        }
-    })
-}
-
-/// Worst overhead across the sweep, as a fraction.
-fn max_overhead(m: &Measured) -> f64 {
-    m.cells.iter().map(|c| c.overhead).fold(0.0, f64::max)
-}
-
-/// Renders the machine-readable overhead rows ([`JSON_PATH`]).
-fn render_obs_json(m: &Measured) -> String {
-    let mut rows: Vec<String> = m
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"section\": \"overhead\", \"workload\": \"{}\", \
-                 \"baseline_mb_per_s\": {:.3}, \"instrumented_mb_per_s\": {:.3}, \
-                 \"overhead_pct\": {:.3}}}",
-                c.workload,
-                c.baseline_mb_per_s,
-                c.instrumented_mb_per_s,
-                c.overhead * 100.0
-            )
-        })
-        .collect();
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"max_overhead_pct\": {:.3}, \"bar_pct\": 5.0}}",
-        max_overhead(m) * 100.0
-    ));
-    rows.push(format!(
-        "  {{\"section\": \"determinism\", \"trace_deterministic\": {}, \
-         \"trace_spans\": {}, \"prometheus_bytes\": {}, \"json_bytes\": {}}}",
-        m.trace_deterministic, m.trace_spans, m.prometheus_bytes, m.json_bytes
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    let mut rows = Vec::new();
-    for c in &m.cells {
-        let name: &'static str = match c.workload {
-            "text" => "overhead_text_pct",
-            "json" => "overhead_json_pct",
-            _ => "overhead_binary_pct",
-        };
-        rows.push(MetricRow::new(name, c.overhead * 100.0, "percent"));
+/// Two fresh handles, same fault seed, same workload.
+fn measure() -> Measured {
+    let gz = workload(CorpusKind::Logs);
+    let (chrome_a, spans, snap) = pinned_trace(&gz);
+    let (chrome_b, _, _) = pinned_trace(&gz);
+    Measured {
+        trace_deterministic: chrome_a == chrome_b,
+        trace_spans: spans,
+        chrome: chrome_a,
+        series: snap.len(),
     }
-    rows.push(MetricRow::new(
-        "max_overhead_pct",
-        max_overhead(m) * 100.0,
-        "percent",
-    ));
-    rows.push(MetricRow::new(
-        "trace_deterministic",
-        f64::from(u8::from(m.trace_deterministic)),
-        "bool",
-    ));
-    rows.push(MetricRow::new("trace_spans", m.trace_spans as f64, "count"));
-    rows
+}
+
+/// The machine-readable row ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    vec![Row::new("determinism")
+        .val("trace_deterministic", m.trace_deterministic)
+        .val("trace_spans", m.trace_spans)
+        .val("series", m.series)]
 }
 
 /// Runs the experiment, writes [`JSON_PATH`] and [`TRACE_PATH`],
 /// renders the report.
 pub fn run() -> String {
-    let m = measured();
-
-    let mut table = Table::new(vec!["workload", "baseline MB/s", "traced MB/s", "overhead"]);
-    for c in &m.cells {
-        table.row(vec![
-            c.workload.to_string(),
-            format!("{:.1}", c.baseline_mb_per_s),
-            format!("{:.1}", c.instrumented_mb_per_s),
-            format!("{:+.2}%", c.overhead * 100.0),
-        ]);
-    }
-
-    let obs = render_obs_json(m);
-    let obs_note = match std::fs::write(JSON_PATH, &obs) {
-        Ok(()) => format!("overhead rows written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let m = measure();
+    let obs_note = write_rows(JSON_PATH, &rows(&m));
     let trace_note = match std::fs::write(TRACE_PATH, &m.chrome) {
         Ok(()) => format!(
             "Chrome trace ({} spans) written to `{TRACE_PATH}`",
@@ -268,18 +123,13 @@ pub fn run() -> String {
     };
 
     format!(
-        "## E19 — {TITLE}\n\nPart A: {REQUESTS} × {} KiB gzip decompressions per workload, \
-         interleaved best-of-4, no-op sink vs live registry + span ring. \
-         Worst overhead {:+.2}% (bar: ≤ 5%).\n\n{}\nPart B: one faulted workload replayed \
-         from the same seed on two fresh instrumented handles — Chrome traces \
-         byte-identical: {}. Exporters exercised on the live registry: Prometheus \
-         {} B, JSON snapshot {} B.\n\n{obs_note}\n{trace_note}\n",
+        "## E19 — {TITLE}\n\nOne faulted workload ({REQUESTS} × {} KiB gzip \
+         decompressions) replayed from the same seed on two fresh instrumented handles — \
+         Chrome traces byte-identical: {}; {} series in the handle's registry.\n\n\
+         {obs_note}\n{trace_note}\n",
         REQ_BYTES >> 10,
-        max_overhead(m) * 100.0,
-        table.render(),
         m.trace_deterministic,
-        m.prometheus_bytes,
-        m.json_bytes
+        m.series
     )
 }
 
@@ -292,10 +142,12 @@ mod tests {
         // The core determinism claim, on a small workload so the test
         // stays fast: same seed + same requests → same Chrome trace.
         let gz: Vec<Vec<u8>> = workload(CorpusKind::Logs).into_iter().take(4).collect();
-        let (a, spans, prometheus, json) = pinned_trace(&gz);
-        let (b, _, _, _) = pinned_trace(&gz);
+        let (a, spans, snap) = pinned_trace(&gz);
+        let (b, _, _) = pinned_trace(&gz);
         assert_eq!(a, b, "trace dumps must not depend on the run");
         assert!(spans > 0, "faulted requests must leave spans");
+        let prometheus = nx_telemetry::to_prometheus(&snap);
+        let json = nx_telemetry::to_json(&snap);
         assert!(prometheus.contains("nx_request_latency_cycles"));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     }
@@ -303,23 +155,15 @@ mod tests {
     #[test]
     fn obs_json_is_well_formed() {
         let m = Measured {
-            cells: vec![Cell {
-                workload: "text",
-                baseline_mb_per_s: 500.0,
-                instrumented_mb_per_s: 495.0,
-                overhead: 0.0101,
-            }],
             trace_deterministic: true,
             trace_spans: 42,
             chrome: String::new(),
-            prometheus_bytes: 10,
-            json_bytes: 20,
+            series: 20,
         };
-        let json = render_obs_json(&m);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 3);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"max_overhead_pct\": 1.010"));
-        assert!(json.contains("\"trace_deterministic\": true"));
+        assert_eq!(
+            crate::render_rows(&rows(&m)),
+            "[\n  {\"section\": \"determinism\", \"trace_deterministic\": true, \
+             \"trace_spans\": 42, \"series\": 20}\n]\n"
+        );
     }
 }

@@ -1,66 +1,48 @@
-//! E21 — Deflate compress-side overhaul: level ladder, hash4 matcher,
-//! block cost model.
+//! E21 — Deflate compress-side ladder: per-rung ratio and differential
+//! verification.
 //!
 //! PR 5 rebuilt the software encoder's hot path around a libdeflate-style
 //! flat-array hash4 matcher (head + u16-delta prev chains, u64-XOR match
 //! extension, insert-skip over incompressible runs), an explicit
 //! [`Level`] ladder (`Fastest..Best`), and per-block stored/static/dynamic
 //! selection by computed bit cost with fused (code|len) emission tables.
-//! The paper's compressor sustains 8 bytes/cycle — this experiment prices
-//! how far the re-tuned *software baseline* moved toward that bar:
+//! This experiment pins what the ladder produces:
 //!
-//! * **Part A** times `deflate` on the mixed corpus at every ladder rung.
-//!   Acceptance: `Default` ≥ 2× and `Fastest` ≥ 4× the 27.586 MB/s PR 4
-//!   baseline (BENCH_KERNELS.json summary, same container class).
-//! * **Part B** sweeps every corpus class × every rung, recording ratio
-//!   and MB/s; every output must decode byte-identically through our
-//!   inflate *and* through the system `gzip -dc` (skipped gracefully when
-//!   the binary is missing).
+//! * **Part A** sweeps every corpus class × every rung, recording ratio;
+//!   every output must decode byte-identically through our inflate *and*
+//!   through the system `gzip -dc` (skipped gracefully when the binary is
+//!   missing).
+//! * **Part B** records the ratio of every rung on the mixed corpus.
 //! * **Part C** checks the ladder is a ladder: on every corpus the
 //!   compressed size at each rung is ≤ 1.02× the next-faster rung's (the
 //!   2% slack covers heuristic crossover on nearly-incompressible data).
 //!
-//! `run()` writes `BENCH_DEFLATE.json`; `scripts/ci.sh` gates on the
-//! summary row's `deflate_default_mb_per_s` against the committed
-//! baseline.
+//! `run()` writes `BENCH_DEFLATE.json`. Encode speed is `nxbench`'s
+//! `compress_mb_per_s` / `compress_fastest_mb_per_s` and, traced,
+//! `deflate.encode_{fastest,default}_ns_per_byte`.
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_corpus::CorpusKind;
 use nx_deflate::{crc32::crc32, deflate, gzip, inflate, Level};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Deflate ladder: hash4 matcher, block cost model, per-level throughput";
+pub const TITLE: &str = "Deflate ladder: hash4 matcher, block cost model, per-level ratio";
 
 /// Where the machine-readable rows land (workspace root under
-/// `cargo run`). The CI gate parses the summary row of this file.
+/// `cargo run`).
 pub const JSON_PATH: &str = "BENCH_DEFLATE.json";
 
 /// Bytes generated per corpus class.
 const PER_KIND: usize = 1 << 20;
 
-/// Mixed-corpus length for the headline Part A measurement.
+/// Mixed-corpus length for Part B.
 const MIXED_LEN: usize = 4 << 20;
-
-/// Timed passes per (corpus, level); the minimum is reported.
-const PASSES: usize = 3;
-
-/// Mixed-corpus deflate throughput at level 6 before this PR
-/// (BENCH_KERNELS.json summary, `deflate_mb_per_s`).
-const PR4_BASELINE_MB_PER_S: f64 = 27.586;
-
-/// Acceptance bars over the PR 4 baseline.
-const BAR_DEFAULT: f64 = 2.0;
-const BAR_FASTEST: f64 = 4.0;
 
 /// One (corpus, rung) measurement.
 struct Cell {
     corpus: &'static str,
     level: &'static str,
     ratio: f64,
-    mb_per_s: f64,
     /// Our decoder returned the original bytes.
     identical: bool,
     /// `gzip -dc` returned the original bytes (`None` = binary missing).
@@ -69,21 +51,14 @@ struct Cell {
 
 struct Measured {
     cells: Vec<Cell>,
-    /// Part A: mixed-corpus MB/s per ladder rung, `Level::all()` order.
-    mixed_mb_per_s: [f64; 5],
+    /// Part B: mixed-corpus ratio per ladder rung, `Level::all()` order.
+    mixed_ratio: [f64; 5],
     all_identical: bool,
     /// `Some(true)` iff every gzip(1) check ran and passed.
     gzip_verified: Option<bool>,
     /// Part C: compressed size never grows by more than 2% when stepping
     /// to a slower rung, on every corpus.
     ladder_monotone: bool,
-}
-
-/// Wall-clock seconds of one call to `f`.
-fn timed<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
 }
 
 /// Decompresses a gzip member through the system `gzip -dc`, the
@@ -112,185 +87,95 @@ pub fn gzip_dc(gz: &[u8]) -> Option<Vec<u8>> {
     out.status.success().then_some(out.stdout)
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let mut cells = Vec::new();
-        let mut all_identical = true;
-        let mut gzip_verified: Option<bool> = None;
-        let mut ladder_monotone = true;
+/// Runs the three parts.
+fn measure() -> Measured {
+    let mut cells = Vec::new();
+    let mut all_identical = true;
+    let mut gzip_verified: Option<bool> = None;
+    let mut ladder_monotone = true;
 
-        for &kind in CorpusKind::all() {
-            let data = kind.generate(SEED, PER_KIND);
-            let mut prev_size: Option<usize> = None;
-            for rung in Level::all() {
-                let level = rung.compression_level();
-                let comp = deflate(&data, level);
+    for &kind in CorpusKind::all() {
+        let data = kind.generate(SEED, PER_KIND);
+        let mut prev_size: Option<usize> = None;
+        for rung in Level::all() {
+            let comp = deflate(&data, rung.compression_level());
+            let identical = inflate(&comp).expect("valid stream") == data;
+            all_identical &= identical;
 
-                let mut t = f64::INFINITY;
-                for _ in 0..PASSES {
-                    t = t.min(timed(|| {
-                        std::hint::black_box(deflate(&data, level).len());
-                    }));
-                }
-
-                let identical = inflate(&comp).expect("valid stream") == data;
-                all_identical &= identical;
-
-                let gz = gzip::wrap_deflate(&comp, crc32(&data), data.len() as u64);
-                let gzip_ok = gzip_dc(&gz).map(|back| back == data);
-                if let Some(ok) = gzip_ok {
-                    // AND over every check that ran; stays None if the
-                    // binary is missing throughout.
-                    gzip_verified = Some(gzip_verified.unwrap_or(true) && ok);
-                }
-
-                if let Some(prev) = prev_size {
-                    // Stepping to a slower rung may not cost more than 2%.
-                    ladder_monotone &= comp.len() as f64 <= prev as f64 * 1.02;
-                }
-                prev_size = Some(comp.len());
-
-                cells.push(Cell {
-                    corpus: kind.name(),
-                    level: rung.name(),
-                    ratio: data.len() as f64 / comp.len() as f64,
-                    mb_per_s: data.len() as f64 / t / 1e6,
-                    identical,
-                    gzip_ok,
-                });
+            let gz = gzip::wrap_deflate(&comp, crc32(&data), data.len() as u64);
+            let gzip_ok = gzip_dc(&gz).map(|back| back == data);
+            if let Some(ok) = gzip_ok {
+                // AND over every check that ran; stays None if the
+                // binary is missing throughout.
+                gzip_verified = Some(gzip_verified.unwrap_or(true) && ok);
             }
-        }
 
-        let mixed = nx_corpus::mixed(SEED, MIXED_LEN);
-        let mut mixed_mb_per_s = [0.0f64; 5];
-        for (slot, rung) in mixed_mb_per_s.iter_mut().zip(Level::all()) {
-            let level = rung.compression_level();
-            let comp = deflate(&mixed, level);
-            all_identical &= inflate(&comp).expect("valid stream") == mixed;
-            let mut t = f64::INFINITY;
-            for _ in 0..PASSES {
-                t = t.min(timed(|| {
-                    std::hint::black_box(deflate(&mixed, level).len());
-                }));
+            if let Some(prev) = prev_size {
+                // Stepping to a slower rung may not cost more than 2%.
+                ladder_monotone &= comp.len() as f64 <= prev as f64 * 1.02;
             }
-            *slot = mixed.len() as f64 / t / 1e6;
+            prev_size = Some(comp.len());
+
+            cells.push(Cell {
+                corpus: kind.name(),
+                level: rung.name(),
+                ratio: data.len() as f64 / comp.len() as f64,
+                identical,
+                gzip_ok,
+            });
         }
-
-        Measured {
-            cells,
-            mixed_mb_per_s,
-            all_identical,
-            gzip_verified,
-            ladder_monotone,
-        }
-    })
-}
-
-/// Mixed-corpus throughput for one rung.
-fn mixed_for(m: &Measured, rung: Level) -> f64 {
-    m.mixed_mb_per_s[rung.index()]
-}
-
-/// Renders the machine-readable rows ([`JSON_PATH`]).
-fn render_json(m: &Measured) -> String {
-    let mut rows: Vec<String> = m
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"section\": \"corpus\", \"corpus\": \"{}\", \"level\": \"{}\", \
-                 \"ratio\": {:.4}, \"deflate_mb_per_s\": {:.3}, \"identical\": {}, \
-                 \"gzip_ok\": {}}}",
-                c.corpus,
-                c.level,
-                c.ratio,
-                c.mb_per_s,
-                c.identical,
-                c.gzip_ok.map_or("null".into(), |b| b.to_string()),
-            )
-        })
-        .collect();
-    for rung in Level::all() {
-        rows.push(format!(
-            "  {{\"section\": \"mixed\", \"level\": \"{}\", \"deflate_mb_per_s\": {:.3}}}",
-            rung.name(),
-            mixed_for(m, rung),
-        ));
     }
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"deflate_default_mb_per_s\": {:.3}, \
-         \"deflate_fastest_mb_per_s\": {:.3}, \
-         \"pr4_baseline_mb_per_s\": {PR4_BASELINE_MB_PER_S}, \
-         \"speedup_default\": {:.3}, \"speedup_fastest\": {:.3}, \
-         \"bar_default\": {BAR_DEFAULT}, \"bar_fastest\": {BAR_FASTEST}, \
-         \"ladder_monotone\": {}, \"all_identical\": {}, \"gzip_verified\": {}}}",
-        mixed_for(m, Level::Default),
-        mixed_for(m, Level::Fastest),
-        mixed_for(m, Level::Default) / PR4_BASELINE_MB_PER_S,
-        mixed_for(m, Level::Fastest) / PR4_BASELINE_MB_PER_S,
-        m.ladder_monotone,
-        m.all_identical,
-        m.gzip_verified.map_or("null".into(), |b| b.to_string()),
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
+
+    let mixed = nx_corpus::mixed(SEED, MIXED_LEN);
+    let mut mixed_ratio = [0.0f64; 5];
+    for (slot, rung) in mixed_ratio.iter_mut().zip(Level::all()) {
+        let comp = deflate(&mixed, rung.compression_level());
+        all_identical &= inflate(&comp).expect("valid stream") == mixed;
+        *slot = mixed.len() as f64 / comp.len() as f64;
+    }
+
+    Measured {
+        cells,
+        mixed_ratio,
+        all_identical,
+        gzip_verified,
+        ladder_monotone,
+    }
 }
 
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    vec![
-        MetricRow::new(
-            "deflate_default_mb_per_s",
-            mixed_for(m, Level::Default),
-            "MB/s",
-        ),
-        MetricRow::new(
-            "deflate_fastest_mb_per_s",
-            mixed_for(m, Level::Fastest),
-            "MB/s",
-        ),
-        MetricRow::new("deflate_best_mb_per_s", mixed_for(m, Level::Best), "MB/s"),
-        MetricRow::new(
-            "speedup_default",
-            mixed_for(m, Level::Default) / PR4_BASELINE_MB_PER_S,
-            "ratio",
-        ),
-        MetricRow::new(
-            "speedup_fastest",
-            mixed_for(m, Level::Fastest) / PR4_BASELINE_MB_PER_S,
-            "ratio",
-        ),
-        MetricRow::new(
-            "outputs_identical",
-            f64::from(u8::from(m.all_identical)),
-            "bool",
-        ),
-        MetricRow::new(
-            "gzip_verified",
-            f64::from(u8::from(m.gzip_verified == Some(true))),
-            "bool",
-        ),
-        MetricRow::new(
-            "ladder_monotone",
-            f64::from(u8::from(m.ladder_monotone)),
-            "bool",
-        ),
-    ]
+/// The machine-readable rows ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    let corpus = m.cells.iter().map(|c| {
+        Row::new("corpus")
+            .str("corpus", c.corpus)
+            .str("level", c.level)
+            .fixed("ratio", c.ratio, 4)
+            .val("identical", c.identical)
+            .check("gzip_ok", c.gzip_ok)
+    });
+    let mixed = Level::all()
+        .into_iter()
+        .map(|rung| Row::new("mixed").str("level", rung.name()).fixed("ratio", m.mixed_ratio[rung.index()], 4));
+    let mut rows: Vec<Row> = corpus.chain(mixed).collect();
+    rows.push(
+        Row::new("summary")
+            .val("ladder_monotone", m.ladder_monotone)
+            .val("all_identical", m.all_identical)
+            .check("gzip_verified", m.gzip_verified),
+    );
+    rows
 }
 
 /// Runs the experiment, writes [`JSON_PATH`], renders the report.
 pub fn run() -> String {
-    let m = measured();
+    let m = measure();
 
-    let mut table = Table::new(vec!["corpus", "level", "ratio", "deflate MB/s", "verified"]);
+    let mut table = Table::new(vec!["corpus", "level", "ratio", "verified"]);
     for c in &m.cells {
         table.row(vec![
             c.corpus.to_string(),
             c.level.to_string(),
             format!("{:.3}", c.ratio),
-            format!("{:.1}", c.mb_per_s),
             match (c.identical, c.gzip_ok) {
                 (true, Some(true)) => "ours+gzip".to_string(),
                 (true, None) => "ours".to_string(),
@@ -299,36 +184,22 @@ pub fn run() -> String {
         ]);
     }
 
-    let mut mixed_table = Table::new(vec!["level", "mixed MB/s", "vs PR4"]);
+    let mut mixed_table = Table::new(vec!["level", "mixed ratio"]);
     for rung in Level::all() {
         mixed_table.row(vec![
             rung.name().to_string(),
-            format!("{:.1}", mixed_for(m, rung)),
-            format!("{:.2}x", mixed_for(m, rung) / PR4_BASELINE_MB_PER_S),
+            format!("{:.3}", m.mixed_ratio[rung.index()]),
         ]);
     }
-
-    let json = render_json(m);
-    let json_note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("rows written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let note = write_rows(JSON_PATH, &rows(&m));
 
     format!(
-        "## E21 — {TITLE}\n\nHeadline: {} MiB mixed corpus compresses at {:.1} MB/s on \
-         `Level::Default` ({:.2}x the {PR4_BASELINE_MB_PER_S} MB/s PR 4 baseline, bar \
-         ≥ {BAR_DEFAULT}x) and {:.1} MB/s on `Level::Fastest` ({:.2}x, bar ≥ {BAR_FASTEST}x). \
-         The paper's pipeline sustains 8 B/cycle (~16 GB/s at 2 GHz); the software ladder \
-         prices how much of that gap fixed-function hardware closes.\n\n{}\n\
-         Corpus sweep ({} classes × {} MiB × {} rungs, best-of-{PASSES}); `verified` means \
+        "## E21 — {TITLE}\n\n{} MiB mixed corpus, ratio per rung:\n\n{}\n\
+         Corpus sweep ({} classes × {} MiB × {} rungs); `verified` means \
          the output decoded byte-identically through our inflate and the system `gzip -dc`:\n\n{}\n\
          All outputs identical: {}; gzip(1) verification: {}; ladder monotone (≤ 2% size \
-         growth per slower rung): {}.\n\n{json_note}\n",
+         growth per slower rung): {}.\n\n{note}\n",
         MIXED_LEN >> 20,
-        mixed_for(m, Level::Default),
-        mixed_for(m, Level::Default) / PR4_BASELINE_MB_PER_S,
-        mixed_for(m, Level::Fastest),
-        mixed_for(m, Level::Fastest) / PR4_BASELINE_MB_PER_S,
         mixed_table.render(),
         CorpusKind::all().len(),
         PER_KIND >> 20,
@@ -380,22 +251,19 @@ mod tests {
                 corpus: "text",
                 level: "fastest",
                 ratio: 2.5,
-                mb_per_s: 120.0,
                 identical: true,
-                gzip_ok: Some(true),
+                gzip_ok: None,
             }],
-            mixed_mb_per_s: [120.0, 80.0, 58.0, 17.0, 13.0],
+            mixed_ratio: [2.6, 2.7, 2.9, 3.0, 3.1],
             all_identical: true,
             gzip_verified: Some(true),
             ladder_monotone: true,
         };
-        let json = render_json(&m);
+        let json = crate::render_rows(&rows(&m));
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert_eq!(json.matches("{\"section\"").count(), 7);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"deflate_default_mb_per_s\": 58.000"));
-        assert!(json.contains("\"speedup_fastest\": 4.350"));
-        assert!(json.contains("\"all_identical\": true"));
-        assert!(json.contains("\"gzip_verified\": true"));
+        assert!(json.contains("\"ratio\": 2.5000, \"identical\": true, \"gzip_ok\": null}"));
+        assert!(json.contains("{\"section\": \"mixed\", \"level\": \"default\", \"ratio\": 2.9000}"));
+        assert!(json.contains("\"all_identical\": true, \"gzip_verified\": true}"));
     }
 }

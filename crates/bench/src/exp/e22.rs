@@ -24,11 +24,9 @@
 //!   and the amplification of `nxbench parallel_io`'s seeded 1 000-read
 //!   sweep of 64 KiB reads over 32 members written at `Fastest`.
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_core::{software, CompressOptions, Format, Nx, ParallelInflateOptions, ParallelInflater};
 use nx_deflate::{CompressionLevel, Level};
-use std::sync::OnceLock;
 
 /// One-line experiment title shown by `tables list`.
 pub const TITLE: &str = "Parallel inflate: speculative chunks, member fan-out, seek index";
@@ -129,92 +127,89 @@ fn amplification() -> ((u64, u64), bool) {
     ((decoded, (SWEEP_READS * SWEEP_LEN) as u64), identical)
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let payload = nx_corpus::mixed(SEED, PAYLOAD_LEN);
-        let level = CompressionLevel::default();
-        let single = software::compress(&payload, level, Format::Gzip);
-        let multi: Vec<u8> = payload
-            .chunks(MEMBER_LEN)
-            .flat_map(|c| software::compress(c, level, Format::Gzip))
-            .collect();
+/// Runs both parts.
+fn measure() -> Measured {
+    let payload = nx_corpus::mixed(SEED, PAYLOAD_LEN);
+    let level = CompressionLevel::default();
+    let single = software::compress(&payload, level, Format::Gzip);
+    let multi: Vec<u8> = payload
+        .chunks(MEMBER_LEN)
+        .flat_map(|c| software::compress(c, level, Format::Gzip))
+        .collect();
 
-        let mut all_identical = true;
-        let mut cells = Vec::new();
-        let (mut chunks, mut misses, mut marker_patch_bytes) = (0u64, 0u64, 0u64);
-        for (shape, stream) in [("single-member", &single), ("multi-member", &multi)] {
-            for workers in WORKERS {
-                let inf = inflater(workers);
-                let out = inf.decompress(stream, Format::Gzip);
-                let identical = out.is_ok_and(|out| out == payload);
-                all_identical &= identical;
-                let stats = inf.stats();
-                if shape == "single-member" {
-                    chunks += stats.chunks_decoded();
-                    misses += stats.speculation_misses();
-                    marker_patch_bytes += stats.marker_patch_bytes();
-                }
-                cells.push(DecodeCell {
-                    shape,
-                    workers,
-                    members_parallel: stats.members_parallel(),
-                    chunks: stats.chunks_decoded(),
-                    misses: stats.speculation_misses(),
-                    identical,
-                });
-            }
-        }
-
-        // Part B: the seek index over both shapes, reads in the single one.
-        let inf = inflater(4);
-        let index = inf.build_index(&single, Format::Gzip).expect("index");
-        let multi_index = inf.build_index(&multi, Format::Gzip).expect("index");
-        let indexes = [("single-member", &index), ("multi-member", &multi_index)];
-        let indexes = indexes.map(|(shape, index)| {
-            let (checkpoints, sparse_bytes) = (index.checkpoints(), index.to_bytes().len());
-            let kept = checkpoints.iter().filter(|c| !c.runs.is_empty());
-            let dropped: usize = kept.map(|c| (32 << 10) - c.window.len()).sum();
-            (
-                shape,
-                checkpoints.len(),
-                sparse_bytes,
-                sparse_bytes + dropped,
-            )
-        });
-        let mut seeks = Vec::new();
-        for (offset, len) in SEEKS {
-            let before = inf.stats().seek_decoded_bytes();
-            let out = inf
-                .decompress_at(&single, &index, offset, len)
-                .expect("seek");
-            let identical = out == payload[offset as usize..offset as usize + len];
+    let mut all_identical = true;
+    let mut cells = Vec::new();
+    let (mut chunks, mut misses, mut marker_patch_bytes) = (0u64, 0u64, 0u64);
+    for (shape, stream) in [("single-member", &single), ("multi-member", &multi)] {
+        for workers in WORKERS {
+            let inf = inflater(workers);
+            let out = inf.decompress(stream, Format::Gzip);
+            let identical = out.is_ok_and(|out| out == payload);
             all_identical &= identical;
-            seeks.push(SeekCell {
-                offset,
-                len,
-                decoded_bytes: inf.stats().seek_decoded_bytes() - before,
+            let stats = inf.stats();
+            if shape == "single-member" {
+                chunks += stats.chunks_decoded();
+                misses += stats.speculation_misses();
+                marker_patch_bytes += stats.marker_patch_bytes();
+            }
+            cells.push(DecodeCell {
+                shape,
+                workers,
+                members_parallel: stats.members_parallel(),
+                chunks: stats.chunks_decoded(),
+                misses: stats.speculation_misses(),
                 identical,
             });
         }
-        let (sweep, identical) = amplification();
-        all_identical &= identical;
+    }
 
-        Measured {
-            cells,
-            seeks,
-            miss_rate: if chunks + misses == 0 {
-                0.0
-            } else {
-                misses as f64 / (chunks + misses) as f64
-            },
-            marker_patch_bytes,
-            indexes,
-            sweep,
-            all_identical,
-        }
-    })
+    // Part B: the seek index over both shapes, reads in the single one.
+    let inf = inflater(4);
+    let index = inf.build_index(&single, Format::Gzip).expect("index");
+    let multi_index = inf.build_index(&multi, Format::Gzip).expect("index");
+    let indexes = [("single-member", &index), ("multi-member", &multi_index)];
+    let indexes = indexes.map(|(shape, index)| {
+        let (checkpoints, sparse_bytes) = (index.checkpoints(), index.to_bytes().len());
+        let kept = checkpoints.iter().filter(|c| !c.runs.is_empty());
+        let dropped: usize = kept.map(|c| (32 << 10) - c.window.len()).sum();
+        (
+            shape,
+            checkpoints.len(),
+            sparse_bytes,
+            sparse_bytes + dropped,
+        )
+    });
+    let mut seeks = Vec::new();
+    for (offset, len) in SEEKS {
+        let before = inf.stats().seek_decoded_bytes();
+        let out = inf
+            .decompress_at(&single, &index, offset, len)
+            .expect("seek");
+        let identical = out == payload[offset as usize..offset as usize + len];
+        all_identical &= identical;
+        seeks.push(SeekCell {
+            offset,
+            len,
+            decoded_bytes: inf.stats().seek_decoded_bytes() - before,
+            identical,
+        });
+    }
+    let (sweep, identical) = amplification();
+    all_identical &= identical;
+
+    Measured {
+        cells,
+        seeks,
+        miss_rate: if chunks + misses == 0 {
+            0.0
+        } else {
+            misses as f64 / (chunks + misses) as f64
+        },
+        marker_patch_bytes,
+        indexes,
+        sweep,
+        all_identical,
+    }
 }
 
 /// Decoded bytes per returned byte of the amplification sweep.
@@ -222,67 +217,55 @@ fn ratio(m: &Measured) -> f64 {
     m.sweep.0 as f64 / m.sweep.1 as f64
 }
 
-/// Renders the machine-readable rows ([`JSON_PATH`]).
-fn render_json(m: &Measured) -> String {
-    let mut rows: Vec<String> = m
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"section\": \"decode\", \"shape\": \"{}\", \"workers\": {}, \
-                 \"members_parallel\": {}, \"chunks\": {}, \"misses\": {}, \"identical\": {}}}",
-                c.shape, c.workers, c.members_parallel, c.chunks, c.misses, c.identical,
-            )
-        })
-        .collect();
-    for (shape, checkpoints, sparse, full) in m.indexes {
-        rows.push(format!(
-            "  {{\"section\": \"index\", \"shape\": \"{shape}\", \"checkpoints\": {checkpoints}, \
-             \"sparse_bytes\": {sparse}, \"full_bytes\": {full}, \"sparse_pct_of_output\": {:.2}}}",
-            sparse as f64 * 100.0 / PAYLOAD_LEN as f64,
-        ));
-    }
-    for s in &m.seeks {
-        rows.push(format!(
-            "  {{\"section\": \"seek\", \"offset\": {}, \"len\": {}, \"decoded_bytes\": {}, \
-             \"returned_bytes\": {}, \"identical\": {}}}",
-            s.offset, s.len, s.decoded_bytes, s.len, s.identical,
-        ));
-    }
-    rows.push(format!(
-        "  {{\"section\": \"amplification\", \"members\": {SWEEP_MEMBERS}, \"reads\": {SWEEP_READS}, \
-         \"len\": {SWEEP_LEN}, \"decoded_bytes\": {}, \"returned_bytes\": {}, \
-         \"decoded_per_returned\": {:.4}}}",
-        m.sweep.0,
-        m.sweep.1,
-        ratio(m),
-    ));
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"speculation_miss_rate\": {:.4}, \
-         \"marker_patch_bytes\": {}, \"all_identical\": {}}}",
-        m.miss_rate, m.marker_patch_bytes, m.all_identical,
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    vec![
-        MetricRow::new("speculation_miss_rate", m.miss_rate, "ratio"),
-        MetricRow::new("index_bytes", m.indexes[0].2 as f64, "bytes"),
-        MetricRow::new("seek_amplification", ratio(m), "ratio"),
-        MetricRow::new(
-            "outputs_identical",
-            f64::from(u8::from(m.all_identical)),
-            "bool",
-        ),
-    ]
+/// The machine-readable rows ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    let decode = m.cells.iter().map(|c| {
+        Row::new("decode")
+            .str("shape", c.shape)
+            .val("workers", c.workers)
+            .val("members_parallel", c.members_parallel)
+            .val("chunks", c.chunks)
+            .val("misses", c.misses)
+            .val("identical", c.identical)
+    });
+    let index = m.indexes.iter().map(|&(shape, checkpoints, sparse, full)| {
+        Row::new("index")
+            .str("shape", shape)
+            .val("checkpoints", checkpoints)
+            .val("sparse_bytes", sparse)
+            .val("full_bytes", full)
+            .fixed("sparse_pct_of_output", sparse as f64 * 100.0 / PAYLOAD_LEN as f64, 2)
+    });
+    let seek = m.seeks.iter().map(|s| {
+        Row::new("seek")
+            .val("offset", s.offset)
+            .val("len", s.len)
+            .val("decoded_bytes", s.decoded_bytes)
+            .val("returned_bytes", s.len)
+            .val("identical", s.identical)
+    });
+    let mut rows: Vec<Row> = decode.chain(index).chain(seek).collect();
+    rows.push(
+        Row::new("amplification")
+            .val("members", SWEEP_MEMBERS)
+            .val("reads", SWEEP_READS)
+            .val("len", SWEEP_LEN)
+            .val("decoded_bytes", m.sweep.0)
+            .val("returned_bytes", m.sweep.1)
+            .fixed("decoded_per_returned", ratio(m), 4),
+    );
+    rows.push(
+        Row::new("summary")
+            .fixed("speculation_miss_rate", m.miss_rate, 4)
+            .val("marker_patch_bytes", m.marker_patch_bytes)
+            .val("all_identical", m.all_identical),
+    );
+    rows
 }
 
 /// Runs the experiment, writes [`JSON_PATH`], renders the report.
 pub fn run() -> String {
-    let m = measured();
+    let m = measure();
 
     let mut table = Table::new(vec![
         "shape",
@@ -315,12 +298,7 @@ pub fn run() -> String {
     let index_line = |(shape, checkpoints, sparse, full): IndexCell| {
         format!("{shape} {checkpoints} checkpoints in {sparse} B ({full} B with whole windows); ")
     };
-
-    let json = render_json(m);
-    let json_note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("rows written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let json_note = write_rows(JSON_PATH, &rows(&m));
 
     format!(
         "## E22 — {TITLE}\n\nHeadline: an {} MiB payload, single-member and in {} members, \
@@ -337,7 +315,7 @@ pub fn run() -> String {
         m.indexes.map(index_line).concat(),
         seek_table.render(),
         SWEEP_LEN >> 10,
-        ratio(m),
+        ratio(&m),
         m.all_identical,
     )
 }
@@ -374,7 +352,7 @@ mod tests {
             sweep: (3_000, 2_000),
             all_identical: true,
         };
-        let json = render_json(&m);
+        let json = crate::render_rows(&rows(&m));
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert_eq!(json.matches("{\"section\"").count(), 13);
         assert!(json.contains("\"decoded_bytes\": 5000, \"returned_bytes\": 1024"));

@@ -25,12 +25,11 @@
 //!
 //! The virtual clock makes every storm number deterministic from the
 //! seed; only the coalescing-identity pass touches real threads, and it
-//! checks bytes, not time. `run()` emits `BENCH_SERVICE.json`, which
-//! `scripts/ci.sh` gates on fairness, QoS priority, tail latency and
-//! credit conservation.
+//! checks bytes, not time. `run()` writes `BENCH_SERVICE.json`, which
+//! `scripts/ci.sh` requires to reproduce the committed file to the byte:
+//! fairness, QoS priority, tail latency and credit conservation included.
 
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_accel::AccelConfig;
 use nx_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
 use nx_core::service::loadgen::{self, PayloadDist, StormConfig, StormReport, TenantLoad};
@@ -140,6 +139,11 @@ impl Measured {
         p99 > 0 && p50 > 0 && p99 < p50
     }
 
+    /// Victim ("rpc") p99 with the hog present, cycles.
+    fn victim_p99_contended(&self) -> u64 {
+        self.storm.tenant("rpc").map(|t| t.p99_cycles()).unwrap_or(0)
+    }
+
     fn engine_utilization(&self) -> f64 {
         if self.storm.makespan_cycles == 0 {
             0.0
@@ -175,7 +179,7 @@ fn coalesce_identity_check() -> (bool, u64) {
     (identical && batches > 0, batches)
 }
 
-/// Runs the storms once per process; `run()` and [`metrics`] share it.
+/// Runs the storms once per process; `run()` and the tests share it.
 fn measured() -> &'static Measured {
     static CELL: OnceLock<Measured> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -211,121 +215,74 @@ fn measured() -> &'static Measured {
     })
 }
 
-/// Renders the report as a JSON array: per-tenant rows, the summary row
-/// the CI gate reads, the isolation row and the chaos row.
-fn render_json(m: &Measured) -> String {
-    let mut rows = Vec::new();
-    for t in &m.storm.tenants {
-        let buckets: Vec<String> = t
-            .depth
-            .buckets
-            .iter()
-            .map(|b| format!("{{\"le\": {}, \"count\": {}}}", b.le, b.count))
-            .collect();
-        rows.push(format!(
-            "  {{\"section\": \"tenant\", \"name\": \"{}\", \"class\": \"{}\", \
-             \"generated\": {}, \"admitted\": {}, \"completed\": {}, \
-             \"rejected_credit\": {}, \"rejected_depth\": {}, \"credit_stalls\": {}, \
-             \"coalesced_requests\": {}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-             \"goodput\": {:.4}, \"depth_p50\": {}, \"depth_p99\": {}, \"depth_max\": {}, \
-             \"depth_buckets\": [{}]}}",
-            t.name,
-            t.class.name(),
-            t.generated,
-            t.admitted,
-            t.completed,
-            t.rejected_no_credit,
-            t.rejected_queue_full,
-            t.credit_stalls,
-            t.coalesced_requests,
-            m.us(t.p50_cycles()),
-            m.us(t.p99_cycles()),
-            t.goodput(),
-            t.depth.p50,
-            t.depth.p99,
-            t.depth.max,
-            buckets.join(", ")
-        ));
-    }
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"tenants\": {}, \"jain_fairness\": {:.4}, \
-         \"latency_p99_us\": {:.3}, \"background_p50_us\": {:.3}, \
-         \"qos_priority_holds\": {}, \"credit_violations\": {}, \
-         \"chaos_credit_violations\": {}, \"batches\": {}, \"coalesced_batches\": {}, \
-         \"coalesced_requests\": {}, \"coalesce_identical\": {}, \
-         \"isolation_factor\": {:.3}, \"makespan_us\": {:.1}, \
-         \"engine_utilization\": {:.4}}}",
-        m.storm.tenants.len(),
-        m.storm.jain_fairness,
-        m.us(m.latency_p99_cycles()),
-        m.us(m.background_p50_cycles()),
-        m.qos_priority_holds(),
-        m.storm.credit_violations,
-        m.chaos.credit_violations,
-        m.storm.batches,
-        m.storm.coalesced_batches,
-        m.storm.coalesced_requests,
-        m.coalesce_identical,
-        m.isolation_factor,
-        m.us(m.storm.makespan_cycles),
-        m.engine_utilization()
-    ));
-    rows.push(format!(
-        "  {{\"section\": \"isolation\", \"victim\": \"rpc\", \
-         \"p99_alone_us\": {:.3}, \"p99_contended_us\": {:.3}, \"factor\": {:.3}}}",
-        m.us(m.victim_p99_alone),
-        m.us(m.storm.tenant("rpc").map(|t| t.p99_cycles()).unwrap_or(0)),
-        m.isolation_factor
-    ));
-    rows.push(format!(
-        "  {{\"section\": \"chaos\", \"rate\": {CHAOS_RATE}, \"retries\": {}, \
-         \"fallbacks\": {}, \"worker_deaths\": {}, \"jain_fairness\": {:.4}, \
-         \"credit_violations\": {}, \"makespan_us\": {:.1}}}",
-        m.chaos.retries,
-        m.chaos.fallbacks,
-        m.chaos.worker_deaths,
-        m.chaos.jain_fairness,
-        m.chaos.credit_violations,
-        m.us(m.chaos.makespan_cycles)
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    vec![
-        MetricRow::new("service_jain_fairness", m.storm.jain_fairness, "ratio"),
-        MetricRow::new("service_latency_p99_us", m.us(m.latency_p99_cycles()), "us"),
-        MetricRow::new(
-            "service_background_p50_us",
-            m.us(m.background_p50_cycles()),
-            "us",
-        ),
-        MetricRow::new(
-            "service_qos_priority_holds",
-            f64::from(u8::from(m.qos_priority_holds())),
-            "bool",
-        ),
-        MetricRow::new(
-            "service_credit_violations",
-            m.storm.credit_violations as f64,
-            "count",
-        ),
-        MetricRow::new("service_isolation_factor", m.isolation_factor, "ratio"),
-        MetricRow::new(
-            "service_coalesced_requests",
-            m.storm.coalesced_requests as f64,
-            "count",
-        ),
-        MetricRow::new(
-            "service_coalesce_identical",
-            f64::from(u8::from(m.coalesce_identical)),
-            "bool",
-        ),
-        MetricRow::new("service_chaos_jain", m.chaos.jain_fairness, "ratio"),
-        MetricRow::new("service_chaos_fallbacks", m.chaos.fallbacks as f64, "count"),
-    ]
+/// The report's rows: per-tenant rows, the summary, the isolation row and
+/// the chaos row.
+fn rows(m: &Measured) -> Vec<Row> {
+    let mut rows: Vec<Row> = m
+        .storm
+        .tenants
+        .iter()
+        .map(|t| {
+            let buckets: Vec<String> = t
+                .depth
+                .buckets
+                .iter()
+                .map(|b| format!("{{\"le\": {}, \"count\": {}}}", b.le, b.count))
+                .collect();
+            Row::new("tenant")
+                .str("name", &t.name)
+                .str("class", t.class.name())
+                .val("generated", t.generated)
+                .val("admitted", t.admitted)
+                .val("completed", t.completed)
+                .val("rejected_credit", t.rejected_no_credit)
+                .val("rejected_depth", t.rejected_queue_full)
+                .val("credit_stalls", t.credit_stalls)
+                .val("coalesced_requests", t.coalesced_requests)
+                .fixed("p50_us", m.us(t.p50_cycles()), 3)
+                .fixed("p99_us", m.us(t.p99_cycles()), 3)
+                .fixed("goodput", t.goodput(), 4)
+                .val("depth_p50", t.depth.p50)
+                .val("depth_p99", t.depth.p99)
+                .val("depth_max", t.depth.max)
+                .val("depth_buckets", format!("[{}]", buckets.join(", ")))
+        })
+        .collect();
+    rows.push(
+        Row::new("summary")
+            .val("tenants", m.storm.tenants.len())
+            .fixed("jain_fairness", m.storm.jain_fairness, 4)
+            .fixed("latency_p99_us", m.us(m.latency_p99_cycles()), 3)
+            .fixed("background_p50_us", m.us(m.background_p50_cycles()), 3)
+            .val("qos_priority_holds", m.qos_priority_holds())
+            .val("credit_violations", m.storm.credit_violations)
+            .val("chaos_credit_violations", m.chaos.credit_violations)
+            .val("batches", m.storm.batches)
+            .val("coalesced_batches", m.storm.coalesced_batches)
+            .val("coalesced_requests", m.storm.coalesced_requests)
+            .val("coalesce_identical", m.coalesce_identical)
+            .fixed("isolation_factor", m.isolation_factor, 3)
+            .fixed("makespan_us", m.us(m.storm.makespan_cycles), 1)
+            .fixed("engine_utilization", m.engine_utilization(), 4),
+    );
+    rows.push(
+        Row::new("isolation")
+            .str("victim", "rpc")
+            .fixed("p99_alone_us", m.us(m.victim_p99_alone), 3)
+            .fixed("p99_contended_us", m.us(m.victim_p99_contended()), 3)
+            .fixed("factor", m.isolation_factor, 3),
+    );
+    rows.push(
+        Row::new("chaos")
+            .val("rate", CHAOS_RATE)
+            .val("retries", m.chaos.retries)
+            .val("fallbacks", m.chaos.fallbacks)
+            .val("worker_deaths", m.chaos.worker_deaths)
+            .fixed("jain_fairness", m.chaos.jain_fairness, 4)
+            .val("credit_violations", m.chaos.credit_violations)
+            .fixed("makespan_us", m.us(m.chaos.makespan_cycles), 1),
+    );
+    rows
 }
 
 /// Runs the experiment, writes `BENCH_SERVICE.json`, renders the report.
@@ -367,11 +324,7 @@ pub fn run() -> String {
         ]);
     }
 
-    let json = render_json(m);
-    let json_note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("full report written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let json_note = write_rows(JSON_PATH, &rows(m));
 
     format!(
         "## E23 — {TITLE}\n\nMixed-QoS storm on the virtual cycle clock: two Latency \
@@ -399,7 +352,7 @@ pub fn run() -> String {
             "INVERTED"
         },
         m.us(m.victim_p99_alone),
-        m.us(m.storm.tenant("rpc").map(|t| t.p99_cycles()).unwrap_or(0)),
+        m.us(m.victim_p99_contended()),
         m.isolation_factor,
         m.coalesce_identical,
         m.threaded_coalesced_batches,
@@ -418,7 +371,7 @@ mod tests {
 
     #[test]
     fn storm_summary_meets_the_gates() {
-        // The same invariants ci.sh greps out of BENCH_SERVICE.json,
+        // The contract BENCH_SERVICE.json records,
         // checked at the source so a regression fails in `cargo test`
         // before it fails in the gate.
         let m = measured();
@@ -455,7 +408,7 @@ mod tests {
     #[test]
     fn report_json_is_well_formed() {
         let m = measured();
-        let json = render_json(m);
+        let json = crate::render_rows(&rows(m));
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(
@@ -464,15 +417,5 @@ mod tests {
         );
         assert_eq!(json.matches("\"section\": \"summary\"").count(), 1);
         assert_eq!(json.matches("\"section\": \"chaos\"").count(), 1);
-    }
-
-    #[test]
-    fn metric_names_are_unique() {
-        let rows = metrics();
-        let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
-        let n = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), n);
     }
 }

@@ -1,48 +1,34 @@
-//! E24 — Request-tracing overhead: sampled span emission on the service
-//! path, gated against the tracing-off baseline.
+//! E24 — Request tracing on the service path: what each sampler keeps, and
+//! exemplars that resolve.
 //!
 //! PR 8's tracing layer threads a `TraceContext` through admission,
-//! scheduling, coalesced dispatch and engine execution. Its stated cost
-//! contract: always-sample tracing adds ≤ 5% to service throughput, and
-//! 1-in-256 sampling ≤ 1% — because sampling gates only span-ring
-//! pushes, never the seq/cycle bookkeeping or the histograms, so the
-//! modeled latency arithmetic is identical on every side.
+//! scheduling, coalesced dispatch and engine execution. Sampling gates
+//! only span-ring pushes, never the seq/cycle bookkeeping or the
+//! histograms, so the modeled latency arithmetic is identical on every
+//! side. The harness pushes one request set through the threaded service
+//! on three `Nx` handles that differ only in the sink's [`Sampler`] —
+//! `Never`, `Always` and `OneIn(256)` — and records the spans each leaves
+//! in the ring, and whether every latency-bucket exemplar on the always
+//! side resolves to a span in the ring. (How many buckets carry an
+//! exemplar depends on the queue depth each request met, which is thread
+//! timing; only the resolution is recorded.)
 //!
-//! The harness compresses one request set on three `Nx` handles that
-//! differ only in the sink's [`Sampler`]: `Never` (baseline — registry
-//! and histograms live, span ring idle), `Always`, and `OneIn(256)`.
-//! The timed side is the direct engine path — single-threaded, so the
-//! 1% bar measures span emission rather than service-thread scheduling
-//! jitter — and the sides interleave at *request* granularity: each
-//! request is compressed on all three handles back-to-back before the
-//! next, so host frequency drift lands on every side equally instead of
-//! skewing whole passes (tighter than the e18/e19 pass-level pattern;
-//! a 1% bar needs it). Best-of-6 rounds. An untimed service pass per
-//! side then proves the plumbing end to end: full admission-to-
-//! completion chains on the always side, and latency buckets whose
-//! trace-id exemplars resolve to spans in the ring.
-//!
-//! `run()` emits `BENCH_TRACING.json`; `tables --json` gets the scalars
-//! the CI gate reads.
+//! `run()` writes `BENCH_TRACING.json`. What tracing costs on the host is
+//! `nxbench`'s `trace_overhead_share` and `telemetry.always_overhead_share`.
 
-use super::MetricRow;
-use crate::Table;
+use crate::{write_rows, Row, Table};
 use nx_core::{Format, Nx, QosClass, ServiceConfig, TenantSpec};
 use nx_corpus::CorpusKind;
 use nx_telemetry::{MetricsRegistry, Sampler, TelemetrySink};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Tracing overhead: always-on and 1-in-256 sampling vs tracing off";
+pub const TITLE: &str = "Tracing on the service path: spans per sampler, exemplar resolution";
 
 /// Where the machine-readable rows land (workspace root under
 /// `cargo run`).
 pub const JSON_PATH: &str = "BENCH_TRACING.json";
 
-/// Requests per timed pass and payload size. 48 × 64 KiB keeps one pass
-/// in the tens of milliseconds — long enough to swamp timer noise at
-/// the 1% bar, short enough for best-of-6 × 3 sides.
+/// Requests per side and payload size.
 const REQUESTS: usize = 48;
 const REQ_BYTES: usize = 64 << 10;
 
@@ -54,45 +40,17 @@ const SIDES: [(&str, Sampler); 3] = [
 ];
 
 struct Measured {
-    /// Seconds per side, best-of-6, indexed like [`SIDES`].
-    secs: [f64; 3],
-    /// Spans left in the ring per side after one extra evidence pass.
+    /// Spans left in the ring per side, indexed like [`SIDES`].
     spans: [usize; 3],
-    /// Latency-histogram buckets carrying a trace-id exemplar on the
-    /// always side.
-    exemplar_buckets: usize,
-    /// Every exemplar trace id also appears in the span ring.
+    /// Every exemplar trace id on the always side also appears in the
+    /// span ring.
     exemplars_resolve: bool,
-    /// Bytes pushed through per pass (throughput denominator).
-    in_bytes: usize,
 }
 
-/// One timed round, request-interleaved: every payload is compressed on
-/// all handles back-to-back (each request mints a root trace; the
-/// sampler decides span emission). `best[i][r]` keeps the fastest
-/// observation of request `r` on handle `i` across rounds — summing the
-/// per-request floors discards interrupt/scheduler spikes that a whole-
-/// pass minimum would keep on whichever side they happened to hit. The
-/// per-request timer cost (~tens of ns) is noise-floor against multi-ms
-/// compressions.
-fn interleaved_round(handles: &[Nx], payloads: &[Vec<u8>], best: &mut [Vec<f64>]) {
-    for (r, p) in payloads.iter().enumerate() {
-        for (i, nx) in handles.iter().enumerate() {
-            let t0 = Instant::now();
-            let out = nx.compress(p, Format::Gzip).expect("compress");
-            let dt = t0.elapsed().as_secs_f64();
-            best[i][r] = best[i][r].min(dt);
-            std::hint::black_box(out.bytes.len());
-        }
-    }
-}
-
-/// One evidence pass through the service: submit the whole request set,
-/// wait for every ticket (untimed — spans and exemplars, not seconds).
-fn service_pass(nx: &Nx, payloads: &[Vec<u8>]) -> f64 {
+/// Pushes the request set through the service and waits for every ticket.
+fn service_pass(nx: &Nx, payloads: &[Vec<u8>]) {
     let svc = nx.service(ServiceConfig::default());
     let tenant = svc.open_window(TenantSpec::new("rpc", QosClass::Latency, 64));
-    let t0 = Instant::now();
     let tickets: Vec<_> = payloads
         .iter()
         .map(|p| tenant.submit(p.clone(), Format::Gzip).expect("admit"))
@@ -100,9 +58,7 @@ fn service_pass(nx: &Nx, payloads: &[Vec<u8>]) -> f64 {
     for t in tickets {
         std::hint::black_box(t.wait().expect("complete").latency_cycles);
     }
-    let dt = t0.elapsed().as_secs_f64();
     svc.close();
-    dt
 }
 
 /// A service handle with the given sampling side.
@@ -111,146 +67,69 @@ fn side_nx(sampler: Sampler) -> Nx {
         .with_telemetry(TelemetrySink::enabled(MetricsRegistry::new()).with_sampler(sampler))
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let data = CorpusKind::Json.generate(crate::SEED, REQUESTS * REQ_BYTES);
-        let payloads: Vec<Vec<u8>> = data.chunks(REQ_BYTES).map(<[u8]>::to_vec).collect();
-        let in_bytes: usize = payloads.iter().map(Vec::len).sum();
-
-        let handles: Vec<Nx> = SIDES.iter().map(|(_, s)| side_nx(*s)).collect();
-        let mut best = vec![vec![f64::INFINITY; payloads.len()]; handles.len()];
-        for _ in 0..6 {
-            interleaved_round(&handles, &payloads, &mut best);
-        }
-        let mut secs = [0.0f64; 3];
-        for (s, per_request) in secs.iter_mut().zip(&best) {
-            *s = per_request.iter().sum();
-        }
-
-        // Evidence pass on fresh handles so span counts reflect exactly
-        // one request set per side.
-        let mut spans = [0usize; 3];
-        let mut exemplar_buckets = 0;
-        let mut exemplars_resolve = true;
-        for (i, (_, sampler)) in SIDES.iter().enumerate() {
-            let nx = side_nx(*sampler);
-            service_pass(&nx, &payloads);
-            let ring = nx.telemetry().trace();
-            spans[i] = ring.len();
-            if matches!(sampler, Sampler::Always) {
-                let snap = nx.telemetry().registry().expect("enabled sink").snapshot();
-                let exemplars: Vec<u64> = snap
+/// One service pass per side, on fresh handles so span counts reflect
+/// exactly one request set.
+fn measure() -> Measured {
+    let data = CorpusKind::Json.generate(crate::SEED, REQUESTS * REQ_BYTES);
+    let payloads: Vec<Vec<u8>> = data.chunks(REQ_BYTES).map(<[u8]>::to_vec).collect();
+    let mut spans = [0usize; 3];
+    let mut exemplars_resolve = true;
+    for (i, (_, sampler)) in SIDES.iter().enumerate() {
+        let nx = side_nx(*sampler);
+        service_pass(&nx, &payloads);
+        let ring = nx.telemetry().trace();
+        spans[i] = ring.len();
+        if matches!(sampler, Sampler::Always) {
+            let snap = nx.telemetry().registry().expect("enabled sink").snapshot();
+            let exemplars: Vec<u64> = snap
+                .iter()
+                .find(|(name, _)| name == "nx_request_latency_cycles")
+                .and_then(|(_, v)| match v {
+                    nx_telemetry::MetricValue::Histogram(h) => Some(h),
+                    _ => None,
+                })
+                .map(|h| h.buckets.iter().filter_map(|b| b.exemplar).collect())
+                .unwrap_or_default();
+            exemplars_resolve = !exemplars.is_empty()
+                && exemplars
                     .iter()
-                    .find(|(name, _)| name == "nx_request_latency_cycles")
-                    .and_then(|(_, v)| match v {
-                        nx_telemetry::MetricValue::Histogram(h) => Some(h),
-                        _ => None,
-                    })
-                    .map(|h| h.buckets.iter().filter_map(|b| b.exemplar).collect())
-                    .unwrap_or_default();
-                exemplar_buckets = exemplars.len();
-                exemplars_resolve = !exemplars.is_empty()
-                    && exemplars
-                        .iter()
-                        .all(|id| ring.iter().any(|s| s.request == *id));
-            }
+                    .all(|id| ring.iter().any(|s| s.request == *id));
         }
-
-        Measured {
-            secs,
-            spans,
-            exemplar_buckets,
-            exemplars_resolve,
-            in_bytes,
-        }
-    })
+    }
+    Measured {
+        spans,
+        exemplars_resolve,
+    }
 }
 
-/// Fractional overhead of side `i` against the tracing-off baseline.
-fn overhead(m: &Measured, i: usize) -> f64 {
-    m.secs[i] / m.secs[0] - 1.0
-}
-
-/// Renders the machine-readable rows ([`JSON_PATH`]).
-fn render_json(m: &Measured) -> String {
-    let mut rows: Vec<String> = SIDES
+/// The machine-readable rows ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    let mut rows: Vec<Row> = SIDES
         .iter()
-        .enumerate()
-        .map(|(i, (name, _))| {
-            format!(
-                "  {{\"section\": \"side\", \"sampler\": \"{}\", \"mb_per_s\": {:.3}, \
-                 \"overhead_pct\": {:.3}, \"spans\": {}}}",
-                name,
-                m.in_bytes as f64 / m.secs[i] / 1e6,
-                overhead(m, i) * 100.0,
-                m.spans[i]
-            )
-        })
+        .zip(m.spans)
+        .map(|((name, _), spans)| Row::new("side").str("sampler", name).val("spans", spans))
         .collect();
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"always_overhead_pct\": {:.3}, \
-         \"sampled_overhead_pct\": {:.3}, \"always_bar_pct\": 5.0, \"sampled_bar_pct\": 1.0, \
-         \"exemplar_buckets\": {}, \"exemplars_resolve\": {}}}",
-        overhead(m, 1) * 100.0,
-        overhead(m, 2) * 100.0,
-        m.exemplar_buckets,
-        m.exemplars_resolve
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
-}
-
-/// Machine-readable rows for `tables --json` (the CI gate reads these).
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    vec![
-        MetricRow::new("always_overhead_pct", overhead(m, 1) * 100.0, "percent"),
-        MetricRow::new("sampled_overhead_pct", overhead(m, 2) * 100.0, "percent"),
-        MetricRow::new("always_spans", m.spans[1] as f64, "count"),
-        MetricRow::new("sampled_spans", m.spans[2] as f64, "count"),
-        MetricRow::new("exemplar_buckets", m.exemplar_buckets as f64, "count"),
-        MetricRow::new(
-            "exemplars_resolve",
-            f64::from(u8::from(m.exemplars_resolve)),
-            "bool",
-        ),
-    ]
+    rows.push(Row::new("summary").val("exemplars_resolve", m.exemplars_resolve));
+    rows
 }
 
 /// Runs the experiment, writes [`JSON_PATH`], renders the report.
 pub fn run() -> String {
-    let m = measured();
-
-    let mut table = Table::new(vec!["sampler", "MB/s", "overhead", "spans"]);
-    for (i, (name, _)) in SIDES.iter().enumerate() {
-        table.row(vec![
-            (*name).to_string(),
-            format!("{:.1}", m.in_bytes as f64 / m.secs[i] / 1e6),
-            format!("{:+.2}%", overhead(m, i) * 100.0),
-            m.spans[i].to_string(),
-        ]);
+    let m = measure();
+    let mut table = Table::new(vec!["sampler", "spans"]);
+    for ((name, _), spans) in SIDES.iter().zip(m.spans) {
+        table.row(vec![(*name).to_string(), spans.to_string()]);
     }
-
-    let json = render_json(m);
-    let note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("rows written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let note = write_rows(JSON_PATH, &rows(&m));
 
     format!(
-        "## E24 — {TITLE}\n\n{REQUESTS} × {} KiB gzip compressions per timed pass, \
-         interleaved best-of-6 across three sampler sides, plus an untimed service pass \
-         per side for span/exemplar evidence. Always-sample overhead {:+.2}% (bar ≤ 5%), \
-         1-in-256 {:+.2}% (bar ≤ 1%): sampling gates only span-ring pushes, so the \
-         deterministic latency arithmetic is shared by all sides.\n\n{}\nExemplars: {} \
-         latency buckets carry a trace id on the always side; every exemplar resolves to \
-         a span in the ring: {}.\n\n{note}\n",
+        "## E24 — {TITLE}\n\n{REQUESTS} × {} KiB gzip requests through the threaded \
+         service per sampler side. Sampling gates only span-ring pushes, so the \
+         deterministic latency arithmetic is shared by all sides.\n\n{}\nEvery \
+         latency-bucket exemplar on the always side resolves to a span in the ring: \
+         {}.\n\n{note}\n",
         REQ_BYTES >> 10,
-        overhead(m, 1) * 100.0,
-        overhead(m, 2) * 100.0,
         table.render(),
-        m.exemplar_buckets,
         m.exemplars_resolve
     )
 }
@@ -281,17 +160,15 @@ mod tests {
     #[test]
     fn json_is_well_formed() {
         let m = Measured {
-            secs: [1.0, 1.02, 1.002],
             spans: [0, 288, 6],
-            exemplar_buckets: 3,
             exemplars_resolve: true,
-            in_bytes: 1 << 20,
         };
-        let json = render_json(&m);
-        assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-        assert_eq!(json.matches("{\"section\"").count(), 4);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"always_overhead_pct\": 2.000"));
-        assert!(json.contains("\"sampled_overhead_pct\": 0.200"));
+        assert_eq!(
+            crate::render_rows(&rows(&m)),
+            "[\n  {\"section\": \"side\", \"sampler\": \"off\", \"spans\": 0},\n  \
+             {\"section\": \"side\", \"sampler\": \"always\", \"spans\": 288},\n  \
+             {\"section\": \"side\", \"sampler\": \"one_in_256\", \"spans\": 6},\n  \
+             {\"section\": \"summary\", \"exemplars_resolve\": true}\n]\n"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! E25 — Speculative batch matcher: the software NX 8-positions-per-cycle
-//! pipeline vs. the sequential ladder.
+//! parse vs. the sequential ladder.
 //!
 //! PR 9 added `lz77::batch` + `lz77::cover`: hash 8 consecutive positions
 //! per step with two wide u64 loads, probe the hash4 head/prev tables for
@@ -8,20 +8,17 @@
 //! the window (longest-first, earliest-anchor tie-breaks) — the software
 //! emulation of the hardware matcher the paper's compressor builds in
 //! silicon. `Engine::Auto` routes levels 1–3 through it; this experiment
-//! prices the move:
+//! pins what the parse gives up and keeps:
 //!
-//! * **Part A** times the mixed corpus at `Level::Fastest` and
-//!   `Level::Fast` under the speculative engine vs. the same rungs forced
-//!   to `Engine::Sequential` (the pre-batch greedy ladder) on the same
-//!   host, in the same process — a self-calibrating frontier comparison.
-//!   Acceptance: speculative `Fastest` is *faster* than sequential
-//!   `Fastest` at a ratio no worse.
+//! * **Part A** compares the mixed corpus at `Level::Fastest` under the
+//!   speculative engine and forced to `Engine::Sequential` (the pre-batch
+//!   greedy ladder): ratio, which must be no worse.
 //! * **Part B** sweeps every corpus class: speculative vs. sequential
-//!   ratio and MB/s at `Fastest`, plus the speculative-vs-lazy
-//!   (`Level::Default`) ratio gap — the paper reports its speculative
-//!   hardware matcher costs ~10% ratio against zlib's sequential lazy
-//!   parse for ~10× the throughput. Every speculative output must decode
-//!   byte-identically through our inflate *and* `gzip -dc`.
+//!   ratio at `Fastest`, plus the speculative-vs-lazy (`Level::Default`)
+//!   ratio gap — the paper reports its speculative hardware matcher costs
+//!   ~10% ratio against zlib's sequential lazy parse. Every speculative
+//!   output must decode byte-identically through our inflate *and*
+//!   `gzip -dc`.
 //! * **Part C** cross-validates parse quality against the `nx-accel`
 //!   hardware-model matcher ([`nx_accel::MatchEngine`]): software
 //!   speculative, hardware speculative (N=8 banked CAM model) and
@@ -29,26 +26,25 @@
 //!   mean match length), with every hardware token stream expanded and
 //!   checked lossless.
 //!
-//! `run()` writes `BENCH_SPECULATIVE.json`; `scripts/ci.sh` gates on the
-//! summary row's `speculative_mb_per_s` against the committed baseline.
+//! `run()` writes `BENCH_SPECULATIVE.json`. Speculative encode speed is
+//! `nxbench`'s `compress_fastest_mb_per_s` and, traced,
+//! `deflate.lz77_fastest_ns_per_byte` / `deflate.lz77_fastest_match_share`;
+//! the speculative-vs-sequential wall-clock comparison is not measured.
 
 use super::e21::gzip_dc;
-use super::MetricRow;
-use crate::{Table, SEED};
+use crate::{write_rows, Row, Table, SEED};
 use nx_accel::matcher::MatchEngine;
 use nx_accel::{AccelConfig, Resolution};
 use nx_corpus::CorpusKind;
 use nx_deflate::lz77::{expand_tokens, Token, Tokenizer};
 use nx_deflate::{crc32::crc32, gzip, inflate, Encoder, Engine, Level};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// One-line experiment title shown by `tables list`.
 pub const TITLE: &str =
     "Speculative batch matcher: 8-position windows vs the sequential ladder, NX-model parity";
 
-/// Where the machine-readable rows land. The CI gate parses the summary
-/// row of this file.
+/// Where the machine-readable rows land (workspace root under
+/// `cargo run`).
 pub const JSON_PATH: &str = "BENCH_SPECULATIVE.json";
 
 /// Bytes generated per corpus class.
@@ -56,9 +52,6 @@ const PER_KIND: usize = 1 << 20;
 
 /// Mixed-corpus length for the headline Part A measurement.
 const MIXED_LEN: usize = 4 << 20;
-
-/// Timed passes per (corpus, engine); the minimum is reported.
-const PASSES: usize = 3;
 
 /// The paper's reported ratio cost of the hardware's speculative parse
 /// against zlib's sequential lazy matching, in percent.
@@ -72,9 +65,7 @@ const XVAL_LEN: usize = 256 << 10;
 struct Cell {
     corpus: &'static str,
     spec_ratio: f64,
-    spec_mb_per_s: f64,
     seq_ratio: f64,
-    seq_mb_per_s: f64,
     /// Speculative ratio deficit vs. the sequential lazy `Default` rung,
     /// in percent (negative = speculative compresses better).
     lazy_gap_pct: f64,
@@ -139,33 +130,12 @@ struct XvalRow {
 struct Measured {
     cells: Vec<Cell>,
     xval: Vec<XvalRow>,
-    /// Part A mixed corpus: (spec, seq) MB/s at Fastest and Fast.
-    mixed_fastest: (f64, f64),
-    mixed_fast: (f64, f64),
     /// Part A mixed corpus: (spec, seq) ratios at Fastest.
     mixed_fastest_ratio: (f64, f64),
     /// Mixed-corpus speculative-vs-lazy(`Default`) ratio gap, percent.
     mixed_lazy_gap_pct: f64,
     all_identical: bool,
     gzip_verified: Option<bool>,
-}
-
-/// Wall-clock seconds of one call to `f`.
-fn timed<F: FnMut()>(mut f: F) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// Best-of-[`PASSES`] throughput of `enc` over `data`, in MB/s.
-fn throughput(enc: &Encoder, data: &[u8]) -> f64 {
-    let mut t = f64::INFINITY;
-    for _ in 0..PASSES {
-        t = t.min(timed(|| {
-            std::hint::black_box(enc.compress(data).len());
-        }));
-    }
-    data.len() as f64 / t / 1e6
 }
 
 /// Speculative-vs-lazy ratio gap in percent: how much ratio the
@@ -176,218 +146,144 @@ fn lazy_gap_pct(spec_size: usize, lazy_size: usize) -> f64 {
     (1.0 - lazy_size as f64 / spec_size as f64) * 100.0
 }
 
-/// Runs the sweep once per process; `run()` and [`metrics`] share it.
-fn measured() -> &'static Measured {
-    static CELL: OnceLock<Measured> = OnceLock::new();
-    CELL.get_or_init(|| {
-        let fastest = Level::Fastest.compression_level();
-        let fast = Level::Fast.compression_level();
-        let lazy = Level::Default.compression_level();
-        let spec_enc = Encoder::with_engine(fastest, Engine::Auto);
-        let seq_enc = Encoder::with_engine(fastest, Engine::Sequential);
-        let lazy_enc = Encoder::with_engine(lazy, Engine::Auto);
+/// Runs the three parts.
+fn measure() -> Measured {
+    let fastest = Level::Fastest.compression_level();
+    let lazy = Level::Default.compression_level();
+    let spec_enc = Encoder::with_engine(fastest, Engine::Auto);
+    let seq_enc = Encoder::with_engine(fastest, Engine::Sequential);
+    let lazy_enc = Encoder::with_engine(lazy, Engine::Auto);
 
-        let mut cells = Vec::new();
-        let mut all_identical = true;
-        let mut gzip_verified: Option<bool> = None;
+    let mut cells = Vec::new();
+    let mut all_identical = true;
+    let mut gzip_verified: Option<bool> = None;
 
-        for &kind in CorpusKind::all() {
-            let data = kind.generate(SEED, PER_KIND);
-            let spec = spec_enc.compress(&data);
-            let seq = seq_enc.compress(&data);
-            let lazy_size = lazy_enc.compress(&data).len();
+    for &kind in CorpusKind::all() {
+        let data = kind.generate(SEED, PER_KIND);
+        let spec = spec_enc.compress(&data);
+        let seq = seq_enc.compress(&data);
+        let lazy_size = lazy_enc.compress(&data).len();
 
-            let identical = inflate(&spec).expect("valid stream") == data;
-            all_identical &= identical;
-            let gz = gzip::wrap_deflate(&spec, crc32(&data), data.len() as u64);
-            let gzip_ok = gzip_dc(&gz).map(|back| back == data);
-            if let Some(ok) = gzip_ok {
-                gzip_verified = Some(gzip_verified.unwrap_or(true) && ok);
-            }
-
-            cells.push(Cell {
-                corpus: kind.name(),
-                spec_ratio: data.len() as f64 / spec.len() as f64,
-                spec_mb_per_s: throughput(&spec_enc, &data),
-                seq_ratio: data.len() as f64 / seq.len() as f64,
-                seq_mb_per_s: throughput(&seq_enc, &data),
-                lazy_gap_pct: lazy_gap_pct(spec.len(), lazy_size),
-                identical,
-                gzip_ok,
-            });
+        let identical = inflate(&spec).expect("valid stream") == data;
+        all_identical &= identical;
+        let gz = gzip::wrap_deflate(&spec, crc32(&data), data.len() as u64);
+        let gzip_ok = gzip_dc(&gz).map(|back| back == data);
+        if let Some(ok) = gzip_ok {
+            gzip_verified = Some(gzip_verified.unwrap_or(true) && ok);
         }
 
-        // Part A: the headline mixed-corpus frontier.
-        let mixed = nx_corpus::mixed(SEED, MIXED_LEN);
-        let spec_out = spec_enc.compress(&mixed);
-        let seq_out = seq_enc.compress(&mixed);
-        all_identical &= inflate(&spec_out).expect("valid stream") == mixed;
-        let mixed_fastest = (throughput(&spec_enc, &mixed), throughput(&seq_enc, &mixed));
-        let spec_fast = Encoder::with_engine(fast, Engine::Auto);
-        let seq_fast = Encoder::with_engine(fast, Engine::Sequential);
-        let mixed_fast = (
-            throughput(&spec_fast, &mixed),
-            throughput(&seq_fast, &mixed),
-        );
-        let mixed_fastest_ratio = (
-            mixed.len() as f64 / spec_out.len() as f64,
-            mixed.len() as f64 / seq_out.len() as f64,
-        );
-        let mixed_lazy_gap_pct = lazy_gap_pct(spec_out.len(), lazy_enc.compress(&mixed).len());
-
-        // Part C: hardware-model cross-validation on a corpus subset.
-        let mut xval = Vec::new();
-        let mut tok = Tokenizer::new();
-        for kind in [
-            CorpusKind::Text,
-            CorpusKind::Json,
-            CorpusKind::Binary,
-            CorpusKind::Logs,
-        ] {
-            let data = kind.generate(SEED, XVAL_LEN);
-            let sw = ParseShape::of(tok.tokenize_with(&data, 0, fastest.get(), Engine::Auto));
-
-            let spec_cfg = AccelConfig::power9();
-            let mut greedy_cfg = AccelConfig::power9();
-            greedy_cfg.resolution = Resolution::Greedy;
-            let hw_spec_tokens = MatchEngine::new(spec_cfg).tokenize(&data).tokens;
-            let hw_greedy_tokens = MatchEngine::new(greedy_cfg).tokenize(&data).tokens;
-            let hw_lossless =
-                expand_tokens(&hw_spec_tokens) == data && expand_tokens(&hw_greedy_tokens) == data;
-            let hw_spec = ParseShape::of(&hw_spec_tokens);
-            let hw_greedy = ParseShape::of(&hw_greedy_tokens);
-
-            xval.push(XvalRow {
-                corpus: kind.name(),
-                sw_share: sw.match_share_pct(data.len()),
-                sw_mean_len: sw.mean_match_len(),
-                hw_spec_share: hw_spec.match_share_pct(data.len()),
-                hw_spec_mean_len: hw_spec.mean_match_len(),
-                hw_greedy_share: hw_greedy.match_share_pct(data.len()),
-                hw_greedy_mean_len: hw_greedy.mean_match_len(),
-                hw_lossless,
-            });
-        }
-
-        Measured {
-            cells,
-            xval,
-            mixed_fastest,
-            mixed_fast,
-            mixed_fastest_ratio,
-            mixed_lazy_gap_pct,
-            all_identical,
-            gzip_verified,
-        }
-    })
-}
-
-/// Renders the machine-readable rows ([`JSON_PATH`]).
-fn render_json(m: &Measured) -> String {
-    let mut rows: Vec<String> = m
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"section\": \"corpus\", \"corpus\": \"{}\", \
-                 \"spec_ratio\": {:.4}, \"spec_mb_per_s\": {:.3}, \
-                 \"seq_ratio\": {:.4}, \"seq_mb_per_s\": {:.3}, \
-                 \"lazy_gap_pct\": {:.2}, \"identical\": {}, \"gzip_ok\": {}}}",
-                c.corpus,
-                c.spec_ratio,
-                c.spec_mb_per_s,
-                c.seq_ratio,
-                c.seq_mb_per_s,
-                c.lazy_gap_pct,
-                c.identical,
-                c.gzip_ok.map_or("null".into(), |b| b.to_string()),
-            )
-        })
-        .collect();
-    for x in &m.xval {
-        rows.push(format!(
-            "  {{\"section\": \"xval\", \"corpus\": \"{}\", \
-             \"sw_match_share_pct\": {:.2}, \"sw_mean_match_len\": {:.2}, \
-             \"hw_spec_match_share_pct\": {:.2}, \"hw_spec_mean_match_len\": {:.2}, \
-             \"hw_greedy_match_share_pct\": {:.2}, \"hw_greedy_mean_match_len\": {:.2}, \
-             \"hw_lossless\": {}}}",
-            x.corpus,
-            x.sw_share,
-            x.sw_mean_len,
-            x.hw_spec_share,
-            x.hw_spec_mean_len,
-            x.hw_greedy_share,
-            x.hw_greedy_mean_len,
-            x.hw_lossless,
-        ));
+        cells.push(Cell {
+            corpus: kind.name(),
+            spec_ratio: data.len() as f64 / spec.len() as f64,
+            seq_ratio: data.len() as f64 / seq.len() as f64,
+            lazy_gap_pct: lazy_gap_pct(spec.len(), lazy_size),
+            identical,
+            gzip_ok,
+        });
     }
-    rows.push(format!(
-        "  {{\"section\": \"summary\", \"speculative_mb_per_s\": {:.3}, \
-         \"sequential_mb_per_s\": {:.3}, \"speedup\": {:.3}, \
-         \"fast_speculative_mb_per_s\": {:.3}, \"fast_sequential_mb_per_s\": {:.3}, \
-         \"speculative_ratio\": {:.4}, \"sequential_ratio\": {:.4}, \
-         \"spec_faster_than_sequential\": {}, \"spec_ratio_not_worse\": {}, \
-         \"lazy_gap_pct\": {:.2}, \"paper_gap_pct\": {PAPER_GAP_PCT}, \
-         \"all_identical\": {}, \"gzip_verified\": {}}}",
-        m.mixed_fastest.0,
-        m.mixed_fastest.1,
-        m.mixed_fastest.0 / m.mixed_fastest.1,
-        m.mixed_fast.0,
-        m.mixed_fast.1,
-        m.mixed_fastest_ratio.0,
-        m.mixed_fastest_ratio.1,
-        m.mixed_fastest.0 > m.mixed_fastest.1,
-        m.mixed_fastest_ratio.0 >= m.mixed_fastest_ratio.1,
-        m.mixed_lazy_gap_pct,
-        m.all_identical,
-        m.gzip_verified.map_or("null".into(), |b| b.to_string()),
-    ));
-    format!("[\n{}\n]\n", rows.join(",\n"))
+
+    // Part A: the headline mixed-corpus frontier.
+    let mixed = nx_corpus::mixed(SEED, MIXED_LEN);
+    let spec_out = spec_enc.compress(&mixed);
+    let seq_out = seq_enc.compress(&mixed);
+    all_identical &= inflate(&spec_out).expect("valid stream") == mixed;
+    let mixed_fastest_ratio = (
+        mixed.len() as f64 / spec_out.len() as f64,
+        mixed.len() as f64 / seq_out.len() as f64,
+    );
+    let mixed_lazy_gap_pct = lazy_gap_pct(spec_out.len(), lazy_enc.compress(&mixed).len());
+
+    // Part C: hardware-model cross-validation on a corpus subset.
+    let mut xval = Vec::new();
+    let mut tok = Tokenizer::new();
+    for kind in [
+        CorpusKind::Text,
+        CorpusKind::Json,
+        CorpusKind::Binary,
+        CorpusKind::Logs,
+    ] {
+        let data = kind.generate(SEED, XVAL_LEN);
+        let sw = ParseShape::of(tok.tokenize_with(&data, 0, fastest.get(), Engine::Auto));
+
+        let spec_cfg = AccelConfig::power9();
+        let mut greedy_cfg = AccelConfig::power9();
+        greedy_cfg.resolution = Resolution::Greedy;
+        let hw_spec_tokens = MatchEngine::new(spec_cfg).tokenize(&data).tokens;
+        let hw_greedy_tokens = MatchEngine::new(greedy_cfg).tokenize(&data).tokens;
+        let hw_lossless =
+            expand_tokens(&hw_spec_tokens) == data && expand_tokens(&hw_greedy_tokens) == data;
+        let hw_spec = ParseShape::of(&hw_spec_tokens);
+        let hw_greedy = ParseShape::of(&hw_greedy_tokens);
+
+        xval.push(XvalRow {
+            corpus: kind.name(),
+            sw_share: sw.match_share_pct(data.len()),
+            sw_mean_len: sw.mean_match_len(),
+            hw_spec_share: hw_spec.match_share_pct(data.len()),
+            hw_spec_mean_len: hw_spec.mean_match_len(),
+            hw_greedy_share: hw_greedy.match_share_pct(data.len()),
+            hw_greedy_mean_len: hw_greedy.mean_match_len(),
+            hw_lossless,
+        });
+    }
+
+    Measured {
+        cells,
+        xval,
+        mixed_fastest_ratio,
+        mixed_lazy_gap_pct,
+        all_identical,
+        gzip_verified,
+    }
 }
 
-/// Machine-readable rows for `tables --json`.
-pub fn metrics() -> Vec<MetricRow> {
-    let m = measured();
-    vec![
-        MetricRow::new("speculative_mb_per_s", m.mixed_fastest.0, "MB/s"),
-        MetricRow::new("sequential_mb_per_s", m.mixed_fastest.1, "MB/s"),
-        MetricRow::new("speedup", m.mixed_fastest.0 / m.mixed_fastest.1, "ratio"),
-        MetricRow::new("speculative_ratio", m.mixed_fastest_ratio.0, "ratio"),
-        MetricRow::new("sequential_ratio", m.mixed_fastest_ratio.1, "ratio"),
-        MetricRow::new("lazy_gap_pct", m.mixed_lazy_gap_pct, "percent"),
-        MetricRow::new(
-            "spec_faster_than_sequential",
-            f64::from(u8::from(m.mixed_fastest.0 > m.mixed_fastest.1)),
-            "bool",
-        ),
-        MetricRow::new(
-            "spec_ratio_not_worse",
-            f64::from(u8::from(m.mixed_fastest_ratio.0 >= m.mixed_fastest_ratio.1)),
-            "bool",
-        ),
-        MetricRow::new(
-            "outputs_identical",
-            f64::from(u8::from(m.all_identical)),
-            "bool",
-        ),
-        MetricRow::new(
-            "gzip_verified",
-            f64::from(u8::from(m.gzip_verified == Some(true))),
-            "bool",
-        ),
-    ]
+/// The machine-readable rows ([`JSON_PATH`]).
+fn rows(m: &Measured) -> Vec<Row> {
+    let corpus = m.cells.iter().map(|c| {
+        Row::new("corpus")
+            .str("corpus", c.corpus)
+            .fixed("spec_ratio", c.spec_ratio, 4)
+            .fixed("seq_ratio", c.seq_ratio, 4)
+            .fixed("lazy_gap_pct", c.lazy_gap_pct, 2)
+            .val("identical", c.identical)
+            .check("gzip_ok", c.gzip_ok)
+    });
+    let xval = m.xval.iter().map(|x| {
+        Row::new("xval")
+            .str("corpus", x.corpus)
+            .fixed("sw_match_share_pct", x.sw_share, 2)
+            .fixed("sw_mean_match_len", x.sw_mean_len, 2)
+            .fixed("hw_spec_match_share_pct", x.hw_spec_share, 2)
+            .fixed("hw_spec_mean_match_len", x.hw_spec_mean_len, 2)
+            .fixed("hw_greedy_match_share_pct", x.hw_greedy_share, 2)
+            .fixed("hw_greedy_mean_match_len", x.hw_greedy_mean_len, 2)
+            .val("hw_lossless", x.hw_lossless)
+    });
+    let mut rows: Vec<Row> = corpus.chain(xval).collect();
+    rows.push(
+        Row::new("summary")
+            .fixed("speculative_ratio", m.mixed_fastest_ratio.0, 4)
+            .fixed("sequential_ratio", m.mixed_fastest_ratio.1, 4)
+            .val(
+                "spec_ratio_not_worse",
+                m.mixed_fastest_ratio.0 >= m.mixed_fastest_ratio.1,
+            )
+            .fixed("lazy_gap_pct", m.mixed_lazy_gap_pct, 2)
+            .val("paper_gap_pct", PAPER_GAP_PCT)
+            .val("all_identical", m.all_identical)
+            .check("gzip_verified", m.gzip_verified),
+    );
+    rows
 }
 
 /// Runs the experiment, writes [`JSON_PATH`], renders the report.
 pub fn run() -> String {
-    let m = measured();
+    let m = measure();
 
     let mut table = Table::new(vec![
         "corpus",
         "spec ratio",
-        "spec MB/s",
         "seq ratio",
-        "seq MB/s",
         "vs lazy",
         "verified",
     ]);
@@ -395,9 +291,7 @@ pub fn run() -> String {
         table.row(vec![
             c.corpus.to_string(),
             format!("{:.3}", c.spec_ratio),
-            format!("{:.1}", c.spec_mb_per_s),
             format!("{:.3}", c.seq_ratio),
-            format!("{:.1}", c.seq_mb_per_s),
             format!("{:+.1}%", c.lazy_gap_pct),
             match (c.identical, c.gzip_ok) {
                 (true, Some(true)) => "ours+gzip".to_string(),
@@ -429,34 +323,23 @@ pub fn run() -> String {
             x.hw_lossless.to_string(),
         ]);
     }
-
-    let json = render_json(m);
-    let json_note = match std::fs::write(JSON_PATH, &json) {
-        Ok(()) => format!("rows written to `{JSON_PATH}`"),
-        Err(err) => format!("could not write `{JSON_PATH}`: {err}"),
-    };
+    let note = write_rows(JSON_PATH, &rows(&m));
 
     format!(
         "## E25 — {TITLE}\n\nHeadline: on the {} MiB mixed corpus at `Level::Fastest` the \
-         speculative batch engine compresses at {:.1} MB/s vs {:.1} MB/s for the forced \
-         sequential ladder ({:.2}x, same host, best-of-{PASSES}), at ratio {:.4} vs {:.4} \
-         (`Fast`: {:.1} vs {:.1} MB/s). Speculative-vs-lazy(`Default`) ratio gap on mixed: \
-         {:+.1}% (paper reports ~{PAPER_GAP_PCT}% for its hardware matcher at ~10x \
-         throughput).\n\nCorpus sweep ({} classes x {} MiB at `Fastest`; `vs lazy` = ratio \
-         given up against the sequential lazy `Default` parse):\n\n{}\n\
+         speculative batch engine reaches ratio {:.4} vs {:.4} for the forced sequential \
+         ladder. Speculative-vs-lazy(`Default`) ratio gap on mixed: {:+.1}% (paper reports \
+         ~{PAPER_GAP_PCT}% for its hardware matcher).\n\nCorpus sweep ({} classes x {} MiB \
+         at `Fastest`; `vs lazy` = ratio given up against the sequential lazy `Default` \
+         parse):\n\n{}\n\
          Hardware-model cross-validation ({} KiB inputs; software speculative vs the \
          `nx-accel` N=8 banked-CAM matcher in speculative and greedy resolution; share = \
          bytes covered by matches, len = mean match length):\n\n{}\n\
          All speculative outputs identical through our inflate: {}; gzip(1) verification: \
-         {}.\n\n{json_note}\n",
+         {}.\n\n{note}\n",
         MIXED_LEN >> 20,
-        m.mixed_fastest.0,
-        m.mixed_fastest.1,
-        m.mixed_fastest.0 / m.mixed_fastest.1,
         m.mixed_fastest_ratio.0,
         m.mixed_fastest_ratio.1,
-        m.mixed_fast.0,
-        m.mixed_fast.1,
         m.mixed_lazy_gap_pct,
         CorpusKind::all().len(),
         PER_KIND >> 20,
@@ -536,9 +419,7 @@ mod tests {
             cells: vec![Cell {
                 corpus: "text",
                 spec_ratio: 2.9,
-                spec_mb_per_s: 150.0,
                 seq_ratio: 2.8,
-                seq_mb_per_s: 110.0,
                 lazy_gap_pct: 8.5,
                 identical: true,
                 gzip_ok: Some(true),
@@ -553,21 +434,18 @@ mod tests {
                 hw_greedy_mean_len: 12.5,
                 hw_lossless: true,
             }],
-            mixed_fastest: (150.0, 108.0),
-            mixed_fast: (140.0, 72.0),
             mixed_fastest_ratio: (3.61, 3.55),
             mixed_lazy_gap_pct: 9.1,
             all_identical: true,
             gzip_verified: Some(true),
         };
-        let json = render_json(&m);
+        let json = crate::render_rows(&rows(&m));
         assert!(json.starts_with("[\n") && json.ends_with("]\n"));
         assert_eq!(json.matches("{\"section\"").count(), 3);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"speculative_mb_per_s\": 150.000"));
-        assert!(json.contains("\"spec_faster_than_sequential\": true"));
-        assert!(json.contains("\"spec_ratio_not_worse\": true"));
-        assert!(json.contains("\"lazy_gap_pct\": 9.10"));
-        assert!(json.contains("\"gzip_verified\": true"));
+        assert!(json.contains("\"spec_ratio\": 2.9000, \"seq_ratio\": 2.8000, \"lazy_gap_pct\": 8.50"));
+        assert!(json.contains("\"spec_ratio_not_worse\": true, \"lazy_gap_pct\": 9.10"));
+        assert!(json.contains("\"paper_gap_pct\": 10, \"all_identical\": true"));
+        assert!(json.contains("\"gzip_verified\": true}"));
+        assert!(!json.contains("mb_per_s"));
     }
 }

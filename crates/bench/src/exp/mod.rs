@@ -2,56 +2,6 @@
 //! evaluation (identifiers E1–E26; see DESIGN.md for the mapping and the
 //! source-text caveat on numbering).
 
-pub mod e1;
-pub mod e10;
-pub mod e11;
-pub mod e12;
-pub mod e13;
-pub mod e14;
-pub mod e15;
-pub mod e16;
-pub mod e17;
-pub mod e18;
-pub mod e19;
-pub mod e2;
-pub mod e20;
-pub mod e21;
-pub mod e22;
-pub mod e23;
-pub mod e24;
-pub mod e25;
-pub mod e26;
-pub mod e3;
-pub mod e4;
-pub mod e5;
-pub mod e6;
-pub mod e7;
-pub mod e8;
-pub mod e9;
-
-/// One machine-readable metric row for `tables --json`.
-#[derive(Debug, Clone, Copy)]
-pub struct MetricRow {
-    /// Stable metric identifier (snake_case, unique within the run).
-    pub name: &'static str,
-    /// The measured value.
-    pub value: f64,
-    /// Unit of `value` (`"MB/s"`, `"us"`, `"percent"`, `"ratio"`,
-    /// `"bytes"`, `"count"`, `"bool"`).
-    pub unit: &'static str,
-}
-
-impl MetricRow {
-    /// Builds one row.
-    pub fn new(name: &'static str, value: f64, unit: &'static str) -> Self {
-        Self { name, value, unit }
-    }
-}
-
-/// Machine-readable metric rows an experiment can expose for
-/// `tables --json`.
-pub type MetricFn = fn() -> Vec<MetricRow>;
-
 /// An experiment entry: id, one-line description, runner.
 pub struct Experiment {
     /// Identifier (`"e1"` …).
@@ -60,175 +10,34 @@ pub struct Experiment {
     pub title: &'static str,
     /// Runs the experiment, returning the rendered report.
     pub run: fn() -> String,
-    /// Machine-readable `(metric, value)` rows for `tables --json`,
-    /// when the experiment exposes them.
-    pub metrics: Option<MetricFn>,
 }
 
-/// All experiments, in order.
-pub fn all() -> Vec<Experiment> {
-    vec![
-        Experiment {
-            id: "e1",
-            title: e1::TITLE,
-            run: e1::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e2",
-            title: e2::TITLE,
-            run: e2::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e3",
-            title: e3::TITLE,
-            run: e3::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e4",
-            title: e4::TITLE,
-            run: e4::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e5",
-            title: e5::TITLE,
-            run: e5::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e6",
-            title: e6::TITLE,
-            run: e6::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e7",
-            title: e7::TITLE,
-            run: e7::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e8",
-            title: e8::TITLE,
-            run: e8::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e9",
-            title: e9::TITLE,
-            run: e9::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e10",
-            title: e10::TITLE,
-            run: e10::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e11",
-            title: e11::TITLE,
-            run: e11::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e12",
-            title: e12::TITLE,
-            run: e12::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e13",
-            title: e13::TITLE,
-            run: e13::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e14",
-            title: e14::TITLE,
-            run: e14::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e15",
-            title: e15::TITLE,
-            run: e15::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e16",
-            title: e16::TITLE,
-            run: e16::run,
-            metrics: None,
-        },
-        Experiment {
-            id: "e17",
-            title: e17::TITLE,
-            run: e17::run,
-            metrics: Some(e17::metrics),
-        },
-        Experiment {
-            id: "e18",
-            title: e18::TITLE,
-            run: e18::run,
-            metrics: Some(e18::metrics),
-        },
-        Experiment {
-            id: "e19",
-            title: e19::TITLE,
-            run: e19::run,
-            metrics: Some(e19::metrics),
-        },
-        Experiment {
-            id: "e20",
-            title: e20::TITLE,
-            run: e20::run,
-            metrics: Some(e20::metrics),
-        },
-        Experiment {
-            id: "e21",
-            title: e21::TITLE,
-            run: e21::run,
-            metrics: Some(e21::metrics),
-        },
-        Experiment {
-            id: "e22",
-            title: e22::TITLE,
-            run: e22::run,
-            metrics: Some(e22::metrics),
-        },
-        Experiment {
-            id: "e23",
-            title: e23::TITLE,
-            run: e23::run,
-            metrics: Some(e23::metrics),
-        },
-        Experiment {
-            id: "e24",
-            title: e24::TITLE,
-            run: e24::run,
-            metrics: Some(e24::metrics),
-        },
-        Experiment {
-            id: "e25",
-            title: e25::TITLE,
-            run: e25::run,
-            metrics: Some(e25::metrics),
-        },
-        Experiment {
-            id: "e26",
-            title: e26::TITLE,
-            run: e26::run,
-            metrics: Some(e26::metrics),
-        },
-    ]
+/// Declares every experiment module once: the modules, the registry and
+/// (for the tests) their source text.
+macro_rules! experiments {
+    ($($id:ident),* $(,)?) => {
+        $(pub mod $id;)*
+
+        /// All experiments, in order.
+        pub fn all() -> Vec<Experiment> {
+            vec![$(Experiment { id: stringify!($id), title: $id::TITLE, run: $id::run }),*]
+        }
+
+        #[cfg(test)]
+        const SOURCES: &[(&str, &str)] =
+            &[$((stringify!($id), include_str!(concat!(stringify!($id), ".rs")))),*];
+    };
 }
+
+experiments!(
+    e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18, e19, e20, e21,
+    e22, e23, e24, e25, e26,
+);
 
 #[cfg(test)]
 mod tests {
+    use super::SOURCES;
+
     #[test]
     fn registry_is_complete_and_unique() {
         let all = super::all();
@@ -237,5 +46,28 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 26);
+    }
+
+    #[test]
+    fn bench_file_writers_read_no_host_clock() {
+        // A committed BENCH_*.json is gated by byte identity, so the code
+        // that writes one may not time anything: host wall-clock belongs to
+        // `nxbench`. (E3/E4/E11/E13 print a two-clock speedup to stdout and
+        // write no file.)
+        let writers: Vec<&str> = SOURCES
+            .iter()
+            .filter(|(_, src)| src.contains("BENCH_"))
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(
+            writers,
+            ["e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26"]
+        );
+        for (id, src) in SOURCES.iter().filter(|(id, _)| writers.contains(id)) {
+            assert!(
+                !src.contains("Instant"),
+                "{id} writes a BENCH file and reads the host clock"
+            );
+        }
     }
 }

@@ -78,7 +78,13 @@ cd "$(dirname "$0")/.."
 # read that hands its pooled state back on every exit came out even against
 # the BTYPE peek in `decode_to` and two decode bodies folded into
 # `repair_to`: 8024 stays.
-declare -A CAP=([accel]=1794 [deflate]=7582 [core]=8024 [sys]=1589)
+# nx-bench: 5136 lines while it ran a second host-clock benchmark system
+# beside `nxbench` (best-of-N timing loops in E17-E21 and E24-E26, `tables
+# --json`, ten hand-rolled JSON writers). With the timing loops gone, every
+# BENCH_*.json holding deterministic cells through one `Row` writer and CI
+# gating the files by `git diff`, it is capped where that left it, so a
+# timing loop cannot grow back unnoticed.
+declare -A CAP=([accel]=1794 [bench]=3714 [deflate]=7582 [core]=8024 [sys]=1589)
 
 total=0
 over=0
