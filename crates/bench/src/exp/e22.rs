@@ -1,11 +1,9 @@
-//! E22 — Parallel + seekable inflate: speculative two-stage decode,
-//! member fan-out, and seek-index random access.
+//! E22 — Parallel + seekable inflate: member fan-out, serial single
+//! streams, and seek-index random access.
 //!
-//! `nx_core::parallel_inflate` is a rapidgzip-style decoder that (a)
-//! decodes multi-member gzip in place from a trailer plan, (b) splits a
-//! single member at probed block boundaries and decodes chunks ahead of
-//! the unknown 32 KB window into marker buffers, patching them once the
-//! predecessor's window resolves, and (c) serializes a [`SeekIndex`]
+//! `nx_core::parallel_inflate` (a) decodes multi-member gzip in place from
+//! a trailer plan, (b) decodes an index-less single member serially, since
+//! nothing names its split points, and (c) serializes a [`SeekIndex`]
 //! (entry point + referenced window bytes per checkpoint) so
 //! `decompress_at` random-accesses a member without inflating its prefix.
 //!
@@ -17,7 +15,7 @@
 //!
 //! * **Part A** decodes both stream shapes (single member / multi-member)
 //!   at every worker count: identical to serial or not, and the route taken
-//!   (members fanned out, speculative chunks spliced and missed).
+//!   (members fanned out, serial fallbacks).
 //! * **Part B** prices random access in bytes: per shape the checkpoints
 //!   and serialized index bytes (sparse, and what whole windows would have
 //!   cost), per ranged read the bytes decoded against the bytes returned,
@@ -29,7 +27,7 @@ use nx_core::{software, CompressOptions, Format, Nx, ParallelInflateOptions, Par
 use nx_deflate::{CompressionLevel, Level};
 
 /// One-line experiment title shown by `tables list`.
-pub const TITLE: &str = "Parallel inflate: speculative chunks, member fan-out, seek index";
+pub const TITLE: &str = "Parallel inflate: member fan-out, serial single streams, seek index";
 
 /// Where the machine-readable rows land (workspace root under
 /// `cargo run`). The CI gate requires it to reproduce the committed file.
@@ -61,8 +59,7 @@ struct DecodeCell {
     shape: &'static str,
     workers: usize,
     members_parallel: u64,
-    chunks: u64,
-    misses: u64,
+    serial_fallbacks: u64,
     identical: bool,
 }
 
@@ -81,9 +78,6 @@ type IndexCell = (&'static str, usize, usize, usize);
 struct Measured {
     cells: Vec<DecodeCell>,
     seeks: Vec<SeekCell>,
-    /// misses / (chunks + misses) over the whole single-member sweep.
-    miss_rate: f64,
-    marker_patch_bytes: u64,
     indexes: [IndexCell; 2],
     /// Bytes decoded and returned by the amplification sweep.
     sweep: (u64, u64),
@@ -139,7 +133,6 @@ fn measure() -> Measured {
 
     let mut all_identical = true;
     let mut cells = Vec::new();
-    let (mut chunks, mut misses, mut marker_patch_bytes) = (0u64, 0u64, 0u64);
     for (shape, stream) in [("single-member", &single), ("multi-member", &multi)] {
         for workers in WORKERS {
             let inf = inflater(workers);
@@ -147,17 +140,11 @@ fn measure() -> Measured {
             let identical = out.is_ok_and(|out| out == payload);
             all_identical &= identical;
             let stats = inf.stats();
-            if shape == "single-member" {
-                chunks += stats.chunks_decoded();
-                misses += stats.speculation_misses();
-                marker_patch_bytes += stats.marker_patch_bytes();
-            }
             cells.push(DecodeCell {
                 shape,
                 workers,
                 members_parallel: stats.members_parallel(),
-                chunks: stats.chunks_decoded(),
-                misses: stats.speculation_misses(),
+                serial_fallbacks: stats.serial_fallbacks(),
                 identical,
             });
         }
@@ -200,12 +187,6 @@ fn measure() -> Measured {
     Measured {
         cells,
         seeks,
-        miss_rate: if chunks + misses == 0 {
-            0.0
-        } else {
-            misses as f64 / (chunks + misses) as f64
-        },
-        marker_patch_bytes,
         indexes,
         sweep,
         all_identical,
@@ -224,8 +205,7 @@ fn rows(m: &Measured) -> Vec<Row> {
             .str("shape", c.shape)
             .val("workers", c.workers)
             .val("members_parallel", c.members_parallel)
-            .val("chunks", c.chunks)
-            .val("misses", c.misses)
+            .val("serial_fallbacks", c.serial_fallbacks)
             .val("identical", c.identical)
     });
     let index = m.indexes.iter().map(|&(shape, checkpoints, sparse, full)| {
@@ -254,12 +234,7 @@ fn rows(m: &Measured) -> Vec<Row> {
             .val("returned_bytes", m.sweep.1)
             .fixed("decoded_per_returned", ratio(m), 4),
     );
-    rows.push(
-        Row::new("summary")
-            .fixed("speculation_miss_rate", m.miss_rate, 4)
-            .val("marker_patch_bytes", m.marker_patch_bytes)
-            .val("all_identical", m.all_identical),
-    );
+    rows.push(Row::new("summary").val("all_identical", m.all_identical));
     rows
 }
 
@@ -271,8 +246,7 @@ pub fn run() -> String {
         "shape",
         "workers",
         "members fanned out",
-        "chunks spliced",
-        "chunks missed",
+        "serial fallbacks",
         "verified",
     ]);
     for c in &m.cells {
@@ -280,8 +254,7 @@ pub fn run() -> String {
             c.shape.to_string(),
             c.workers.to_string(),
             c.members_parallel.to_string(),
-            c.chunks.to_string(),
-            c.misses.to_string(),
+            c.serial_fallbacks.to_string(),
             if c.identical { "ok" } else { "FAIL" }.to_string(),
         ]);
     }
@@ -302,15 +275,13 @@ pub fn run() -> String {
 
     format!(
         "## E22 — {TITLE}\n\nHeadline: an {} MiB payload, single-member and in {} members, \
-         decodes identically at 1/2/4/8 workers (speculation miss rate {:.1}%, {} marker bytes \
-         patched); speed is `nxbench parallel_io`'s.\n\n{}\n\
+         decodes identically at 1/2/4/8 workers (members fan out, a single member decodes \
+         serially); speed is `nxbench parallel_io`'s.\n\n{}\n\
          Seek index: {}ranged reads in the single-member stream:\n\n{}\n\
          {SWEEP_READS} seeded {} KiB reads over {SWEEP_MEMBERS} `Fastest` members decode {:.3}x \
          what they return.\n\nAll outputs byte-identical to serial: {}.\n\n{json_note}\n",
         PAYLOAD_LEN >> 20,
         PAYLOAD_LEN / MEMBER_LEN,
-        m.miss_rate * 100.0,
-        m.marker_patch_bytes,
         table.render(),
         m.indexes.map(index_line).concat(),
         seek_table.render(),
@@ -334,8 +305,7 @@ mod tests {
                         shape,
                         workers: w,
                         members_parallel: 8,
-                        chunks: 3,
-                        misses: 1,
+                        serial_fallbacks: 1,
                         identical: true,
                     })
                 })
@@ -346,8 +316,6 @@ mod tests {
                 decoded_bytes: 5000,
                 identical: true,
             }],
-            miss_rate: 0.25,
-            marker_patch_bytes: 1 << 20,
             indexes: [("single-member", 8, 30 << 10, 300 << 10); 2],
             sweep: (3_000, 2_000),
             all_identical: true,
@@ -358,8 +326,9 @@ mod tests {
         assert!(json.contains("\"decoded_bytes\": 5000, \"returned_bytes\": 1024"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"decoded_per_returned\": 1.5000"));
-        assert!(json.contains("\"speculation_miss_rate\": 0.2500"));
-        assert!(json.contains("\"all_identical\": true"));
+        assert!(json.contains("\"members_parallel\": 8, \"serial_fallbacks\": 1, \"identical\""));
+        assert!(json.contains("{\"section\": \"summary\", \"all_identical\": true}"));
+        assert!(!json.contains("chunks") && !json.contains("miss") && !json.contains("marker"));
         // Host-clock figures stay out of the gated file.
         assert!(!json.contains("mb_per_s") && !json.contains("speedup"));
     }
@@ -374,11 +343,7 @@ mod tests {
             .flat_map(|c| software::compress(c, level, Format::Gzip))
             .collect();
         for workers in WORKERS {
-            let inf = ParallelInflater::new(ParallelInflateOptions {
-                workers,
-                chunk_size: 32 << 10,
-                ..Default::default()
-            });
+            let inf = inflater(workers);
             assert_eq!(
                 inf.decompress(&single, Format::Gzip).expect("single"),
                 payload

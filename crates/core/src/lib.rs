@@ -746,22 +746,21 @@ impl Nx {
         &self.decode_stats
     }
 
-    /// A parallel inflater bound to this handle's counters, fault
-    /// injector and buffer pool. Construction is cheap — workers are
-    /// scoped threads spawned per request.
+    /// A parallel inflater bound to this handle's counters and fault
+    /// injector. Construction is cheap — workers are scoped threads
+    /// spawned per request.
     fn decode_inflater(&self, opts: ParallelInflateOptions) -> ParallelInflater {
         ParallelInflater::with_parts(
             opts,
             Arc::clone(&self.decode_stats),
             self.env.faults.clone(),
-            Arc::clone(&self.pool),
             self.env.telemetry.clone(),
         )
     }
 
     /// Like [`Nx::decompress_parallel`] but with explicit decode options
-    /// (worker count, chunk size, checkpoint spacing) instead of the
-    /// host-derived defaults.
+    /// (worker count, checkpoint spacing) instead of the host-derived
+    /// defaults.
     ///
     /// # Errors
     ///
@@ -780,10 +779,11 @@ impl Nx {
         Ok(out)
     }
 
-    /// Decompresses `data` through the parallel inflate path (speculative
-    /// two-stage decode for large single streams, member-per-worker for
-    /// multi-member gzip), recording the traffic in this handle's
-    /// [`NxStats`]. Output is byte-identical to a serial inflate.
+    /// Decompresses `data` through the parallel inflate path, recording the
+    /// traffic in this handle's [`NxStats`]: a multi-member gzip decodes
+    /// member-per-worker, and any other stream (a single member, zlib, raw)
+    /// decodes serially, since without an index its split points are
+    /// unknown. Output is byte-identical to a serial inflate.
     ///
     /// # Errors
     ///

@@ -21,16 +21,13 @@
 //! each worker checksums its own chunk, and the per-shard values fold
 //! into the trailer value with [`crc32_combine`] / [`adler32_combine`].
 //!
-//! Decompression of a DEFLATE stream *looks* inherently serial — every
-//! match references the preceding 32 KB of *output*, so shard `i` cannot
-//! simply be decoded before shard `i-1` finished. The engine breaks that
-//! chain speculatively: [`ParallelEngine::decompress`] routes through
-//! [`crate::parallel_inflate`], which probes for block boundaries, decodes
-//! chunks ahead of their unknown window into marker buffers, and patches
-//! the markers once the predecessor's trailing window resolves
-//! (multi-member gzip takes the easy member-per-worker path instead).
-//! Any speculation anomaly degrades to a serial inflate, so output is
-//! always byte-identical to the single-threaded decoder.
+//! Decompression of a DEFLATE stream is serial — every match references
+//! the preceding 32 KB of *output*, so shard `i` cannot simply be decoded
+//! before shard `i-1` finished, and nothing in the stream says where the
+//! shards began. [`ParallelEngine::decompress`] routes through
+//! [`crate::parallel_inflate`]: multi-member gzip decodes member-per-worker,
+//! every other stream serially, and output is always byte-identical to the
+//! single-threaded decoder.
 //!
 //! ```
 //! use nx_core::parallel::{ParallelEngine, ParallelOptions};
@@ -276,7 +273,7 @@ pub struct ParallelEngine {
     /// Shard output buffers cycle through here: workers acquire, the
     /// submitting thread releases after stitching.
     pool: Arc<BufferPool>,
-    /// The decode side: speculative two-stage parallel inflate.
+    /// The decode side: member-parallel inflate, serial otherwise.
     inflater: ParallelInflater,
 }
 
@@ -377,7 +374,6 @@ impl ParallelEngine {
             },
             decode_stats,
             faults.clone(),
-            Arc::clone(&pool),
             sink.clone(),
         );
         // A small bounded queue: submission applies backpressure instead
@@ -663,12 +659,11 @@ impl ParallelEngine {
         Ok(framed)
     }
 
-    /// Decompresses `format`-framed `data` through the speculative
-    /// parallel inflate path ([`crate::parallel_inflate`]): multi-member
-    /// gzip decodes member-per-worker, large single streams decode via
-    /// boundary probing + two-stage marker decode, and anything smaller
-    /// (or any speculation anomaly) decodes serially. Output is
-    /// byte-identical to a serial inflate in every case.
+    /// Decompresses `format`-framed `data` through the parallel inflate
+    /// path ([`crate::parallel_inflate`]): multi-member gzip decodes
+    /// member-per-worker, and any other stream (or a member plan that does
+    /// not validate) decodes serially. Output is byte-identical to a serial
+    /// inflate in every case.
     ///
     /// # Errors
     ///
@@ -678,7 +673,7 @@ impl ParallelEngine {
     }
 
     /// As [`decompress`](Self::decompress) inside the caller's trace —
-    /// decode workers' chunk/member spans land under `ctx.parent_span`
+    /// member (or serial-stream) spans land under `ctx.parent_span`
     /// on the request's timeline
     /// (see [`ParallelInflater::decompress_in_trace`]).
     ///
@@ -695,7 +690,7 @@ impl ParallelEngine {
     }
 
     /// The decode-side parallel inflater (for seek-index builds and
-    /// random access bound to this engine's counters and pool).
+    /// random access bound to this engine's counters).
     pub fn inflater(&self) -> &ParallelInflater {
         &self.inflater
     }

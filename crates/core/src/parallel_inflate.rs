@@ -1,35 +1,25 @@
 //! Parallel and seekable decompression — the decode-side companion to
 //! [`crate::parallel`].
 //!
-//! The NX engine made compression a shared many-client service, but a
-//! DEFLATE stream is serial by construction: every Huffman block may
+//! A DEFLATE stream is serial by construction: every Huffman block may
 //! reference the previous 32 KB of *output*, and block boundaries are not
-//! byte-aligned, so a reader cannot simply split the input. This module
-//! applies the two-stage speculative scheme of *rapidgzip*
-//! (arXiv 2308.08955) and *Massively-Parallel Lossless Data Decompression*
-//! (arXiv 1606.00519) to break that serial chain:
+//! byte-aligned, so a reader cannot simply split the input. The NX unit
+//! decodes one stream through one serial pipeline and gets its parallelism
+//! across requests; *rapidgzip* (arXiv 2308.08955) and *Massively-Parallel
+//! Lossless Data Decompression* (arXiv 1606.00519) parallelise inside a
+//! stream cheaply only where the split points are known in advance. So a
+//! decode takes one of two routes:
 //!
-//! 1. **Boundary scan** — [`nx_deflate::BlockProbe`] probes bit offsets
-//!    near each chunk target until a position validates as a plausible
-//!    block start (stored-block length complement, or a fully consistent
-//!    dynamic Huffman header plus a short trial decode).
-//! 2. **Two-stage decode** — chunk 0 decodes normally; every later chunk
-//!    decodes through [`nx_deflate::MarkerInflater`] into a `u16` cell
-//!    buffer where back-references past the chunk's known history become
-//!    *markers*. Once the predecessor's trailing 32 KB window is resolved,
-//!    a cheap sequential patch pass ([`nx_deflate::resolve_markers_into`])
-//!    rewrites markers into bytes.
-//! 3. **Validation** — speculation is confirmed by *exact landing*: each
-//!    chunk's block walk must stop precisely on the next discovered
-//!    boundary, and the last chunk must terminate the stream; the container
-//!    checksum is verified at the end. Any anomaly — probe miss, decode
-//!    error, landing mismatch, checksum mismatch, injected fault — falls
-//!    back to the serial decoder, so output (and errors) are always
-//!    byte-identical to a serial inflate.
-//!
-//! Multi-member gzip streams take the easy road instead: the trailers say
-//! where every member's output goes, so the result is allocated once and
-//! workers decode members straight into their slices (`plan_members`).
+//! 1. **Member fan-out** — a multi-member gzip stream's trailers say where
+//!    every member's output goes, so with more than one worker the result
+//!    is allocated once and workers decode members straight into their
+//!    slices (`plan_members`). A member that does not validate drops the
+//!    plan and the request falls back to the serial walk, so output (and
+//!    errors) are always byte-identical to a serial inflate.
+//! 2. **Serial** — everything else (a single member, zlib, raw DEFLATE, one
+//!    worker) is [`ParallelInflater::decompress_serial`]. Without an index
+//!    a single stream's split points would have to be guessed, and a guess
+//!    checked, which never beat the serial walk it falls back to.
 //!
 //! The module also builds a serializable [`SeekIndex`] — a list of (bit
 //! offset, output offset, referenced window bytes) checkpoints, inside
@@ -39,11 +29,9 @@
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
-use crate::scratch::BufferPool;
 use crate::{software, Error, Result};
 use nx_deflate::{
-    gzip, resolve_markers_into, BlockProbe, Error as DeflateError, InflateScratch, Inflater,
-    MarkerInflater, MARKER_BASE, MAX_MATCH, WINDOW_SIZE,
+    gzip, Error as DeflateError, InflateScratch, Inflater, MarkerInflater, MAX_MATCH, WINDOW_SIZE,
 };
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
 use std::mem::take;
@@ -52,30 +40,16 @@ use std::sync::{Arc, Mutex};
 
 /// Modeled decode streaming rate for shard spans: 8 compressed bytes per
 /// cycle, matching the encode-side shard model. Decode span timelines are
-/// deterministic functions of chunk index and size, never wall clock.
+/// deterministic functions of unit index and size, never wall clock.
 const DECODE_BYTES_PER_CYCLE: u64 = 8;
 
-/// Compressed bytes per speculative chunk when the caller does not say
-/// otherwise. Boundary probing costs ~a few µs per candidate bit, so
-/// chunks must be large enough to amortise the scan.
-const DEFAULT_CHUNK: usize = 256 * 1024;
+/// Compressed bytes per modeled wave on the span timeline: unit `i` starts
+/// `i / workers` waves in, each of this many bytes' decode cycles.
+const SPAN_WAVE_BYTES: u64 = 256 * 1024;
 
 /// Output bytes between seek-index checkpoints: a ranged read decodes half
 /// of this, on average, before its range.
 const DEFAULT_CHECKPOINT_EVERY: usize = 64 * 1024;
-
-/// Consecutive boundary-free chunk spans before the scanner gives up on
-/// the whole stream (blocks larger than two chunks make chunk-grained
-/// speculation pointless).
-const SCAN_GIVE_UP: usize = 2;
-
-/// Probe-budget multiplier: the scanner tries at most this many candidate
-/// bit offsets per payload *byte*. Tiling every span gaplessly costs 8
-/// probes per byte, so 16 leaves headroom; the budget is a backstop —
-/// pathological streams (e.g. one long fixed-Huffman block, which the
-/// probe deliberately never accepts) are cut off much earlier by the
-/// consecutive-empty-span give-up.
-const SCAN_BUDGET_PER_BYTE: u64 = 16;
 
 /// Longest gzip member header the member planner looks at: a full FEXTRA
 /// plus generous FNAME / FCOMMENT. A longer one is simply not planned.
@@ -90,12 +64,9 @@ const SEEK_INDEX_VERSION: u8 = 3;
 /// Tuning knobs for [`ParallelInflater`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelInflateOptions {
-    /// Worker threads for chunk / member decode. `1` disables speculation
-    /// and decodes serially.
+    /// Worker threads for member fan-out (decode and index build). `1`
+    /// decodes every stream serially.
     pub workers: usize,
-    /// Compressed bytes per speculative chunk. Inputs shorter than two
-    /// chunks decode serially.
-    pub chunk_size: usize,
     /// Decompressed bytes between seek-index checkpoints (at least one
     /// window): each sits where the token that would cross the mark begins.
     pub checkpoint_every: usize,
@@ -105,7 +76,6 @@ impl Default for ParallelInflateOptions {
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            chunk_size: DEFAULT_CHUNK,
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -116,9 +86,6 @@ impl Default for ParallelInflateOptions {
 #[derive(Debug, Default)]
 pub struct InflateParStats {
     requests: AtomicU64,
-    chunks_decoded: AtomicU64,
-    speculation_misses: AtomicU64,
-    marker_patch_bytes: AtomicU64,
     members_parallel: AtomicU64,
     serial_fallbacks: AtomicU64,
     seek_index_hits: AtomicU64,
@@ -136,13 +103,6 @@ impl InflateParStats {
     counter_getters! {
         /// Decompression requests routed through the parallel path.
         requests,
-        /// Speculative chunks decoded (leader + marker chunks).
-        chunks_decoded,
-        /// Speculative attempts abandoned (probe miss, landing mismatch,
-        /// decode error, checksum mismatch or injected fault).
-        speculation_misses,
-        /// Marker cells rewritten to bytes by the patch pass.
-        marker_patch_bytes,
         /// gzip members decoded member-per-worker.
         members_parallel,
         /// Requests that degraded to the serial decoder after a parallel
@@ -155,21 +115,27 @@ impl InflateParStats {
         /// Total decompressed bytes produced.
         bytes_out,
     }
+
+    /// Always 0 (no speculative chunks exist); `nxbench` still reads it.
+    pub fn chunks_decoded(&self) -> u64 {
+        0
+    }
+
+    /// Always 0 (nothing speculates, so nothing misses); `nxbench` still reads it.
+    pub fn speculation_misses(&self) -> u64 {
+        0
+    }
+
+    /// Always 0 (no marker patch pass exists); `nxbench` still reads it.
+    pub fn marker_patch_bytes(&self) -> u64 {
+        0
+    }
 }
 
 impl MetricSource for InflateParStats {
     fn collect(&self, out: &mut Vec<(String, MetricValue)>) {
-        let counters: [(&str, u64); 9] = [
+        let counters: [(&str, u64); 6] = [
             ("nx_decode_parallel_requests_total", self.requests()),
-            ("nx_decode_parallel_chunks_total", self.chunks_decoded()),
-            (
-                "nx_decode_parallel_speculation_misses_total",
-                self.speculation_misses(),
-            ),
-            (
-                "nx_decode_parallel_marker_patch_bytes_total",
-                self.marker_patch_bytes(),
-            ),
             ("nx_decode_parallel_members_total", self.members_parallel()),
             (
                 "nx_decode_parallel_serial_fallbacks_total",
@@ -355,19 +321,6 @@ impl SeekIndex {
     }
 }
 
-/// Splits `len` compressed bytes into `chunk`-sized units for the shard
-/// span model; an empty input is one (empty) shard.
-fn chunk_sizes(len: usize, chunk: usize) -> Vec<usize> {
-    if len == 0 {
-        return vec![0];
-    }
-    let chunk = chunk.max(1);
-    (0..len)
-        .step_by(chunk)
-        .map(|at| chunk.min(len - at))
-        .collect()
-}
-
 /// Runs `job` over `0..n` on up to `workers` threads (the caller plus
 /// scoped helpers) pulling indices from one counter, each with its own
 /// `init()` state, so uneven items balance. A `None` from `job` stops the
@@ -408,25 +361,6 @@ fn fan_out<S, T: Send>(
     results
 }
 
-/// Outcome of a speculative single-stream attempt.
-enum Spec {
-    /// Speculation confirmed: the output, and the payload bytes it took.
-    Done(Vec<u8>, usize),
-    /// Attempted and failed — count a miss and fall back.
-    Miss,
-    /// Not worth attempting (too small, one worker, no boundaries probed).
-    NotAttempted,
-}
-
-/// What a speculative chunk decoded to; a chunk result is `(body, end bit,
-/// stream finished)`, or `None` after a decode error or injected fault.
-enum Body {
-    /// Chunk 0: plain bytes from a known-history decode.
-    Bytes(Vec<u8>),
-    /// Chunk ≥ 1: marker cells awaiting the patch pass.
-    Cells(Vec<u16>),
-}
-
 /// The parallel + seekable decoder. Cheap to construct: workers are scoped
 /// threads spawned per request, borrowing the input slice.
 #[derive(Debug)]
@@ -434,7 +368,6 @@ pub struct ParallelInflater {
     opts: ParallelInflateOptions,
     stats: Arc<InflateParStats>,
     faults: Option<Arc<FaultInjector>>,
-    pool: Arc<BufferPool>,
     /// Span sink for traced decodes (disabled by default — the untraced
     /// paths never touch it).
     telemetry: TelemetrySink,
@@ -457,33 +390,23 @@ struct Walker {
 }
 
 impl ParallelInflater {
-    /// Creates a decoder with fresh stats and a private buffer pool.
+    /// Creates a decoder with fresh stats.
     pub fn new(opts: ParallelInflateOptions) -> Self {
-        Self::with_parts(
-            opts,
-            Arc::new(InflateParStats::default()),
-            None,
-            Arc::new(BufferPool::default()),
-            TelemetrySink::disabled(),
-        )
+        Self::with_parts(opts, Arc::default(), None, TelemetrySink::disabled())
     }
 
-    /// Creates a decoder sharing stats / faults / pool / sink with a
-    /// facade.
+    /// Creates a decoder sharing stats / faults / sink with a facade.
     pub(crate) fn with_parts(
         mut opts: ParallelInflateOptions,
         stats: Arc<InflateParStats>,
         faults: Option<Arc<FaultInjector>>,
-        pool: Arc<BufferPool>,
         telemetry: TelemetrySink,
     ) -> Self {
         opts.workers = opts.workers.max(1);
-        opts.chunk_size = opts.chunk_size.max(1024);
         Self {
             opts,
             stats,
             faults,
-            pool,
             telemetry,
             seek_idle: Default::default(),
         }
@@ -494,12 +417,12 @@ impl ParallelInflater {
         &self.stats
     }
 
-    /// Decompresses `data`, using member-parallel decode for multi-member
-    /// gzip and speculative two-stage decode for large single streams.
+    /// Decompresses `data`: member-parallel for a multi-member gzip when
+    /// there is more than one worker, serially otherwise.
     ///
     /// Output is byte-identical to [`ParallelInflater::decompress_serial`]
-    /// on every input — any speculation anomaly falls back to the serial
-    /// path, including for malformed streams, so errors match too.
+    /// on every input — a member plan that does not validate falls back to
+    /// the serial path, including for malformed streams, so errors match too.
     ///
     /// # Errors
     ///
@@ -509,10 +432,10 @@ impl ParallelInflater {
     }
 
     /// As [`decompress`](Self::decompress), inside the caller's trace:
-    /// each decode worker's chunk (or gzip member) lands as a `shard`
-    /// span on the request's modeled timeline under `ctx.parent_span`,
-    /// and any degradation to the serial reference is recorded as a
-    /// `fallback` span. Identical bytes either way.
+    /// each fanned-out gzip member (or the one serially decoded stream)
+    /// lands as a `shard` span on the request's modeled timeline under
+    /// `ctx.parent_span`, and any degradation to the serial reference is
+    /// recorded as a `fallback` span. Identical bytes either way.
     ///
     /// # Errors
     ///
@@ -528,19 +451,19 @@ impl ParallelInflater {
 
     /// Emits one span per decode unit on the modeled round-robin wave
     /// timeline (see the encode-side twin in [`crate::parallel`]): `shard`
-    /// spans for the `sizes` compressed bytes each chunk or member took, or
-    /// one `fallback` span over a serial re-decode, whose `detail` says why
-    /// — 1 = a planned member did not validate, 2 = speculation miss, 3 =
-    /// member plan rejected (candidates / trailers inconsistent). The worker
-    /// is the modeled one: the real hand-out is dynamic, and naming it
-    /// would make traces differ from run to run.
+    /// spans for the `sizes` compressed bytes each member (or the serial
+    /// stream) took, or one `fallback` span over a serial re-decode, whose
+    /// `detail` says why — 1 = a planned member did not validate, 3 = member
+    /// plan rejected (candidates / trailers inconsistent); 2 is retired. The
+    /// worker is the modeled one: the real hand-out is dynamic, and naming
+    /// it would make traces differ from run to run.
     fn emit_spans(&self, ctx: Option<&TraceContext>, stage: Stage, sizes: &[usize], detail: u64) {
         let Some(ctx) = ctx else { return };
         if !ctx.sampled || !self.telemetry.is_enabled() {
             return;
         }
         let workers = self.opts.workers.max(1) as u64;
-        let wave = (self.opts.chunk_size as u64 / DECODE_BYTES_PER_CYCLE).max(1);
+        let wave = SPAN_WAVE_BYTES / DECODE_BYTES_PER_CYCLE;
         for (i, &sz) in sizes.iter().enumerate() {
             let start = ctx.at_cycles + (i as u64 / workers) * wave;
             let dur = (sz as u64 / DECODE_BYTES_PER_CYCLE).max(1);
@@ -572,9 +495,11 @@ impl ParallelInflater {
         Ok(out)
     }
 
-    /// Picks the decode route: member fan-out for multi-member gzip,
-    /// speculation for a large single stream, serial otherwise.
+    /// Picks the decode route: member fan-out for a multi-member gzip with
+    /// workers to fan out to, the serial walk for everything else.
     fn route(&self, data: &[u8], format: Format, ctx: Option<&TraceContext>) -> Result<Vec<u8>> {
+        // One request number per decode whatever the route, so the fault
+        // draws of later requests do not depend on it.
         let request = self.faults.as_ref().map_or(0, |f| f.begin_request());
         // The member scan reads the whole input: only pay for it when
         // there are workers to fan out to.
@@ -596,33 +521,9 @@ impl ParallelInflater {
                 return self.serial_fallback(data, format);
             }
         }
-        // Single DEFLATE stream (or single-member container): speculate.
-        let Ok(un) = framing::unwrap(data, format) else {
-            // Malformed container: let the serial reference produce the
-            // canonical error (or succeed where it is more permissive).
-            self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
-            return self.decompress_serial(data, format);
-        };
-        match self.speculative(un.stream, request) {
-            Spec::Done(out, used) if un.verify(used, &out).is_ok() => {
-                let sizes = chunk_sizes(un.stream.len(), self.opts.chunk_size);
-                self.emit_spans(ctx, Stage::Shard, &sizes, 0);
-                Ok(out)
-            }
-            Spec::Done(..) | Spec::Miss => {
-                self.stats
-                    .speculation_misses
-                    .fetch_add(1, Ordering::Relaxed);
-                self.emit_spans(ctx, Stage::Fallback, &[data.len()], 2);
-                self.serial_fallback(data, format)
-            }
-            Spec::NotAttempted => {
-                // Deliberate serial decode (small input / one worker):
-                // the whole stream is one shard.
-                self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
-                self.decompress_serial(data, format)
-            }
-        }
+        // One stream whose split points no index names: one serial shard.
+        self.emit_spans(ctx, Stage::Shard, &[data.len()], 0);
+        self.decompress_serial(data, format)
     }
 
     /// The serial reference decode: a member walk for gzip (multi-member
@@ -706,114 +607,6 @@ impl ParallelInflater {
             .members_parallel
             .fetch_add(plan.len() as u64, Ordering::Relaxed);
         Some(out)
-    }
-
-    // ---- speculative single-stream path -----------------------------
-
-    /// Attempts the two-stage speculative decode of one raw DEFLATE
-    /// stream.
-    fn speculative(&self, payload: &[u8], request: u64) -> Spec {
-        let chunk = self.opts.chunk_size;
-        if self.opts.workers < 2 || payload.len() < 2 * chunk {
-            return Spec::NotAttempted;
-        }
-        let Some(bounds) = scan_boundaries(payload, chunk) else {
-            return Spec::Miss;
-        };
-        let n_chunks = bounds.len() + 1;
-        // A chunk whose worker was killed or hit a decode error is `None`.
-        let decode = |(): &mut (), k: usize| {
-            let inj = self.faults.as_ref();
-            let dead = inj.is_some_and(|j| j.worker_fault(request, k as u64));
-            Some(if dead {
-                None
-            } else {
-                decode_chunk(payload, &bounds, k)
-            })
-        };
-        let mut slots = fan_out(n_chunks, self.opts.workers, || (), decode);
-        // Sequential patch-and-repair pass. Invariant: `out` holds the
-        // exact serial output up to bit `cur_end` (always a true block
-        // boundary, since a decode walk from a true boundary only stops
-        // on true boundaries). A chunk splices only when it started
-        // exactly at the frontier; anything else — a chunk that began on
-        // a false-positive boundary, failed, or got overlapped by its
-        // predecessor's landing — is repaired by serially decoding just
-        // that span with the now-known window. Speculation misses
-        // therefore cost one chunk of serial work, not the whole stream.
-        let mut out: Vec<u8> = Vec::new();
-        let mut cur_end: u64 = 0;
-        let mut finished = false;
-        let mut spliced = 0u64;
-        let mut missed = 0u64;
-        let mut k = 0usize;
-        while k < n_chunks && !finished {
-            let start_k = if k == 0 { 0 } else { bounds[k - 1] };
-            if start_k < cur_end {
-                // Overlapped by the previous splice/repair: drop it.
-                missed += 1;
-                k += 1;
-                continue;
-            }
-            if start_k > cur_end {
-                // Gap before this chunk (its predecessor was dropped or
-                // landed short): close it serially.
-                match repair_to(payload, &mut out, cur_end, Some(start_k)) {
-                    Ok((end, fin)) => {
-                        cur_end = end;
-                        finished = fin;
-                        missed += 1;
-                        continue;
-                    }
-                    // A decode error on the true stream: bail to the
-                    // serial reference so the reported error is canonical.
-                    Err(_) => return Spec::Miss,
-                }
-            }
-            // Worker failed (decode error or injected fault): skip; the
-            // gap check above repairs the span serially.
-            let Some((body, end_bit, fin)) = slots[k].take().flatten() else {
-                missed += 1;
-                k += 1;
-                continue;
-            };
-            match body {
-                // Only chunk 0 decodes to bytes, and nothing precedes it.
-                Body::Bytes(bytes) => out = bytes,
-                Body::Cells(cells) => {
-                    let wlo = out.len().saturating_sub(WINDOW_SIZE);
-                    let mut window = self.pool.acquire();
-                    window.extend_from_slice(&out[wlo..]);
-                    let resolved = resolve_markers_into(&cells, &window, &mut out);
-                    self.pool.release(window);
-                    // Marker cells inconsistent with the window cannot
-                    // happen off a true boundary; bail safely.
-                    let Ok(patched) = resolved else {
-                        return Spec::Miss;
-                    };
-                    self.stats
-                        .marker_patch_bytes
-                        .fetch_add(patched, Ordering::Relaxed);
-                }
-            }
-            cur_end = end_bit;
-            finished = fin;
-            spliced += 1;
-            k += 1;
-        }
-        if !finished {
-            match repair_to(payload, &mut out, cur_end, None) {
-                Ok((end, _)) => cur_end = end,
-                Err(_) => return Spec::Miss,
-            }
-        }
-        self.stats
-            .chunks_decoded
-            .fetch_add(spliced, Ordering::Relaxed);
-        self.stats
-            .speculation_misses
-            .fetch_add(missed, Ordering::Relaxed);
-        Spec::Done(out, cur_end.div_ceil(8) as usize)
     }
 
     // ---- seek index -------------------------------------------------
@@ -1037,10 +830,11 @@ impl Walker {
         }
         self.live.clear();
         self.live.resize(WINDOW_SIZE + 1, false);
-        // Cell `MARKER_BASE + k` is the byte `k + 1` back, window offset
-        // `WINDOW_SIZE - 1 - k`; a literal cell lands on the spare slot.
+        // Markers fill the upper half of the `u16` range (see
+        // `MarkerInflater`): marker `u16::MAX - j` names window offset `j`,
+        // and a literal cell lands on the spare slot.
         for &cell in pass.cells() {
-            self.live[usize::from((u16::MAX - cell).min(MARKER_BASE))] = true;
+            self.live[usize::from(u16::MAX - cell).min(WINDOW_SIZE)] = true;
         }
         (self.cells, self.marker) = pass.into_parts();
         let base = WINDOW_SIZE - window.len();
@@ -1160,119 +954,22 @@ fn plan_members(data: &[u8]) -> Option<Vec<Member>> {
     Some(plan)
 }
 
-/// Probes for one block boundary per `chunk`-byte span, scanning the
-/// spans gaplessly so any boundary that exists is found. Returns `None`
-/// when the stream resists probing (fall back to serial).
-fn scan_boundaries(payload: &[u8], chunk: usize) -> Option<Vec<u64>> {
-    let mut probe = BlockProbe::new();
-    let mut bounds: Vec<u64> = Vec::new();
-    let mut misses = 0usize;
-    let mut budget = (payload.len() as u64).saturating_mul(SCAN_BUDGET_PER_BYTE);
-    let mut target = chunk;
-    // Leave at least half a chunk for the final worker.
-    while target + chunk / 2 < payload.len() {
-        let lo = (target as u64) * 8;
-        let hi = ((target + chunk).min(payload.len().saturating_sub(2)) as u64) * 8;
-        let mut bit = bounds.last().map_or(lo, |&last| lo.max(last + 1));
-        let mut found = None;
-        while bit < hi {
-            if budget == 0 {
-                return None;
-            }
-            budget -= 1;
-            if probe.probe(payload, bit) {
-                found = Some(bit);
-                break;
-            }
-            bit += 1;
-        }
-        match found {
-            Some(b) => {
-                bounds.push(b);
-                misses = 0;
-            }
-            None => {
-                misses += 1;
-                if misses >= SCAN_GIVE_UP {
-                    return None;
-                }
-            }
-        }
-        target += chunk;
-    }
-    (!bounds.is_empty()).then_some(bounds)
-}
-
-/// Serially decodes from bit `from_bit` (a true block boundary) with the
-/// tail of `out` as window, stopping at the first block boundary at or
-/// past `until` (or at stream end when `None`), and appends the decoded
-/// bytes to `out`. Returns the landing bit and whether the stream
-/// finished.
-fn repair_to(
-    payload: &[u8],
-    out: &mut Vec<u8>,
-    from_bit: u64,
-    until: Option<u64>,
-) -> std::result::Result<(u64, bool), DeflateError> {
-    let mut inf = Inflater::new(payload);
-    inf.prime_window(&out[out.len().saturating_sub(WINDOW_SIZE)..]);
-    inf.resume_at(from_bit, from_bit)?;
-    while !inf.is_finished() && until.is_none_or(|t| inf.bit_position() < t) {
-        inf.decode_block(usize::MAX)?;
-    }
-    let end = inf.bit_position();
-    let fin = inf.is_finished();
-    out.extend_from_slice(inf.output());
-    Ok((end, fin))
-}
-
-/// Decodes chunk `k` of the speculative split: `[bounds[k-1], bounds[k])`
-/// in bit space (chunk 0 starts at bit 0; the last chunk runs to stream
-/// end). Chunk 0 decodes plainly; later chunks decode into marker cells.
-/// `None` on a decode error.
-fn decode_chunk(payload: &[u8], bounds: &[u64], k: usize) -> Option<(Body, u64, bool)> {
-    let stop = bounds.get(k).copied();
-    if k == 0 {
-        let mut out = Vec::new();
-        let (end_bit, finished) = repair_to(payload, &mut out, 0, stop).ok()?;
-        return Some((Body::Bytes(out), end_bit, finished));
-    }
-    let mut inf = MarkerInflater::new_at(payload, bounds[k - 1]).ok()?;
-    while !inf.is_finished() && stop.is_none_or(|sb| inf.bit_position() < sb) {
-        inf.decode_block(usize::MAX).ok()?;
-    }
-    let (end_bit, finished) = (inf.bit_position(), inf.is_finished());
-    Some((Body::Cells(inf.into_parts().0), end_bit, finished))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nx_deflate::CompressionLevel;
 
-    fn opts(workers: usize, chunk: usize) -> ParallelInflateOptions {
+    fn opts(workers: usize) -> ParallelInflateOptions {
         ParallelInflateOptions {
             workers,
-            chunk_size: chunk,
             checkpoint_every: 64 * 1024,
         }
     }
 
     fn corpus(n: usize) -> Vec<u8> {
         // Mixed text/binary: compresses a few-to-one, so streams span
-        // many DEFLATE blocks and speculation has boundaries to find.
+        // many DEFLATE blocks.
         nx_corpus::mixed(41, n)
-    }
-
-    #[test]
-    fn speculative_single_member_matches_serial() {
-        let data = corpus(1 << 20);
-        let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
-        let out = par.decompress(&gz, Format::Gzip).unwrap();
-        assert_eq!(out, data);
-        assert!(par.stats().chunks_decoded() > 1, "speculation must engage");
-        assert!(par.stats().marker_patch_bytes() > 0);
     }
 
     #[test]
@@ -1314,7 +1011,7 @@ mod tests {
             expect.extend_from_slice(&payload);
             stream.extend(gzip::compress(&payload, CompressionLevel::default()));
         }
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let out = par.decompress(&stream, Format::Gzip).unwrap();
         assert_eq!(out, expect);
         assert_eq!(par.stats().members_parallel(), 8);
@@ -1324,13 +1021,7 @@ mod tests {
     #[test]
     fn member_spans_carry_real_sizes_and_dropped_plans_say_why() {
         let sink = TelemetrySink::enabled(nx_telemetry::MetricsRegistry::new());
-        let par = ParallelInflater::with_parts(
-            opts(2, 32 * 1024),
-            Arc::default(),
-            None,
-            Arc::default(),
-            sink.clone(),
-        );
+        let par = ParallelInflater::with_parts(opts(2), Arc::default(), None, sink.clone());
         let parts: Vec<Vec<u8>> = [30_000usize, 5, 70_000]
             .iter()
             .map(|&n| gzip::compress(&corpus(n), CompressionLevel::default()))
@@ -1374,7 +1065,7 @@ mod tests {
         let mut gz = gzip::compress(&data, CompressionLevel::default());
         let mid = gz.len() / 2;
         gz[mid] ^= 0xFF;
-        let par = ParallelInflater::new(opts(4, 16 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let serial = par.decompress_serial(&gz, Format::Gzip);
         let parallel = par.decompress(&gz, Format::Gzip);
         assert_eq!(serial.is_err(), parallel.is_err());
@@ -1387,7 +1078,7 @@ mod tests {
     fn seek_index_roundtrips_serialization() {
         let data = corpus(300_000);
         let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let idx = par.build_index(&gz, Format::Gzip).unwrap();
         assert!(idx.checkpoints().len() > 1, "expected interior checkpoints");
         let bytes = idx.to_bytes();
@@ -1487,18 +1178,18 @@ mod tests {
         let stream: Vec<u8> = (0..6)
             .flat_map(|i| gzip::compress(&corpus(150_000 + i * 9_000), CompressionLevel::default()))
             .collect();
-        let serial = ParallelInflater::new(opts(1, 32 * 1024));
+        let serial = ParallelInflater::new(opts(1));
         let want = serial.build_index(&stream, Format::Gzip).unwrap();
         assert!(want.checkpoints().len() > 6, "interior checkpoints");
         for workers in [2, 3, 8] {
-            let par = ParallelInflater::new(opts(workers, 32 * 1024));
+            let par = ParallelInflater::new(opts(workers));
             assert_eq!(par.build_index(&stream, Format::Gzip).unwrap(), want);
         }
         // A member that does not check drops the plan: the serial walk's error.
         let mut bad = stream.clone();
         let last = bad.len() - 6;
         bad[last] ^= 1;
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        let par = ParallelInflater::new(opts(4));
         assert_eq!(
             par.build_index(&bad, Format::Gzip),
             serial.build_index(&bad, Format::Gzip)
@@ -1520,7 +1211,6 @@ mod tests {
         ));
         let par = ParallelInflater::new(ParallelInflateOptions {
             workers: 1,
-            chunk_size: 32 * 1024,
             checkpoint_every: 32 * 1024,
         });
         let idx = par.build_index(&stream, Format::Gzip).unwrap();
@@ -1545,7 +1235,7 @@ mod tests {
     fn decompress_at_returns_correct_slices() {
         let data = corpus(400_000);
         let gz = gzip::compress(&data, CompressionLevel::default());
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let idx = par.build_index(&gz, Format::Gzip).unwrap();
         for (off, len) in [
             (0u64, 100usize),
@@ -1573,7 +1263,7 @@ mod tests {
         stream.extend(gzip::compress(&b, CompressionLevel::default()));
         let mut expect = a.clone();
         expect.extend_from_slice(&b);
-        let par = ParallelInflater::new(opts(2, 32 * 1024));
+        let par = ParallelInflater::new(opts(2));
         let idx = par.build_index(&stream, Format::Gzip).unwrap();
         assert_eq!(idx.total_out(), expect.len() as u64);
         let got = par.decompress_at(&stream, &idx, 99_000, 3000).unwrap();
@@ -1583,7 +1273,7 @@ mod tests {
     #[test]
     fn zlib_and_raw_paths_work() {
         let data = corpus(600_000);
-        let par = ParallelInflater::new(opts(4, 32 * 1024));
+        let par = ParallelInflater::new(opts(4));
         let zl = nx_deflate::zlib::compress(&data, CompressionLevel::default());
         assert_eq!(par.decompress(&zl, Format::Zlib).unwrap(), data);
         let raw = nx_deflate::deflate(&data, CompressionLevel::default());

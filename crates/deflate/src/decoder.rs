@@ -494,11 +494,10 @@ pub(crate) fn stored_share(left: u16, room: usize, reader: &BitReader) -> (usize
 /// run-length-encoded lengths) are, consuming it: in `scratch`'s table memo
 /// when it holds this very header, else parsed and built in place.
 ///
-/// Shared by the regular [`Inflater`], the marker-mode decoder
-/// ([`crate::marker::MarkerInflater`]), and the speculative block-boundary
-/// probe — the header's internal consistency checks (alphabet bounds, the
-/// Kraft inequality via table construction, a present end-of-block code)
-/// are exactly what makes bit-offset probing for block starts reliable.
+/// Shared by the regular [`Inflater`] and the marker-mode decoder
+/// ([`crate::marker::MarkerInflater`]), so both accept exactly the same
+/// headers: alphabet bounds, the Kraft inequality via table construction
+/// and a present end-of-block code are checked once, here.
 fn read_dynamic_tables(reader: &mut BitReader, scratch: &mut InflateScratch) -> Result<Body> {
     let (cl, lengths) = (&mut scratch.cl, &mut scratch.lengths);
     let mut remembered = scratch.ways.iter().enumerate();

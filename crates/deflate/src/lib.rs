@@ -40,9 +40,8 @@
 //!   lazy tokenizers, and the batched speculative matcher.
 //! * [`encoder`] / [`decoder`] — the block-level DEFLATE encoder and the
 //!   full inflate state machine.
-//! * [`marker`] — the two-stage decoder behind speculative parallel
-//!   inflate: block-boundary probing and marker-mode decode with an
-//!   unknown 32 KB window.
+//! * [`marker`] — marker-mode decode with an unknown 32 KB window (the
+//!   seek index's referenced-window pass) and block-boundary probing.
 //! * [`gzip`] / [`zlib`] — the framing formats.
 
 pub mod adler32;
@@ -67,9 +66,7 @@ pub use encoder::{
     CompressionLevel, EncodeCounters, Encoder, Level, Strategy,
 };
 pub use lz77::{Engine, Token};
-pub use marker::{
-    probe_block_start, resolve_markers_into, BlockProbe, MarkerInflater, MARKER_BASE,
-};
+pub use marker::{resolve_markers_into, BlockProbe, MarkerInflater, MARKER_BASE};
 pub use profile::{
     deflate_canned, deflate_canned_into, profile_counters, Profile, ProfileCounters, ProfileId,
     ProfileRegistry,

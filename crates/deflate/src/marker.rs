@@ -1,34 +1,33 @@
-//! Marker-mode inflate: the decode half of two-stage speculative
-//! parallel decompression.
+//! Marker-mode inflate: decoding from a point inside a stream without the
+//! 32 KB window behind it.
 //!
 //! A DEFLATE stream is a chain of blocks whose boundaries are only
 //! discovered by decoding — and every match may reach up to 32 KB into
 //! output the decoder has not produced if it entered mid-stream. The
-//! rapidgzip-style answer, implemented here, splits the problem in two:
+//! rapidgzip-style tools here split that problem in two:
 //!
-//! 1. **Boundary probing** ([`probe_block_start`]): a candidate bit
-//!    offset is accepted as a block start only if a full block header
-//!    parses there — for dynamic blocks that means HLIT/HDIST bounds,
-//!    a complete code-length code, a present end-of-block symbol and a
-//!    short decodable prefix of the body; for stored blocks the
-//!    LEN/NLEN complement with the payload in bounds. Random bit
-//!    positions essentially never pass, so a hit is almost certainly a
-//!    real boundary (a false hit is caught later when the neighbouring
-//!    chunk fails to land on it exactly).
-//! 2. **Marker decode** ([`MarkerInflater`]): a chunk decodes from its
-//!    boundary into `u16` cells instead of bytes. Cells `0..=255` are
-//!    resolved literals; cells `>= `[`MARKER_BASE`] encode "the byte
-//!    `woff` back in the unknown 32 KB window", `woff = cell -
-//!    MARKER_BASE + 1`. Matches copy cells, so markers propagate
-//!    through later matches for free. Once the predecessor chunk's
-//!    trailing window is known, [`resolve_markers_into`] rewrites the
-//!    cell buffer into plain bytes in one cheap sequential pass.
+//! 1. **Boundary probing** ([`BlockProbe`]): a candidate bit offset is
+//!    accepted as a block start only if a full block header parses there —
+//!    for dynamic blocks that means HLIT/HDIST bounds, a complete
+//!    code-length code, a present end-of-block symbol and a short decodable
+//!    prefix of the body; for stored blocks the LEN/NLEN complement with the
+//!    payload in bounds.
+//! 2. **Marker decode** ([`MarkerInflater`]): decoding from an entry point
+//!    into `u16` cells instead of bytes. Cells `0..=255` are resolved
+//!    literals; cells `>= `[`MARKER_BASE`] encode "the byte `woff` back in
+//!    the unknown 32 KB window", `woff = cell - MARKER_BASE + 1`. Matches
+//!    copy cells, so markers propagate through later matches for free.
+//!    Once the window is known, [`resolve_markers_into`] rewrites the cells
+//!    into plain bytes in one sequential pass.
 //!
-//! The marker decoder deliberately reuses the regular decoder's tables,
-//! header parser and block entry ([`crate::Inflater::resume_at`]): both
-//! paths accept exactly the same streams, which is what lets the
-//! parallel driver fall back to serial inflate with identical results
-//! (including identical errors) whenever speculation misses.
+//! `nx-core` runs [`MarkerInflater`] to learn which window bytes a seek
+//! checkpoint's later data references, and to trial a gzip member's first
+//! block header. [`BlockProbe`] and [`resolve_markers_into`] are kept only
+//! for `nxbench`'s `deflate.marker_*` probes.
+//!
+//! The marker decoder reuses the regular decoder's tables, header parser
+//! and block entry ([`crate::Inflater::resume_at`]): both paths accept
+//! exactly the same streams and report the same errors.
 
 use crate::bitio::BitReader;
 use crate::decoder::{enter_block, open_block, stored_share, Body, InflateScratch, Open};
@@ -51,8 +50,7 @@ const PROBE_CELLS: usize = 512;
 /// survivors are rare — true boundaries plus roughly one or two
 /// header-shaped coincidences per few thousand bit offsets — so an 8×
 /// deeper re-decode costs almost nothing amortized while rejecting most
-/// of the coincidences that produced the ~50% speculation miss rate E22
-/// originally recorded.
+/// of the coincidences.
 const DEEP_CELLS: usize = 4096;
 
 /// Cap on blocks either trial stage will chain through. Real streams
@@ -127,8 +125,7 @@ impl<'a> MarkerInflater<'a> {
 
     /// Absolute bit position (same coordinates as the `bit_offset`
     /// passed at construction). After decoding a block this is exactly
-    /// the next block's boundary — the value the parallel driver
-    /// compares against the next chunk's candidate.
+    /// the next block's boundary.
     pub fn bit_position(&self) -> u64 {
         self.base_bits + self.reader.bits_consumed()
     }
@@ -251,7 +248,8 @@ impl<'a> MarkerInflater<'a> {
 
 /// Resolves a marker-cell buffer against the now-known 32 KB `window`
 /// that preceded the chunk, appending plain bytes to `out`. Returns the
-/// number of marker cells patched.
+/// number of marker cells patched. Outside tests its only caller is
+/// `nxbench`'s `deflate.marker_resolve_ns_per_byte` probe.
 ///
 /// # Errors
 ///
@@ -282,7 +280,8 @@ pub fn resolve_markers_into(cells: &[u16], window: &[u8], out: &mut Vec<u8>) -> 
 
 /// A reusable block-boundary probe: holds the scratch tables and cell
 /// buffer across candidate offsets so scanning allocates nothing in
-/// steady state.
+/// steady state. Outside tests its only caller is `nxbench`'s
+/// `deflate.marker_probe_ns_per_byte` probe.
 #[derive(Debug, Default)]
 pub struct BlockProbe {
     scratch: InflateScratch,
@@ -295,8 +294,13 @@ impl BlockProbe {
         Self::default()
     }
 
-    /// Whether `bit_offset` plausibly starts a deflate block — see
-    /// [`probe_block_start`] for the acceptance rules.
+    /// Whether `bit_offset` plausibly starts a deflate block: a
+    /// stored-block header (LEN/NLEN complement, payload in bounds) or a
+    /// fully valid dynamic-block header plus a decodable body parses there —
+    /// first a short prefix, then (for survivors) a much deeper trial decode
+    /// that chains across block boundaries. Fixed-Huffman candidates are
+    /// rejected outright: their 3-bit header carries no structure, so they
+    /// cannot be told from bit noise. A `true` is a candidate, not proof.
     pub fn probe(&mut self, data: &[u8], bit_offset: u64) -> bool {
         let Ok(byte) = usize::try_from(bit_offset / 8) else {
             return false;
@@ -322,8 +326,8 @@ impl BlockProbe {
         // trial from the same offset. Header-shaped coincidences that
         // happen to decode a short valid prefix almost never sustain a
         // valid parse for thousands of cells, so the second stage
-        // removes most of the ~50% speculation misses the shallow probe
-        // alone let through (E22).
+        // removes most of the false candidates the shallow probe alone
+        // lets through.
         self.trial(data, bit_offset, PROBE_CELLS) && self.trial(data, bit_offset, DEEP_CELLS)
     }
 
@@ -363,23 +367,6 @@ impl BlockProbe {
         (self.cells, self.scratch) = inf.into_parts();
         verdict
     }
-}
-
-/// Whether `bit_offset` plausibly starts a deflate block.
-///
-/// Accepts only offsets where a stored-block header (LEN/NLEN
-/// complement, payload in bounds) or a fully valid dynamic-block header
-/// plus a decodable body parses — first a short prefix, then (for
-/// survivors) a much deeper trial decode that chains across block
-/// boundaries. Fixed-Huffman candidates are rejected outright: their
-/// 3-bit header carries no structure, so they cannot be distinguished
-/// from bit noise at probe time.
-///
-/// A `true` is *speculative*: the caller must confirm the boundary by
-/// checking that the preceding chunk's decode lands on it exactly.
-/// Scanning many offsets? [`BlockProbe`] amortises the table scratch.
-pub fn probe_block_start(data: &[u8], bit_offset: u64) -> bool {
-    BlockProbe::new().probe(data, bit_offset)
 }
 
 #[cfg(test)]
@@ -526,6 +513,6 @@ mod tests {
     #[test]
     fn mid_stream_entry_rejects_out_of_range_offsets() {
         assert!(MarkerInflater::new_at(&[0u8; 4], 40).is_err());
-        assert!(!probe_block_start(&[0u8; 4], 40));
+        assert!(!BlockProbe::new().probe(&[0u8; 4], 40));
     }
 }

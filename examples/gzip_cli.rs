@@ -9,9 +9,10 @@
 //! `decompress` may be spelled `-d` or `--decompress`. `--stream`
 //! compresses through the chunked CRB session (1 MiB chunks with the
 //! 32 KB window carried across chunks) instead of one large request.
-//! `--parallel[=N]` decodes through the speculative two-stage parallel
-//! inflate path with `N` workers (default: all host cores) and prints
-//! the chunk/miss/patch counters. `--seek OFFSET:LEN` builds a seek
+//! `--parallel[=N]` decodes through the parallel inflate path with `N`
+//! workers (default: all host cores): a multi-member file decodes
+//! member-per-worker, a single member serially; it prints the members
+//! fanned out and the serial fallbacks. `--seek OFFSET:LEN` builds a seek
 //! index and extracts only the requested byte range without decoding
 //! the prefix. Files produced here are standard RFC 1952 gzip members;
 //! files from any gzip implementation decode here, including
@@ -122,13 +123,9 @@ fn run(args: &[String]) -> Result<String, String> {
             let s = nx.decode_parallel_stats();
             let note = format!(
                 "parallel inflate, {workers} worker(s), {:.1} ms: \
-                 {} member(s) parallel, {} chunk(s), {} miss(es), \
-                 {} marker byte(s) patched, {} serial fallback(s)",
+                 {} member(s) fanned out, {} serial fallback(s)",
                 ms,
                 s.members_parallel(),
-                s.chunks_decoded(),
-                s.speculation_misses(),
-                s.marker_patch_bytes(),
                 s.serial_fallbacks()
             );
             (out, note)

@@ -7,10 +7,9 @@
 //! queue depth, per-worker shard balance, the encoder's per-level and
 //! per-block-kind counters (`nx_encode_blocks_*`, chain-walk depth
 //! histogram — the `nx-encode-paths` source added in PR 5), the
-//! parallel-decode counters (`nx_decode_parallel_*`: speculative
-//! chunks, misses, marker patch bytes, member fan-out, seek-index
-//! hits with bytes decoded against bytes returned), and the latency
-//! histograms with their percentiles.
+//! parallel-decode counters (`nx_decode_parallel_*`: member fan-out,
+//! serial fallbacks, seek-index hits with bytes decoded against bytes
+//! returned), and the latency histograms with their percentiles.
 //!
 //! ```text
 //! cargo run --release -p nx-core --example nxtop            # dashboard
@@ -89,12 +88,11 @@ fn main() {
     assert!(!gz.bytes.is_empty());
 
     // Parallel decode traffic (`nx-decode-parallel` source): a
-    // multi-member stream takes the member-per-worker path, a large
-    // single member exercises the speculative two-stage path, and one
-    // indexed random access bumps the seek counters.
+    // multi-member stream takes the member-per-worker path, a single
+    // member decodes serially, and one indexed random access bumps the
+    // seek counters.
     let popts = nx_core::ParallelInflateOptions {
         workers: 4,
-        chunk_size: 32 << 10,
         ..Default::default()
     };
     let mut members = Vec::new();
@@ -108,7 +106,7 @@ fn main() {
     let one = nx.compress(&data, Format::Gzip).expect("single member");
     let back = nx
         .decompress_parallel_with(&one.bytes, Format::Gzip, popts)
-        .expect("speculative decode");
+        .expect("single-member decode");
     assert_eq!(back, data);
     let index = nx.build_index(&one.bytes, Format::Gzip).expect("index");
     let got = nx

@@ -8,11 +8,10 @@
 //! the shards and folds the per-shard CRCs with `crc32_combine` —
 //! no serial pass over the input anywhere.
 //!
-//! Decompression (rapidgzip-style): a multi-member stream decodes
-//! member-per-worker; a single member decodes through the speculative
-//! two-stage path — workers probe block boundaries, decode ahead of the
-//! unknown 32 KB window into marker buffers, and a sequential patch
-//! pass resolves the markers once each predecessor's window is known.
+//! Decompression: a multi-member stream decodes member-per-worker, its
+//! trailers saying where each member's output goes; a single member
+//! decodes serially, because without an index nothing says where its
+//! blocks begin or what 32 KB of history each one needs.
 //!
 //! Run with: `cargo run --release --example parallel_gzip [workers]`
 
@@ -74,7 +73,7 @@ fn main() {
         workers
     );
 
-    // ---- Decode side: serial inflate vs the two parallel paths. ----
+    // ---- Decode side: serial inflate vs the parallel inflater's routes. ----
     let inf = ParallelInflater::new(ParallelInflateOptions {
         workers,
         ..Default::default()
@@ -105,7 +104,8 @@ fn main() {
         t_ser.as_secs_f64() / t_par.as_secs_f64()
     );
 
-    // Single member: speculative two-stage decode with marker patching.
+    // Single member: no index names its split points, so it decodes
+    // serially at any worker count.
     let t0 = Instant::now();
     let s = nx_core::software::decompress(&serial, Format::Gzip).expect("serial");
     let t_ser = t0.elapsed();
@@ -114,7 +114,7 @@ fn main() {
     let t_par = t0.elapsed();
     assert_eq!(s, p);
     println!(
-        "inflate, single member (speculative):\n  serial   : {:>8.1} ms ({:>6.1} MB/s)\n  parallel : {:>8.1} ms ({:>6.1} MB/s)  speedup {:.2}x",
+        "inflate, single member (serial: no index names its split points):\n  serial   : {:>8.1} ms ({:>6.1} MB/s)\n  routed   : {:>8.1} ms ({:>6.1} MB/s)  {:.2}x",
         t_ser.as_secs_f64() * 1e3,
         data.len() as f64 / t_ser.as_secs_f64() / 1e6,
         t_par.as_secs_f64() * 1e3,
@@ -122,10 +122,8 @@ fn main() {
         t_ser.as_secs_f64() / t_par.as_secs_f64()
     );
     println!(
-        "  {} chunk(s) decoded, {} speculation miss(es), {} marker byte(s) patched, {} serial fallback(s)",
-        inf.stats().chunks_decoded(),
-        inf.stats().speculation_misses(),
-        inf.stats().marker_patch_bytes(),
+        "  {} member(s) fanned out, {} serial fallback(s) in all",
+        inf.stats().members_parallel(),
         inf.stats().serial_fallbacks()
     );
 }

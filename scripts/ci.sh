@@ -74,8 +74,10 @@ DECODE_PATHS=(
     # included, builds its code lengths and canonical codes here.
     crates/deflate/src/huffman/build.rs
     crates/deflate/src/huffman/mod.rs
-    # The speculative parallel-inflate path feeds untrusted bit offsets
-    # and marker buffers through these.
+    # The member planner, the seek-index build and ranged reads feed
+    # untrusted member candidates, bit offsets and window runs through
+    # these (the planner's header trial and the index's referenced-window
+    # pass decode in marker mode).
     crates/deflate/src/marker.rs
     crates/core/src/parallel_inflate.rs
     crates/deflate/src/bitio.rs

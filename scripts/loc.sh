@@ -84,7 +84,14 @@ cd "$(dirname "$0")/.."
 # BENCH_*.json holding deterministic cells through one `Row` writer and CI
 # gating the files by `git diff`, it is capped where that left it, so a
 # timing loop cannot grow back unnoticed.
-declare -A CAP=([accel]=1794 [bench]=3714 [deflate]=7582 [core]=8024 [sys]=1589)
+# Routing index-less single streams to serial lowered three. nx-core
+# 8024 -> 7728: the speculative single-member route (boundary scan, chunk
+# decode, patch-and-repair pass, `Spec` / `Body`, the probe budget
+# constants), the `chunk_size` knob, the `pool` field and three counters
+# never beat the serial walk they fell back to, and went. nx-deflate
+# 7582 -> 7565: `probe_block_start` (no caller) and the docs that served
+# speculation. nx-bench 3714 -> 3685: E22's chunk / miss / patch cells.
+declare -A CAP=([accel]=1794 [bench]=3685 [deflate]=7565 [core]=7728 [sys]=1589)
 
 total=0
 over=0

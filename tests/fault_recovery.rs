@@ -384,22 +384,29 @@ fn bounded_async_queue_overflow_is_typed_and_recoverable() {
 
 #[test]
 fn killed_decode_workers_degrade_to_serial_inflate_bytes() {
-    // Kill every speculative decode chunk worker on the first request:
-    // the patch pass finds no usable chunks and must re-decode serially
-    // — same bytes as a clean run, never an error.
-    let data = nx_corpus::mixed(SEED, 512 * 1024);
-    let gz = software::compress(&data, nx_deflate::CompressionLevel::default(), Format::Gzip);
-    let script: Vec<Scripted> = (0..64)
-        .map(|chunk| Scripted {
+    // Kill every member worker of the first request on a multi-member
+    // stream: the plan is dropped before any member decodes and the request
+    // is one counted serial fallback — same bytes as a clean run, never an
+    // error. (A single member decodes serially and has no workers to kill.)
+    let parts: Vec<Vec<u8>> = (0..8u64)
+        .map(|i| nx_corpus::mixed(SEED + i, 64 * 1024))
+        .collect();
+    let level = nx_deflate::CompressionLevel::default();
+    let gz: Vec<u8> = parts
+        .iter()
+        .flat_map(|part| software::compress(part, level, Format::Gzip))
+        .collect();
+    let data = parts.concat();
+    let script: Vec<Scripted> = (0..8)
+        .map(|member| Scripted {
             site: Site::Worker,
             request: 0,
-            attempt: chunk,
+            attempt: member,
             kind: FaultKind::WorkerPanic,
         })
         .collect();
     let opts = ParallelInflateOptions {
         workers: 4,
-        chunk_size: 32 * 1024,
         ..Default::default()
     };
     let nx = faulted(FaultPlan::script(script), RecoveryPolicy::default());
@@ -408,19 +415,22 @@ fn killed_decode_workers_degrade_to_serial_inflate_bytes() {
         .expect("degrades, does not error");
     assert_eq!(out, data, "fallback must reproduce the serial bytes");
     let fs = nx.fault_stats().expect("stats");
-    assert!(fs.worker_panic_count() >= 1, "the script must fire");
+    assert_eq!(fs.worker_panic_count(), 8, "every member's draw fires");
+    assert_eq!(fs.serial_fallback_count(), 1);
     let ds = nx.decode_parallel_stats();
-    assert!(
-        ds.speculation_misses() >= 1 || ds.serial_fallbacks() >= 1,
-        "a killed worker must be visible in the decode counters"
+    assert_eq!(
+        (ds.members_parallel(), ds.serial_fallbacks()),
+        (0, 1),
+        "a killed worker must be one counted serial fallback"
     );
-    // A later request on the same handle runs parallel again — the
-    // injected failure must not poison the session.
+    // A later request on the same handle fans out again — the injected
+    // failure must not poison the session.
     assert_eq!(
         nx.decompress_parallel_with(&gz, Format::Gzip, opts)
             .expect("clean"),
         data
     );
+    assert_eq!((ds.members_parallel(), ds.serial_fallbacks()), (8, 1));
 }
 
 #[test]

@@ -6,24 +6,26 @@
 //! is byte-identical to serial decompression on every input, including
 //! corrupt and truncated streams (same error, or same bytes — never a
 //! third behaviour); (2) multi-member gzip decodes member-per-worker at
-//! any worker count; (3) `decompress_at` through a `SeekIndex` returns
-//! exactly the bytes a full serial decode would place at that range,
-//! without decoding the prefix.
+//! any worker count, and an index-less single stream serially; (3)
+//! `decompress_at` through a `SeekIndex` returns exactly the bytes a full
+//! serial decode would place at that range, without decoding the prefix.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+use nx_core::parallel::{ParallelEngine, ParallelOptions};
 use nx_core::{software, Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
 use nx_deflate::bitio::BitWriter;
 use nx_deflate::crc32::crc32;
 use nx_deflate::{CompressionLevel, Token};
+use nx_telemetry::{MetricsRegistry, Stage, TelemetrySink};
+use std::sync::Arc;
 
 const SEED: u64 = 0x5EEC_AB1E;
 
 fn inflater(workers: usize) -> ParallelInflater {
     ParallelInflater::new(ParallelInflateOptions {
         workers,
-        chunk_size: 32 * 1024,
         checkpoint_every: 64 * 1024,
     })
 }
@@ -63,18 +65,50 @@ fn multi_member_roundtrip_at_every_worker_count() {
 }
 
 #[test]
-fn speculative_single_member_matches_serial_on_corpora() {
-    // One large member per corpus flavour: the speculative chunked path
-    // must reproduce the serial bytes exactly, for every container.
-    for (seed, size) in [(SEED, 384 * 1024), (SEED ^ 0xFF, 1024 * 1024)] {
-        let data = nx_corpus::mixed(seed, size);
-        for format in [Format::Gzip, Format::Zlib, Format::RawDeflate] {
-            let enc = software::compress(&data, CompressionLevel::default(), format);
-            let inf = inflater(4);
-            let par = inf.decompress(&enc, format).expect("parallel decodes");
-            let ser = software::decompress(&enc, format).expect("serial decodes");
-            assert_eq!(par, ser, "format {format:?} diverged from serial");
-            assert_eq!(par, data);
+fn index_less_single_streams_decode_serially_at_every_worker_count() {
+    // Without an index nothing names a single stream's split points, so at
+    // every worker count it takes the serial walk: serial's bytes (or
+    // serial's error), no member fan-out, no fallback, and a traced decode
+    // is one `shard` span over the whole input with `detail` 0.
+    let data = nx_corpus::mixed(SEED, 768 * 1024);
+    for format in [Format::Gzip, Format::Zlib, Format::RawDeflate] {
+        let stream = software::compress(&data, CompressionLevel::default(), format);
+        let mut corrupt = stream.clone();
+        corrupt[stream.len() / 2] ^= 0x55;
+        let truncated = &stream[..stream.len() - 9];
+        for input in [&stream[..], &corrupt[..], truncated] {
+            let serial = inflater(1).decompress_serial(input, format);
+            if input == stream {
+                assert!(serial.as_ref() == Ok(&data), "{format:?}: serial oracle");
+            }
+            for workers in [1, 2, 4, 8] {
+                let what = format!("{format:?}, {} bytes, workers={workers}", input.len());
+                let inf = inflater(workers);
+                assert!(inf.decompress(input, format) == serial, "{what}: bytes");
+                let route = (
+                    inf.stats().members_parallel(),
+                    inf.stats().serial_fallbacks(),
+                );
+                assert_eq!(route, (0, 0), "{what}: (members, fallbacks)");
+                let sink = TelemetrySink::enabled(MetricsRegistry::new());
+                let opts = ParallelOptions {
+                    workers,
+                    ..ParallelOptions::default()
+                };
+                let engine =
+                    ParallelEngine::with_telemetry(opts, None, sink.clone(), Arc::default());
+                let ctx = sink.begin_trace();
+                let traced = engine.decompress_in_trace(input, format, &ctx);
+                assert!(traced == serial, "{what}: traced bytes");
+                let spans: Vec<_> = sink
+                    .trace()
+                    .into_iter()
+                    .filter(|e| e.request == ctx.trace_id)
+                    .map(|e| (e.stage, e.bytes, e.detail))
+                    .collect();
+                let whole = input.len() as u64;
+                assert_eq!(spans, [(Stage::Shard, whole, 0)], "{what}: spans");
+            }
         }
     }
 }
@@ -535,7 +569,6 @@ fn ranged_reads_match_serial_at_every_spacing_and_decode_what_they_return() {
         for every in [32 << 10, 64 << 10, 256 << 10, 1 << 20] {
             let inf = ParallelInflater::new(ParallelInflateOptions {
                 workers: 2,
-                chunk_size: 32 * 1024,
                 checkpoint_every: every,
             });
             let index = inf.build_index(&stream, format).expect("index");
@@ -600,7 +633,6 @@ fn a_version_1_index_still_loads_and_reads_the_same() {
     // spacing inside a member, more checkpoints.
     let opts = ParallelInflateOptions {
         workers: 1,
-        chunk_size: 32 * 1024,
         checkpoint_every: 32 * 1024,
     };
     let today = ParallelInflater::new(opts);

@@ -33,7 +33,6 @@ impl Rng {
 fn inflater(every: usize) -> ParallelInflater {
     ParallelInflater::new(ParallelInflateOptions {
         workers: 2,
-        chunk_size: 32 * 1024,
         checkpoint_every: every,
     })
 }
