@@ -6,7 +6,7 @@ use nx_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
 use nx_core::parallel::ParallelOptions;
 use nx_core::{Format, Nx};
 use nx_telemetry::{
-    to_chrome_trace, to_json, to_prometheus, MetricValue, MetricsRegistry, TelemetrySink,
+    to_chrome_trace, to_json, to_prometheus, MetricValue, MetricsRegistry, Stage, TelemetrySink,
 };
 
 /// Modeled core cycles per microsecond for the trace export.
@@ -78,6 +78,32 @@ fn parallel_shard_spans_are_independent_of_scheduling() {
     let b = run();
     assert!(!a.is_empty());
     assert_eq!(a, b, "shard spans must be schedule-independent");
+    // Pinned: 12 shards of 64 KiB, 8 bytes per modeled cycle, waves of
+    // 4 units. (request, seq, parent, stage, unit, start, dur, bytes, detail)
+    let got: Vec<_> = a
+        .iter()
+        .map(|e| {
+            let coords = (e.request, e.seq, e.parent, e.stage, e.worker);
+            (coords, e.start_cycles, e.dur_cycles, e.bytes, e.detail)
+        })
+        .collect();
+    let shard = Stage::Shard;
+    #[rustfmt::skip]
+    let want = vec![
+        ((0, 0, 0, shard, 0), 0, 8192, 65536, 0),
+        ((0, 1, 0, shard, 1), 0, 8192, 65536, 0),
+        ((0, 2, 0, shard, 2), 0, 8192, 65536, 0),
+        ((0, 3, 0, shard, 3), 0, 8192, 65536, 0),
+        ((0, 4, 0, shard, 0), 8192, 8192, 65536, 0),
+        ((0, 5, 0, shard, 1), 8192, 8192, 65536, 0),
+        ((0, 6, 0, shard, 2), 8192, 8192, 65536, 0),
+        ((0, 7, 0, shard, 3), 8192, 8192, 65536, 0),
+        ((0, 8, 0, shard, 0), 16384, 8192, 65536, 0),
+        ((0, 9, 0, shard, 1), 16384, 8192, 65536, 0),
+        ((0, 10, 0, shard, 2), 16384, 8192, 65536, 0),
+        ((0, 11, 0, shard, 3), 16384, 8192, 65536, 0),
+    ];
+    assert_eq!(got, want);
 }
 
 #[test]
