@@ -11,9 +11,10 @@
 //! * [`AsyncSession`] queues jobs to a background engine thread —
 //!   mirroring the asynchronous paste/CSB usage model on POWER9 — and
 //!   hands back [`JobHandle`]s to wait on.
-//! * [`parallel`] shards one stream across a worker pool (pigz-style)
-//!   while still emitting a single valid gzip/zlib/raw stream, with the
-//!   trailer checksum folded from per-shard values.
+//! * [`parallel`] shards one stream across the calling thread and helpers
+//!   scoped to the request (pigz-style) while still emitting a single
+//!   valid gzip/zlib/raw stream, with the trailer checksum folded from
+//!   per-shard values.
 //! * [`software`] exposes the zlib-level software path for baselines and
 //!   fallback.
 //!
@@ -696,10 +697,10 @@ impl Nx {
     }
 
     /// Opens a sharded parallel compression session at `level`: one
-    /// request fans out across a pool of workers (modeling multiple
-    /// accelerator units sharing a stream) and the traffic is recorded
-    /// in this handle's [`NxStats`]. See [`parallel`] for the stream
-    /// construction.
+    /// request fans out across up to `opts.workers` threads (modeling
+    /// multiple accelerator units sharing a stream) and the traffic is
+    /// recorded in this handle's [`NxStats`]. See [`parallel`] for the
+    /// stream construction.
     pub fn parallel_session(&self, opts: parallel::ParallelOptions, level: u32) -> ParallelSession {
         ParallelSession::new(self, opts, level, nx_deflate::Engine::Auto, None)
     }

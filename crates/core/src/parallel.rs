@@ -6,8 +6,8 @@
 //! # How a sharded stream stays valid
 //!
 //! The input is cut into fixed-size chunks. Each chunk is compressed
-//! independently by a pool worker, *primed* with the last 32 KB of the
-//! preceding chunk as a preset dictionary
+//! independently by a `fan_out` worker, *primed* with the last 32 KB of
+//! the preceding chunk as a preset dictionary
 //! ([`StreamEncoder::with_dict`]) so cross-chunk matches are not lost at
 //! the seam. Every non-final shard ends with a sync flush (the empty
 //! stored block, `00 00 FF FF`), which both byte-aligns the shard and
@@ -27,7 +27,9 @@
 //! shards began. [`ParallelEngine::decompress`] routes through
 //! [`crate::parallel_inflate`]: multi-member gzip decodes member-per-worker,
 //! every other stream serially, and output is always byte-identical to the
-//! single-threaded decoder.
+//! single-threaded decoder. Both directions run their workers on the one
+//! `fan_out`: scoped threads per request, the caller as the first, and
+//! no thread alive between requests.
 //!
 //! ```
 //! use nx_core::parallel::{ParallelEngine, ParallelOptions};
@@ -49,24 +51,15 @@ use crate::parallel_inflate::{InflateParStats, ParallelInflateOptions, ParallelI
 use crate::scratch::BufferPool;
 use crate::stats::Codec;
 use crate::{CompressOptions, Error, Nx, Result};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use nx_deflate::adler32::{adler32, adler32_combine};
 use nx_deflate::crc32::{crc32, crc32_combine};
 use nx_deflate::stream::{Flush, StreamEncoder};
 use nx_deflate::{gzip, zlib, CompressionLevel, Engine};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext, NO_PARENT};
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long the submitting thread waits for a shard before checking
-/// whether the pool is still alive. Purely a liveness probe: a healthy
-/// but slow pool just loops.
-const POOL_PROBE: Duration = Duration::from_millis(200);
 
 /// Dictionary carried between shards: one DEFLATE window.
 const DICT_SIZE: usize = nx_deflate::WINDOW_SIZE;
@@ -77,10 +70,55 @@ const DICT_SIZE: usize = nx_deflate::WINDOW_SIZE;
 /// never wall clock, so trace dumps replay byte-identically.
 const SHARD_BYTES_PER_CYCLE: u64 = 8;
 
+/// Runs `job` over `0..n` on up to `workers` threads — the caller, worker
+/// 0, plus scoped helpers — pulling indices from one counter, each with its
+/// own `init(worker)` state, so uneven items balance. A `None` from `job`
+/// stops the hand-out; results are in index order, `None` where none was
+/// produced. The one place nx-core spawns threads for shard or member work.
+pub(crate) fn fan_out<S, T: Send>(
+    n: usize,
+    workers: usize,
+    init: impl Fn(usize) -> S + Sync,
+    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
+) -> Vec<Option<T>> {
+    let next = AtomicUsize::new(0);
+    let worker = |id: usize| {
+        let mut state = init(id);
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            match job(&mut state, i) {
+                Some(r) => done.push((i, r)),
+                None => next.store(n, Ordering::Relaxed),
+            }
+        }
+    };
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let worker = &worker;
+        // The caller is the first worker: it already holds a CPU, which a
+        // freshly spawned thread may wait milliseconds to be given.
+        let handles: Vec<_> = (1..workers.min(n))
+            .map(|id| s.spawn(move || worker(id)))
+            .collect();
+        let mine = worker(0);
+        // A worker that died simply leaves its items without a result.
+        let theirs = handles.into_iter().filter_map(|h| h.join().ok()).flatten();
+        for (i, r) in theirs.chain(mine) {
+            results[i] = Some(r);
+        }
+    });
+    results
+}
+
 /// Configuration for a [`ParallelEngine`].
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
-    /// Worker threads in the pool (≥ 1; `0` is rounded up).
+    /// Threads a request fans out to, the caller included (≥ 1; `0` is
+    /// rounded up).
     pub workers: usize,
     /// Input bytes per shard. pigz's default is 128 KB; smaller shards
     /// expose more parallelism but pay more per-shard overhead (the sync
@@ -97,41 +135,9 @@ impl Default for ParallelOptions {
     }
 }
 
-/// One unit of work: compress `input[chunk]` with `input[dict]` as the
-/// preset dictionary.
-struct Job {
-    seq: usize,
-    /// Request index for fault-plan coordinates.
-    request: u64,
-    /// Request index for span-trace coordinates (sink-allocated, or the
-    /// caller's trace id when the request joined an existing trace).
-    trace_request: u64,
-    /// Span the worker's shard spans hang under ([`NO_PARENT`] for a
-    /// standalone request).
-    trace_parent: u32,
-    /// Whether this request's trace is sampled — unsampled requests
-    /// skip shard-span emission but still record shard histograms.
-    trace_sampled: bool,
-    input: Arc<Vec<u8>>,
-    chunk: Range<usize>,
-    dict: Range<usize>,
-    level: u32,
-    engine: Engine,
-    format: Format,
-    is_final: bool,
-    done: Sender<ShardOut>,
-}
-
-/// A shard result travelling back to the submitting thread; `data` is
-/// `None` when the worker's compression panicked (the failure marker
-/// that triggers the serial fallback instead of a hang).
-struct ShardOut {
-    seq: usize,
-    data: Option<ShardData>,
-}
-
-/// A successfully compressed shard.
+/// A compressed shard.
 struct ShardData {
+    /// A pooled buffer, released after stitching.
     bytes: Vec<u8>,
     /// CRC-32 of the shard's *input* (gzip framing only).
     crc: u32,
@@ -149,8 +155,9 @@ pub struct ParallelStats {
     bytes_out: AtomicU64,
     serial_fallbacks: AtomicU64,
     worker_panics: AtomicU64,
-    /// Shards compressed by each worker (index = worker id). Exposes the
-    /// pool's load balance; sums to `shards` minus failed/injected ones.
+    /// Shards compressed by each worker (index = worker id, 0 = the
+    /// calling thread). Exposes the fan-out's load balance; sums to
+    /// `shards` minus failed/injected ones.
     worker_shards: Vec<AtomicU64>,
     /// Input bytes compressed by each worker.
     worker_bytes: Vec<AtomicU64>,
@@ -186,13 +193,14 @@ impl ParallelStats {
     }
 
     /// Requests that completed through the inline serial fallback after a
-    /// pool failure (worker death, poisoned channel).
+    /// shard did not land (an injected worker death, a panic inside
+    /// compression).
     pub fn serial_fallbacks(&self) -> u64 {
         self.serial_fallbacks.load(Ordering::Relaxed)
     }
 
-    /// Worker panics contained by the pool (each produces a failed shard
-    /// marker, not a hang).
+    /// Panics inside shard compression, each contained to a failed shard
+    /// (not a hang, not a poisoned encoder).
     pub fn worker_panics(&self) -> u64 {
         self.worker_panics.load(Ordering::Relaxed)
     }
@@ -258,94 +266,72 @@ impl MetricSource for ParallelStats {
     }
 }
 
-/// A persistent pool of compression workers producing single valid
-/// streams from sharded input. See the [module docs](self) for the
-/// format argument.
+/// Compresses sharded input into single valid streams, each request's
+/// shards fanned out over `fan_out`. See the [module docs](self) for the
+/// format argument. It holds no threads between requests.
 #[derive(Debug)]
 pub struct ParallelEngine {
     opts: ParallelOptions,
-    /// `Some` until drop; taking it closes the channel and stops workers.
-    job_tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
     stats: Arc<ParallelStats>,
     faults: Option<Arc<FaultInjector>>,
     telemetry: TelemetrySink,
     /// Shard output buffers cycle through here: workers acquire, the
-    /// submitting thread releases after stitching.
+    /// stitch releases.
     pool: Arc<BufferPool>,
     /// The decode side: member-parallel inflate, serial otherwise.
     inflater: ParallelInflater,
 }
 
 impl ParallelEngine {
-    /// Spawns the worker pool.
-    pub fn new(mut opts: ParallelOptions) -> Self {
-        opts.workers = opts.workers.max(1);
-        Self::spawn(opts, None, TelemetrySink::disabled(), Arc::default())
+    /// Creates an engine; a zero-worker configuration is rounded up to
+    /// the caller alone.
+    pub fn new(opts: ParallelOptions) -> Self {
+        Self::build(opts, None, TelemetrySink::disabled(), Arc::default(), None)
     }
 
-    /// Spawns the worker pool, rejecting a zero-worker configuration with
-    /// [`Error::NoWorkers`] instead of rounding it up.
+    /// As [`new`](Self::new), but rejecting a zero-worker configuration
+    /// with [`Error::NoWorkers`] instead of rounding it up.
     pub fn try_new(opts: ParallelOptions) -> Result<Self> {
         if opts.workers == 0 {
             return Err(Error::NoWorkers);
         }
-        Ok(Self::spawn(
-            opts,
-            None,
-            TelemetrySink::disabled(),
-            Arc::default(),
-        ))
+        Ok(Self::new(opts))
     }
 
-    /// Spawns the worker pool under fault injection: the injector's plan
-    /// may kill workers mid-stream ([`crate::fault::FaultKind::WorkerPanic`]),
-    /// and the engine must still complete every request through the
-    /// serial fallback.
-    pub fn with_faults(mut opts: ParallelOptions, faults: Arc<FaultInjector>) -> Self {
-        opts.workers = opts.workers.max(1);
-        Self::spawn(
-            opts,
-            Some(faults),
-            TelemetrySink::disabled(),
-            Arc::default(),
-        )
+    /// Creates an engine under fault injection: the injector's plan may
+    /// kill shards ([`crate::fault::FaultKind::WorkerPanic`]), and the
+    /// engine must still complete every request through the serial
+    /// fallback.
+    pub fn with_faults(opts: ParallelOptions, faults: Arc<FaultInjector>) -> Self {
+        let sink = TelemetrySink::disabled();
+        Self::build(opts, Some(faults), sink, Arc::default(), None)
     }
 
-    /// Spawns the worker pool with span tracing and metrics wired to
-    /// `sink`, recycling shard buffers through `pool`. Shard spans are
-    /// modeled (a deterministic function of shard index and size — see
-    /// [`SHARD_BYTES_PER_CYCLE`]'s docs), so trace dumps are identical
-    /// across runs regardless of thread scheduling.
+    /// Creates an engine with span tracing and metrics wired to `sink`,
+    /// recycling shard buffers through `pool`. Shard spans are modeled (a
+    /// deterministic function of shard index and size, at 8 input bytes
+    /// per modeled cycle), so trace dumps are identical across runs
+    /// regardless of thread scheduling.
     pub fn with_telemetry(
-        mut opts: ParallelOptions,
-        faults: Option<Arc<FaultInjector>>,
-        sink: TelemetrySink,
-        pool: Arc<BufferPool>,
-    ) -> Self {
-        opts.workers = opts.workers.max(1);
-        Self::spawn(opts, faults, sink, pool)
-    }
-
-    fn spawn(
         opts: ParallelOptions,
         faults: Option<Arc<FaultInjector>>,
         sink: TelemetrySink,
         pool: Arc<BufferPool>,
     ) -> Self {
-        Self::spawn_with_decode(opts, faults, sink, pool, None)
+        Self::build(opts, faults, sink, pool, None)
     }
 
-    /// As [`spawn`](Self::spawn), but sharing `decode_stats` with a facade
-    /// (which already registered it on the telemetry registry). When
-    /// `None`, fresh decode counters are created and self-registered.
-    fn spawn_with_decode(
+    /// The one constructor. `decode_stats` is shared with a facade, which
+    /// already registered it on the telemetry registry; `None` creates
+    /// fresh decode counters and registers them.
+    fn build(
         mut opts: ParallelOptions,
         faults: Option<Arc<FaultInjector>>,
         sink: TelemetrySink,
         pool: Arc<BufferPool>,
         decode_stats: Option<Arc<InflateParStats>>,
     ) -> Self {
+        opts.workers = opts.workers.max(1);
         opts.chunk_size = opts.chunk_size.max(1);
         let stats = Arc::new(ParallelStats::with_workers(opts.workers));
         if let Some(reg) = sink.registry() {
@@ -354,19 +340,16 @@ impl ParallelEngine {
                 Arc::clone(&stats) as Arc<dyn MetricSource>,
             );
         }
-        let decode_stats = match decode_stats {
-            Some(s) => s,
-            None => {
-                let s = Arc::new(InflateParStats::default());
-                if let Some(reg) = sink.registry() {
-                    reg.register_source(
-                        "nx-decode-parallel",
-                        Arc::clone(&s) as Arc<dyn MetricSource>,
-                    );
-                }
-                s
+        let decode_stats = decode_stats.unwrap_or_else(|| {
+            let s = Arc::new(InflateParStats::default());
+            if let Some(reg) = sink.registry() {
+                reg.register_source(
+                    "nx-decode-parallel",
+                    Arc::clone(&s) as Arc<dyn MetricSource>,
+                );
             }
-        };
+            s
+        });
         let inflater = ParallelInflater::with_parts(
             ParallelInflateOptions {
                 workers: opts.workers,
@@ -376,28 +359,8 @@ impl ParallelEngine {
             faults.clone(),
             sink.clone(),
         );
-        // A small bounded queue: submission applies backpressure instead
-        // of buffering every pending shard descriptor at once.
-        let (job_tx, job_rx) = bounded::<Job>(opts.workers * 2);
-        let workers = (0..opts.workers)
-            .map(|worker_id| {
-                let rx = job_rx.clone();
-                let inj = faults.clone();
-                let st = Arc::clone(&stats);
-                let tel = sink.clone();
-                let pl = Arc::clone(&pool);
-                let shape = WorkerShape {
-                    worker_id: worker_id as u32,
-                    workers: opts.workers as u64,
-                    chunk_size: opts.chunk_size as u64,
-                };
-                std::thread::spawn(move || worker_loop(rx, inj, st, tel, shape, pl))
-            })
-            .collect();
         Self {
             opts,
-            job_tx: Some(job_tx),
-            workers,
             stats,
             faults,
             telemetry: sink,
@@ -421,193 +384,134 @@ impl ParallelEngine {
         &self.pool
     }
 
-    /// Compresses `data` at `level` into `format` framing using the
-    /// worker pool. Output is deterministic: it depends only on `data`,
-    /// `level`, `format` and `chunk_size` — never on the worker count or
-    /// completion order — and always equals
+    /// Compresses `data` at `level` into `format` framing, its shards
+    /// spread over up to `workers` threads. Output is deterministic: it
+    /// depends only on `data`, `level`, `format` and `chunk_size` — never
+    /// on the worker count or completion order — and always equals
     /// [`compress_serial`](Self::compress_serial).
     ///
     /// # Errors
     ///
-    /// [`Error::Deflate`] for an invalid `level`. A pool failure (worker
-    /// death, poisoned channel) is *not* an error: the request completes
-    /// through the inline serial fallback — same bytes, recorded in
-    /// [`ParallelStats::serial_fallbacks`] — instead of hanging or
-    /// surfacing a transient.
+    /// [`Error::Deflate`] for an invalid `level`. A shard that does not
+    /// land (an injected worker death, a panic inside compression) is
+    /// *not* an error: the request completes through the inline serial
+    /// fallback — same bytes, recorded in
+    /// [`ParallelStats::serial_fallbacks`].
     pub fn compress(&self, data: &[u8], level: u32, format: Format) -> Result<Vec<u8>> {
-        self.compress_traced(data, level, Engine::Auto, format, None)
+        let level = CompressionLevel::new(level)?;
+        Ok(self.compress_engine(data, level, Engine::Auto, format))
     }
 
-    /// As [`compress`](Self::compress), but every shard span the pool
-    /// emits joins the caller's trace: `ctx.trace_id` becomes the span
-    /// request coordinate, `ctx.parent_span` the parent, and
-    /// `ctx.sampled` gates emission (histograms record regardless).
-    ///
-    /// # Errors
-    ///
-    /// As [`compress`](Self::compress).
-    pub fn compress_in_trace(
+    /// [`compress`](Self::compress) at a validated level with an explicit
+    /// LZ77 engine.
+    fn compress_engine(
         &self,
         data: &[u8],
-        level: u32,
-        format: Format,
-        ctx: &TraceContext,
-    ) -> Result<Vec<u8>> {
-        self.compress_traced(data, level, Engine::Auto, format, Some(ctx))
-    }
-
-    fn compress_traced(
-        &self,
-        data: &[u8],
-        level: u32,
+        level: CompressionLevel,
         engine: Engine,
         format: Format,
-        ctx: Option<&TraceContext>,
-    ) -> Result<Vec<u8>> {
-        CompressionLevel::new(level)?;
-        match self.compress_pooled(data, level, engine, format, ctx) {
-            Some(framed) => {
-                self.record_request(data.len(), framed.len());
-                Ok(framed)
-            }
-            None => {
-                // Pool failure: finish the request inline. Identical
-                // bytes by construction (same sharding + stitching).
+    ) -> Vec<u8> {
+        let framed = self
+            .compress_sharded(data, level, engine, format)
+            .unwrap_or_else(|| {
+                // Finish the request inline. Identical bytes by
+                // construction (same sharding + stitching).
                 self.stats.serial_fallbacks.fetch_add(1, Ordering::Relaxed);
                 if let Some(inj) = &self.faults {
                     let s = inj.stats();
                     s.bump(&s.serial_fallbacks);
                 }
-                let framed = self.compress_serial_engine(data, level, engine, format)?;
-                self.record_request(data.len(), framed.len());
-                Ok(framed)
-            }
-        }
+                self.compress_serial_engine(data, level, engine, format)
+            });
+        let stats = &self.stats;
+        let shards = data.len().div_ceil(self.opts.chunk_size).max(1);
+        stats.requests.fetch_add(1, Ordering::Relaxed);
+        stats.shards.fetch_add(shards as u64, Ordering::Relaxed);
+        stats
+            .bytes_in
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        stats
+            .bytes_out
+            .fetch_add(framed.len() as u64, Ordering::Relaxed);
+        framed
     }
 
-    /// As [`compress`](Self::compress) with the level taken from
-    /// [`crate::CompressOptions`], so ladder rungs ([`nx_deflate::Level`])
-    /// reach the shard workers unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As [`compress`](Self::compress).
-    pub fn compress_with(
+    /// Runs one request's shards on [`fan_out`], each worker reusing one
+    /// [`StreamEncoder`] for the shards it pulls. `None` when a shard did
+    /// not land: the caller falls back.
+    fn compress_sharded(
         &self,
         data: &[u8],
-        opts: crate::CompressOptions,
-        format: Format,
-    ) -> Result<Vec<u8>> {
-        self.compress_traced(data, opts.level().get(), opts.engine(), format, None)
-    }
-
-    /// Runs one request through the pool; `None` means the pool could not
-    /// complete it (dead workers, failed shard, closed channel) and the
-    /// caller must fall back.
-    fn compress_pooled(
-        &self,
-        data: &[u8],
-        level: u32,
+        level: CompressionLevel,
         engine: Engine,
         format: Format,
-        ctx: Option<&TraceContext>,
     ) -> Option<Vec<u8>> {
         let shards = shard_ranges(data.len(), self.opts.chunk_size);
-        let njobs = shards.len();
         let request = self.faults.as_ref().map_or(0, |inj| inj.begin_request());
-        // A request arriving inside an existing trace reuses that trace's
-        // coordinates; a standalone request mints its own.
-        let (trace_request, trace_parent, trace_sampled) = match ctx {
-            Some(c) => (c.trace_id, c.parent_span, c.sampled),
-            None => {
-                let id = if self.telemetry.is_enabled() {
-                    self.telemetry.begin_request()
-                } else {
-                    0
-                };
-                (id, NO_PARENT, true)
-            }
+        let trace_request = if self.telemetry.is_enabled() {
+            self.telemetry.begin_request()
+        } else {
+            0
         };
-        // One shared copy of the input; shards borrow ranges of it.
-        let input = Arc::new(data.to_vec());
-        let (done_tx, done_rx) = bounded::<ShardOut>(njobs);
-        let job_tx = self.job_tx.as_ref()?;
-        let mut pending: VecDeque<Job> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(seq, chunk)| {
-                let dict = chunk.start.saturating_sub(DICT_SIZE)..chunk.start;
-                Job {
-                    seq,
-                    request,
-                    trace_request,
-                    trace_parent,
-                    trace_sampled,
-                    input: Arc::clone(&input),
-                    chunk,
-                    dict,
-                    level,
-                    engine,
-                    format,
-                    is_final: seq + 1 == njobs,
-                    done: done_tx.clone(),
-                }
-            })
-            .collect();
-        drop(done_tx);
-
-        // Interleave non-blocking submission with collection: a blocking
-        // send into a dead pool's full queue is exactly the hang this
-        // path exists to prevent.
-        let mut outs: Vec<Option<ShardData>> = (0..njobs).map(|_| None).collect();
-        let mut received = 0usize;
-        while received < njobs {
-            while let Some(job) = pending.pop_front() {
-                match job_tx.try_send(job) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(job)) => {
-                        pending.push_front(job);
-                        break;
-                    }
-                    Err(TrySendError::Disconnected(_)) => return None,
-                }
-            }
-            match done_rx.recv_timeout(POOL_PROBE) {
-                Ok(out) => {
-                    received += 1;
-                    outs[out.seq] = out.data;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Slow is fine; dead is not. With every worker gone no
-                    // shard will ever arrive.
-                    if self.workers.iter().all(JoinHandle::is_finished) {
-                        return None;
-                    }
-                }
-                // All shard senders dropped with results missing: jobs
-                // died with their workers.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+        // Every shard's fault draw happens here, in shard order, so the
+        // fault counters do not depend on which worker ran what.
+        let inj = self.faults.as_deref();
+        let dead = |seq: &u64| inj.is_some_and(|j| j.worker_fault(request, *seq));
+        if (0..shards.len() as u64).filter(dead).count() > 0 {
+            return None;
         }
-        let outs: Option<Vec<ShardData>> = outs.into_iter().collect();
-        let outs = outs?;
-        let framed = stitch(&outs, data.len(), format);
-        for o in outs {
-            self.pool.release(o.bytes);
-        }
-        Some(framed)
+        let shard = |(worker, enc): &mut (usize, Option<StreamEncoder>), seq: usize| {
+            let (chunk, buf) = (shards[seq].clone(), self.pool.acquire());
+            let compressed = catch_unwind(AssertUnwindSafe(|| {
+                compress_shard(enc, buf, data, chunk, level, engine, format)
+            }));
+            let Ok(out) = compressed else {
+                // The encoder's state is suspect after an unwind; drop it.
+                *enc = None;
+                self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                return None;
+            };
+            self.stats.worker_shards[*worker].fetch_add(1, Ordering::Relaxed);
+            self.stats.worker_bytes[*worker].fetch_add(out.len, Ordering::Relaxed);
+            Some(out)
+        };
+        let landed = fan_out(shards.len(), self.opts.workers, |w| (w, None), shard);
+        self.emit_shard_spans(trace_request, &landed);
+        let outs = landed.into_iter().collect::<Option<Vec<_>>>()?;
+        Some(self.stitch(outs, data.len(), format))
     }
 
-    fn record_request(&self, bytes_in: usize, bytes_out: usize) {
-        let njobs = shard_ranges(bytes_in, self.opts.chunk_size).len();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.shards.fetch_add(njobs as u64, Ordering::Relaxed);
-        self.stats
-            .bytes_in
-            .fetch_add(bytes_in as u64, Ordering::Relaxed);
-        self.stats
-            .bytes_out
-            .fetch_add(bytes_out as u64, Ordering::Relaxed);
+    /// Emits a `shard` span and a shard-latency sample for every shard that
+    /// landed, on a modeled timeline: round-robin waves of full chunks, so
+    /// shard `seq` starts after `seq / workers` earlier waves each costing
+    /// `chunk_size / rate` cycles, on modeled unit `seq % workers`.
+    /// Deterministic in (seq, size) alone — never the actual schedule; the
+    /// real load balance lives in the per-worker counters instead.
+    fn emit_shard_spans(&self, request: u64, landed: &[Option<ShardData>]) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let workers = self.opts.workers as u64;
+        let wave_cycles = (self.opts.chunk_size as u64 / SHARD_BYTES_PER_CYCLE).max(1);
+        for (seq, shard) in landed.iter().enumerate() {
+            let Some(shard) = shard else { continue };
+            let seq = seq as u64;
+            let start = (seq / workers) * wave_cycles;
+            let dur = (shard.len / SHARD_BYTES_PER_CYCLE).max(1);
+            let unit = (seq % workers) as u32;
+            self.telemetry.emit(
+                request,
+                seq as u32,
+                NO_PARENT,
+                Stage::Shard,
+                unit,
+                start,
+                dur,
+                shard.len,
+                0,
+            );
+            self.telemetry.record_shard(dur);
+        }
     }
 
     /// The single-threaded reference: identical sharding and stitching,
@@ -618,45 +522,68 @@ impl ParallelEngine {
     ///
     /// [`Error::Deflate`] for an invalid `level`.
     pub fn compress_serial(&self, data: &[u8], level: u32, format: Format) -> Result<Vec<u8>> {
-        self.compress_serial_engine(data, level, Engine::Auto, format)
+        let level = CompressionLevel::new(level)?;
+        Ok(self.compress_serial_engine(data, level, Engine::Auto, format))
     }
 
     /// The serial reference with an explicit LZ77 engine — the inline
-    /// fallback for [`compress_with`](Self::compress_with) requests must
-    /// match the pooled bytes for the *requested* engine.
+    /// fallback must match the sharded bytes for the *requested* engine.
     fn compress_serial_engine(
         &self,
         data: &[u8],
-        level: u32,
+        level: CompressionLevel,
         engine: Engine,
         format: Format,
-    ) -> Result<Vec<u8>> {
-        CompressionLevel::new(level)?;
-        let shards = shard_ranges(data.len(), self.opts.chunk_size);
-        let njobs = shards.len();
-        let mut enc: Option<StreamEncoder> = None;
-        let outs: Vec<ShardData> = shards
+    ) -> Vec<u8> {
+        let mut enc = None;
+        let outs = shard_ranges(data.len(), self.opts.chunk_size)
             .into_iter()
-            .enumerate()
-            .map(|(seq, chunk)| {
-                let dict = chunk.start.saturating_sub(DICT_SIZE)..chunk.start;
-                compress_shard(
-                    &mut enc,
-                    self.pool.acquire(),
-                    &data[chunk.clone()],
-                    &data[dict],
-                    level,
-                    engine,
-                    format,
-                    seq + 1 == njobs,
-                )
+            .map(|chunk| {
+                let buf = self.pool.acquire();
+                compress_shard(&mut enc, buf, data, chunk, level, engine, format)
             })
             .collect();
-        let framed = stitch(&outs, data.len(), format);
+        self.stitch(outs, data.len(), format)
+    }
+
+    /// Writes the container header, the ordered shards and the trailer
+    /// into one buffer sized from the shard lengths, folding the per-shard
+    /// checksums into the trailer value, and shelves the shard buffers.
+    fn stitch(&self, outs: Vec<ShardData>, total_len: usize, format: Format) -> Vec<u8> {
+        let frame = match format {
+            Format::RawDeflate => 0,
+            Format::Gzip => 18,
+            Format::Zlib => 6,
+        };
+        let body: usize = outs.iter().map(|o| o.bytes.len()).sum();
+        let mut out = Vec::with_capacity(body + frame);
+        match format {
+            Format::RawDeflate => {}
+            Format::Gzip => gzip::write_header_into(&mut out),
+            Format::Zlib => zlib::write_header_into(&mut out, CompressionLevel::default()),
+        }
+        for o in &outs {
+            out.extend_from_slice(&o.bytes);
+        }
+        match format {
+            Format::RawDeflate => {}
+            Format::Gzip => {
+                let crc = outs
+                    .iter()
+                    .fold(0u32, |acc, o| crc32_combine(acc, o.crc, o.len));
+                gzip::write_trailer_into(&mut out, crc, total_len as u64);
+            }
+            Format::Zlib => {
+                let adler = outs
+                    .iter()
+                    .fold(1u32, |acc, o| adler32_combine(acc, o.adler, o.len));
+                zlib::write_trailer_into(&mut out, adler);
+            }
+        }
         for o in outs {
             self.pool.release(o.bytes);
         }
-        Ok(framed)
+        out
     }
 
     /// Decompresses `format`-framed `data` through the parallel inflate
@@ -688,27 +615,6 @@ impl ParallelEngine {
     ) -> Result<Vec<u8>> {
         self.inflater.decompress_in_trace(data, format, ctx)
     }
-
-    /// The decode-side parallel inflater (for seek-index builds and
-    /// random access bound to this engine's counters).
-    pub fn inflater(&self) -> &ParallelInflater {
-        &self.inflater
-    }
-
-    /// Counters for the parallel-decode path.
-    pub fn decode_stats(&self) -> &Arc<InflateParStats> {
-        self.inflater.stats()
-    }
-}
-
-impl Drop for ParallelEngine {
-    fn drop(&mut self) {
-        // Closing the channel ends every worker's `for job in rx` loop.
-        drop(self.job_tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 /// Splits `len` bytes into `chunk_size` shards; an empty input still
@@ -730,128 +636,37 @@ fn shard_ranges(len: usize, chunk_size: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Worker body: compress shards until the job channel closes, reusing
-/// one [`StreamEncoder`] (hash chains, token buffer, scratch space)
-/// across every shard this worker ever sees.
-///
-/// Two failure modes are survived deliberately: an injected
-/// `WorkerPanic` kills this worker mid-stream (the thread exits with the
-/// job unfinished — the submission side must detect the dying pool), and
-/// a genuine panic inside compression is contained to a failed-shard
-/// marker so one bad shard poisons neither the channel nor the encoder
-/// reused by later shards.
-/// Static pool geometry a worker needs to place its shard spans on the
-/// modeled timeline.
-#[derive(Clone, Copy)]
-struct WorkerShape {
-    worker_id: u32,
-    workers: u64,
-    chunk_size: u64,
-}
-
-fn worker_loop(
-    rx: Receiver<Job>,
-    faults: Option<Arc<FaultInjector>>,
-    stats: Arc<ParallelStats>,
-    sink: TelemetrySink,
-    shape: WorkerShape,
-    pool: Arc<BufferPool>,
-) {
-    let mut enc: Option<StreamEncoder> = None;
-    for job in rx.iter() {
-        if let Some(inj) = &faults {
-            if inj.worker_fault(job.request, job.seq as u64) {
-                // Injected worker death: drop the job (its result sender
-                // goes with it) and exit the thread.
-                return;
-            }
-        }
-        let chunk = &job.input[job.chunk.clone()];
-        let dict = &job.input[job.dict.clone()];
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            compress_shard(
-                &mut enc,
-                pool.acquire(),
-                chunk,
-                dict,
-                job.level,
-                job.engine,
-                job.format,
-                job.is_final,
-            )
-        }));
-        let data = match result {
-            Ok(d) => Some(d),
-            Err(_) => {
-                // The encoder's state is suspect after an unwind; drop it.
-                enc = None;
-                stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        };
-        if data.is_some() {
-            stats.worker_shards[shape.worker_id as usize].fetch_add(1, Ordering::Relaxed);
-            stats.worker_bytes[shape.worker_id as usize]
-                .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            if sink.is_enabled() {
-                // Modeled timeline: round-robin waves of full chunks, so
-                // shard `seq` starts after `seq / workers` earlier waves
-                // each costing `chunk_size / rate` cycles, on modeled
-                // unit `seq % workers`. Deterministic in (seq, size)
-                // alone — never the actual schedule; the real load
-                // balance lives in the per-worker counters instead.
-                let wave_cycles = (shape.chunk_size / SHARD_BYTES_PER_CYCLE).max(1);
-                let start = (job.seq as u64 / shape.workers) * wave_cycles;
-                let dur = (chunk.len() as u64 / SHARD_BYTES_PER_CYCLE).max(1);
-                if job.trace_sampled {
-                    sink.emit(
-                        job.trace_request,
-                        job.seq as u32,
-                        job.trace_parent,
-                        Stage::Shard,
-                        (job.seq as u64 % shape.workers) as u32,
-                        start,
-                        dur,
-                        chunk.len() as u64,
-                        0,
-                    );
-                }
-                sink.record_shard(dur);
-            }
-        }
-        // A receiver that gave up (fallback path) is not our problem;
-        // drop the result.
-        let _ = job.done.send(ShardOut { seq: job.seq, data });
-    }
-}
-
-/// Compresses one shard into `buf` (a pooled buffer the caller releases
-/// after stitching), reusing `enc` when the level matches.
-#[allow(clippy::too_many_arguments)]
+/// Compresses `data[chunk]` into `buf` (a pooled buffer the stitch
+/// releases), primed with up to one window of the input before it and
+/// finished when the chunk ends the input. `enc` is the worker's encoder
+/// for this request (one level, one engine), reused from shard to shard.
 fn compress_shard(
     enc: &mut Option<StreamEncoder>,
     mut buf: Vec<u8>,
-    chunk: &[u8],
-    dict: &[u8],
-    level: u32,
+    data: &[u8],
+    chunk: Range<usize>,
+    level: CompressionLevel,
     engine: Engine,
     format: Format,
-    is_final: bool,
 ) -> ShardData {
-    let lvl = CompressionLevel::new(level).expect("validated at submission");
+    let dict = &data[chunk.start.saturating_sub(DICT_SIZE)..chunk.start];
+    let flush = if chunk.end == data.len() {
+        Flush::Finish
+    } else {
+        Flush::Sync
+    };
+    let chunk = &data[chunk];
     let enc = match enc {
-        Some(e) if e.level() == lvl && e.engine() == engine => {
+        Some(e) => {
             e.reset_with_dict(dict);
             e
         }
-        slot => slot.insert(StreamEncoder::with_dict_engine(lvl, dict, engine)),
+        slot => slot.insert(StreamEncoder::with_dict_engine(level, dict, engine)),
     };
-    let flush = if is_final { Flush::Finish } else { Flush::Sync };
     buf.clear();
     enc.write_into(chunk, flush, &mut buf);
-    let bytes = buf;
     ShardData {
-        bytes,
+        bytes: buf,
         crc: if format == Format::Gzip {
             crc32(chunk)
         } else {
@@ -863,31 +678,6 @@ fn compress_shard(
             1
         },
         len: chunk.len() as u64,
-    }
-}
-
-/// Concatenates ordered shards and wraps them in the container, folding
-/// the per-shard checksums into the trailer value.
-fn stitch(outs: &[ShardData], total_len: usize, format: Format) -> Vec<u8> {
-    let body_len: usize = outs.iter().map(|o| o.bytes.len()).sum();
-    let mut raw = Vec::with_capacity(body_len);
-    for o in outs {
-        raw.extend_from_slice(&o.bytes);
-    }
-    match format {
-        Format::RawDeflate => raw,
-        Format::Gzip => {
-            let crc = outs
-                .iter()
-                .fold(0u32, |acc, o| crc32_combine(acc, o.crc, o.len));
-            gzip::wrap_deflate(&raw, crc, total_len as u64)
-        }
-        Format::Zlib => {
-            let adler = outs
-                .iter()
-                .fold(1u32, |acc, o| adler32_combine(acc, o.adler, o.len));
-            zlib::wrap_deflate(&raw, adler)
-        }
     }
 }
 
@@ -912,13 +702,12 @@ pub struct ParallelSession {
 impl ParallelSession {
     pub(crate) fn new(
         nx: &Nx,
-        mut opts: ParallelOptions,
+        opts: ParallelOptions,
         level: u32,
         engine_sel: Engine,
         canned: Option<CompressOptions>,
     ) -> Self {
-        opts.workers = opts.workers.max(1);
-        let engine = ParallelEngine::spawn_with_decode(
+        let engine = ParallelEngine::build(
             opts,
             nx.fault_injector().cloned(),
             nx.telemetry().clone(),
@@ -934,7 +723,7 @@ impl ParallelSession {
         }
     }
 
-    /// The pool configuration.
+    /// The fan-out configuration.
     pub fn options(&self) -> &ParallelOptions {
         &self.engine.opts
     }
@@ -944,7 +733,7 @@ impl ParallelSession {
         self.engine.stats()
     }
 
-    /// Compresses `data` into `format` framing across the pool.
+    /// Compresses `data` into `format` framing, its shards fanned out.
     ///
     /// # Errors
     ///
@@ -955,9 +744,10 @@ impl ParallelSession {
                 return Ok(self.nx.compress_with(data, format, opts)?.bytes);
             }
         }
+        let level = CompressionLevel::new(self.level)?;
         let out = self
             .engine
-            .compress_traced(data, self.level, self.engine_sel, format, None)?;
+            .compress_engine(data, level, self.engine_sel, format);
         self.nx
             .stats()
             .record_compress(Codec::Deflate, data.len() as u64, out.len() as u64, 0);
@@ -1023,14 +813,17 @@ mod tests {
 
     #[test]
     fn pool_output_equals_serial_reference() {
-        let data = corpus(200 * 1024);
-        let e = engine(4, 24 * 1024);
-        for format in [Format::RawDeflate, Format::Gzip, Format::Zlib] {
-            assert_eq!(
-                e.compress(&data, 6, format).unwrap(),
-                e.compress_serial(&data, 6, format).unwrap(),
-                "{format:?}"
-            );
+        // 9 shards over 4 workers, and 64 shards on the caller alone.
+        for (len, workers, chunk) in [(200 * 1024, 4, 24 * 1024), (256 * 1024, 1, 4 * 1024)] {
+            let data = corpus(len);
+            let e = engine(workers, chunk);
+            for format in [Format::RawDeflate, Format::Gzip, Format::Zlib] {
+                let out = e.compress(&data, 6, format).unwrap();
+                let serial = e.compress_serial(&data, 6, format).unwrap();
+                assert_eq!(out, serial, "{format:?} on {workers} worker(s)");
+                assert_eq!(e.decompress(&out, format).unwrap(), data);
+            }
+            assert_eq!(e.stats().serial_fallbacks(), 0);
         }
     }
 
@@ -1056,6 +849,17 @@ mod tests {
             out,
             software::compress(&data, CompressionLevel::new(6).unwrap(), Format::Gzip)
         );
+    }
+
+    #[test]
+    fn one_shard_runs_on_the_caller_alone() {
+        // `fan_out` spawns at most `shards - 1` helpers: a one-shard
+        // request at 4 workers is compressed by worker 0, the caller.
+        let e = engine(4, 128 * 1024);
+        let data = corpus(100 * 1024);
+        e.compress(&data, 6, Format::Zlib).unwrap();
+        assert_eq!(e.stats().worker_shards(), [1, 0, 0, 0]);
+        assert_eq!(e.stats().worker_bytes(), [data.len() as u64, 0, 0, 0]);
     }
 
     #[test]
@@ -1147,10 +951,11 @@ mod tests {
     #[test]
     fn injected_worker_death_falls_back_to_serial() {
         use crate::fault::{FaultKind, FaultPlan, RecoveryPolicy, Scripted, Site};
-        // Kill every worker on its first shard of request 0: the pool is
-        // dead mid-request and the engine must still produce the exact
-        // serial bytes instead of hanging.
-        let script: Vec<Scripted> = (0..16)
+        // Kill shards 1 and 4 of request 0's 8 (and a shard 20 it does
+        // not have): the request must produce the exact serial bytes
+        // through one counted fallback, with one draw per shard.
+        let script: Vec<Scripted> = [1, 4, 20]
+            .into_iter()
             .map(|s| Scripted {
                 site: Site::Worker,
                 request: 0,
@@ -1173,25 +978,15 @@ mod tests {
         let out = e.compress(&data, 6, Format::Gzip).unwrap();
         assert_eq!(out, e.compress_serial(&data, 6, Format::Gzip).unwrap());
         assert_eq!(e.stats().serial_fallbacks(), 1);
-        assert!(inj.stats().worker_panic_count() >= 1);
+        assert_eq!(inj.stats().worker_panic_count(), 2);
         assert_eq!(inj.stats().serial_fallback_count(), 1);
-        // The pool is gone, but later requests still complete serially.
+        assert_eq!(e.stats().worker_shards().iter().sum::<u64>(), 0);
+        // Nothing outlives a request: the next one fans out again.
         let out2 = e.compress(&data, 6, Format::Zlib).unwrap();
         assert_eq!(out2, e.compress_serial(&data, 6, Format::Zlib).unwrap());
-        assert_eq!(e.stats().serial_fallbacks(), 2);
-    }
-
-    #[test]
-    fn backpressure_many_shards_through_a_tiny_pool() {
-        // Far more shards than queue slots (workers*2 = 2): submission
-        // must interleave with collection, never deadlock, and output
-        // must stay byte-identical.
-        let data = corpus(256 * 1024);
-        let e = engine(1, 4 * 1024); // 64 shards, 2 queue slots
-        let out = e.compress(&data, 6, Format::Gzip).unwrap();
-        assert_eq!(out, e.compress_serial(&data, 6, Format::Gzip).unwrap());
-        assert_eq!(e.decompress(&out, Format::Gzip).unwrap(), data);
-        assert_eq!(e.stats().serial_fallbacks(), 0);
+        assert_eq!(e.stats().serial_fallbacks(), 1);
+        assert_eq!(e.stats().worker_shards().iter().sum::<u64>(), 8);
+        assert_eq!(e.stats().worker_panics(), 0);
     }
 
     #[test]

@@ -29,13 +29,14 @@
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
+use crate::parallel::fan_out;
 use crate::{software, Error, Result};
 use nx_deflate::{
     gzip, Error as DeflateError, InflateScratch, Inflater, MarkerInflater, MAX_MATCH, WINDOW_SIZE,
 };
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
 use std::mem::take;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Modeled decode streaming rate for shard spans: 8 compressed bytes per
@@ -321,48 +322,9 @@ impl SeekIndex {
     }
 }
 
-/// Runs `job` over `0..n` on up to `workers` threads (the caller plus
-/// scoped helpers) pulling indices from one counter, each with its own
-/// `init()` state, so uneven items balance. A `None` from `job` stops the
-/// hand-out; results are in index order, `None` where none was produced.
-fn fan_out<S, T: Send>(
-    n: usize,
-    workers: usize,
-    init: impl Fn() -> S + Sync,
-    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
-) -> Vec<Option<T>> {
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut state = init();
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            match job(&mut state, i) {
-                Some(r) => done.push((i, r)),
-                None => next.store(n, Ordering::Relaxed),
-            }
-        }
-    };
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        // The caller is the first worker: it already holds a CPU, which a
-        // freshly spawned thread may wait milliseconds to be given.
-        let handles: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(worker)).collect();
-        let mine = worker();
-        // A worker that died simply leaves its items without a result.
-        let theirs = handles.into_iter().filter_map(|h| h.join().ok()).flatten();
-        for (i, r) in theirs.chain(mine) {
-            results[i] = Some(r);
-        }
-    });
-    results
-}
-
-/// The parallel + seekable decoder. Cheap to construct: workers are scoped
-/// threads spawned per request, borrowing the input slice.
+/// The parallel + seekable decoder. Cheap to construct: workers are
+/// `fan_out`'s scoped threads, spawned per request, borrowing the input
+/// slice.
 #[derive(Debug)]
 pub struct ParallelInflater {
     opts: ParallelInflateOptions,
@@ -450,13 +412,14 @@ impl ParallelInflater {
     }
 
     /// Emits one span per decode unit on the modeled round-robin wave
-    /// timeline (see the encode-side twin in [`crate::parallel`]): `shard`
-    /// spans for the `sizes` compressed bytes each member (or the serial
-    /// stream) took, or one `fallback` span over a serial re-decode, whose
-    /// `detail` says why — 1 = a planned member did not validate, 3 = member
-    /// plan rejected (candidates / trailers inconsistent); 2 is retired. The
-    /// worker is the modeled one: the real hand-out is dynamic, and naming
-    /// it would make traces differ from run to run.
+    /// timeline (the encode side models shards the same way, in
+    /// [`crate::parallel`]): `shard` spans for the `sizes` compressed bytes
+    /// each member (or the serial stream) took, or one `fallback` span over
+    /// a serial re-decode, whose `detail` says why — 1 = a planned member
+    /// did not validate, 3 = member plan rejected (candidates / trailers
+    /// inconsistent); 2 is retired. The worker is the modeled one: the real
+    /// hand-out is dynamic, and naming it would make traces differ from run
+    /// to run.
     fn emit_spans(&self, ctx: Option<&TraceContext>, stage: Stage, sizes: &[usize], detail: u64) {
         let Some(ctx) = ctx else { return };
         if !ctx.sampled || !self.telemetry.is_enabled() {
@@ -598,7 +561,7 @@ impl ParallelInflater {
             state.member(data, &plan[i], usize::MAX)?;
             (state.out.len() == dst.len()).then(|| dst.copy_from_slice(&state.out))
         };
-        let landed = fan_out(plan.len(), self.opts.workers, Walker::default, stage);
+        let landed = fan_out(plan.len(), self.opts.workers, |_| Walker::default(), stage);
         drop(slots);
         if !landed.iter().all(Option::is_some) {
             return None;
@@ -656,7 +619,7 @@ impl ParallelInflater {
         let plan = plan_members(data).filter(|p| p.len() > 1 && self.opts.workers > 1)?;
         let walk = |state: &mut Walker, i: usize| state.member(data, &plan[i], every);
         let mut index = SeekIndex::new(Format::Gzip);
-        for part in fan_out(plan.len(), self.opts.workers, Walker::default, walk) {
+        for part in fan_out(plan.len(), self.opts.workers, |_| Walker::default(), walk) {
             let part = part?;
             for mut checkpoint in part.checkpoints {
                 checkpoint.out_offset += index.total_out;

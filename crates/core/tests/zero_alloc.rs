@@ -16,7 +16,8 @@
 //! The same counters bound what the parallel decoder allocates: large
 //! buffers per worker rather than per member, a warm ranged read's result
 //! and nothing else, and no more than its range for a read through a
-//! forged or damaged seek index.
+//! forged or damaged seek index. A sharded compress borrows its input:
+//! nothing it allocates is as large as the input.
 //!
 //! Everything lives in one `#[test]` because the counter is process-wide
 //! and the harness runs sibling tests on concurrent threads.
@@ -24,16 +25,21 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nx_core::{Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
+use nx_core::{
+    Format, Nx, ParallelEngine, ParallelInflateOptions, ParallelInflater, ParallelOptions,
+    SeekIndex,
+};
 
 /// System allocator wrapper that counts every allocation event
 /// (`alloc`, `alloc_zeroed`, and growth via `realloc`) and the bytes they
-/// asked for, and separately the events of at least [`LARGE`] bytes.
+/// asked for, separately the events of at least [`LARGE`] bytes, and the
+/// largest single request.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BIGGEST: AtomicU64 = AtomicU64::new(0);
 const LARGE: usize = 64 * 1024;
 
 fn count(size: usize) {
@@ -42,6 +48,7 @@ fn count(size: usize) {
     if size >= LARGE {
         LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     }
+    BIGGEST.fetch_max(size as u64, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -357,4 +364,27 @@ fn scratch_session_steady_state_allocation_profile() {
         events <= 8 + blocks,
         "a warm model decode allocated {events} x"
     );
+
+    // --- Sharded compress: shards borrow the input, never a copy of it. ---
+    // Until the shards ran on the caller's scoped fan-out, every request
+    // copied its whole input into a buffer shared with a persistent pool.
+    let engine = ParallelEngine::new(ParallelOptions {
+        workers: 2,
+        chunk_size: 128 << 10,
+    });
+    let sharded = || engine.compress(&data, 6, Format::Gzip).expect("level 6");
+    for _ in 0..WARMUP {
+        sharded();
+    }
+    BIGGEST.store(0, Ordering::SeqCst);
+    let gz = sharded();
+    let biggest = BIGGEST.load(Ordering::SeqCst);
+    assert!(
+        biggest < data.len() as u64,
+        "a warm 1 MiB sharded compress allocated {biggest} B at once"
+    );
+    assert_eq!(engine.stats().serial_fallbacks(), 0);
+    sess.decompress_into(&gz, Format::Gzip, &mut out)
+        .expect("valid container");
+    assert_eq!(out, data);
 }

@@ -1,12 +1,12 @@
 //! Parallel gzip (pigz-style) on the nx stack, both directions.
 //!
 //! Compression: the library's [`nx_core::parallel`] engine shards one
-//! input across a persistent worker pool and still emits a single valid
-//! gzip member — each worker compresses its shard primed with the
-//! previous shard's trailing 32 KB (so cross-shard matches survive),
-//! ends it byte-aligned with a sync flush, and the coordinator stitches
-//! the shards and folds the per-shard CRCs with `crc32_combine` —
-//! no serial pass over the input anywhere.
+//! input across the calling thread and scoped helpers spawned for the
+//! request, and still emits a single valid gzip member — each worker
+//! compresses its shard primed with the previous shard's trailing 32 KB
+//! (so cross-shard matches survive), ends it byte-aligned with a sync
+//! flush, and the caller stitches the shards and folds the per-shard CRCs
+//! with `crc32_combine` — no serial pass over the input anywhere.
 //!
 //! Decompression: a multi-member stream decodes member-per-worker, its
 //! trailers saying where each member's output goes; a single member
@@ -43,7 +43,7 @@ fn main() {
     let t0 = Instant::now();
     let parallel = engine
         .compress(&data, level.get(), Format::Gzip)
-        .expect("pool alive");
+        .expect("level 6 is valid");
     let t_parallel = t0.elapsed();
 
     // Both must be valid gzip of the same payload.

@@ -127,6 +127,9 @@ DECODE_PATHS=(
     crates/deflate/src/lz77/mod.rs
     crates/deflate/src/lz77/hash.rs
     crates/deflate/src/lz77/hash4.rs
+    # Sharded compress: every shard of a user's input runs through here, on
+    # the caller's thread or a fan-out helper, at the level checked at entry.
+    crates/core/src/parallel.rs
     # The batched speculative matcher is the default Fastest/Fast engine,
     # so arbitrary user input flows through its window walk and cover
     # resolution on every throughput-rung compress call.

@@ -91,7 +91,13 @@ cd "$(dirname "$0")/.."
 # never beat the serial walk they fell back to, and went. nx-deflate
 # 7582 -> 7565: `probe_block_start` (no caller) and the docs that served
 # speculation. nx-bench 3714 -> 3685: E22's chunk / miss / patch cells.
-declare -A CAP=([accel]=1794 [bench]=3685 [deflate]=7565 [core]=7728 [sys]=1589)
+# Running sharded compress on the decode side's scoped `fan_out` lowered
+# nx-core 7728 -> 7482: the persistent pool (`Job`, `ShardOut`,
+# `WorkerShape`, `worker_loop`), its job channel, submit/collect loop,
+# liveness probe and `Drop`, the input copy, the two-step constructor and
+# four `pub` methods nothing called (`compress_in_trace`, `compress_with`,
+# `inflater`, `decode_stats`) went; the stitch writes the container once.
+declare -A CAP=([accel]=1794 [bench]=3685 [deflate]=7565 [core]=7482 [sys]=1589)
 
 total=0
 over=0

@@ -309,9 +309,11 @@ fn genuine_input_errors_are_not_retried() {
 
 #[test]
 fn dead_parallel_pool_falls_back_to_serial_bytes() {
-    // Kill both workers on their first shard; the coordinator must
-    // detect the dead pool and produce the serial engine's exact bytes.
-    let script: Vec<Scripted> = (0..16)
+    // Kill three of request 0's 8 shards (and two it does not have): the
+    // request must produce the serial engine's exact bytes through one
+    // counted fallback, with one fault draw per shard it has.
+    let script: Vec<Scripted> = [0, 3, 7, 8, 15]
+        .into_iter()
         .map(|s| Scripted {
             site: Site::Worker,
             request: 0,
@@ -337,10 +339,19 @@ fn dead_parallel_pool_falls_back_to_serial_bytes() {
         .expect("serial");
     assert_eq!(out, serial);
     assert_eq!(engine.stats().serial_fallbacks(), 1);
+    assert_eq!(inj.stats().worker_panic_count(), 3);
+    assert_eq!(inj.stats().serial_fallback_count(), 1);
     assert_eq!(
         software::decompress(&out, Format::Gzip).expect("valid"),
         data
     );
+    // No worker outlives a request: request 1 fans its 8 shards out again.
+    let shards_before: u64 = engine.stats().worker_shards().iter().sum();
+    let next = engine.compress(&data, 6, Format::Gzip).expect("sharded");
+    assert_eq!(next, serial);
+    assert_eq!(engine.stats().serial_fallbacks(), 1);
+    let shards_after: u64 = engine.stats().worker_shards().iter().sum();
+    assert_eq!(shards_after - shards_before, 8);
 }
 
 #[test]
