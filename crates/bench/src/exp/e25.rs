@@ -36,8 +36,8 @@ use crate::{write_rows, Row, Table, SEED};
 use nx_accel::matcher::MatchEngine;
 use nx_accel::{AccelConfig, Resolution};
 use nx_corpus::CorpusKind;
-use nx_deflate::lz77::{expand_tokens, Token, Tokenizer};
-use nx_deflate::{crc32::crc32, gzip, inflate, Encoder, Engine, Level};
+use nx_deflate::lz77::{expand_tokens, Token};
+use nx_deflate::{crc32::crc32, deflate_tokens, gzip, inflate, Encoder, Engine, Level};
 
 /// One-line experiment title shown by `tables list`.
 pub const TITLE: &str =
@@ -195,7 +195,6 @@ fn measure() -> Measured {
 
     // Part C: hardware-model cross-validation on a corpus subset.
     let mut xval = Vec::new();
-    let mut tok = Tokenizer::new();
     for kind in [
         CorpusKind::Text,
         CorpusKind::Json,
@@ -203,7 +202,7 @@ fn measure() -> Measured {
         CorpusKind::Logs,
     ] {
         let data = kind.generate(SEED, XVAL_LEN);
-        let sw = ParseShape::of(tok.tokenize_with(&data, 0, fastest.get(), Engine::Auto));
+        let sw = ParseShape::of(&deflate_tokens(&data, fastest));
 
         let spec_cfg = AccelConfig::power9();
         let mut greedy_cfg = AccelConfig::power9();

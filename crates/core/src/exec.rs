@@ -193,7 +193,7 @@ impl Executor {
                 let on_engine = job.recover(fault::Site::Compress, |out| {
                     let (raw, report) = accel.compress(data);
                     let body = |out: &mut Vec<u8>| out.extend_from_slice(&raw);
-                    framing::frame(out, data, format, CompressionLevel::default(), None, body);
+                    framing::frame(out, data, format, None, body);
                     Ok((report.cycles, report))
                 })?;
                 match on_engine {
@@ -493,7 +493,7 @@ fn ladder_into(
         *enc = StreamEncoder::with_engine(level, engine);
     }
     enc.reset_with_dict(&[]);
-    framing::frame(out, data, format, level, None, |out| {
+    framing::frame(out, data, format, None, |out| {
         enc.write_into(data, Flush::Finish, out)
     });
 }

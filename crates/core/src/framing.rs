@@ -21,14 +21,15 @@ pub enum Format {
 /// Frames a raw DEFLATE stream in place -- the one place a compress path
 /// spells a container: `out` (cleared first) gets the header, what `body`
 /// appends, and the trailer over `data`. `dictid` marks a zlib stream FDICT.
+/// FLEVEL is advisory: every zlib header carries the default.
 pub(crate) fn frame(
     out: &mut Vec<u8>,
     data: &[u8],
     format: Format,
-    flevel: nx_deflate::CompressionLevel,
     dictid: Option<u32>,
     body: impl FnOnce(&mut Vec<u8>),
 ) {
+    let flevel = nx_deflate::CompressionLevel::default();
     out.clear();
     out.reserve(data.len() / 2 + 64);
     match (format, dictid) {
@@ -116,8 +117,7 @@ mod tests {
 
     fn wrap(raw: Vec<u8>, original: &[u8], format: Format) -> Vec<u8> {
         let mut out = vec![0xEE; 3]; // stale bytes: `frame` replaces them
-        let level = CompressionLevel::default();
-        frame(&mut out, original, format, level, None, |out| {
+        frame(&mut out, original, format, None, |out| {
             out.extend_from_slice(&raw)
         });
         out

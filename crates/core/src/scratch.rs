@@ -310,9 +310,8 @@ impl MetricSource for ProfileMetrics {
 /// handle: the software path with every piece of per-request state —
 /// encoder hash chains, decode tables, output buffers — carried across
 /// calls. After one warmup call per payload shape, `compress_into` and
-/// `decompress_into` stop allocating on the decode side entirely (the
-/// encode side still builds its dynamic Huffman plan per block; see
-/// DESIGN.md's zero-allocation notes).
+/// `decompress_into` stop allocating entirely (`tests/zero_alloc.rs`
+/// counts 0 for both).
 ///
 /// The session *is* a request executor in its software-only form plus the
 /// caller's buffers: requests run the same routing, span grammar and

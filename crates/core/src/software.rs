@@ -32,8 +32,7 @@ pub fn compress_with_engine(
     format: Format,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    let flevel = CompressionLevel::default(); // one-shot streams carry it whatever the level
-    framing::frame(&mut out, data, format, flevel, None, |out| {
+    framing::frame(&mut out, data, format, None, |out| {
         Encoder::with_engine(level, engine).compress_to(data, out)
     });
     out
@@ -80,8 +79,7 @@ pub(crate) fn compress_with_profile_into(
         Format::Gzip => (false, None),
         Format::Zlib => (primed, primed.then(|| profile.dict_id())),
     };
-    let flevel = CompressionLevel::default(); // advisory: canned streams carry the default
-    framing::frame(out, data, format, flevel, dictid, |out| {
+    framing::frame(out, data, format, dictid, |out| {
         nx_deflate::deflate_canned_into(data, engine, profile, use_dict, out)
     });
 }

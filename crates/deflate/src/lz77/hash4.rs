@@ -680,22 +680,20 @@ pub fn tokenize_into_with(
     crate::encoder::flush_search_stats(m.take_stats());
 }
 
-/// [`tokenize_into_with`] under [`super::Engine::Auto`] — the default
-/// entry every one-shot and streaming path funnels through.
-pub fn tokenize_into(
-    data: &[u8],
-    start: usize,
-    level: u32,
-    m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
-) {
-    tokenize_into_with(data, start, level, super::Engine::Auto, m, tokens);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lz77::{expand_tokens, Engine};
+
+    fn tokenize_into(
+        data: &[u8],
+        start: usize,
+        level: u32,
+        m: &mut Hash4Matcher,
+        tokens: &mut Vec<Token>,
+    ) {
+        tokenize_into_with(data, start, level, Engine::Auto, m, tokens);
+    }
 
     fn tokenize(data: &[u8], level: u32) -> Vec<Token> {
         let mut m = Hash4Matcher::new();

@@ -200,55 +200,18 @@ pub fn dist_code(dist: u16) -> usize {
 /// [`hash4::Hash4Matcher`] for why stale entries are safe), and the token
 /// buffer keeps its capacity across calls.
 #[derive(Debug, Default)]
-pub struct Tokenizer {
+pub(crate) struct Tokenizer {
     matcher: hash4::Hash4Matcher,
     tokens: Vec<Token>,
 }
 
 impl Tokenizer {
-    /// Creates an empty tokenizer (the ~450 KB of tables are allocated
-    /// once, here).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tokenizes `data[start..]` at `level`, with `data[..start]` as
-    /// history, through the level's matcher exactly as the encoder does
-    /// under [`Engine::Auto`] (see [`hash4::tokenize_into`]). The
-    /// returned slice is valid until the next call.
-    pub fn tokenize(&mut self, data: &[u8], start: usize, level: u32) -> &[Token] {
-        self.tokenize_with(data, start, level, Engine::Auto)
-    }
-
-    /// As [`tokenize`](Self::tokenize), but with an explicit [`Engine`]
-    /// selection — the streaming/session plumbing for the engine knob.
-    pub fn tokenize_with(
-        &mut self,
-        data: &[u8],
-        start: usize,
-        level: u32,
-        engine: Engine,
-    ) -> &[Token] {
-        debug_assert!(level >= 1, "level 0 has no matcher; use literals()");
+    /// Taken apart for one tokenize call: the matcher, reset in O(1), and
+    /// the cleared token buffer.
+    pub(crate) fn parts(&mut self) -> (&mut hash4::Hash4Matcher, &mut Vec<Token>) {
         self.matcher.reset();
         self.tokens.clear();
-        hash4::tokenize_into_with(
-            data,
-            start,
-            level,
-            engine,
-            &mut self.matcher,
-            &mut self.tokens,
-        );
-        &self.tokens
-    }
-
-    /// Maps `data` to one literal token per byte (the level-0 /
-    /// Huffman-only path), reusing the token buffer.
-    pub fn literals(&mut self, data: &[u8]) -> &[Token] {
-        self.tokens.clear();
-        self.tokens.extend(data.iter().map(|&b| Token::Literal(b)));
-        &self.tokens
+        (&mut self.matcher, &mut self.tokens)
     }
 }
 
@@ -265,9 +228,8 @@ pub(crate) fn with_thread_tokenizer<R>(
     }
     TOKENIZER.with(|tokenizer| {
         let t = &mut *tokenizer.borrow_mut();
-        t.matcher.reset();
-        t.tokens.clear();
-        f(&mut t.matcher, &mut t.tokens)
+        let (m, tokens) = t.parts();
+        f(m, tokens)
     })
 }
 

@@ -341,9 +341,10 @@ fn derive_dict(samples: &[&[u8]], dict_cap: usize) -> Vec<u8> {
 /// package-merge → table-fusion pipeline entirely. A per-block guard
 /// compares the exact canned cost against the fixed-table cost and falls
 /// back to the dynamic path on misfit, so output never degrades below
-/// the two-pass encoder's fixed/dynamic choice (stored is not considered:
-/// dictionary references cannot cross into stored blocks, and canned
-/// profiles target compressible record traffic).
+/// the two-pass encoder's fixed/dynamic choice. Stored is not considered:
+/// the guard prices a block in one pass over its tokens, without a
+/// histogram or the block's input span, and canned profiles target
+/// compressible record traffic.
 ///
 /// When `use_dict` is set the stream must be decoded with the same
 /// dictionary ([`crate::inflate_with_dict`], or zlib FDICT framing via
@@ -423,7 +424,7 @@ fn emit_canned_blocks(p: &Profile, tokens: &[Token], w: &mut BitWriter) {
             p.tables.write_body(w, block);
         } else {
             // Misfit: the block strays from the trained class. Exact tables
-            // for it, by the dictionary encoder's decision (entropy only).
+            // for it, by the one block decision (entropy only: no span).
             FALLBACK_BLOCKS.fetch_add(1, Ordering::Relaxed);
             let rung = Level::from_numeric(p.level.get());
             choose_and_encode_block(w, None, block, &Histogram::of(block), i == last, rung);

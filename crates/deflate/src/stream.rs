@@ -24,10 +24,8 @@
 
 use crate::bitio::BitWriter;
 use crate::decoder::{InflateScratch, Inflater, Open};
-use crate::encoder::{
-    choose_and_encode_block, encode_fixed_block, CompressionLevel, Level, MAX_BLOCK_TOKENS,
-};
-use crate::lz77::{Engine, Histogram, Token, Tokenizer};
+use crate::encoder::{encode_fixed_block, CompressionLevel, Encoder};
+use crate::lz77::{Engine, Tokenizer};
 use crate::WINDOW_SIZE;
 use std::mem::take;
 
@@ -48,9 +46,8 @@ pub enum Flush {
 /// A chunked DEFLATE encoder carrying the 32 KB window across calls.
 #[derive(Debug)]
 pub struct StreamEncoder {
-    level: CompressionLevel,
-    /// Match-engine selection, threaded through every chunk's tokenize.
-    engine: Engine,
+    /// Level and match engine: the encode body every chunk runs.
+    enc: Encoder,
     /// Up to [`WINDOW_SIZE`] bytes of the most recent input.
     tail: Vec<u8>,
     /// The persistent bit writer: the DEFLATE bit stream is continuous
@@ -75,11 +72,10 @@ impl StreamEncoder {
     /// Creates an encoder at `level` with an explicit match [`Engine`].
     pub fn with_engine(level: CompressionLevel, engine: Engine) -> Self {
         Self {
-            level,
-            engine,
+            enc: Encoder::with_engine(level, engine),
             tail: Vec::new(),
             w: BitWriter::new(),
-            tok: Tokenizer::new(),
+            tok: Tokenizer::default(),
             scratch: Vec::new(),
             finished: false,
             total_in: 0,
@@ -115,7 +111,7 @@ impl StreamEncoder {
     }
 
     fn prime_dict(&mut self, dict: &[u8]) {
-        if self.level.get() > 0 {
+        if self.enc.level().get() > 0 {
             self.tail
                 .extend_from_slice(&dict[dict.len().saturating_sub(WINDOW_SIZE)..]);
         }
@@ -123,12 +119,12 @@ impl StreamEncoder {
 
     /// The configured compression level.
     pub fn level(&self) -> CompressionLevel {
-        self.level
+        self.enc.level()
     }
 
     /// The configured match engine.
     pub fn engine(&self) -> Engine {
-        self.engine
+        self.enc.engine()
     }
 
     /// Total input bytes consumed so far.
@@ -164,41 +160,18 @@ impl StreamEncoder {
         self.total_in += chunk.len() as u64;
 
         if !chunk.is_empty() {
-            // Tokenize the chunk against the carried window, reusing the
-            // scratch buffer and tokenizer state across calls.
-            let start = self.tail.len();
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&self.tail);
-            self.scratch.extend_from_slice(chunk);
-            let tokens: &[Token] = if self.level.get() == 0 {
-                self.tok.literals(chunk)
-            } else {
-                self.tok
-                    .tokenize_with(&self.scratch, start, self.level.get(), self.engine)
-            };
-            // Emit in bounded blocks; final only if finishing.
-            let mut start_tok = 0usize;
-            let mut byte_pos = 0usize;
-            while start_tok < tokens.len() {
-                let end_tok = (start_tok + MAX_BLOCK_TOKENS).min(tokens.len());
-                let span: usize = tokens[start_tok..end_tok]
-                    .iter()
-                    .map(Token::input_len)
-                    .sum();
-                let is_last_block = end_tok == tokens.len();
-                let is_final = is_last_block && flush == Flush::Finish;
-                let block = &tokens[start_tok..end_tok];
-                choose_and_encode_block(
-                    &mut self.w,
-                    Some(&chunk[byte_pos..byte_pos + span]),
-                    block,
-                    &Histogram::of(block),
-                    is_final,
-                    Level::from_numeric(self.level.get()),
-                );
-                start_tok = end_tok;
-                byte_pos += span;
-            }
+            // The one-shot encoder's body behind the carried window, on
+            // this session's tokenizer and staging buffer.
+            let finish = flush == Flush::Finish;
+            let tok = self.tok.parts();
+            self.enc.encode_chunk(
+                &mut self.w,
+                &self.tail,
+                chunk,
+                tok,
+                &mut self.scratch,
+                finish,
+            );
             // Carry the window forward.
             if chunk.len() >= WINDOW_SIZE {
                 self.tail.clear();
@@ -484,6 +457,7 @@ mod tests {
         let mut out = enc.write(&data, Flush::Finish);
         out.extend(enc.finish());
         assert_eq!(crate::inflate_with_dict(&out, &dict).unwrap(), data);
+        assert_eq!(out, crate::deflate_with_dict(&data, lvl(6), &dict));
         // Dictionary must actually be used: data that repeats the dict
         // compresses far better than the dict-less stream.
         let plain = crate::deflate(&data, lvl(6));

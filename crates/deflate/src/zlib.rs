@@ -415,6 +415,22 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_encodes_may_store() {
+        // A stored block carries its own bytes whatever the window holds:
+        // random data behind a dictionary costs its stored framing only.
+        use nx_corpus::CorpusKind::Random;
+        let (data, dict) = (Random.generate(3, 64 << 10), Random.generate(4, 32 << 10));
+        let raw = crate::encoder::deflate_with_dict(&data, lvl(6), &dict);
+        assert!(raw.len() <= data.len() + 16, "{} bytes", raw.len());
+        assert_eq!(
+            crate::decoder::inflate_with_dict(&raw, &dict).unwrap(),
+            data
+        );
+        let z = compress_with_dict(&data, lvl(6), &dict);
+        assert_eq!(decompress_with_dict(&z, &dict).unwrap(), data);
+    }
+
+    #[test]
     fn raw_dict_helpers_roundtrip() {
         let dict: Vec<u8> = (0..5000u32).map(|i| (i % 253) as u8).collect();
         let data: Vec<u8> = dict

@@ -102,6 +102,38 @@ fn speculative_engine_every_corpus_every_level_both_decoders() {
 }
 
 #[test]
+fn streamed_equals_one_shot_with_capped_blocks() {
+    // Every ladder entry point runs one encode body: a one-chunk stream is
+    // the one-shot stream byte for byte, and no block of it decodes to more
+    // than the byte cap, however redundant the input -- give or take the
+    // token that crosses the cap, which closes the block it ends.
+    use nx_deflate::encoder::MAX_BLOCK_BYTES;
+    use nx_deflate::stream::{Flush, StreamEncoder};
+    use nx_deflate::{Encoder, Engine, Inflater, MAX_MATCH};
+    for &kind in CorpusKind::all() {
+        let data = kind.generate(0x5EED_2020, 1 << 20);
+        for level in [1u32, 6, 9] {
+            let level = CompressionLevel::new(level).expect("valid level");
+            for engine in [Engine::Auto, Engine::Speculative] {
+                let what = format!("{} level {level} {engine:?}", kind.name());
+                let one_shot = Encoder::with_engine(level, engine).compress(&data);
+                let streamed =
+                    StreamEncoder::with_engine(level, engine).write(&data, Flush::Finish);
+                assert!(streamed == one_shot, "{what}: streamed bytes differ");
+                let mut inf = Inflater::new(&one_shot);
+                while !inf.is_finished() {
+                    let before = inf.output().len();
+                    inf.decode_block(usize::MAX).expect("our stream decodes");
+                    let block = inf.output().len() - before;
+                    assert!(block < MAX_BLOCK_BYTES + MAX_MATCH, "{what}: {block} B");
+                }
+                assert!(inf.output() == data, "{what}: roundtrip");
+            }
+        }
+    }
+}
+
+#[test]
 fn ladder_rungs_map_to_their_numeric_levels() {
     // The named ladder is sugar over numeric levels; both spellings must
     // produce byte-identical streams.
