@@ -1,93 +1,48 @@
 //! Asynchronous job sessions.
 //!
-//! POWER9 software submits CRBs and continues working, collecting CSBs
-//! later. [`AsyncSession`] reproduces that usage model in API form: jobs
-//! go over a channel to a dedicated engine thread (one engine = one NX
-//! unit, jobs served FIFO) and each submission returns a [`JobHandle`]
-//! whose [`wait`](JobHandle::wait) delivers the result.
+//! POWER9 software pastes CRBs into a credited VAS window and continues
+//! working, collecting CSBs later. [`AsyncSession`] is that usage model
+//! over the one request queue there is: a private [`NxService`] holding a
+//! single window, `"async"`, with coalescing off, so jobs are served one
+//! per engine submission in FIFO order. Each submission returns a
+//! [`JobHandle`] whose [`wait`](JobHandle::wait) delivers the result.
 
-use crate::exec::Executor;
 use crate::framing::Format;
 use crate::scratch::BufferPool;
-use crate::stats::NxStats;
-use crate::{CompressOptions, Compressed, Error, Result, Trace, SUBMIT_CYCLES};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use nx_telemetry::{Counter, Gauge, Stage, TelemetrySink};
+use crate::service::{
+    NxService, QosClass, ServiceConfig, ServiceError, TenantHandle, TenantSpec, Ticket,
+};
+use crate::{CompressOptions, Compressed, Error, Nx, Result};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Queue-side telemetry: an instantaneous depth gauge, a depth
-/// histogram sampled at each submission, and an overflow counter —
-/// the VAS window-credit accounting the paper describes, in metric
-/// form. All no-ops when the sink is disabled.
-#[derive(Debug, Clone)]
-struct QueueTelemetry {
-    sink: TelemetrySink,
-    depth: Option<Gauge>,
-    overflows: Option<Counter>,
-}
-
-impl QueueTelemetry {
-    fn new(sink: TelemetrySink) -> Self {
-        let depth = sink.registry().map(|r| r.gauge("nx_async_queue_depth"));
-        let overflows = sink
-            .registry()
-            .map(|r| r.counter("nx_async_queue_overflows_total"));
-        Self {
-            sink,
-            depth,
-            overflows,
-        }
-    }
-
-    fn on_enqueue(&self) {
-        if let Some(g) = &self.depth {
-            let now = g.add(1);
-            self.sink.record_queue_depth(now.max(0) as u64);
-        }
-    }
-
-    fn on_dequeue(&self) -> i64 {
-        match &self.depth {
-            Some(g) => g.add(-1).max(0),
-            None => 0,
-        }
-    }
-
-    fn on_overflow(&self) {
-        if let Some(c) = &self.overflows {
-            c.inc();
-        }
-    }
-}
-
-enum Cmd {
-    Compress {
-        data: Vec<u8>,
-        format: Format,
-        opts: CompressOptions,
-        reply: Sender<Result<Compressed>>,
-    },
-    Shutdown,
-}
-
-/// A queued-submission session backed by one engine thread.
+/// A queued-submission session: one window on a service of its own.
 ///
-/// Dropping the session shuts the engine down after draining queued jobs.
+/// With a telemetry registry on the handle, the window's counters export
+/// as the `nx-service` source, which the registry keeps one of: the
+/// service or session opened last is the one exported. Dropping the
+/// session shuts its engine down after draining queued jobs.
 #[derive(Debug)]
 pub struct AsyncSession {
-    tx: Sender<Cmd>,
-    worker: Option<JoinHandle<()>>,
-    telemetry: QueueTelemetry,
+    window: TenantHandle,
+    service: NxService,
     pool: Arc<BufferPool>,
-    stats: Arc<NxStats>,
 }
 
 /// A pending job's completion handle.
 #[derive(Debug)]
 pub struct JobHandle {
-    rx: Receiver<Result<Compressed>>,
+    ticket: Ticket,
+}
+
+/// The facade error for a service outcome. The window's credits never
+/// run out, so a rejection is the depth bound.
+fn session_error(e: ServiceError) -> Error {
+    match e {
+        ServiceError::Engine(e) => e,
+        ServiceError::NoCredit | ServiceError::QueueFull => Error::QueueOverflow,
+        ServiceError::Closed => Error::EngineClosed,
+    }
 }
 
 impl JobHandle {
@@ -97,7 +52,10 @@ impl JobHandle {
     ///
     /// [`Error::EngineClosed`] if the engine stopped before completing it.
     pub fn wait(self) -> Result<Compressed> {
-        self.rx.recv().map_err(|_| Error::EngineClosed)?
+        self.ticket
+            .wait()
+            .map(|served| served.compressed)
+            .map_err(session_error)
     }
 
     /// Non-blocking check; returns the handle back if still pending.
@@ -106,11 +64,7 @@ impl JobHandle {
     ///
     /// As [`wait`](Self::wait), once complete.
     pub fn try_wait(self) -> std::result::Result<Result<Compressed>, JobHandle> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(r),
-            Err(crossbeam::channel::TryRecvError::Empty) => Err(self),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Ok(Err(Error::EngineClosed)),
-        }
+        self.wait_timeout(Duration::ZERO)
     }
 
     /// Blocks at most `timeout` for the engine; returns the handle back
@@ -124,94 +78,50 @@ impl JobHandle {
         self,
         timeout: Duration,
     ) -> std::result::Result<Result<Compressed>, JobHandle> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Ok(r),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(self),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Ok(Err(Error::EngineClosed)),
+        match self.ticket.wait_timeout(timeout) {
+            Ok(r) => Ok(r.map(|served| served.compressed).map_err(session_error)),
+            Err(ticket) => Err(JobHandle { ticket }),
         }
     }
 }
 
 impl AsyncSession {
-    /// Spawns the engine thread, which owns `exec` for its lifetime: a
-    /// queued job runs the same executor — routing, fault recovery, span
-    /// grammar, stats record — as a synchronous request. With
-    /// `depth = Some(n)` the queue holds at most `n` outstanding commands
-    /// (the VAS window credit limit in API form):
-    /// [`try_submit`](Self::try_submit) surfaces a full queue as
-    /// [`Error::QueueOverflow`], blocking [`submit`](Self::submit) waits
-    /// for a slot instead.
-    pub(crate) fn spawn(mut exec: Executor, pool: Arc<BufferPool>, depth: Option<usize>) -> Self {
-        let (tx, rx) = match depth {
-            Some(depth) => bounded::<Cmd>(depth.max(1)),
-            None => unbounded::<Cmd>(),
-        };
-        let telemetry = QueueTelemetry::new(exec.env().telemetry.clone());
-        let stats = Arc::clone(&exec.env().stats);
-        let worker_tel = telemetry.clone();
-        let worker_pool = Arc::clone(&pool);
-        let worker = std::thread::Builder::new()
-            .name("nx-engine".into())
-            .spawn(move || {
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Cmd::Compress {
-                            data,
-                            format,
-                            opts,
-                            reply,
-                        } => {
-                            // The job's timeline opens with its queue
-                            // wait, modeled from the depth ahead of it
-                            // (each queued job costs one service slot);
-                            // the executor's spans continue from there.
-                            let depth = worker_tel.on_dequeue() as u64;
-                            let mut trace = Trace::begin(&worker_tel.sink);
-                            trace.span(Stage::QueueWait, depth * SUBMIT_CYCLES, 0, depth);
-                            let mut bytes = Vec::new();
-                            let result = exec
-                                .compress_into(
-                                    &data,
-                                    format,
-                                    opts,
-                                    Some(&trace.context()),
-                                    &mut bytes,
-                                )
-                                .map(|report| Compressed { bytes, report });
-                            // Recycle the job's input buffer: the next
-                            // submitter acquiring via `buffer()` reuses
-                            // its capacity instead of allocating.
-                            worker_pool.release(data);
-                            // Receiver may have been dropped; that's fine.
-                            let _ = reply.send(result);
-                        }
-                        Cmd::Shutdown => break,
-                    }
-                }
-            })
-            .expect("spawn engine thread");
+    /// Opens the session's service and its one window, whose credits
+    /// never bind: only `engine_depth` (undispatched jobs) rejects.
+    pub(crate) fn open(nx: &Nx, engine_depth: usize) -> Self {
+        let service = nx.service(ServiceConfig {
+            engine_depth,
+            coalesce_limit: 0,
+            ..ServiceConfig::default()
+        });
+        let spec = TenantSpec::new("async", QosClass::Throughput, u32::MAX);
         Self {
-            tx,
-            worker: Some(worker),
-            telemetry,
-            pool,
-            stats,
+            window: service.open_window(spec),
+            service,
+            pool: Arc::clone(nx.buffer_pool()),
         }
     }
 
-    /// Takes a recycled input buffer from the session's pool: jobs release
-    /// their input buffers back to the pool once compressed, so a
-    /// fill-submit-refill loop stops allocating input storage after the
-    /// queue depth's worth of warmup submissions.
+    /// The session's receive window: its
+    /// [`TenantStats`](crate::service::TenantStats) and credits.
+    pub fn window(&self) -> &TenantHandle {
+        &self.window
+    }
+
+    /// Takes a recycled input buffer from the handle's pool: the engine
+    /// releases each job's input buffer back to the pool once compressed,
+    /// so a fill-submit-refill loop stops allocating input storage after
+    /// the queue depth's worth of warmup submissions.
     pub fn buffer(&self) -> Vec<u8> {
         self.pool.acquire()
     }
 
-    /// Queues a compression job; returns immediately.
+    /// Queues a compression job; returns once it is queued, waiting for
+    /// room when a bounded queue is full.
     ///
     /// # Errors
     ///
-    /// [`Error::EngineClosed`] if the engine thread has exited.
+    /// [`Error::EngineClosed`] if the session's engine has shut down.
     pub fn submit(&self, data: Vec<u8>, format: Format) -> Result<JobHandle> {
         self.submit_with(data, format, CompressOptions::default())
     }
@@ -222,76 +132,40 @@ impl AsyncSession {
     ///
     /// # Errors
     ///
-    /// [`Error::EngineClosed`] if the engine thread has exited.
+    /// [`Error::EngineClosed`] if the session's engine has shut down.
     pub fn submit_with(
         &self,
         data: Vec<u8>,
         format: Format,
         opts: CompressOptions,
     ) -> Result<JobHandle> {
-        let (reply, rx) = bounded(1);
-        self.tx
-            .send(Cmd::Compress {
-                data,
-                format,
-                opts,
-                reply,
-            })
-            .map_err(|_| Error::EngineClosed)?;
-        self.telemetry.on_enqueue();
-        Ok(JobHandle { rx })
+        let ticket = self.window.enqueue(data, format, opts, true);
+        ticket
+            .map(|ticket| JobHandle { ticket })
+            .map_err(session_error)
     }
 
     /// Queues a compression job without blocking: a session built with a
-    /// bounded queue rejects the submission when no credit is free, like
-    /// a paste into a full VAS window.
+    /// bounded queue rejects the submission when the queue is full, like
+    /// a paste into a full VAS window. The rejection is counted as a
+    /// depth reject in [`NxStats`](crate::NxStats).
     ///
     /// # Errors
     ///
     /// [`Error::QueueOverflow`] when the queue is at capacity;
-    /// [`Error::EngineClosed`] if the engine thread has exited.
+    /// [`Error::EngineClosed`] if the session's engine has shut down.
     pub fn try_submit(&self, data: Vec<u8>, format: Format) -> Result<JobHandle> {
-        let (reply, rx) = bounded(1);
-        match self.tx.try_send(Cmd::Compress {
-            data,
-            format,
-            opts: CompressOptions::default(),
-            reply,
-        }) {
-            Ok(()) => {
-                self.telemetry.on_enqueue();
-                Ok(JobHandle { rx })
-            }
-            Err(TrySendError::Full(_)) => {
-                self.telemetry.on_overflow();
-                // Attribute the rejection: a full bounded queue is a
-                // depth-reject, distinguishable in NxStats from credit
-                // rejects (service admission) and injected fault rejects.
-                self.stats.record_depth_reject();
-                Err(Error::QueueOverflow)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(Error::EngineClosed),
-        }
+        let ticket = self.window.submit(data, format);
+        ticket
+            .map(|ticket| JobHandle { ticket })
+            .map_err(session_error)
     }
 
     /// Shuts the engine down after draining queued jobs, waiting for the
     /// thread to exit. Preferred over `drop` when callers want to observe
     /// completion.
-    pub fn close(mut self) {
-        self.close_inner();
-    }
-
-    fn close_inner(&mut self) {
-        let _ = self.tx.send(Cmd::Shutdown);
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for AsyncSession {
-    fn drop(&mut self) {
-        self.close_inner();
+    pub fn close(self) {
+        self.service.close();
     }
 }
 
@@ -338,15 +212,21 @@ mod tests {
     #[test]
     fn submit_after_close_fails() {
         let nx = Nx::power9();
-        let session = nx.async_session();
-        let _ = session.tx.send(Cmd::Shutdown);
-        // Wait for the worker to exit, then submissions fail.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        let mut session = nx.async_session();
+        let admitted = session.submit(vec![4u8; 50_000], Format::Gzip).unwrap();
+        // Closing drains the queue and joins the engine thread, so every
+        // later submission finds the service closed.
+        session.service.close_inner();
         let r = session.submit(vec![1, 2, 3], Format::RawDeflate);
-        if let Ok(h) = r {
-            // Raced the shutdown: the reply channel must then disconnect.
-            assert!(matches!(h.wait(), Err(Error::EngineClosed) | Ok(_)));
-        }
+        assert!(matches!(r, Err(Error::EngineClosed)));
+        let r = session.try_submit(vec![1, 2, 3], Format::RawDeflate);
+        assert!(matches!(r, Err(Error::EngineClosed)));
+        // A job admitted before the close still completes.
+        let c = admitted.wait().unwrap();
+        assert_eq!(
+            nx.decompress(&c.bytes, Format::Gzip).unwrap().bytes,
+            [4u8; 50_000]
+        );
     }
 
     #[test]
@@ -424,6 +304,12 @@ mod tests {
                 inputs[i]
             );
         }
+        // Backpressure waits for room: no submission was rejected and
+        // each was admitted on its first and only attempt.
+        assert_eq!(nx.stats().depth_rejects(), 0);
+        let tenant = session.window.stats();
+        assert_eq!(tenant.submitted(), 6);
+        assert_eq!(tenant.admitted(), 6);
     }
 
     #[test]

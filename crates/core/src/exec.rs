@@ -16,8 +16,8 @@
 //!   policy.
 //!
 //! Every entry point is a thin caller: [`crate::Nx`] checks an executor
-//! out of a per-handle free list, the [`crate::AsyncSession`] worker and
-//! the service engine thread each own one, and a
+//! out of a per-handle free list, each service engine thread owns one
+//! (an [`crate::AsyncSession`] is a one-window service), and a
 //! [`crate::ScratchSession`] *is* one (in its software-only form) plus
 //! caller-owned buffers.
 

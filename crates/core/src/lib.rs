@@ -8,9 +8,9 @@
 //!   raw-DEFLATE, gzip or zlib [`Format`]s, 842 for memory-compression
 //!   use cases, per-request [cycle reports](nx_accel::CompressReport) and
 //!   aggregate [`NxStats`].
-//! * [`AsyncSession`] queues jobs to a background engine thread —
-//!   mirroring the asynchronous paste/CSB usage model on POWER9 — and
-//!   hands back [`JobHandle`]s to wait on.
+//! * [`AsyncSession`] queues jobs on a one-tenant [`NxService`] window —
+//!   the asynchronous paste/CSB usage model on POWER9 — and hands back
+//!   [`JobHandle`]s to wait on.
 //! * [`parallel`] shards one stream across the calling thread and helpers
 //!   scoped to the request (pigz-style) while still emitting a single
 //!   valid gzip/zlib/raw stream, with the trailer checksum folded from
@@ -135,18 +135,6 @@ impl<'a> Trace<'a> {
         }
     }
 
-    /// The continuation point after the spans emitted so far: what a
-    /// stage hands the next one so both land on one timeline.
-    pub(crate) fn context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.request,
-            parent_span: self.parent,
-            sampled: self.active,
-            child_seq: self.seq,
-            at_cycles: self.cursor,
-        }
-    }
-
     /// Emits a span at the cursor and advances it by `dur` cycles.
     pub(crate) fn span(&mut self, stage: Stage, dur: u64, bytes: u64, detail: u64) {
         if self.active {
@@ -188,7 +176,8 @@ pub enum Error {
     Deflate(nx_deflate::Error),
     /// The 842 payload was malformed.
     P842(nx_842::Error),
-    /// The async engine was shut down before the job completed.
+    /// The async session's service was closed (or its engine stopped)
+    /// before the job was admitted or completed.
     EngineClosed,
     /// The accelerator is unavailable and software fallback is disabled.
     AcceleratorUnavailable,
@@ -198,7 +187,8 @@ pub enum Error {
         attempts: u32,
     },
     /// The submission queue stayed full (async: [`AsyncSession::try_submit`]
-    /// found no room; sync: every retry was rejected).
+    /// found its window's service at its depth bound; sync: every retry
+    /// was rejected).
     QueueOverflow,
     /// The engine's output failed its integrity check on every one of
     /// `attempts` tries.
@@ -270,9 +260,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// The modeled accelerator is fixed-function — it has no level knob, just
 /// like the NX unit — so options only steer the *software* paths: the
 /// direct software encoder ([`Nx::compress_with`]), the parallel shard
-/// engine ([`Nx::parallel_session_with`]), scratch sessions, the async
-/// queue ([`AsyncSession::submit_with`]) and the service tier
-/// ([`TenantHandle::submit_with`]).
+/// engine ([`Nx::parallel_session_with`]), scratch sessions and the
+/// service tier ([`TenantHandle::submit_with`], which an async session's
+/// [`AsyncSession::submit_with`] reaches through its one window).
 ///
 /// ```
 /// use nx_core::CompressOptions;
@@ -359,9 +349,9 @@ impl CompressOptions {
         nx_deflate::Level::from_numeric(self.level.get())
     }
 
-    /// Whether these are the default options (accelerator-eligible: the
-    /// async queue only degrades to the software encoder for jobs that
-    /// ask for a non-default level).
+    /// Whether these are the default options (accelerator-eligible: a
+    /// queued job only runs the software encoder when it asks for a
+    /// non-default level).
     pub fn is_default(&self) -> bool {
         *self == Self::default()
     }
@@ -558,8 +548,8 @@ impl Nx {
         &self.env.stats
     }
 
-    /// A fresh executor bound to this handle's context — what the async
-    /// worker and the service engine thread each own for their lifetime.
+    /// A fresh executor bound to this handle's context — what a service
+    /// engine thread (an async session's included) owns for its lifetime.
     pub(crate) fn executor(&self) -> Executor {
         Executor::new(self.env.clone())
     }
@@ -682,18 +672,18 @@ impl Nx {
         Ok(out)
     }
 
-    /// Opens an asynchronous session: jobs are queued to a dedicated
-    /// engine thread, as with POWER9's asynchronous CRB submission.
+    /// Opens an asynchronous session: jobs queue on a one-tenant service
+    /// window, as with POWER9's asynchronous CRB submission.
     pub fn async_session(&self) -> AsyncSession {
-        AsyncSession::spawn(self.executor(), Arc::clone(&self.pool), None)
+        AsyncSession::open(self, usize::MAX)
     }
 
     /// Opens an asynchronous session whose queue holds at most `depth`
-    /// outstanding jobs — the VAS window credit limit in API form.
+    /// undispatched jobs — the VAS window credit limit in API form.
     /// [`AsyncSession::try_submit`] surfaces a full queue as
     /// [`Error::QueueOverflow`].
     pub fn async_session_bounded(&self, depth: usize) -> AsyncSession {
-        AsyncSession::spawn(self.executor(), Arc::clone(&self.pool), Some(depth))
+        AsyncSession::open(self, depth)
     }
 
     /// Opens a sharded parallel compression session at `level`: one

@@ -5,8 +5,9 @@
 //! This module reproduces that discipline in the facade:
 //!
 //! * [`BufferPool`] is a shared shelf of byte buffers with hit/miss
-//!   accounting, used by the parallel pool workers (shard output) and the
-//!   async engine (input recycling).
+//!   accounting, used by sharded compress (shard output) and the service
+//!   engine (input recycling, which async sessions read back through
+//!   [`AsyncSession::buffer`](crate::AsyncSession::buffer)).
 //! * [`ScratchSession`] bundles a software-only request executor (a
 //!   persistent [`nx_deflate::StreamEncoder`] plus an
 //!   [`nx_deflate::InflateScratch`] for decode tables + output sizing) and

@@ -995,7 +995,7 @@ mod tests {
         service: &ServiceConfig,
     ) -> CoreLog {
         let nx = Nx::power9();
-        let (svc, mut exec, _wake) = NxService::paused(nx.executor(), service.clone());
+        let (svc, mut exec, _wake) = NxService::paused(&nx, service.clone());
         let windows: Vec<_> = loads
             .iter()
             .map(|l| svc.open_window(l.spec.clone()))

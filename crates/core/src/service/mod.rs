@@ -31,6 +31,8 @@
 //! deterministic open-loop storm in [`loadgen`] is its virtual-clock
 //! driver, which is how the fairness and tail-latency properties are
 //! tested without timing flakiness — on the machinery that ships.
+//! An [`AsyncSession`](crate::AsyncSession) is a service of its own with
+//! one window, so it is the same queue and the same driver.
 
 pub mod loadgen;
 pub mod sched;
@@ -40,6 +42,7 @@ pub use sched::{jain_index, CreditAccount, DwrrScheduler, QosClass, Rejected, Te
 
 use crate::exec::Executor;
 use crate::framing::Format;
+use crate::scratch::BufferPool;
 use crate::stats::NxStats;
 use crate::{CompressOptions, Compressed, Nx, COMPLETE_CYCLES, SUBMIT_CYCLES};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -47,7 +50,7 @@ use nx_telemetry::{LogHistogram, MetricSource, MetricValue, TelemetrySink, Trace
 use parking_lot::Mutex;
 use sched::{request_spans, Admitted, Batch, ServiceCore, DISPATCH_SEQ};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -188,6 +191,12 @@ struct Shared {
     /// Wake-up tokens: one after every push and one after close, on an
     /// unbounded channel, so an idle engine thread can block on it.
     signal: Sender<()>,
+    /// Notified after every dispatch and at close: a submitter waiting
+    /// for room in the engine queue blocks on it.
+    room: Condvar,
+    /// The handle's buffer pool: each job's input goes back to it once
+    /// compressed.
+    pool: Arc<BufferPool>,
     nx_stats: Arc<NxStats>,
     stats: Arc<ServiceStats>,
     /// The engine handle's sink: admission mints trace contexts here so
@@ -436,7 +445,7 @@ impl Nx {
     /// and if the handle has an attached telemetry registry, per-tenant
     /// metrics register as the `nx-service` source.
     pub fn service(&self, config: ServiceConfig) -> NxService {
-        let (mut service, exec, wake) = NxService::paused(self.executor(), config);
+        let (mut service, exec, wake) = NxService::paused(self, config);
         let shared = Arc::clone(&service.shared);
         service.engine = std::thread::Builder::new()
             .name("nx-service".into())
@@ -450,7 +459,8 @@ impl NxService {
     /// The service without its engine thread: admissions queue, nothing
     /// dispatches until [`engine_loop`](Self::engine_loop) runs on the
     /// returned executor and wake-up channel.
-    fn paused(exec: Executor, config: ServiceConfig) -> (Self, Executor, Receiver<()>) {
+    fn paused(nx: &Nx, config: ServiceConfig) -> (Self, Executor, Receiver<()>) {
+        let exec = nx.executor();
         let core = ServiceCore::new(&config);
         let stats = Arc::clone(core.stats());
         if let Some(reg) = exec.env().telemetry.registry() {
@@ -460,6 +470,8 @@ impl NxService {
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
             signal,
+            room: Condvar::new(),
+            pool: Arc::clone(&nx.pool),
             nx_stats: Arc::clone(&exec.env().stats),
             stats,
             telemetry: exec.env().telemetry.clone(),
@@ -510,8 +522,9 @@ impl NxService {
         self.close_inner();
     }
 
-    fn close_inner(&mut self) {
+    pub(crate) fn close_inner(&mut self) {
         self.shared.core.lock().close();
+        self.shared.room.notify_all();
         let _ = self.shared.signal.send(());
         if let Some(h) = self.engine.take() {
             let _ = h.join();
@@ -525,7 +538,10 @@ impl NxService {
                 (core.next_batch(), core.is_open())
             };
             match batch {
-                Some(batch) => Self::serve(&mut exec, &shared, batch),
+                Some(batch) => {
+                    shared.room.notify_all();
+                    Self::serve(&mut exec, &shared, batch)
+                }
                 // Every push and the close are followed by a token, so a
                 // blocking wait cannot miss either.
                 None if open => {
@@ -567,6 +583,7 @@ impl NxService {
             let result = exec
                 .compress_into(&job.data, job.format, job.opts, Some(&child), &mut bytes)
                 .map(|report| Compressed { bytes, report });
+            shared.pool.release(job.data);
             let mut core = shared.core.lock();
             let complete_seq = core.complete(batch.tenant, result.is_ok());
             let reply = result.map_err(ServiceError::Engine).map(|compressed| {
@@ -630,9 +647,30 @@ impl TenantHandle {
         format: Format,
         opts: CompressOptions,
     ) -> Result<Ticket, ServiceError> {
+        self.enqueue(data, format, opts, false)
+    }
+
+    /// As [`submit_with`](Self::submit_with); with `wait_for_room` a full
+    /// engine queue blocks the caller until a dispatch makes room instead
+    /// of rejecting [`ServiceError::QueueFull`]. Admission runs once
+    /// either way, so a wait is never counted as a rejected attempt.
+    pub(crate) fn enqueue(
+        &self,
+        data: Vec<u8>,
+        format: Format,
+        opts: CompressOptions,
+        wait_for_room: bool,
+    ) -> Result<Ticket, ServiceError> {
         let bytes = data.len() as u64;
         let (reply, rx) = bounded(1);
         let mut core = self.shared.core.lock();
+        while wait_for_room && core.is_open() && !core.has_room() {
+            core = self
+                .shared
+                .room
+                .wait(core)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
         let admitted = core.admit(self.tenant, bytes, |admitted| Job {
             data,
             format,

@@ -543,6 +543,12 @@ impl<T> ServiceCore<T> {
         self.open
     }
 
+    /// Whether the engine queue is below its depth bound, so an
+    /// admission would not be rejected [`Rejected::QueueFull`].
+    pub(crate) fn has_room(&self) -> bool {
+        self.sched.queued() < self.depth_limit
+    }
+
     /// Requests admitted but not yet dispatched, across all tenants.
     pub(crate) fn queued(&self) -> usize {
         self.sched.queued()

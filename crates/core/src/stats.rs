@@ -180,7 +180,8 @@ impl NxStats {
     }
 
     /// Submissions rejected because the bounded engine queue was at depth
-    /// (`try_submit` on a full queue, or the service's global depth limit).
+    /// (the service's depth limit, an async session's `try_submit`
+    /// included).
     pub fn depth_rejects(&self) -> u64 {
         self.rejects_depth.load(Ordering::Relaxed)
     }

@@ -1,13 +1,14 @@
 //! The unified metrics registry.
 //!
 //! One named-metric namespace for the whole stack: `NxStats` per-codec
-//! counters, `FaultStats`, async-queue depth/overflow, parallel-engine
-//! per-worker counters, and the nx-sys runner/ERAT/CSB accounting all
-//! register here and export through the same three formats. Names follow
-//! Prometheus conventions — `nx_<subsystem>_<what>_<unit>` with
-//! `snake_case` labels baked into the name (e.g.
-//! `nx_core_compress_bytes_total{format="deflate"}`) — and the registry
-//! iterates in deterministic (sorted) order so exports are reproducible.
+//! counters, `FaultStats`, per-tenant service windows (queue depth,
+//! rejections), parallel-engine per-worker counters, and the nx-sys
+//! runner/ERAT/CSB accounting all register here and export through the
+//! same three formats. Names follow Prometheus conventions —
+//! `nx_<subsystem>_<what>_<unit>` with `snake_case` labels baked into the
+//! name (e.g. `nx_core_compress_bytes_total{format="deflate"}`) — and
+//! the registry iterates in deterministic (sorted) order so exports are
+//! reproducible.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -27,7 +27,6 @@ struct SinkInner {
     next_request: AtomicU64,
     request_latency: Arc<LogHistogram>,
     shard_latency: Arc<LogHistogram>,
-    queue_depth: Arc<LogHistogram>,
     bytes_per_request: Arc<LogHistogram>,
     /// Optional black-box tee: every span recorded here is also pushed
     /// into the flight recorder's (smaller) ring.
@@ -61,7 +60,6 @@ impl TelemetrySink {
         let inner = SinkInner {
             request_latency: registry.histogram("nx_request_latency_cycles"),
             shard_latency: registry.histogram("nx_shard_latency_cycles"),
-            queue_depth: registry.histogram("nx_queue_depth"),
             bytes_per_request: registry.histogram("nx_request_bytes"),
             ring: SpanRing::new(trace_capacity),
             next_request: AtomicU64::new(0),
@@ -203,14 +201,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Records an observed queue depth.
-    #[inline]
-    pub fn record_queue_depth(&self, depth: u64) {
-        if let Some(i) = &self.inner {
-            i.queue_depth.record(depth);
-        }
-    }
-
     /// The deterministic trace dump: all spans sorted by
     /// `(request, seq, stage, start)`. Empty for a disabled sink.
     pub fn trace(&self) -> Vec<SpanEvent> {
@@ -236,7 +226,6 @@ mod tests {
         assert!(!sink.is_enabled());
         sink.record_request(100, 4096);
         sink.record_shard(10);
-        sink.record_queue_depth(3);
         sink.emit(0, 0, 0, Stage::Engine, 0, 0, 10, 0, 0);
         assert!(sink.trace().is_empty());
         assert_eq!(sink.trace_dropped(), 0);
@@ -255,11 +244,9 @@ mod tests {
         sink.emit(req, 0, 0, Stage::Submit, 1, 0, 50, 4096, 0);
         sink.record_request(500, 4096);
         sink.record_shard(120);
-        sink.record_queue_depth(2);
 
         assert_eq!(reg.histogram("nx_request_latency_cycles").count(), 1);
         assert_eq!(reg.histogram("nx_shard_latency_cycles").count(), 1);
-        assert_eq!(reg.histogram("nx_queue_depth").count(), 1);
         assert_eq!(reg.histogram("nx_request_bytes").count(), 1);
 
         let trace = sink.trace();

@@ -114,7 +114,10 @@ fn main() {
         .expect("seek");
     assert_eq!(got, &data[512 << 10..(512 << 10) + 4096]);
 
-    // A burst through the async queue (depth gauge + queue-wait spans).
+    // A burst through an async session, a one-tenant service window
+    // (admit / queue-wait / dispatch spans; its `async` tenant's counters
+    // give way to the service below, which registers the same
+    // `nx-service` source).
     let asess = nx.async_session();
     let handles: Vec<_> = data
         .chunks(256 << 10)

@@ -178,6 +178,26 @@ if [[ $(grep -c . <<< "$UNSAFE") != 1 ]] ||
     exit 1
 fi
 
+echo "==> thread-spawn gate"
+# Non-test threads start in exactly three places: the service engine
+# (service/mod.rs; an async session is a one-window service, not a thread
+# of its own), the scoped fan-out every sharded request runs on
+# (parallel.rs::fan_out) and E21's trace writer. A new spawn site -- a
+# second engine, a per-session worker, a pool -- fails here. (A comment
+# does not count; test modules sit below `#[cfg(test)]`.)
+SPAWNS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && $0 !~ /^[[:space:]]*\/\// && /thread::(spawn|scope|Builder::new)/ {
+        print FILENAME ": " $0
+    }')
+WANT_SPAWNS=(crates/bench/src/exp/e21.rs crates/core/src/parallel.rs crates/core/src/service/mod.rs)
+if [[ "$(cut -d: -f1 <<< "$SPAWNS")" != "$(printf '%s\n' "${WANT_SPAWNS[@]}")" ]]; then
+    echo "$SPAWNS"
+    echo "==> FAIL: non-test threads start only in ${WANT_SPAWNS[*]}, once each"
+    exit 1
+fi
+
 if [[ "$FAST" == "0" ]]; then
     echo "==> modeled tables gate (tables_all.txt)"
     # These experiments print modeled statistics only (cycles, ratios,

@@ -105,7 +105,14 @@ cd "$(dirname "$0")/.."
 # `literals`, `hash4::tokenize_into`). nx-core 7482 -> 7480: the FLEVEL
 # parameter of `framing::frame`. nx-bench 3685 -> 3684: E25 tokenizes
 # through `deflate_tokens`.
-declare -A CAP=([accel]=1794 [bench]=3684 [deflate]=7508 [core]=7480 [sys]=1589)
+# One request queue lowered nx-core 7480 -> 7390: `AsyncSession` became a
+# one-window service of its own, so its engine thread, command channel,
+# `Cmd`, `QueueTelemetry` (depth gauge, overflow counter) and second
+# `queue_wait` synthesis went, with `Trace::context` (their last caller).
+# The adapter keeps the frozen API's documented items and the service took
+# ~45 back: the pool release, the room condvar and the one admission that
+# can wait for room (`TenantHandle::enqueue`, `ServiceCore::has_room`).
+declare -A CAP=([accel]=1794 [bench]=3684 [deflate]=7508 [core]=7390 [sys]=1589)
 
 total=0
 over=0

@@ -147,11 +147,10 @@ fn registry_unifies_every_subsystem() {
         "nx_fault_resubmissions_total",
         "nx_parallel_shards_total",
         "nx_parallel_worker_shards_total{worker=\"0\"}",
-        "nx_async_queue_depth",
-        "nx_async_queue_overflows_total",
+        "nx_service_queue_depth{tenant=\"async\",class=\"throughput\"}",
+        "nx_service_rejected_total{tenant=\"async\",class=\"throughput\",cause=\"depth\"}",
         "nx_request_latency_cycles",
         "nx_shard_latency_cycles",
-        "nx_queue_depth",
         "nx_request_bytes",
     ] {
         assert!(names.contains(&required), "missing {required} in {names:?}");
@@ -216,6 +215,8 @@ fn disabled_sink_records_nothing_and_costs_no_allocation() {
     assert_eq!(sink.trace_dropped(), 0);
 }
 
+/// Every async job drained: the session's window has completed all it
+/// admitted and holds its whole credit budget again.
 #[test]
 fn queue_depth_gauge_returns_to_zero() {
     let nx = Nx::power9().with_telemetry(TelemetrySink::enabled(MetricsRegistry::new()));
@@ -228,13 +229,35 @@ fn queue_depth_gauge_returns_to_zero() {
     for h in handles {
         let _ = h.wait().expect("job");
     }
-    let snap = nx.telemetry().registry().expect("registry").snapshot();
-    let depth = snap
-        .iter()
-        .find(|(n, _)| n == "nx_async_queue_depth")
-        .expect("depth gauge registered");
-    match depth.1 {
-        MetricValue::Gauge(v) => assert_eq!(v, 0, "all jobs drained"),
-        ref other => panic!("depth should be a gauge, got {other:?}"),
+    let window = asess.window();
+    assert_eq!(window.stats().admitted(), 8);
+    assert_eq!(window.stats().completed(), window.stats().admitted());
+    assert_eq!(window.credits_available(), window.stats().credits());
+}
+
+/// Async jobs run through the service: each is a completion of the
+/// `"async"` tenant and, with coalescing off, one engine submission.
+#[test]
+fn async_jobs_are_async_tenant_completions() {
+    let nx = Nx::power9().with_telemetry(TelemetrySink::enabled(MetricsRegistry::new()));
+    let asess = nx.async_session();
+    let data = nx_corpus::mixed(23, 96 << 10);
+    let handles: Vec<_> = data
+        .chunks(16 << 10)
+        .map(|c| asess.submit(c.to_vec(), Format::Zlib).expect("submit"))
+        .collect();
+    for h in handles {
+        let _ = h.wait().expect("job");
     }
+    let snap = nx.telemetry().registry().expect("registry").snapshot();
+    let counter = |name: &str| match snap.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Counter(v))) => *v,
+        other => panic!("{name}: expected a counter, got {other:?}"),
+    };
+    assert_eq!(
+        counter("nx_service_completed_total{tenant=\"async\",class=\"throughput\"}"),
+        6
+    );
+    assert_eq!(counter("nx_service_batches_total"), 6);
+    assert_eq!(counter("nx_service_coalesced_batches_total"), 0);
 }
