@@ -334,17 +334,6 @@ impl ServiceStats {
     pub fn coalesced_batches(&self) -> u64 {
         self.coalesced_batches.load(Ordering::Relaxed)
     }
-
-    /// Jain fairness index over per-tenant completed counts.
-    pub fn jain_completed(&self) -> f64 {
-        let xs: Vec<f64> = self
-            .tenants
-            .lock()
-            .iter()
-            .map(|t| t.completed() as f64)
-            .collect();
-        jain_index(&xs)
-    }
 }
 
 impl MetricSource for ServiceStats {

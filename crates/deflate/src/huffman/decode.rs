@@ -463,12 +463,6 @@ impl DecodeTable {
     }
 }
 
-/// Builds a decode table directly from canonical code descriptions —
-/// convenience for tests that start from explicit codes.
-pub fn table_from_lengths(lengths: &[u8]) -> Result<DecodeTable> {
-    DecodeTable::new(lengths)
-}
-
 /// Round-trip helper: encodes `symbols` with the canonical code for
 /// `lengths` and decodes them back. Used by property tests.
 #[doc(hidden)]

@@ -51,14 +51,6 @@ impl FifoStation {
         (start, finish)
     }
 
-    /// Earliest time a new arrival could begin service.
-    pub fn next_free(&self) -> SimTime {
-        self.free_at
-            .peek()
-            .map(|Reverse(t)| *t)
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Total service time dispensed (for utilization accounting).
     pub fn busy_time(&self) -> SimTime {
         self.busy

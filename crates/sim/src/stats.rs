@@ -1,7 +1,5 @@
 //! Statistics accumulators: running summaries and exact percentiles.
 
-use crate::SimTime;
-
 /// Running summary of a scalar series (counts, mean, extrema).
 #[derive(Debug, Clone, Default)]
 pub struct Summary {
@@ -90,11 +88,6 @@ impl Percentiles {
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
         self.sorted = false;
-    }
-
-    /// Records a [`SimTime`] observation in microseconds.
-    pub fn record_time_us(&mut self, t: SimTime) {
-        self.record(t.as_us_f64());
     }
 
     /// Number of samples.

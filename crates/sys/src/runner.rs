@@ -15,7 +15,7 @@ use crate::erat::{self, FaultPolicy, FAULT_RESOLUTION};
 use crate::vas::{PASTE_LATENCY, SUBMIT_CPU_CYCLES};
 use crate::workload::{Request, RequestStream};
 use nx_sim::{EventQueue, FifoStation, Percentiles, SerialLink, SimRng, SimTime};
-use nx_telemetry::{MetricsRegistry, Stage, TelemetrySink, NO_PARENT};
+use nx_telemetry::{Stage, TelemetrySink, NO_PARENT};
 
 /// One accelerator unit's resources.
 #[derive(Debug)]
@@ -101,39 +101,6 @@ impl ExperimentResult {
             return 0.0;
         }
         self.cpu_cycles as f64 / self.input_bytes as f64
-    }
-
-    /// Folds this run's aggregate counters into `registry` under the
-    /// `nx_sys_*` namespace. Counters accumulate across runs; the peak
-    /// gauge keeps the maximum seen.
-    pub fn record_into(&self, registry: &MetricsRegistry) {
-        registry
-            .counter("nx_sys_completed_total")
-            .add(self.completed);
-        registry.counter("nx_sys_faults_total").add(self.faults);
-        registry
-            .counter("nx_sys_input_bytes_total")
-            .add(self.input_bytes);
-        registry
-            .counter("nx_sys_output_bytes_total")
-            .add(self.output_bytes);
-        registry
-            .counter("nx_sys_cpu_cycles_total")
-            .add(self.cpu_cycles);
-        registry
-            .counter("nx_sys_paste_rejections_total")
-            .add(self.paste_rejections);
-        registry
-            .counter("nx_sys_csb_errors_total")
-            .add(self.csb_errors);
-        registry.counter("nx_sys_retries_total").add(self.retries);
-        let peak = registry.gauge("nx_sys_peak_outstanding");
-        if (self.peak_outstanding as i64) > peak.get() {
-            peak.set(self.peak_outstanding as i64);
-        }
-        registry
-            .counter("nx_sys_makespan_us_total")
-            .add(self.makespan.as_us_f64() as u64);
     }
 }
 
@@ -231,11 +198,6 @@ impl SystemSim {
         assert!(credits > 0, "a window needs at least one credit");
         self.window_credits = credits;
         self
-    }
-
-    /// The calibrated cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Runs the simulation over `stream` to completion.
