@@ -31,9 +31,7 @@ use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
 use crate::parallel::fan_out;
 use crate::{software, Error, Result};
-use nx_deflate::{
-    gzip, Error as DeflateError, InflateScratch, Inflater, MarkerInflater, MAX_MATCH, WINDOW_SIZE,
-};
+use nx_deflate::{gzip, Error as DeflateError, InflateScratch, Inflater, MAX_MATCH, WINDOW_SIZE};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
 use std::mem::take;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,16 +337,14 @@ pub struct ParallelInflater {
 }
 
 /// A worker's reused buffers: a decode's tables and output (one stream whole,
-/// for its checksum), the window a ranged read rebuilds, and an index
-/// build's marker pass with the window bytes it saw used.
+/// for its checksum), the window a ranged read rebuilds, and the cleared
+/// window-read maps an index build's tallies take.
 #[derive(Debug, Default)]
 struct Walker {
     scratch: InflateScratch,
     out: Vec<u8>,
     dict: Vec<u8>,
-    marker: InflateScratch,
-    cells: Vec<u16>,
-    live: Vec<bool>,
+    spare: Vec<Vec<bool>>,
 }
 
 impl ParallelInflater {
@@ -734,6 +730,8 @@ impl Walker {
     /// `self.out` (at most `limit` bytes): `index` gains a checkpoint at its start
     /// and where the token crossing each `every` bytes of output begins (in a
     /// stored block, the byte), and its length. Returns the compressed bytes used.
+    /// Each checkpoint's window bytes are tallied from the same decode
+    /// ([`Inflater::window_reads`], [`close_tallies`]).
     fn walk(
         &mut self,
         payload: &[u8],
@@ -742,16 +740,14 @@ impl Walker {
         limit: usize,
         index: &mut SeekIndex,
     ) -> Result<usize> {
-        let base = at as u64 * 8;
-        let mut push = |(block, bit): (u64, u64), out: usize, sparse: SeekCheckpoint| {
-            index.checkpoints.push(SeekCheckpoint {
-                bit_offset: base + bit,
-                block_bit: base + block,
-                out_offset: index.total_out + out as u64,
-                ..sparse
-            });
+        let (base, before) = (at as u64 * 8, index.total_out);
+        let checkpoint = |(block, bit): (u64, u64), out: usize| SeekCheckpoint {
+            bit_offset: base + bit,
+            block_bit: base + block,
+            out_offset: before + out as u64,
+            ..SeekCheckpoint::default()
         };
-        push((0, 0), 0, SeekCheckpoint::default());
+        index.checkpoints.push(checkpoint((0, 0), 0));
         let mut inf = Inflater::with_reuse(payload, take(&mut self.scratch), take(&mut self.out));
         let mut next_cp = every;
         while !inf.is_finished() {
@@ -759,64 +755,61 @@ impl Walker {
             // goes, inside its block, and goes on from there.
             match inf.decode_block(next_cp.min(limit)) {
                 Err(DeflateError::OutputLimitExceeded) if next_cp < limit => {
-                    let (produced, at) = (inf.output(), (inf.block_bit(), inf.bit_position()));
-                    let window = &produced[produced.len().saturating_sub(WINDOW_SIZE)..];
-                    let sparse = self.referenced(payload, at, window);
-                    push(at, produced.len(), sparse);
-                    next_cp = produced.len().saturating_add(every);
+                    let (now, at) = (inf.output().len(), (inf.block_bit(), inf.bit_position()));
+                    close_tallies(&mut inf, &mut self.spare, now, index);
+                    let marks = self.spare.pop().unwrap_or_else(|| vec![false; WINDOW_SIZE]);
+                    inf.window_reads().push((now, marks));
+                    index.checkpoints.push(checkpoint(at, now));
+                    next_cp = now.saturating_add(every);
                 }
                 block => block?,
             }
+        }
+        if next_cp != every {
+            // Checkpoints were placed, so tallies are open.
+            close_tallies(&mut inf, &mut self.spare, usize::MAX, index);
         }
         let used = inf.byte_position();
         (self.out, self.scratch) = inf.into_parts();
         index.total_out += self.out.len() as u64;
         Ok(used)
     }
+}
 
-    /// The marker pass: decodes one window of cells from `at` (block bit,
-    /// bit), entered as a read enters it, and returns the runs of `window`
-    /// (the output before it) their markers name, with the bytes. One window
-    /// of cells is all that can reference it: a match further on reaches at
-    /// most 32 KB back, into cells that are bytes or markers already. A token
-    /// that starts inside the window ends within `MAX_MATCH` of it or is a
-    /// stored byte, so running out of budget is as good as finishing; any
-    /// other error the walk meets next, and fails.
-    fn referenced(&mut self, payload: &[u8], at: (u64, u64), window: &[u8]) -> SeekCheckpoint {
-        let (tables, cells) = (take(&mut self.marker), take(&mut self.cells));
-        let Ok(mut pass) = MarkerInflater::with_reuse_at(payload, at, tables, cells) else {
-            return SeekCheckpoint::default(); // No input left: the walk fails next.
-        };
-        let mut more = true;
-        while more && !pass.is_finished() && pass.cells().len() < WINDOW_SIZE {
-            more = pass.decode_block(WINDOW_SIZE + MAX_MATCH).is_ok();
-        }
-        self.live.clear();
-        self.live.resize(WINDOW_SIZE + 1, false);
-        // Markers fill the upper half of the `u16` range (see
-        // `MarkerInflater`): marker `u16::MAX - j` names window offset `j`,
-        // and a literal cell lands on the spare slot.
-        for &cell in pass.cells() {
-            self.live[usize::from(u16::MAX - cell).min(WINDOW_SIZE)] = true;
-        }
-        (self.cells, self.marker) = pass.into_parts();
+/// Closes `inf`'s window-read tallies that output offset `now` lies a window
+/// past (all of them at `usize::MAX`, the stream's end): no token from there
+/// on reads behind their checkpoints, the last ones in `index`, which take
+/// the runs of the window bytes marked, with the bytes. The cleared maps go
+/// to `spare`.
+fn close_tallies(
+    inf: &mut Inflater,
+    spare: &mut Vec<Vec<bool>>,
+    now: usize,
+    index: &mut SeekIndex,
+) {
+    let mut open = take(inf.window_reads());
+    let first = index.checkpoints.len() - open.len();
+    let done = open.partition_point(|(from, _)| now - from >= WINDOW_SIZE);
+    for ((from, mut marks), cp) in open.drain(..done).zip(&mut index.checkpoints[first..]) {
+        let window = &inf.output()[from.saturating_sub(WINDOW_SIZE)..from];
         let base = WINDOW_SIZE - window.len();
-        let mut sparse = SeekCheckpoint::default();
-        for at in (base..WINDOW_SIZE).filter(|&at| self.live[at]) {
-            match sparse.runs.last_mut() {
+        for at in (base..WINDOW_SIZE).filter(|&at| marks[at]) {
+            match cp.runs.last_mut() {
                 // A gap shorter than a run header is cheaper kept than split.
                 Some((start, len)) if at < usize::from(*start + *len) + 4 => {
                     *len = at as u16 + 1 - *start;
                 }
-                _ => sparse.runs.push((at as u16, 1)),
+                _ => cp.runs.push((at as u16, 1)),
             }
         }
-        for &(start, len) in &sparse.runs {
+        for &(start, len) in &cp.runs {
             let run = &window[usize::from(start) - base..][..usize::from(len)];
-            sparse.window.extend_from_slice(run);
+            cp.window.extend_from_slice(run);
         }
-        sparse
+        marks.fill(false);
+        spare.push(marks);
     }
+    *inf.window_reads() = open;
 }
 
 /// One gzip member of a decode plan.
@@ -868,15 +861,17 @@ fn next_magic(data: &[u8], from: usize) -> Option<usize> {
 /// member plausibly starts at `start` if [`gzip::parse_header`] accepts a
 /// header within [`MAX_MEMBER_HEADER`] bytes and the first DEFLATE block
 /// header behind it is well-formed — not the reserved type, a stored
-/// block's `LEN == !NLEN`, a dynamic block's tables build. Returns the
-/// payload's offset.
-fn member_payload(data: &[u8], start: usize) -> Option<usize> {
+/// block's `LEN == !NLEN`, a dynamic block's tables build — and its first
+/// token no match (a member has no history to copy from). The trial runs
+/// on `scratch`, one for the whole scan. Returns the payload's offset.
+fn member_payload(data: &[u8], start: usize, scratch: &mut InflateScratch) -> Option<usize> {
     let window = &data[start..data.len().min(start + MAX_MEMBER_HEADER)];
     let payload = start + gzip::parse_header(window).ok()?.1;
-    let mut trial = MarkerInflater::new_at(data, payload as u64 * 8).ok()?;
-    // A zero-cell budget stops the trial right after the block header:
-    // running out of budget means the header was accepted.
+    let mut trial = Inflater::with_reuse(data.get(payload..)?, take(scratch), Vec::new());
+    // A zero-byte limit stops the trial at the first token that makes
+    // output: running into it means the header was accepted.
     let first_block = trial.decode_block(0);
+    *scratch = trial.into_parts().1;
     matches!(first_block, Ok(()) | Err(DeflateError::OutputLimitExceeded)).then_some(payload)
 }
 
@@ -891,11 +886,11 @@ fn member_payload(data: &[u8], start: usize) -> Option<usize> {
 /// second pass over the input.
 fn plan_members(data: &[u8]) -> Option<Vec<Member>> {
     let mut plan: Vec<Member> = Vec::new();
-    let mut budget = data.len();
+    let (mut budget, mut scratch) = (data.len(), InflateScratch::default());
     let mut from = 0usize;
     while let Some(start) = next_magic(data, from) {
         from = start + 1;
-        let Some(payload) = member_payload(data, start) else {
+        let Some(payload) = member_payload(data, start, &mut scratch) else {
             budget = budget.checked_sub(MAX_MEMBER_HEADER.min(data.len() - start))?;
             continue;
         };
@@ -917,10 +912,98 @@ fn plan_members(data: &[u8]) -> Option<Vec<Member>> {
     Some(plan)
 }
 
+/// The marker pass the seek index once ran per checkpoint, kept as the
+/// oracle [`Walker::walk`]'s window-read tallies are diffed against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use nx_deflate::MarkerInflater;
+
+    #[derive(Debug, Default)]
+    struct Walker {
+        marker: InflateScratch,
+        cells: Vec<u16>,
+        live: Vec<bool>,
+    }
+
+    impl Walker {
+        /// The marker pass: decodes one window of cells from `at` (block bit,
+        /// bit), entered as a read enters it, and returns the runs of `window`
+        /// (the output before it) their markers name, with the bytes. One window
+        /// of cells is all that can reference it: a match further on reaches at
+        /// most 32 KB back, into cells that are bytes or markers already. A token
+        /// that starts inside the window ends within `MAX_MATCH` of it or is a
+        /// stored byte, so running out of budget is as good as finishing; any
+        /// other error the walk meets next, and fails.
+        fn referenced(&mut self, payload: &[u8], at: (u64, u64), window: &[u8]) -> SeekCheckpoint {
+            let (tables, cells) = (take(&mut self.marker), take(&mut self.cells));
+            let Ok(mut pass) = MarkerInflater::with_reuse_at(payload, at, tables, cells) else {
+                return SeekCheckpoint::default(); // No input left: the walk fails next.
+            };
+            let mut more = true;
+            while more && !pass.is_finished() && pass.cells().len() < WINDOW_SIZE {
+                more = pass.decode_block(WINDOW_SIZE + MAX_MATCH).is_ok();
+            }
+            self.live.clear();
+            self.live.resize(WINDOW_SIZE + 1, false);
+            // Markers fill the upper half of the `u16` range (see
+            // `MarkerInflater`): marker `u16::MAX - j` names window offset `j`,
+            // and a literal cell lands on the spare slot.
+            for &cell in pass.cells() {
+                self.live[usize::from(u16::MAX - cell).min(WINDOW_SIZE)] = true;
+            }
+            (self.cells, self.marker) = pass.into_parts();
+            let base = WINDOW_SIZE - window.len();
+            let mut sparse = SeekCheckpoint::default();
+            for at in (base..WINDOW_SIZE).filter(|&at| self.live[at]) {
+                match sparse.runs.last_mut() {
+                    // A gap shorter than a run header is cheaper kept than split.
+                    Some((start, len)) if at < usize::from(*start + *len) + 4 => {
+                        *len = at as u16 + 1 - *start;
+                    }
+                    _ => sparse.runs.push((at as u16, 1)),
+                }
+            }
+            for &(start, len) in &sparse.runs {
+                let run = &window[usize::from(start) - base..][..usize::from(len)];
+                sparse.window.extend_from_slice(run);
+            }
+            sparse
+        }
+    }
+
+    /// `index`, a build over `data`, with every checkpoint's runs and window
+    /// found again by the marker pass, over the serial decode's output.
+    pub(super) fn windows(data: &[u8], format: Format, index: &SeekIndex) -> SeekIndex {
+        let out = ParallelInflater::new(ParallelInflateOptions::default())
+            .decompress_serial(data, format)
+            .expect("an index is only built over a valid stream");
+        let mut starts = vec![0usize];
+        if format == Format::Gzip {
+            for member in gzip::members(data) {
+                let len = member.expect("valid member").0.len();
+                starts.push(starts[starts.len() - 1] + len);
+            }
+        }
+        let (mut state, mut expect) = (Walker::default(), index.clone());
+        for cp in &mut expect.checkpoints {
+            let at = cp.out_offset as usize;
+            let start = starts[starts.partition_point(|&s| s <= at) - 1];
+            let window = &out[start.max(at.saturating_sub(WINDOW_SIZE))..at];
+            let sparse = match at == start {
+                true => SeekCheckpoint::default(),
+                false => state.referenced(data, (cp.block_bit, cp.bit_offset), window),
+            };
+            (cp.runs, cp.window) = (sparse.runs, sparse.window);
+        }
+        expect
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nx_deflate::CompressionLevel;
+    use nx_deflate::{CompressionLevel, Token};
 
     fn opts(workers: usize) -> ParallelInflateOptions {
         ParallelInflateOptions {
@@ -1134,6 +1217,89 @@ mod tests {
                 "{what}: {got:?}"
             );
         }
+    }
+
+    /// The seek-differential shapes (every corpus kind at levels 0/1/6/9,
+    /// one fixed-Huffman block, 32 members) and a sharded single member,
+    /// the kind `nxbench` indexes.
+    fn index_shapes() -> Vec<(String, Vec<u8>, Format)> {
+        const SEED: u64 = 0x5EE6_D1FF;
+        let level = |l| CompressionLevel::new(l).expect("valid level");
+        let mut shapes = Vec::new();
+        for &kind in nx_corpus::CorpusKind::all() {
+            let payload = kind.generate(SEED, 200 << 10);
+            for l in [0, 1, 6, 9] {
+                let gz = software::compress(&payload, level(l), Format::Gzip);
+                shapes.push((format!("{} level {l}", kind.name()), gz, Format::Gzip));
+            }
+        }
+        let tokens = nx_deflate::deflate_tokens(&nx_corpus::mixed(SEED, 300 << 10), level(6));
+        let mut w = nx_deflate::bitio::BitWriter::new();
+        nx_deflate::encoder::encode_fixed_block(&mut w, &tokens, true);
+        shapes.push(("fixed only".into(), w.finish(), Format::RawDeflate));
+        // At 32 KiB spacing: checkpoints at 32 768 and 65 436, where a
+        // 258-byte match reaches a window back, 100 bytes behind the first.
+        let mut tokens: Vec<Token> = nx_corpus::mixed(SEED, 65_436)
+            .into_iter()
+            .map(Token::Literal)
+            .collect();
+        tokens.push(Token::Match {
+            len: 258,
+            dist: 32_768,
+        });
+        tokens.extend(b"tail".map(Token::Literal));
+        let mut w = nx_deflate::bitio::BitWriter::new();
+        nx_deflate::encoder::encode_fixed_block(&mut w, &tokens, true);
+        shapes.push(("far match".into(), w.finish(), Format::RawDeflate));
+        let members = (0..32)
+            .flat_map(|i| {
+                software::compress(&nx_corpus::mixed(SEED + i, 12_000), level(6), Format::Gzip)
+            })
+            .collect();
+        shapes.push(("32 members".into(), members, Format::Gzip));
+        let sharded = crate::parallel::ParallelEngine::new(crate::parallel::ParallelOptions {
+            workers: 2,
+            chunk_size: 128 << 10,
+        });
+        let single = sharded.compress(&nx_corpus::mixed(SEED, 2 << 20), 6, Format::Gzip);
+        shapes.push(("sharded".into(), single.expect("level 6"), Format::Gzip));
+        shapes
+    }
+
+    #[test]
+    fn index_windows_equal_the_marker_pass() {
+        let mut overlapped = 0;
+        for (name, stream, format) in index_shapes() {
+            for every in [32 << 10, 64 << 10, 1 << 20] {
+                let par = ParallelInflater::new(ParallelInflateOptions {
+                    workers: 2,
+                    checkpoint_every: every,
+                });
+                let index = par.build_index(&stream, format).expect("valid stream");
+                let want = reference::windows(&stream, format, &index);
+                assert!(index.to_bytes() == want.to_bytes(), "{name}, every {every}");
+                if (name.as_str(), every) == ("far match", 32 << 10) {
+                    let cps = index
+                        .checkpoints
+                        .iter()
+                        .map(|c| (c.out_offset, &c.runs[..]));
+                    let runs: &[_] = &[
+                        (0, &[][..]),
+                        (32_768, &[(32_668, 100)]),
+                        (65_436, &[(0, 258)]),
+                    ];
+                    assert!(cps.eq(runs.iter().copied()), "{:?}", index.checkpoints);
+                }
+                // A checkpoint inside a block with the next less than a
+                // window on: two tallies were open at once.
+                let both_open = |w: &&[SeekCheckpoint]| {
+                    let gap = w[1].out_offset - w[0].out_offset;
+                    w[0].block_bit < w[0].bit_offset && gap < WINDOW_SIZE as u64
+                };
+                overlapped += index.checkpoints.windows(2).filter(both_open).count();
+            }
+        }
+        assert!(overlapped > 0, "no two tallies were ever open at once");
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!    Once the window is known, [`resolve_markers_into`] rewrites the cells
 //!    into plain bytes in one sequential pass.
 //!
-//! `nx-core` runs [`MarkerInflater`] to learn which window bytes a seek
-//! checkpoint's later data references, and to trial a gzip member's first
-//! block header. [`BlockProbe`] and [`resolve_markers_into`] are kept only
-//! for `nxbench`'s `deflate.marker_*` probes.
+//! Only `nxbench`'s `deflate.marker_*` probes and the tests run it: the
+//! seek index learns its windows from its own walk
+//! ([`crate::Inflater::window_reads`]), the member planner trials a header
+//! on [`crate::Inflater`].
 //!
 //! The marker decoder reuses the regular decoder's tables, header parser
 //! and block entry ([`crate::Inflater::resume_at`]): both paths accept
@@ -94,7 +94,7 @@ impl<'a> MarkerInflater<'a> {
     /// bit_offset)` as [`crate::Inflater::resume_at`] does (equal offsets: a
     /// block boundary) and reusing a previous decode's scratch tables and
     /// cell buffer (cleared, capacity kept) — the zero-allocation steady
-    /// state for workers, the probe and the seek index's marker pass.
+    /// state for the probe.
     ///
     /// # Errors
     ///

@@ -74,11 +74,12 @@ DECODE_PATHS=(
     # included, builds its code lengths and canonical codes here.
     crates/deflate/src/huffman/build.rs
     crates/deflate/src/huffman/mod.rs
-    # The member planner, the seek-index build and ranged reads feed
-    # untrusted member candidates, bit offsets and window runs through
-    # these (the planner's header trial and the index's referenced-window
-    # pass decode in marker mode).
+    # Marker mode decodes from untrusted bit offsets. Its callers are
+    # nxbench's probes and the tests, not the member planner or the seek
+    # index (see the marker-mode gate).
     crates/deflate/src/marker.rs
+    # The member planner, the seek-index build and ranged reads feed
+    # untrusted member candidates, bit offsets and window runs through here.
     crates/core/src/parallel_inflate.rs
     crates/deflate/src/bitio.rs
     crates/deflate/src/gzip.rs
@@ -195,6 +196,25 @@ WANT_SPAWNS=(crates/bench/src/exp/e21.rs crates/core/src/parallel.rs crates/core
 if [[ "$(cut -d: -f1 <<< "$SPAWNS")" != "$(printf '%s\n' "${WANT_SPAWNS[@]}")" ]]; then
     echo "$SPAWNS"
     echo "==> FAIL: non-test threads start only in ${WANT_SPAWNS[*]}, once each"
+    exit 1
+fi
+
+echo "==> marker-mode gate"
+# nx-core runs no marker-mode decode: the seek index names its window bytes
+# from the walk's own matches (`Inflater::window_reads`) and the member
+# planner trials a block header on the plain `Inflater`. A non-test line
+# under crates/core/src that names a marker-mode item (a comment too) fails
+# here. (Test modules sit below `#[cfg(test)]`; the index tests diff against
+# the marker pass there.)
+MARKERS=$(find crates/core/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && /MarkerInflater|BlockProbe|resolve_markers_into|MARKER_BASE/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$MARKERS" ]]; then
+    echo "$MARKERS"
+    echo "==> FAIL: crates/core/src names marker mode outside its tests"
     exit 1
 fi
 

@@ -18,7 +18,7 @@ use nx_core::{software, Format, Nx, ParallelInflateOptions, ParallelInflater, Se
 use nx_deflate::bitio::BitWriter;
 use nx_deflate::crc32::crc32;
 use nx_deflate::{CompressionLevel, Token};
-use nx_telemetry::{MetricsRegistry, Stage, TelemetrySink};
+use nx_telemetry::{MetricValue, MetricsRegistry, Stage, TelemetrySink};
 use std::sync::Arc;
 
 const SEED: u64 = 0x5EEC_AB1E;
@@ -149,6 +149,93 @@ fn truncated_multi_member_degrades_to_serial_error() {
     // fall back and surface the serial error, not a bogus payload.
     assert!(inf.decompress(cut, Format::Gzip).is_err());
     assert!(inf.stats().serial_fallbacks() >= 1);
+}
+
+/// A gzip member whose DEFLATE stream opens with a match: its headers check
+/// out, but a member has no history to copy from.
+fn match_first_member() -> Vec<u8> {
+    let tokens = [Token::Match { len: 3, dist: 1 }, Token::Literal(b'!')];
+    let mut w = BitWriter::new();
+    nx_deflate::encoder::encode_fixed_block(&mut w, &tokens, true);
+    member(&w.finish(), b"", Fields::default())
+}
+
+/// A request's `(stage, bytes, detail)` spans.
+type Spans = Vec<(Stage, u64, u64)>;
+
+/// Decodes `stream` on 2 workers, traced: the result, `(members fanned out,
+/// serial fallbacks)` and the request's spans.
+fn traced_route(stream: &[u8]) -> (nx_core::Result<Vec<u8>>, (u64, u64), Spans) {
+    let sink = TelemetrySink::enabled(MetricsRegistry::new());
+    let opts = ParallelOptions {
+        workers: 2,
+        ..ParallelOptions::default()
+    };
+    let engine = ParallelEngine::with_telemetry(opts, None, sink.clone(), Arc::default());
+    let ctx = sink.begin_trace();
+    let out = engine.decompress_in_trace(stream, Format::Gzip, &ctx);
+    let snap = sink.registry().expect("registry").snapshot();
+    let counter = |name: &str| {
+        let value = snap.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        match value {
+            Some(MetricValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    };
+    let route = (
+        counter("nx_decode_parallel_members_total"),
+        counter("nx_decode_parallel_serial_fallbacks_total"),
+    );
+    let spans = sink
+        .trace()
+        .into_iter()
+        .filter(|e| e.request == ctx.trace_id)
+        .map(|e| (e.stage, e.bytes, e.detail))
+        .collect();
+    (out, route, spans)
+}
+
+#[test]
+fn a_candidate_whose_first_token_is_a_match_is_no_member() {
+    // One inside a stored member's payload, behind four bytes that would be
+    // a lying ISIZE if the member were cut there: the filter turns it down,
+    // so both members fan out.
+    let fake = match_first_member();
+    let mut inside = nx_corpus::mixed(SEED, 20_000);
+    inside.extend_from_slice(&[0xFF; 4]);
+    inside.extend_from_slice(&fake);
+    inside.extend(nx_corpus::mixed(SEED + 1, 20_000));
+    let parts = [
+        member_at(&inside, 0, Fields::default()),
+        gzip(&nx_corpus::mixed(SEED + 2, 30_000)),
+    ];
+    let stream = parts.concat();
+    assert!(
+        stream.windows(fake.len()).any(|w| w == fake),
+        "stored whole"
+    );
+    let serial = inflater(1).decompress_serial(&stream, Format::Gzip);
+    assert!(serial
+        .as_ref()
+        .is_ok_and(|out| out.len() == 70_000 + 4 + fake.len()));
+    let (out, route, spans) = traced_route(&stream);
+    assert!(out == serial, "bytes");
+    assert_eq!(route, (2, 0), "(members, fallbacks)");
+    let shards: Vec<_> = parts
+        .iter()
+        .map(|p| (Stage::Shard, p.len() as u64, 0))
+        .collect();
+    assert_eq!(spans, shards);
+    // One between two members: the serial walk fails on it, and the
+    // fan-out, which cannot land the member before it, falls back to that.
+    let broken = [gzip(&inside), fake, gzip(&inside)].concat();
+    let serial = inflater(1).decompress_serial(&broken, Format::Gzip);
+    let too_far = nx_core::Error::Deflate(nx_deflate::Error::DistanceTooFar);
+    assert!(serial.as_ref() == Err(&too_far), "{serial:?}");
+    let (out, route, spans) = traced_route(&broken);
+    assert!(out == serial, "error");
+    assert_eq!(route, (0, 1), "(members, fallbacks)");
+    assert_eq!(spans, [(Stage::Fallback, broken.len() as u64, 1)]);
 }
 
 /// Decodes with the system `gzip -dc`; `None` when there is no such binary.
