@@ -12,8 +12,7 @@ pub struct Experiment {
     pub run: fn() -> String,
 }
 
-/// Declares every experiment module once: the modules, the registry and
-/// (for the tests) their source text.
+/// Declares every experiment module once: the modules and the registry.
 macro_rules! experiments {
     ($($id:ident),* $(,)?) => {
         $(pub mod $id;)*
@@ -22,10 +21,6 @@ macro_rules! experiments {
         pub fn all() -> Vec<Experiment> {
             vec![$(Experiment { id: stringify!($id), title: $id::TITLE, run: $id::run }),*]
         }
-
-        #[cfg(test)]
-        const SOURCES: &[(&str, &str)] =
-            &[$((stringify!($id), include_str!(concat!(stringify!($id), ".rs")))),*];
     };
 }
 
@@ -36,7 +31,19 @@ experiments!(
 
 #[cfg(test)]
 mod tests {
-    use super::SOURCES;
+    /// Every registered experiment's id and source text.
+    fn sources() -> Vec<(&'static str, String)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/exp");
+        super::all()
+            .iter()
+            .map(|e| {
+                let path = format!("{dir}/{}.rs", e.id);
+                let src =
+                    std::fs::read_to_string(&path).unwrap_or_else(|err| panic!("{path}: {err}"));
+                (e.id, src)
+            })
+            .collect()
+    }
 
     #[test]
     fn registry_is_complete_and_unique() {
@@ -54,7 +61,8 @@ mod tests {
         // that writes one may not time anything: host wall-clock belongs to
         // `nxbench`. (E3/E4/E11/E13 print a two-clock speedup to stdout and
         // write no file.)
-        let writers: Vec<&str> = SOURCES
+        let sources = sources();
+        let writers: Vec<&str> = sources
             .iter()
             .filter(|(_, src)| src.contains("BENCH_"))
             .map(|(id, _)| *id)
@@ -63,7 +71,7 @@ mod tests {
             writers,
             ["e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26"]
         );
-        for (id, src) in SOURCES.iter().filter(|(id, _)| writers.contains(id)) {
+        for (id, src) in sources.iter().filter(|(id, _)| writers.contains(id)) {
             assert!(
                 !src.contains("Instant"),
                 "{id} writes a BENCH file and reads the host clock"

@@ -42,9 +42,6 @@ pub(crate) struct Env {
     /// `None` falls back to [`crate::profiles::default_registry`] lazily,
     /// so handles that never touch profiles never pay training.
     pub(crate) profiles: Option<Arc<ProfileRegistry>>,
-    /// The handle's default options: what an accelerator job degrades to
-    /// when fault recovery gives up on the engine.
-    pub(crate) opts: CompressOptions,
 }
 
 impl Env {
@@ -198,10 +195,10 @@ impl Executor {
                 })?;
                 match on_engine {
                     Some(report) => report,
-                    // Degraded: the handle's default options name the
-                    // software backend a lost accelerator job runs on.
+                    // Degraded: a lost accelerator job runs on the
+                    // software backend the default options name.
                     None => job.compress_software(
-                        Software::select(env.opts, env),
+                        Software::select(CompressOptions::default(), env),
                         "software-fallback",
                         None,
                     ),

@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Page granularity the functional fault model uses (64 KiB, the common
-/// POWER configuration; mirrors `nx_sys::erat::PAGE_BYTES`).
+/// POWER configuration).
 pub const PAGE_BYTES: u64 = 64 * 1024;
 
 /// Modeled CSB completion error codes (the subset of the hardware's
@@ -448,10 +448,6 @@ pub struct RecoveryPolicy {
     /// or the attempt budget is exhausted; with `false`, those surface
     /// as typed errors instead.
     pub software_fallback: bool,
-    /// Actually sleep the backoff. Off by default: backoff is recorded
-    /// in [`FaultStats::backoff_ns`] (deterministic and fast for tests);
-    /// switch on to shape real-time behaviour.
-    pub sleep_on_backoff: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -462,7 +458,6 @@ impl Default for RecoveryPolicy {
             backoff_cap: Duration::from_millis(5),
             touch_ahead_pages: 0,
             software_fallback: true,
-            sleep_on_backoff: false,
         }
     }
 }
@@ -662,16 +657,14 @@ impl FaultInjector {
         self.next_request.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records (and optionally sleeps) the capped exponential backoff
-    /// for retry `attempt`.
+    /// Records the capped exponential backoff for retry `attempt` in
+    /// [`FaultStats::backoff_ns`]; the library never sleeps it, so a
+    /// faulted run is as fast and as deterministic as a clean one.
     pub fn take_backoff(&self, attempt: u32) {
         let d = self.policy.backoff(attempt);
         self.stats
             .backoff_ns
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        if self.policy.sleep_on_backoff {
-            std::thread::sleep(d);
-        }
     }
 
     /// Draws and *accounts* the submission fault for one attempt,

@@ -406,7 +406,6 @@ impl Nx {
                 telemetry: TelemetrySink::disabled(),
                 faults: None,
                 profiles: None,
-                opts: CompressOptions::default(),
             },
             idle: Arc::default(),
             pool: Arc::new(scratch::BufferPool::default()),
@@ -438,15 +437,6 @@ impl Nx {
         self.idle = Arc::default();
         self.seeker = Arc::default();
         self
-    }
-
-    /// Sets the handle's default [`CompressOptions`]: the level the
-    /// software paths (fallback encoder, [`Nx::compress_with`] at
-    /// defaulted options, sessions opened without an explicit level)
-    /// compress at. The modeled accelerator itself is fixed-function and
-    /// unaffected, exactly like the hardware.
-    pub fn with_options(self, opts: CompressOptions) -> Self {
-        self.reconfigured(|env| env.opts = opts)
     }
 
     /// Attaches a canned-profile registry — typically deserialized at
@@ -538,11 +528,6 @@ impl Nx {
         &self.env.config
     }
 
-    /// The handle's default compression options.
-    pub fn options(&self) -> CompressOptions {
-        self.env.opts
-    }
-
     /// Aggregate statistics across all requests on this handle.
     pub fn stats(&self) -> &NxStats {
         &self.env.stats
@@ -607,7 +592,7 @@ impl Nx {
     /// disabled.
     pub fn decompress(&self, data: &[u8], format: Format) -> Result<Decompressed> {
         let mut bytes = Vec::new();
-        let opts = self.env.opts;
+        let opts = CompressOptions::default();
         let report =
             self.on_executor(|exec| exec.decompress_into(data, format, opts, None, &mut bytes))?;
         Ok(Decompressed { bytes, report })
@@ -923,11 +908,9 @@ mod tests {
     }
 
     #[test]
-    fn with_options_sets_the_software_level() {
+    fn compress_options_name_a_ladder_rung() {
         let opts = CompressOptions::from_level(nx_deflate::Level::Fastest);
-        let nx = Nx::power9().with_options(opts);
-        assert_eq!(nx.options(), opts);
-        assert_eq!(nx.options().ladder(), nx_deflate::Level::Fastest);
+        assert_eq!(opts.ladder(), nx_deflate::Level::Fastest);
         assert!(!opts.is_default());
         assert!(CompressOptions::from_numeric(10).is_err());
         assert_eq!(

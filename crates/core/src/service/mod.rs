@@ -8,8 +8,8 @@
 //!
 //! * Each tenant opens a **receive window** ([`TenantHandle`]) with a
 //!   credit budget — one credit per in-flight request, exactly the
-//!   RX-window credit accounting `nx-sys::vas` models at the instruction
-//!   level.
+//!   POWER9 VAS RX-window credit accounting (a paste into a full window
+//!   fails).
 //! * Admission is **typed**: a submission either takes a credit and
 //!   enters the per-tenant queue, or is rejected with
 //!   [`ServiceError::NoCredit`] (window exhausted) or

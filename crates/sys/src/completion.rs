@@ -24,53 +24,6 @@ pub const POLL_GRANULARITY: SimTime = SimTime::from_ns(100);
 /// submitting thread.
 pub const INTERRUPT_LATENCY: SimTime = SimTime::from_us(8);
 
-/// Correlation tag carried in the CSB's reserved word.
-///
-/// The library writes the tag into the CRB before paste; the engine
-/// copies it verbatim into the CSB it posts at completion. The
-/// completion handler can therefore re-associate an arbitrary CSB with
-/// the originating request's span trace without keeping a side table
-/// keyed by CSB address — exactly how the production driver threads a
-/// request cookie through the hardware round trip.
-///
-/// Layout: upper 56 bits hold the trace id (wrapping), low 8 bits the
-/// attempt count at paste time, so a completion observed after retries
-/// still names the attempt that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsbTag(u64);
-
-impl CsbTag {
-    const ATTEMPT_BITS: u32 = 8;
-    const ATTEMPT_MASK: u64 = (1 << Self::ATTEMPT_BITS) - 1;
-
-    /// Packs a trace id and attempt counter into the reserved word.
-    /// Attempts saturate at 255; trace ids wrap modulo 2^56.
-    pub fn new(trace_id: u64, attempt: u32) -> Self {
-        let a = (attempt as u64).min(Self::ATTEMPT_MASK);
-        CsbTag((trace_id << Self::ATTEMPT_BITS) | a)
-    }
-
-    /// Trace id recovered from an echoed CSB word.
-    pub fn trace_id(self) -> u64 {
-        self.0 >> Self::ATTEMPT_BITS
-    }
-
-    /// Attempt counter at the paste that produced this CSB.
-    pub fn attempt(self) -> u32 {
-        (self.0 & Self::ATTEMPT_MASK) as u32
-    }
-
-    /// The raw 64-bit word as stored in the CSB.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Reinterprets a raw CSB word as a tag.
-    pub fn from_raw(word: u64) -> Self {
-        CsbTag(word)
-    }
-}
-
 impl CompletionMode {
     /// Latency from CSB post to the submitter observing completion.
     pub fn notification_latency(self) -> SimTime {
@@ -110,21 +63,6 @@ mod tests {
         assert_eq!(poll, 20_000);
         let intr = CompletionMode::Interrupt.cpu_wait_cycles(w, 2.0);
         assert!(intr < poll);
-    }
-
-    #[test]
-    fn csb_tag_round_trips_through_the_raw_word() {
-        let tag = CsbTag::new(0xDEAD_BEEF, 3);
-        let echoed = CsbTag::from_raw(tag.raw());
-        assert_eq!(echoed.trace_id(), 0xDEAD_BEEF);
-        assert_eq!(echoed.attempt(), 3);
-    }
-
-    #[test]
-    fn csb_tag_attempt_saturates() {
-        let tag = CsbTag::new(7, 1_000);
-        assert_eq!(tag.attempt(), 255);
-        assert_eq!(tag.trace_id(), 7);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Coprocessor Request Blocks (CRB) and Coprocessor Status Blocks (CSB) —
-//! the job descriptors user space exchanges with the NX unit.
+//! The function code of a Coprocessor Request Block (CRB).
 //!
 //! A real CRB is a 128-byte cache line naming the function code, source
-//! and target DDE (data descriptor entry) lists and the CSB address; the
-//! model keeps the semantically load-bearing fields.
-
-use nx_corpus::CorpusKind;
-use nx_sim::SimTime;
+//! and target DDE (data descriptor entry) lists and the CSB address. The
+//! simulator prices a job from its function, its size and its corpus
+//! class ([`crate::workload::Request`]), so the function code is the one
+//! CRB field it models.
 
 /// The accelerator function requested by a CRB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -19,119 +17,4 @@ pub enum Function {
     Compress842,
     /// 842 decompression.
     Decompress842,
-}
-
-impl Function {
-    /// Whether this function runs on the gzip engine (vs the 842 engine).
-    pub fn is_gzip(self) -> bool {
-        matches!(self, Function::Compress | Function::Decompress)
-    }
-}
-
-/// A coprocessor request block: one job submitted through a VAS window.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Crb {
-    /// Monotone job identifier (used for tracing and fairness checks).
-    pub id: u64,
-    /// Requested function.
-    pub function: Function,
-    /// Source buffer length in bytes (uncompressed length for compress,
-    /// compressed length for decompress).
-    pub source_bytes: u64,
-    /// Data class of the payload — selects the calibrated cost-model row.
-    pub corpus: CorpusKind,
-    /// Submitting user/thread (for per-user statistics).
-    pub user: u32,
-    /// Time the user issued the `paste`.
-    pub submitted_at: SimTime,
-}
-
-/// Completion status in the CSB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CsbStatus {
-    /// Job completed fully.
-    Ok,
-    /// Translation fault: the job stopped after `processed_bytes`;
-    /// software must touch the faulting page and resubmit the remainder.
-    PageFault {
-        /// Bytes successfully processed before the fault.
-        processed_bytes: u64,
-    },
-    /// The engine posted an error completion code; the job produced no
-    /// usable output and the library retries it with backoff.
-    Error {
-        /// The completion code posted.
-        code: nx_core::fault::CsbCode,
-    },
-}
-
-impl CsbStatus {
-    /// Whether this status lets the library retry the job (faults and
-    /// transient error codes do; `Ok` has nothing to retry).
-    pub fn is_retryable(self) -> bool {
-        !matches!(self, CsbStatus::Ok)
-    }
-}
-
-/// A coprocessor status block: what the engine wrote back at completion.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Csb {
-    /// The job this status belongs to.
-    pub crb_id: u64,
-    /// Completion status.
-    pub status: CsbStatus,
-    /// Output bytes produced (compressed or decompressed).
-    pub output_bytes: u64,
-    /// Time the engine posted the CSB (before completion notification
-    /// latency).
-    pub posted_at: SimTime,
-}
-
-impl Crb {
-    /// Number of 64 KB source pages this job touches (the ERAT's fault
-    /// granularity on POWER9 with its default large pages... the model
-    /// uses 64 KB pages, the common POWER configuration).
-    pub fn source_pages(&self) -> u64 {
-        self.source_bytes.div_ceil(64 * 1024).max(1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn function_engine_routing() {
-        assert!(Function::Compress.is_gzip());
-        assert!(Function::Decompress.is_gzip());
-        assert!(!Function::Compress842.is_gzip());
-        assert!(!Function::Decompress842.is_gzip());
-    }
-
-    #[test]
-    fn retryable_statuses() {
-        assert!(!CsbStatus::Ok.is_retryable());
-        assert!(CsbStatus::PageFault { processed_bytes: 0 }.is_retryable());
-        assert!(CsbStatus::Error {
-            code: nx_core::fault::CsbCode::Hardware
-        }
-        .is_retryable());
-    }
-
-    #[test]
-    fn page_counting() {
-        let mk = |bytes| Crb {
-            id: 0,
-            function: Function::Compress,
-            source_bytes: bytes,
-            corpus: CorpusKind::Text,
-            user: 0,
-            submitted_at: SimTime::ZERO,
-        };
-        assert_eq!(mk(0).source_pages(), 1);
-        assert_eq!(mk(1).source_pages(), 1);
-        assert_eq!(mk(64 * 1024).source_pages(), 1);
-        assert_eq!(mk(64 * 1024 + 1).source_pages(), 2);
-        assert_eq!(mk(1 << 20).source_pages(), 16);
-    }
 }

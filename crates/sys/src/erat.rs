@@ -19,8 +19,9 @@ pub const FAULT_RESOLUTION: SimTime = SimTime::from_us(25);
 /// Cost for software to pre-touch one resident page (a load per page).
 pub const TOUCH_PER_PAGE: SimTime = SimTime::from_ns(150);
 
-/// Page size the fault model uses (64 KB, the common POWER configuration).
-pub const PAGE_BYTES: u64 = 64 * 1024;
+/// Page size the fault model uses: the functional fault model's 64 KiB
+/// page, the common POWER configuration.
+pub use nx_core::fault::PAGE_BYTES;
 
 /// First retry backoff after an error CSB (doubles per attempt).
 pub const CSB_RETRY_BACKOFF_BASE: SimTime = SimTime::from_us(2);

@@ -22,8 +22,14 @@
 //! in `nx-accel`*, plus the [multi-core software baseline](software), the
 //! [chip/drawer topologies](chip) for aggregate-throughput studies, and
 //! the open/closed-loop [workload generators](workload). The event-driven
-//! [runner] executes whole experiments and reports latency percentiles
-//! and throughput.
+//! [runner] executes whole experiments (E6, E7, E9, E14, E15, E18) and
+//! reports latency percentiles, throughput and recovery counts.
+//!
+//! It keeps only what those experiments run. VAS window credits are
+//! accounted once, by `nx_core::service::sched`; a CRB is its
+//! [function code](Function), and a job's DMA is one [`dma::DmaEngines`]
+//! pair per unit. The figures read [`ExperimentResult`]; the simulator
+//! emits no spans.
 
 pub mod chip;
 pub mod completion;
@@ -38,9 +44,9 @@ pub mod workload;
 pub mod zsync;
 
 pub use chip::{Chip, Topology};
-pub use completion::{CompletionMode, CsbTag};
+pub use completion::CompletionMode;
 pub use cost::CostModel;
-pub use crb::{Crb, Csb, CsbStatus, Function};
+pub use crb::Function;
 pub use runner::{ExperimentResult, SystemSim};
 pub use software::SoftwareBaseline;
 pub use workload::{RequestStream, SizeDistribution};

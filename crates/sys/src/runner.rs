@@ -9,23 +9,20 @@
 //! memory link the topology experiments can saturate.
 
 use crate::chip::Topology;
-use crate::completion::{CompletionMode, CsbTag};
+use crate::completion::CompletionMode;
 use crate::cost::CostModel;
+use crate::dma::DmaEngines;
 use crate::erat::{self, FaultPolicy, FAULT_RESOLUTION};
 use crate::vas::{PASTE_LATENCY, SUBMIT_CPU_CYCLES};
 use crate::workload::{Request, RequestStream};
 use nx_sim::{EventQueue, FifoStation, Percentiles, SerialLink, SimRng, SimTime};
-use nx_telemetry::{Stage, TelemetrySink, NO_PARENT};
 
 /// One accelerator unit's resources.
 #[derive(Debug)]
 struct Unit {
     engine: FifoStation,
-    dma_read: SerialLink,
-    dma_write: SerialLink,
+    dma: DmaEngines,
     chip: usize,
-    /// Finish times of jobs still holding a window credit (min-heap).
-    outstanding: std::collections::BinaryHeap<std::cmp::Reverse<SimTime>>,
 }
 
 /// An in-flight job (possibly a fault-retry remainder).
@@ -43,8 +40,6 @@ struct Job {
     /// Stable request index — the injected-fault plan's request
     /// coordinate.
     index: u64,
-    /// CSB correlation tag: trace id + attempt, echoed by the engine.
-    tag: CsbTag,
 }
 
 /// Aggregated results of one simulation run.
@@ -64,11 +59,6 @@ pub struct ExperimentResult {
     pub latency_us: Percentiles,
     /// CPU cycles the submitting cores burned (build/paste/touch/wait).
     pub cpu_cycles: u64,
-    /// Peak number of jobs queued or in service at any submission instant.
-    pub peak_outstanding: usize,
-    /// Pastes rejected for lack of window credits (each costs the
-    /// submitter a back-off and retry).
-    pub paste_rejections: u64,
     /// Error CSBs posted (injected transient engine errors).
     pub csb_errors: u64,
     /// Whole-job retries after error CSBs / injected timeouts, each paid
@@ -115,12 +105,9 @@ pub struct SystemSim {
     core_ghz: f64,
     rng: SimRng,
     next_unit: usize,
-    window_credits: u32,
     /// Deterministic injected-fault schedule (error CSBs, timeouts)
     /// layered on top of the stochastic page-fault model.
     injected: Option<nx_core::fault::FaultPlan>,
-    /// Span/metric sink; disabled by default (near-zero cost).
-    telemetry: TelemetrySink,
 }
 
 impl SystemSim {
@@ -141,10 +128,8 @@ impl SystemSim {
             for _ in 0..chip.units {
                 units.push(Unit {
                     engine: FifoStation::new(1),
-                    dma_read: SerialLink::new(crate::dma::CHANNEL_BW),
-                    dma_write: SerialLink::new(crate::dma::CHANNEL_BW),
+                    dma: DmaEngines::default(),
                     chip: ci,
-                    outstanding: std::collections::BinaryHeap::new(),
                 });
             }
         }
@@ -158,24 +143,8 @@ impl SystemSim {
             core_ghz: 2.5,
             rng: SimRng::new(seed, "system-sim"),
             next_unit: 0,
-            window_credits: u32::MAX,
             injected: None,
-            telemetry: TelemetrySink::disabled(),
         }
-    }
-
-    /// Wires span tracing and histograms to `sink`. Span timestamps are
-    /// the simulation clock converted to core cycles, so traces from the
-    /// same seed and topology are byte-identical run to run.
-    pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
-        self.telemetry = sink;
-        self
-    }
-
-    /// Simulation time → modeled core cycles (the span-trace domain).
-    fn cycles(&self, t: SimTime) -> u64 {
-        let per_us = (self.core_ghz * 1000.0) as u128;
-        (t.as_ps() as u128 * per_us / 1_000_000) as u64
     }
 
     /// Injects the faults `plan` schedules (error CSBs, submission
@@ -187,30 +156,11 @@ impl SystemSim {
         self
     }
 
-    /// Bounds each unit's VAS window to `credits` outstanding jobs; a
-    /// full window rejects the paste and the submitter backs off and
-    /// retries (the POWER9 credit protocol).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `credits == 0`.
-    pub fn with_window_credits(mut self, credits: u32) -> Self {
-        assert!(credits > 0, "a window needs at least one credit");
-        self.window_credits = credits;
-        self
-    }
-
     /// Runs the simulation over `stream` to completion.
     pub fn run(&mut self, stream: &RequestStream) -> ExperimentResult {
-        let traced = self.telemetry.is_enabled();
         let mut q: EventQueue<Job> = EventQueue::new();
         for (index, r) in stream.requests().iter().enumerate() {
             let unit = self.route();
-            let trace = if traced {
-                self.telemetry.begin_request()
-            } else {
-                0
-            };
             q.schedule(
                 r.arrival,
                 Job {
@@ -221,7 +171,6 @@ impl SystemSim {
                     resident_pages: 0,
                     index: index as u64,
                     req: r.clone(),
-                    tag: CsbTag::new(trace, 0),
                 },
             );
         }
@@ -234,54 +183,11 @@ impl SystemSim {
             makespan: SimTime::ZERO,
             latency_us: Percentiles::new(),
             cpu_cycles: 0,
-            peak_outstanding: 0,
-            paste_rejections: 0,
             csb_errors: 0,
             retries: 0,
         };
 
         while let Some((now, mut job)) = q.pop() {
-            result.peak_outstanding = result.peak_outstanding.max(q.len() + 1);
-
-            // Window-credit check: completed jobs return credits first.
-            {
-                let unit = &mut self.units[job.unit];
-                while unit
-                    .outstanding
-                    .peek()
-                    .is_some_and(|std::cmp::Reverse(f)| *f <= now)
-                {
-                    unit.outstanding.pop();
-                }
-                if unit.outstanding.len() >= self.window_credits as usize {
-                    // Paste fails; back off until a credit can be free.
-                    result.paste_rejections += 1;
-                    result.cpu_cycles += 200; // the failed paste itself
-                    let free_at = unit
-                        .outstanding
-                        .peek()
-                        .map(|std::cmp::Reverse(f)| *f)
-                        .expect("window full implies outstanding jobs");
-                    let retry_at = free_at.max(now) + crate::vas::PASTE_RETRY_BACKOFF;
-                    if traced {
-                        // detail=1: retry caused by a rejected paste.
-                        self.telemetry.emit(
-                            job.tag.trace_id(),
-                            job.attempts,
-                            NO_PARENT,
-                            Stage::Retry,
-                            job.unit as u32,
-                            self.cycles(now),
-                            self.cycles(retry_at - now),
-                            0,
-                            1,
-                        );
-                    }
-                    q.schedule(retry_at, job);
-                    continue;
-                }
-            }
-
             // Injected transient faults (error CSB, lost completion):
             // the job occupies the engine briefly, posts a failure, and
             // the library resubmits after a capped exponential backoff.
@@ -311,25 +217,8 @@ impl SystemSim {
                     let (_, fin) = self.units[job.unit]
                         .engine
                         .submit(now + PASTE_LATENCY, SimTime::from_ns(500));
-                    self.units[job.unit]
-                        .outstanding
-                        .push(std::cmp::Reverse(fin));
                     result.cpu_cycles += SUBMIT_CPU_CYCLES;
                     let resume = fin + self.completion.notification_latency() + backoff;
-                    if traced {
-                        // detail=2: retry caused by an error CSB / timeout.
-                        self.telemetry.emit(
-                            job.tag.trace_id(),
-                            job.attempts,
-                            NO_PARENT,
-                            Stage::Retry,
-                            job.unit as u32,
-                            self.cycles(now),
-                            self.cycles(resume - now),
-                            0,
-                            2,
-                        );
-                    }
                     q.schedule(resume, job);
                     continue;
                 }
@@ -344,19 +233,6 @@ impl SystemSim {
             let submit = now + plan.pre_submit + PASTE_LATENCY;
             result.cpu_cycles +=
                 SUBMIT_CPU_CYCLES + (plan.pre_submit.as_secs_f64() * self.core_ghz * 1e9) as u64;
-            if traced {
-                self.telemetry.emit(
-                    job.tag.trace_id(),
-                    job.attempts,
-                    NO_PARENT,
-                    Stage::Submit,
-                    job.unit as u32,
-                    self.cycles(now),
-                    self.cycles(submit - now),
-                    job.remaining,
-                    job.attempts as u64,
-                );
-            }
 
             // The engine stops at the first faulting page (if any).
             let (processed, faulted) = match plan.fault_at {
@@ -369,7 +245,7 @@ impl SystemSim {
                 None => (job.remaining, false),
             };
 
-            let (engine_start, finish) = if processed > 0 {
+            let finish = if processed > 0 {
                 let service = self
                     .cost
                     .service_time(job.req.function, job.req.corpus, processed);
@@ -378,56 +254,24 @@ impl SystemSim {
                     .output_bytes(job.req.function, job.req.corpus, processed);
                 let unit = &mut self.units[job.unit];
                 let (start, engine_fin) = unit.engine.submit(submit, service);
-                let dma_start = start + crate::dma::DMA_SETUP;
-                let (_, rf) = unit.dma_read.transfer(dma_start, processed);
-                let (_, wf) = unit.dma_write.transfer(dma_start, out);
-                let (_, cf) = self.chip_links[unit.chip].transfer(dma_start, processed + out);
+                let dma_fin = unit.dma.transfer(start, processed, out);
+                let (_, cf) = self.chip_links[unit.chip]
+                    .transfer(start + crate::dma::DMA_SETUP, processed + out);
                 result.output_bytes += out;
-                (start, engine_fin.max(rf).max(wf).max(cf))
+                engine_fin.max(dma_fin).max(cf)
             } else {
                 // Fault recognized at job start: a short engine occupancy
                 // for the aborted attempt.
-                let (start, fin) = self.units[job.unit]
+                let (_, fin) = self.units[job.unit]
                     .engine
                     .submit(submit, SimTime::from_ns(500));
-                (start, fin)
+                fin
             };
-            if traced {
-                self.telemetry.emit(
-                    job.tag.trace_id(),
-                    job.attempts,
-                    NO_PARENT,
-                    Stage::QueueWait,
-                    job.unit as u32,
-                    self.cycles(submit),
-                    self.cycles(engine_start - submit),
-                    0,
-                    job.attempts as u64,
-                );
-                self.telemetry.emit(
-                    job.tag.trace_id(),
-                    job.attempts,
-                    NO_PARENT,
-                    Stage::Engine,
-                    job.unit as u32,
-                    self.cycles(engine_start),
-                    self.cycles(finish - engine_start),
-                    processed,
-                    job.attempts as u64,
-                );
-            }
-            // The job holds its window credit until the CSB posts.
-            self.units[job.unit]
-                .outstanding
-                .push(std::cmp::Reverse(finish));
 
             if faulted {
                 result.faults += 1;
                 job.remaining -= processed;
                 job.attempts += 1;
-                // The resubmitted CRB carries a fresh tag naming the new
-                // attempt, so its CSB is distinguishable from the stale one.
-                job.tag = CsbTag::new(job.tag.trace_id(), job.attempts);
                 // CSB posts the fault; library is notified, touches the
                 // faulting page (plus the touch-ahead window under
                 // `TouchAhead`), and resubmits the remainder. The
@@ -441,19 +285,6 @@ impl SystemSim {
                     .completion
                     .cpu_wait_cycles(finish + notify - now, self.core_ghz)
                     + (touch_time.as_secs_f64() * self.core_ghz * 1e9) as u64;
-                if traced {
-                    self.telemetry.emit(
-                        job.tag.trace_id(),
-                        job.attempts,
-                        NO_PARENT,
-                        Stage::EratTouch,
-                        job.unit as u32,
-                        self.cycles(finish + notify),
-                        self.cycles(FAULT_RESOLUTION + touch_time),
-                        touched * erat::PAGE_BYTES,
-                        job.attempts as u64,
-                    );
-                }
                 q.schedule(finish + notify + FAULT_RESOLUTION + touch_time, job);
                 continue;
             }
@@ -468,21 +299,6 @@ impl SystemSim {
             result.cpu_cycles += self
                 .completion
                 .cpu_wait_cycles(observed - now, self.core_ghz);
-            if traced {
-                self.telemetry.emit(
-                    job.tag.trace_id(),
-                    job.attempts,
-                    NO_PARENT,
-                    Stage::Complete,
-                    job.unit as u32,
-                    self.cycles(finish),
-                    self.cycles(observed - finish),
-                    job.req.bytes,
-                    job.attempts as u64,
-                );
-                self.telemetry
-                    .record_request(self.cycles(observed - job.first_arrival), job.req.bytes);
-            }
         }
         result
     }
@@ -705,30 +521,6 @@ mod tests {
         );
         assert!(ahead.throughput_gbps() > retry.throughput_gbps());
         assert_eq!(ahead.completed, retry.completed);
-    }
-
-    #[test]
-    fn window_credits_throttle_submission() {
-        let topo = Topology::power9_chip();
-        let stream =
-            RequestStream::saturating(9, 64, 1 << 20, &[CorpusKind::Json], Function::Compress);
-        // Unlimited credits: no rejections.
-        let free = SystemSim::new(&topo, CompletionMode::Poll, no_faults(), 9).run(&stream);
-        assert_eq!(free.paste_rejections, 0);
-        // Two credits: most of the batch must retry at least once.
-        let tight = SystemSim::new(&topo, CompletionMode::Poll, no_faults(), 9)
-            .with_window_credits(2)
-            .run(&stream);
-        assert!(
-            tight.paste_rejections > 32,
-            "{} rejections",
-            tight.paste_rejections
-        );
-        assert_eq!(tight.completed, 64);
-        assert_eq!(tight.input_bytes, free.input_bytes);
-        // Work conserving: the engine stays fed, so completion of the
-        // batch slips only by scheduling slack, never improves.
-        assert!(tight.makespan >= free.makespan);
     }
 
     #[test]

@@ -5,18 +5,15 @@
 //! mapped into the process. Paste completes with a CR code indicating
 //! acceptance; a full window (no credits) fails the paste and the library
 //! backs off and retries. This module holds the prices of that path —
-//! the paste round trip, the CPU cost of building a CRB, the retry
-//! backoff — which [`crate::runner`] charges; window credits themselves
-//! are accounted in one place, `nx_core::service::sched`.
+//! the paste round trip and the CPU cost of building a CRB — which
+//! [`crate::runner`] charges; window credits themselves are accounted in
+//! one place, `nx_core::service::sched`.
 
 use nx_sim::SimTime;
 
 /// Cost of one `copy`+`paste` round trip through the nest (cache-line
 /// injection and CR response), per the POWER9 user-mode submission design.
 pub const PASTE_LATENCY: SimTime = SimTime::from_ns(250);
-
-/// Back-off delay before retrying a failed paste.
-pub const PASTE_RETRY_BACKOFF: SimTime = SimTime::from_us(2);
 
 /// CPU cycles a core spends building a CRB and issuing the paste (the E11
 /// "cycles offloaded" accounting charges these to the accelerated path).
@@ -29,6 +26,5 @@ mod tests {
     #[test]
     fn constants_are_sane() {
         assert!(PASTE_LATENCY < SimTime::from_us(1));
-        assert!(PASTE_RETRY_BACKOFF > PASTE_LATENCY);
     }
 }

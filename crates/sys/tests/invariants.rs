@@ -14,7 +14,6 @@ fn run_once(
     count: usize,
     size: u64,
     fault_prob: f64,
-    credits: Option<u32>,
 ) -> nx_sys::ExperimentResult {
     let stream = RequestStream::open_loop(
         seed,
@@ -25,18 +24,15 @@ fn run_once(
         &[CorpusKind::Json, CorpusKind::Logs],
         Function::Compress,
     );
-    let mut sim = SystemSim::new(
+    SystemSim::new(
         &Topology::power9_chip(),
         CompletionMode::Poll,
         FaultPolicy::RetryOnFault {
             fault_probability: fault_prob,
         },
         seed,
-    );
-    if let Some(c) = credits {
-        sim = sim.with_window_credits(c);
-    }
-    sim.run(&stream)
+    )
+    .run(&stream)
 }
 
 proptest! {
@@ -51,10 +47,9 @@ proptest! {
         count in 10usize..200,
         size_kb in 1u64..512,
         fault in 0usize..3,
-        credits in prop::option::of(1u32..8),
     ) {
         let fault_prob = [0.0, 0.01, 0.05][fault];
-        let res = run_once(seed, users, count, size_kb << 10, fault_prob, credits);
+        let res = run_once(seed, users, count, size_kb << 10, fault_prob);
         prop_assert_eq!(res.completed as usize, count);
         prop_assert_eq!(res.input_bytes, count as u64 * (size_kb << 10));
         prop_assert!(res.output_bytes > 0);
@@ -71,13 +66,12 @@ proptest! {
         seed in 0u64..1_000,
         users in 1u32..8,
     ) {
-        let a = run_once(seed, users, 50, 128 << 10, 0.02, Some(4));
-        let b = run_once(seed, users, 50, 128 << 10, 0.02, Some(4));
+        let a = run_once(seed, users, 50, 128 << 10, 0.02);
+        let b = run_once(seed, users, 50, 128 << 10, 0.02);
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.faults, b.faults);
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(a.cpu_cycles, b.cpu_cycles);
-        prop_assert_eq!(a.paste_rejections, b.paste_rejections);
     }
 
     #[test]
@@ -87,7 +81,7 @@ proptest! {
     ) {
         // A single request's latency can never undercut paste + engine
         // service at peak rate.
-        let mut res = run_once(seed, 1, 1, size_kb << 10, 0.0, None);
+        let mut res = run_once(seed, 1, 1, size_kb << 10, 0.0);
         let floor_us = (size_kb << 10) as f64 / 16e9 * 1e6; // peak 16 GB/s
         let p99 = res.p99_latency_us();
         prop_assert!(

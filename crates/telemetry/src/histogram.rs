@@ -1,9 +1,10 @@
 //! Log-bucketed latency/size histograms (HDR-style).
 //!
-//! Values land in power-of-two octaves subdivided into [`SUB_BUCKETS`]
-//! linear sub-buckets, so relative quantization error is bounded by
-//! `1/SUB_BUCKETS` (≈ 3.1%) at any magnitude while the whole `u64` range
-//! fits in a fixed [`BUCKETS`]-slot array. Recording is one atomic add —
+//! Values land in power-of-two octaves subdivided into
+//! [`SUB_BUCKETS`](crate::buckets::SUB_BUCKETS) linear sub-buckets, so
+//! relative quantization error is bounded by `1/SUB_BUCKETS` (≈ 3.1%) at
+//! any magnitude while the whole `u64` range fits in a fixed
+//! [`BUCKETS`]-slot array. Recording is one atomic add —
 //! cheap enough for per-request hot paths — and two histograms with the
 //! same geometry [`merge`](LogHistogram::merge) exactly (merging equals
 //! having recorded into one histogram, a property the test battery pins).
@@ -14,8 +15,6 @@ use std::sync::OnceLock;
 // The bucket geometry lives in `crate::buckets` — one shared
 // implementation for the histogram, its exemplar table, and the SLO
 // engine's latency accounting (re-exported at the crate root).
-#[cfg(test)]
-use crate::buckets::SUB_BUCKETS;
 use crate::buckets::{bucket_high, bucket_index, BUCKETS};
 
 /// A fresh all-zero bucket array (`AtomicU64` is not `Copy`; build the
@@ -295,6 +294,7 @@ pub struct HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buckets::SUB_BUCKETS;
 
     #[test]
     fn small_values_are_exact() {

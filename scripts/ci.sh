@@ -41,6 +41,26 @@ if [[ "$FAST" == "0" ]]; then
     git checkout -q -- benchmark/Cargo.lock 2> /dev/null || true
 fi
 
+echo "==> test-module placement gate"
+# loc.sh and the gates below read every line of a file before its first
+# `#[cfg(test)]` as non-test code and stop there, so that marker must open
+# the test module at the bottom of the file: the next line that is not an
+# attribute or a comment declares a `mod`. A test-only `use` or item above
+# the production code would hide every line below it from all of them.
+PLACEMENT=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { seen = 0; want = 0 }
+    want && /^[[:space:]]*(#\[|\/\/)/ { next }
+    want {
+        if ($0 !~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]/) print FILENAME ":" FNR ": " $0
+        want = 0
+    }
+    !seen && /#\[cfg\(test\)\]/ { seen = 1; want = 1 }')
+if [[ -n "$PLACEMENT" ]]; then
+    echo "$PLACEMENT"
+    echo "==> FAIL: a file's first #[cfg(test)] must open a test module"
+    exit 1
+fi
+
 echo "==> non-test LOC per crate"
 scripts/loc.sh
 
