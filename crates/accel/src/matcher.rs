@@ -8,11 +8,11 @@
 //! *speculative* answer to zlib's inherently sequential lazy matching
 //! (the paper's key throughput-vs-ratio trade-off, measured in E12).
 //!
-//! Functional equivalence note: candidates are validated by comparing
-//! actual bytes under the configured window bound, which is exactly what
-//! the hardware's history-buffer comparators do (see
-//! [`crate::history::HistoryBuffer`] for the structural ring model; a test
-//! here cross-checks the two give identical match lengths).
+//! The comparators read the history buffer, which holds exactly the last
+//! `history_bytes` of input, so the model compares bytes of `data` under
+//! that distance bound. Inserts are unconditional, so what a lane finds
+//! depends on the input alone: a large request runs later segments ahead
+//! on helper threads (`tokenize_split`, `run_ahead`).
 
 use crate::config::{AccelConfig, Resolution, MAX_LANES};
 use crate::hashbank::HashBank;
@@ -51,11 +51,27 @@ pub struct MatchEngine {
     /// The resolver's cost and choice columns.
     dp: [f64; MAX_LANES + 1],
     choice: [Option<LaneMatch>; MAX_LANES],
+    /// Engines kept across requests to run segments ahead on helpers.
+    ahead: Vec<MatchEngine>,
+    /// A helper's cover of its segment, started as if no match carried
+    /// in: its state (`emit_until`, `trailing_matches`) where the caller's
+    /// meets it, and the cover from there.
+    sync: (usize, u64),
+    own: Cover,
 }
 
 /// Estimated encoded size of a literal token, in bits (a mid-corpus
 /// literal code length).
 const LIT_BITS: u64 = 9;
+
+/// The smallest segment run ahead: its comparators take milliseconds, a
+/// spawn and a rebuilt bank a fraction of one.
+const SEGMENT_MIN: usize = 256 << 10;
+
+/// Lane windows the caller resolves into a helper's segment before the two
+/// covers are compared: room for a carried match to end and the resolvers
+/// to fall into step.
+const SYNC_WINDOWS: usize = 2048;
 
 /// Estimated encoded size of a match token, in bits.
 fn match_bits(len: u16, dist: u16) -> u64 {
@@ -69,6 +85,24 @@ fn match_bits(len: u16, dist: u16) -> u64 {
 struct LaneMatch {
     len: u16,
     dist: u16,
+}
+
+/// The resolver's state from window to window: the tokens so far, the
+/// first position they leave uncovered, the run of matches they end in.
+#[derive(Debug, Default)]
+struct Cover {
+    tokens: Vec<Token>,
+    emit_until: usize,
+    trailing_matches: u64,
+    discarded: u64,
+}
+
+/// Segments for `len` new bytes. Size decides first, so a small request
+/// never calls `cpus` (the CPU count costs ~20 µs a read).
+fn segments(len: usize, cpus: impl FnOnce() -> usize) -> usize {
+    (len >= 2 * SEGMENT_MIN)
+        .then(cpus)
+        .map_or(1, |c| c.clamp(1, len / SEGMENT_MIN))
 }
 
 impl MatchEngine {
@@ -87,12 +121,10 @@ impl MatchEngine {
             lane_matches: [None; MAX_LANES],
             dp: [0.0; MAX_LANES + 1],
             choice: [None; MAX_LANES],
+            ahead: Vec::new(),
+            sync: (0, 0),
+            own: Cover::default(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &AccelConfig {
-        &self.cfg
     }
 
     /// Tokenizes `data` with the hardware algorithm.
@@ -103,45 +135,149 @@ impl MatchEngine {
     /// Tokenizes `data[start..]`, treating `data[..start]` as carried
     /// history: the engine re-streams it through the hash pipeline (DMA'd
     /// in via the request's history DDE, costing `history_cycles`), after
-    /// which the new bytes may match back into it.
+    /// which the new bytes may match back into it. From 512 KiB of new
+    /// bytes on, later segments run ahead on one scoped thread per further
+    /// CPU; the outcome is the serial loop's to the last field.
     ///
     /// # Panics
     ///
     /// Panics if `start > data.len()`.
     pub fn tokenize_from(&mut self, data: &[u8], start: usize) -> MatchOutcome {
-        assert!(start <= data.len(), "history beyond input");
-        self.bank.reset();
-        let n = data.len();
-        let lanes = self.cfg.lanes;
-        // Positions from here on have no 3-byte prefix left to hash.
-        let hash_end = n.saturating_sub(MIN_MATCH - 1);
-        let mut tokens = Vec::with_capacity((n - start) / 4 + 8);
-        let mut ingest_cycles = 0u64;
-        let mut bank_stall_cycles = 0u64;
-        let mut discarded = 0u64;
-        // Length of the run of matches `tokens` currently ends in.
-        let mut trailing_matches = 0u64;
+        static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        let cpus =
+            || *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let split = segments(data.len().saturating_sub(start), cpus);
+        self.tokenize_split(data, start, split, SYNC_WINDOWS, Self::run_ahead)
+            .0
+    }
 
+    /// [`Self::tokenize_from`] in `segments` runs of whole lane windows,
+    /// all but the first run `ahead` on scoped helpers. The caller fuses
+    /// the first `sync` windows of each; where its cover's state is the
+    /// helper's there, it takes the helper's cover of the rest, else it
+    /// fuses the rest too. Also returns how many covers it took.
+    fn tokenize_split(
+        &mut self,
+        data: &[u8],
+        start: usize,
+        segments: usize,
+        sync: usize,
+        ahead: fn(&mut Self, &[u8], usize, usize, usize) -> u64,
+    ) -> (MatchOutcome, usize) {
+        assert!(start <= data.len(), "history beyond input");
+        let (n, lanes) = (data.len(), self.cfg.lanes);
+        let windows = (n - start).div_ceil(lanes);
+        let segments = segments.clamp(1, windows.max(1));
+        let bound = |i: usize| (start + windows * i / segments * lanes).min(n);
+        let meet = |i: usize| bound(i + 1).min(bound(i) + sync * lanes);
+        let mut cover = Cover::default();
+        cover.tokens.reserve((n - start) / 4 + 8);
+        cover.emit_until = start;
         // Re-stream history into the dictionary at lane rate.
-        for p in 0..start.min(hash_end) {
+        self.rebuild(data, start, start);
+        let mut engines = std::mem::take(&mut self.ahead);
+        while engines.len() + 1 < segments {
+            engines.push(MatchEngine::new(self.cfg.clone()));
+        }
+        let helpers = &mut engines[..segments - 1];
+        let mut stalls = 0;
+        let landed: Vec<Option<u64>> = match segments {
+            1 => {
+                stalls = self.fused(data, start, n, &mut cover);
+                Vec::new()
+            }
+            _ => std::thread::scope(|s| {
+                let running: Vec<_> = (helpers.iter_mut().enumerate())
+                    .map(|(i, h)| {
+                        let (from, mid, to) = (bound(i + 1), meet(i + 1), bound(i + 2));
+                        s.spawn(move || ahead(h, data, from, mid, to))
+                    })
+                    .collect();
+                stalls = self.fused(data, start, meet(1), &mut cover);
+                running.into_iter().map(|h| h.join().ok()).collect()
+            }),
+        };
+        let mut took = 0;
+        for (i, (h, got)) in helpers.iter_mut().zip(landed).enumerate() {
+            let (from, mid, to) = (bound(i + 1), meet(i + 1), bound(i + 2));
+            if i > 0 {
+                self.rebuild(data, from, self.cfg.history_bytes);
+                stalls += self.fused(data, from, mid, &mut cover);
+            }
+            // Taken either way: a helper holds no tokens between requests.
+            let own = std::mem::take(&mut h.own);
+            // From one state on, the helper's cover is the serial loop's.
+            match got.filter(|_| (cover.emit_until, cover.trailing_matches) == h.sync) {
+                Some(s) => {
+                    cover.tokens.extend_from_slice(&own.tokens);
+                    cover.discarded += own.discarded;
+                    cover.emit_until = own.emit_until;
+                    cover.trailing_matches = own.trailing_matches;
+                    (stalls, took) = (stalls + s, took + 1);
+                }
+                None => stalls += self.fused(data, mid, to, &mut cover),
+            }
+        }
+        self.ahead = engines;
+        debug_assert_eq!(
+            cover.tokens.iter().map(Token::input_len).sum::<usize>(),
+            n - start,
+            "token cover must be exact"
+        );
+        let outcome = MatchOutcome {
+            tokens: cover.tokens,
+            ingest_cycles: windows as u64,
+            history_cycles: (start as u64).div_ceil(lanes as u64),
+            bank_stall_cycles: stalls,
+            discarded_matches: cover.discarded,
+        };
+        (outcome, took)
+    }
+
+    /// Resets the bank to the positions of the `keep` bytes before `from`,
+    /// inserted in order.
+    fn rebuild(&mut self, data: &[u8], from: usize, keep: usize) {
+        self.bank.reset();
+        for p in from.saturating_sub(keep)..from.min(data.len().saturating_sub(MIN_MATCH - 1)) {
             let set = self.bank.hash(data, p);
             self.bank.insert(set, p);
         }
-        let history_cycles = (start as u64).div_ceil(lanes as u64);
+    }
 
-        // First position not yet covered by an emitted token.
-        let mut emit_until = start;
-        let mut cur = start;
+    /// A helper's segment `[from, to)`: its own cover, its state at `mid`
+    /// and its stall cycles from there. Exact: the rebuilt bank lists every
+    /// candidate of the serial one within `history_bytes` of `from`, newest
+    /// first; the rest are older, so every probe from `from` on rejects
+    /// them by distance.
+    fn run_ahead(&mut self, data: &[u8], from: usize, mid: usize, to: usize) -> u64 {
+        self.rebuild(data, from, self.cfg.history_bytes);
+        let mut own = Cover {
+            emit_until: from,
+            ..Cover::default()
+        };
+        self.fused(data, from, mid, &mut own);
+        self.sync = (own.emit_until, own.trailing_matches);
+        own.tokens = Vec::with_capacity((to - mid) / 4 + 8);
+        own.discarded = 0;
+        let stalls = self.fused(data, mid, to, &mut own);
+        self.own = own;
+        stalls
+    }
 
-        while cur < n {
-            ingest_cycles += 1;
-            let window_end = (cur + lanes).min(n);
+    /// The lane-window loop over `[from, to)` on a bank holding what the
+    /// serial loop's holds at `from`; returns its stall cycles.
+    fn fused(&mut self, data: &[u8], from: usize, to: usize, cover: &mut Cover) -> u64 {
+        // Positions from here on have no 3-byte prefix left to hash.
+        let hash_end = data.len().saturating_sub(MIN_MATCH - 1);
+        let mut stalls = 0;
+        let mut cur = from;
+        while cur < to {
+            let window_end = (cur + self.cfg.lanes).min(to);
             let hashed = window_end.min(hash_end).saturating_sub(cur);
             // A window wholly inside a carried match resolves nothing, so
             // nothing would read its comparators: the hash pipeline still
             // runs (it is what the cycle model prices), the probe does not.
-            let w0 = emit_until.max(cur);
-            let resolves = w0 < window_end;
+            let resolves = cover.emit_until < window_end;
 
             // Phase 1: all lanes hash and probe in parallel.
             for lane in 0..hashed {
@@ -153,7 +289,7 @@ impl MatchEngine {
             }
 
             // Port conflicts among this cycle's lookups.
-            bank_stall_cycles += self
+            stalls += self
                 .bank
                 .conflict_stalls(&self.lane_sets[..hashed], self.cfg.bank_read_ports);
 
@@ -163,19 +299,19 @@ impl MatchEngine {
                 self.bank.insert(self.lane_sets[lane], cur + lane);
             }
 
-            // Phase 3: resolve a token cover for [w0, window_end).
+            // Phase 3: resolve a token cover for [max(cur, emit_until),
+            // window_end).
             if resolves {
-                let width = window_end - cur;
+                let (w0, width) = (cover.emit_until.max(cur), window_end - cur);
                 self.lane_matches[hashed..width].fill(None);
                 let found = self.lane_matches[..width].iter().flatten().count() as u64;
+                let tokens = &mut cover.tokens;
                 let before = tokens.len();
-                emit_until = match self.cfg.resolution {
+                cover.emit_until = match self.cfg.resolution {
                     Resolution::Speculative => {
-                        self.resolve_speculative(data, cur, w0, window_end, &mut tokens)
+                        self.resolve_speculative(data, cur, w0, window_end, tokens)
                     }
-                    Resolution::Greedy => {
-                        self.resolve_greedy(data, cur, w0, window_end, &mut tokens)
-                    }
+                    Resolution::Greedy => self.resolve_greedy(data, cur, w0, window_end, tokens),
                 };
                 let emitted = &tokens[before..];
                 let run = emitted
@@ -184,28 +320,15 @@ impl MatchEngine {
                     .take_while(|t| matches!(t, Token::Match { .. }))
                     .count();
                 if run < emitted.len() {
-                    trailing_matches = 0;
+                    cover.trailing_matches = 0;
                 }
-                trailing_matches += run as u64;
+                cover.trailing_matches += run as u64;
                 // Approximation only used for the waste metric.
-                discarded += found.saturating_sub(trailing_matches);
+                cover.discarded += found.saturating_sub(cover.trailing_matches);
             }
-
             cur = window_end;
         }
-
-        debug_assert_eq!(
-            tokens.iter().map(Token::input_len).sum::<usize>(),
-            n - start,
-            "token cover must be exact"
-        );
-        MatchOutcome {
-            tokens,
-            ingest_cycles,
-            history_cycles,
-            bank_stall_cycles,
-            discarded_matches: discarded,
-        }
+        stalls
     }
 
     /// One lane's comparators: the longest valid candidate in `set` for
@@ -798,25 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_and_direct_comparison_agree() {
-        // The matcher compares against `data` under a distance bound; the
-        // structural ring model must agree wherever the bound admits the
-        // candidate.
-        use crate::history::HistoryBuffer;
-        let data: Vec<u8> = b"abcabcabcXabcabc__abcabcabc".to_vec();
-        let mut ring = HistoryBuffer::new(32 * 1024);
-        for q in 1..data.len() {
-            ring.reset();
-            ring.push_slice(&data[..q]);
-            for cand in 0..q {
-                let direct = match_length(&data, cand, q);
-                let via_ring = ring.match_length(cand as u64, &data[q..], MAX_MATCH);
-                assert_eq!(direct, via_ring, "cand {cand} q {q}");
-            }
-        }
-    }
-
-    #[test]
     fn duplicate_lane_lookups_merge_so_runs_do_not_stall() {
         // A constant stream hashes every lane to the same set; the request
         // combiner merges them into one access, so no stalls.
@@ -890,6 +994,137 @@ mod tests {
         }
     }
 
+    /// A helper's run of `[from, to)` meeting the caller's cover at `mid`.
+    type Ahead = fn(&mut MatchEngine, &[u8], usize, usize, usize) -> u64;
+
+    /// Runs `data[start..]` in `segments` segments whose covers meet after
+    /// `sync` windows, `ahead` running the helpers, and diffs every outcome
+    /// field against the parent loop; returns how many helpers' covers the
+    /// caller took.
+    fn split_as_parent(
+        cfg: &AccelConfig,
+        data: &[u8],
+        start: usize,
+        (segments, sync): (usize, usize),
+        ahead: Ahead,
+    ) -> usize {
+        let want = reference::ParentEngine::new(cfg.clone()).tokenize_from(data, start);
+        let mut engine = MatchEngine::new(cfg.clone());
+        let mut took = Vec::new();
+        // Twice on one engine: a helper's bank and cover left by a request
+        // (or by its death) must not leak into the next.
+        for _ in 0..2 {
+            let (got, t) = engine.tokenize_split(data, start, segments, sync, ahead);
+            assert_eq!(got.tokens, want.tokens);
+            assert_eq!(got.ingest_cycles, want.ingest_cycles);
+            assert_eq!(got.history_cycles, want.history_cycles);
+            assert_eq!(got.bank_stall_cycles, want.bank_stall_cycles);
+            assert_eq!(got.discarded_matches, want.discarded_matches);
+            took.push(t);
+        }
+        assert_eq!(took[0], took[1]);
+        took[0]
+    }
+
+    /// The helper whose segment ends the request dies.
+    fn kill_last(e: &mut MatchEngine, data: &[u8], from: usize, mid: usize, to: usize) -> u64 {
+        assert!(to < data.len(), "helper killed");
+        e.run_ahead(data, from, mid, to)
+    }
+
+    /// The helpers whose segments do not end the request die.
+    fn kill_inner(e: &mut MatchEngine, data: &[u8], from: usize, mid: usize, to: usize) -> u64 {
+        assert!(to == data.len(), "helper killed");
+        e.run_ahead(data, from, mid, to)
+    }
+
+    fn kill_all(_: &mut MatchEngine, _: &[u8], _: usize, _: usize, _: usize) -> u64 {
+        panic!("helper killed");
+    }
+
+    #[test]
+    fn segments_are_decided_by_size_first() {
+        // A 1 KiB request never reads the CPU count.
+        assert_eq!(segments(1 << 10, || unreachable!()), 1);
+        assert_eq!(segments(2 * SEGMENT_MIN - 1, || unreachable!()), 1);
+        // A one-CPU budget keeps any request serial.
+        assert_eq!(segments(64 << 20, || 1), 1);
+        assert_eq!(segments(2 * SEGMENT_MIN, || 2), 2);
+        assert_eq!(segments(1 << 20, || 64), 4);
+        assert_eq!(segments(1 << 20, || 0), 1);
+    }
+
+    #[test]
+    fn dead_helpers_leave_their_segments_to_the_fused_loop() {
+        let data = nx_corpus::mixed(7 | 1 << 32, 240_000);
+        for cfg in [AccelConfig::power9(), AccelConfig::z15()] {
+            let split = |start, segments, ahead| {
+                split_as_parent(&cfg, &data, start, (segments, SYNC_WINDOWS), ahead)
+            };
+            assert_eq!(split(0, 4, MatchEngine::run_ahead as Ahead), 3);
+            // The last segment; the inner ones; every one, after history.
+            assert_eq!(split(0, 3, kill_last), 1);
+            assert_eq!(split(0, 4, kill_inner), 1);
+            assert_eq!(split(20_000, 4, kill_all), 0);
+        }
+    }
+
+    #[test]
+    fn covers_meet_and_the_rebuilt_bank_reaches_back_a_full_window() {
+        // A 16-byte motif at 1024 copied to 2048, where the second segment
+        // starts: the match there reaches back exactly `history_bytes`,
+        // which a bank rebuilt one position short misses. With `sync` 0 the
+        // covers meet right at the segment's start.
+        let cfg = AccelConfig {
+            history_bytes: 1024,
+            ..AccelConfig::power9()
+        };
+        let mut data = structured(11, 4096, 256);
+        data.copy_within(1024..1040, 2048);
+        assert_eq!(
+            split_as_parent(&cfg, &data, 0, (2, 0), MatchEngine::run_ahead),
+            1
+        );
+        let out = MatchEngine::new(cfg).tokenize(&data).tokens;
+        assert!(out.contains(&Token::Match {
+            len: 16,
+            dist: 1024
+        }));
+    }
+
+    #[test]
+    fn segment_route_equals_parent_loop_at_the_seams() {
+        let mut cfg = AccelConfig::power9();
+        // A run: every window emits only matches, so the two covers' runs of
+        // trailing matches never agree and the caller fuses every segment.
+        let run = vec![b'r'; 60_000];
+        for segments in 2..=4 {
+            for sync in [0, 1, SYNC_WINDOWS] {
+                let ahead = MatchEngine::run_ahead;
+                assert_eq!(split_as_parent(&cfg, &run, 0, (segments, sync), ahead), 0);
+            }
+        }
+        // Mixed input: the covers meet in most segments.
+        let mut took = 0;
+        for seed in 0..24 {
+            let data = structured(seed, 6_000, 24);
+            took += split_as_parent(&cfg, &data, 0, (3, 4), MatchEngine::run_ahead);
+        }
+        assert!(took >= 24, "covers met {took} times in 48 segments");
+        // A short window: history straddles `start` and the segment starts.
+        cfg.history_bytes = 1024;
+        let data = structured(3, 9_000, 5);
+        for start in [0, 700, 1_500, 4_000] {
+            for sync in [0, 1, 8] {
+                split_as_parent(&cfg, &data, start, (4, sync), MatchEngine::run_ahead);
+            }
+        }
+        // Tiny segments down to one window, and more asked than windows.
+        for len in [0usize, 1, 2, 3, 8, 9, 17, 40] {
+            split_as_parent(&cfg, &data[..len], 0, (4, 1), MatchEngine::run_ahead);
+        }
+    }
+
     #[test]
     fn inputs_around_min_match_equal_parent_loop() {
         for lanes in [1, 3, 8, 16] {
@@ -934,6 +1169,36 @@ mod tests {
             }
             let data = structured(seed, len, alphabet);
             assert_same_as_parent(&cfg, &data, len * start_eighths / 8);
+        }
+
+        #[test]
+        fn segment_route_equals_parent_loop(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..12_000,
+            alphabet in 1u64..48,
+            start_eighths in 0usize..9,
+            lanes_pick in 0usize..4,
+            shape in 0usize..4,
+            greedy in proptest::prelude::any::<bool>(),
+            segments in 2usize..5,
+            sync in 0usize..16,
+        ) {
+            let mut cfg = AccelConfig::power9();
+            cfg.lanes = [1, 3, 8, 16][lanes_pick];
+            match shape {
+                1 => (cfg.hash_ways, cfg.hash_banks, cfg.bank_read_ports) = (3, 5, 1),
+                2 => (cfg.history_bytes, cfg.hash_bits, cfg.hash_ways) = (1024, 6, 2),
+                3 => cfg = AccelConfig::z15(),
+                _ => {}
+            }
+            if greedy {
+                cfg.resolution = Resolution::Greedy;
+            }
+            let data = structured(seed, len, alphabet);
+            let start = len * start_eighths / 8;
+            let windows = (len - start).div_ceil(cfg.lanes);
+            let took = split_as_parent(&cfg, &data, start, (segments, sync), MatchEngine::run_ahead);
+            proptest::prop_assert!(took < segments.min(windows.max(1)));
         }
     }
 }

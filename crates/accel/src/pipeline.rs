@@ -117,7 +117,6 @@ pub struct AccelStream {
     tail: Vec<u8>,
     w: nx_deflate::bitio::BitWriter,
     finished: bool,
-    total_in: u64,
     total_cycles: u64,
 }
 
@@ -132,7 +131,6 @@ impl AccelStream {
             tail: Vec::new(),
             w: nx_deflate::bitio::BitWriter::new(),
             finished: false,
-            total_in: 0,
             total_cycles: 0,
         }
     }
@@ -146,7 +144,6 @@ impl AccelStream {
     /// Panics if called after the last chunk.
     pub fn write(&mut self, chunk: &[u8], last: bool) -> (Vec<u8>, CompressReport) {
         assert!(!self.finished, "write after the final chunk");
-        self.total_in += chunk.len() as u64;
 
         let start = self.tail.len();
         let mut buf = Vec::with_capacity(start + chunk.len());
@@ -179,11 +176,6 @@ impl AccelStream {
         let report = request_report(&self.cfg, &m, &blocks, stored, chunk, &bytes);
         self.total_cycles += report.cycles;
         (bytes, report)
-    }
-
-    /// Total input bytes consumed.
-    pub fn total_in(&self) -> u64 {
-        self.total_in
     }
 
     /// Total engine cycles across all CRBs so far.
