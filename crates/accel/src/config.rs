@@ -182,8 +182,8 @@ impl AccelConfig {
         );
         assert!(self.hash_ways > 0 && self.hash_banks > 0);
         assert!(
-            self.hash_ways <= usize::from(u8::MAX),
-            "hash_ways beyond the per-set FIFO cursor"
+            self.hash_ways <= crate::hashbank::ROW,
+            "hash_ways beyond the bank row"
         );
         assert!(self.bank_read_ports > 0);
         assert!(self.hash_bits >= 4 && self.hash_bits <= 20);
@@ -235,12 +235,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FIFO cursor")]
-    fn ways_beyond_the_cursor_rejected() {
-        // The per-set cursor is a u8: 300 ways used to wrap it silently.
+    #[should_panic(expected = "bank row")]
+    fn ways_beyond_the_row_rejected() {
+        // A set's ways sit in one fixed-width row.
         let mut cfg = AccelConfig::power9();
-        cfg.hash_ways = 300;
+        cfg.hash_ways = crate::hashbank::ROW + 1;
         cfg.validate();
+    }
+
+    #[test]
+    fn e12_associativities_validate() {
+        for hash_ways in [1, 2, 8] {
+            let cfg = AccelConfig {
+                hash_ways,
+                ..AccelConfig::power9()
+            };
+            cfg.validate();
+        }
     }
 
     #[test]
@@ -264,7 +275,7 @@ mod tests {
     fn widest_representable_shape_validates() {
         let mut cfg = AccelConfig::power9();
         cfg.lanes = MAX_LANES;
-        cfg.hash_ways = 255;
+        cfg.hash_ways = crate::hashbank::ROW;
         cfg.hash_banks = 1 << cfg.hash_bits;
         cfg.validate();
     }

@@ -124,21 +124,25 @@ impl BlockEncoder {
             return (blocks, stored_blocks);
         }
 
-        // Split the token stream into blocks of ≤ block_bytes input span.
+        // Split the token stream into blocks of ≤ block_bytes input span,
+        // counting each block's symbols as its tokens stream in.
         let mut start_tok = 0usize;
         let mut byte_pos = 0usize;
         while start_tok < tokens.len() {
             let mut end_tok = start_tok;
             let mut span = 0usize;
+            let mut hist = Histogram::new();
             while end_tok < tokens.len() && span < self.cfg.block_bytes {
                 span += tokens[end_tok].input_len();
+                hist.record(tokens[end_tok]);
                 end_tok += 1;
             }
+            hist.record_end_of_block();
             let is_final = close && end_tok == tokens.len();
             let block_tokens = &tokens[start_tok..end_tok];
             let block_bytes = &data[byte_pos..byte_pos + span];
             let before = w.bit_len();
-            let (build, stored) = self.emit_block(w, block_bytes, block_tokens, is_final);
+            let (build, stored) = self.emit_block(w, block_bytes, block_tokens, &hist, is_final);
             if stored {
                 stored_blocks += 1;
             }
@@ -166,14 +170,14 @@ impl BlockEncoder {
         w: &mut BitWriter,
         bytes: &[u8],
         tokens: &[Token],
+        hist: &Histogram,
         is_final: bool,
     ) -> (u64, bool) {
-        let hist = Histogram::of(tokens);
         let stored_bits = 7 + 40 * (bytes.len() as u64 / 65_535 + 1) + bytes.len() as u64 * 8;
 
         match &self.mode {
             Mode::Fixed => {
-                let fixed_bits = fixed_block_bits(&hist);
+                let fixed_bits = fixed_block_bits(hist);
                 if stored_bits < fixed_bits {
                     encode_stored(w, bytes, is_final);
                     (0, true)
@@ -183,8 +187,8 @@ impl BlockEncoder {
                 }
             }
             Mode::Dynamic => {
-                let plan = DynamicPlan::from_histogram(&hist);
-                let dyn_bits = plan.header_bits() + plan.body_bits(&hist);
+                let plan = DynamicPlan::from_histogram(hist);
+                let dyn_bits = plan.header_bits() + plan.body_bits(hist);
                 if stored_bits < dyn_bits {
                     encode_stored(w, bytes, is_final);
                     // The table was still built before the decision.
@@ -196,7 +200,7 @@ impl BlockEncoder {
                 }
             }
             Mode::Canned(set) => {
-                let (table, canned_bits) = set.select(&hist);
+                let (table, canned_bits) = set.select(hist);
                 if stored_bits < canned_bits {
                     encode_stored(w, bytes, is_final);
                     (self.cfg.canned_select_cycles, true)

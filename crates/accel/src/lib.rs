@@ -13,11 +13,11 @@
 //!
 //! * a **multi-lane match engine** ([`matcher`]) ingests N bytes per cycle
 //!   (N = 8 on POWER9, 16 on z15), hashes each lane's 3-byte prefix into a
-//!   **banked, set-associative hash table** ([`hashbank`]) of prior
-//!   positions, compares candidates against the **history buffer** (the
-//!   last `history_bytes` of input), and a **speculative resolver** picks a
-//!   non-overlapping token cover of the lane window — hardware cannot
-//!   afford zlib's sequential lazy heuristic;
+//!   **banked, set-associative hash table** (the crate's `hashbank`) of
+//!   prior positions, compares candidates against the **history buffer**
+//!   (the last `history_bytes` of input), and a **speculative resolver**
+//!   picks a non-overlapping token cover of the lane window — hardware
+//!   cannot afford zlib's sequential lazy heuristic;
 //! * a **two-pass Huffman unit** ([`huffenc`]) counts symbol frequencies
 //!   during ingest, builds a canonical length-limited code at block close
 //!   (the "DHT generation" the paper highlights), and encodes the buffered
@@ -45,7 +45,7 @@ pub mod canned;
 pub mod config;
 pub mod decomp;
 pub mod energy;
-pub mod hashbank;
+pub(crate) mod hashbank;
 pub mod huffenc;
 pub mod matcher;
 pub mod metrics;

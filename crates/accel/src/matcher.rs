@@ -237,8 +237,9 @@ impl MatchEngine {
     /// Resets the bank to the positions of the `keep` bytes before `from`,
     /// inserted in order.
     fn rebuild(&mut self, data: &[u8], from: usize, keep: usize) {
-        self.bank.reset();
-        for p in from.saturating_sub(keep)..from.min(data.len().saturating_sub(MIN_MATCH - 1)) {
+        let hash_end = data.len().saturating_sub(MIN_MATCH - 1);
+        self.bank.reset(hash_end);
+        for p in from.saturating_sub(keep)..from.min(hash_end) {
             let set = self.bank.hash(data, p);
             self.bank.insert(set, p);
         }
@@ -338,10 +339,15 @@ impl MatchEngine {
         let max_len = MAX_MATCH.min(data.len() - q);
         let mut best = None;
         let mut best_len = MIN_MATCH - 1;
-        for cand in self.bank.lookup(set) {
-            if cand >= q || q - cand > self.cfg.history_bytes {
-                continue;
+        let (at, reach) = (self.bank.stamp(q), self.cfg.history_bytes.min(q) as u32);
+        for &stamp in self.bank.row(set) {
+            // Distance 1..=reach: a current way inside the window. The
+            // first way that is not ends the row.
+            let dist = at.wrapping_sub(stamp);
+            if dist.wrapping_sub(1) >= reach {
+                break;
             }
+            let cand = q - dist as usize;
             // Only a longer candidate displaces the best so far, and it
             // must agree at offset `best_len` (in range: `best_len <
             // max_len` or the loop has already broken).
@@ -353,13 +359,13 @@ impl MatchEngine {
                 continue;
             }
             // Far 3-byte matches cost more bits than literals.
-            if len == MIN_MATCH && q - cand > 4096 {
+            if len == MIN_MATCH && dist > 4096 {
                 continue;
             }
             best_len = len;
             best = Some(LaneMatch {
                 len: len as u16,
-                dist: (q - cand) as u16,
+                dist: dist as u16,
             });
             if len >= max_len {
                 break; // comparator saturated
@@ -812,6 +818,24 @@ mod tests {
     use super::*;
     use nx_deflate::lz77::expand_tokens;
 
+    impl MatchEngine {
+        /// Moves this engine's bank, and those of the helpers a request of
+        /// up to four segments runs, to `room` stamps below the wrap.
+        pub(crate) fn near_wrap(&mut self, room: u32) {
+            while self.ahead.len() < 3 {
+                self.ahead.push(MatchEngine::new(self.cfg.clone()));
+            }
+            self.bank.near_wrap(room);
+            self.ahead.iter_mut().for_each(|h| h.bank.near_wrap(room));
+        }
+
+        /// Whether any of those banks cleared its rows since `near_wrap`.
+        pub(crate) fn wrapped(&self, room: u32) -> bool {
+            let cleared = |e: &MatchEngine| e.bank.stamp_end() < u32::MAX - room;
+            cleared(self) || self.ahead.iter().any(cleared)
+        }
+    }
+
     fn engine() -> MatchEngine {
         MatchEngine::new(AccelConfig::power9())
     }
@@ -1137,6 +1161,51 @@ mod tests {
                     assert_same_as_parent(&cfg, &b"aaaaaaa"[..len], start);
                     assert_same_as_parent(&cfg, &b"abcabca"[..len], start);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn stall_fast_path_equals_parent_bank() {
+        // The identity table's bank shapes (power9, z15, w3b5p1), one port
+        // past the 4-bit fields' reach, four banks to a field, and lane
+        // windows past 16.
+        let shapes = [
+            (8, 12, 16, 2),
+            (16, 13, 32, 4),
+            (8, 12, 5, 1),
+            (16, 12, 16, 8),
+            (8, 12, 64, 2),
+            (24, 12, 16, 4),
+            (64, 8, 4, 3),
+        ];
+        let mut x = 0x5EED_0FBA_4E5Eu64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 20) as usize % n
+        };
+        for (lanes, bits, banks, ports) in shapes {
+            let mut bank = HashBank::new(bits, 4, banks);
+            let parent = reference::ParentBank::new(bits, 4, banks);
+            for _ in 0..20_000 {
+                // Sets drawn from a few in a few banks: duplicate lanes and
+                // crowded banks on most cycles.
+                let (n, spread) = (1 + next(lanes), 1 + next(lanes));
+                let hot: Vec<usize> = (0..1 + next(4)).map(|_| next(banks)).collect();
+                let pick: Vec<usize> = (0..spread)
+                    .map(|_| hot[next(hot.len())] + banks * next((1 << bits) / banks))
+                    .collect();
+                let sets: Vec<usize> = (0..n).map(|_| pick[next(spread)]).collect();
+                let mut merged = sets.clone();
+                merged.sort_unstable();
+                merged.dedup();
+                assert_eq!(
+                    bank.conflict_stalls(&sets, ports),
+                    parent.conflict_stalls(&merged, ports),
+                    "{sets:?} over {banks} banks of {ports} ports"
+                );
             }
         }
     }

@@ -320,6 +320,79 @@ mod tests {
         assert!(r.cycles >= r.overhead_cycles);
     }
 
+    /// Stamps left before the wrap at the start of a stamp-invariant run:
+    /// the rows clear a few requests in.
+    const ROOM: u32 = 3 << 19;
+
+    /// A seeded run of requests from 0 B to 700 KiB over every corpus
+    /// kind; every fourth takes the segment route on a host with 2+ CPUs.
+    /// Every sixth request and the next are runs of one byte: a way the
+    /// first leaves behind that read as current would give the second a
+    /// match inside its first lane window, which no fresh engine finds.
+    fn stamp_run() -> Vec<Vec<u8>> {
+        let mut x = 0x57A3_9E37_79B9_7F4Au64;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 16) as usize % n
+        };
+        let kinds = nx_corpus::CorpusKind::all();
+        (0..24)
+            .map(|i| {
+                let len = match i % 4 {
+                    0 => next(64),
+                    1 => next(16 << 10),
+                    2 => next(200 << 10),
+                    _ => (512 << 10) + next(188 << 10),
+                };
+                match i % 6 {
+                    2 | 3 => vec![b'a' + (i / 6) as u8; len.max(16)],
+                    _ => kinds[i % kinds.len()].generate(i as u64, len),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_engine_equals_a_fresh_one_across_the_stamp_wrap() {
+        for cfg in [AccelConfig::power9(), AccelConfig::z15()] {
+            let mut a = Accelerator::new(cfg.clone());
+            a.matcher.near_wrap(ROOM);
+            for (i, data) in stamp_run().iter().enumerate() {
+                let (stream, r) = a.compress(data);
+                let (want, wr) = Accelerator::new(cfg.clone()).compress(data);
+                assert!(stream == want, "{} request {i}: stream", cfg.name);
+                assert_eq!(format!("{r:?}"), format!("{wr:?}"), "request {i}");
+            }
+            assert!(a.matcher.wrapped(ROOM), "no clear in the run");
+        }
+    }
+
+    #[test]
+    fn a_stream_equals_one_on_fresh_engines_across_the_stamp_wrap() {
+        // Three chunks a stream, so each pair of runs straddles two, each
+        // stream opened on the engine the last one closed, as one unit
+        // serves consecutive jobs.
+        let cfg = AccelConfig::power9();
+        let (mut s, mut fresh) = (AccelStream::new(cfg.clone()), AccelStream::new(cfg.clone()));
+        s.matcher.near_wrap(ROOM);
+        for (i, chunk) in stamp_run().iter().enumerate() {
+            if s.is_finished() {
+                let engine = std::mem::replace(&mut s.matcher, MatchEngine::new(cfg.clone()));
+                (s, fresh) = (AccelStream::new(cfg.clone()), AccelStream::new(cfg.clone()));
+                s.matcher = engine;
+            }
+            let last = i % 3 == 2;
+            fresh.matcher = MatchEngine::new(cfg.clone());
+            let (bytes, r) = s.write(chunk, last);
+            let (want, wr) = fresh.write(chunk, last);
+            assert!(bytes == want, "chunk {i}: bytes");
+            assert_eq!(format!("{r:?}"), format!("{wr:?}"), "chunk {i}");
+        }
+        assert!(s.matcher.wrapped(ROOM), "no clear in the run");
+    }
+
     /// Deterministic text-like filler without pulling nx-corpus into unit
     /// tests.
     fn nx_like_text(len: usize) -> Vec<u8> {

@@ -222,6 +222,27 @@ if [[ "$(cut -d: -f1 <<< "$SPAWNS")" != "$(printf '%s\n' "${WANT_SPAWNS[@]}")" ]
     exit 1
 fi
 
+echo "==> process-wide atomics gate"
+# Non-test `static ... Atomic*` items (counters no request, handle or tenant
+# can be charged for), counted by this one command, one item per line (an
+# array static's second line holds no `static`):
+#   find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && $0 !~ /^[[:space:]]*\/\// && /(^|[^[:alnum:]_])static[[:space:]][^=]*Atomic/' | wc -l
+# 19 today: nx-deflate 18 (encoder.rs 11, profile.rs 5, decoder.rs 2; ROADMAP
+# item 13 moves them into per-call stats) and nx-telemetry 1 (sink.rs). A new
+# one fails here; lower MAX_ATOMIC_STATICS in the change that removes one.
+MAX_ATOMIC_STATICS=19
+ATOMICS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && $0 !~ /^[[:space:]]*\/\// && /(^|[^[:alnum:]_])static[[:space:]][^=]*Atomic/ {
+        print FILENAME ":" FNR ": " $0
+    }')
+if [[ $(grep -c . <<< "$ATOMICS") -gt "$MAX_ATOMIC_STATICS" ]]; then
+    echo "$ATOMICS"
+    echo "==> FAIL: more than $MAX_ATOMIC_STATICS non-test static Atomic* items"
+    exit 1
+fi
+
 echo "==> marker-mode gate"
 # nx-core runs no marker-mode decode: the seek index names its window bytes
 # from the walk's own matches (`Inflater::window_reads`) and the member

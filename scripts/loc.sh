@@ -147,7 +147,14 @@ cd "$(dirname "$0")/.."
 # `history.rs` (`HistoryBuffer`, 107 lines no model path read) and four
 # `pub` items nothing called (`MatchEngine::config`, `HashBank::sets` /
 # `ways`, `AccelStream::total_in`): 1794 -> 1789.
-declare -A CAP=([accel]=1789 [bench]=3690 [deflate]=7529 [core]=7351 [sys]=1246 [telemetry]=2111)
+# The bank at the cost of its lanes raised nx-accel 1789 -> 1837: stamped
+# 8-wide rows (`HashBank::stamp` / `row`, the wrap-only clear in `reset`,
+# the probe's one distance test per way), the stall fast path over 4-bit
+# fields of a `u64` beside the exact merge it falls back to, and the block
+# histogram counted in the span pass (huffenc.rs), ~70 lines with their
+# docs, against the cursor, the empty-way sentinel and `lookup`'s ring walk
+# that went.
+declare -A CAP=([accel]=1837 [bench]=3690 [deflate]=7529 [core]=7351 [sys]=1246 [telemetry]=2111)
 
 total=0
 over=0
