@@ -12,12 +12,13 @@
 //! `history_bytes` of input, so the model compares bytes of `data` under
 //! that distance bound. Inserts are unconditional, so what a lane finds
 //! depends on the input alone: a large request runs later segments ahead
-//! on helper threads (`tokenize_split`, `run_ahead`).
+//! on the helper threads its budget grants (`tokenize_split`, `run_ahead`).
 
 use crate::config::{AccelConfig, Resolution, MAX_LANES};
 use crate::hashbank::HashBank;
 use nx_deflate::lz77::hash::match_length;
 use nx_deflate::lz77::{dist_code, length_code_index, Token, DIST_EXTRA, LENGTH_EXTRA};
+use nx_deflate::workers::{Claim, Workers};
 use nx_deflate::{MAX_MATCH, MIN_MATCH};
 
 /// Result of tokenizing one request.
@@ -58,6 +59,8 @@ pub struct MatchEngine {
     /// meets it, and the cover from there.
     sync: (usize, u64),
     own: Cover,
+    /// The budget helpers are claimed from.
+    pub(crate) workers: Workers,
 }
 
 /// Estimated encoded size of a literal token, in bits (a mid-corpus
@@ -97,16 +100,15 @@ struct Cover {
     discarded: u64,
 }
 
-/// Segments for `len` new bytes. Size decides first, so a small request
-/// never calls `cpus` (the CPU count costs ~20 µs a read).
-fn segments(len: usize, cpus: impl FnOnce() -> usize) -> usize {
-    (len >= 2 * SEGMENT_MIN)
-        .then(cpus)
-        .map_or(1, |c| c.clamp(1, len / SEGMENT_MIN))
+/// Helpers for `len` new bytes, at most one per further `SEGMENT_MIN`.
+/// Size decides first, so a small request never touches the budget.
+fn claim(workers: &Workers, len: usize) -> Option<Claim> {
+    let segments = len / SEGMENT_MIN;
+    (segments > 1).then(|| workers.claim(segments))
 }
 
 impl MatchEngine {
-    /// Creates an engine for `cfg`.
+    /// Creates an engine for `cfg`, on a worker budget of its own.
     ///
     /// # Panics
     ///
@@ -124,6 +126,7 @@ impl MatchEngine {
             ahead: Vec::new(),
             sync: (0, 0),
             own: Cover::default(),
+            workers: Workers::host(),
         }
     }
 
@@ -136,23 +139,20 @@ impl MatchEngine {
     /// history: the engine re-streams it through the hash pipeline (DMA'd
     /// in via the request's history DDE, costing `history_cycles`), after
     /// which the new bytes may match back into it. From 512 KiB of new
-    /// bytes on, later segments run ahead on one scoped thread per further
-    /// CPU; the outcome is the serial loop's to the last field.
+    /// bytes on, later segments run ahead on the helpers the engine's
+    /// budget grants; the outcome is the serial loop's to the last field.
     ///
     /// # Panics
     ///
     /// Panics if `start > data.len()`.
     pub fn tokenize_from(&mut self, data: &[u8], start: usize) -> MatchOutcome {
-        static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cpus =
-            || *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let split = segments(data.len().saturating_sub(start), cpus);
-        self.tokenize_split(data, start, split, SYNC_WINDOWS, Self::run_ahead)
+        let helpers = claim(&self.workers, data.len().saturating_sub(start));
+        self.tokenize_split(data, start, helpers, SYNC_WINDOWS, Self::run_ahead)
             .0
     }
 
-    /// [`Self::tokenize_from`] in `segments` runs of whole lane windows,
-    /// all but the first run `ahead` on scoped helpers. The caller fuses
+    /// [`Self::tokenize_from`] in runs of whole lane windows, one more than
+    /// `claim` grants, all but the first run `ahead` on them. The caller fuses
     /// the first `sync` windows of each; where its cover's state is the
     /// helper's there, it takes the helper's cover of the rest, else it
     /// fuses the rest too. Also returns how many covers it took.
@@ -160,14 +160,14 @@ impl MatchEngine {
         &mut self,
         data: &[u8],
         start: usize,
-        segments: usize,
+        claim: Option<Claim>,
         sync: usize,
         ahead: fn(&mut Self, &[u8], usize, usize, usize) -> u64,
     ) -> (MatchOutcome, usize) {
         assert!(start <= data.len(), "history beyond input");
         let (n, lanes) = (data.len(), self.cfg.lanes);
         let windows = (n - start).div_ceil(lanes);
-        let segments = segments.clamp(1, windows.max(1));
+        let segments = (1 + claim.as_ref().map_or(0, Claim::granted)).min(windows.max(1));
         let bound = |i: usize| (start + windows * i / segments * lanes).min(n);
         let meet = |i: usize| bound(i + 1).min(bound(i) + sync * lanes);
         let mut cover = Cover::default();
@@ -180,22 +180,13 @@ impl MatchEngine {
             engines.push(MatchEngine::new(self.cfg.clone()));
         }
         let helpers = &mut engines[..segments - 1];
-        let mut stalls = 0;
-        let landed: Vec<Option<u64>> = match segments {
-            1 => {
-                stalls = self.fused(data, start, n, &mut cover);
-                Vec::new()
-            }
-            _ => std::thread::scope(|s| {
-                let running: Vec<_> = (helpers.iter_mut().enumerate())
-                    .map(|(i, h)| {
-                        let (from, mid, to) = (bound(i + 1), meet(i + 1), bound(i + 2));
-                        s.spawn(move || ahead(h, data, from, mid, to))
-                    })
-                    .collect();
-                stalls = self.fused(data, start, meet(1), &mut cover);
-                running.into_iter().map(|h| h.join().ok()).collect()
-            }),
+        let (mut stalls, landed) = match claim.filter(|_| segments > 1) {
+            None => (self.fused(data, start, n, &mut cover), Vec::new()),
+            Some(claim) => claim.run(
+                helpers.iter_mut().enumerate(),
+                |(i, h)| ahead(h, data, bound(i + 1), meet(i + 1), bound(i + 2)),
+                || self.fused(data, start, meet(1), &mut cover),
+            ),
         };
         let mut took = 0;
         for (i, (h, got)) in helpers.iter_mut().zip(landed).enumerate() {
@@ -1022,9 +1013,10 @@ mod tests {
     type Ahead = fn(&mut MatchEngine, &[u8], usize, usize, usize) -> u64;
 
     /// Runs `data[start..]` in `segments` segments whose covers meet after
-    /// `sync` windows, `ahead` running the helpers, and diffs every outcome
-    /// field against the parent loop; returns how many helpers' covers the
-    /// caller took.
+    /// `sync` windows, `ahead` running the helpers on a budget of their own
+    /// (so the split does not depend on the host's CPUs), and diffs every
+    /// outcome field against the parent loop; returns how many helpers'
+    /// covers the caller took.
     fn split_as_parent(
         cfg: &AccelConfig,
         data: &[u8],
@@ -1038,7 +1030,8 @@ mod tests {
         // Twice on one engine: a helper's bank and cover left by a request
         // (or by its death) must not leak into the next.
         for _ in 0..2 {
-            let (got, t) = engine.tokenize_split(data, start, segments, sync, ahead);
+            let claim = Workers::new(segments - 1).claim(segments);
+            let (got, t) = engine.tokenize_split(data, start, Some(claim), sync, ahead);
             assert_eq!(got.tokens, want.tokens);
             assert_eq!(got.ingest_cycles, want.ingest_cycles);
             assert_eq!(got.history_cycles, want.history_cycles);
@@ -1068,14 +1061,22 @@ mod tests {
 
     #[test]
     fn segments_are_decided_by_size_first() {
-        // A 1 KiB request never reads the CPU count.
-        assert_eq!(segments(1 << 10, || unreachable!()), 1);
-        assert_eq!(segments(2 * SEGMENT_MIN - 1, || unreachable!()), 1);
-        // A one-CPU budget keeps any request serial.
-        assert_eq!(segments(64 << 20, || 1), 1);
-        assert_eq!(segments(2 * SEGMENT_MIN, || 2), 2);
-        assert_eq!(segments(1 << 20, || 64), 4);
-        assert_eq!(segments(1 << 20, || 0), 1);
+        let helpers = |len, slots| claim(&Workers::new(slots), len).map(|c| c.granted());
+        // A request under two segments never touches the budget.
+        let budget = Workers::new(8);
+        assert!(claim(&budget, 1 << 10).is_none());
+        assert!(claim(&budget, 2 * SEGMENT_MIN - 1).is_none());
+        assert_eq!(budget.peak(), 0);
+        // An empty budget keeps any request serial.
+        assert_eq!(helpers(64 << 20, 0), Some(0));
+        assert_eq!(helpers(2 * SEGMENT_MIN, 1), Some(1));
+        // At most one helper per further `SEGMENT_MIN`.
+        assert_eq!(helpers(1 << 20, 63), Some(3));
+        // A helper busy elsewhere is not granted twice.
+        let held = budget.claim(7);
+        assert_eq!(claim(&budget, 1 << 20).map(|c| c.granted()), Some(2));
+        drop(held);
+        assert_eq!(budget.peak(), 8);
     }
 
     #[test]

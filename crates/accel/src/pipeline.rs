@@ -7,6 +7,7 @@ use crate::decomp::Decompressor;
 use crate::huffenc::{BlockCost, BlockEncoder};
 use crate::matcher::{MatchEngine, MatchOutcome};
 use crate::metrics::{CompressReport, DecompressReport};
+use nx_deflate::workers::Workers;
 
 /// One modeled accelerator instance (compression and decompression
 /// engines sharing a configuration, like one NX coprocessor).
@@ -19,7 +20,7 @@ pub struct Accelerator {
 }
 
 impl Accelerator {
-    /// Creates an accelerator for `cfg`.
+    /// Creates an accelerator for `cfg`, on a worker budget of its own.
     ///
     /// # Panics
     ///
@@ -33,6 +34,14 @@ impl Accelerator {
             decomp: Decompressor::new(cfg.clone()),
             cfg,
         }
+    }
+
+    /// As [`new`](Self::new), claiming the helpers that run a large
+    /// request's later segments ahead from `workers`.
+    pub fn with_workers(cfg: AccelConfig, workers: Workers) -> Self {
+        let mut accel = Self::new(cfg);
+        accel.matcher.workers = workers;
+        accel
     }
 
     /// The configuration in force.

@@ -27,6 +27,7 @@ use crate::stats::{Codec, NxStats};
 use crate::{software, CompressOptions, Error, Result, Trace, SUBMIT_CYCLES};
 use nx_accel::{AccelConfig, Accelerator, CompressReport, DecompressReport};
 use nx_deflate::stream::{Flush, StreamEncoder};
+use nx_deflate::workers::Workers;
 use nx_deflate::{gzip, zlib, CompressionLevel, Engine, InflateScratch, Profile, ProfileRegistry};
 use nx_telemetry::{Stage, TelemetrySink, TraceContext};
 use std::sync::Arc;
@@ -42,6 +43,9 @@ pub(crate) struct Env {
     /// `None` falls back to [`crate::profiles::default_registry`] lazily,
     /// so handles that never touch profiles never pay training.
     pub(crate) profiles: Option<Arc<ProfileRegistry>>,
+    /// The handle's one helper budget: every executor's accelerator, every
+    /// parallel session and inflater of the handle claims from it.
+    pub(crate) workers: Workers,
 }
 
 impl Env {
@@ -139,8 +143,9 @@ pub(crate) struct Executor {
 impl Executor {
     /// A job executor with its own accelerator model.
     pub(crate) fn new(env: Env) -> Self {
+        let accel = Accelerator::with_workers(env.config.clone(), env.workers.clone());
         Self {
-            unit: Unit::Accel(Box::new(Accelerator::new(env.config.clone()))),
+            unit: Unit::Accel(Box::new(accel)),
             env,
             inflate: InflateScratch::new(),
         }

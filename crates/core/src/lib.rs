@@ -68,6 +68,7 @@ pub use nx_deflate::{Profile, ProfileCounters, ProfileId, ProfileRegistry};
 
 use exec::{Env, Executor};
 use nx_accel::{AccelConfig, CompressReport, DecompressReport};
+use nx_deflate::workers::Workers;
 use nx_telemetry::{MetricSource, Stage, TelemetrySink, TraceContext};
 use parking_lot::Mutex;
 use std::fmt;
@@ -196,8 +197,6 @@ pub enum Error {
         /// Submission attempts made before giving up.
         attempts: u32,
     },
-    /// A parallel engine was requested with zero workers.
-    NoWorkers,
     /// A serialized [`SeekIndex`] was malformed, or an index disagreed
     /// with the stream it was applied to.
     InvalidSeekIndex,
@@ -219,7 +218,6 @@ impl fmt::Display for Error {
             Error::CorruptedOutput { attempts } => {
                 write!(f, "output failed integrity check on {attempts} attempts")
             }
-            Error::NoWorkers => write!(f, "parallel engine needs at least one worker"),
             Error::InvalidSeekIndex => {
                 write!(f, "seek index malformed or inconsistent with stream")
             }
@@ -392,7 +390,7 @@ pub struct Nx {
     pool: Arc<scratch::BufferPool>,
     decode_stats: Arc<InflateParStats>,
     /// The inflater behind `build_index` / `decompress_at`, made once: it
-    /// keeps the warm read state, and its default worker count is a syscall.
+    /// keeps the warm read state.
     seeker: Arc<std::sync::OnceLock<ParallelInflater>>,
 }
 
@@ -406,6 +404,7 @@ impl Nx {
                 telemetry: TelemetrySink::disabled(),
                 faults: None,
                 profiles: None,
+                workers: Workers::host(),
             },
             idle: Arc::default(),
             pool: Arc::new(scratch::BufferPool::default()),
@@ -672,8 +671,9 @@ impl Nx {
     }
 
     /// Opens a sharded parallel compression session at `level`: one
-    /// request fans out across up to `opts.workers` threads (modeling
-    /// multiple accelerator units sharing a stream) and the traffic is
+    /// request fans out across up to `opts.workers` threads, as many as
+    /// the handle's worker budget grants (modeling multiple accelerator
+    /// units sharing a stream), and the traffic is
     /// recorded in this handle's [`NxStats`]. See [`parallel`] for the
     /// stream construction.
     pub fn parallel_session(&self, opts: parallel::ParallelOptions, level: u32) -> ParallelSession {
@@ -722,15 +722,16 @@ impl Nx {
         &self.decode_stats
     }
 
-    /// A parallel inflater bound to this handle's counters and fault
-    /// injector. Construction is cheap — workers are scoped threads
-    /// spawned per request.
+    /// A parallel inflater bound to this handle's counters, fault injector
+    /// and worker budget. Construction is cheap — workers are scoped
+    /// threads spawned per request.
     fn decode_inflater(&self, opts: ParallelInflateOptions) -> ParallelInflater {
         ParallelInflater::with_parts(
             opts,
             Arc::clone(&self.decode_stats),
             self.env.faults.clone(),
             self.env.telemetry.clone(),
+            self.env.workers.clone(),
         )
     }
 

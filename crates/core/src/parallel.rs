@@ -28,8 +28,9 @@
 //! [`crate::parallel_inflate`]: multi-member gzip decodes member-per-worker,
 //! every other stream serially, and output is always byte-identical to the
 //! single-threaded decoder. Both directions run their workers on the one
-//! `fan_out`: scoped threads per request, the caller as the first, and
-//! no thread alive between requests.
+//! [`Workers::fan_out`]: the caller as the first, plus the helpers the
+//! engine's budget grants, scoped to the request, so no thread is alive
+//! between requests.
 //!
 //! ```
 //! use nx_core::parallel::{ParallelEngine, ParallelOptions};
@@ -50,15 +51,16 @@ use crate::framing::Format;
 use crate::parallel_inflate::{InflateParStats, ParallelInflateOptions, ParallelInflater};
 use crate::scratch::BufferPool;
 use crate::stats::Codec;
-use crate::{CompressOptions, Error, Nx, Result};
+use crate::{CompressOptions, Nx, Result};
 use nx_deflate::adler32::{adler32, adler32_combine};
 use nx_deflate::crc32::{crc32, crc32_combine};
 use nx_deflate::stream::{Flush, StreamEncoder};
+use nx_deflate::workers::{cpus, Workers};
 use nx_deflate::{gzip, zlib, CompressionLevel, Engine};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext, NO_PARENT};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Dictionary carried between shards: one DEFLATE window.
@@ -70,55 +72,13 @@ const DICT_SIZE: usize = nx_deflate::WINDOW_SIZE;
 /// never wall clock, so trace dumps replay byte-identically.
 const SHARD_BYTES_PER_CYCLE: u64 = 8;
 
-/// Runs `job` over `0..n` on up to `workers` threads — the caller, worker
-/// 0, plus scoped helpers — pulling indices from one counter, each with its
-/// own `init(worker)` state, so uneven items balance. A `None` from `job`
-/// stops the hand-out; results are in index order, `None` where none was
-/// produced. The one place nx-core spawns threads for shard or member work.
-pub(crate) fn fan_out<S, T: Send>(
-    n: usize,
-    workers: usize,
-    init: impl Fn(usize) -> S + Sync,
-    job: impl Fn(&mut S, usize) -> Option<T> + Sync,
-) -> Vec<Option<T>> {
-    let next = AtomicUsize::new(0);
-    let worker = |id: usize| {
-        let mut state = init(id);
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            match job(&mut state, i) {
-                Some(r) => done.push((i, r)),
-                None => next.store(n, Ordering::Relaxed),
-            }
-        }
-    };
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let worker = &worker;
-        // The caller is the first worker: it already holds a CPU, which a
-        // freshly spawned thread may wait milliseconds to be given.
-        let handles: Vec<_> = (1..workers.min(n))
-            .map(|id| s.spawn(move || worker(id)))
-            .collect();
-        let mine = worker(0);
-        // A worker that died simply leaves its items without a result.
-        let theirs = handles.into_iter().filter_map(|h| h.join().ok()).flatten();
-        for (i, r) in theirs.chain(mine) {
-            results[i] = Some(r);
-        }
-    });
-    results
-}
-
 /// Configuration for a [`ParallelEngine`].
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
-    /// Threads a request fans out to, the caller included (≥ 1; `0` is
-    /// rounded up).
+    /// Most threads a request fans out to, the caller included (`0` is
+    /// rounded up): a cap on the helpers it claims from the engine's
+    /// budget. Defaults to the host's CPUs. Modeled shard spans use this
+    /// count, not what was granted.
     pub workers: usize,
     /// Input bytes per shard. pigz's default is 128 KB; smaller shards
     /// expose more parallelism but pay more per-shard overhead (the sync
@@ -129,7 +89,7 @@ pub struct ParallelOptions {
 impl Default for ParallelOptions {
     fn default() -> Self {
         Self {
-            workers: 4,
+            workers: cpus(),
             chunk_size: 128 * 1024,
         }
     }
@@ -267,8 +227,9 @@ impl MetricSource for ParallelStats {
 }
 
 /// Compresses sharded input into single valid streams, each request's
-/// shards fanned out over `fan_out`. See the [module docs](self) for the
-/// format argument. It holds no threads between requests.
+/// shards fanned out over [`Workers::fan_out`]. See the [module
+/// docs](self) for the format argument. It holds no threads between
+/// requests.
 #[derive(Debug)]
 pub struct ParallelEngine {
     opts: ParallelOptions,
@@ -280,45 +241,33 @@ pub struct ParallelEngine {
     pool: Arc<BufferPool>,
     /// The decode side: member-parallel inflate, serial otherwise.
     inflater: ParallelInflater,
+    /// The helper budget both directions claim from.
+    workers: Workers,
 }
 
 impl ParallelEngine {
-    /// Creates an engine; a zero-worker configuration is rounded up to
-    /// the caller alone.
+    /// Creates an engine on a worker budget of its own sized to the host;
+    /// a zero-worker configuration is rounded up to the caller alone.
     pub fn new(opts: ParallelOptions) -> Self {
-        Self::build(opts, None, TelemetrySink::disabled(), Arc::default(), None)
+        let (sink, workers) = (TelemetrySink::disabled(), Workers::host());
+        Self::build(opts, None, sink, Arc::default(), None, workers)
     }
 
-    /// As [`new`](Self::new), but rejecting a zero-worker configuration
-    /// with [`Error::NoWorkers`] instead of rounding it up.
-    pub fn try_new(opts: ParallelOptions) -> Result<Self> {
-        if opts.workers == 0 {
-            return Err(Error::NoWorkers);
-        }
-        Ok(Self::new(opts))
-    }
-
-    /// Creates an engine under fault injection: the injector's plan may
-    /// kill shards ([`crate::fault::FaultKind::WorkerPanic`]), and the
-    /// engine must still complete every request through the serial
-    /// fallback.
-    pub fn with_faults(opts: ParallelOptions, faults: Arc<FaultInjector>) -> Self {
-        let sink = TelemetrySink::disabled();
-        Self::build(opts, Some(faults), sink, Arc::default(), None)
-    }
-
-    /// Creates an engine with span tracing and metrics wired to `sink`,
-    /// recycling shard buffers through `pool`. Shard spans are modeled (a
-    /// deterministic function of shard index and size, at 8 input bytes
-    /// per modeled cycle), so trace dumps are identical across runs
-    /// regardless of thread scheduling.
+    /// Creates an engine claiming its helpers from `workers`, tracing to
+    /// `sink`, recycling shard buffers through `pool`, and under `faults`,
+    /// whose plan may kill shards ([`crate::fault::FaultKind::WorkerPanic`])
+    /// while every request still completes through the serial fallback.
+    /// Shard spans are modeled (a deterministic function of shard index and
+    /// size, at 8 input bytes per modeled cycle), so trace dumps are
+    /// identical across runs regardless of thread scheduling.
     pub fn with_telemetry(
         opts: ParallelOptions,
         faults: Option<Arc<FaultInjector>>,
         sink: TelemetrySink,
         pool: Arc<BufferPool>,
+        workers: Workers,
     ) -> Self {
-        Self::build(opts, faults, sink, pool, None)
+        Self::build(opts, faults, sink, pool, None, workers)
     }
 
     /// The one constructor. `decode_stats` is shared with a facade, which
@@ -330,6 +279,7 @@ impl ParallelEngine {
         sink: TelemetrySink,
         pool: Arc<BufferPool>,
         decode_stats: Option<Arc<InflateParStats>>,
+        workers: Workers,
     ) -> Self {
         opts.workers = opts.workers.max(1);
         opts.chunk_size = opts.chunk_size.max(1);
@@ -358,6 +308,7 @@ impl ParallelEngine {
             decode_stats,
             faults.clone(),
             sink.clone(),
+            workers.clone(),
         );
         Self {
             opts,
@@ -366,6 +317,7 @@ impl ParallelEngine {
             telemetry: sink,
             pool,
             inflater,
+            workers,
         }
     }
 
@@ -392,10 +344,10 @@ impl ParallelEngine {
     ///
     /// # Errors
     ///
-    /// [`Error::Deflate`] for an invalid `level`. A shard that does not
-    /// land (an injected worker death, a panic inside compression) is
-    /// *not* an error: the request completes through the inline serial
-    /// fallback — same bytes, recorded in
+    /// [`Error::Deflate`](crate::Error::Deflate) for an invalid `level`. A
+    /// shard that does not land (an injected worker death, a panic inside
+    /// compression) is *not* an error: the request completes through the
+    /// inline serial fallback — same bytes, recorded in
     /// [`ParallelStats::serial_fallbacks`].
     pub fn compress(&self, data: &[u8], level: u32, format: Format) -> Result<Vec<u8>> {
         let level = CompressionLevel::new(level)?;
@@ -436,9 +388,9 @@ impl ParallelEngine {
         framed
     }
 
-    /// Runs one request's shards on [`fan_out`], each worker reusing one
-    /// [`StreamEncoder`] for the shards it pulls. `None` when a shard did
-    /// not land: the caller falls back.
+    /// Runs one request's shards on [`Workers::fan_out`], each worker
+    /// reusing one [`StreamEncoder`] for the shards it pulls. `None` when a
+    /// shard did not land: the caller falls back.
     fn compress_sharded(
         &self,
         data: &[u8],
@@ -475,7 +427,8 @@ impl ParallelEngine {
             self.stats.worker_bytes[*worker].fetch_add(out.len, Ordering::Relaxed);
             Some(out)
         };
-        let landed = fan_out(shards.len(), self.opts.workers, |w| (w, None), shard);
+        let (n, workers) = (shards.len(), self.opts.workers);
+        let landed = self.workers.fan_out(n, workers, |w| (w, None), shard);
         self.emit_shard_spans(trace_request, &landed);
         let outs = landed.into_iter().collect::<Option<Vec<_>>>()?;
         Some(self.stitch(outs, data.len(), format))
@@ -520,7 +473,7 @@ impl ParallelEngine {
     ///
     /// # Errors
     ///
-    /// [`Error::Deflate`] for an invalid `level`.
+    /// [`Error::Deflate`](crate::Error::Deflate) for an invalid `level`.
     pub fn compress_serial(&self, data: &[u8], level: u32, format: Format) -> Result<Vec<u8>> {
         let level = CompressionLevel::new(level)?;
         Ok(self.compress_serial_engine(data, level, Engine::Auto, format))
@@ -594,7 +547,8 @@ impl ParallelEngine {
     ///
     /// # Errors
     ///
-    /// [`Error::Deflate`] for malformed containers or streams.
+    /// [`Error::Deflate`](crate::Error::Deflate) for malformed containers or
+    /// streams.
     pub fn decompress(&self, data: &[u8], format: Format) -> Result<Vec<u8>> {
         self.inflater.decompress(data, format)
     }
@@ -713,6 +667,7 @@ impl ParallelSession {
             nx.telemetry().clone(),
             Arc::clone(nx.buffer_pool()),
             Some(Arc::clone(nx.decode_parallel_stats())),
+            nx.env.workers.clone(),
         );
         Self {
             engine,
@@ -778,11 +733,21 @@ mod tests {
         nx_corpus::mixed(7, n)
     }
 
+    /// An engine whose budget holds every helper `workers` asks for, so
+    /// what runs where does not depend on the host's CPUs.
     fn engine(workers: usize, chunk: usize) -> ParallelEngine {
-        ParallelEngine::new(ParallelOptions {
+        let opts = ParallelOptions {
             workers,
             chunk_size: chunk,
-        })
+        };
+        let budget = Workers::new(workers.saturating_sub(1));
+        ParallelEngine::with_telemetry(
+            opts,
+            None,
+            TelemetrySink::disabled(),
+            Arc::default(),
+            budget,
+        )
     }
 
     #[test]
@@ -935,17 +900,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_rejected_by_try_new() {
+    fn zero_workers_are_rounded_up_to_the_caller() {
         let opts = ParallelOptions {
             workers: 0,
             chunk_size: 64 * 1024,
         };
-        assert!(matches!(
-            ParallelEngine::try_new(opts.clone()),
-            Err(Error::NoWorkers)
-        ));
-        // The legacy constructor still rounds up.
         assert_eq!(ParallelEngine::new(opts).options().workers, 1);
+        // Even on a budget with slots to spare, every shard is the caller's.
+        let e = engine(0, 16 * 1024);
+        let data = corpus(40 * 1024);
+        let out = e.compress(&data, 6, Format::Gzip).unwrap();
+        assert_eq!(out, e.compress_serial(&data, 6, Format::Gzip).unwrap());
+        assert_eq!(e.stats().worker_shards(), [3]);
     }
 
     #[test]
@@ -967,12 +933,15 @@ mod tests {
             FaultPlan::script(script),
             RecoveryPolicy::default(),
         ));
-        let e = ParallelEngine::with_faults(
+        let e = ParallelEngine::with_telemetry(
             ParallelOptions {
                 workers: 2,
                 chunk_size: 16 * 1024,
             },
-            Arc::clone(&inj),
+            Some(Arc::clone(&inj)),
+            TelemetrySink::disabled(),
+            Arc::default(),
+            Workers::new(1),
         );
         let data = corpus(120 * 1024);
         let out = e.compress(&data, 6, Format::Gzip).unwrap();
@@ -1003,6 +972,46 @@ mod tests {
             "second request never reused a shard buffer"
         );
         assert_eq!(e.pool().recycled(), 16);
+    }
+
+    #[test]
+    fn one_budget_meters_every_fan_out_of_a_handle() {
+        // Four 1 MiB model requests, each of which would run three helpers
+        // ahead, beside a sharded compress that would run three, all at once
+        // on one handle whose budget holds two helpers.
+        let budget = Workers::new(2);
+        let nx = Nx::power9().reconfigured(|env| env.workers = budget.clone());
+        let opts = ParallelOptions {
+            workers: 4,
+            chunk_size: 64 << 10,
+        };
+        let sess = nx.parallel_session(opts, 6);
+        let inputs: Vec<Vec<u8>> = (0..5).map(|i| nx_corpus::mixed(40 + i, 1 << 20)).collect();
+        let start = std::sync::Barrier::new(5);
+        let outs: Vec<Vec<u8>> = std::thread::scope(|s| {
+            let running: Vec<_> = (inputs.iter().enumerate())
+                .map(|(i, d)| {
+                    let (nx, sess, start) = (&nx, &sess, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        match i {
+                            4 => sess.compress(d, Format::Gzip).unwrap(),
+                            _ => nx.compress(d, Format::Gzip).unwrap().bytes,
+                        }
+                    })
+                })
+                .collect();
+            running.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Every output is the serial one.
+        let serial = Nx::power9().reconfigured(|env| env.workers = Workers::new(0));
+        for (d, out) in inputs[..4].iter().zip(&outs) {
+            assert!(*out == serial.compress(d, Format::Gzip).unwrap().bytes);
+        }
+        let sharded = sess.engine.compress_serial(&inputs[4], 6, Format::Gzip);
+        assert!(outs[4] == sharded.unwrap());
+        // The first claim found both slots free; no claim found more.
+        assert_eq!(budget.peak(), 2, "helpers past the handle's budget");
     }
 
     #[test]

@@ -29,8 +29,8 @@
 
 use crate::fault::FaultInjector;
 use crate::framing::{self, Format};
-use crate::parallel::fan_out;
 use crate::{software, Error, Result};
+use nx_deflate::workers::{cpus, Workers};
 use nx_deflate::{gzip, Error as DeflateError, InflateScratch, Inflater, MAX_MATCH, WINDOW_SIZE};
 use nx_telemetry::{MetricSource, MetricValue, Stage, TelemetrySink, TraceContext};
 use std::mem::take;
@@ -63,8 +63,10 @@ const SEEK_INDEX_VERSION: u8 = 3;
 /// Tuning knobs for [`ParallelInflater`].
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelInflateOptions {
-    /// Worker threads for member fan-out (decode and index build). `1`
-    /// decodes every stream serially.
+    /// Most threads a member fan-out (decode and index build) runs, the
+    /// caller included: a cap on the helpers it claims from the inflater's
+    /// budget. Defaults to the host's CPUs; `0` or `1` decodes every stream
+    /// serially.
     pub workers: usize,
     /// Decompressed bytes between seek-index checkpoints (at least one
     /// window): each sits where the token that would cross the mark begins.
@@ -74,7 +76,7 @@ pub struct ParallelInflateOptions {
 impl Default for ParallelInflateOptions {
     fn default() -> Self {
         Self {
-            workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            workers: cpus(),
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         }
     }
@@ -321,8 +323,8 @@ impl SeekIndex {
 }
 
 /// The parallel + seekable decoder. Cheap to construct: workers are
-/// `fan_out`'s scoped threads, spawned per request, borrowing the input
-/// slice.
+/// [`Workers::fan_out`]'s scoped threads, claimed from its budget per
+/// request, borrowing the input slice.
 #[derive(Debug)]
 pub struct ParallelInflater {
     opts: ParallelInflateOptions,
@@ -334,6 +336,8 @@ pub struct ParallelInflater {
     /// Idle ranged-read states: a read pops one (or starts one) and pushes
     /// it back, so a warm read allocates its result only.
     seek_idle: parking_lot::Mutex<Vec<Walker>>,
+    /// The helper budget a member fan-out claims from.
+    workers: Workers,
 }
 
 /// A worker's reused buffers: a decode's tables and output (one stream whole,
@@ -348,25 +352,34 @@ struct Walker {
 }
 
 impl ParallelInflater {
-    /// Creates a decoder with fresh stats.
+    /// Creates a decoder with fresh stats, on a worker budget of its own
+    /// sized to the host.
     pub fn new(opts: ParallelInflateOptions) -> Self {
-        Self::with_parts(opts, Arc::default(), None, TelemetrySink::disabled())
+        Self::with_workers(opts, Workers::host())
     }
 
-    /// Creates a decoder sharing stats / faults / sink with a facade.
+    /// As [`new`](Self::new), claiming its helpers from `workers`.
+    pub fn with_workers(opts: ParallelInflateOptions, workers: Workers) -> Self {
+        let sink = TelemetrySink::disabled();
+        Self::with_parts(opts, Arc::default(), None, sink, workers)
+    }
+
+    /// Creates a decoder sharing stats / faults / sink / budget with a
+    /// facade.
     pub(crate) fn with_parts(
-        mut opts: ParallelInflateOptions,
+        opts: ParallelInflateOptions,
         stats: Arc<InflateParStats>,
         faults: Option<Arc<FaultInjector>>,
         telemetry: TelemetrySink,
+        workers: Workers,
     ) -> Self {
-        opts.workers = opts.workers.max(1);
         Self {
             opts,
             stats,
             faults,
             telemetry,
             seek_idle: Default::default(),
+            workers,
         }
     }
 
@@ -528,9 +541,10 @@ impl ParallelInflater {
     // ---- multi-member fast path -------------------------------------
 
     /// Decodes a member plan in place: the output is allocated once and
-    /// split into the members' disjoint slices, which [`fan_out`] workers
-    /// fill, each reusing one [`Walker`] to stage a member in. `None` — the
-    /// caller falls back to serial — unless every [`Walker::member`] holds.
+    /// split into the members' disjoint slices, which [`Workers::fan_out`]
+    /// workers fill, each reusing one [`Walker`] to stage a member in.
+    /// `None` — the caller falls back to serial — unless every
+    /// [`Walker::member`] holds.
     fn members_parallel(&self, data: &[u8], plan: &[Member], request: u64) -> Option<Vec<u8>> {
         // Every member's fault draw happens here, in index order, so the
         // fault counters do not depend on which worker ran what.
@@ -557,7 +571,8 @@ impl ParallelInflater {
             state.member(data, &plan[i], usize::MAX)?;
             (state.out.len() == dst.len()).then(|| dst.copy_from_slice(&state.out))
         };
-        let landed = fan_out(plan.len(), self.opts.workers, |_| Walker::default(), stage);
+        let (n, workers, fresh) = (plan.len(), self.opts.workers, |_| Walker::default());
+        let landed = self.workers.fan_out(n, workers, fresh, stage);
         drop(slots);
         if !landed.iter().all(Option::is_some) {
             return None;
@@ -609,13 +624,15 @@ impl ParallelInflater {
     }
 
     /// The member-parallel build: a checkpoint depends on nothing before its
-    /// member's start, so [`fan_out`] workers build the serial walk's index.
+    /// member's start, so [`Workers::fan_out`] workers build the serial
+    /// walk's index.
     /// `None` (that walk decides) unless every [`Walker::member`] holds.
     fn index_members(&self, data: &[u8], every: usize) -> Option<SeekIndex> {
         let plan = plan_members(data).filter(|p| p.len() > 1 && self.opts.workers > 1)?;
         let walk = |state: &mut Walker, i: usize| state.member(data, &plan[i], every);
         let mut index = SeekIndex::new(Format::Gzip);
-        for part in fan_out(plan.len(), self.opts.workers, |_| Walker::default(), walk) {
+        let (n, workers, fresh) = (plan.len(), self.opts.workers, |_| Walker::default());
+        for part in self.workers.fan_out(n, workers, fresh, walk) {
             let part = part?;
             for mut checkpoint in part.checkpoints {
                 checkpoint.out_offset += index.total_out;
@@ -1067,7 +1084,8 @@ mod tests {
     #[test]
     fn member_spans_carry_real_sizes_and_dropped_plans_say_why() {
         let sink = TelemetrySink::enabled(nx_telemetry::MetricsRegistry::new());
-        let par = ParallelInflater::with_parts(opts(2), Arc::default(), None, sink.clone());
+        let budget = Workers::new(1);
+        let par = ParallelInflater::with_parts(opts(2), Arc::default(), None, sink.clone(), budget);
         let parts: Vec<Vec<u8>> = [30_000usize, 5, 70_000]
             .iter()
             .map(|&n| gzip::compress(&corpus(n), CompressionLevel::default()))

@@ -29,6 +29,8 @@ use nx_core::{
     Format, Nx, ParallelEngine, ParallelInflateOptions, ParallelInflater, ParallelOptions,
     SeekIndex,
 };
+use nx_deflate::workers::Workers;
+use nx_telemetry::TelemetrySink;
 
 /// System allocator wrapper that counts every allocation event
 /// (`alloc`, `alloc_zeroed`, and growth via `realloc`) and the bytes they
@@ -204,10 +206,12 @@ fn scratch_session_steady_state_allocation_profile() {
             .expect("compress is infallible");
         stream.extend_from_slice(&comp);
     }
-    let inflater = ParallelInflater::new(ParallelInflateOptions {
+    // A budget of its own, so the helper runs whatever the host's CPUs.
+    let opts = ParallelInflateOptions {
         workers: WORKERS,
         ..Default::default()
-    });
+    };
+    let inflater = ParallelInflater::with_workers(opts, Workers::new(WORKERS - 1));
     let large_before = LARGE_ALLOCATIONS.load(Ordering::SeqCst);
     let decoded = inflater.decompress(&stream, Format::Gzip).expect("valid");
     let large = LARGE_ALLOCATIONS.load(Ordering::SeqCst) - large_before;
@@ -368,10 +372,12 @@ fn scratch_session_steady_state_allocation_profile() {
     // --- Sharded compress: shards borrow the input, never a copy of it. ---
     // Until the shards ran on the caller's scoped fan-out, every request
     // copied its whole input into a buffer shared with a persistent pool.
-    let engine = ParallelEngine::new(ParallelOptions {
+    let opts = ParallelOptions {
         workers: 2,
         chunk_size: 128 << 10,
-    });
+    };
+    let (sink, pool) = (TelemetrySink::disabled(), Default::default());
+    let engine = ParallelEngine::with_telemetry(opts, None, sink, pool, Workers::new(1));
     let sharded = || engine.compress(&data, 6, Format::Gzip).expect("level 6");
     for _ in 0..WARMUP {
         sharded();

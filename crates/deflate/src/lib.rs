@@ -43,6 +43,8 @@
 //! * [`marker`] — marker-mode decode with an unknown 32 KB window (the
 //!   seek index's referenced-window pass) and block-boundary probing.
 //! * [`gzip`] / [`zlib`] — the framing formats.
+//! * [`workers`] — the budget of helper threads a request may run, and
+//!   the one scoped fan-out that starts them.
 
 pub mod adler32;
 pub mod bitio;
@@ -55,6 +57,7 @@ pub mod lz77;
 pub mod marker;
 pub mod profile;
 pub mod stream;
+pub mod workers;
 pub mod zlib;
 
 pub use decoder::{

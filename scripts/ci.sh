@@ -200,25 +200,43 @@ if [[ $(grep -c . <<< "$UNSAFE") != 1 ]] ||
 fi
 
 echo "==> thread-spawn gate"
-# Non-test threads start in exactly four places: the service engine
+# Non-test threads start in exactly three places: the service engine
 # (service/mod.rs; an async session is a one-window service, not a thread
-# of its own), the scoped fan-out every sharded request runs on
-# (parallel.rs::fan_out), the match engine's scoped helpers that run a
-# large request's later segments ahead (accel matcher.rs::tokenize_split)
-# and E21's trace writer. A new spawn site -- a second engine, a
-# per-session worker, a pool -- fails here. (A comment does not count;
-# test modules sit below `#[cfg(test)]`.)
+# of its own), the worker budget's scoped helpers (nx-deflate
+# workers.rs::Claim::run), which every request's helper threads start in
+# -- sharded compress and member decode through `Workers::fan_out`, the
+# match engine's segments run ahead directly -- and E21's trace writer. A
+# new spawn site -- a second engine, a per-session worker, a pool --
+# fails here. (A comment does not count; test modules sit below
+# `#[cfg(test)]`.)
 SPAWNS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { t = 0 }
     /#\[cfg\(test\)\]/ { t = 1 }
     !t && $0 !~ /^[[:space:]]*\/\// && /thread::(spawn|scope|Builder::new)/ {
         print FILENAME ": " $0
     }')
-WANT_SPAWNS=(crates/accel/src/matcher.rs crates/bench/src/exp/e21.rs crates/core/src/parallel.rs
-    crates/core/src/service/mod.rs)
+WANT_SPAWNS=(crates/bench/src/exp/e21.rs crates/core/src/service/mod.rs
+    crates/deflate/src/workers.rs)
 if [[ "$(cut -d: -f1 <<< "$SPAWNS")" != "$(printf '%s\n' "${WANT_SPAWNS[@]}")" ]]; then
     echo "$SPAWNS"
     echo "==> FAIL: non-test threads start only in ${WANT_SPAWNS[*]}, once each"
+    exit 1
+fi
+
+echo "==> CPU-count gate"
+# One module decides how many helper threads a request may run: the worker
+# budget (nx-deflate workers.rs) reads the host's CPU count, once per
+# process, and every fan-out claims its helpers from a budget. A non-test
+# line elsewhere under crates/*/src that names `available_parallelism` (a
+# comment too) fails here; the examples and nxbench's host.rs may read it.
+CPU_READS=$(find crates/*/src -name '*.rs' ! -path crates/deflate/src/workers.rs -print0 |
+    sort -z | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && /available_parallelism/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$CPU_READS" ]]; then
+    echo "$CPU_READS"
+    echo "==> FAIL: only nx-deflate's workers.rs reads the CPU count"
     exit 1
 fi
 

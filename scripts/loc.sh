@@ -154,7 +154,18 @@ cd "$(dirname "$0")/.."
 # histogram counted in the span pass (huffenc.rs), ~70 lines with their
 # docs, against the cursor, the empty-way sentinel and `lookup`'s ring walk
 # that went.
-declare -A CAP=([accel]=1837 [bench]=3690 [deflate]=7529 [core]=7351 [sys]=1246 [telemetry]=2111)
+# One worker budget for every fan-out lowered nx-core 7351 -> 7329 and
+# raised nx-deflate 7529 -> 7677, which is more than nx-core fell: the
+# budget module (`workers.rs`: the one CPU-count read, `Workers` with its
+# slot counts and high-water mark, the non-blocking `claim`, `Claim::run`,
+# the one scoped spawn for request work, and `Workers::fan_out`, the
+# dynamic hand-out moved down from nx-core's `parallel.rs::fan_out`) is
+# ~150 lines with its docs, against what went: nx-core's `fan_out`,
+# `ParallelEngine::try_new` / `with_faults`, `Error::NoWorkers` and the
+# inflater's zero-worker rounding, and nx-accel's own CPU cache, segment
+# rule and scoped spawn (nx-accel stays at 1837, paying for
+# `Accelerator::with_workers` and the engine's budget field).
+declare -A CAP=([accel]=1837 [bench]=3690 [deflate]=7677 [core]=7329 [sys]=1246 [telemetry]=2111)
 
 total=0
 over=0

@@ -17,17 +17,21 @@ use nx_core::parallel::{ParallelEngine, ParallelOptions};
 use nx_core::{software, Format, Nx, ParallelInflateOptions, ParallelInflater, SeekIndex};
 use nx_deflate::bitio::BitWriter;
 use nx_deflate::crc32::crc32;
+use nx_deflate::workers::Workers;
 use nx_deflate::{CompressionLevel, Token};
 use nx_telemetry::{MetricValue, MetricsRegistry, Stage, TelemetrySink};
 use std::sync::Arc;
 
 const SEED: u64 = 0x5EEC_AB1E;
 
+/// An inflater whose budget holds every helper `workers` asks for, so what
+/// runs where does not depend on the host's CPUs.
 fn inflater(workers: usize) -> ParallelInflater {
-    ParallelInflater::new(ParallelInflateOptions {
+    let opts = ParallelInflateOptions {
         workers,
         checkpoint_every: 64 * 1024,
-    })
+    };
+    ParallelInflater::with_workers(opts, Workers::new(workers.saturating_sub(1)))
 }
 
 fn gzip(data: &[u8]) -> Vec<u8> {
@@ -95,8 +99,14 @@ fn index_less_single_streams_decode_serially_at_every_worker_count() {
                     workers,
                     ..ParallelOptions::default()
                 };
-                let engine =
-                    ParallelEngine::with_telemetry(opts, None, sink.clone(), Arc::default());
+                let budget = Workers::new(workers - 1);
+                let engine = ParallelEngine::with_telemetry(
+                    opts,
+                    None,
+                    sink.clone(),
+                    Arc::default(),
+                    budget,
+                );
                 let ctx = sink.begin_trace();
                 let traced = engine.decompress_in_trace(input, format, &ctx);
                 assert!(traced == serial, "{what}: traced bytes");
@@ -171,7 +181,8 @@ fn traced_route(stream: &[u8]) -> (nx_core::Result<Vec<u8>>, (u64, u64), Spans) 
         workers: 2,
         ..ParallelOptions::default()
     };
-    let engine = ParallelEngine::with_telemetry(opts, None, sink.clone(), Arc::default());
+    let budget = Workers::new(1);
+    let engine = ParallelEngine::with_telemetry(opts, None, sink.clone(), Arc::default(), budget);
     let ctx = sink.begin_trace();
     let out = engine.decompress_in_trace(stream, Format::Gzip, &ctx);
     let snap = sink.registry().expect("registry").snapshot();
