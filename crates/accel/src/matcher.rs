@@ -67,10 +67,6 @@ pub struct MatchEngine {
 /// literal code length).
 const LIT_BITS: u64 = 9;
 
-/// The smallest segment run ahead: its comparators take milliseconds, a
-/// spawn and a rebuilt bank a fraction of one.
-const SEGMENT_MIN: usize = 256 << 10;
-
 /// Lane windows the caller resolves into a helper's segment before the two
 /// covers are compared: room for a carried match to end and the resolvers
 /// to fall into step.
@@ -98,13 +94,6 @@ struct Cover {
     emit_until: usize,
     trailing_matches: u64,
     discarded: u64,
-}
-
-/// Helpers for `len` new bytes, at most one per further `SEGMENT_MIN`.
-/// Size decides first, so a small request never touches the budget.
-fn claim(workers: &Workers, len: usize) -> Option<Claim> {
-    let segments = len / SEGMENT_MIN;
-    (segments > 1).then(|| workers.claim(segments))
 }
 
 impl MatchEngine {
@@ -146,13 +135,15 @@ impl MatchEngine {
     ///
     /// Panics if `start > data.len()`.
     pub fn tokenize_from(&mut self, data: &[u8], start: usize) -> MatchOutcome {
-        let helpers = claim(&self.workers, data.len().saturating_sub(start));
+        let helpers = self
+            .workers
+            .claim_segments(data.len().saturating_sub(start));
         self.tokenize_split(data, start, helpers, SYNC_WINDOWS, Self::run_ahead)
             .0
     }
 
     /// [`Self::tokenize_from`] in runs of whole lane windows, one more than
-    /// `claim` grants, all but the first run `ahead` on them. The caller fuses
+    /// the claim grants, all but the first run `ahead` on them. The caller fuses
     /// the first `sync` windows of each; where its cover's state is the
     /// helper's there, it takes the helper's cover of the rest, else it
     /// fuses the rest too. Also returns how many covers it took.
@@ -1061,11 +1052,13 @@ mod tests {
 
     #[test]
     fn segments_are_decided_by_size_first() {
-        let helpers = |len, slots| claim(&Workers::new(slots), len).map(|c| c.granted());
+        use nx_deflate::workers::SEGMENT_MIN;
+        use nx_deflate::{CompressionLevel, Encoder, Engine};
+        let helpers = |len, slots| Workers::new(slots).claim_segments(len).map(|c| c.granted());
         // A request under two segments never touches the budget.
         let budget = Workers::new(8);
-        assert!(claim(&budget, 1 << 10).is_none());
-        assert!(claim(&budget, 2 * SEGMENT_MIN - 1).is_none());
+        assert!(budget.claim_segments(1 << 10).is_none());
+        assert!(budget.claim_segments(2 * SEGMENT_MIN - 1).is_none());
         assert_eq!(budget.peak(), 0);
         // An empty budget keeps any request serial.
         assert_eq!(helpers(64 << 20, 0), Some(0));
@@ -1074,9 +1067,36 @@ mod tests {
         assert_eq!(helpers(1 << 20, 63), Some(3));
         // A helper busy elsewhere is not granted twice.
         let held = budget.claim(7);
-        assert_eq!(claim(&budget, 1 << 20).map(|c| c.granted()), Some(2));
+        assert_eq!(budget.claim_segments(1 << 20).map(|c| c.granted()), Some(2));
         drop(held);
         assert_eq!(budget.peak(), 8);
+        // Both callers split by it: the model's match engine and the
+        // ladder's sequential matcher, each byte for byte.
+        let data = nx_corpus::mixed(5, 2 * SEGMENT_MIN);
+        let enc = Encoder::with_engine(CompressionLevel::new(6).unwrap(), Engine::Sequential);
+        let (model, stream) = (
+            MatchEngine::new(AccelConfig::power9()).tokenize(&data),
+            enc.compress(&data),
+        );
+        for (len, slots, want) in [
+            (2 * SEGMENT_MIN - 1, 8, 0),
+            (2 * SEGMENT_MIN, 0, 0),
+            (2 * SEGMENT_MIN, 1, 1),
+        ] {
+            let full = len == data.len();
+            let mut engine = MatchEngine::new(AccelConfig::power9());
+            engine.workers = Workers::new(slots);
+            let got = engine.tokenize(&data[..len]);
+            assert!(!full || got.tokens == model.tokens);
+            assert_eq!(engine.workers.peak(), want, "model, {len} bytes on {slots}");
+            let budget = Workers::new(slots);
+            let got = enc
+                .clone()
+                .with_workers(budget.clone())
+                .compress(&data[..len]);
+            assert!(!full || got == stream);
+            assert_eq!(budget.peak(), want, "encoder, {len} bytes on {slots}");
+        }
     }
 
     #[test]

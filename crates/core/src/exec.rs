@@ -155,10 +155,10 @@ impl Executor {
     /// ladder encoder at `opts`' level and engine.
     pub(crate) fn session(env: Env, opts: CompressOptions) -> Self {
         Self {
-            unit: Unit::Session(Box::new(StreamEncoder::with_engine(
-                opts.level(),
-                opts.engine(),
-            ))),
+            unit: Unit::Session(Box::new(
+                StreamEncoder::with_engine(opts.level(), opts.engine())
+                    .with_workers(env.workers.clone()),
+            )),
             env,
             inflate: InflateScratch::new(),
         }
@@ -326,7 +326,8 @@ impl<'a> Job<'a> {
                 );
             }
             Software::Ladder { level, engine } => {
-                ladder_into(session, self.data, level, engine, self.format, self.out);
+                let rung = (level, engine, &self.env.workers);
+                ladder_into(session, self.data, rung, self.format, self.out);
             }
         }
         self.trace.span(Stage::Engine, 0, self.data.len() as u64, 0);
@@ -476,23 +477,23 @@ impl<'a> Job<'a> {
     }
 }
 
-/// Level-ladder encode into `out` (cleared first). A scratch session's
-/// persistent encoder streams straight into the caller's buffer; a job
-/// executor encodes one-shot.
+/// Level-ladder encode into `out` (cleared first), a large one on the
+/// handle's worker budget. A scratch session's persistent encoder streams
+/// straight into the caller's buffer; a job executor encodes one-shot.
 fn ladder_into(
     session: Option<&mut StreamEncoder>,
     data: &[u8],
-    level: CompressionLevel,
-    engine: Engine,
+    (level, engine, workers): (CompressionLevel, Engine, &Workers),
     format: Format,
     out: &mut Vec<u8>,
 ) {
     let Some(enc) = session else {
-        *out = software::compress_with_engine(data, level, engine, format);
-        return;
+        let enc = nx_deflate::Encoder::with_engine(level, engine).with_workers(workers.clone());
+        *out = Vec::new();
+        return framing::frame(out, data, format, None, |out| enc.compress_to(data, out));
     };
     if enc.level() != level || enc.engine() != engine {
-        *enc = StreamEncoder::with_engine(level, engine);
+        *enc = StreamEncoder::with_engine(level, engine).with_workers(workers.clone());
     }
     enc.reset_with_dict(&[]);
     framing::frame(out, data, format, None, |out| {

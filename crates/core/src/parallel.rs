@@ -977,8 +977,9 @@ mod tests {
     #[test]
     fn one_budget_meters_every_fan_out_of_a_handle() {
         // Four 1 MiB model requests, each of which would run three helpers
-        // ahead, beside a sharded compress that would run three, all at once
-        // on one handle whose budget holds two helpers.
+        // ahead, beside a sharded compress that would run three and two
+        // 1 MiB level-6 software requests that would each run three, all at
+        // once on one handle whose budget holds two helpers.
         let budget = Workers::new(2);
         let nx = Nx::power9().reconfigured(|env| env.workers = budget.clone());
         let opts = ParallelOptions {
@@ -986,8 +987,9 @@ mod tests {
             chunk_size: 64 << 10,
         };
         let sess = nx.parallel_session(opts, 6);
-        let inputs: Vec<Vec<u8>> = (0..5).map(|i| nx_corpus::mixed(40 + i, 1 << 20)).collect();
-        let start = std::sync::Barrier::new(5);
+        let ladder = CompressOptions::new().with_engine(Engine::Sequential);
+        let inputs: Vec<Vec<u8>> = (0..7).map(|i| nx_corpus::mixed(40 + i, 1 << 20)).collect();
+        let start = std::sync::Barrier::new(7);
         let outs: Vec<Vec<u8>> = std::thread::scope(|s| {
             let running: Vec<_> = (inputs.iter().enumerate())
                 .map(|(i, d)| {
@@ -996,6 +998,7 @@ mod tests {
                         start.wait();
                         match i {
                             4 => sess.compress(d, Format::Gzip).unwrap(),
+                            5 | 6 => nx.compress_with(d, Format::Gzip, ladder).unwrap().bytes,
                             _ => nx.compress(d, Format::Gzip).unwrap().bytes,
                         }
                     })
@@ -1010,6 +1013,11 @@ mod tests {
         }
         let sharded = sess.engine.compress_serial(&inputs[4], 6, Format::Gzip);
         assert!(outs[4] == sharded.unwrap());
+        for (d, out) in inputs[5..].iter().zip(&outs[5..]) {
+            let level = CompressionLevel::new(6).unwrap();
+            let want = software::compress_with_engine(d, level, Engine::Sequential, Format::Gzip);
+            assert!(*out == want);
+        }
         // The first claim found both slots free; no claim found more.
         assert_eq!(budget.peak(), 2, "helpers past the handle's budget");
     }

@@ -20,6 +20,7 @@ use crate::lz77::{
     NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
 };
 use crate::stream::{Flush, StreamEncoder};
+use crate::workers::Workers;
 use crate::{Error, Result};
 
 /// A validated zlib-style compression level (0..=9).
@@ -309,6 +310,17 @@ pub fn deflate_tokens_with(
     strategy: Strategy,
     engine: Engine,
 ) -> Vec<Token> {
+    tokens_on(data, level, strategy, engine, None)
+}
+
+/// [`deflate_tokens_with`], a large request on the helpers `workers` grants.
+fn tokens_on(
+    data: &[u8],
+    level: CompressionLevel,
+    strategy: Strategy,
+    engine: Engine,
+    workers: Option<&Workers>,
+) -> Vec<Token> {
     match strategy {
         Strategy::HuffmanOnly => data.iter().map(|&b| Token::Literal(b)).collect(),
         Strategy::Rle => tokenize_rle(data),
@@ -317,7 +329,7 @@ pub fn deflate_tokens_with(
             l => {
                 let tokenize = |m: &mut Hash4Matcher| {
                     let mut tokens = Vec::with_capacity(data.len() / 4 + 8);
-                    lz77::hash4::tokenize_into_with(data, 0, l, engine, m, &mut tokens);
+                    lz77::hash4::tokenize_into_on(data, 0, l, engine, workers, m, &mut tokens);
                     tokens
                 };
                 // Decided by size: up to a window or two, allocating and
@@ -417,6 +429,9 @@ pub struct Encoder {
     level: CompressionLevel,
     strategy: Strategy,
     engine: Engine,
+    /// The budget a large sequential-matcher encode claims helpers from;
+    /// `None` parses on the caller alone.
+    pub(crate) workers: Option<Workers>,
 }
 
 impl Encoder {
@@ -426,6 +441,7 @@ impl Encoder {
             level,
             strategy: Strategy::Default,
             engine: Engine::Auto,
+            workers: None,
         }
     }
 
@@ -436,6 +452,7 @@ impl Encoder {
             level,
             strategy,
             engine: Engine::Auto,
+            workers: None,
         }
     }
 
@@ -447,7 +464,17 @@ impl Encoder {
             level,
             strategy: Strategy::Default,
             engine,
+            workers: None,
         }
+    }
+
+    /// This encoder on a worker budget: a sequential-matcher encode of at
+    /// least two [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s runs its later
+    /// segments ahead on the helpers the budget grants. The stream is the
+    /// same byte for byte.
+    pub fn with_workers(mut self, workers: Workers) -> Self {
+        self.workers = Some(workers);
+        self
     }
 
     /// The configured level.
@@ -496,7 +523,8 @@ impl Encoder {
             // (see `deflate_tokens_with`) that is freed before the blocks
             // are emitted: holding it through emission moved the
             // allocator's pattern and `bulk_software` `peak_rss_mib` +6 %.
-            let tokens = deflate_tokens_with(data, self.level, self.strategy, self.engine);
+            let workers = self.workers.as_ref();
+            let tokens = tokens_on(data, self.level, self.strategy, self.engine, workers);
             self.emit_blocks(w, data, &tokens, true);
         }
     }
@@ -530,7 +558,8 @@ impl Encoder {
             staging.extend_from_slice(chunk);
             (&staging[..], history.len())
         };
-        lz77::hash4::tokenize_into_with(input, start, level, self.engine, m, tokens);
+        let workers = self.workers.as_ref();
+        lz77::hash4::tokenize_into_on(input, start, level, self.engine, workers, m, tokens);
         self.emit_blocks(w, chunk, tokens, last);
     }
 

@@ -31,9 +31,15 @@
 //! All three append per-search chain-walk lengths and lazy deferrals to
 //! local counters that the caller flushes into the process-wide encode
 //! telemetry (see [`crate::encoder::encode_counters`]).
+//!
+//! Each runs from a loop-top `Cursor` to a stop, so a large request on a
+//! worker budget parses its later segments ahead on helper threads and the
+//! caller adopts a helper's parse where its own state meets it
+//! (`tokenize_into_on`), token for token.
 
 use super::hash::match_length;
 use super::{MatcherConfig, Token};
+use crate::workers::{Claim, Workers};
 use crate::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 
 /// log2 of the head table size. 16 bits × 4-byte entries = 256 KB; the
@@ -102,7 +108,7 @@ pub const SPEC_COVER_BUCKETS: usize = 9;
 
 /// Per-tokenize search statistics, accumulated locally (plain integers on
 /// the hot path) and flushed once into the process-wide atomics.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
     /// Chain-walk length histogram: bucket `i` counts searches that
     /// examined `2^(i-1) < n ≤ 2^i …` candidates (log2 buckets, bucket 0
@@ -129,6 +135,16 @@ impl SearchStats {
     pub(super) fn record_walk(&mut self, steps: usize) {
         let bucket = (usize::BITS - steps.leading_zeros()) as usize;
         self.chain_hist[bucket.min(CHAIN_HIST_BUCKETS - 1)] += 1;
+    }
+
+    /// Adds what a sequential parse counted between two readings of its
+    /// counters (it counts walks and deferrals only).
+    fn add_between(&mut self, from: &Self, to: &Self) {
+        let hists = from.chain_hist.iter().zip(&to.chain_hist);
+        for (n, (f, t)) in self.chain_hist.iter_mut().zip(hists) {
+            *n += t - f;
+        }
+        self.lazy_deferrals += to.lazy_deferrals - from.lazy_deferrals;
     }
 }
 
@@ -461,10 +477,31 @@ fn index_span(m: &mut Hash4Matcher, data: &[u8], from: usize, end: usize) {
     }
 }
 
+/// Ranges `[from, to)` of positions the insert-skip stepped over, in
+/// position order: the only positions a parse passes without indexing.
+/// A range is kept only if it ends past `keep` (`usize::MAX`: none, the
+/// serial parse's case).
+#[derive(Debug)]
+struct Skips {
+    keep: usize,
+    ranges: Vec<(usize, usize)>,
+}
+
+impl Skips {
+    fn ending_past(keep: usize) -> Self {
+        Self {
+            keep,
+            ranges: Vec::new(),
+        }
+    }
+}
+
 /// Emits `1 + (lit_run >> shift)` literals starting at `pos` without
-/// searching or indexing — the insert-skip heuristic. Returns the new
-/// position. `shift` controls how aggressively the step grows; the step
-/// is capped so one bad stretch cannot blind the matcher for long.
+/// searching or indexing — the insert-skip heuristic. `pos` itself was
+/// indexed; the positions after it that the step covers are not, and go to
+/// `skips` as one range. Returns the new position. `shift` controls how
+/// aggressively the step grows; the step is capped so one bad stretch
+/// cannot blind the matcher for long.
 #[inline]
 fn emit_skip_literals(
     data: &[u8],
@@ -472,6 +509,7 @@ fn emit_skip_literals(
     lit_run: &mut usize,
     shift: u32,
     tokens: &mut Vec<Token>,
+    skips: &mut Skips,
 ) -> usize {
     let extra = (*lit_run >> shift).min(32);
     let end = (pos + 1 + extra).min(data.len());
@@ -479,7 +517,92 @@ fn emit_skip_literals(
         tokens.push(Token::Literal(b));
     }
     *lit_run += end - pos;
+    if end > pos + 1 && end > skips.keep {
+        skips.ranges.push((pos + 1, end));
+    }
     end
+}
+
+/// A sequential tokenizer's state at its loop top. With the data and the
+/// positions indexed in the window behind `pos`, it is all the parse from
+/// `pos` on depends on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cursor {
+    pos: usize,
+    /// Literals since the last match: the insert-skip's step grows with it.
+    lit_run: usize,
+    /// The lazy matcher's deferred match `(len, dist)`, anchored at `pos - 1`.
+    pending: Option<(usize, usize)>,
+}
+
+impl Cursor {
+    fn at(pos: usize) -> Self {
+        Self {
+            pos,
+            lit_run: 0,
+            pending: None,
+        }
+    }
+
+    /// Ends a parse at the end of the input: a pending match fit entirely
+    /// in the buffer (searches cap at its end), so it is committed.
+    fn finish(self, tokens: &mut Vec<Token>) {
+        if let Some((len, dist)) = self.pending {
+            tokens.push(Token::Match {
+                len: len as u16,
+                dist: dist as u16,
+            });
+        }
+    }
+}
+
+/// A sequential tokenizer with its tuning, chosen by level as zlib chooses
+/// `deflate_fast` / `deflate_slow`.
+#[derive(Debug, Clone, Copy)]
+enum Rung {
+    /// Level 1: greedy, head-only (no chain walk).
+    Fastest,
+    /// Levels 2–3: greedy with a bounded chain walk.
+    Greedy(MatcherConfig),
+    /// Levels 4–9: one-token lazy deferral.
+    Lazy(MatcherConfig),
+}
+
+impl Rung {
+    fn at(level: u32) -> Self {
+        match level {
+            ..=1 => Rung::Fastest,
+            l if MatcherConfig::is_lazy_level(l) => Rung::Lazy(MatcherConfig::for_level(l)),
+            l => Rung::Greedy(MatcherConfig::for_level(l)),
+        }
+    }
+
+    /// The whole parse of `data[start..]` behind its history.
+    fn tokenize(self, data: &[u8], start: usize, m: &mut Hash4Matcher, tokens: &mut Vec<Token>) {
+        index_history(m, data, start);
+        let (mut at, mut none) = (Cursor::at(start), Skips::ending_past(usize::MAX));
+        self.run(data, &mut at, data.len(), m, tokens, &mut none);
+        at.finish(tokens);
+    }
+
+    /// Parses on from `at` to its first loop top at or past `stop`. Each
+    /// loop stays a function of its own (`#[inline(never)]`): inlined into
+    /// this one, the serial level-6 parse of 2 KiB requests ran ~3 % slower.
+    fn run(
+        self,
+        data: &[u8],
+        at: &mut Cursor,
+        stop: usize,
+        m: &mut Hash4Matcher,
+        tokens: &mut Vec<Token>,
+        skips: &mut Skips,
+    ) {
+        match self {
+            Rung::Fastest => fastest(data, at, stop, m, tokens, skips),
+            Rung::Greedy(cfg) => greedy4(data, at, stop, &cfg, m, tokens, skips),
+            Rung::Lazy(cfg) => lazy4(data, at, stop, &cfg, m, tokens, skips),
+        }
+    }
 }
 
 /// Level-1 tokenizer: greedy, head-only (no chain walk), with the
@@ -490,37 +613,7 @@ pub fn tokenize_fastest_into(
     m: &mut Hash4Matcher,
     tokens: &mut Vec<Token>,
 ) {
-    index_history(m, data, start);
-    let end4 = index_end(data);
-    let mut pos = start;
-    let mut lit_run = 0usize;
-    while pos < data.len() {
-        if pos >= end4 {
-            tokens.push(Token::Literal(data[pos]));
-            pos += 1;
-            continue;
-        }
-        let (old, _) = m.insert_ret(data, pos);
-        m.stats.record_walk(usize::from(old != 0));
-        if old != 0 {
-            let cand = (old - 1) as usize;
-            let dist = pos - cand;
-            if dist <= WINDOW_SIZE {
-                let len = match_length(data, cand, pos);
-                if len >= 4 || (len == MIN_MATCH && dist <= TOO_FAR) {
-                    tokens.push(Token::Match {
-                        len: len as u16,
-                        dist: dist as u16,
-                    });
-                    index_span(m, data, pos + 1, pos + len);
-                    pos += len;
-                    lit_run = 0;
-                    continue;
-                }
-            }
-        }
-        pos = emit_skip_literals(data, pos, &mut lit_run, 5, tokens);
-    }
+    Rung::Fastest.tokenize(data, start, m, tokens);
 }
 
 /// Levels 2–3 tokenizer: greedy with a bounded chain walk.
@@ -531,11 +624,79 @@ pub fn tokenize_greedy4_into(
     m: &mut Hash4Matcher,
     tokens: &mut Vec<Token>,
 ) {
-    index_history(m, data, start);
+    Rung::Greedy(*cfg).tokenize(data, start, m, tokens);
+}
+
+/// Levels 4–9 tokenizer: one-token lazy deferral (zlib `deflate_slow`)
+/// over the hash4 chains. The skip heuristic only engages after long
+/// literal droughts (shift 8 → 256 consecutive literals) so compressible
+/// data keeps the exact lazy parse.
+pub fn tokenize_lazy4_into(
+    data: &[u8],
+    start: usize,
+    cfg: &MatcherConfig,
+    m: &mut Hash4Matcher,
+    tokens: &mut Vec<Token>,
+) {
+    Rung::Lazy(*cfg).tokenize(data, start, m, tokens);
+}
+
+/// [`Rung::Fastest`]'s loop from `at` to `stop`.
+#[inline(never)]
+fn fastest(
+    data: &[u8],
+    at: &mut Cursor,
+    stop: usize,
+    m: &mut Hash4Matcher,
+    tokens: &mut Vec<Token>,
+    skips: &mut Skips,
+) {
     let end4 = index_end(data);
-    let mut pos = start;
-    let mut lit_run = 0usize;
-    while pos < data.len() {
+    let (mut pos, mut lit_run) = (at.pos, at.lit_run);
+    while pos < stop {
+        if pos >= end4 {
+            tokens.push(Token::Literal(data[pos]));
+            pos += 1;
+            continue;
+        }
+        let (old, _) = m.insert_ret(data, pos);
+        // The head counts as a candidate where a chain walk would count
+        // it: inside the window.
+        let cand = (old as usize).wrapping_sub(1);
+        let near = old != 0 && pos - cand <= WINDOW_SIZE;
+        m.stats.record_walk(usize::from(near));
+        if near {
+            let (len, dist) = (match_length(data, cand, pos), pos - cand);
+            if len >= 4 || (len == MIN_MATCH && dist <= TOO_FAR) {
+                tokens.push(Token::Match {
+                    len: len as u16,
+                    dist: dist as u16,
+                });
+                index_span(m, data, pos + 1, pos + len);
+                pos += len;
+                lit_run = 0;
+                continue;
+            }
+        }
+        pos = emit_skip_literals(data, pos, &mut lit_run, 5, tokens, skips);
+    }
+    (at.pos, at.lit_run) = (pos, lit_run);
+}
+
+/// [`Rung::Greedy`]'s loop from `at` to `stop`.
+#[inline(never)]
+fn greedy4(
+    data: &[u8],
+    at: &mut Cursor,
+    stop: usize,
+    cfg: &MatcherConfig,
+    m: &mut Hash4Matcher,
+    tokens: &mut Vec<Token>,
+    skips: &mut Skips,
+) {
+    let end4 = index_end(data);
+    let (mut pos, mut lit_run) = (at.pos, at.lit_run);
+    while pos < stop {
         if pos >= end4 {
             tokens.push(Token::Literal(data[pos]));
             pos += 1;
@@ -556,30 +717,31 @@ pub fn tokenize_greedy4_into(
                 lit_run = 0;
             }
             None => {
-                pos = emit_skip_literals(data, pos, &mut lit_run, 6, tokens);
+                pos = emit_skip_literals(data, pos, &mut lit_run, 6, tokens, skips);
             }
         }
     }
+    (at.pos, at.lit_run) = (pos, lit_run);
 }
 
-/// Levels 4–9 tokenizer: one-token lazy deferral (zlib `deflate_slow`)
-/// over the hash4 chains. The skip heuristic only engages after long
-/// literal droughts (shift 8 → 256 consecutive literals) so compressible
-/// data keeps the exact lazy parse.
-pub fn tokenize_lazy4_into(
+/// [`Rung::Lazy`]'s loop from `at` to `stop`.
+#[inline(never)]
+fn lazy4(
     data: &[u8],
-    start: usize,
+    at: &mut Cursor,
+    stop: usize,
     cfg: &MatcherConfig,
     m: &mut Hash4Matcher,
     tokens: &mut Vec<Token>,
+    skips: &mut Skips,
 ) {
-    index_history(m, data, start);
     let end4 = index_end(data);
-    let mut pos = start;
-    let mut lit_run = 0usize;
-    // Pending match from the previous position, anchored at pos-1.
-    let mut prev: Option<(usize, usize)> = None;
-    while pos < data.len() {
+    let Cursor {
+        mut pos,
+        mut lit_run,
+        pending: mut prev,
+    } = *at;
+    while pos < stop {
         let cur = if pos < end4 {
             let prev_len = prev.map_or(0, |(l, _)| l);
             let (first, first3) = m.insert_ret(data, pos);
@@ -632,18 +794,15 @@ pub fn tokenize_lazy4_into(
                 }
             }
             (None, None) => {
-                pos = emit_skip_literals(data, pos, &mut lit_run, 8, tokens);
+                pos = emit_skip_literals(data, pos, &mut lit_run, 8, tokens, skips);
             }
         }
     }
-    // A pending match at end-of-input fit entirely in the buffer
-    // (search caps at the input end), so commit it.
-    if let Some((plen, pdist)) = prev {
-        tokens.push(Token::Match {
-            len: plen as u16,
-            dist: pdist as u16,
-        });
-    }
+    *at = Cursor {
+        pos,
+        lit_run,
+        pending: prev,
+    };
 }
 
 /// Dispatches to the engine's tokenizer for `level`, appending tokens
@@ -664,20 +823,178 @@ pub fn tokenize_into_with(
     m: &mut Hash4Matcher,
     tokens: &mut Vec<Token>,
 ) {
+    tokenize_into_on(data, start, level, engine, None, m, tokens);
+}
+
+/// [`tokenize_into_with`] on a worker budget: a sequential-matcher parse of
+/// at least two [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s of new bytes runs its later segments ahead
+/// on the helpers `workers` grants ([`tokenize_split`]). Tokens and
+/// counters are the serial parse's either way.
+pub(crate) fn tokenize_into_on(
+    data: &[u8],
+    start: usize,
+    level: u32,
+    engine: super::Engine,
+    workers: Option<&Workers>,
+    m: &mut Hash4Matcher,
+    tokens: &mut Vec<Token>,
+) {
     debug_assert!((1..=9).contains(&level));
-    if engine.speculative_at(level) {
-        super::batch::tokenize_speculative_into(data, start, level, m, tokens);
-    } else if level <= 1 {
-        tokenize_fastest_into(data, start, m, tokens);
-    } else {
-        let cfg = MatcherConfig::for_level(level);
-        if MatcherConfig::is_lazy_level(level) {
-            tokenize_lazy4_into(data, start, &cfg, m, tokens);
-        } else {
-            tokenize_greedy4_into(data, start, &cfg, m, tokens);
+    let speculative = engine.speculative_at(level);
+    let claim = (workers.filter(|_| !speculative))
+        .and_then(|w| w.claim_segments(data.len().saturating_sub(start)));
+    match claim.filter(|c| c.granted() > 0) {
+        Some(claim) => {
+            tokenize_split(data, start, Rung::at(level), m, tokens, claim, run_ahead);
         }
+        None if speculative => {
+            super::batch::tokenize_speculative_into(data, start, level, m, tokens)
+        }
+        None => Rung::at(level).tokenize(data, start, m, tokens),
     }
     crate::encoder::flush_search_stats(m.take_stats());
+}
+
+/// Positions between two of a helper's checkpoints.
+const MARK: usize = 4 << 10;
+
+/// A helper's state at its first loop top at or past a mark: its cursor,
+/// how many tokens and skip ranges it had, and its counters.
+#[derive(Debug, Clone, Copy)]
+struct Checkpoint {
+    at: Cursor,
+    tokens: usize,
+    skips: usize,
+    stats: SearchStats,
+}
+
+/// A helper's parse of one segment; its last checkpoint is where it stopped.
+#[derive(Debug)]
+struct Ahead {
+    tokens: Vec<Token>,
+    skips: Vec<(usize, usize)>,
+    checkpoints: Vec<Checkpoint>,
+}
+
+/// A helper's run of the segment `[from, to)`: a fresh matcher indexes
+/// every position of the window before `from`, then parses from there as if
+/// no literal run or match carried in, checkpointing at every [`MARK`] from
+/// `from` on and last at its first loop top at or past `to` (its matches may
+/// run past the segment).
+fn run_ahead(data: &[u8], from: usize, to: usize, rung: Rung) -> Ahead {
+    let mut m = Hash4Matcher::new();
+    m.begin(data.len());
+    index_span(&mut m, data, from.saturating_sub(WINDOW_SIZE), from);
+    let (mut at, mut skips) = (Cursor::at(from), Skips::ending_past(0));
+    let mut tokens = Vec::with_capacity((to - from) / 4 + 8);
+    let checkpoints = (from..to)
+        .step_by(MARK)
+        .chain([to])
+        .map(|mark| {
+            rung.run(data, &mut at, mark, &mut m, &mut tokens, &mut skips);
+            let (tokens, skips) = (tokens.len(), skips.ranges.len());
+            Checkpoint {
+                at,
+                tokens,
+                skips,
+                stats: m.stats,
+            }
+        })
+        .collect();
+    Ahead {
+        tokens,
+        skips: skips.ranges,
+        checkpoints,
+    }
+}
+
+/// The split behind [`tokenize_into_on`]: `data[start..]` in one segment
+/// more than `claim` grants, all but the first `ahead` on them. The caller
+/// parses the first, then on through each helper's checkpoints in turn; at
+/// the first where its cursor and the positions it left unindexed in the
+/// window are the helper's, it adopts the helper's tokens and counters from
+/// there. Where none agree, or the helper died, it parses the segment
+/// itself. Returns the checkpoints adopted.
+///
+/// Exact: from a loop top `q`, the parse depends only on the data, the
+/// cursor and which positions of `[q - WINDOW_SIZE, q)` are indexed, since
+/// every chain walk and the hash3 probe reject older positions by
+/// distance. Every parse indexes each position it passes in order, but
+/// those the insert-skip steps over, and a helper indexed the whole window
+/// before its segment: so equal skip ranges in the window mean equal
+/// indexed positions.
+fn tokenize_split(
+    data: &[u8],
+    start: usize,
+    rung: Rung,
+    m: &mut Hash4Matcher,
+    tokens: &mut Vec<Token>,
+    claim: Claim,
+    ahead: fn(&[u8], usize, usize, Rung) -> Ahead,
+) -> Vec<Cursor> {
+    let (n, segments) = (data.len(), 1 + claim.granted());
+    let bound = |i: usize| start + (n - start) * i / segments;
+    index_history(m, data, start);
+    let mut skips = Skips::ending_past(bound(1).saturating_sub(WINDOW_SIZE));
+    let mut at = Cursor::at(start);
+    let ((), landed) = claim.run(
+        1..segments,
+        |i| ahead(data, bound(i), bound(i + 1), rung),
+        || rung.run(data, &mut at, bound(1), m, tokens, &mut skips),
+    );
+    let mut adopted = Vec::new();
+    for got in landed.into_iter().flatten() {
+        let Some(&end) = got.checkpoints.last() else {
+            continue; // unreachable: a helper always ends on a checkpoint
+        };
+        for cp in &got.checkpoints {
+            if cp.at.pos < at.pos {
+                continue;
+            }
+            rung.run(data, &mut at, cp.at.pos, m, tokens, &mut skips);
+            let theirs = &got.skips[..cp.skips];
+            if at != cp.at || !same_window(&skips.ranges, theirs, at.pos) {
+                continue;
+            }
+            let rest = &got.skips[cp.skips..];
+            tokens.extend_from_slice(&got.tokens[cp.tokens..]);
+            m.stats.add_between(&cp.stats, &end.stats);
+            at = end.at;
+            if at.pos < n {
+                // The parse goes on: index the window as the helper did.
+                let from = cp.at.pos.max(at.pos.saturating_sub(WINDOW_SIZE));
+                reindex(m, data, from, at.pos, rest);
+            }
+            skips.ranges.extend_from_slice(rest);
+            adopted.push(cp.at);
+            break;
+        }
+    }
+    rung.run(data, &mut at, n, m, tokens, &mut skips);
+    at.finish(tokens);
+    adopted
+}
+
+/// Whether two parses' skip ranges leave the same positions of the window
+/// behind `q` unindexed.
+fn same_window(a: &[(usize, usize)], b: &[(usize, usize)], q: usize) -> bool {
+    fn window(r: &[(usize, usize)], lo: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let tail = r[r.partition_point(|s| s.1 <= lo)..].iter();
+        tail.map(move |&(from, to)| (from.max(lo), to))
+    }
+    let lo = q.saturating_sub(WINDOW_SIZE);
+    window(a, lo).eq(window(b, lo))
+}
+
+/// Indexes `[from, to)` but the `skipped` ranges, in position order: what a
+/// parse that passed them holds.
+fn reindex(m: &mut Hash4Matcher, data: &[u8], from: usize, to: usize, skipped: &[(usize, usize)]) {
+    let mut p = from;
+    for &(a, b) in skipped.iter().filter(|r| r.1 > from) {
+        index_span(m, data, p, a);
+        p = b;
+    }
+    index_span(m, data, p, to);
 }
 
 #[cfg(test)]
@@ -1039,5 +1356,237 @@ mod tests {
         assert!(stats.chain_hist.iter().sum::<u64>() > 0);
         // Second take is empty.
         assert_eq!(m.take_stats().chain_hist.iter().sum::<u64>(), 0);
+    }
+
+    /// A helper's run of a segment, as [`run_ahead`] is one.
+    type AheadFn = fn(&[u8], usize, usize, Rung) -> Ahead;
+
+    /// The serial call's tokens and counters: the oracle of every split.
+    fn serial(data: &[u8], start: usize, level: u32) -> (Vec<Token>, SearchStats) {
+        let (mut m, mut tokens) = (Hash4Matcher::new(), Vec::new());
+        Rung::at(level).tokenize(data, start, &mut m, &mut tokens);
+        (tokens, m.take_stats())
+    }
+
+    /// Runs `data[start..]` in `segments` segments, `ahead` running the
+    /// helpers on a budget of their own (so the split does not depend on the
+    /// host's CPUs), twice on one matcher, and diffs tokens and counters
+    /// against the serial call; returns the checkpoints adopted.
+    fn split_as_serial(
+        data: &[u8],
+        start: usize,
+        level: u32,
+        segments: usize,
+        ahead: AheadFn,
+    ) -> Vec<Cursor> {
+        let (want, want_stats) = serial(data, start, level);
+        let mut m = Hash4Matcher::new();
+        let mut adopted = Vec::new();
+        for _ in 0..2 {
+            let mut got = Vec::new();
+            m.reset();
+            let claim = Workers::new(segments - 1).claim(segments);
+            let rung = Rung::at(level);
+            adopted.push(tokenize_split(
+                data, start, rung, &mut m, &mut got, claim, ahead,
+            ));
+            let diff = got.iter().zip(&want).position(|(a, b)| a != b);
+            assert!(
+                got == want,
+                "level {level}, {segments} segments, start {start}: {} vs {} tokens, first \
+                 difference at {diff:?}",
+                got.len(),
+                want.len()
+            );
+            assert_eq!(m.take_stats(), want_stats, "level {level}");
+        }
+        assert_eq!(adopted[0], adopted[1]);
+        adopted.pop().unwrap()
+    }
+
+    /// The levels and engines the split serves: the sequential matcher's.
+    const SPLIT_RUNGS: [(u32, Engine); 5] = [
+        (1, Engine::Sequential),
+        (3, Engine::Sequential),
+        (6, Engine::Sequential),
+        (9, Engine::Sequential),
+        (6, Engine::Auto),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn split_equals_the_serial_call(
+            seed in proptest::prelude::any::<u64>(),
+            len in 40_000usize..160_000,
+            history in 0usize..=WINDOW_SIZE,
+            segments in 2usize..=4,
+            pick in 0usize..SPLIT_RUNGS.len(),
+        ) {
+            let (level, engine) = SPLIT_RUNGS[pick];
+            assert!(!engine.speculative_at(level));
+            let data = nx_corpus::mixed(seed, len);
+            let adopted = split_as_serial(&data, history, level, segments, run_ahead);
+            assert!(adopted.len() < segments);
+        }
+    }
+
+    #[test]
+    fn helpers_are_adopted_on_mixed_data() {
+        // Eight 192 KiB mixed buffers in four segments (one per 48 KiB):
+        // most helpers' parses meet the caller's.
+        for level in [1, 6] {
+            let adopted: usize = (0..8)
+                .map(|seed| {
+                    split_as_serial(&nx_corpus::mixed(seed, 192 << 10), 0, level, 4, run_ahead)
+                })
+                .map(|a| a.len())
+                .sum();
+            assert!(adopted >= 16, "level {level}: {adopted} of 24 adopted");
+        }
+    }
+
+    /// Text without a `z`, so a run of them matches nothing before it.
+    fn text(seed: u64, len: usize) -> Vec<u8> {
+        let mut t = nx_corpus::CorpusKind::Text.generate(seed, len);
+        t.iter_mut().filter(|b| **b == b'z').for_each(|b| *b = b'y');
+        t
+    }
+
+    #[test]
+    fn split_is_exact_at_a_literal_drought() {
+        // Random bytes around the second segment's start `s`: a drought the
+        // caller entered 100 literals before `s` (not skipping yet, so only
+        // its literal run tells it from the helper's), 1 000 before (skipping
+        // already), and one that ended 1 000 before `s` (skip ranges in the
+        // caller's window, none in the helper's). Text after `s` copies the
+        // drought, so a window that indexed the skipped positions finds
+        // other matches than one that did not.
+        let (s, drought) = (64 << 10, 3_000);
+        for (at, level) in [
+            (s - 100, 6),
+            (s - 1_000, 6),
+            (s - 1_000 - drought, 6),
+            (s - 100, 3),
+        ] {
+            let mut data = text(1, 2 * s);
+            let noise = nx_corpus::CorpusKind::Random.generate(2, drought);
+            data[at..at + drought].copy_from_slice(&noise);
+            data.copy_within(at..at + drought, s + 8_000);
+            let adopted = split_as_serial(&data, 0, level, 2, run_ahead);
+            assert_eq!(adopted.len(), 1, "drought at s - {}", s - at);
+            // The two parses agree only once the drought's skip ranges left
+            // the window.
+            let q = adopted[0].pos;
+            assert!(
+                q >= at + drought + WINDOW_SIZE - 64,
+                "adopted at s + {}",
+                q - s
+            );
+        }
+    }
+
+    #[test]
+    fn split_is_exact_where_a_match_crosses_a_mark_or_one_is_pending() {
+        // Level 6. The caller crosses `s` inside a match, so it cannot take
+        // the checkpoint at `s`. At the mark after it sits a lazy match the
+        // parse deferred: 50 `z`s (one literal, then a 49-byte match), then a
+        // 6-byte copy found at `mark - 1` and deferred, pending at the loop
+        // top `mark`. A second buffer puts a 600-byte copy across the mark,
+        // which a 258-byte match crosses.
+        let (s, n) = (64 << 10, 128 << 10);
+        let mark = s + MARK;
+        let mut pending = text(3, n);
+        pending.copy_within(s - 5_125..s - 4_875, s - 125);
+        pending[mark - 51..mark - 1].fill(b'z');
+        pending.copy_within(mark - 2_000..mark - 1_994, mark - 1);
+        let adopted = split_as_serial(&pending, 0, 6, 2, run_ahead);
+        assert_eq!(adopted.len(), 1);
+        assert_eq!(adopted[0].pos, mark);
+        assert!(adopted[0].pending.is_some(), "{:?}", adopted[0]);
+
+        let mut crossing = text(4, n);
+        crossing.copy_within(s - 5_125..s - 4_875, s - 125);
+        crossing.copy_within(mark - 9_000..mark - 8_400, mark - 300);
+        let (tokens, _) = serial(&crossing, 0, 6);
+        assert!(tokens.contains(&Token::Match {
+            len: 258,
+            dist: 8_700
+        }));
+        let adopted = split_as_serial(&crossing, 0, 6, 2, run_ahead);
+        assert_eq!(adopted.len(), 1);
+        assert!(adopted[0].pos > mark, "{:?}", adopted[0]);
+    }
+
+    #[test]
+    fn a_checkpoint_at_the_segment_start_reaches_back_a_full_window() {
+        // A 258-byte run of `z`s ends exactly at `s`, so the caller stands at
+        // `s` as the helper starts; a 40-byte motif at `s - WINDOW_SIZE`
+        // repeats at `s`. A helper that indexed its window one position short
+        // would miss that match, and its tokens would be adopted at `s`.
+        let s = 64 << 10;
+        let mut data = text(5, 2 * s);
+        let motif = nx_corpus::CorpusKind::Random.generate(7, 40);
+        data[s - 259..s].fill(b'z');
+        data[s - WINDOW_SIZE..s - WINDOW_SIZE + 40].copy_from_slice(&motif);
+        data[s..s + 40].copy_from_slice(&motif);
+        // (Level 1 leaves skip ranges in the text's window, so it adopts later.)
+        for level in [3, 6, 9] {
+            // The serial parse takes the match at `s`.
+            let (tokens, _) = serial(&data, 0, level);
+            let mut at = tokens.iter().scan(0, |p, t| {
+                Some((std::mem::replace(p, *p + t.input_len()), t))
+            });
+            let (_, first) = at.find(|&(p, _)| p >= s).unwrap();
+            assert!(
+                matches!(first, Token::Match { len: 40.., dist } if usize::from(*dist) == WINDOW_SIZE),
+                "level {level}: {first:?}"
+            );
+            let adopted = split_as_serial(&data, 0, level, 2, run_ahead);
+            assert_eq!(adopted, [Cursor::at(s)], "level {level}");
+        }
+    }
+
+    /// The helper whose segment ends the request dies.
+    fn kill_last(data: &[u8], from: usize, to: usize, rung: Rung) -> Ahead {
+        assert!(to < data.len(), "helper killed");
+        run_ahead(data, from, to, rung)
+    }
+
+    fn kill_all(_: &[u8], _: usize, _: usize, _: Rung) -> Ahead {
+        panic!("helper killed");
+    }
+
+    #[test]
+    fn dead_helpers_leave_their_segments_to_the_caller() {
+        let data = nx_corpus::mixed(9, 160 << 10);
+        for level in [1, 6] {
+            assert_eq!(split_as_serial(&data, 0, level, 3, run_ahead).len(), 2);
+            assert_eq!(split_as_serial(&data, 0, level, 3, kill_last).len(), 1);
+            assert!(split_as_serial(&data, 20_000, level, 4, kill_all).is_empty());
+        }
+    }
+
+    #[test]
+    fn the_route_claims_for_the_sequential_matcher_only() {
+        // Two segments' worth of new bytes on a budget of one helper: the
+        // sequential matcher claims it, the batch engine (`Auto` 1-3) never
+        // touches the budget; tokens equal the serial call either way.
+        let data = nx_corpus::mixed(11, 2 * crate::workers::SEGMENT_MIN + 100);
+        for (level, engine, helpers) in [
+            (6, Engine::Auto, 1),
+            (1, Engine::Sequential, 1),
+            (3, Engine::Auto, 0),
+        ] {
+            let budget = Workers::new(1);
+            let (mut m, mut got) = (Hash4Matcher::new(), Vec::new());
+            tokenize_into_on(&data, 100, level, engine, Some(&budget), &mut m, &mut got);
+            assert!(
+                got == fresh(&data, 100, level, engine),
+                "level {level} {engine:?}"
+            );
+            assert_eq!(budget.peak(), helpers, "level {level} {engine:?}");
+        }
     }
 }

@@ -26,6 +26,7 @@ use crate::bitio::BitWriter;
 use crate::decoder::{InflateScratch, Inflater, Open};
 use crate::encoder::{encode_fixed_block, CompressionLevel, Encoder};
 use crate::lz77::{Engine, Tokenizer};
+use crate::workers::Workers;
 use crate::WINDOW_SIZE;
 use std::mem::take;
 
@@ -80,6 +81,15 @@ impl StreamEncoder {
             finished: false,
             total_in: 0,
         }
+    }
+
+    /// This encoder on a worker budget: a chunk of at least two
+    /// [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s through the sequential
+    /// matcher runs its later segments ahead on the helpers the budget
+    /// grants ([`Encoder::with_workers`]).
+    pub fn with_workers(mut self, workers: Workers) -> Self {
+        self.enc.workers = Some(workers);
+        self
     }
 
     /// Creates an encoder whose first chunk may match back into `dict`
@@ -587,6 +597,27 @@ mod tests {
             }
         }
         assert!(failed || !dec.is_finished(), "corruption escaped detection");
+    }
+
+    #[test]
+    fn a_session_on_a_budget_splits_large_chunks_byte_for_byte() {
+        // Chunks of two segments behind the carried window take a helper;
+        // the stream is the one a session without a budget writes.
+        let data = nx_corpus::mixed(21, 5 * crate::workers::SEGMENT_MIN);
+        let budget = crate::workers::Workers::new(1);
+        let (mut plain, mut split) = (
+            StreamEncoder::with_engine(lvl(6), Engine::Sequential),
+            StreamEncoder::with_engine(lvl(6), Engine::Sequential).with_workers(budget.clone()),
+        );
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (i, chunk) in data.chunks(600 << 10).enumerate() {
+            let flush = if i == 2 { Flush::Finish } else { Flush::None };
+            plain.write_into(chunk, flush, &mut want);
+            split.write_into(chunk, flush, &mut got);
+        }
+        assert!(got == want);
+        assert_eq!(budget.peak(), 1, "no chunk took the helper");
+        assert_eq!(inflate(&got).unwrap(), data);
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! free; each returns when the helper holding it exits. Clones share one
 //! budget, so requests running side by side on it never start more helpers
 //! than it holds, as a VAS window's credits meter one engine's senders.
-//! This module reads the CPU count (once per process) and starts every
-//! thread that runs request work.
+//! This module reads the CPU count (once per process), decides how many
+//! segments a large request splits into, and starts every thread that runs
+//! request work.
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
+
+/// The smallest segment a request runs ahead on a helper: a segment's parse
+/// takes milliseconds, a spawn and a rebuilt window a fraction of one.
+pub const SEGMENT_MIN: usize = 256 << 10;
 
 /// The host's CPUs, read once per process; 1 if they cannot be read.
 pub fn cpus() -> usize {
@@ -58,6 +63,15 @@ impl Workers {
         let left = free(before);
         peak.fetch_max(before + left, Relaxed);
         Claim { budget, left }
+    }
+
+    /// Helpers for a request of `len` new bytes run in segments, at most one
+    /// per further [`SEGMENT_MIN`]. Size decides first, so a request under
+    /// two segments never touches the budget. The model's match engine and
+    /// the ladder's sequential matcher both split by this rule.
+    pub fn claim_segments(&self, len: usize) -> Option<Claim> {
+        let segments = len / SEGMENT_MIN;
+        (segments > 1).then(|| self.claim(segments))
     }
 
     /// Runs `job` over `0..n` on up to `workers` threads (the caller and the

@@ -165,7 +165,18 @@ cd "$(dirname "$0")/.."
 # inflater's zero-worker rounding, and nx-accel's own CPU cache, segment
 # rule and scoped spawn (nx-accel stays at 1837, paying for
 # `Accelerator::with_workers` and the engine's budget field).
-declare -A CAP=([accel]=1837 [bench]=3690 [deflate]=7677 [core]=7329 [sys]=1246 [telemetry]=2111)
+# Running a large ladder encode's later segments ahead on the handle's
+# helpers raised nx-deflate 7677 -> 8047: the sequential tokenizers run from
+# a loop-top cursor to a stop (`Cursor`, `Rung`, the skip ranges the
+# insert-skip leaves unindexed), and the split itself (`tokenize_into_on`,
+# `run_ahead` with its checkpoints, `tokenize_split`, the window compare and
+# re-index, `SearchStats::add_between`, `Encoder::with_workers` /
+# `StreamEncoder::with_workers`, the one segment rule moved into
+# `workers.rs`), ~330 lines with the exactness argument in their docs. It
+# raised nx-core 7329 -> 7330 (the handle's budget handed to the one-shot
+# ladder encode and to scratch sessions); nx-accel fell 1837 -> 1828 with
+# its copy of the segment rule, and its cap follows.
+declare -A CAP=([accel]=1828 [bench]=3690 [deflate]=8047 [core]=7330 [sys]=1246 [telemetry]=2111)
 
 total=0
 over=0
