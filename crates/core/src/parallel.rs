@@ -977,9 +977,10 @@ mod tests {
     #[test]
     fn one_budget_meters_every_fan_out_of_a_handle() {
         // Four 1 MiB model requests, each of which would run three helpers
-        // ahead, beside a sharded compress that would run three and two
-        // 1 MiB level-6 software requests that would each run three, all at
-        // once on one handle whose budget holds two helpers.
+        // ahead, beside a sharded compress that would run three, two 1 MiB
+        // level-6 software requests that would each run three and two 1 MiB
+        // level-1 ones that would each emit behind on one, all at once on
+        // one handle whose budget holds two helpers.
         let budget = Workers::new(2);
         let nx = Nx::power9().reconfigured(|env| env.workers = budget.clone());
         let opts = ParallelOptions {
@@ -988,8 +989,9 @@ mod tests {
         };
         let sess = nx.parallel_session(opts, 6);
         let ladder = CompressOptions::new().with_engine(Engine::Sequential);
-        let inputs: Vec<Vec<u8>> = (0..7).map(|i| nx_corpus::mixed(40 + i, 1 << 20)).collect();
-        let start = std::sync::Barrier::new(7);
+        let fastest = CompressOptions::from_level(nx_deflate::Level::Fastest);
+        let inputs: Vec<Vec<u8>> = (0..9).map(|i| nx_corpus::mixed(40 + i, 1 << 20)).collect();
+        let start = std::sync::Barrier::new(9);
         let outs: Vec<Vec<u8>> = std::thread::scope(|s| {
             let running: Vec<_> = (inputs.iter().enumerate())
                 .map(|(i, d)| {
@@ -999,6 +1001,7 @@ mod tests {
                         match i {
                             4 => sess.compress(d, Format::Gzip).unwrap(),
                             5 | 6 => nx.compress_with(d, Format::Gzip, ladder).unwrap().bytes,
+                            7 | 8 => nx.compress_with(d, Format::Gzip, fastest).unwrap().bytes,
                             _ => nx.compress(d, Format::Gzip).unwrap().bytes,
                         }
                     })
@@ -1013,10 +1016,15 @@ mod tests {
         }
         let sharded = sess.engine.compress_serial(&inputs[4], 6, Format::Gzip);
         assert!(outs[4] == sharded.unwrap());
-        for (d, out) in inputs[5..].iter().zip(&outs[5..]) {
-            let level = CompressionLevel::new(6).unwrap();
-            let want = software::compress_with_engine(d, level, Engine::Sequential, Format::Gzip);
-            assert!(*out == want);
+        for (i, (d, out)) in (5..).zip(inputs[5..].iter().zip(&outs[5..])) {
+            let (level, engine) = if i < 7 {
+                (6, Engine::Sequential)
+            } else {
+                (1, Engine::Auto)
+            };
+            let level = CompressionLevel::new(level).unwrap();
+            let want = software::compress_with_engine(d, level, engine, Format::Gzip);
+            assert!(*out == want, "request {i}");
         }
         // The first claim found both slots free; no claim found more.
         assert_eq!(budget.peak(), 2, "helpers past the handle's budget");

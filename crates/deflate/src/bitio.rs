@@ -113,6 +113,18 @@ impl BitWriter {
         self.out.len() as u64 * 8 + u64::from(self.nbits)
     }
 
+    /// Cuts the stream back to its first `bits` bits (at most
+    /// [`bit_len`](Self::bit_len)), mid-byte too: undoes whatever was
+    /// written since the writer stood there.
+    pub(crate) fn truncate(&mut self, bits: u64) {
+        assert!(bits <= self.bit_len(), "truncate past the end");
+        let (byte, rem) = ((bits / 8) as usize, (bits % 8) as u32);
+        let partial = self.out.get(byte).map_or(self.acc as u8, |&b| b);
+        self.out.truncate(byte);
+        self.acc = u64::from(partial) & ((1 << rem) - 1);
+        self.nbits = rem;
+    }
+
     /// Flushes any partial byte (zero-padded) and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_to_byte();
@@ -375,6 +387,33 @@ mod tests {
         w.write_bits(0xFF, 8);
         assert_eq!(w.bit_len(), 11);
         assert_eq!(w.byte_len(), 1);
+    }
+
+    #[test]
+    fn truncate_stands_the_writer_where_it_stood() {
+        // From every entry length 0..=20 bits, undo 0..=70 bits of writes:
+        // the writer continues as if they never happened.
+        let write = |w: &mut BitWriter, from: u64, bits: u64| {
+            (from..from + bits).for_each(|i| w.write_bits(i.count_ones() as u64 & 1, 1));
+        };
+        for entry in 0..=20u64 {
+            for undone in 0..=70 {
+                let mut want = BitWriter::new();
+                write(&mut want, 0, entry);
+                let mut got = want.clone();
+                got.write_bits(0x1FF_FFFF, 25);
+                write(&mut got, 0, undone);
+                got.truncate(entry);
+                assert_eq!(got.bit_len(), entry);
+                write(&mut got, 7, 13);
+                write(&mut want, 7, 13);
+                assert_eq!(
+                    got.finish(),
+                    want.finish(),
+                    "entry {entry}, undone {undone}"
+                );
+            }
+        }
     }
 
     /// What the writer must do, one bit at a time: the bits not yet

@@ -8,19 +8,22 @@
 //! token stream and its own (hardware-constrained) block strategy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
 
 use crate::bitio::BitWriter;
 use crate::huffman::{
     build, first_codes, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
 };
-use crate::lz77::hash4::{Hash4Matcher, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS};
+use crate::lz77::hash4::{
+    Hash4Matcher, Parse, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS,
+};
 use crate::lz77::{
     self, dist_code, Engine, Histogram, Token, DIST_BASE, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA,
     NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
 };
 use crate::stream::{Flush, StreamEncoder};
-use crate::workers::Workers;
+use crate::workers::{Claim, Workers, SEGMENT_MIN};
 use crate::{Error, Result};
 
 /// A validated zlib-style compression level (0..=9).
@@ -468,10 +471,10 @@ impl Encoder {
         }
     }
 
-    /// This encoder on a worker budget: a sequential-matcher encode of at
-    /// least two [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s runs its later
-    /// segments ahead on the helpers the budget grants. The stream is the
-    /// same byte for byte.
+    /// This encoder on a worker budget: an encode of at least two
+    /// [`SEGMENT_MIN`]s runs its later segments ahead (sequential matcher)
+    /// or emits its blocks behind its parse (batch matcher) on the helpers
+    /// the budget grants. The stream is the same byte for byte.
     pub fn with_workers(mut self, workers: Workers) -> Self {
         self.workers = Some(workers);
         self
@@ -518,14 +521,18 @@ impl Encoder {
             lz77::with_thread_tokenizer(|m, tokens| {
                 self.encode_chunk(w, &[], data, (m, tokens), &mut Vec::new(), true);
             });
+        } else if let Some(claim) = self.claim_behind(data.len()) {
+            let parts = (&mut Hash4Matcher::new(), &mut Vec::new());
+            self.encode_behind(w, data, 0, parts, claim, true);
         } else {
-            // The other strategies, and larger inputs on a fresh matcher
-            // (see `deflate_tokens_with`) that is freed before the blocks
-            // are emitted: holding it through emission moved the
-            // allocator's pattern and `bulk_software` `peak_rss_mib` +6 %.
+            // The other strategies, and larger inputs that do not emit
+            // behind, on a fresh matcher (see `deflate_tokens_with`) that is
+            // freed before the blocks are emitted: holding it through
+            // emission moved the allocator's pattern and `bulk_software`
+            // `peak_rss_mib` +6 %.
             let workers = self.workers.as_ref();
             let tokens = tokens_on(data, self.level, self.strategy, self.engine, workers);
-            self.emit_blocks(w, data, &tokens, true);
+            BlockEmitter::new(data, self.level).close(w, &tokens, true);
         }
     }
 
@@ -535,7 +542,9 @@ impl Encoder {
     /// `chunk` behind `history` (at most one window) on the caller's matcher
     /// (fresh or reset) and empty token buffer: in place without history,
     /// staged as `history ++ chunk` in `staging` with it. Then emits the
-    /// chunk's blocks, the last one final if `last`. Level 0 stores it.
+    /// chunk's blocks, the last one final if `last`; a large batch-matcher
+    /// chunk on a budget emits them behind the parse ([`emit_behind`]).
+    /// Level 0 stores it.
     pub(crate) fn encode_chunk(
         &self,
         w: &mut BitWriter,
@@ -558,45 +567,216 @@ impl Encoder {
             staging.extend_from_slice(chunk);
             (&staging[..], history.len())
         };
+        if let Some(claim) = self.claim_behind(chunk.len()) {
+            return self.encode_behind(w, input, start, (m, tokens), claim, last);
+        }
         let workers = self.workers.as_ref();
         lz77::hash4::tokenize_into_on(input, start, level, self.engine, workers, m, tokens);
-        self.emit_blocks(w, chunk, tokens, last);
+        BlockEmitter::new(chunk, self.level).close(w, tokens, last);
     }
 
-    /// The one block loop: splits `tokens` (an exact cover of `data`) into
-    /// blocks of bounded token count and input span in one pass — the
-    /// histogram accumulates as tokens stream by, so no block's tokens are
-    /// scanned twice — flagging the last block final if `last`. No tokens
-    /// make the canonical empty stream, an empty final fixed block.
-    fn emit_blocks(&self, w: &mut BitWriter, data: &[u8], tokens: &[Token], last: bool) {
-        if tokens.is_empty() {
+    /// [`emit_behind`] at its hand-over size, its counters flushed.
+    fn encode_behind(
+        &self,
+        w: &mut BitWriter,
+        data: &[u8],
+        start: usize,
+        (m, tokens): (&mut Hash4Matcher, &mut Vec<Token>),
+        claim: Claim,
+        last: bool,
+    ) {
+        let route = (claim, HAND_OVER, emit_chunks as Emit);
+        emit_behind(self, w, data, start, (&mut *m, tokens), route, last);
+        flush_search_stats(m.take_stats());
+    }
+
+    /// The one helper a batch-matcher parse (`Auto` 1–3, `Speculative`) of
+    /// at least two [`SEGMENT_MIN`]s of new bytes runs its emission on, if
+    /// its budget has one free. That parse does not split, so its helper
+    /// emits instead.
+    fn claim_behind(&self, new_bytes: usize) -> Option<Claim> {
+        let batch =
+            self.strategy == Strategy::Default && self.engine.speculative_at(self.level.get());
+        let budget = self
+            .workers
+            .as_ref()
+            .filter(|_| batch && new_bytes >= 2 * SEGMENT_MIN)?;
+        Some(budget.claim(2)).filter(|c| c.granted() == 1)
+    }
+}
+
+/// Input the parse covers between two hand-overs to the emitter.
+const HAND_OVER: usize = 64 << 10;
+
+/// Token chunks the parse may have out before it waits for one back. More
+/// buffers live beside the growing output left more heap unreturned.
+const IN_FLIGHT: usize = 2;
+
+/// The emitter's side of [`emit_behind`]: what its helper runs.
+type Emit = fn(BlockEmitter<'_>, &mut BitWriter, Receiver<Vec<Token>>, Sender<Vec<Token>>, bool);
+
+/// Emits each chunk handed over into the writer and hands its buffer back,
+/// then closes the blocks, the last one final if `last`, once the parse
+/// hangs up.
+fn emit_chunks(
+    mut blocks: BlockEmitter<'_>,
+    w: &mut BitWriter,
+    chunks: Receiver<Vec<Token>>,
+    back: Sender<Vec<Token>>,
+    last: bool,
+) {
+    for mut chunk in chunks {
+        blocks.feed(w, &chunk);
+        chunk.clear();
+        // The parse may have stopped taking buffers back.
+        let _ = back.send(chunk);
+    }
+    blocks.close(w, &[], last);
+}
+
+/// The emit-behind route: `data[start..]` parses on the caller, which hands
+/// the emitter on `claim`'s helper a token chunk at its first loop top at or
+/// past every `every` bytes of input, while the emitter writes them into `w`,
+/// the caller's own writer (mid-byte or not). The caller never waits for
+/// the helper to wake; it waits only while [`IN_FLIGHT`] chunks are out.
+/// Returns the chunks handed over, or `None` if the emitter died: then `w`
+/// is cut back to where it stood, and the serial body runs on `m` (reset,
+/// its counters dropped) and `tokens`.
+///
+/// Exact: the parse runs from loop top to loop top on its own cursor, so
+/// its chunks joined are the serial parse's tokens, and the emitter cuts
+/// and closes blocks by the one rule whatever the chunks ([`BlockEmitter`]).
+fn emit_behind(
+    enc: &Encoder,
+    w: &mut BitWriter,
+    data: &[u8],
+    start: usize,
+    (m, tokens): (&mut Hash4Matcher, &mut Vec<Token>),
+    (claim, every, emit): (Claim, usize, Emit),
+    last: bool,
+) -> Option<usize> {
+    let (entry, level, n) = (w.bit_len(), enc.level.get(), data.len());
+    let blocks = BlockEmitter::new(&data[start..], enc.level);
+    let ((to_emitter, chunks), (back, returned)) = (channel(), channel());
+    for _ in 0..IN_FLIGHT {
+        let _ = back.send(Vec::with_capacity(every / 2));
+    }
+    let mut handed = 0;
+    let ((), emitted) = claim.run(
+        [(blocks, &mut *w, chunks, back)],
+        |(blocks, w, chunks, back)| emit(blocks, w, chunks, back, last),
+        || {
+            let mut parse = Parse::open(data, start, level, enc.engine, m);
+            for stop in (start..n).step_by(every).skip(1).chain([n]) {
+                let Ok(mut chunk) = returned.recv() else {
+                    break;
+                };
+                parse.run(data, stop, m, &mut chunk);
+                if stop == n {
+                    parse.finish(data, m, &mut chunk);
+                }
+                if to_emitter.send(chunk).is_err() {
+                    break;
+                }
+                handed += 1;
+            }
+            drop(to_emitter); // hangs up: the emitter closes
+        },
+    );
+    if emitted[0].is_some() {
+        return Some(handed);
+    }
+    w.truncate(entry);
+    m.reset();
+    m.take_stats();
+    let mut parse = Parse::open(data, start, level, enc.engine, m);
+    parse.run(data, n, m, tokens);
+    parse.finish(data, m, tokens);
+    BlockEmitter::new(&data[start..], enc.level).close(w, tokens, last);
+    None
+}
+
+/// The one block loop, fed in pieces: splits the tokens it is given, in
+/// order an exact cover of `data`, into blocks of bounded token count and
+/// input span as they stream by. The histogram accumulates token by token,
+/// so no block's tokens are scanned twice. A block is written once the
+/// token after it arrives, so only [`close`](Self::close) knows the last
+/// one, and it sets the final flag. The tokens of a block a later piece
+/// continues (one straddling a chunk seam) are copied; no others are.
+/// No tokens at all make the canonical empty stream, an empty final fixed
+/// block.
+pub(crate) struct BlockEmitter<'d> {
+    data: &'d [u8],
+    rung: Level,
+    hist: Histogram,
+    /// The open block's tokens from earlier pieces.
+    carry: Vec<Token>,
+    /// Where the open block starts in `data`, and its tokens and bytes.
+    start: usize,
+    open: usize,
+    span: usize,
+}
+
+impl<'d> BlockEmitter<'d> {
+    pub(crate) fn new(data: &'d [u8], level: CompressionLevel) -> Self {
+        Self {
+            data,
+            rung: Level::from_numeric(level.get()),
+            hist: Histogram::new(),
+            carry: Vec::new(),
+            start: 0,
+            open: 0,
+            span: 0,
+        }
+    }
+
+    /// Takes the next tokens; more follow.
+    pub(crate) fn feed(&mut self, w: &mut BitWriter, tokens: &[Token]) {
+        let rest = self.cut(w, tokens);
+        self.carry.extend_from_slice(rest);
+    }
+
+    /// Takes the last tokens and writes the open block, final if `last`.
+    pub(crate) fn close(mut self, w: &mut BitWriter, tokens: &[Token], last: bool) {
+        let rest = self.cut(w, tokens);
+        if self.open == 0 {
             return encode_fixed_block(w, &[], true);
         }
-        let rung = Level::from_numeric(self.level.get());
-        let mut hist = Histogram::new();
-        let mut start_tok = 0usize;
-        let mut start_byte = 0usize;
-        let mut span = 0usize;
+        self.write(w, rest, last);
+    }
+
+    /// Writes each block that is full when a further token arrives; returns
+    /// the tokens of the open block past the carry.
+    fn cut<'t>(&mut self, w: &mut BitWriter, tokens: &'t [Token]) -> &'t [Token] {
+        let (mut from, mut open, mut span) = (0, self.open, self.span);
         for (i, &t) in tokens.iter().enumerate() {
-            hist.record(t);
-            span += t.input_len();
-            let is_last = i + 1 == tokens.len();
-            if is_last || i + 1 - start_tok >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
-                hist.record_end_of_block();
-                choose_and_encode_block(
-                    w,
-                    Some(&data[start_byte..start_byte + span]),
-                    &tokens[start_tok..=i],
-                    &hist,
-                    is_last && last,
-                    rung,
-                );
-                hist.clear();
-                start_tok = i + 1;
-                start_byte += span;
-                span = 0;
+            if open >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
+                (self.open, self.span) = (open, span);
+                self.write(w, &tokens[from..i], false);
+                (from, open, span) = (i, 0, 0);
             }
+            self.hist.record(t);
+            open += 1;
+            span += t.input_len();
         }
+        (self.open, self.span) = (open, span);
+        &tokens[from..]
+    }
+
+    /// Writes the open block: the carry, then `tokens`.
+    fn write(&mut self, w: &mut BitWriter, tokens: &[Token], last: bool) {
+        let block = if self.carry.is_empty() {
+            tokens
+        } else {
+            self.carry.extend_from_slice(tokens);
+            &self.carry
+        };
+        self.hist.record_end_of_block();
+        let bytes = &self.data[self.start..self.start + self.span];
+        choose_and_encode_block(w, Some(bytes), block, &self.hist, last, self.rung);
+        self.hist.clear();
+        self.carry.clear();
+        (self.start, self.open, self.span) = (self.start + self.span, 0, 0);
     }
 }
 
@@ -1855,6 +2035,276 @@ mod tests {
         for l in [1, 6, 9] {
             let out = deflate(&data, level(l));
             assert_eq!(inflate(&out).unwrap(), data, "level {l}");
+        }
+    }
+
+    /// The block loop as it stood before it took its tokens in pieces,
+    /// verbatim but for `self.level` becoming `level`: the oracle of every
+    /// chunking the emitter is fed.
+    fn parent_emit_blocks(
+        level: CompressionLevel,
+        w: &mut BitWriter,
+        data: &[u8],
+        tokens: &[Token],
+        last: bool,
+    ) {
+        if tokens.is_empty() {
+            return encode_fixed_block(w, &[], true);
+        }
+        let rung = Level::from_numeric(level.get());
+        let mut hist = Histogram::new();
+        let mut start_tok = 0usize;
+        let mut start_byte = 0usize;
+        let mut span = 0usize;
+        for (i, &t) in tokens.iter().enumerate() {
+            hist.record(t);
+            span += t.input_len();
+            let is_last = i + 1 == tokens.len();
+            if is_last || i + 1 - start_tok >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
+                hist.record_end_of_block();
+                choose_and_encode_block(
+                    w,
+                    Some(&data[start_byte..start_byte + span]),
+                    &tokens[start_tok..=i],
+                    &hist,
+                    is_last && last,
+                    rung,
+                );
+                hist.clear();
+                start_tok = i + 1;
+                start_byte += span;
+                span = 0;
+            }
+        }
+    }
+
+    /// Token indices where the parent's loop cuts a block (after the last
+    /// token of each block but the stream's last).
+    fn cuts(tokens: &[Token]) -> Vec<usize> {
+        let (mut open, mut span, mut cuts) = (0, 0, Vec::new());
+        for (i, t) in tokens.iter().enumerate() {
+            (open, span) = (open + 1, span + t.input_len());
+            if open >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
+                (open, span) = (0, 0);
+                cuts.push(i + 1);
+            }
+        }
+        cuts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn the_emitter_fed_in_pieces_writes_the_parents_blocks(
+            seed in proptest::prelude::any::<u64>(),
+            len in 200_000usize..420_000,
+            piece in 1usize..=64,
+            (end_at_a_cut, empty_last, last, prefix) in (
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                0u32..8,
+            ),
+        ) {
+            // Tiny pieces with a seam at every block cut too; a stream that
+            // ends on a cut, so its last token fills the last block; an empty
+            // last piece. The writer may stand mid-byte.
+            let data = nx_corpus::mixed(seed, len);
+            let mut tokens = deflate_tokens(&data, level(1));
+            let cut = cuts(&tokens);
+            if end_at_a_cut {
+                tokens.truncate(*cut.last().unwrap());
+            }
+            let covered: usize = tokens.iter().map(Token::input_len).sum();
+            let data = &data[..covered];
+            let mut want = BitWriter::new();
+            want.write_bits(0b1011 & ((1 << prefix) - 1), prefix);
+            let (mut whole, mut pieces) = (want.clone(), want.clone());
+            parent_emit_blocks(level(1), &mut want, data, &tokens, last);
+            BlockEmitter::new(data, level(1)).close(&mut whole, &tokens, last);
+            let mut seams: Vec<usize> = (0..tokens.len()).step_by(piece).chain(cut).collect();
+            seams.sort_unstable();
+            let mut blocks = BlockEmitter::new(data, level(1));
+            let mut from = 0;
+            for &seam in seams.iter().filter(|&&s| s <= tokens.len()) {
+                blocks.feed(&mut pieces, &tokens[from..seam]);
+                from = seam;
+            }
+            if empty_last {
+                blocks.feed(&mut pieces, &tokens[from..]);
+                from = tokens.len();
+            }
+            blocks.close(&mut pieces, &tokens[from..], last);
+            let want = want.finish();
+            assert!(whole.finish() == want, "one piece");
+            assert!(pieces.finish() == want, "in pieces");
+        }
+    }
+
+    #[test]
+    fn no_tokens_make_the_empty_stream() {
+        for last in [false, true] {
+            let (mut want, mut got) = (BitWriter::new(), BitWriter::new());
+            parent_emit_blocks(level(6), &mut want, &[], &[], last);
+            let mut blocks = BlockEmitter::new(&[], level(6));
+            blocks.feed(&mut got, &[]);
+            blocks.close(&mut got, &[], last);
+            assert_eq!(got.finish(), want.finish());
+        }
+    }
+
+    /// The batch-matcher rungs the emit-behind route serves.
+    const BEHIND_RUNGS: [(u32, Engine); 4] = [
+        (1, Engine::Auto),
+        (2, Engine::Auto),
+        (3, Engine::Auto),
+        (6, Engine::Speculative),
+    ];
+
+    /// Runs `chunk` behind `history` through [`emit_behind`] on a budget of
+    /// its own (so the route does not depend on the host's CPUs), handing
+    /// over every `every` bytes into a writer holding `prefix` bits, twice on
+    /// one matcher, and diffs bytes and counters against the serial call.
+    /// Returns the chunks handed over.
+    fn behind_as_serial(
+        (level, engine): (u32, Engine),
+        history: &[u8],
+        chunk: &[u8],
+        (prefix, last): (u32, bool),
+        every: usize,
+        emit: Emit,
+    ) -> Option<usize> {
+        let enc = Encoder::with_engine(self::level(level), engine);
+        let mut entry = BitWriter::new();
+        entry.write_bits(0b0110_1011 & ((1 << prefix) - 1), prefix);
+        let mut want = entry.clone();
+        let serial = (&mut Hash4Matcher::new(), &mut Vec::new());
+        enc.encode_chunk(&mut want, history, chunk, serial, &mut Vec::new(), last);
+        let want = want.finish();
+        let input = [history, chunk].concat();
+        let (mut m, mut tokens) = (Hash4Matcher::new(), Vec::new());
+        lz77::batch::tokenize_speculative_into(&input, history.len(), level, &mut m, &mut tokens);
+        let want_stats = m.take_stats();
+        let mut handed = Vec::new();
+        for _ in 0..2 {
+            m.reset();
+            let mut got = entry.clone();
+            let route = (Workers::new(1).claim(2), every, emit);
+            let parts = (&mut m, &mut Vec::new());
+            handed.push(emit_behind(
+                &enc,
+                &mut got,
+                &input,
+                history.len(),
+                parts,
+                route,
+                last,
+            ));
+            assert!(
+                got.finish() == want,
+                "level {level} {engine:?}, every {every}"
+            );
+            assert_eq!(m.take_stats(), want_stats, "level {level} {engine:?}");
+        }
+        assert_eq!(handed[0], handed[1]);
+        handed[0]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn emitting_behind_equals_the_serial_call(
+            seed in proptest::prelude::any::<u64>(),
+            len in 1usize..300_000,
+            history in 0usize..=crate::WINDOW_SIZE,
+            pick in 0usize..BEHIND_RUNGS.len(),
+            every in 1usize..2_000,
+            (prefix, last) in (0u32..8, proptest::prelude::any::<bool>()),
+        ) {
+            let data = nx_corpus::mixed(seed, history + len);
+            let (history, chunk) = data.split_at(history);
+            let rung = BEHIND_RUNGS[pick];
+            let handed = behind_as_serial(rung, history, chunk, (prefix, last), every, emit_chunks);
+            // The route: one chunk per stop, the last at the end.
+            assert_eq!(handed, Some(len.div_ceil(every)));
+        }
+    }
+
+    #[test]
+    fn every_rung_emits_behind_at_every_history() {
+        let data = nx_corpus::mixed(21, crate::WINDOW_SIZE + (320 << 10));
+        for rung in BEHIND_RUNGS {
+            for history in [0, 1, 4 << 10, crate::WINDOW_SIZE] {
+                let (history, chunk) = data[crate::WINDOW_SIZE - history..].split_at(history);
+                let handed =
+                    behind_as_serial(rung, history, chunk, (3, true), HAND_OVER, emit_chunks);
+                assert_eq!(handed, Some(5), "{rung:?}");
+            }
+        }
+    }
+
+    /// An emitter that dies before it takes a chunk.
+    fn die_at_once(
+        _: BlockEmitter<'_>,
+        _: &mut BitWriter,
+        _: Receiver<Vec<Token>>,
+        _: Sender<Vec<Token>>,
+        _: bool,
+    ) {
+        panic!("emitter killed");
+    }
+
+    /// An emitter that writes the blocks of three chunks, then dies.
+    fn die_midway(
+        mut blocks: BlockEmitter<'_>,
+        w: &mut BitWriter,
+        chunks: Receiver<Vec<Token>>,
+        back: Sender<Vec<Token>>,
+        _: bool,
+    ) {
+        for chunk in chunks.iter().take(3) {
+            blocks.feed(w, &chunk);
+            back.send(chunk).unwrap();
+        }
+        assert!(w.bit_len() > 1 << 16, "nothing written yet");
+        panic!("emitter killed");
+    }
+
+    #[test]
+    fn a_dead_emitter_leaves_the_serial_bytes() {
+        // Dead before or after writing blocks, from a mid-byte writer: the
+        // writer is cut back, and the serial body writes the request.
+        let data = nx_corpus::mixed(5, 400 << 10);
+        let (history, chunk) = data.split_at(1_000);
+        for emit in [die_at_once as Emit, die_midway] {
+            for rung in [(1, Engine::Auto), (6, Engine::Speculative)] {
+                let got = behind_as_serial(rung, history, chunk, (5, true), 100 << 10, emit);
+                assert_eq!(got, None, "{rung:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn large_batch_matcher_encodes_emit_behind_on_the_budget() {
+        // From two segments of new bytes, a batch-matcher encode on a budget
+        // claims its one helper, one-shot and in a session; the sequential
+        // matcher claims it to split instead. Bytes are the serial call's.
+        let min = 2 * SEGMENT_MIN;
+        let data = nx_corpus::mixed(13, min + 10);
+        for (level, engine, len, helpers) in [
+            (1, Engine::Auto, min, 1),
+            (3, Engine::Speculative, min + 10, 1),
+            (1, Engine::Auto, min - 1, 0),
+            (0, Engine::Speculative, min, 0),
+            (1, Engine::Sequential, min, 1),
+        ] {
+            let plain = Encoder::with_engine(self::level(level), engine);
+            let budget = Workers::new(1);
+            let enc = plain.clone().with_workers(budget.clone());
+            assert!(enc.compress(&data[..len]) == plain.compress(&data[..len]));
+            assert_eq!(budget.peak(), helpers, "level {level} {engine:?} {len}");
         }
     }
 }

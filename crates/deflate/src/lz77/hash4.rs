@@ -22,11 +22,13 @@
 //! Three tokenizers sit on top, selected by the numeric level exactly as
 //! zlib selects `deflate_fast`/`deflate_slow`:
 //!
-//! * [`tokenize_fastest_into`] (level 1, [`crate::Level::Fastest`]) —
-//!   head-only greedy: one probe per position, no chain walk at all;
-//! * [`tokenize_greedy4_into`] (levels 2–3) — greedy with a bounded walk;
-//! * [`tokenize_lazy4_into`] (levels 4–9) — zlib's one-token lazy
-//!   deferral (`deflate_slow`) over the hash4 chains.
+//! * `fastest` (level 1, [`crate::Level::Fastest`]) — head-only greedy:
+//!   one probe per position, no chain walk at all;
+//! * `greedy4` (levels 2–3) — greedy with a bounded walk;
+//! * `lazy4` (levels 4–9) — zlib's one-token lazy deferral
+//!   (`deflate_slow`) over the hash4 chains. The skip heuristic only
+//!   engages after long literal droughts (shift 8 → 256 consecutive
+//!   literals) so compressible data keeps the exact lazy parse.
 //!
 //! All three append per-search chain-walk lengths and lazy deferrals to
 //! local counters that the caller flushes into the process-wide encode
@@ -35,7 +37,8 @@
 //! Each runs from a loop-top `Cursor` to a stop, so a large request on a
 //! worker budget parses its later segments ahead on helper threads and the
 //! caller adopts a helper's parse where its own state meets it
-//! (`tokenize_into_on`), token for token.
+//! (`tokenize_into_on`), token for token; and a parse on either matcher
+//! can hand its tokens on at every stop while it goes on (`Parse`).
 
 use super::hash::match_length;
 use super::{MatcherConfig, Token};
@@ -527,7 +530,7 @@ fn emit_skip_literals(
 /// positions indexed in the window behind `pos`, it is all the parse from
 /// `pos` on depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Cursor {
+pub(crate) struct Cursor {
     pos: usize,
     /// Literals since the last match: the insert-skip's step grows with it.
     lit_run: usize,
@@ -559,7 +562,7 @@ impl Cursor {
 /// A sequential tokenizer with its tuning, chosen by level as zlib chooses
 /// `deflate_fast` / `deflate_slow`.
 #[derive(Debug, Clone, Copy)]
-enum Rung {
+pub(crate) enum Rung {
     /// Level 1: greedy, head-only (no chain walk).
     Fastest,
     /// Levels 2–3: greedy with a bounded chain walk.
@@ -575,14 +578,6 @@ impl Rung {
             l if MatcherConfig::is_lazy_level(l) => Rung::Lazy(MatcherConfig::for_level(l)),
             l => Rung::Greedy(MatcherConfig::for_level(l)),
         }
-    }
-
-    /// The whole parse of `data[start..]` behind its history.
-    fn tokenize(self, data: &[u8], start: usize, m: &mut Hash4Matcher, tokens: &mut Vec<Token>) {
-        index_history(m, data, start);
-        let (mut at, mut none) = (Cursor::at(start), Skips::ending_past(usize::MAX));
-        self.run(data, &mut at, data.len(), m, tokens, &mut none);
-        at.finish(tokens);
     }
 
     /// Parses on from `at` to its first loop top at or past `stop`. Each
@@ -603,42 +598,6 @@ impl Rung {
             Rung::Lazy(cfg) => lazy4(data, at, stop, &cfg, m, tokens, skips),
         }
     }
-}
-
-/// Level-1 tokenizer: greedy, head-only (no chain walk), with the
-/// insert-skip heuristic — the [`crate::Level::Fastest`] pass.
-pub fn tokenize_fastest_into(
-    data: &[u8],
-    start: usize,
-    m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
-) {
-    Rung::Fastest.tokenize(data, start, m, tokens);
-}
-
-/// Levels 2–3 tokenizer: greedy with a bounded chain walk.
-pub fn tokenize_greedy4_into(
-    data: &[u8],
-    start: usize,
-    cfg: &MatcherConfig,
-    m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
-) {
-    Rung::Greedy(*cfg).tokenize(data, start, m, tokens);
-}
-
-/// Levels 4–9 tokenizer: one-token lazy deferral (zlib `deflate_slow`)
-/// over the hash4 chains. The skip heuristic only engages after long
-/// literal droughts (shift 8 → 256 consecutive literals) so compressible
-/// data keeps the exact lazy parse.
-pub fn tokenize_lazy4_into(
-    data: &[u8],
-    start: usize,
-    cfg: &MatcherConfig,
-    m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
-) {
-    Rung::Lazy(*cfg).tokenize(data, start, m, tokens);
 }
 
 /// [`Rung::Fastest`]'s loop from `at` to `stop`.
@@ -847,12 +806,66 @@ pub(crate) fn tokenize_into_on(
         Some(claim) => {
             tokenize_split(data, start, Rung::at(level), m, tokens, claim, run_ahead);
         }
-        None if speculative => {
-            super::batch::tokenize_speculative_into(data, start, level, m, tokens)
+        None => {
+            let mut parse = Parse::open(data, start, level, engine, m);
+            parse.run(data, data.len(), m, tokens);
+            parse.finish(data, m, tokens);
         }
-        None => Rung::at(level).tokenize(data, start, m, tokens),
     }
     crate::encoder::flush_search_stats(m.take_stats());
+}
+
+/// A parse of `data[start..]` run in pieces, each to its first loop top at
+/// or past a stop, for either matcher: what a route that hands tokens on
+/// while the parse goes on drives. The pieces' tokens and counters, joined,
+/// are the whole parse's, since a loop top's cursor is all a parse carries.
+pub(crate) enum Parse {
+    Batch(u32, super::batch::Cursor),
+    Sequential(Rung, Cursor),
+}
+
+impl Parse {
+    /// Indexes the history and stands at `start`, on `engine`'s matcher for
+    /// `level` (1–9).
+    pub(crate) fn open(
+        data: &[u8],
+        start: usize,
+        level: u32,
+        engine: super::Engine,
+        m: &mut Hash4Matcher,
+    ) -> Self {
+        index_history(m, data, start);
+        if engine.speculative_at(level) {
+            Parse::Batch(level, super::batch::Cursor::at(start))
+        } else {
+            Parse::Sequential(Rung::at(level), Cursor::at(start))
+        }
+    }
+
+    /// Parses on to the first loop top at or past `stop`.
+    pub(crate) fn run(
+        &mut self,
+        data: &[u8],
+        stop: usize,
+        m: &mut Hash4Matcher,
+        tokens: &mut Vec<Token>,
+    ) {
+        match self {
+            Parse::Batch(level, at) => super::batch::run(data, at, stop, *level, m, tokens),
+            Parse::Sequential(rung, at) => {
+                let mut none = Skips::ending_past(usize::MAX);
+                rung.run(data, at, stop, m, tokens, &mut none);
+            }
+        }
+    }
+
+    /// Ends a parse that ran to the end of the input.
+    pub(crate) fn finish(&mut self, data: &[u8], m: &mut Hash4Matcher, tokens: &mut Vec<Token>) {
+        match self {
+            Parse::Batch(_, at) => at.finish(data, m, tokens),
+            Parse::Sequential(_, at) => at.finish(tokens),
+        }
+    }
 }
 
 /// Positions between two of a helper's checkpoints.
@@ -1350,8 +1363,8 @@ mod tests {
             .flatten()
             .copied()
             .collect();
-        let cfg = MatcherConfig::for_level(6);
-        tokenize_lazy4_into(&data, 0, &cfg, &mut m, &mut tokens);
+        let mut parse = Parse::open(&data, 0, 6, Engine::Sequential, &mut m);
+        parse.run(&data, data.len(), &mut m, &mut tokens);
         let stats = m.take_stats();
         assert!(stats.chain_hist.iter().sum::<u64>() > 0);
         // Second take is empty.
@@ -1364,7 +1377,9 @@ mod tests {
     /// The serial call's tokens and counters: the oracle of every split.
     fn serial(data: &[u8], start: usize, level: u32) -> (Vec<Token>, SearchStats) {
         let (mut m, mut tokens) = (Hash4Matcher::new(), Vec::new());
-        Rung::at(level).tokenize(data, start, &mut m, &mut tokens);
+        let mut parse = Parse::open(data, start, level, Engine::Sequential, &mut m);
+        parse.run(data, data.len(), &mut m, &mut tokens);
+        parse.finish(data, &mut m, &mut tokens);
         (tokens, m.take_stats())
     }
 

@@ -84,8 +84,8 @@ impl StreamEncoder {
     }
 
     /// This encoder on a worker budget: a chunk of at least two
-    /// [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s through the sequential
-    /// matcher runs its later segments ahead on the helpers the budget
+    /// [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s runs its later segments
+    /// ahead or emits its blocks behind its parse on the helpers the budget
     /// grants ([`Encoder::with_workers`]).
     pub fn with_workers(mut self, workers: Workers) -> Self {
         self.enc.workers = Some(workers);
@@ -617,6 +617,30 @@ mod tests {
         }
         assert!(got == want);
         assert_eq!(budget.peak(), 1, "no chunk took the helper");
+        assert_eq!(inflate(&got).unwrap(), data);
+    }
+
+    #[test]
+    fn a_session_emits_a_large_batch_chunk_behind_from_mid_byte() {
+        // A short chunk leaves the writer mid-byte; the large level-1 chunk
+        // behind it emits into the same writer on the helper, and the
+        // stream is the one a session without a budget writes.
+        let data = nx_corpus::mixed(23, 3 * crate::workers::SEGMENT_MIN);
+        let budget = crate::workers::Workers::new(1);
+        let (mut plain, mut behind) = (
+            StreamEncoder::new(lvl(1)),
+            StreamEncoder::new(lvl(1)).with_workers(budget.clone()),
+        );
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let (head, rest) = data.split_at(1_001);
+        plain.write_into(head, Flush::None, &mut want);
+        behind.write_into(head, Flush::None, &mut got);
+        assert_ne!(behind.w.bit_len() % 8, 0, "the writer stands on a byte");
+        assert_eq!(budget.peak(), 0);
+        plain.write_into(rest, Flush::Finish, &mut want);
+        behind.write_into(rest, Flush::Finish, &mut got);
+        assert!(got == want);
+        assert_eq!(budget.peak(), 1, "the chunk did not emit behind");
         assert_eq!(inflate(&got).unwrap(), data);
     }
 

@@ -5,8 +5,8 @@
 use nx_deflate::huffman::{build, canonical_codes, decode::roundtrip_symbols};
 use nx_deflate::lz77::batch::tokenize_speculative_into;
 use nx_deflate::lz77::cover::{resolve_cover, Candidate, CoverPicks, MIN_KEEP, WINDOW_LANES};
-use nx_deflate::lz77::hash4::{tokenize_greedy4_into, tokenize_lazy4_into, Hash4Matcher};
-use nx_deflate::lz77::{expand_tokens, MatcherConfig};
+use nx_deflate::lz77::expand_tokens;
+use nx_deflate::lz77::hash4::{tokenize_into_with, Hash4Matcher};
 use nx_deflate::{deflate, gzip, inflate, zlib, CompressionLevel, Encoder, Engine};
 use proptest::prelude::*;
 
@@ -83,14 +83,9 @@ proptest! {
 
     #[test]
     fn tokenizers_are_lossless(data in structured_bytes(), level in 1u32..=9) {
-        let cfg = MatcherConfig::for_level(level);
         let mut m = Hash4Matcher::new();
         let mut tokens = Vec::new();
-        if MatcherConfig::is_lazy_level(level) {
-            tokenize_lazy4_into(&data, 0, &cfg, &mut m, &mut tokens);
-        } else {
-            tokenize_greedy4_into(&data, 0, &cfg, &mut m, &mut tokens);
-        }
+        tokenize_into_with(&data, 0, level, Engine::Sequential, &mut m, &mut tokens);
         prop_assert!(tokens.iter().all(|t| t.is_valid()));
         prop_assert_eq!(expand_tokens(&tokens), data);
     }
@@ -173,14 +168,13 @@ proptest! {
         data in structured_bytes(),
         level in 1u32..=9,
     ) {
-        // Wherever the sequential greedy parse round-trips, the batched
+        // Wherever the sequential parse round-trips, the batched
         // speculative parse must produce valid tokens that round-trip
         // too — both at the token level and through the full encoder.
-        let cfg = MatcherConfig::for_level(level);
         let mut m = Hash4Matcher::new();
-        let mut greedy = Vec::new();
-        tokenize_greedy4_into(&data, 0, &cfg, &mut m, &mut greedy);
-        prop_assert_eq!(expand_tokens(&greedy), data.clone());
+        let mut sequential = Vec::new();
+        tokenize_into_with(&data, 0, level, Engine::Sequential, &mut m, &mut sequential);
+        prop_assert_eq!(expand_tokens(&sequential), data.clone());
 
         m.reset();
         let mut spec = Vec::new();

@@ -204,8 +204,10 @@ echo "==> thread-spawn gate"
 # (service/mod.rs; an async session is a one-window service, not a thread
 # of its own), the worker budget's scoped helpers (nx-deflate
 # workers.rs::Claim::run), which every request's helper threads start in
-# -- sharded compress and member decode through `Workers::fan_out`, the
-# match engine's segments run ahead directly -- and E21's trace writer. A
+# -- sharded compress and member decode through `Workers::fan_out`; the
+# match engine's segments run ahead and the ladder encoder's two routes
+# (its sequential matcher's segments run ahead, its batch matcher's blocks
+# emitted behind the parse) directly -- and E21's trace writer. A
 # new spawn site -- a second engine, a per-session worker, a pool --
 # fails here. (A comment does not count; test modules sit below
 # `#[cfg(test)]`.)

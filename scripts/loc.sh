@@ -176,7 +176,18 @@ cd "$(dirname "$0")/.."
 # raised nx-core 7329 -> 7330 (the handle's budget handed to the one-shot
 # ladder encode and to scratch sessions); nx-accel fell 1837 -> 1828 with
 # its copy of the segment rule, and its cap follows.
-declare -A CAP=([accel]=1828 [bench]=3690 [deflate]=8047 [core]=7330 [sys]=1246 [telemetry]=2111)
+# Emitting a large batch-matcher encode's blocks behind its parse raised
+# nx-deflate 8047 -> 8308: the streaming block emitter (`BlockEmitter`:
+# `feed`, `close`, the carry of a block straddling a chunk seam), the route
+# (`emit_behind`, `emit_chunks`, `claim_behind`, the hand-over and in-flight
+# bounds), the batch loop run from a cursor to a stop (`batch::Cursor`,
+# `batch::run`), one parse over stops for either matcher (`hash4::Parse`,
+# which also serves `tokenize_into_on`'s serial call) and
+# `BitWriter::truncate` for a dead helper, ~300 lines with the exactness
+# argument in their docs, against the old block loop and the three `pub`
+# tokenizers nothing but tests called (`tokenize_fastest_into`,
+# `tokenize_greedy4_into`, `tokenize_lazy4_into`, with `Rung::tokenize`).
+declare -A CAP=([accel]=1828 [bench]=3690 [deflate]=8308 [core]=7330 [sys]=1246 [telemetry]=2111)
 
 total=0
 over=0
