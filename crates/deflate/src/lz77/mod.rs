@@ -195,42 +195,46 @@ pub fn dist_code(dist: u16) -> usize {
 /// One-shot tokenization allocates a ~450 KB hash4 dictionary and a token
 /// buffer on every call — fine for one-shot compression, wasteful for
 /// chunked sessions (the streaming encoder, the parallel engine's shard
-/// workers) that tokenize thousands of chunks. A `Tokenizer` owns both
-/// and recycles them: resetting the dictionary writes no table (see
-/// [`hash4::Hash4Matcher`] for why stale entries are safe), and the token
-/// buffer keeps its capacity across calls.
+/// workers) and small requests that tokenize thousands of chunks. A
+/// `Tokenizer` owns both, and the buffer a chunk behind history or a
+/// dictionary is staged in, and recycles them: resetting the dictionary
+/// writes no table (see [`hash4::Hash4Matcher`] for why stale entries are
+/// safe), and the buffers keep their capacity across calls.
 #[derive(Debug, Default)]
 pub(crate) struct Tokenizer {
     matcher: hash4::Hash4Matcher,
     tokens: Vec<Token>,
+    staging: Vec<u8>,
 }
 
+/// A [`Tokenizer`] taken apart for one encode: the matcher, the token
+/// buffer and the staging buffer.
+pub(crate) type Parts<'a> = (
+    &'a mut hash4::Hash4Matcher,
+    &'a mut Vec<Token>,
+    &'a mut Vec<u8>,
+);
+
 impl Tokenizer {
-    /// Taken apart for one tokenize call: the matcher, reset in O(1), and
-    /// the cleared token buffer.
-    pub(crate) fn parts(&mut self) -> (&mut hash4::Hash4Matcher, &mut Vec<Token>) {
+    /// Taken apart for one encode: the matcher, reset in O(1), the cleared
+    /// token buffer and the staging buffer.
+    pub(crate) fn parts(&mut self) -> Parts<'_> {
         self.matcher.reset();
         self.tokens.clear();
-        (&mut self.matcher, &mut self.tokens)
+        (&mut self.matcher, &mut self.tokens, &mut self.staging)
     }
 }
 
-/// Runs `f` on the calling thread's long-lived [`Tokenizer`], taken apart:
-/// its matcher, reset in O(1) first, and its cleared token buffer. A fresh
-/// matcher's ~450 KB of tables cost more to allocate and zero than a 1–16 KiB
-/// request spends tokenizing, and a buffer that keeps its capacity lets such
-/// a request allocate nothing but its output. `f` must not re-enter.
-pub(crate) fn with_thread_tokenizer<R>(
-    f: impl FnOnce(&mut hash4::Hash4Matcher, &mut Vec<Token>) -> R,
-) -> R {
+/// Runs `f` on the calling thread's long-lived [`Tokenizer`], taken apart
+/// ([`Tokenizer::parts`]). A fresh matcher's ~450 KB of tables cost more to
+/// allocate and zero than a 1–16 KiB request spends tokenizing, and buffers
+/// that keep their capacity let such a request allocate nothing but its
+/// output. `f` must not re-enter.
+pub(crate) fn with_thread_tokenizer<R>(f: impl FnOnce(Parts<'_>) -> R) -> R {
     thread_local! {
         static TOKENIZER: std::cell::RefCell<Tokenizer> = std::cell::RefCell::default();
     }
-    TOKENIZER.with(|tokenizer| {
-        let t = &mut *tokenizer.borrow_mut();
-        let (m, tokens) = t.parts();
-        f(m, tokens)
-    })
+    TOKENIZER.with(|tokenizer| f(tokenizer.borrow_mut().parts()))
 }
 
 /// Per-block symbol frequency histograms, as maintained by both the

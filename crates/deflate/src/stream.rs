@@ -54,12 +54,11 @@ pub struct StreamEncoder {
     /// The persistent bit writer: the DEFLATE bit stream is continuous
     /// across chunks, so partial bytes stay buffered here between calls.
     w: BitWriter,
-    /// Reusable match-finder state (hash chains + token buffer): survives
-    /// across chunks *and* across [`reset_with_dict`](Self::reset_with_dict)
-    /// so long-lived sessions stop re-allocating 256 KB per chunk.
+    /// Reusable match-finder state (hash chains, token buffer and the
+    /// buffer `tail ++ chunk` is staged in): survives across chunks *and*
+    /// across [`reset_with_dict`](Self::reset_with_dict) so long-lived
+    /// sessions stop re-allocating 256 KB per chunk.
     tok: Tokenizer,
-    /// Scratch buffer holding `tail ++ chunk` during tokenization.
-    scratch: Vec<u8>,
     finished: bool,
     total_in: u64,
 }
@@ -77,7 +76,6 @@ impl StreamEncoder {
             tail: Vec::new(),
             w: BitWriter::new(),
             tok: Tokenizer::default(),
-            scratch: Vec::new(),
             finished: false,
             total_in: 0,
         }
@@ -171,17 +169,9 @@ impl StreamEncoder {
 
         if !chunk.is_empty() {
             // The one-shot encoder's body behind the carried window, on
-            // this session's tokenizer and staging buffer.
-            let finish = flush == Flush::Finish;
-            let tok = self.tok.parts();
-            self.enc.encode_chunk(
-                &mut self.w,
-                &self.tail,
-                chunk,
-                tok,
-                &mut self.scratch,
-                finish,
-            );
+            // this session's tokenizer.
+            let (tok, finish) = (self.tok.parts(), flush == Flush::Finish);
+            (self.enc).encode_chunk(&mut self.w, &self.tail, chunk, tok, None, finish);
             // Carry the window forward.
             if chunk.len() >= WINDOW_SIZE {
                 self.tail.clear();

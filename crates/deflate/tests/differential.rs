@@ -10,10 +10,12 @@
 //! buffer slack where the fast loop must hand off to the careful tail,
 //! and streams that die mid-symbol.
 
+use nx_deflate::bitio::BitWriter;
 use nx_deflate::decoder::inflate_careful;
+use nx_deflate::encoder::encode_dynamic_block;
 use nx_deflate::{
-    deflate, inflate, inflate_into, CompressionLevel, Encoder, Error, InflateScratch,
-    Strategy as EncStrategy,
+    deflate, inflate, inflate_into, CompressionLevel, Error, InflateScratch, Token, MAX_MATCH,
+    MIN_MATCH,
 };
 use proptest::prelude::*;
 
@@ -94,21 +96,46 @@ fn distance_one_runs_splat_identically() {
     }
 }
 
+/// One dynamic block holding `tokens`.
+fn dynamic_block(tokens: &[Token]) -> Vec<u8> {
+    let mut w = BitWriter::new();
+    encode_dynamic_block(&mut w, tokens, true);
+    w.finish()
+}
+
 #[test]
-fn rle_strategy_streams_decode_identically() {
-    // Strategy::Rle emits only dist-1 matches — the densest possible
-    // diet of wide splat copies.
+fn run_length_and_literal_only_streams_decode_identically() {
+    // Byte runs spelled as a literal and distance-1 matches only -- the
+    // densest possible diet of wide splat copies -- and the same bytes as
+    // literals alone, each one dynamic block built from these tokens.
     let mut data = Vec::new();
+    let mut runs = Vec::new();
     let mut state = 7u64;
     for _ in 0..500 {
         let b = (xorshift(&mut state) % 256) as u8;
         let n = 1 + (xorshift(&mut state) % 400) as usize;
         data.extend(std::iter::repeat_n(b, n));
+        runs.push(Token::Literal(b));
+        let mut left = n - 1;
+        while left >= MIN_MATCH {
+            let len = left.min(MAX_MATCH);
+            runs.push(Token::Match {
+                len: len as u16,
+                dist: 1,
+            });
+            left -= len;
+        }
+        runs.extend(std::iter::repeat_n(Token::Literal(b), left));
     }
-    let enc = Encoder::with_strategy(CompressionLevel::new(6).unwrap(), EncStrategy::Rle);
-    assert_identical(&enc.compress(&data), Some(&data));
-    let huff = Encoder::with_strategy(CompressionLevel::new(6).unwrap(), EncStrategy::HuffmanOnly);
-    assert_identical(&huff.compress(&data), Some(&data));
+    assert!(
+        runs.iter()
+            .filter(|t| matches!(t, Token::Match { .. }))
+            .count()
+            > 500
+    );
+    assert_identical(&dynamic_block(&runs), Some(&data));
+    let literals: Vec<Token> = data.iter().map(|&b| Token::Literal(b)).collect();
+    assert_identical(&dynamic_block(&literals), Some(&data));
 }
 
 #[test]

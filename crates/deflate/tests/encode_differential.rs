@@ -134,6 +134,40 @@ fn streamed_equals_one_shot_with_capped_blocks() {
 }
 
 #[test]
+fn a_megabyte_canned_request_cuts_at_128_kib_spans() {
+    // A canned request runs the ladder's block loop, so its blocks are cut
+    // by input span as well as by token count: a megabyte of class traffic
+    // is 8 blocks, every one but the last closed by the byte cap, through
+    // our inflate and gzip(1).
+    use nx_deflate::encoder::MAX_BLOCK_BYTES;
+    use nx_deflate::{deflate_canned, Engine, Inflater, Profile, MAX_MATCH};
+    let kind = CorpusKind::Json;
+    let samples: Vec<Vec<u8>> = (0..16).map(|i| kind.generate(40 + i, 4096)).collect();
+    let refs: Vec<&[u8]> = samples.iter().map(Vec::as_slice).collect();
+    let level = CompressionLevel::new(3).expect("valid level");
+    let profile = Profile::derive("json", &refs, level, 0).expect("profile");
+    let data = kind.generate(7, 1 << 20);
+    let comp = deflate_canned(&data, Engine::Auto, &profile, false);
+    let mut inf = Inflater::new(&comp);
+    let mut blocks = Vec::new();
+    while !inf.is_finished() {
+        let before = inf.output().len();
+        inf.decode_block(usize::MAX).expect("our stream decodes");
+        blocks.push(inf.output().len() - before);
+    }
+    assert!(inf.output() == data, "roundtrip");
+    assert_eq!(blocks.len(), 8, "{blocks:?}");
+    let full = &blocks[..blocks.len() - 1];
+    assert!(full
+        .iter()
+        .all(|&b| (MAX_BLOCK_BYTES..MAX_BLOCK_BYTES + MAX_MATCH).contains(&b)));
+    let gz = gzip::wrap_deflate(&comp, crc32(&data), data.len() as u64);
+    if let Some(theirs) = gzip_dc(&gz) {
+        assert!(theirs == data, "gzip(1) mismatch");
+    }
+}
+
+#[test]
 fn ladder_rungs_map_to_their_numeric_levels() {
     // The named ladder is sugar over numeric levels; both spellings must
     // produce byte-identical streams.

@@ -263,6 +263,28 @@ if [[ $(grep -c . <<< "$ATOMICS") -gt "$MAX_ATOMIC_STATICS" ]]; then
     exit 1
 fi
 
+echo "==> one block decision gate"
+# Every encode's blocks are cut and priced by one loop (`BlockEmitter` in
+# nx-deflate's encoder.rs), canned requests' included: a block its
+# profile's tables do not fit goes from there to the one block decision.
+# So `choose_and_encode_block(` has exactly one non-test call site, inside
+# `impl BlockEmitter`; a second block loop with its own cut rule or
+# misfit guard fails here. (A comment does not count; test modules sit
+# below `#[cfg(test)]`.)
+DECIDERS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0; impl = "" }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    /^impl/ { impl = $0 }
+    /^}/ { impl = "" }
+    !t && $0 !~ /^[[:space:]]*\/\// && /choose_and_encode_block\(/ && !/fn choose_and_encode_block/ {
+        print FILENAME ": " impl
+    }')
+if [[ "$DECIDERS" != "crates/deflate/src/encoder.rs: impl<'d> BlockEmitter<'d> {" ]]; then
+    echo "$DECIDERS"
+    echo "==> FAIL: choose_and_encode_block( is called from BlockEmitter alone"
+    exit 1
+fi
+
 echo "==> marker-mode gate"
 # nx-core runs no marker-mode decode: the seek index names its window bytes
 # from the walk's own matches (`Inflater::window_reads`) and the member
