@@ -125,6 +125,17 @@ impl BitWriter {
         self.nbits = rem;
     }
 
+    /// Sets the bit `at` bits into the stream, one already written: a
+    /// block's BFINAL, once the block turns out to be the last.
+    pub(crate) fn set_bit(&mut self, at: u64) {
+        debug_assert!(at < self.bit_len(), "bit {at} not written yet");
+        let bit = 1 << (at % 8);
+        match self.out.get_mut((at / 8) as usize) {
+            Some(byte) => *byte |= bit,
+            None => self.acc |= u64::from(bit),
+        }
+    }
+
     /// Flushes any partial byte (zero-padded) and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_to_byte();

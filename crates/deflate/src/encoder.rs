@@ -7,6 +7,7 @@
 //! model in `nx-accel` can reuse the bit-exact serialization with its own
 //! token stream and its own (hardware-constrained) block strategy.
 
+use std::mem::take;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
@@ -16,11 +17,11 @@ use crate::huffman::{
     build, first_codes, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
 };
 use crate::lz77::hash4::{
-    Hash4Matcher, Parse, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS,
+    parse, Hash4Matcher, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS,
 };
 use crate::lz77::{
-    self, dist_code, Engine, Histogram, Token, DIST_BASE, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA,
-    NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
+    self, dist_code, Engine, Histogram, Sink, Token, DIST_BASE, DIST_EXTRA, LENGTH_BASE,
+    LENGTH_EXTRA, NUM_DIST_SYMBOLS, NUM_LITLEN_SYMBOLS,
 };
 use crate::profile::Profile;
 use crate::stream::{Flush, StreamEncoder};
@@ -297,25 +298,16 @@ pub enum Strategy {
 /// Tokenizes `data` at `level` without entropy-coding it. Level 0 returns
 /// one literal token per byte.
 pub fn deflate_tokens(data: &[u8], level: CompressionLevel) -> Vec<Token> {
-    tokens_on(data, level, Engine::Auto, None)
+    deflate_tokens_with(data, level, Strategy::Default, Engine::Auto)
 }
 
-/// Tokenizes `data` on an explicit match [`Engine`] (the one [`Strategy`]).
+/// Tokenizes `data` on an explicit match [`Engine`] (the one [`Strategy`]):
+/// the parse collected whole, through a plain vector.
 pub fn deflate_tokens_with(
     data: &[u8],
     level: CompressionLevel,
     Strategy::Default: Strategy,
     engine: Engine,
-) -> Vec<Token> {
-    tokens_on(data, level, engine, None)
-}
-
-/// [`deflate_tokens_with`], a large request on the helpers `workers` grants.
-fn tokens_on(
-    data: &[u8],
-    level: CompressionLevel,
-    engine: Engine,
-    workers: Option<&Workers>,
 ) -> Vec<Token> {
     let l = level.get();
     if l == 0 {
@@ -323,7 +315,7 @@ fn tokens_on(
     }
     let tokenize = |m: &mut Hash4Matcher| {
         let mut tokens = Vec::with_capacity(data.len() / 4 + 8);
-        lz77::hash4::tokenize_into_on(data, 0, l, engine, workers, m, &mut tokens);
+        lz77::hash4::tokenize_into_with(data, 0, l, engine, m, &mut tokens);
         tokens
     };
     // Decided by size: up to a window or two, allocating and zeroing a
@@ -453,28 +445,22 @@ impl Encoder {
             // well as its matcher: the request allocates its output only.
             // (Level 0 stores without either.)
             lz77::with_thread_tokenizer(|tok| self.encode_chunk(w, &[], data, tok, None, true));
-        } else if let Some(claim) = self.claim_behind(data.len()) {
-            let parts = (&mut Hash4Matcher::new(), &mut Vec::new());
-            self.encode_behind(w, data, 0, parts, claim, true);
         } else {
-            // Larger inputs that do not emit behind, on a fresh matcher (see
-            // `deflate_tokens_with`) that is freed before the blocks are
-            // emitted: holding it through emission moved the allocator's
-            // pattern and `bulk_software` `peak_rss_mib` +6 %.
-            let tokens = tokens_on(data, self.level, self.engine, self.workers.as_ref());
-            BlockEmitter::new(self, data, None).close(w, &tokens, true);
+            // Larger inputs on a fresh matcher (see `deflate_tokens_with`)
+            // and a token buffer of one block.
+            let parts = (&mut Hash4Matcher::new(), &mut Vec::new(), &mut Vec::new());
+            self.encode_chunk(w, &[], data, parts, None, true);
         }
     }
 
-    /// The one encode body of every entry point — this one-shot encoder (up
-    /// to a window or two), [`StreamEncoder`], the dictionary encoder and a
-    /// canned request ([`crate::deflate_canned_into`]). Tokenizes `chunk`
-    /// behind `history` (at most one window) on the caller's matcher (fresh,
+    /// The one encode body of every entry point — this one-shot encoder,
+    /// [`StreamEncoder`], the dictionary encoder and a canned request
+    /// ([`crate::deflate_canned_into`]). Tokenizes `chunk` behind `history`
+    /// (at most one window, staged before it) on the caller's matcher (fresh,
     /// reset, or holding `history`'s [`DictImage`](lz77::hash4::DictImage))
-    /// and empty token buffer: in place without history, staged as
-    /// `history ++ chunk` in the staging buffer with it. Then emits the
-    /// chunk's blocks, through `canned`'s tables where they fit, the last
-    /// one final if `last`; a large batch-matcher chunk on a budget emits
+    /// into the one block sink ([`Blocks`]) on the token buffer, which writes
+    /// each block as it closes, through `canned`'s tables where they fit, the
+    /// last one final if `last`. A large batch-matcher chunk on a budget emits
     /// them behind the parse ([`emit_behind`]). Level 0 stores it.
     pub(crate) fn encode_chunk(
         &self,
@@ -499,26 +485,40 @@ impl Encoder {
             (&staging[..], history.len())
         };
         if let Some(claim) = self.claim_behind(chunk.len()) {
-            return self.encode_behind(w, input, start, (m, tokens), claim, last);
+            let route = (claim, emit_blocks as Emitter);
+            emit_behind(self, w, input, start, (&mut *m, tokens), route, last);
+            return flush_search_stats(m.take_stats());
         }
-        let workers = self.workers.as_ref();
-        lz77::hash4::tokenize_into_on(input, start, level, self.engine, workers, m, tokens);
-        BlockEmitter::new(self, chunk, canned).close(w, tokens, last);
+        let ladder = Ladder::new(self, w, chunk);
+        match canned {
+            Some(profile) => {
+                let canned = Canned {
+                    ladder,
+                    profile,
+                    head: 0,
+                    pending: (0, 0),
+                };
+                self.encode_into(input, start, m, tokens, canned, last);
+            }
+            None => self.encode_into(input, start, m, tokens, ladder, last),
+        }
     }
 
-    /// [`emit_behind`] at its hand-over size, its counters flushed.
-    fn encode_behind(
+    /// Parses `data[start..]` into a block sink on the buffer `tokens` that
+    /// emits through `emit`, then closes it, the last block final if `last`.
+    fn encode_into<E: Emit>(
         &self,
-        w: &mut BitWriter,
         data: &[u8],
         start: usize,
-        (m, tokens): (&mut Hash4Matcher, &mut Vec<Token>),
-        claim: Claim,
+        m: &mut Hash4Matcher,
+        tokens: &mut Vec<Token>,
+        emit: E,
         last: bool,
     ) {
-        let route = (claim, HAND_OVER, emit_chunks as Emit);
-        emit_behind(self, w, data, start, (&mut *m, tokens), route, last);
-        flush_search_stats(m.take_stats());
+        let mut blocks = Blocks::new(emit, take(tokens), data.len() - start);
+        let (level, workers) = (self.level.get(), self.workers.as_ref());
+        lz77::hash4::tokenize_into_on(data, start, level, self.engine, workers, m, &mut blocks);
+        *tokens = blocks.close(last);
     }
 
     /// The one helper a batch-matcher parse (`Auto` 1–3, `Speculative`) of
@@ -535,190 +535,237 @@ impl Encoder {
     }
 }
 
-/// Input the parse covers between two hand-overs to the emitter.
-const HAND_OVER: usize = 64 << 10;
-
-/// Token chunks the parse may have out before it waits for one back. More
+/// Blocks the parse may have out before it waits for a buffer back. More
 /// buffers live beside the growing output left more heap unreturned.
 const IN_FLIGHT: usize = 2;
 
-/// The emitter's side of [`emit_behind`]: what its helper runs.
-type Emit = fn(BlockEmitter<'_>, &mut BitWriter, Receiver<Vec<Token>>, Sender<Vec<Token>>, bool);
+/// The emitter's side of [`emit_behind`]: what its helper runs. Returns the
+/// blocks it wrote.
+type Emitter = fn(Ladder<'_>, Receiver<(Block, bool)>, Sender<Block>) -> usize;
 
-/// Emits each chunk handed over into the writer and hands its buffer back,
-/// then closes the blocks, the last one final if `last`, once the parse
-/// hangs up.
-fn emit_chunks(
-    mut blocks: BlockEmitter<'_>,
-    w: &mut BitWriter,
-    chunks: Receiver<Vec<Token>>,
-    back: Sender<Vec<Token>>,
-    last: bool,
-) {
-    for mut chunk in chunks {
-        blocks.feed(w, &chunk);
-        chunk.clear();
+/// Writes each block handed over, final if it comes marked so, and hands its
+/// buffers back, until the parse hangs up.
+fn emit_blocks(mut out: Ladder<'_>, blocks: Receiver<(Block, bool)>, back: Sender<Block>) -> usize {
+    let mut written = 0;
+    for (mut block, last) in blocks {
+        out.block(&mut block, last);
+        written += 1;
         // The parse may have stopped taking buffers back.
-        let _ = back.send(chunk);
+        let _ = back.send(block);
     }
-    blocks.close(w, &[], last);
+    written
 }
 
-/// The emit-behind route: `data[start..]` parses on the caller, which hands
-/// the emitter on `claim`'s helper a token chunk at its first loop top at or
-/// past every `every` bytes of input, while the emitter writes them into `w`,
-/// the caller's own writer (mid-byte or not). The caller never waits for
-/// the helper to wake; it waits only while [`IN_FLIGHT`] chunks are out.
-/// Returns the chunks handed over, or `None` if the emitter died: then `w`
-/// is cut back to where it stood, and the serial body runs on `m` (reset,
-/// its counters dropped) and `tokens`.
-///
-/// Exact: the parse runs from loop top to loop top on its own cursor, so
-/// its chunks joined are the serial parse's tokens, and the emitter cuts
-/// and closes blocks by the one rule whatever the chunks ([`BlockEmitter`]).
+/// The emit-behind route: `data[start..]` parses on the caller into a block
+/// sink that hands each closed block ([`Behind`]) to the emitter on
+/// `claim`'s helper, which writes it into `w`, the caller's own writer
+/// (mid-byte or not): the serial blocks, cut by the one rule. The caller
+/// waits only while [`IN_FLIGHT`] blocks are out. Returns the blocks written,
+/// or `None` if the emitter died: then `w` is cut back to where it stood, and
+/// the serial body runs on `m` (reset, its counters dropped) and `tokens`.
+/// The parse's counters stay in `m`.
 fn emit_behind(
     enc: &Encoder,
     w: &mut BitWriter,
     data: &[u8],
     start: usize,
     (m, tokens): (&mut Hash4Matcher, &mut Vec<Token>),
-    (claim, every, emit): (Claim, usize, Emit),
+    (claim, emit): (Claim, Emitter),
     last: bool,
 ) -> Option<usize> {
-    let (entry, level, n) = (w.bit_len(), enc.level.get(), data.len());
-    let blocks = BlockEmitter::new(enc, &data[start..], None);
-    let ((to_emitter, chunks), (back, returned)) = (channel(), channel());
+    let (entry, level, chunk) = (w.bit_len(), enc.level.get(), &data[start..]);
+    let ((to, blocks), (back, spares)) = (channel(), channel());
     for _ in 0..IN_FLIGHT {
-        let _ = back.send(Vec::with_capacity(every / 2));
+        let mut spare = Block::default();
+        spare.tokens.reserve(MAX_BLOCK_TOKENS.min(chunk.len()));
+        let _ = back.send(spare);
     }
-    let mut handed = 0;
-    let ((), emitted) = claim.run(
-        [(blocks, &mut *w, chunks, back)],
-        |(blocks, w, chunks, back)| emit(blocks, w, chunks, back, last),
+    let (buffer, emitted) = claim.run(
+        [(Ladder::new(enc, &mut *w, chunk), blocks, back)],
+        |(out, blocks, back)| emit(out, blocks, back),
         || {
-            let mut parse = Parse::open(data, start, level, enc.engine, m);
-            for stop in (start..n).step_by(every).skip(1).chain([n]) {
-                let Ok(mut chunk) = returned.recv() else {
-                    break;
-                };
-                parse.run(data, stop, m, &mut chunk);
-                if stop == n {
-                    parse.finish(data, m, &mut chunk);
-                }
-                if to_emitter.send(chunk).is_err() {
-                    break;
-                }
-                handed += 1;
-            }
-            drop(to_emitter); // hangs up: the emitter closes
+            let mut blocks = Blocks::new(Behind { to, spares }, take(tokens), chunk.len());
+            parse(data, start, level, enc.engine, m, &mut blocks);
+            blocks.close(last) // and hangs up: the emitter ends
         },
     );
+    *tokens = buffer;
     if emitted[0].is_some() {
-        return Some(handed);
+        return emitted[0];
     }
     w.truncate(entry);
     m.reset();
     m.take_stats();
-    let mut parse = Parse::open(data, start, level, enc.engine, m);
-    parse.run(data, n, m, tokens);
-    parse.finish(data, m, tokens);
-    BlockEmitter::new(enc, &data[start..], None).close(w, tokens, last);
+    let mut blocks = Blocks::new(Ladder::new(enc, w, chunk), take(tokens), chunk.len());
+    parse(data, start, level, enc.engine, m, &mut blocks);
+    *tokens = blocks.close(last);
     None
 }
 
-/// The one block loop, fed in pieces: splits the tokens it is given, in
-/// order an exact cover of `data`, into blocks of bounded token count and
-/// input span as they stream by. The histogram accumulates token by token,
-/// so no block's tokens are scanned twice: at a cut it prices the block on
-/// a canned profile's tables, if the encode has one, and otherwise (or
-/// when they do not fit the block) decides between stored, fixed and
-/// dynamic ([`choose_and_encode_block`]). A block is written once the
-/// token after it arrives, so only [`close`](Self::close) knows the last
-/// one, and it sets the final flag. The tokens of a block a later piece
-/// continues (one straddling a chunk seam) are copied; no others are.
-/// No tokens at all make the canonical empty stream, an empty final fixed
-/// block.
-pub(crate) struct BlockEmitter<'d> {
-    data: &'d [u8],
-    rung: Level,
-    canned: Option<&'d Profile>,
+/// The one block sink, where an encode's parse pushes each token as it makes
+/// it. A push counts the token in the open block's histogram, token count and
+/// input span, and closes the block by the one cut rule ([`MAX_BLOCK_TOKENS`]
+/// / [`MAX_BLOCK_BYTES`]) once a further token arrives, so only
+/// [`close`](Self::close) knows the last block. An encode holds one block of
+/// tokens. `E` takes the tokens and the closed blocks: [`Ladder`],
+/// [`Canned`] or [`Behind`].
+pub(crate) struct Blocks<E> {
+    emit: E,
+    open: Block,
+}
+
+/// A block's tokens, their histogram, and the input they cover:
+/// `start..start + span` of the encode's new bytes.
+#[derive(Default)]
+pub(crate) struct Block {
+    tokens: Vec<Token>,
     hist: Histogram,
-    /// The open block's tokens from earlier pieces.
-    carry: Vec<Token>,
-    /// Where the open block starts in `data`, and its tokens and bytes.
     start: usize,
-    open: usize,
     span: usize,
 }
 
-impl<'d> BlockEmitter<'d> {
-    /// The blocks of `enc`'s encode of `data`, through `canned`'s tables
-    /// where they fit.
-    pub(crate) fn new(enc: &Encoder, data: &'d [u8], canned: Option<&'d Profile>) -> Self {
-        Self {
-            data,
-            rung: Level::from_numeric(enc.level.get()),
-            canned,
-            hist: Histogram::new(),
-            carry: Vec::new(),
-            start: 0,
-            open: 0,
-            span: 0,
-        }
-    }
+/// What becomes of a [`Blocks`] sink's tokens and blocks.
+pub(crate) trait Emit {
+    /// Takes each token as it is pushed.
+    #[inline(always)]
+    fn token(&mut self, _: Token) {}
 
-    /// Takes the next tokens; more follow.
-    pub(crate) fn feed(&mut self, w: &mut BitWriter, tokens: &[Token]) {
-        let rest = self.cut(w, tokens);
-        self.carry.extend_from_slice(rest);
-    }
+    /// Takes a closed block (end-of-block counted), the last if `last`. It
+    /// may leave another block's buffers in its place.
+    fn block(&mut self, block: &mut Block, last: bool);
 
-    /// Takes the last tokens and writes the open block, final if `last`.
-    pub(crate) fn close(mut self, w: &mut BitWriter, tokens: &[Token], last: bool) {
-        let rest = self.cut(w, tokens);
-        if self.open == 0 {
-            return encode_fixed_block(w, &[], true);
-        }
-        self.write(w, rest, last);
-    }
+    /// Opens a block: the first, and each after a cut.
+    fn open(&mut self) {}
+}
 
-    /// Writes each block that is full when a further token arrives; returns
-    /// the tokens of the open block past the carry.
-    fn cut<'t>(&mut self, w: &mut BitWriter, tokens: &'t [Token]) -> &'t [Token] {
-        let (mut from, mut open, mut span) = (0, self.open, self.span);
-        for (i, &t) in tokens.iter().enumerate() {
-            if open >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
-                (self.open, self.span) = (open, span);
-                self.write(w, &tokens[from..i], false);
-                self.hist.clear();
-                (from, open, span) = (i, 0, 0);
-            }
-            self.hist.record(t);
-            open += 1;
-            span += t.input_len();
-        }
-        (self.open, self.span) = (open, span);
-        &tokens[from..]
-    }
-
-    /// Writes the open block: the carry, then `tokens`.
-    fn write(&mut self, w: &mut BitWriter, tokens: &[Token], last: bool) {
-        let block = if self.carry.is_empty() {
-            tokens
-        } else {
-            self.carry.extend_from_slice(tokens);
-            &self.carry
+impl<E: Emit> Blocks<E> {
+    /// A sink emitting through `emit`, on the token buffer `tokens` reserved
+    /// for one block of an encode of `new_bytes`.
+    fn new(mut emit: E, mut tokens: Vec<Token>, new_bytes: usize) -> Self {
+        tokens.clear();
+        tokens.reserve(MAX_BLOCK_TOKENS.min(new_bytes));
+        emit.open();
+        let open = Block {
+            tokens,
+            ..Block::default()
         };
-        self.hist.record_end_of_block();
-        let canned = self
-            .canned
-            .is_some_and(|p| p.write_block(w, block, &self.hist, last));
-        if !canned {
-            let bytes = &self.data[self.start..self.start + self.span];
-            choose_and_encode_block(w, bytes, block, &self.hist, last, self.rung);
+        Self { emit, open }
+    }
+
+    /// Closes the open block, which is full: a further token has arrived.
+    #[inline(never)]
+    fn cut(&mut self) {
+        let next = self.open.start + self.open.span;
+        self.open.hist.record_end_of_block();
+        self.emit.block(&mut self.open, false);
+        self.open.tokens.clear();
+        (self.open.hist, self.open.start, self.open.span) = (Histogram::new(), next, 0);
+        self.emit.open();
+    }
+
+    /// Closes the open block, final if `last` (without a token pushed: the
+    /// empty stream, if `last`), and hands back the token buffer.
+    fn close(mut self, last: bool) -> Vec<Token> {
+        self.open.hist.record_end_of_block();
+        self.emit.block(&mut self.open, last);
+        self.open.tokens
+    }
+}
+
+impl<E: Emit> Sink for Blocks<E> {
+    #[inline(always)]
+    fn push(&mut self, t: Token) {
+        if self.open.tokens.len() >= MAX_BLOCK_TOKENS || self.open.span >= MAX_BLOCK_BYTES {
+            self.cut();
         }
-        self.carry.clear();
-        (self.start, self.open, self.span) = (self.start + self.span, 0, 0);
+        self.open.tokens.push(t);
+        self.open.hist.record(t);
+        self.open.span += t.input_len();
+        self.emit.token(t);
+    }
+}
+
+/// A ladder encode's [`Emit`]: each closed block goes to the one block
+/// decision, with the input it covers. A close without a token writes the
+/// empty stream's final block, or nothing if more follows.
+pub(crate) struct Ladder<'a> {
+    w: &'a mut BitWriter,
+    data: &'a [u8],
+    rung: Level,
+}
+
+impl<'a> Ladder<'a> {
+    /// The blocks of `enc`'s encode of the new bytes `data`, into `w`.
+    fn new(enc: &Encoder, w: &'a mut BitWriter, data: &'a [u8]) -> Self {
+        let rung = Level::from_numeric(enc.level.get());
+        Self { w, data, rung }
+    }
+}
+
+impl Emit for Ladder<'_> {
+    fn block(&mut self, b: &mut Block, last: bool) {
+        if !b.tokens.is_empty() {
+            let stored = &self.data[b.start..b.start + b.span];
+            choose_and_encode_block(self.w, stored, &b.tokens, &b.hist, last, self.rung);
+        } else if last {
+            encode_fixed_block(self.w, &[], true);
+        }
+    }
+}
+
+/// A canned encode's [`Emit`], in one pass: each block opens with the
+/// profile's rendered header, BFINAL clear, and each token is written through
+/// the profile's tables as it is pushed. At the close the histogram prices
+/// the block ([`Profile::fits`]): kept, it gets BFINAL if it is the last; a
+/// misfit is cut back to its header and goes to the one block decision.
+pub(crate) struct Canned<'a> {
+    ladder: Ladder<'a>,
+    profile: &'a Profile,
+    /// Where the open block's header starts.
+    head: u64,
+    /// Literal bits not written yet ([`EmitTables::put`]).
+    pending: (u64, u32),
+}
+
+impl Emit for Canned<'_> {
+    #[inline(always)]
+    fn token(&mut self, t: Token) {
+        self.profile.tables.put(self.ladder.w, &mut self.pending, t);
+    }
+
+    fn block(&mut self, b: &mut Block, last: bool) {
+        let w = &mut *self.ladder.w;
+        self.profile.tables.end(w, take(&mut self.pending));
+        if !b.tokens.is_empty() && self.profile.fits(&b.hist) {
+            BLOCKS_DYNAMIC.fetch_add(1, Ordering::Relaxed);
+            if last {
+                w.set_bit(self.head);
+            }
+        } else {
+            w.truncate(self.head);
+            self.ladder.block(b, last);
+        }
+    }
+
+    fn open(&mut self) {
+        self.head = self.ladder.w.bit_len();
+        self.profile.header.write(self.ladder.w);
+    }
+}
+
+/// The emit-behind route's [`Emit`], on the parse's side: each closed block
+/// goes to the emitter, marked last or not, for a spare it handed back. Once
+/// the emitter is gone, blocks are dropped (the route falls back).
+struct Behind {
+    to: Sender<(Block, bool)>,
+    spares: Receiver<Block>,
+}
+
+impl Emit for Behind {
+    fn block(&mut self, b: &mut Block, last: bool) {
+        if let Ok(spare) = self.spares.recv() {
+            let _ = self.to.send((std::mem::replace(b, spare), last));
+        }
     }
 }
 
@@ -856,43 +903,52 @@ impl EmitTables {
         t
     }
 
-    /// Writes a block body: every token, then end-of-block. A match is one
-    /// `write_bits` call; literals (15 bits at most) gather and go out three
-    /// or more to a call -- when a fourth might not fit, and before a match.
+    /// Writes a block body: every token, then end-of-block.
     pub(crate) fn write_body(&self, w: &mut BitWriter, tokens: &[Token]) {
-        let (mut acc, mut n) = (0u64, 0u32);
-        for &token in tokens {
-            match token {
-                Token::Literal(b) => {
-                    let e = self.lit[usize::from(b)];
-                    debug_assert!(e & 15 != 0, "literal {b} has no code in this table");
-                    acc |= u64::from(e >> 4) << n;
-                    n += e & 15;
-                    if n > 57 - 15 {
-                        w.write_bits(acc, n);
-                        (acc, n) = (0, 0);
-                    }
-                }
-                Token::Match { len, dist: d } => {
-                    w.write_bits(acc, n);
-                    let le = self.len_sym[usize::from(len - 3)];
-                    debug_assert!(le & 31 != 0, "match length {len} has no code");
-                    acc = u64::from(le >> 5);
-                    n = le & 31;
-                    let di = dist_code(d);
-                    let de = self.dist_sym[di];
-                    debug_assert!(de & 15 != 0, "distance code {di} missing");
-                    acc |= u64::from(de >> 4) << n;
-                    n += de & 15;
-                    acc |= u64::from(d - DIST_BASE[di]) << n;
-                    w.write_bits(acc, n + u32::from(DIST_EXTRA[di]));
-                    (acc, n) = (0, 0);
+        let mut pending = (0, 0);
+        tokens.iter().for_each(|&t| self.put(w, &mut pending, t));
+        self.end(w, pending);
+    }
+
+    /// The one per-token encode step. A match is one `write_bits` call;
+    /// literals (15 bits at most) gather in `pending` and go out three or
+    /// more to a call -- when a fourth might not fit, and before a match. A
+    /// symbol without a code writes no bits of its own: a canned block that
+    /// has one is a misfit, and is cut from the writer.
+    #[inline(always)]
+    pub(crate) fn put(&self, w: &mut BitWriter, (acc, n): &mut (u64, u32), token: Token) {
+        match token {
+            Token::Literal(b) => {
+                let e = self.lit[usize::from(b)];
+                *acc |= u64::from(e >> 4) << *n;
+                *n += e & 15;
+                if *n > 57 - 15 {
+                    w.write_bits(*acc, *n);
+                    (*acc, *n) = (0, 0);
                 }
             }
+            Token::Match { len, dist: d } => {
+                w.write_bits(*acc, *n);
+                let le = self.len_sym[usize::from(len - 3)];
+                let (mut word, mut bits) = (u64::from(le >> 5), le & 31);
+                let di = dist_code(d);
+                let de = self.dist_sym[di];
+                word |= u64::from(de >> 4) << bits;
+                bits += de & 15;
+                word |= u64::from(d - DIST_BASE[di]) << bits;
+                w.write_bits(word, bits + u32::from(DIST_EXTRA[di]));
+                (*acc, *n) = (0, 0);
+            }
         }
-        // At most 42 literal bits wait here: the end-of-block code fits.
-        acc |= u64::from(self.eob.bits) << n;
-        w.write_bits(acc, n + u32::from(self.eob.len));
+    }
+
+    /// Writes end-of-block behind the literal bits `pending` holds (at most
+    /// 42: the code fits).
+    pub(crate) fn end(&self, w: &mut BitWriter, (acc, n): (u64, u32)) {
+        w.write_bits(
+            acc | u64::from(self.eob.bits) << n,
+            n + u32::from(self.eob.len),
+        );
     }
 }
 
@@ -1164,7 +1220,8 @@ impl DynamicPlan {
 }
 
 /// A block header that never changes (a canned profile's), rendered once:
-/// the bits [`DynamicPlan::write_header`] writes, 56 to a word, BFINAL clear.
+/// the bits [`DynamicPlan::write_header`] writes, 56 to a word, BFINAL clear
+/// (a block sink sets it once it knows the block is the last).
 #[derive(Debug, Clone)]
 pub(crate) struct RenderedHeader {
     words: Vec<u64>,
@@ -1172,13 +1229,12 @@ pub(crate) struct RenderedHeader {
 }
 
 impl RenderedHeader {
-    /// Replays the header with BFINAL (its first bit) patched in: a dozen
-    /// `write_bits` calls where deriving it takes a hundred.
-    pub(crate) fn write(&self, w: &mut BitWriter, is_final: bool) {
-        BLOCKS_DYNAMIC.fetch_add(1, Ordering::Relaxed);
+    /// Replays the header, BFINAL clear: a dozen `write_bits` calls where
+    /// deriving it takes a hundred.
+    pub(crate) fn write(&self, w: &mut BitWriter) {
         let mut left = self.bits as u32;
-        for (i, &word) in self.words.iter().enumerate() {
-            w.write_bits(word | u64::from(is_final && i == 0), left.min(56));
+        for &word in &self.words {
+            w.write_bits(word, left.min(56));
             left = left.saturating_sub(56);
         }
     }
@@ -1596,7 +1652,10 @@ pub(crate) mod reference {
             assert_eq!(got.finish(), want, "{what} final {is_final}");
             let mut replay = BitWriter::new();
             replay.write_bits(0b101, 3);
-            rendered.write(&mut replay, is_final);
+            rendered.write(&mut replay);
+            if is_final {
+                replay.set_bit(3); // as a block sink sets it
+            }
             assert_eq!(replay.finish(), want, "{what} rendered, final {is_final}");
         }
         let et = new.emit_tables();
@@ -2041,63 +2100,50 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
 
         #[test]
-        fn the_emitter_fed_in_pieces_writes_the_parents_blocks(
+        fn the_sink_cuts_and_writes_the_parents_blocks(
             seed in proptest::prelude::any::<u64>(),
             len in 200_000usize..420_000,
-            piece in 1usize..=64,
-            (end_at_a_cut, empty_last, last, prefix) in (
-                proptest::prelude::any::<bool>(),
+            (end_at_a_cut, last, prefix) in (
                 proptest::prelude::any::<bool>(),
                 proptest::prelude::any::<bool>(),
                 0u32..8,
             ),
         ) {
-            // Tiny pieces with a seam at every block cut too; a stream that
-            // ends on a cut, so its last token fills the last block; an empty
-            // last piece. The writer may stand mid-byte.
+            // Tokens pushed one at a time; a stream that ends on a cut, so
+            // its last token fills the last block. The writer may stand
+            // mid-byte.
             let data = nx_corpus::mixed(seed, len);
             let mut tokens = deflate_tokens(&data, level(1));
-            let cut = cuts(&tokens);
             if end_at_a_cut {
-                tokens.truncate(*cut.last().unwrap());
+                tokens.truncate(*cuts(&tokens).last().unwrap());
             }
             let covered: usize = tokens.iter().map(Token::input_len).sum();
             let data = &data[..covered];
             let mut want = BitWriter::new();
             want.write_bits(0b1011 & ((1 << prefix) - 1), prefix);
-            let (mut whole, mut pieces) = (want.clone(), want.clone());
+            let mut got = want.clone();
             parent_emit_blocks(level(1), &mut want, data, &tokens, last);
             let enc = Encoder::new(level(1));
-            BlockEmitter::new(&enc, data, None).close(&mut whole, &tokens, last);
-            let mut seams: Vec<usize> = (0..tokens.len()).step_by(piece).chain(cut).collect();
-            seams.sort_unstable();
-            let mut blocks = BlockEmitter::new(&enc, data, None);
-            let mut from = 0;
-            for &seam in seams.iter().filter(|&&s| s <= tokens.len()) {
-                blocks.feed(&mut pieces, &tokens[from..seam]);
-                from = seam;
-            }
-            if empty_last {
-                blocks.feed(&mut pieces, &tokens[from..]);
-                from = tokens.len();
-            }
-            blocks.close(&mut pieces, &tokens[from..], last);
-            let want = want.finish();
-            assert!(whole.finish() == want, "one piece");
-            assert!(pieces.finish() == want, "in pieces");
+            let mut blocks = Blocks::new(Ladder::new(&enc, &mut got, data), Vec::new(), len);
+            tokens.iter().for_each(|&t| blocks.push(t));
+            assert!(blocks.close(last).capacity() <= MAX_BLOCK_TOKENS, "one block of tokens");
+            assert!(got.finish() == want.finish());
         }
     }
 
     #[test]
     fn no_tokens_make_the_empty_stream() {
-        for last in [false, true] {
-            let (mut want, mut got) = (BitWriter::new(), BitWriter::new());
-            parent_emit_blocks(level(6), &mut want, &[], &[], last);
-            let mut blocks = BlockEmitter::new(&Encoder::new(level(6)), &[], None);
-            blocks.feed(&mut got, &[]);
-            blocks.close(&mut got, &[], last);
-            assert_eq!(got.finish(), want.finish());
-        }
+        // The parent's empty final fixed block if the stream ends here; if
+        // more follows, nothing (the parent wrote a final block either way).
+        let enc = Encoder::new(level(6));
+        let (mut want, mut got) = (BitWriter::new(), BitWriter::new());
+        parent_emit_blocks(level(6), &mut want, &[], &[], true);
+        Blocks::new(Ladder::new(&enc, &mut got, &[]), Vec::new(), 0).close(true);
+        assert_eq!(got.finish(), want.finish());
+        let mut more = BitWriter::new();
+        more.write_bits(0b101, 3);
+        Blocks::new(Ladder::new(&enc, &mut more, &[]), Vec::new(), 0).close(false);
+        assert_eq!(more.bit_len(), 3, "an empty non-final close writes nothing");
     }
 
     /// The batch-matcher rungs the emit-behind route serves.
@@ -2109,17 +2155,16 @@ mod tests {
     ];
 
     /// Runs `chunk` behind `history` through [`emit_behind`] on a budget of
-    /// its own (so the route does not depend on the host's CPUs), handing
-    /// over every `every` bytes into a writer holding `prefix` bits, twice on
-    /// one matcher, and diffs bytes and counters against the serial call.
-    /// Returns the chunks handed over.
+    /// its own (so the route does not depend on the host's CPUs), into a
+    /// writer holding `prefix` bits, twice on one matcher, and diffs bytes
+    /// and counters against the serial call. Returns the blocks the emitter
+    /// wrote, which must be the serial parse's blocks if it lived.
     fn behind_as_serial(
         (level, engine): (u32, Engine),
         history: &[u8],
         chunk: &[u8],
         (prefix, last): (u32, bool),
-        every: usize,
-        emit: Emit,
+        emit: Emitter,
     ) -> Option<usize> {
         let enc = Encoder::with_engine(self::level(level), engine);
         let mut entry = BitWriter::new();
@@ -2136,7 +2181,7 @@ mod tests {
         for _ in 0..2 {
             m.reset();
             let mut got = entry.clone();
-            let route = (Workers::new(1).claim(2), every, emit);
+            let route = (Workers::new(1).claim(2), emit);
             let parts = (&mut m, &mut Vec::new());
             handed.push(emit_behind(
                 &enc,
@@ -2147,13 +2192,13 @@ mod tests {
                 route,
                 last,
             ));
-            assert!(
-                got.finish() == want,
-                "level {level} {engine:?}, every {every}"
-            );
+            assert!(got.finish() == want, "level {level} {engine:?}");
             assert_eq!(m.take_stats(), want_stats, "level {level} {engine:?}");
         }
         assert_eq!(handed[0], handed[1]);
+        if let Some(blocks) = handed[0] {
+            assert_eq!(blocks, cuts(&tokens).len() + 1, "the serial parse's blocks");
+        }
         handed[0]
     }
 
@@ -2163,18 +2208,16 @@ mod tests {
         #[test]
         fn emitting_behind_equals_the_serial_call(
             seed in proptest::prelude::any::<u64>(),
-            len in 1usize..300_000,
+            len in 1usize..400_000,
             history in 0usize..=crate::WINDOW_SIZE,
             pick in 0usize..BEHIND_RUNGS.len(),
-            every in 1usize..2_000,
             (prefix, last) in (0u32..8, proptest::prelude::any::<bool>()),
         ) {
             let data = nx_corpus::mixed(seed, history + len);
             let (history, chunk) = data.split_at(history);
             let rung = BEHIND_RUNGS[pick];
-            let handed = behind_as_serial(rung, history, chunk, (prefix, last), every, emit_chunks);
-            // The route: one chunk per stop, the last at the end.
-            assert_eq!(handed, Some(len.div_ceil(every)));
+            let handed = behind_as_serial(rung, history, chunk, (prefix, last), emit_blocks);
+            assert!(handed.is_some());
         }
     }
 
@@ -2184,37 +2227,28 @@ mod tests {
         for rung in BEHIND_RUNGS {
             for history in [0, 1, 4 << 10, crate::WINDOW_SIZE] {
                 let (history, chunk) = data[crate::WINDOW_SIZE - history..].split_at(history);
-                let handed =
-                    behind_as_serial(rung, history, chunk, (3, true), HAND_OVER, emit_chunks);
-                assert_eq!(handed, Some(5), "{rung:?}");
+                let handed = behind_as_serial(rung, history, chunk, (3, true), emit_blocks);
+                assert!(handed >= Some(3), "{rung:?}: {handed:?}");
             }
         }
     }
 
-    /// An emitter that dies before it takes a chunk.
-    fn die_at_once(
-        _: BlockEmitter<'_>,
-        _: &mut BitWriter,
-        _: Receiver<Vec<Token>>,
-        _: Sender<Vec<Token>>,
-        _: bool,
-    ) {
+    /// An emitter that dies before it takes a block.
+    fn die_at_once(_: Ladder<'_>, _: Receiver<(Block, bool)>, _: Sender<Block>) -> usize {
         panic!("emitter killed");
     }
 
-    /// An emitter that writes the blocks of three chunks, then dies.
+    /// An emitter that writes three blocks, then dies.
     fn die_midway(
-        mut blocks: BlockEmitter<'_>,
-        w: &mut BitWriter,
-        chunks: Receiver<Vec<Token>>,
-        back: Sender<Vec<Token>>,
-        _: bool,
-    ) {
-        for chunk in chunks.iter().take(3) {
-            blocks.feed(w, &chunk);
-            back.send(chunk).unwrap();
+        mut out: Ladder<'_>,
+        blocks: Receiver<(Block, bool)>,
+        back: Sender<Block>,
+    ) -> usize {
+        for (mut block, last) in blocks.iter().take(3) {
+            out.block(&mut block, last);
+            back.send(block).unwrap();
         }
-        assert!(w.bit_len() > 1 << 16, "nothing written yet");
+        assert!(out.w.bit_len() > 1 << 16, "nothing written yet");
         panic!("emitter killed");
     }
 
@@ -2222,11 +2256,11 @@ mod tests {
     fn a_dead_emitter_leaves_the_serial_bytes() {
         // Dead before or after writing blocks, from a mid-byte writer: the
         // writer is cut back, and the serial body writes the request.
-        let data = nx_corpus::mixed(5, 400 << 10);
+        let data = nx_corpus::mixed(5, 640 << 10);
         let (history, chunk) = data.split_at(1_000);
-        for emit in [die_at_once as Emit, die_midway] {
+        for emit in [die_at_once as Emitter, die_midway] {
             for rung in [(1, Engine::Auto), (6, Engine::Speculative)] {
-                let got = behind_as_serial(rung, history, chunk, (5, true), 100 << 10, emit);
+                let got = behind_as_serial(rung, history, chunk, (5, true), emit);
                 assert_eq!(got, None, "{rung:?}");
             }
         }

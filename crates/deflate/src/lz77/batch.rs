@@ -61,7 +61,7 @@ use super::hash4::{
     hash3_value, hash4_value, index_end, index_history, Hash4Matcher, CHAIN_HIST_BUCKETS,
     SPEC_COVER_BUCKETS, TOO_FAR,
 };
-use super::{MatcherConfig, Token};
+use super::{MatcherConfig, Sink, Token};
 use crate::{MIN_MATCH, WINDOW_SIZE};
 
 /// Per-run statistics accumulated in registers/stack and merged into
@@ -241,56 +241,18 @@ pub fn tokenize_speculative_into(
     tokens: &mut Vec<Token>,
 ) {
     index_history(m, data, start);
-    let mut at = Cursor::at(start);
-    run(data, &mut at, data.len(), level, m, tokens);
-    at.finish(data, m, tokens);
+    run(data, start, level, m, tokens);
 }
 
-/// The batch loop's state at a window's top: with the data and the matcher,
-/// all the parse from there on depends on.
-#[derive(Default)]
-pub(crate) struct Cursor {
-    /// The current window's base; advances by 8.
-    base: usize,
-    /// The next position not yet covered by a token.
-    emit: usize,
-    /// Literals since the last match: the stride-mode skip grows with it.
-    lit_run: usize,
-    /// The last pick was long enough to hop over its covered interior.
-    skip_ingest: bool,
-    agg: SpecAgg,
-}
-
-impl Cursor {
-    pub(crate) fn at(start: usize) -> Self {
-        Self {
-            base: start,
-            emit: start,
-            ..Self::default()
-        }
-    }
-
-    /// Ends the parse at the end of the input: flushes the counters into the
-    /// matcher's and emits the positions past the last window as literals
-    /// (they cannot anchor a match).
-    pub(crate) fn finish(&mut self, data: &[u8], m: &mut Hash4Matcher, tokens: &mut Vec<Token>) {
-        std::mem::take(&mut self.agg).flush(m);
-        for &b in &data[self.emit..] {
-            tokens.push(Token::Literal(b));
-        }
-        self.emit = data.len();
-    }
-}
-
-/// The batch loop from `at` to its first window top at or past `stop`.
+/// The batch loop over `data[start..]` on a matcher that indexed the history,
+/// into `tokens`; the counters go to the matcher's.
 #[inline(never)]
 pub(crate) fn run(
     data: &[u8],
-    at: &mut Cursor,
-    stop: usize,
+    start: usize,
     level: u32,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
 ) {
     let cfg = MatcherConfig::for_level(level);
     let budget = chain_budget(level, &cfg);
@@ -303,14 +265,8 @@ pub(crate) fn run(
     // (the interior-ingest skip draws the same line).
     let use_hash3 = level >= 2;
     let end4 = index_end(data);
-    let stop = stop.min(end4);
-    let Cursor {
-        mut base,
-        mut emit,
-        mut lit_run,
-        mut skip_ingest,
-        mut agg,
-    } = std::mem::take(at);
+    let (mut base, mut emit, mut lit_run) = (start, start, 0);
+    let (mut skip_ingest, mut agg) = (false, SpecAgg::default());
     let mut vals = [0u32; WINDOW_LANES];
     let mut olds = [0u32; WINDOW_LANES];
     let mut cands = [Candidate {
@@ -319,7 +275,7 @@ pub(crate) fn run(
         dist: 0,
     }; WINDOW_LANES];
     let mut picks = CoverPicks::default();
-    while base < stop {
+    while base < end4 {
         if skip_ingest {
             // Interior of a long match: hop over every fully covered
             // window, publishing only lane 0 of each as a coarse anchor
@@ -597,13 +553,11 @@ pub(crate) fn run(
         // windows' ingest-only cycles, exactly like the hardware.
         base += WINDOW_LANES;
     }
-    *at = Cursor {
-        base,
-        emit,
-        lit_run,
-        skip_ingest,
-        agg,
-    };
+    agg.flush(m);
+    // The positions past the last window cannot anchor a match.
+    for &b in &data[emit..] {
+        tokens.push(Token::Literal(b));
+    }
 }
 
 #[cfg(test)]

@@ -37,11 +37,11 @@
 //! Each runs from a loop-top `Cursor` to a stop, so a large request on a
 //! worker budget parses its later segments ahead on helper threads and the
 //! caller adopts a helper's parse where its own state meets it
-//! (`tokenize_into_on`), token for token; and a parse on either matcher
-//! can hand its tokens on at every stop while it goes on (`Parse`).
+//! (`tokenize_into_on`), token for token. Every loop pushes each token
+//! into a `Sink` as it makes it: a vector, or an encode's block sink.
 
 use super::hash::match_length;
-use super::{MatcherConfig, Token};
+use super::{MatcherConfig, Sink, Token};
 use crate::workers::{Claim, Workers};
 use crate::{MAX_MATCH, MIN_MATCH, WINDOW_SIZE};
 
@@ -511,7 +511,7 @@ fn emit_skip_literals(
     pos: usize,
     lit_run: &mut usize,
     shift: u32,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
     skips: &mut Skips,
 ) -> usize {
     let extra = (*lit_run >> shift).min(32);
@@ -549,7 +549,7 @@ impl Cursor {
 
     /// Ends a parse at the end of the input: a pending match fit entirely
     /// in the buffer (searches cap at its end), so it is committed.
-    fn finish(self, tokens: &mut Vec<Token>) {
+    fn finish(self, tokens: &mut impl Sink) {
         if let Some((len, dist)) = self.pending {
             tokens.push(Token::Match {
                 len: len as u16,
@@ -589,7 +589,7 @@ impl Rung {
         at: &mut Cursor,
         stop: usize,
         m: &mut Hash4Matcher,
-        tokens: &mut Vec<Token>,
+        tokens: &mut impl Sink,
         skips: &mut Skips,
     ) {
         match self {
@@ -607,7 +607,7 @@ fn fastest(
     at: &mut Cursor,
     stop: usize,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
     skips: &mut Skips,
 ) {
     let end4 = index_end(data);
@@ -650,7 +650,7 @@ fn greedy4(
     stop: usize,
     cfg: &MatcherConfig,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
     skips: &mut Skips,
 ) {
     let end4 = index_end(data);
@@ -691,7 +691,7 @@ fn lazy4(
     stop: usize,
     cfg: &MatcherConfig,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
     skips: &mut Skips,
 ) {
     let end4 = index_end(data);
@@ -785,7 +785,7 @@ pub fn tokenize_into_with(
     tokenize_into_on(data, start, level, engine, None, m, tokens);
 }
 
-/// [`tokenize_into_with`] on a worker budget: a sequential-matcher parse of
+/// [`tokenize_into_with`] on a worker budget, into any [`Sink`]: a sequential-matcher parse of
 /// at least two [`SEGMENT_MIN`](crate::workers::SEGMENT_MIN)s of new bytes runs its later segments ahead
 /// on the helpers `workers` grants ([`tokenize_split`]). Tokens and
 /// counters are the serial parse's either way.
@@ -796,7 +796,7 @@ pub(crate) fn tokenize_into_on(
     engine: super::Engine,
     workers: Option<&Workers>,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
 ) {
     debug_assert!((1..=9).contains(&level));
     let speculative = engine.speculative_at(level);
@@ -806,66 +806,29 @@ pub(crate) fn tokenize_into_on(
         Some(claim) => {
             tokenize_split(data, start, Rung::at(level), m, tokens, claim, run_ahead);
         }
-        None => {
-            let mut parse = Parse::open(data, start, level, engine, m);
-            parse.run(data, data.len(), m, tokens);
-            parse.finish(data, m, tokens);
-        }
+        None => parse(data, start, level, engine, m, tokens),
     }
     crate::encoder::flush_search_stats(m.take_stats());
 }
 
-/// A parse of `data[start..]` run in pieces, each to its first loop top at
-/// or past a stop, for either matcher: what a route that hands tokens on
-/// while the parse goes on drives. The pieces' tokens and counters, joined,
-/// are the whole parse's, since a loop top's cursor is all a parse carries.
-pub(crate) enum Parse {
-    Batch(u32, super::batch::Cursor),
-    Sequential(Rung, Cursor),
-}
-
-impl Parse {
-    /// Indexes the history and stands at `start`, on `engine`'s matcher for
-    /// `level` (1–9).
-    pub(crate) fn open(
-        data: &[u8],
-        start: usize,
-        level: u32,
-        engine: super::Engine,
-        m: &mut Hash4Matcher,
-    ) -> Self {
-        index_history(m, data, start);
-        if engine.speculative_at(level) {
-            Parse::Batch(level, super::batch::Cursor::at(start))
-        } else {
-            Parse::Sequential(Rung::at(level), Cursor::at(start))
-        }
+/// The serial parse of `data[start..]` behind the history `data[..start]`,
+/// on `engine`'s matcher for `level` (1–9), into `tokens`. Its counters stay
+/// in `m`.
+pub(crate) fn parse(
+    data: &[u8],
+    start: usize,
+    level: u32,
+    engine: super::Engine,
+    m: &mut Hash4Matcher,
+    tokens: &mut impl Sink,
+) {
+    index_history(m, data, start);
+    if engine.speculative_at(level) {
+        return super::batch::run(data, start, level, m, tokens);
     }
-
-    /// Parses on to the first loop top at or past `stop`.
-    pub(crate) fn run(
-        &mut self,
-        data: &[u8],
-        stop: usize,
-        m: &mut Hash4Matcher,
-        tokens: &mut Vec<Token>,
-    ) {
-        match self {
-            Parse::Batch(level, at) => super::batch::run(data, at, stop, *level, m, tokens),
-            Parse::Sequential(rung, at) => {
-                let mut none = Skips::ending_past(usize::MAX);
-                rung.run(data, at, stop, m, tokens, &mut none);
-            }
-        }
-    }
-
-    /// Ends a parse that ran to the end of the input.
-    pub(crate) fn finish(&mut self, data: &[u8], m: &mut Hash4Matcher, tokens: &mut Vec<Token>) {
-        match self {
-            Parse::Batch(_, at) => at.finish(data, m, tokens),
-            Parse::Sequential(_, at) => at.finish(tokens),
-        }
-    }
+    let (mut at, mut none) = (Cursor::at(start), Skips::ending_past(usize::MAX));
+    Rung::at(level).run(data, &mut at, data.len(), m, tokens, &mut none);
+    at.finish(tokens);
 }
 
 /// Positions between two of a helper's checkpoints.
@@ -941,7 +904,7 @@ fn tokenize_split(
     start: usize,
     rung: Rung,
     m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
+    tokens: &mut impl Sink,
     claim: Claim,
     ahead: fn(&[u8], usize, usize, Rung) -> Ahead,
 ) -> Vec<Cursor> {
@@ -970,7 +933,8 @@ fn tokenize_split(
                 continue;
             }
             let rest = &got.skips[cp.skips..];
-            tokens.extend_from_slice(&got.tokens[cp.tokens..]);
+            // Counted once, as they are adopted.
+            got.tokens[cp.tokens..].iter().for_each(|&t| tokens.push(t));
             m.stats.add_between(&cp.stats, &end.stats);
             at = end.at;
             if at.pos < n {
@@ -1363,8 +1327,7 @@ mod tests {
             .flatten()
             .copied()
             .collect();
-        let mut parse = Parse::open(&data, 0, 6, Engine::Sequential, &mut m);
-        parse.run(&data, data.len(), &mut m, &mut tokens);
+        parse(&data, 0, 6, Engine::Sequential, &mut m, &mut tokens);
         let stats = m.take_stats();
         assert!(stats.chain_hist.iter().sum::<u64>() > 0);
         // Second take is empty.
@@ -1377,9 +1340,7 @@ mod tests {
     /// The serial call's tokens and counters: the oracle of every split.
     fn serial(data: &[u8], start: usize, level: u32) -> (Vec<Token>, SearchStats) {
         let (mut m, mut tokens) = (Hash4Matcher::new(), Vec::new());
-        let mut parse = Parse::open(data, start, level, Engine::Sequential, &mut m);
-        parse.run(data, data.len(), &mut m, &mut tokens);
-        parse.finish(data, &mut m, &mut tokens);
+        parse(data, start, level, Engine::Sequential, &mut m, &mut tokens);
         (tokens, m.take_stats())
     }
 

@@ -190,6 +190,22 @@ pub fn dist_code(dist: u16) -> usize {
     usize::from(DIST_CODE_LUT[i])
 }
 
+/// Where a parse puts its tokens, one at a time, as it makes them. A plain
+/// vector collects them ([`hash4::tokenize_into_with`],
+/// [`crate::deflate_tokens`]); an encode's block sink counts, cuts and
+/// emits them as they come (`encoder::Blocks`).
+pub(crate) trait Sink {
+    /// Takes the next token.
+    fn push(&mut self, t: Token);
+}
+
+impl Sink for Vec<Token> {
+    #[inline(always)]
+    fn push(&mut self, t: Token) {
+        Vec::push(self, t);
+    }
+}
+
 /// Reusable LZ77 tokenizer state.
 ///
 /// One-shot tokenization allocates a ~450 KB hash4 dictionary and a token

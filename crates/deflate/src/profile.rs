@@ -15,12 +15,12 @@
 //!   service tier loads at startup and keys by content class
 //!   ([`ProfileId`] is the per-request selector).
 //! * [`deflate_canned`] is the **one-pass encode path**: the ladder's
-//!   encode body, dictionary-primed, whose blocks are emitted directly
-//!   against the profile's pre-fused [`EmitTables`](crate::encoder) — no
-//!   per-block package-merge, no fresh table fusion — guarded by an exact
-//!   bit-cost check on the block's histogram that falls back to the one
-//!   block decision when the profile misfits, so canned output is never
-//!   worse than a fixed block and is always valid DEFLATE.
+//!   encode body, dictionary-primed, which writes each token through the
+//!   profile's pre-fused [`EmitTables`](crate::encoder) as the parse makes
+//!   it — no per-block package-merge, no table fusion, no second walk —
+//!   guarded by an exact bit-cost check on the histogram counted on the way,
+//!   which hands a misfit block to the one block decision, so canned output
+//!   is never worse than a fixed block and is always valid DEFLATE.
 //!
 //! Process-wide hit/miss/fallback counters ([`profile_counters`]) feed
 //! the `nx-profiles` telemetry source in `nx-core`.
@@ -126,8 +126,8 @@ pub struct Profile {
     image: DictImage,
     litlen_lengths: Vec<u8>,
     dist_lengths: Vec<u8>,
-    header: RenderedHeader,
-    tables: EmitTables,
+    pub(crate) header: RenderedHeader,
+    pub(crate) tables: EmitTables,
 }
 
 impl Profile {
@@ -224,10 +224,15 @@ impl Profile {
                 tokens.clear();
                 m.reset();
                 tokenize_into_with(&buf, start, rung, Engine::Auto, &mut m, &mut tokens);
-                for &t in &tokens {
-                    hist.record(t);
-                }
-                hist.record_end_of_block();
+                let one = Histogram::of(&tokens);
+                hist.litlen
+                    .iter_mut()
+                    .zip(one.litlen)
+                    .for_each(|(f, n)| *f += n);
+                hist.dist
+                    .iter_mut()
+                    .zip(one.dist)
+                    .for_each(|(f, n)| *f += n);
             }
         }
         // Full-coverage floor: every expressible symbol keeps a (long)
@@ -280,18 +285,12 @@ impl Profile {
         self.header.bits
     }
 
-    /// Writes `block` through the canned tables if they fit it: the profile
-    /// has a code for every symbol `hist` (the block's histogram, end-of-block
-    /// included, at most `MAX_BLOCK_TOKENS` + 1 counts) counts, and the block
-    /// costs no more bits on them than on the fixed tables. Otherwise writes
-    /// nothing and returns false: a misfit, for the one block decision.
-    pub(crate) fn write_block(
-        &self,
-        w: &mut BitWriter,
-        block: &[Token],
-        hist: &Histogram,
-        last: bool,
-    ) -> bool {
+    /// Whether the canned tables fit a block, counted as a canned or a
+    /// fallback block: the profile has a code for every symbol `hist` (the
+    /// block's histogram, end-of-block included, at most `MAX_BLOCK_TOKENS` +
+    /// 1 counts) counts, and the block costs no more bits on them than on the
+    /// fixed tables. A misfit goes to the one block decision.
+    pub(crate) fn fits(&self, hist: &Histogram) -> bool {
         // One pass, no branch per symbol: both costs share their extra bits,
         // so canned - fixed is the header difference plus the counts' dot
         // product with the canned - fixed lengths (|.| < 15 x 2^17: an `i32`),
@@ -306,14 +305,13 @@ impl Profile {
         price(&hist.litlen, &self.litlen_lengths, &FIXED_LITLEN);
         price(&hist.dist, &self.dist_lengths, &FIXED_DIST);
         let fits = uncoded == 0 && more <= 0;
-        if !fits {
-            FALLBACK_BLOCKS.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        CANNED_BLOCKS.fetch_add(1, Ordering::Relaxed);
-        self.header.write(w, last);
-        self.tables.write_body(w, block);
-        true
+        let counter = if fits {
+            &CANNED_BLOCKS
+        } else {
+            &FALLBACK_BLOCKS
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        fits
     }
 }
 
@@ -372,13 +370,13 @@ fn derive_dict(samples: &[&[u8]], dict_cap: usize) -> Vec<u8> {
 /// One-pass raw-DEFLATE compression of `data` against a canned profile.
 ///
 /// Tokenizes at the profile's level (dictionary-primed when `use_dict`
-/// and the profile carries one), then emits each block directly against
-/// the profile's pre-fused tables — skipping the per-block package-merge
-/// and table fusion entirely. A per-block guard compares the exact canned
-/// cost against the fixed-table cost, from the histogram the block loop
-/// keeps, and hands a misfit to the one block decision (stored, fixed or
-/// dynamic), so output never degrades below the ladder's choice for that
-/// block.
+/// and the profile carries one), writing each token through the profile's
+/// pre-fused tables as the parse makes it — no per-block package-merge or
+/// table fusion, and no second walk over the tokens. At each block's close a
+/// guard compares the exact canned cost against the fixed-table cost, from
+/// the histogram counted on the way, and hands a misfit to the one block
+/// decision (stored, fixed or dynamic), so output never degrades below the
+/// ladder's choice for that block.
 ///
 /// When `use_dict` is set the stream must be decoded with the same
 /// dictionary ([`crate::inflate_with_dict`], or zlib FDICT framing via
@@ -579,7 +577,9 @@ fn read_u32(data: &[u8], at: &mut usize) -> Result<u32> {
 /// (cuts by token count only, a one-pass guard over the tokens, misfits
 /// never stored), verbatim but for the staging buffer the thread's
 /// tokenizer now lends too, which this copy leaves unused, and the block
-/// counts `emit_canned_blocks` also returns. The oracle the new path is
+/// counts `emit_canned_blocks` also returns; and the one block loop of the
+/// next change, which priced each collected block from its histogram
+/// ([`one_loop`](reference::one_loop)). The oracles the single pass is
 /// diffed against.
 mod reference {
     use super::*;
@@ -626,6 +626,89 @@ mod reference {
         })
     }
 
+    /// The canned path one change later, before the block sink: the whole
+    /// parse collected (on a fresh matcher: the image primes the same
+    /// tokens), then the one block loop of that time (`BlockEmitter::close`
+    /// in one piece, so without its carry, with its fields as locals) pricing
+    /// each block by `Profile::write_block`, both verbatim. Returns the
+    /// stream and the canned and fallback blocks it wrote.
+    pub(super) fn one_loop(
+        data: &[u8],
+        engine: Engine,
+        p: &Profile,
+        use_dict: bool,
+    ) -> (Vec<u8>, (usize, usize)) {
+        use crate::encoder::{MAX_BLOCK_BYTES, MAX_BLOCK_TOKENS};
+        let dict: &[u8] = if use_dict { &p.dict } else { &[] };
+        let level = p.level.max(Level::Fastest.into()).get();
+        let (buf, mut tokens, mut m) = ([dict, data].concat(), Vec::new(), Hash4Matcher::new());
+        tokenize_into_with(&buf, dict.len(), level, engine, &mut m, &mut tokens);
+        let (mut w, rung, mut counts) = (BitWriter::new(), Level::from_numeric(level), (0, 0));
+        // `BlockEmitter::write`.
+        let mut write = |w: &mut BitWriter, block: &[Token], hist: &mut Histogram, at, last| {
+            let (start, span): (usize, usize) = at;
+            hist.record_end_of_block();
+            let canned = write_block(p, w, block, hist, last);
+            if !canned {
+                let bytes = &data[start..start + span];
+                crate::encoder::choose_and_encode_block(w, bytes, block, hist, last, rung);
+            }
+            counts = (
+                counts.0 + usize::from(canned),
+                counts.1 + usize::from(!canned),
+            );
+        };
+        // `BlockEmitter::close` and `cut`.
+        let (mut hist, mut start, mut from, mut open, mut span) = (Histogram::new(), 0, 0, 0, 0);
+        for (i, &t) in tokens.iter().enumerate() {
+            if open >= MAX_BLOCK_TOKENS || span >= MAX_BLOCK_BYTES {
+                write(&mut w, &tokens[from..i], &mut hist, (start, span), false);
+                hist.clear();
+                (start, from, open, span) = (start + span, i, 0, 0);
+            }
+            hist.record(t);
+            open += 1;
+            span += t.input_len();
+        }
+        if open == 0 {
+            encode_fixed_block(&mut w, &[], true);
+        } else {
+            write(&mut w, &tokens[from..], &mut hist, (start, span), true);
+        }
+        (w.finish(), counts)
+    }
+
+    /// `Profile::write_block`, verbatim but for its counters and the header's
+    /// BFINAL, which the rendered header now leaves to its caller.
+    fn write_block(
+        p: &Profile,
+        w: &mut BitWriter,
+        block: &[Token],
+        hist: &Histogram,
+        last: bool,
+    ) -> bool {
+        let (mut uncoded, mut more) = (0, p.header.bits as i32 - 3);
+        let mut price = |freqs: &[u32], canned: &[u8], fixed: &[u8]| {
+            for ((&f, &c), &x) in freqs.iter().zip(canned).zip(fixed) {
+                uncoded |= if c == 0 { f } else { 0 };
+                more += f as i32 * (i32::from(c) - i32::from(x));
+            }
+        };
+        price(&hist.litlen, &p.litlen_lengths, &FIXED_LITLEN);
+        price(&hist.dist, &p.dist_lengths, &FIXED_DIST);
+        let fits = uncoded == 0 && more <= 0;
+        if !fits {
+            return false;
+        }
+        let at = w.bit_len();
+        p.header.write(w);
+        if last {
+            w.set_bit(at);
+        }
+        p.tables.write_body(w, block);
+        true
+    }
+
     /// Emits `tokens` into `w` as canned (or guard-fallback) blocks.
     fn emit_canned_blocks(p: &Profile, tokens: &[Token], w: &mut BitWriter) -> (usize, usize) {
         let mut counts = (0, 0);
@@ -651,7 +734,11 @@ mod reference {
             if covered && canned_bits <= fixed_bits {
                 CANNED_BLOCKS.fetch_add(1, Ordering::Relaxed);
                 counts.0 += 1;
-                p.header.write(w, i == last);
+                let at = w.bit_len();
+                p.header.write(w);
+                if i == last {
+                    w.set_bit(at);
+                }
                 p.tables.write_body(w, block);
             } else {
                 // Misfit: the block strays from the trained class. Exact tables
@@ -695,7 +782,7 @@ mod tests {
     /// dynamic block on the same tables.)
     fn blocks_of(stream: &[u8], p: &Profile, dict: &[u8]) -> ((usize, usize), Vec<u8>) {
         let mut header = BitWriter::new();
-        p.header.write(&mut header, false);
+        p.header.write(&mut header);
         let header = header.finish();
         let bit = |bytes: &[u8], i: u64| bytes.get((i / 8) as usize).map(|b| b >> (i % 8) & 1);
         let mut inf = Inflater::new(stream);
@@ -762,6 +849,57 @@ mod tests {
             seen.0 > 0 && seen.1 > 0,
             "canned and fallback blocks: {seen:?}"
         );
+    }
+
+    #[test]
+    fn the_single_pass_equals_the_parent_past_a_small_request() {
+        // What a 2 KiB request never reaches, against the loop before the
+        // block sink, for every shipped class, engine and dictionary: a
+        // request cut by both rules (random bytes cut at 50 000 tokens, the
+        // class's own at 128 KiB), so BFINAL is set on a later block; a
+        // misfit block mid-request; and a profile that lost one code length
+        // (the NUL literal's) on its way through the registry's bytes, on a
+        // payload with one NUL in its second block. Each request matches the
+        // parent's bytes and block counts; each input shows both kinds.
+        for (kind, level) in SHIPPED {
+            let p = trained(kind, level);
+            let (class, noise) = (
+                |s, n| kind.generate(s, n),
+                |s, n| CorpusKind::Random.generate(s, n),
+            );
+            let both = [class(1, 160 << 10), noise(2, 56 << 10), class(3, 140 << 10)].concat();
+            let misfit = [class(4, 128 << 10), noise(5, 48 << 10), class(6, 64 << 10)].concat();
+            let mut nul = class(7, 160 << 10);
+            nul[150 << 10] = 0;
+            let mut reg = ProfileRegistry::new();
+            reg.push(p.clone());
+            let mut bytes = reg.to_bytes();
+            bytes[8 + 2 + kind.name().len() + 1 + 2] = 0; // litlen length of 0
+            let holed = ProfileRegistry::from_bytes(&bytes)
+                .unwrap()
+                .profiles
+                .remove(0);
+            assert_eq!(holed.litlen_lengths()[0], 0);
+            for (what, p, data) in [
+                ("both", &p, &both),
+                ("misfit", &p, &misfit),
+                ("holed", &holed, &nul),
+            ] {
+                let mut seen = (0, 0);
+                for engine in [Engine::Auto, Engine::Sequential, Engine::Speculative] {
+                    for use_dict in [true, false] {
+                        let what = format!("{} {what} dict {use_dict} {engine:?}", kind.name());
+                        let (want, counts) = reference::one_loop(data, engine, p, use_dict);
+                        let got = deflate_canned(data, engine, p, use_dict);
+                        assert!(got == want, "{what}");
+                        let dict = if use_dict { p.dict() } else { &[] };
+                        assert_eq!(blocks_of(&got, p, dict).0, counts, "{what}");
+                        (seen.0, seen.1) = (seen.0 + counts.0, seen.1 + counts.1);
+                    }
+                }
+                assert!(seen.0 > 0 && seen.1 > 0, "{} {what}: {seen:?}", kind.name());
+            }
+        }
     }
 
     #[test]
@@ -906,19 +1044,17 @@ mod tests {
                 w.bit_len() as i64
             };
             let canned = bits(&|w| {
-                p.header.write(w, false);
+                p.header.write(w);
                 p.tables.write_body(w, &block);
             });
             let fixed = bits(&|w| crate::encoder::encode_fixed_block(w, &block, false));
-            let mut w = BitWriter::new();
-            let took = p.write_block(&mut w, &block, &Histogram::of(&block), false);
+            let took = p.fits(&Histogram::of(&block));
             assert_eq!(
                 took,
                 canned <= fixed,
                 "{} tokens, {canned} vs {fixed}",
                 block.len()
             );
-            assert_eq!(w.bit_len() as i64, if took { canned } else { 0 });
             seen.insert(canned - fixed);
             // Down two bits a literal to below the tie, then up one at a
             // time to past an end-of-block code.

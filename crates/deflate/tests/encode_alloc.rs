@@ -7,7 +7,10 @@
 //! and the stream is written behind the container's header in the vector
 //! the caller gets back. So a warm small request allocates its output (and
 //! at most grows it once), and a large one allocates a constant handful of
-//! buffers however many blocks it cuts.
+//! buffers however many blocks it cuts. Blocks are cut and emitted as the
+//! parse makes their tokens, so a serial encode holds one block of tokens
+//! at a time, not the whole input's: its peak live heap is the matcher, the
+//! output and one block of tokens.
 //!
 //! One `#[test]` only: the counter is process-wide and the harness runs
 //! sibling tests on concurrent threads.
@@ -16,13 +19,22 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nx_corpus::CorpusKind;
-use nx_deflate::{encode_counters, zlib, CompressionLevel, Level};
+use nx_deflate::{encode_counters, zlib, CompressionLevel, Encoder, Level, Token};
 
 /// System allocator wrapper that counts every allocation event
-/// (`alloc`, `alloc_zeroed`, and growth via `realloc`).
+/// (`alloc`, `alloc_zeroed`, and growth via `realloc`), and the bytes live
+/// and their high-water mark.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// `bytes` more live (or fewer, by wrapping).
+fn grow(bytes: u64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed).wrapping_add(bytes);
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // `GlobalAlloc` contract the caller already upholds; the counter is a
@@ -30,20 +42,24 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow(layout.size() as u64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow((new_size as u64).wrapping_sub(layout.size() as u64));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -115,4 +131,21 @@ fn warm_ladder_encodes_allocate_their_output_and_nothing_per_block() {
         more <= allocs + 2,
         "{more} allocations at 2 MiB, {allocs} at 1"
     );
+
+    // --- A serial 4 MiB level-6 encode holds one block of tokens. ---
+    // No budget, so the caller parses alone, on a fresh matcher (three
+    // tables: 448 KiB) into the output (reserved at half the input), and
+    // the sink holds at most one block of tokens. 256 KiB of slack covers
+    // the rest; the whole input's tokens would be ~5 MB more.
+    let data = nx_corpus::mixed(0xB10C, 4 << 20);
+    let encoder = Encoder::new(CompressionLevel::new(6).expect("valid"));
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = encoder.compress(&data);
+    let peak = PEAK.load(Ordering::SeqCst) - base;
+    assert_eq!(nx_deflate::inflate(&out).expect("own stream"), data);
+    let matcher = (1 << 16) * 4 + (1 << 15) * 2 + (1 << 15) * 4;
+    let block = nx_deflate::encoder::MAX_BLOCK_TOKENS * std::mem::size_of::<Token>();
+    let bound = (matcher + data.len() / 2 + 64 + block + (256 << 10)) as u64;
+    assert!(peak < bound, "peak {peak} B live, bound {bound} B");
 }

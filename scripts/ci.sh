@@ -264,13 +264,14 @@ if [[ $(grep -c . <<< "$ATOMICS") -gt "$MAX_ATOMIC_STATICS" ]]; then
 fi
 
 echo "==> one block decision gate"
-# Every encode's blocks are cut and priced by one loop (`BlockEmitter` in
-# nx-deflate's encoder.rs), canned requests' included: a block its
-# profile's tables do not fit goes from there to the one block decision.
-# So `choose_and_encode_block(` has exactly one non-test call site, inside
-# `impl BlockEmitter`; a second block loop with its own cut rule or
-# misfit guard fails here. (A comment does not count; test modules sit
-# below `#[cfg(test)]`.)
+# Every encode's blocks are cut by one sink (`Blocks` in nx-deflate's
+# encoder.rs) and written by the ladder's emitter (`Ladder`), canned
+# requests' included: a block its profile's tables do not fit goes from
+# there to the one block decision, and so does every block the emit-behind
+# route hands over. So `choose_and_encode_block(` has exactly one non-test
+# call site, inside `impl Emit for Ladder`; a second block loop with its own
+# cut rule or misfit guard fails here. (A comment does not count; test
+# modules sit below `#[cfg(test)]`.)
 DECIDERS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { t = 0; impl = "" }
     /#\[cfg\(test\)\]/ { t = 1 }
@@ -279,9 +280,32 @@ DECIDERS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
     !t && $0 !~ /^[[:space:]]*\/\// && /choose_and_encode_block\(/ && !/fn choose_and_encode_block/ {
         print FILENAME ": " impl
     }')
-if [[ "$DECIDERS" != "crates/deflate/src/encoder.rs: impl<'d> BlockEmitter<'d> {" ]]; then
+if [[ "$DECIDERS" != "crates/deflate/src/encoder.rs: impl Emit for Ladder<'_> {" ]]; then
     echo "$DECIDERS"
-    echo "==> FAIL: choose_and_encode_block( is called from BlockEmitter alone"
+    echo "==> FAIL: choose_and_encode_block( is called from the Ladder emitter alone"
+    exit 1
+fi
+
+echo "==> one counting site gate"
+# A token is counted where the parse makes it: the block sink's push
+# (`impl Sink for Blocks`) bumps its histogram bucket as it takes the token,
+# and `Histogram::of` counts a whole block for callers that hold one. So the
+# only non-test `hist.record(` calls under crates/deflate/src (every
+# histogram there is named `hist`) sit in those two impls; a second pass over
+# a block's tokens to count them fails here. (`record_end_of_block` is
+# another method; a comment does not count; test modules sit below
+# `#[cfg(test)]`.)
+COUNTERS=$(find crates/deflate/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0; impl = "" }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    /^impl/ { impl = $0 }
+    /^}/ { impl = "" }
+    !t && $0 !~ /^[[:space:]]*\/\// && /hist\.record\(/ { print FILENAME ": " impl }' | sort)
+WANT="crates/deflate/src/encoder.rs: impl<E: Emit> Sink for Blocks<E> {
+crates/deflate/src/lz77/mod.rs: impl Histogram {"
+if [[ "$COUNTERS" != "$WANT" ]]; then
+    echo "$COUNTERS"
+    echo "==> FAIL: Histogram::record( is called from the block sink and Histogram::of alone"
     exit 1
 fi
 
