@@ -206,6 +206,13 @@ impl Sink for Vec<Token> {
     }
 }
 
+impl<S: Sink> Sink for &mut S {
+    #[inline(always)]
+    fn push(&mut self, t: Token) {
+        (**self).push(t);
+    }
+}
+
 /// Reusable LZ77 tokenizer state.
 ///
 /// One-shot tokenization allocates a ~450 KB hash4 dictionary and a token

@@ -6,9 +6,9 @@
 //! free; each returns when the helper holding it exits. Clones share one
 //! budget, so requests running side by side on it never start more helpers
 //! than it holds, as a VAS window's credits meter one engine's senders.
-//! This module reads the CPU count (once per process), decides how many
-//! segments a large request splits into, and starts every thread that runs
-//! request work.
+//! This module reads the CPU count (once per process), starts every thread
+//! that runs request work, and alone decides how a large request's parse
+//! runs in segments and which helper checkpoint it adopts ([`run_ahead`]).
 
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -16,6 +16,9 @@ use std::sync::{Arc, OnceLock};
 /// The smallest segment a request runs ahead on a helper: a segment's parse
 /// takes milliseconds, a spawn and a rebuilt window a fraction of one.
 pub const SEGMENT_MIN: usize = 256 << 10;
+
+/// Positions between two of a run-ahead helper's checkpoints.
+pub(crate) const MARK: usize = 4 << 10;
 
 /// The host's CPUs, read once per process; 1 if they cannot be read.
 pub fn cpus() -> usize {
@@ -66,11 +69,10 @@ impl Workers {
     }
 
     /// Helpers for a request of `len` new bytes run in segments, at most one
-    /// per further [`SEGMENT_MIN`]. Size decides first, so a request under
-    /// two segments never touches the budget. The model's match engine and
-    /// the ladder's sequential matcher both split by this rule.
-    pub fn claim_segments(&self, len: usize) -> Option<Claim> {
-        let segments = len / SEGMENT_MIN;
+    /// per further [`SEGMENT_MIN`] (or `pin` segments). Size decides first,
+    /// so a request under two segments never touches the budget.
+    fn claim_segments(&self, len: usize, pin: Option<usize>) -> Option<Claim> {
+        let segments = pin.unwrap_or(len / SEGMENT_MIN);
         (segments > 1).then(|| self.claim(segments))
     }
 
@@ -118,7 +120,7 @@ pub struct Claim {
 
 impl Claim {
     /// The helpers this claim may start.
-    pub fn granted(&self) -> usize {
+    pub(crate) fn granted(&self) -> usize {
         self.left
     }
 
@@ -126,7 +128,7 @@ impl Claim {
     /// [`granted`](Self::granted) `items` runs `helper(item)` on a scoped
     /// thread holding one slot. Returns `mine`'s result and the helpers' in
     /// item order, `None` where one panicked.
-    pub fn run<I: Send, T: Send, R>(
+    pub(crate) fn run<I: Send, T: Send, R>(
         mut self,
         items: impl IntoIterator<Item = I>,
         helper: impl Fn(I) -> T + Sync,
@@ -155,6 +157,65 @@ impl Drop for Claim {
     fn drop(&mut self) {
         self.budget.0.busy.fetch_sub(self.left, Relaxed);
     }
+}
+
+/// A parse [`run_ahead`] steps from loop top to loop top.
+pub trait Parse {
+    /// A checkpoint: the state at a loop top, with its output and counters.
+    type Mark: Copy;
+    /// Parses on to its first loop top at or past `stop`: where, and its mark.
+    fn step(&mut self, stop: usize) -> (usize, Self::Mark);
+}
+
+/// The caller's parse on a segment route: its compare and adopt step.
+pub trait Adopt<H: Parse>: Parse {
+    /// If `helper`'s parse from `mark` on is this one's from here, takes its
+    /// output and counters from `mark` and its end state; returns whether.
+    fn adopt(&mut self, helper: &mut H, mark: &H::Mark) -> bool;
+}
+
+/// The run-ahead driver. Parses `start..n` in one segment more than the
+/// helpers `workers` grants by size (or in `pin` segments), bounded on whole
+/// `unit`s: `caller(end of the first segment)` parses the first while a
+/// helper per later segment, `ahead(pool item, from, to)` (the pool grown by
+/// `fresh`), parses its own and checkpoints at every `MARK` from `from` and
+/// at `to`. The caller then steps through each helper's checkpoints in order,
+/// adopts at the first that agrees, and parses on. Returns its parse, at
+/// `n`, and the checkpoints adopted.
+pub fn run_ahead<'p, C, H, T: Send + 'p>(
+    workers: &Workers,
+    pin: Option<usize>,
+    (start, n, unit): (usize, usize, usize),
+    (pool, fresh): (&'p mut Vec<T>, impl FnMut() -> T),
+    ahead: impl Fn(&'p mut T, usize, usize) -> H + Sync,
+    caller: impl FnOnce(usize) -> C,
+) -> (C, Vec<(usize, H::Mark)>)
+where
+    C: Adopt<H>,
+    H: Parse<Mark: Send> + Send,
+{
+    let claim = workers.claim_segments(n - start, pin);
+    let units = (n - start).div_ceil(unit);
+    let segments = (1 + claim.as_ref().map_or(0, Claim::granted)).min(units.max(1));
+    let bound = |i: usize| (start + units * i / segments * unit).min(n);
+    let mut me = caller(bound(1));
+    let run = |(item, i)| {
+        let (from, to, every) = (bound(i), bound(i + 1), MARK.next_multiple_of(unit));
+        let mut helper = ahead(item, from, to);
+        let stops = (from..to).step_by(every).chain([to]);
+        let marks: Vec<_> = stops.map(|stop| helper.step(stop)).collect();
+        (helper, marks)
+    };
+    pool.resize_with(pool.len().max(segments - 1), fresh);
+    let helpers = pool.iter_mut().take(segments - 1).zip(1..);
+    let landed = claim.map(|claim| claim.run(helpers, run, || me.step(bound(1))).1);
+    let mut adopted = Vec::new();
+    for (mut helper, marks) in landed.into_iter().flatten().flatten() {
+        let mut agrees = |&(at, m): &(usize, _)| me.step(at).0 == at && me.adopt(&mut helper, &m);
+        adopted.extend(marks.into_iter().find(|mark| agrees(mark)));
+    }
+    me.step(n);
+    (me, adopted)
 }
 
 #[cfg(test)]
@@ -235,6 +296,135 @@ mod tests {
         // A `None` from the job stops the hand-out.
         let got = Workers::new(0).fan_out(6, 1, |_| (), |_, i| (i < 4).then_some(i));
         assert_eq!(got, [Some(0), Some(1), Some(2), Some(3), None, None]);
+    }
+
+    #[test]
+    fn the_size_rule_claims_one_helper_per_further_segment() {
+        let helpers = |len, slots| {
+            Workers::new(slots)
+                .claim_segments(len, None)
+                .map(|c| c.granted())
+        };
+        // A request under two segments never touches the budget.
+        let budget = Workers::new(8);
+        assert!(budget.claim_segments(1 << 10, None).is_none());
+        assert!(budget.claim_segments(2 * SEGMENT_MIN - 1, None).is_none());
+        assert_eq!(budget.peak(), 0);
+        // An empty budget keeps any request serial.
+        assert_eq!(helpers(64 << 20, 0), Some(0));
+        assert_eq!(helpers(2 * SEGMENT_MIN, 1), Some(1));
+        // At most one helper per further `SEGMENT_MIN`.
+        assert_eq!(helpers(1 << 20, 63), Some(3));
+        // A helper busy elsewhere is not granted twice.
+        let held = budget.claim(7);
+        assert_eq!(
+            budget.claim_segments(1 << 20, None).map(|c| c.granted()),
+            Some(2)
+        );
+        drop(held);
+        assert_eq!(budget.peak(), 8);
+    }
+
+    /// A toy route: a byte is a token (three bytes from 200 up), whose
+    /// output is the state, the run of tokens since a zero byte capped at 7.
+    /// A helper starts as if a long run carried in; a liar's checkpoints
+    /// hold states no parse reaches.
+    struct Toy<'a> {
+        data: &'a [u8],
+        at: usize,
+        run: u8,
+        out: Vec<u8>,
+        sum: u64,
+        liar: bool,
+    }
+
+    impl Toy<'_> {
+        fn new(data: &[u8], at: usize, run: u8, liar: bool) -> Toy<'_> {
+            let (out, sum) = Default::default();
+            Toy {
+                data,
+                at,
+                run,
+                out,
+                sum,
+                liar,
+            }
+        }
+    }
+
+    impl Parse for Toy<'_> {
+        type Mark = (u8, usize, u64);
+        fn step(&mut self, stop: usize) -> (usize, Self::Mark) {
+            while self.at < stop {
+                let b = self.data[self.at];
+                self.run = if b == 0 { 0 } else { 7.min(self.run + 1) };
+                self.out.push(self.run);
+                self.sum += u64::from(self.run);
+                self.at = self.data.len().min(self.at + if b >= 200 { 3 } else { 1 });
+            }
+            let run = self.run + 8 * u8::from(self.liar);
+            (self.at, (run, self.out.len(), self.sum))
+        }
+    }
+
+    impl<'h> Adopt<Toy<'h>> for Toy<'_> {
+        fn adopt(&mut self, helper: &mut Toy<'h>, &(run, out, sum): &Self::Mark) -> bool {
+            if self.run != run {
+                return false;
+            }
+            self.out.extend_from_slice(&helper.out[out..]);
+            self.sum += helper.sum - sum;
+            (self.at, self.run) = (helper.at, helper.run);
+            true
+        }
+    }
+
+    #[test]
+    fn the_driver_adopts_where_states_agree_whatever_its_helpers_do() {
+        let mut x = 0x5EED_D41Eu64;
+        let mut data: Vec<u8> = (0..100_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        // At each later segment's start the caller stands one past,
+        // inside a three-byte token, in the state a helper starts in: a
+        // checkpoint behind it that must not be taken.
+        for seam in [25_000, 50_000, 75_000] {
+            data[seam - 9..seam - 2].fill(1);
+            data[seam - 2] = 255;
+        }
+        let n = data.len();
+        let mut serial = Toy::new(&data, 0, 0, false);
+        serial.step(n);
+        // Helpers' fates, by segment `[from, to)`, and the checkpoints
+        // adopted: all live, the last dies, the inner ones die, all die, all lie.
+        type Dies = fn(usize, usize) -> bool;
+        let fates: [(Dies, bool, usize); 5] = [
+            (|_, _| false, false, 3),
+            (|_, to| to == 100_000, false, 2),
+            (|_, to| to < 100_000, false, 1),
+            (|_, _| true, false, 0),
+            (|_, _| false, true, 0),
+        ];
+        for (dies, liar, want) in fates {
+            let budget = Workers::new(3);
+            let ahead = |_: &mut (), from, to| {
+                assert!(!dies(from, to), "helper killed");
+                Toy::new(&data, from, 7, liar)
+            };
+            let (pool, caller) = ((&mut Vec::new(), || ()), |_| Toy::new(&data, 0, 0, false));
+            let (got, adopted) = run_ahead(&budget, Some(4), (0, n, 1), pool, ahead, caller);
+            assert_eq!((got.at, got.sum), (n, serial.sum), "{want} adopted");
+            assert!(got.out == serial.out, "{want} adopted");
+            assert_eq!(adopted.len(), want);
+            assert!(adopted.iter().all(|a| a.0 % 25_000 != 0), "{adopted:?}");
+            assert_eq!(budget.claim(4).granted(), 3, "every slot back");
+            assert!(budget.peak() <= 3);
+        }
     }
 
     #[test]

@@ -204,10 +204,10 @@ echo "==> thread-spawn gate"
 # (service/mod.rs; an async session is a one-window service, not a thread
 # of its own), the worker budget's scoped helpers (nx-deflate
 # workers.rs::Claim::run), which every request's helper threads start in
-# -- sharded compress and member decode through `Workers::fan_out`; the
-# match engine's segments run ahead and the ladder encoder's two routes
-# (its sequential matcher's segments run ahead, its batch matcher's blocks
-# emitted behind the parse) directly -- and E21's trace writer. A
+# -- sharded compress and member decode through `Workers::fan_out`, the
+# match engine's and the ladder's segments through `run_ahead`, and the
+# batch matcher's blocks emitted behind the parse directly -- and E21's
+# trace writer. A
 # new spawn site -- a second engine, a per-session worker, a pool --
 # fails here. (A comment does not count; test modules sit below
 # `#[cfg(test)]`.)
@@ -283,6 +283,40 @@ DECIDERS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
 if [[ "$DECIDERS" != "crates/deflate/src/encoder.rs: impl Emit for Ladder<'_> {" ]]; then
     echo "$DECIDERS"
     echo "==> FAIL: choose_and_encode_block( is called from the Ladder emitter alone"
+    exit 1
+fi
+
+echo "==> one run-ahead driver gate"
+# A large request's parse runs in segments on one driver (nx-deflate
+# workers.rs::run_ahead), for the model's match engine and the ladder's
+# sequential matcher alike: it alone applies the size rule
+# (`claim_segments`), places the segments and checkpoints, and picks the
+# checkpoint the caller adopts. So no non-test line outside workers.rs names
+# `claim_segments`, and a helper claim is run (`claim.run(` or
+# `.claim(..).run(`) only by `Workers::fan_out`, `run_ahead` and the
+# emit-behind route (`encoder.rs::emit_behind`); a route with a split, meet
+# or dead-helper fallback of its own fails here. (A comment does not count;
+# test modules sit below `#[cfg(test)]`.)
+SEGMENT_CLAIMS=$(find crates/*/src -name '*.rs' ! -path crates/deflate/src/workers.rs -print0 |
+    sort -z | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t && $0 !~ /^[[:space:]]*\/\// && /claim_segments/ { print FILENAME ":" FNR ": " $0 }')
+CLAIM_RUNS=$(find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { t = 0; fn = "" }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?fn [a-z_0-9]+/ {
+        match($0, /fn [a-z_0-9]+/)
+        fn = substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    !t && $0 !~ /^[[:space:]]*\/\// && /(claim|\.claim\(.*\))\.run\(/ { print FILENAME ": " fn }' | sort)
+WANT="crates/deflate/src/encoder.rs: emit_behind
+crates/deflate/src/workers.rs: fan_out
+crates/deflate/src/workers.rs: run_ahead"
+if [[ -n "$SEGMENT_CLAIMS" || "$CLAIM_RUNS" != "$WANT" ]]; then
+    echo "$SEGMENT_CLAIMS"
+    echo "$CLAIM_RUNS"
+    echo "==> FAIL: segments are claimed and run by workers.rs::run_ahead alone"
     exit 1
 fi
 

@@ -209,7 +209,18 @@ cd "$(dirname "$0")/.."
 # under what went: the streaming `BlockEmitter` (`cut`, `carry`, `feed`),
 # `emit_chunks`, `HAND_OVER`, `encode_behind`, `tokens_on`, `hash4::Parse`
 # and `batch::Cursor`.
-declare -A CAP=([accel]=1828 [bench]=3690 [deflate]=8209 [core]=7330 [sys]=1246 [telemetry]=2111)
+# One run-ahead driver for both segment routes lowered two. nx-accel 1828
+# -> 1820 and nx-deflate 8209 -> 8206: the model's and the ladder's own
+# splits (segment arithmetic, the parse-then-adopt loop, the dead-helper
+# fallback; `tokenize_split` and `run_ahead` twice, the model's single meet
+# `SYNC_WINDOWS` with its `sync` / `own` fields, the ladder's `Ahead` and
+# `reindex`, and `Rung::run`'s seven-argument dispatch) gave way to
+# `workers::run_ahead` with its `Parse` / `Adopt` traits (~60 lines with its
+# docs), each route's parse state with its compare and adopt step, and the
+# sequential loops taking one `Parser`. That is 11 lines net, short of the 80
+# the change aimed at: each route's state, compare and adopt step stay its
+# own, and two trait impls per route cost about what the duplicated loop did.
+declare -A CAP=([accel]=1820 [bench]=3690 [deflate]=8206 [core]=7330 [sys]=1246 [telemetry]=2111)
 
 total=0
 over=0
