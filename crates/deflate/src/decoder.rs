@@ -11,11 +11,13 @@
 //!
 //! Decoding runs on two cooperating paths:
 //!
-//! * a **fast loop** ([`Inflater::fast_loop`]) that runs while ≥ 16 input
-//!   bytes and ≥ 274 bytes of output slack remain — the bit accumulator
-//!   lives in a local, one wide refill serves up to two literals or a
-//!   whole length+distance token, and match copies go 8 bytes at a time
-//!   rounding up into the slack region. One pre-merged table lookup
+//! * a **fast loop** (`Inflater::fast_loop`, libdeflate's shape) that runs
+//!   while ≥ 16 input bytes and ≥ 274 bytes of output slack remain — the
+//!   bit accumulator lives in a local, a branch-free refill to ≥ 56 bits
+//!   starts every token (up to three literals, or a whole length+distance
+//!   token), the next entry is looked up before a match is copied, and
+//!   copies go 16 bytes at a time (8 at distances 8..=15) rounding up into
+//!   the slack region. One pre-merged table lookup
 //!   (see [`crate::huffman::decode`]) yields action, base value, extra-bit
 //!   count and consumed bits together — the software analogue of the
 //!   hardware's one-lookup-per-cycle decode pipeline;
@@ -941,22 +943,26 @@ impl<'a> Inflater<'a> {
         Ok(false)
     }
 
-    /// The fast inner loop. Decodes tokens while safety margins hold and
-    /// hands any anomaly back to the careful loop with the reader rewound
-    /// to the start of the offending token. Infallible by construction:
-    /// it only commits tokens the careful path would also accept.
+    /// The fast inner loop, in libdeflate's shape. Decodes tokens while
+    /// safety margins hold and hands any anomaly back to the careful loop
+    /// with the reader rewound to the start of the offending token.
+    /// Infallible by construction: it only commits tokens the careful path
+    /// would also accept.
     ///
-    /// Safety margins (see DESIGN.md for the full argument):
-    /// * **input**: runs while `pos + 16 <= data.len()`, so both the
-    ///   iteration-start refill and the mid-token refill read 8 in-bounds
-    ///   bytes and always leave ≥ 56 valid accumulator bits — enough for
-    ///   two literals (≤ 30 bits) or a literal + length code + extra
-    ///   (≤ 35 bits) before the mid refill, and a distance code + extra
-    ///   (≤ 28 bits) after it;
-    /// * **output**: runs while `wpos + 274 <= fence`, where 274 ≥ one
-    ///   literal (1) + the longest match (258) rounded up to the next
-    ///   8-byte copy boundary (264), so wide copies may overshoot into
-    ///   slack that `truncate` trims afterwards;
+    /// Every token starts on a branch-free refill (≥ 56 bits), and the next
+    /// literal/length entry is looked up before a match is copied, so the
+    /// table load overlaps the copy. Safety margins (DESIGN.md has the
+    /// full argument):
+    /// * **input**: runs while `pos + 16 <= data.len()`; an iteration
+    ///   refills at most twice (at its start, and before a match that
+    ///   follows its literals), each moving `pos` ≤ 7 bytes, so every
+    ///   8-byte load is in bounds. 56 bits hold three literals (≤ 45) or a
+    ///   whole length/distance token (15 + 5 + 15 + 13 = 48), and the
+    ///   ≥ 16 look-ahead bits left after either resolve the next lookup;
+    /// * **output**: runs while `wpos + SLACK <= fence`, `SLACK` = two
+    ///   literals + the longest match (258) rounded up to whole 16-byte
+    ///   copies (272) = 274, so wide copies may overshoot into slack that
+    ///   `truncate` trims afterwards;
     /// * **limit**: the slack fence never extends past `primed + limit`,
     ///   so the fast loop can never overrun the caller's output limit —
     ///   near the limit it defers to the careful loop's exact check.
@@ -970,10 +976,19 @@ impl<'a> Inflater<'a> {
         dist: &DecodeTable,
         limit: usize,
     ) {
-        const SLACK: usize = 274;
+        const SLACK: usize = 2 + 272;
         let (mut tracer, primed) = (self.trace.as_deref_mut(), self.primed);
         let data = self.reader.input();
         let (mut acc, mut nbits, mut pos) = self.reader.fast_state();
+        // ORs in the next 8 input bytes and absorbs the whole ones that fit:
+        // `nbits` ends at 56..=63 (see `BitReader::refill`).
+        let refill = |acc: &mut u64, nbits: &mut u32, pos: &mut usize| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(&data[*pos..*pos + 8]);
+            *acc |= u64::from_le_bytes(w) << *nbits;
+            *pos += ((63 - *nbits) >> 3) as usize;
+            *nbits |= 56;
+        };
         let mut wpos = self.out.len();
         let start_wpos = wpos;
         let limit_bound = self.primed.saturating_add(limit);
@@ -995,86 +1010,53 @@ impl<'a> Inflater<'a> {
             }
             let out = self.out.as_mut_slice();
             let fence = out.len();
+            refill(&mut acc, &mut nbits, &mut pos);
+            // The entry of the token at hand, looked up ahead of it.
+            let mut e = litlen.lookup(acc);
             while pos + 16 <= data.len() && wpos + SLACK <= fence {
-                if nbits < 56 {
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(&data[pos..pos + 8]);
-                    acc |= u64::from_le_bytes(w) << nbits;
-                    let absorbed = (63 - nbits) >> 3;
-                    pos += absorbed as usize;
-                    nbits += absorbed * 8;
-                }
-                let mut e = litlen.lookup(acc);
-                if e == 0 {
-                    break 'outer;
-                }
+                refill(&mut acc, &mut nbits, &mut pos);
                 if e & M_LIT != 0 {
-                    let c = m_consumed(e);
-                    acc >>= c;
-                    nbits -= c;
+                    // Up to three literals on one refill, each looking up
+                    // the next entry as it is written.
                     out[wpos] = m_payload(e) as u8;
-                    wpos += 1;
-                    // Second literal from the same refill: ≥ 41 bits left.
+                    (acc, nbits, wpos) = (acc >> m_consumed(e), nbits - m_consumed(e), wpos + 1);
                     e = litlen.lookup(acc);
                     if e & M_LIT != 0 {
-                        let c2 = m_consumed(e);
-                        acc >>= c2;
-                        nbits -= c2;
                         out[wpos] = m_payload(e) as u8;
-                        wpos += 1;
-                        // Third literal: ≥ 26 bits left still covers a
-                        // 15-bit code plus the next root peek.
+                        (acc, nbits, wpos) =
+                            (acc >> m_consumed(e), nbits - m_consumed(e), wpos + 1);
                         e = litlen.lookup(acc);
                         if e & M_LIT != 0 {
-                            let c3 = m_consumed(e);
-                            acc >>= c3;
-                            nbits -= c3;
                             out[wpos] = m_payload(e) as u8;
-                            wpos += 1;
+                            (acc, nbits, wpos) =
+                                (acc >> m_consumed(e), nbits - m_consumed(e), wpos + 1);
+                            e = litlen.lookup(acc);
                             continue;
                         }
                     }
-                    if e == 0 {
-                        continue;
-                    }
+                    // A match after literals starts on a refill of its own.
+                    refill(&mut acc, &mut nbits, &mut pos);
                 }
-                if e & M_EXC != 0 {
-                    // End-of-block or reserved symbol: let the careful
-                    // loop re-decode it (nothing consumed for `e`).
+                if e == 0 || e & M_EXC != 0 {
+                    // Unassigned, end-of-block or reserved: the careful loop
+                    // re-decodes it (nothing consumed for `e`).
                     break 'outer;
                 }
                 // Length/distance token. Snapshot so a bail re-decodes the
                 // whole token carefully with identical error semantics.
                 let snap = (acc, nbits, pos, wpos);
-                let c = m_consumed(e);
-                acc >>= c;
-                nbits -= c;
-                let lextra = m_extra(e);
-                let len = m_payload(e) as usize + (acc & ((1u64 << lextra) - 1)) as usize;
-                acc >>= lextra;
-                nbits -= lextra;
-                if nbits < 32 {
-                    // Mid-token refill; in-bounds because `pos` has moved
-                    // at most 7 bytes since the `pos + 16` guard.
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(&data[pos..pos + 8]);
-                    acc |= u64::from_le_bytes(w) << nbits;
-                    let absorbed = (63 - nbits) >> 3;
-                    pos += absorbed as usize;
-                    nbits += absorbed * 8;
-                }
+                let (c, lextra) = (m_consumed(e), m_extra(e));
+                let len = m_payload(e) as usize + ((acc >> c) & ((1u64 << lextra) - 1)) as usize;
+                (acc, nbits) = (acc >> (c + lextra), nbits - c - lextra);
                 let de = dist.lookup(acc);
                 if de == 0 || de & M_EXC != 0 {
                     (acc, nbits, pos, wpos) = snap;
                     break 'outer;
                 }
-                let dc = m_consumed(de);
-                acc >>= dc;
-                nbits -= dc;
-                let dextra = m_extra(de);
-                let distance = m_payload(de) as usize + (acc & ((1u64 << dextra) - 1)) as usize;
-                acc >>= dextra;
-                nbits -= dextra;
+                let (dc, dextra) = (m_consumed(de), m_extra(de));
+                let distance =
+                    m_payload(de) as usize + ((acc >> dc) & ((1u64 << dextra) - 1)) as usize;
+                (acc, nbits) = (acc >> (dc + dextra), nbits - dc - dextra);
                 if distance > wpos {
                     (acc, nbits, pos, wpos) = snap;
                     break 'outer;
@@ -1085,32 +1067,35 @@ impl<'a> Inflater<'a> {
                         tracer.mark_reads(len, wpos - primed, distance);
                     }
                 }
+                // The next token's entry, loaded while the match copies.
+                e = litlen.lookup(acc);
                 let src = wpos - distance;
-                if distance == 1 {
+                if distance >= 16 {
+                    // Whole chunks, rounding up into the slack: a chunk
+                    // read from at least its own width back (16 bytes
+                    // here, 8 below) never holds a byte it writes.
+                    let (mut s, mut d) = (src, wpos);
+                    loop {
+                        let mut t = [0u8; 16];
+                        t.copy_from_slice(&out[s..s + 16]);
+                        out[d..d + 16].copy_from_slice(&t);
+                        (s, d) = (s + 16, d + 16);
+                        if d >= wpos + len {
+                            break;
+                        }
+                    }
+                } else if distance >= 8 {
+                    for at in (0..len).step_by(8) {
+                        out.copy_within(src + at..src + at + 8, wpos + at);
+                    }
+                } else if distance == 1 {
                     let b = out[src];
                     out[wpos..wpos + len].fill(b);
-                } else if distance >= 8 {
-                    // 8-byte wide copy rounding up into the slack; each
-                    // read is ≥ 8 bytes behind the write cursor, so
-                    // already-written data is never read mid-chunk.
-                    let mut s = src;
-                    let mut d = wpos;
-                    let end = wpos + len;
-                    while d < end {
-                        let mut tmp = [0u8; 8];
-                        tmp.copy_from_slice(&out[s..s + 8]);
-                        out[d..d + 8].copy_from_slice(&tmp);
-                        s += 8;
-                        d += 8;
-                    }
                 } else {
                     // Short-period overlap (2..=7): byte-by-byte keeps the
                     // pattern exact.
-                    let mut i = wpos;
-                    let end = wpos + len;
-                    while i < end {
+                    for i in wpos..wpos + len {
                         out[i] = out[i - distance];
-                        i += 1;
                     }
                 }
                 wpos += len;
@@ -1120,6 +1105,287 @@ impl<'a> Inflater<'a> {
         self.reader.set_fast_state(acc, nbits, pos);
         if wpos > start_wpos {
             FAST_PATH_BYTES.fetch_add((wpos - start_wpos) as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+#[cfg(test)]
+/// The fast loop as it stood before the libdeflate-shaped rewrite (a refill
+/// below 56 bits at the top of each iteration and one inside a match, no
+/// preload, 8-byte match copies), kept verbatim as the oracle the
+/// `tests::fast_loop_equals_parent_and_careful_*` tests diff against. The
+/// block driver (`decode_block`, `huffman_block`) is copied to call it.
+mod reference {
+    use super::*;
+
+    impl Inflater<'_> {
+        /// [`Inflater::run`] on the parent loop.
+        pub(super) fn run_on_parent(&mut self, limit: usize) -> Result<()> {
+            while !self.finished {
+                self.decode_block_on_parent(limit)?;
+            }
+            Ok(())
+        }
+
+        fn decode_block_on_parent(&mut self, limit: usize) -> Result<()> {
+            let start_bits = self.reader.bits_consumed();
+            let out_start = self.out.len();
+            let open = match self.open {
+                Some(open) => open,
+                None => open_block(&mut self.reader, &mut self.scratch)
+                    .or_else(|e| self.reader.seek(start_bits).and(Err(e)))?,
+            };
+            let header_end_bits = self.reader.bits_consumed();
+            self.open = Some(open);
+            match open.body {
+                Body::Stored(left) => self.stored_block(left, limit)?,
+                tables => {
+                    // The scratch is moved out for the body so the table borrows
+                    // don't pin `self`, and moved back unconditionally to keep
+                    // its capacity for reuse.
+                    let scratch = std::mem::take(&mut self.scratch);
+                    let (litlen, dist) = scratch.tables(tables);
+                    let res = self.huffman_block_on_parent(litlen, dist, limit);
+                    self.scratch = scratch;
+                    res?;
+                }
+            }
+            self.open = None;
+            if let Some(t) = &mut self.trace {
+                let output_bytes = (self.out.len() - out_start) as u64;
+                // Stored bytes are no symbols; elsewhere the literals produced
+                // what the matches did not.
+                let (btype, huffman_bytes) = match open.body {
+                    Body::Stored(_) => (0, 0),
+                    Body::Fixed => (1, output_bytes),
+                    _ => (2, output_bytes),
+                };
+                t.trace.blocks.push(BlockTrace {
+                    btype,
+                    header_bits: header_end_bits - start_bits,
+                    literals: huffman_bytes.saturating_sub(t.match_bytes),
+                    matches: std::mem::take(&mut t.matches),
+                    output_bytes,
+                    total_bits: self.reader.bits_consumed() - start_bits,
+                });
+                t.match_bytes = 0;
+            }
+            self.finished |= open.last;
+            Ok(())
+        }
+
+        fn huffman_block_on_parent(
+            &mut self,
+            litlen: &DecodeTable,
+            dist: &DecodeTable,
+            limit: usize,
+        ) -> Result<()> {
+            let use_fast = self.fast_enabled && litlen.is_merged();
+            let mut careful_bytes = 0u64;
+            let res = loop {
+                // One loop in the source, instantiated without its tally (the
+                // loop alone), with it, and with it and window reads.
+                match (use_fast, self.trace.as_ref().map(|t| t.reads.is_empty())) {
+                    (true, Some(true)) => self.parent_fast_loop::<true, false>(litlen, dist, limit),
+                    (true, Some(false)) => self.parent_fast_loop::<true, true>(litlen, dist, limit),
+                    (true, None) => self.parent_fast_loop::<false, false>(litlen, dist, limit),
+                    (false, _) => {}
+                }
+                // A token that fails is not begun: the reader goes back to its
+                // start, where the block resumes after the limit or end of input.
+                self.token_bit = self.reader.bits_consumed();
+                match self.careful_token(litlen, dist, limit, &mut careful_bytes) {
+                    Ok(true) => break Ok(()),
+                    Ok(false) => {}
+                    Err(e) => break self.reader.seek(self.token_bit).and(Err(e)),
+                }
+            };
+            if careful_bytes > 0 {
+                CAREFUL_PATH_BYTES.fetch_add(careful_bytes, Ordering::Relaxed);
+            }
+            res
+        }
+
+        /// The fast inner loop. Decodes tokens while safety margins hold and
+        /// hands any anomaly back to the careful loop with the reader rewound
+        /// to the start of the offending token. Infallible by construction:
+        /// it only commits tokens the careful path would also accept.
+        ///
+        /// Safety margins (see DESIGN.md for the full argument):
+        /// * **input**: runs while `pos + 16 <= data.len()`, so both the
+        ///   iteration-start refill and the mid-token refill read 8 in-bounds
+        ///   bytes and always leave ≥ 56 valid accumulator bits — enough for
+        ///   two literals (≤ 30 bits) or a literal + length code + extra
+        ///   (≤ 35 bits) before the mid refill, and a distance code + extra
+        ///   (≤ 28 bits) after it;
+        /// * **output**: runs while `wpos + 274 <= fence`, where 274 ≥ one
+        ///   literal (1) + the longest match (258) rounded up to the next
+        ///   8-byte copy boundary (264), so wide copies may overshoot into
+        ///   slack that `truncate` trims afterwards;
+        /// * **limit**: the slack fence never extends past `primed + limit`,
+        ///   so the fast loop can never overrun the caller's output limit —
+        ///   near the limit it defers to the careful loop's exact check.
+        ///
+        /// `TALLY` (a traced decode) counts a match where it is committed, so one
+        /// handed back through `snap` is counted by the careful loop alone;
+        /// `READS` marks it in the window-read tallies there too.
+        fn parent_fast_loop<const TALLY: bool, const READS: bool>(
+            &mut self,
+            litlen: &DecodeTable,
+            dist: &DecodeTable,
+            limit: usize,
+        ) {
+            const SLACK: usize = 274;
+            let (mut tracer, primed) = (self.trace.as_deref_mut(), self.primed);
+            let data = self.reader.input();
+            let (mut acc, mut nbits, mut pos) = self.reader.fast_state();
+            let mut wpos = self.out.len();
+            let start_wpos = wpos;
+            let limit_bound = self.primed.saturating_add(limit);
+            // The zero-filled slack region opens at what the remaining input
+            // can plausibly produce and doubles back to `FAST_CHUNK`: a 2 KiB
+            // response must not memset 64 KiB, and anything past 16 KiB of
+            // input opens at the full chunk.
+            let mut chunk = initial_capacity(data.len() - pos).min(FAST_CHUNK);
+            'outer: while pos + 16 <= data.len() {
+                // Open a slack region: resize (not reserve) so the wide copies
+                // below can index freely; trimmed back to `wpos` on exit.
+                let target = wpos.saturating_add(chunk).min(limit_bound);
+                chunk = (2 * chunk).min(FAST_CHUNK);
+                if target < wpos.saturating_add(SLACK) {
+                    break;
+                }
+                if self.out.len() < target {
+                    self.out.resize(target, 0);
+                }
+                let out = self.out.as_mut_slice();
+                let fence = out.len();
+                while pos + 16 <= data.len() && wpos + SLACK <= fence {
+                    if nbits < 56 {
+                        let mut w = [0u8; 8];
+                        w.copy_from_slice(&data[pos..pos + 8]);
+                        acc |= u64::from_le_bytes(w) << nbits;
+                        let absorbed = (63 - nbits) >> 3;
+                        pos += absorbed as usize;
+                        nbits += absorbed * 8;
+                    }
+                    let mut e = litlen.lookup(acc);
+                    if e == 0 {
+                        break 'outer;
+                    }
+                    if e & M_LIT != 0 {
+                        let c = m_consumed(e);
+                        acc >>= c;
+                        nbits -= c;
+                        out[wpos] = m_payload(e) as u8;
+                        wpos += 1;
+                        // Second literal from the same refill: ≥ 41 bits left.
+                        e = litlen.lookup(acc);
+                        if e & M_LIT != 0 {
+                            let c2 = m_consumed(e);
+                            acc >>= c2;
+                            nbits -= c2;
+                            out[wpos] = m_payload(e) as u8;
+                            wpos += 1;
+                            // Third literal: ≥ 26 bits left still covers a
+                            // 15-bit code plus the next root peek.
+                            e = litlen.lookup(acc);
+                            if e & M_LIT != 0 {
+                                let c3 = m_consumed(e);
+                                acc >>= c3;
+                                nbits -= c3;
+                                out[wpos] = m_payload(e) as u8;
+                                wpos += 1;
+                                continue;
+                            }
+                        }
+                        if e == 0 {
+                            continue;
+                        }
+                    }
+                    if e & M_EXC != 0 {
+                        // End-of-block or reserved symbol: let the careful
+                        // loop re-decode it (nothing consumed for `e`).
+                        break 'outer;
+                    }
+                    // Length/distance token. Snapshot so a bail re-decodes the
+                    // whole token carefully with identical error semantics.
+                    let snap = (acc, nbits, pos, wpos);
+                    let c = m_consumed(e);
+                    acc >>= c;
+                    nbits -= c;
+                    let lextra = m_extra(e);
+                    let len = m_payload(e) as usize + (acc & ((1u64 << lextra) - 1)) as usize;
+                    acc >>= lextra;
+                    nbits -= lextra;
+                    if nbits < 32 {
+                        // Mid-token refill; in-bounds because `pos` has moved
+                        // at most 7 bytes since the `pos + 16` guard.
+                        let mut w = [0u8; 8];
+                        w.copy_from_slice(&data[pos..pos + 8]);
+                        acc |= u64::from_le_bytes(w) << nbits;
+                        let absorbed = (63 - nbits) >> 3;
+                        pos += absorbed as usize;
+                        nbits += absorbed * 8;
+                    }
+                    let de = dist.lookup(acc);
+                    if de == 0 || de & M_EXC != 0 {
+                        (acc, nbits, pos, wpos) = snap;
+                        break 'outer;
+                    }
+                    let dc = m_consumed(de);
+                    acc >>= dc;
+                    nbits -= dc;
+                    let dextra = m_extra(de);
+                    let distance = m_payload(de) as usize + (acc & ((1u64 << dextra) - 1)) as usize;
+                    acc >>= dextra;
+                    nbits -= dextra;
+                    if distance > wpos {
+                        (acc, nbits, pos, wpos) = snap;
+                        break 'outer;
+                    }
+                    if let (true, Some(tracer)) = (TALLY, tracer.as_deref_mut()) {
+                        tracer.matched(len);
+                        if READS {
+                            tracer.mark_reads(len, wpos - primed, distance);
+                        }
+                    }
+                    let src = wpos - distance;
+                    if distance == 1 {
+                        let b = out[src];
+                        out[wpos..wpos + len].fill(b);
+                    } else if distance >= 8 {
+                        // 8-byte wide copy rounding up into the slack; each
+                        // read is ≥ 8 bytes behind the write cursor, so
+                        // already-written data is never read mid-chunk.
+                        let mut s = src;
+                        let mut d = wpos;
+                        let end = wpos + len;
+                        while d < end {
+                            let mut tmp = [0u8; 8];
+                            tmp.copy_from_slice(&out[s..s + 8]);
+                            out[d..d + 8].copy_from_slice(&tmp);
+                            s += 8;
+                            d += 8;
+                        }
+                    } else {
+                        // Short-period overlap (2..=7): byte-by-byte keeps the
+                        // pattern exact.
+                        let mut i = wpos;
+                        let end = wpos + len;
+                        while i < end {
+                            out[i] = out[i - distance];
+                            i += 1;
+                        }
+                    }
+                    wpos += len;
+                }
+            }
+            self.out.truncate(wpos);
+            self.reader.set_fast_state(acc, nbits, pos);
+            if wpos > start_wpos {
+                FAST_PATH_BYTES.fetch_add((wpos - start_wpos) as u64, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -1502,6 +1768,200 @@ mod tests {
         for bit in 0..stream.len() * 8 {
             mutant[bit / 8] ^= 1 << (bit % 8);
             check(&mutant, &format!("bit {bit} flipped"));
+            mutant[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    /// Which loop a differential decode runs on.
+    #[derive(Clone, Copy, Debug)]
+    enum Route {
+        Fast,
+        Parent,
+        Careful,
+    }
+
+    /// All a decode shows where it stops: its `Result`, bytes, reader
+    /// position and, when tallying, the stream's trace, the open block's
+    /// counts and the window-read tallies.
+    type Stop = (
+        Result<()>,
+        Vec<u8>,
+        u64,
+        Option<(StreamTrace, u64, u64, Vec<(usize, Vec<bool>)>)>,
+    );
+
+    /// `data` decoded against `dict` on `route` up to `limit`, traced if
+    /// `traced`. At each of `opens` (ascending, below `limit`) the decode
+    /// stops at that limit and, stopped there, opens a window-read tally
+    /// at its output offset before it resumes.
+    fn stop_on(
+        route: Route,
+        data: &[u8],
+        dict: &[u8],
+        traced: bool,
+        opens: &[usize],
+        limit: usize,
+    ) -> Stop {
+        let mut inf = Inflater::new(data);
+        inf.prime_window(dict);
+        if traced {
+            inf.trace = Some(Box::default());
+        }
+        if let Route::Careful = route {
+            inf.disable_fast_path();
+        }
+        let go = |inf: &mut Inflater, limit| match route {
+            Route::Parent => inf.run_on_parent(limit),
+            _ => inf.run(limit),
+        };
+        let mut res = Ok(());
+        for (i, &at) in opens.iter().chain([&limit]).enumerate() {
+            if i > 0 {
+                if res != Err(Error::OutputLimitExceeded) {
+                    break;
+                }
+                let from = inf.output().len();
+                inf.window_reads()
+                    .push((from, vec![false; crate::WINDOW_SIZE]));
+            }
+            res = go(&mut inf, at);
+        }
+        let tally = inf
+            .trace
+            .as_ref()
+            .map(|t| (t.trace.clone(), t.matches, t.match_bytes, t.reads.clone()));
+        (res, inf.output().to_vec(), inf.bit_position(), tally)
+    }
+
+    /// The fast loop, its parent and the careful loop decode `data` to the
+    /// same stop: untraced, traced, and with window-read tallies opened at
+    /// `opens`. Returns the fast loop's untraced stop.
+    fn assert_routes_agree(
+        data: &[u8],
+        dict: &[u8],
+        opens: &[usize],
+        limit: usize,
+        what: &str,
+    ) -> Stop {
+        let modes: [(bool, &[usize]); 3] = [(false, &[]), (true, &[]), (false, opens)];
+        let [untraced, ..] = modes.map(|(traced, opens)| {
+            let fast = stop_on(Route::Fast, data, dict, traced, opens, limit);
+            for route in [Route::Parent, Route::Careful] {
+                let other = stop_on(route, data, dict, traced, opens, limit);
+                assert!(
+                    fast == other,
+                    "{what}: traced {traced}, opens {opens:?}: fast loop vs {route:?}"
+                );
+            }
+            fast
+        });
+        untraced
+    }
+
+    /// `tokens` as a stream: dynamic blocks of `per_block` tokens, and the
+    /// bytes they expand to.
+    fn stream_of(tokens: &[Token], per_block: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut w = BitWriter::new();
+        let blocks: Vec<&[Token]> = tokens.chunks(per_block).collect();
+        for (i, block) in blocks.iter().enumerate() {
+            crate::encoder::encode_dynamic_block(&mut w, block, i + 1 == blocks.len());
+        }
+        (w.finish(), crate::lz77::expand_tokens(tokens))
+    }
+
+    /// Seeded tokens: 40 literals, then literals and matches of lengths
+    /// 3..=258 at distances 1..=40.
+    fn random_tokens(seed: u64, n: usize) -> Vec<Token> {
+        let mut x = seed | 1;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut tokens: Vec<Token> = (0..40)
+            .map(|i| Token::Literal((i * 37 % 251) as u8))
+            .collect();
+        while tokens.len() < n {
+            tokens.push(match next(2) {
+                0 => Token::Literal(next(256) as u8),
+                _ => Token::Match {
+                    len: 3 + next(256) as u16,
+                    dist: 1 + next(40) as u16,
+                },
+            });
+        }
+        tokens
+    }
+
+    #[test]
+    fn fast_loop_equals_parent_and_careful_on_random_tokens() {
+        // Whole streams, and stopped at limits along the way.
+        for seed in 1..=12u64 {
+            let tokens = random_tokens(seed, 400);
+            for per_block in [400usize, 97] {
+                let (stream, data) = stream_of(&tokens, per_block);
+                let what = format!("seed {seed}, {per_block} tokens a block");
+                let opens = [data.len() / 5, data.len() / 2, data.len() - 300];
+                let (res, out, ..) = assert_routes_agree(&stream, &[], &opens, usize::MAX, &what);
+                assert_eq!((res, &out), (Ok(()), &data), "{what}");
+                assert_eq!(inflate_careful(&stream).as_ref(), Ok(&data), "{what}");
+                for limit in (0..data.len()).step_by(997) {
+                    let (res, ..) = assert_routes_agree(&stream, &[], &opens[..1], limit, &what);
+                    assert_eq!(inflate_with_limit(&stream, limit).map(drop), res, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_loop_equals_parent_and_careful_at_the_fence() {
+        // 258-byte matches at distances 8, 15, 16 and 17, behind a match and
+        // behind two literals: at some limit one iteration's wide copy ends
+        // on the fence. A literal tail keeps 16 input bytes past them; a
+        // preset dictionary moves every output offset the tallies see.
+        let dict: Vec<u8> = (0..64u32).map(|i| (i * 131 % 256) as u8).collect();
+        for distance in [8u16, 15, 16, 17] {
+            let lit = |i: u16| Token::Literal((i * 29 % 251) as u8);
+            let long = Token::Match {
+                len: 258,
+                dist: distance,
+            };
+            let mut tokens: Vec<Token> = (0..40).map(lit).collect();
+            for i in 0..6 {
+                tokens.extend([long, lit(i), lit(i + 1), long]);
+            }
+            tokens.push(Token::Match { len: 40, dist: 60 });
+            tokens.extend((0..200).map(|i| lit(i * 7)));
+            let (stream, data) = stream_of(&tokens, tokens.len());
+            let what = format!("258 at distance {distance}");
+            for limit in 0..=data.len() + 1 {
+                let what = format!("{what}, limit {limit}");
+                let opens = [limit / 2];
+                let (res, out, ..) = assert_routes_agree(&stream, &[], &opens, limit, &what);
+                assert_eq!(inflate_with_limit(&stream, limit).map(drop), res, "{what}");
+                assert_eq!(out, data[..out.len()], "{what}");
+                let (primed, ..) = assert_routes_agree(&stream, &dict, &opens, limit, &what);
+                assert_eq!(primed, res, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn fast_loop_equals_parent_and_careful_on_every_truncation_and_bit_flip() {
+        let (stream, data) = stream_of(&random_tokens(99, 90), 45);
+        let opens = [data.len() / 3];
+        for cut in 0..stream.len() {
+            let what = format!("cut at {cut}");
+            let (res, ..) = assert_routes_agree(&stream[..cut], &[], &opens, usize::MAX, &what);
+            assert!(res.is_err(), "{what}");
+        }
+        let mut mutant = stream.clone();
+        for bit in 0..stream.len() * 8 {
+            mutant[bit / 8] ^= 1 << (bit % 8);
+            let what = format!("bit {bit} flipped");
+            let (res, ..) = assert_routes_agree(&mutant, &[], &opens, usize::MAX, &what);
+            assert_eq!(inflate(&mutant).map(drop), res, "{what}");
             mutant[bit / 8] ^= 1 << (bit % 8);
         }
     }

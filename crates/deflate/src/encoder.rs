@@ -1196,7 +1196,7 @@ impl DynamicPlan {
     }
 
     /// Writes the block body — all `tokens` then end-of-block — through
-    /// freshly fused [`EmitTables`] (one `write_bits` per token).
+    /// freshly fused `EmitTables` (one `write_bits` per token).
     pub fn write_body(&self, w: &mut BitWriter, tokens: &[Token]) {
         self.emit_tables().write_body(w, tokens);
     }

@@ -51,7 +51,7 @@
 //!   grain) collapses to single-probe striding inside incompressible
 //!   stretches, resuming windows on a 4-byte echo — the hardware has no
 //!   such feedback path, it simply never stalls;
-//! * an interior-ingest skip ([`INGEST_SKIP_MIN`], level 1 only) hops
+//! * an interior-ingest skip (`INGEST_SKIP_MIN`, level 1 only) hops
 //!   over the fully covered interiors of long matches, publishing one
 //!   coarse anchor per window.
 

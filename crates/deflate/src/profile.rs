@@ -391,7 +391,7 @@ pub fn deflate_canned(data: &[u8], engine: Engine, profile: &Profile, use_dict: 
 /// the allocation-reusing form scratch sessions drive. It is the ladder's
 /// encode body on the thread's matcher, token and staging buffers
 /// (`lz77::with_thread_tokenizer`), the matcher loaded from the profile's
-/// [`DictImage`] when the dictionary primes it, so once warm a request into
+/// `DictImage` when the dictionary primes it, so once warm a request into
 /// an `out` with room allocates nothing (`tests/canned_alloc.rs`).
 pub fn deflate_canned_into(
     data: &[u8],

@@ -22,8 +22,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc links resolve (nx-deflate)"
 # The kernel crate's docs carry its invariants (epoch reset, stale-entry
-# safety); a link to an item that no longer exists must fail here.
-RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' \
+# safety); a link to an item that no longer exists must fail here, and so
+# must a public doc's link to a private item, which renders as dead text.
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links' \
     cargo doc --offline --no-deps -p nx-deflate
 
 if [[ "$FAST" == "0" ]]; then
