@@ -46,7 +46,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bitio::BitReader;
 use crate::encoder::{fixed_dist_lengths, fixed_litlen_lengths, CODELEN_ORDER};
-use crate::huffman::decode::{m_consumed, m_extra, m_payload, DecodeTable, M_EOB, M_EXC, M_LIT};
+use crate::huffman::decode::{
+    m_consumed, m_extra, m_payload, DecodeTable, TableKind, M_EOB, M_EXC, M_LIT,
+};
 use crate::{Error, Result};
 
 /// Bytes produced by the fast inflate loop, process-wide.
@@ -358,8 +360,7 @@ impl TableWay {
 /// Reusable inflate working state: merged decode tables, the code-length
 /// table, and the code-length staging vector. Holding one of these across
 /// requests makes dynamic-block table construction allocation-free in
-/// steady state (tables rebuild in place; see
-/// [`DecodeTable::rebuild_litlen`]).
+/// steady state (tables rebuild in place).
 ///
 /// # The table memo
 ///
@@ -568,57 +569,35 @@ fn parse_dynamic_header(
     for &sym in CODELEN_ORDER.iter().take(hclen) {
         cl_lengths[sym] = reader.read_bits(3)? as u8;
     }
-    cl.rebuild_plain(&cl_lengths)?;
+    cl.rebuild(&cl_lengths, TableKind::Plain)?;
 
     let total = hlit + hdist;
     lengths.clear();
     lengths.resize(total, 0);
     let mut i = 0usize;
     while i < total {
-        let sym = cl.decode(reader)?;
-        match sym {
-            0..=15 => {
-                lengths[i] = sym as u8;
-                i += 1;
-            }
-            16 => {
-                if i == 0 {
-                    return Err(Error::RepeatWithoutPrevious);
-                }
-                let prev = lengths[i - 1];
-                let n = 3 + reader.read_bits(2)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                for _ in 0..n {
-                    lengths[i] = prev;
-                    i += 1;
-                }
-            }
-            17 => {
-                let n = 3 + reader.read_bits(3)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                i += n; // already zero
-            }
-            18 => {
-                let n = 11 + reader.read_bits(7)? as usize;
-                if i + n > total {
-                    return Err(Error::TooManyCodeLengths);
-                }
-                i += n;
-            }
+        // A length, or a run of the previous one or of zeros.
+        let (length, n) = match cl.decode(reader)? {
+            sym @ 0..=15 => (sym as u8, 1),
+            16 if i == 0 => return Err(Error::RepeatWithoutPrevious),
+            16 => (lengths[i - 1], 3 + reader.read_bits(2)? as usize),
+            17 => (0, 3 + reader.read_bits(3)? as usize),
+            18 => (0, 11 + reader.read_bits(7)? as usize),
             _ => return Err(Error::InvalidSymbol),
+        };
+        if i + n > total {
+            return Err(Error::TooManyCodeLengths);
         }
+        lengths[i..i + n].fill(length);
+        i += n;
     }
 
     // The literal/length alphabet must contain the end-of-block code.
     if lengths[256] == 0 {
         return Err(Error::InvalidCodeLengths);
     }
-    litlen.rebuild_litlen(&lengths[..hlit])?;
-    dist.rebuild_dist(&lengths[hlit..])
+    litlen.rebuild(&lengths[..hlit], TableKind::Litlen)?;
+    dist.rebuild(&lengths[hlit..], TableKind::Dist)
 }
 
 /// Incremental inflate engine over a borrowed input slice.

@@ -13,8 +13,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
 
 use crate::bitio::BitWriter;
+use crate::huffman::build::{used_lengths_into, Used, MAX_SYMBOLS, SMALL_SYMBOLS};
 use crate::huffman::{
-    build, first_codes, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
+    first_codes, first_codes_of, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
 };
 use crate::lz77::hash4::{
     parse, Hash4Matcher, SearchStats, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS,
@@ -120,13 +121,7 @@ impl Level {
 
     /// Rung index 0..=4, fastest first (used by per-level counters).
     pub const fn index(self) -> usize {
-        match self {
-            Level::Fastest => 0,
-            Level::Fast => 1,
-            Level::Default => 2,
-            Level::High => 3,
-            Level::Best => 4,
-        }
+        self as usize
     }
 
     /// The numeric level this rung runs at.
@@ -215,27 +210,20 @@ pub struct EncodeCounters {
 /// the chain-walk length histogram. Monotone; exported through the
 /// telemetry registry by `nx-core`.
 pub fn encode_counters() -> EncodeCounters {
-    let mut c = EncodeCounters {
-        blocks_stored: BLOCKS_STORED.load(Ordering::Relaxed),
-        blocks_fixed: BLOCKS_FIXED.load(Ordering::Relaxed),
-        blocks_dynamic: BLOCKS_DYNAMIC.load(Ordering::Relaxed),
-        lazy_deferrals: LAZY_DEFERRALS.load(Ordering::Relaxed),
-        ..EncodeCounters::default()
-    };
-    c.spec_windows = SPEC_WINDOWS.load(Ordering::Relaxed);
-    c.spec_candidates = SPEC_CANDIDATES.load(Ordering::Relaxed);
-    c.spec_covered = SPEC_COVERED.load(Ordering::Relaxed);
-    c.spec_discarded = SPEC_DISCARDED.load(Ordering::Relaxed);
-    for (i, b) in CHAIN_HIST.iter().enumerate() {
-        c.chain_hist[i] = b.load(Ordering::Relaxed);
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    EncodeCounters {
+        blocks_stored: load(&BLOCKS_STORED),
+        blocks_fixed: load(&BLOCKS_FIXED),
+        blocks_dynamic: load(&BLOCKS_DYNAMIC),
+        lazy_deferrals: load(&LAZY_DEFERRALS),
+        chain_hist: CHAIN_HIST.each_ref().map(load),
+        blocks_by_level: BLOCKS_BY_LEVEL.each_ref().map(load),
+        spec_windows: load(&SPEC_WINDOWS),
+        spec_candidates: load(&SPEC_CANDIDATES),
+        spec_covered: load(&SPEC_COVERED),
+        spec_discarded: load(&SPEC_DISCARDED),
+        spec_cover_hist: SPEC_COVER_HIST.each_ref().map(load),
     }
-    for (i, b) in BLOCKS_BY_LEVEL.iter().enumerate() {
-        c.blocks_by_level[i] = b.load(Ordering::Relaxed);
-    }
-    for (i, b) in SPEC_COVER_HIST.iter().enumerate() {
-        c.spec_cover_hist[i] = b.load(Ordering::Relaxed);
-    }
-    c
 }
 
 /// Flushes a tokenizer's locally accumulated search statistics into the
@@ -823,7 +811,7 @@ pub(crate) const FIXED_DIST: [u8; NUM_DIST_SYMBOLS] = fixed_dist_lengths();
 
 /// Exact body bits (every counted symbol's code plus its extra bits) of
 /// `hist` under the given code lengths: four dot products, no branch per
-/// symbol.
+/// symbol (a walk over the used symbols read 1.8x slower on 1 KiB blocks).
 fn body_bits(hist: &Histogram, litlen: &[u8], dist: &[u8]) -> u64 {
     fn dot(freqs: &[u32], bits: &[u8]) -> u64 {
         let each = freqs.iter().zip(bits);
@@ -858,14 +846,10 @@ pub(crate) struct EmitTables {
 }
 
 impl EmitTables {
-    /// Walks both alphabets in symbol order handing out canonical codes
-    /// from `next` / `dist_next` (see [`first_codes`]).
-    fn build(
-        litlen: &[u8; NUM_LITLEN_SYMBOLS],
-        mut next: FirstCodes,
-        dist: &[u8; NUM_DIST_SYMBOLS],
-        mut dist_next: FirstCodes,
-    ) -> Self {
+    /// Walks the plan's coded symbols in order (its bitmaps: the two
+    /// reserved literal/length symbols get no entry) handing out canonical
+    /// codes from `litlen_first` / `dist_first` (see [`first_codes`]).
+    fn build(plan: &DynamicPlan) -> Self {
         let mut t = EmitTables {
             lit: [0; 256],
             len_sym: [0; 256],
@@ -873,33 +857,30 @@ impl EmitTables {
             eob: Code::default(),
         };
         let packed = |c: Code| u32::from(c.bits) << 4 | u32::from(c.len);
-        for (slot, &len) in t.lit.iter_mut().zip(&litlen[..256]) {
-            if len > 0 {
-                *slot = packed(next_code(&mut next, len));
+        let (litlen, mut next) = (&plan.litlen_lengths, plan.litlen_first);
+        plan.litlen_used.each(|s| {
+            let len = litlen[s];
+            if s < 256 {
+                t.lit[s] = packed(next_code(&mut next, len));
+            } else if s == 256 {
+                t.eob = next_code(&mut next, len);
+            } else if s < 286 {
+                let c = next_code(&mut next, len);
+                // Code 284 stops one short of its 5 extra bits: 258 is code 285.
+                let li = s - 257;
+                let base = LENGTH_BASE[li];
+                let end = LENGTH_BASE.get(li + 1).copied().unwrap_or(259);
+                let total = u32::from(len) + u32::from(LENGTH_EXTRA[li]);
+                for l in base..end {
+                    let merged = u32::from(c.bits) | u32::from(l - base) << len;
+                    t.len_sym[usize::from(l - 3)] = merged << 5 | total;
+                }
             }
-        }
-        if litlen[256] > 0 {
-            t.eob = next_code(&mut next, litlen[256]);
-        }
-        for (li, &len) in litlen[257..286].iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
-            let c = next_code(&mut next, len);
-            // Code 284 stops one short of its 5 extra bits: 258 is code 285.
-            let base = LENGTH_BASE[li];
-            let end = LENGTH_BASE.get(li + 1).copied().unwrap_or(259);
-            let total = u32::from(len) + u32::from(LENGTH_EXTRA[li]);
-            for l in base..end {
-                let merged = u32::from(c.bits) | u32::from(l - base) << len;
-                t.len_sym[usize::from(l - 3)] = merged << 5 | total;
-            }
-        }
-        for (slot, &len) in t.dist_sym.iter_mut().zip(dist) {
-            if len > 0 {
-                *slot = packed(next_code(&mut dist_next, len));
-            }
-        }
+        });
+        let mut next = plan.dist_first;
+        let dist = &plan.dist_lengths;
+        plan.dist_used
+            .each(|s| t.dist_sym[s] = packed(next_code(&mut next, dist[s])));
         t
     }
 
@@ -1032,16 +1013,21 @@ fn rle_code_lengths(lengths: &[u8], out: &mut [ClSym; MAX_CL_SYMS]) -> usize {
 ///
 /// Building the plan is separated from writing it so callers (the block
 /// chooser here, and the accelerator's cycle model) can obtain exact bit
-/// costs before committing.
+/// costs before committing. The leaves, HLIT / HDIST and the emit tables
+/// walk the used symbols one pass per alphabet marks, not the alphabet.
 #[derive(Debug, Clone)]
 pub struct DynamicPlan {
     litlen_lengths: [u8; NUM_LITLEN_SYMBOLS],
     dist_lengths: [u8; NUM_DIST_SYMBOLS],
-    /// What validating the lengths leaves behind, and all
+    /// The symbols with a code: the nonzero lengths.
+    litlen_used: Used,
+    dist_used: Used,
+    /// What validating (or building) the lengths leaves behind, and all
     /// [`EmitTables::build`] needs besides them.
     litlen_first: FirstCodes,
     dist_first: FirstCodes,
     cl_lengths: [u8; 19],
+    cl_first: FirstCodes,
     /// The run-length-coded lengths are `cl_syms[..cl_count]`.
     cl_syms: [ClSym; MAX_CL_SYMS],
     cl_count: usize,
@@ -1058,14 +1044,19 @@ impl DynamicPlan {
     /// two codes are forced into each alphabet (zlib does the same) so the
     /// emitted trees are always complete and interoperable.
     pub fn from_histogram(hist: &Histogram) -> Self {
-        let (mut litlen_freq, mut dist_freq) = (hist.litlen, hist.dist);
-        force_min_codes(&mut litlen_freq);
-        force_min_codes(&mut dist_freq);
+        let (mut litlen_used, mut dist_used) = (Used::of(&hist.litlen), Used::of(&hist.dist));
+        litlen_used.force_two();
+        dist_used.force_two();
         let mut litlen = [0u8; NUM_LITLEN_SYMBOLS];
         let mut dist = [0u8; NUM_DIST_SYMBOLS];
-        build::limited_lengths_into(&litlen_freq, MAX_CODE_LEN, &mut litlen);
-        build::limited_lengths_into(&dist_freq, MAX_CODE_LEN, &mut dist);
-        Self::from_lengths(&litlen, &dist)
+        let litlen_counts =
+            used_lengths_into::<MAX_SYMBOLS>(&hist.litlen, &litlen_used, MAX_CODE_LEN, &mut litlen);
+        let dist_counts =
+            used_lengths_into::<SMALL_SYMBOLS>(&hist.dist, &dist_used, MAX_CODE_LEN, &mut dist);
+        Self::plan(
+            (litlen, litlen_used, first_codes_of(&litlen_counts)),
+            (dist, dist_used, first_codes_of(&dist_counts)),
+        )
     }
 
     /// Plans a block around externally supplied code lengths — the
@@ -1085,11 +1076,29 @@ impl DynamicPlan {
         let mut dist_lengths = [0u8; NUM_DIST_SYMBOLS];
         litlen_lengths[..litlen.len()].copy_from_slice(litlen);
         dist_lengths[..dist.len()].copy_from_slice(dist);
-        let hlit = (litlen_lengths.iter().rposition(|&l| l > 0)).map_or(257, |p| (p + 1).max(257));
-        let hdist = (dist_lengths.iter().rposition(|&l| l > 0)).map_or(1, |p| p + 1);
+        let first = |l: &[u8]| match first_codes(l) {
+            Ok(first) => first,
+            Err(e) => panic!("invalid code lengths for dynamic plan: {e:?}"),
+        };
+        let (litlen_first, dist_first) = (first(&litlen_lengths), first(&dist_lengths));
+        let (litlen_used, dist_used) = (Used::of(&litlen_lengths), Used::of(&dist_lengths));
+        Self::plan(
+            (litlen_lengths, litlen_used, litlen_first),
+            (dist_lengths, dist_used, dist_first),
+        )
+    }
+
+    /// The header around valid code lengths, each alphabet given with its
+    /// coded symbols and first codes.
+    fn plan(
+        (litlen_lengths, litlen_used, litlen_first): ([u8; NUM_LITLEN_SYMBOLS], Used, FirstCodes),
+        (dist_lengths, dist_used, dist_first): ([u8; NUM_DIST_SYMBOLS], Used, FirstCodes),
+    ) -> Self {
+        let (hlit, hdist) = (litlen_used.end().max(257), dist_used.end().max(1));
 
         // One run-length pass over both alphabets: a run may cross from the
-        // literal/length lengths into the distance lengths.
+        // literal/length lengths into the distance lengths. (Its cost is a
+        // branch per run; walking the used symbols' gaps read no faster.)
         let mut combined = [0u8; MAX_CL_SYMS];
         combined[..hlit].copy_from_slice(&litlen_lengths[..hlit]);
         combined[hlit..hlit + hdist].copy_from_slice(&dist_lengths[..hdist]);
@@ -1100,13 +1109,20 @@ impl DynamicPlan {
         for s in &cl_syms[..cl_count] {
             cl_freq[usize::from(s.sym)] += 1;
         }
+        let cl_used = Used::of(&cl_freq);
         let mut cl_lengths = [0u8; 19];
-        build::limited_lengths_into(&cl_freq, MAX_CODELEN_CODE_LEN, &mut cl_lengths);
+        let mut cl_counts = used_lengths_into::<SMALL_SYMBOLS>(
+            &cl_freq,
+            &cl_used,
+            MAX_CODELEN_CODE_LEN,
+            &mut cl_lengths,
+        );
         // A single used symbol yields an incomplete 1-bit code, which
         // inflate implementations accept for this alphabet; force two codes
         // anyway, for maximum compatibility.
-        if cl_lengths.iter().filter(|&&l| l > 0).count() == 1 {
+        if cl_used.count == 1 {
             cl_lengths[usize::from(cl_lengths[0] > 0)] = 1;
+            cl_counts[1] = 2;
         }
         let hclen =
             (CODELEN_ORDER.iter().rposition(|&s| cl_lengths[s] > 0)).map_or(4, |p| (p + 1).max(4));
@@ -1116,11 +1132,14 @@ impl DynamicPlan {
             header_bits += u64::from(cl_lengths[usize::from(s.sym)]) + u64::from(s.extra_bits());
         }
         Self {
-            litlen_first: first_codes_or_panic(&litlen_lengths),
-            dist_first: first_codes_or_panic(&dist_lengths),
             litlen_lengths,
             dist_lengths,
+            litlen_used,
+            dist_used,
+            litlen_first,
+            dist_first,
             cl_lengths,
+            cl_first: first_codes_of(&cl_counts),
             cl_syms,
             cl_count,
             hlit,
@@ -1159,8 +1178,7 @@ impl DynamicPlan {
             n += 3;
         }
         w.write_bits(acc, n); // at most 19 x 3 = 57 bits
-        let mut next = first_codes_or_panic(&self.cl_lengths);
-        let mut codes = [Code::default(); 19];
+        let (mut next, mut codes) = (self.cl_first, [Code::default(); 19]);
         for (code, &len) in codes.iter_mut().zip(&self.cl_lengths) {
             if len > 0 {
                 *code = next_code(&mut next, len);
@@ -1204,8 +1222,7 @@ impl DynamicPlan {
     /// Fuses this plan's codes into [`EmitTables`] — once per block; the
     /// canned-profile path keeps the result with the profile.
     pub(crate) fn emit_tables(&self) -> EmitTables {
-        let (litlen, dist) = (&self.litlen_lengths, &self.dist_lengths);
-        EmitTables::build(litlen, self.litlen_first, dist, self.dist_first)
+        EmitTables::build(self)
     }
 
     /// The planned literal/length code lengths (for inspection/tests).
@@ -1237,30 +1254,6 @@ impl RenderedHeader {
             w.write_bits(word, left.min(56));
             left = left.saturating_sub(56);
         }
-    }
-}
-
-/// First canonical codes of lengths that must describe a valid code; the
-/// panic is reachable only through [`DynamicPlan::from_lengths`] with bad
-/// caller input, which that constructor documents.
-fn first_codes_or_panic(lengths: &[u8]) -> FirstCodes {
-    match first_codes(lengths) {
-        Ok(c) => c,
-        Err(e) => panic!("invalid code lengths for dynamic plan: {e:?}"),
-    }
-}
-
-/// Ensures at least two symbols in `freqs` are nonzero so the resulting
-/// Huffman code is complete (zlib's "force at least two codes" rule).
-fn force_min_codes(freqs: &mut [u32]) {
-    let mut used = freqs.iter().filter(|&&f| f > 0).count();
-    let mut i = 0;
-    while used < 2 {
-        if freqs[i] == 0 {
-            freqs[i] = 1;
-            used += 1;
-        }
-        i += 1;
     }
 }
 
@@ -1315,13 +1308,357 @@ pub fn choose_and_encode_block(
 pub(crate) mod reference {
     use super::{
         dist_code, encode_fixed_block, encode_stored, fixed_block_bits, fixed_dist_lengths,
-        fixed_litlen_lengths, force_min_codes, BitWriter, Code, DynamicPlan as Plan, EmitTables,
-        Histogram, Level, Token, BLOCKS_BY_LEVEL, CODELEN_ORDER, DIST_EXTRA, LENGTH_BASE,
-        LENGTH_EXTRA, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN, MAX_STORED_BLOCK,
+        fixed_litlen_lengths, BitWriter, Code, DynamicPlan as Plan, EmitTables, Histogram, Level,
+        Token, BLOCKS_BY_LEVEL, CODELEN_ORDER, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA,
+        MAX_CODELEN_CODE_LEN, MAX_CODE_LEN, MAX_STORED_BLOCK,
     };
     use crate::huffman::build::reference::parent as build;
     use crate::huffman::canonical_codes;
+    use crate::lz77::DIST_BASE;
+    use stack::force_min_codes;
     use std::sync::atomic::Ordering;
+
+    /// The plan, its emit tables and its prices as they stood before the
+    /// used-symbol bitmaps: every step a walk over the whole alphabet, the
+    /// lengths from the parent stack builder, the first codes validated.
+    /// Verbatim, but for `parent_build`'s name, the dynamic-block counter
+    /// the header writer no longer bumps, and `force_min_codes` made
+    /// visible to the older plan above.
+    #[allow(dead_code)]
+    pub(crate) mod stack {
+        use crate::bitio::BitWriter;
+        use crate::encoder::{
+            ClSym, EmitTables, RenderedHeader, CODELEN_ORDER, FIXED_DIST, FIXED_LITLEN, MAX_CL_SYMS,
+        };
+        use crate::huffman::build::reference::stack as build;
+        use crate::huffman::{
+            first_codes, next_code, Code, FirstCodes, MAX_CODELEN_CODE_LEN, MAX_CODE_LEN,
+        };
+        use crate::lz77::{
+            Histogram, Token, DIST_EXTRA, LENGTH_BASE, LENGTH_EXTRA, NUM_DIST_SYMBOLS,
+            NUM_LITLEN_SYMBOLS,
+        };
+
+        /// Exact body bits (every counted symbol's code plus its extra bits) of
+        /// `hist` under the given code lengths: four dot products, no branch per
+        /// symbol.
+        fn body_bits(hist: &Histogram, litlen: &[u8], dist: &[u8]) -> u64 {
+            fn dot(freqs: &[u32], bits: &[u8]) -> u64 {
+                let each = freqs.iter().zip(bits);
+                each.map(|(&f, &b)| u64::from(f) * u64::from(b)).sum()
+            }
+            dot(&hist.litlen, litlen)
+                + dot(&hist.litlen[257..], &LENGTH_EXTRA)
+                + dot(&hist.dist, dist)
+                + dot(&hist.dist, &DIST_EXTRA)
+        }
+
+        impl EmitTables {
+            /// Walks both alphabets in symbol order handing out canonical codes
+            /// from `next` / `dist_next` (see [`first_codes`]).
+            fn parent_build(
+                litlen: &[u8; NUM_LITLEN_SYMBOLS],
+                mut next: FirstCodes,
+                dist: &[u8; NUM_DIST_SYMBOLS],
+                mut dist_next: FirstCodes,
+            ) -> Self {
+                let mut t = EmitTables {
+                    lit: [0; 256],
+                    len_sym: [0; 256],
+                    dist_sym: [0; NUM_DIST_SYMBOLS],
+                    eob: Code::default(),
+                };
+                let packed = |c: Code| u32::from(c.bits) << 4 | u32::from(c.len);
+                for (slot, &len) in t.lit.iter_mut().zip(&litlen[..256]) {
+                    if len > 0 {
+                        *slot = packed(next_code(&mut next, len));
+                    }
+                }
+                if litlen[256] > 0 {
+                    t.eob = next_code(&mut next, litlen[256]);
+                }
+                for (li, &len) in litlen[257..286].iter().enumerate() {
+                    if len == 0 {
+                        continue;
+                    }
+                    let c = next_code(&mut next, len);
+                    // Code 284 stops one short of its 5 extra bits: 258 is code 285.
+                    let base = LENGTH_BASE[li];
+                    let end = LENGTH_BASE.get(li + 1).copied().unwrap_or(259);
+                    let total = u32::from(len) + u32::from(LENGTH_EXTRA[li]);
+                    for l in base..end {
+                        let merged = u32::from(c.bits) | u32::from(l - base) << len;
+                        t.len_sym[usize::from(l - 3)] = merged << 5 | total;
+                    }
+                }
+                for (slot, &len) in t.dist_sym.iter_mut().zip(dist) {
+                    if len > 0 {
+                        *slot = packed(next_code(&mut dist_next, len));
+                    }
+                }
+                t
+            }
+        }
+
+        /// Run-length encodes `lengths` into code-length-alphabet instructions,
+        /// written to the front of `out`; returns how many.
+        fn rle_code_lengths(lengths: &[u8], out: &mut [ClSym; MAX_CL_SYMS]) -> usize {
+            let mut n = 0usize;
+            let mut push = |sym: u8, extra: usize| {
+                out[n] = ClSym {
+                    sym,
+                    extra: extra as u8,
+                };
+                n += 1;
+            };
+            let mut i = 0usize;
+            while i < lengths.len() {
+                let v = lengths[i];
+                let mut left = lengths[i..].iter().take_while(|&&l| l == v).count();
+                i += left;
+                if v != 0 {
+                    // A repeat needs a length in front of it to repeat.
+                    push(v, 0);
+                    left -= 1;
+                }
+                while left >= 3 {
+                    let (sym, least, most) = match v {
+                        0 if left >= 11 => (18, 11, 138),
+                        0 => (17, 3, 10),
+                        _ => (16, 3, 6),
+                    };
+                    let take = left.min(most);
+                    push(sym, take - least);
+                    left -= take;
+                }
+                (0..left).for_each(|_| push(v, 0));
+            }
+            n
+        }
+
+        /// The fully planned dynamic block header + code tables: a plain
+        /// fixed-size value (about 1 KB), built on the stack with no allocation.
+        ///
+        /// Building the plan is separated from writing it so callers (the block
+        /// chooser here, and the accelerator's cycle model) can obtain exact bit
+        /// costs before committing.
+        #[derive(Debug, Clone)]
+        pub struct DynamicPlan {
+            litlen_lengths: [u8; NUM_LITLEN_SYMBOLS],
+            dist_lengths: [u8; NUM_DIST_SYMBOLS],
+            /// What validating the lengths leaves behind, and all
+            /// [`EmitTables::build`] needs besides them.
+            litlen_first: FirstCodes,
+            dist_first: FirstCodes,
+            cl_lengths: [u8; 19],
+            /// The run-length-coded lengths are `cl_syms[..cl_count]`.
+            cl_syms: [ClSym; MAX_CL_SYMS],
+            cl_count: usize,
+            hlit: usize,
+            hdist: usize,
+            hclen: usize,
+            header_bits: u64,
+        }
+
+        impl DynamicPlan {
+            /// Plans dynamic-Huffman tables for the given histogram.
+            ///
+            /// The histogram must already include the end-of-block symbol. At least
+            /// two codes are forced into each alphabet (zlib does the same) so the
+            /// emitted trees are always complete and interoperable.
+            pub fn from_histogram(hist: &Histogram) -> Self {
+                let (mut litlen_freq, mut dist_freq) = (hist.litlen, hist.dist);
+                force_min_codes(&mut litlen_freq);
+                force_min_codes(&mut dist_freq);
+                let mut litlen = [0u8; NUM_LITLEN_SYMBOLS];
+                let mut dist = [0u8; NUM_DIST_SYMBOLS];
+                build::limited_lengths_into(&litlen_freq, MAX_CODE_LEN, &mut litlen);
+                build::limited_lengths_into(&dist_freq, MAX_CODE_LEN, &mut dist);
+                Self::from_lengths(&litlen, &dist)
+            }
+
+            /// Plans a block around externally supplied code lengths — the
+            /// "canned DHT" path, where a precomputed table is transmitted instead
+            /// of one generated from the block's own statistics.
+            ///
+            /// The lengths must describe valid (non-oversubscribed) codes; symbols
+            /// the block uses must have nonzero lengths or
+            /// [`write_body`](Self::write_body) will panic.
+            ///
+            /// # Panics
+            ///
+            /// Panics if the lengths exceed the DEFLATE limits (15 bits, 288 / 32
+            /// symbols) or oversubscribe the code space.
+            pub fn from_lengths(litlen: &[u8], dist: &[u8]) -> Self {
+                let mut litlen_lengths = [0u8; NUM_LITLEN_SYMBOLS];
+                let mut dist_lengths = [0u8; NUM_DIST_SYMBOLS];
+                litlen_lengths[..litlen.len()].copy_from_slice(litlen);
+                dist_lengths[..dist.len()].copy_from_slice(dist);
+                let hlit =
+                    (litlen_lengths.iter().rposition(|&l| l > 0)).map_or(257, |p| (p + 1).max(257));
+                let hdist = (dist_lengths.iter().rposition(|&l| l > 0)).map_or(1, |p| p + 1);
+
+                // One run-length pass over both alphabets: a run may cross from the
+                // literal/length lengths into the distance lengths.
+                let mut combined = [0u8; MAX_CL_SYMS];
+                combined[..hlit].copy_from_slice(&litlen_lengths[..hlit]);
+                combined[hlit..hlit + hdist].copy_from_slice(&dist_lengths[..hdist]);
+                let mut cl_syms = [ClSym::default(); MAX_CL_SYMS];
+                let cl_count = rle_code_lengths(&combined[..hlit + hdist], &mut cl_syms);
+
+                let mut cl_freq = [0u32; 19];
+                for s in &cl_syms[..cl_count] {
+                    cl_freq[usize::from(s.sym)] += 1;
+                }
+                let mut cl_lengths = [0u8; 19];
+                build::limited_lengths_into(&cl_freq, MAX_CODELEN_CODE_LEN, &mut cl_lengths);
+                // A single used symbol yields an incomplete 1-bit code, which
+                // inflate implementations accept for this alphabet; force two codes
+                // anyway, for maximum compatibility.
+                if cl_lengths.iter().filter(|&&l| l > 0).count() == 1 {
+                    cl_lengths[usize::from(cl_lengths[0] > 0)] = 1;
+                }
+                let hclen = (CODELEN_ORDER.iter().rposition(|&s| cl_lengths[s] > 0))
+                    .map_or(4, |p| (p + 1).max(4));
+
+                let mut header_bits = 3 + 5 + 5 + 4 + 3 * hclen as u64; // BFINAL+BTYPE, HLIT, HDIST, HCLEN
+                for s in &cl_syms[..cl_count] {
+                    header_bits +=
+                        u64::from(cl_lengths[usize::from(s.sym)]) + u64::from(s.extra_bits());
+                }
+                Self {
+                    litlen_first: first_codes_or_panic(&litlen_lengths),
+                    dist_first: first_codes_or_panic(&dist_lengths),
+                    litlen_lengths,
+                    dist_lengths,
+                    cl_lengths,
+                    cl_syms,
+                    cl_count,
+                    hlit,
+                    hdist,
+                    hclen,
+                    header_bits,
+                }
+            }
+
+            /// Exact size in bits of the header (from BFINAL through the code-length
+            /// stream).
+            pub fn header_bits(&self) -> u64 {
+                self.header_bits
+            }
+
+            /// Exact size in bits of the body for `hist` (tokens + end-of-block),
+            /// excluding the header.
+            pub fn body_bits(&self, hist: &Histogram) -> u64 {
+                body_bits(hist, &self.litlen_lengths, &self.dist_lengths)
+            }
+
+            /// Writes the block header (BFINAL, BTYPE=10, table description).
+            pub fn write_header(&self, w: &mut BitWriter, is_final: bool) {
+                self.render_header(w, is_final);
+            }
+
+            /// The header's bits, a few fields to a `write_bits` call.
+            fn render_header(&self, w: &mut BitWriter, is_final: bool) {
+                let mut acc = u64::from(is_final) | 0b10 << 1;
+                acc |= (self.hlit as u64 - 257) << 3 | (self.hdist as u64 - 1) << 8;
+                w.write_bits(acc | (self.hclen as u64 - 4) << 13, 17);
+                let (mut acc, mut n) = (0u64, 0u32);
+                for &s in CODELEN_ORDER.iter().take(self.hclen) {
+                    acc |= u64::from(self.cl_lengths[s]) << n;
+                    n += 3;
+                }
+                w.write_bits(acc, n); // at most 19 x 3 = 57 bits
+                let mut next = first_codes_or_panic(&self.cl_lengths);
+                let mut codes = [Code::default(); 19];
+                for (code, &len) in codes.iter_mut().zip(&self.cl_lengths) {
+                    if len > 0 {
+                        *code = next_code(&mut next, len);
+                    }
+                }
+                // A code-length symbol is at most 7 + 7 bits: four to a call.
+                for four in self.cl_syms[..self.cl_count].chunks(4) {
+                    let (mut acc, mut n) = (0u64, 0u32);
+                    for s in four {
+                        let c = codes[usize::from(s.sym)];
+                        debug_assert!(c.len > 0, "emitting unused code-length symbol");
+                        acc |= (u64::from(c.bits) | u64::from(s.extra) << c.len) << n;
+                        n += u32::from(c.len) + s.extra_bits();
+                    }
+                    w.write_bits(acc, n);
+                }
+            }
+
+            /// Renders the header once, for a plan that outlives its block (a
+            /// canned profile's).
+            pub(crate) fn rendered_header(&self) -> RenderedHeader {
+                let mut w = BitWriter::new();
+                self.render_header(&mut w, false);
+                let word = |seven: &[u8]| {
+                    let mut le = [0u8; 8];
+                    le[..seven.len()].copy_from_slice(seven);
+                    u64::from_le_bytes(le)
+                };
+                RenderedHeader {
+                    bits: self.header_bits,
+                    words: w.finish().chunks(7).map(word).collect(),
+                }
+            }
+
+            /// Writes the block body — all `tokens` then end-of-block — through
+            /// freshly fused `EmitTables` (one `write_bits` per token).
+            pub fn write_body(&self, w: &mut BitWriter, tokens: &[Token]) {
+                self.emit_tables().write_body(w, tokens);
+            }
+
+            /// Fuses this plan's codes into [`EmitTables`] — once per block; the
+            /// canned-profile path keeps the result with the profile.
+            pub(crate) fn emit_tables(&self) -> EmitTables {
+                let (litlen, dist) = (&self.litlen_lengths, &self.dist_lengths);
+                EmitTables::parent_build(litlen, self.litlen_first, dist, self.dist_first)
+            }
+
+            /// The planned literal/length code lengths (for inspection/tests).
+            pub fn litlen_lengths(&self) -> &[u8] {
+                &self.litlen_lengths
+            }
+
+            /// The planned distance code lengths (for inspection/tests).
+            pub fn dist_lengths(&self) -> &[u8] {
+                &self.dist_lengths
+            }
+        }
+
+        /// First canonical codes of lengths that must describe a valid code; the
+        /// panic is reachable only through [`DynamicPlan::from_lengths`] with bad
+        /// caller input, which that constructor documents.
+        fn first_codes_or_panic(lengths: &[u8]) -> FirstCodes {
+            match first_codes(lengths) {
+                Ok(c) => c,
+                Err(e) => panic!("invalid code lengths for dynamic plan: {e:?}"),
+            }
+        }
+
+        /// Ensures at least two symbols in `freqs` are nonzero so the resulting
+        /// Huffman code is complete (zlib's "force at least two codes" rule).
+        pub(crate) fn force_min_codes(freqs: &mut [u32]) {
+            let mut used = freqs.iter().filter(|&&f| f > 0).count();
+            let mut i = 0;
+            while used < 2 {
+                if freqs[i] == 0 {
+                    freqs[i] = 1;
+                    used += 1;
+                }
+                i += 1;
+            }
+        }
+
+        /// Exact bit cost of encoding `tokens` with the fixed tables (including
+        /// the 3-bit block header and end-of-block).
+        pub fn fixed_block_bits(hist: &Histogram) -> u64 {
+            3 + body_bits(hist, &FIXED_LITLEN, &FIXED_DIST)
+        }
+    }
 
     impl EmitTables {
         /// Exact bits `token` takes under these tables, and whether every code
@@ -1613,11 +1950,100 @@ pub(crate) mod reference {
         }
     }
 
-    /// Everything `hist`'s plan decides, new against old: the three length
-    /// sets, `hlit` / `hdist` / `hclen`, `header_bits`, the header's bytes
-    /// (written, and replayed from its rendered form, at either BFINAL and
-    /// off a byte boundary) and every fused table entry of a coded symbol.
+    /// Tokens that use every literal, length and distance symbol `hist`
+    /// counts (a length code at both ends of its range, each beside a
+    /// counted distance code at the far end of its range), so a body
+    /// written from them reads every fused table entry the block can.
+    pub fn covering_tokens(hist: &Histogram) -> Vec<Token> {
+        let mut tokens: Vec<Token> = (0..=255u8)
+            .filter(|&b| hist.litlen[usize::from(b)] > 0)
+            .map(Token::Literal)
+            .collect();
+        let dists: Vec<u16> = (0..30)
+            .filter(|&d| hist.dist[d] > 0)
+            .map(|d| DIST_BASE[d] + ((1 << DIST_EXTRA[d]) - 1))
+            .collect();
+        let lens = (0..29).filter(|&li| hist.litlen[257 + li] > 0);
+        let lens: Vec<u16> = lens
+            .flat_map(|li| {
+                [
+                    LENGTH_BASE[li],
+                    LENGTH_BASE.get(li + 1).map_or(258, |&e| e - 1),
+                ]
+            })
+            .collect();
+        if !dists.is_empty() && !lens.is_empty() {
+            for i in 0..lens.len().max(dists.len()) {
+                let (len, dist) = (lens[i % lens.len()], dists[i % dists.len()]);
+                tokens.push(Token::Match { len, dist });
+            }
+        }
+        tokens
+    }
+
+    /// Everything `hist`'s plan decides and writes, new against the parent
+    /// stack plan (`stack`), built from the histogram and again from the
+    /// lengths (the canned door): the length sets, `header_bits`, the
+    /// header's written bits at either BFINAL off a byte boundary,
+    /// `body_bits`, the fixed price the block decision takes, every entry of
+    /// the fused tables, and the bytes `write_body` makes of `tokens`.
+    pub fn diff_stack(hist: &Histogram, tokens: &[Token], what: &str) {
+        let (new, old) = (
+            super::DynamicPlan::from_histogram(hist),
+            stack::DynamicPlan::from_histogram(hist),
+        );
+        assert_eq!(new.litlen_lengths(), old.litlen_lengths(), "{what}");
+        assert_eq!(new.dist_lengths(), old.dist_lengths(), "{what}");
+        assert_eq!(new.body_bits(hist), old.body_bits(hist), "{what}");
+        assert_eq!(
+            fixed_block_bits(hist),
+            stack::fixed_block_bits(hist),
+            "{what}"
+        );
+        diff_built(&new, &old, tokens, &format!("{what} histogram"));
+        diff_lengths(new.litlen_lengths(), new.dist_lengths(), tokens, what);
+    }
+
+    /// The plans built from the given code lengths (the canned door), new
+    /// against the parent stack plan: header, tables and `tokens`' body.
+    pub fn diff_lengths(litlen: &[u8], dist: &[u8], tokens: &[Token], what: &str) {
+        let new = super::DynamicPlan::from_lengths(litlen, dist);
+        let old = stack::DynamicPlan::from_lengths(litlen, dist);
+        diff_built(&new, &old, tokens, &format!("{what} lengths"));
+    }
+
+    /// Two plans' `header_bits`, written header bits at either BFINAL off a
+    /// byte boundary, fused tables (every entry) and body bytes.
+    fn diff_built(new: &Plan, old: &stack::DynamicPlan, tokens: &[Token], what: &str) {
+        assert_eq!(new.header_bits(), old.header_bits(), "{what}");
+        for is_final in [false, true] {
+            let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+            got.write_bits(0b101, 3);
+            want.write_bits(0b101, 3);
+            new.write_header(&mut got, is_final);
+            old.write_header(&mut want, is_final);
+            assert_eq!(got.finish(), want.finish(), "{what} final {is_final}");
+        }
+        let (got, want) = (new.emit_tables(), old.emit_tables());
+        assert_eq!(got.lit, want.lit, "{what}");
+        assert_eq!(got.len_sym, want.len_sym, "{what}");
+        assert_eq!(got.dist_sym, want.dist_sym, "{what}");
+        assert_eq!(got.eob, want.eob, "{what}");
+        let (mut got, mut want) = (BitWriter::new(), BitWriter::new());
+        got.write_bits(0b1, 1);
+        want.write_bits(0b1, 1);
+        new.write_body(&mut got, tokens);
+        old.write_body(&mut want, tokens);
+        assert_eq!(got.finish(), want.finish(), "{what} body");
+    }
+
+    /// [`diff_stack`] on tokens covering `hist`, then everything `hist`'s
+    /// plan decides, new against old: the three length sets, `hlit` /
+    /// `hdist` / `hclen`, `header_bits`, the header's bytes (written, and
+    /// replayed from its rendered form, at either BFINAL and off a byte
+    /// boundary) and every fused table entry of a coded symbol.
     pub fn diff_plan(hist: &Histogram, what: &str) {
+        diff_stack(hist, &covering_tokens(hist), what);
         let (new, old) = (
             super::DynamicPlan::from_histogram(hist),
             DynamicPlan::from_histogram(hist),
@@ -1956,7 +2382,8 @@ mod tests {
         for used in [20usize, 24, 30, 45] {
             for bump in 0..3u32 {
                 let weight = |s: usize| fib[s % used] + (s as u32 * bump) % 3;
-                let plain = build::huffman_lengths(&histogram(used, 0, 1, weight).litlen);
+                let freqs = histogram(used, 0, 1, weight).litlen;
+                let plain = crate::huffman::build::limited_lengths(&freqs, u8::MAX);
                 assert!(
                     bump > 0 || plain.iter().any(|&l| l > MAX_CODE_LEN),
                     "no fallback"
@@ -1964,6 +2391,132 @@ mod tests {
                 reference::diff_plan(&histogram(used, used.min(30), 1, weight), "fibonacci");
                 reference::diff_plan(&histogram(286, 30, 7, weight), "sparse fibonacci");
             }
+        }
+    }
+
+    /// The model's token for this build's: `nx-accel` hands out the
+    /// `Token` of the `nx-deflate` it links, a type distinct from this test
+    /// build's, so it crosses by its `Debug` form (checked on the way back).
+    fn own_token(t: &impl std::fmt::Debug) -> Token {
+        let text = format!("{t:?}");
+        let digits = text
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|s| !s.is_empty());
+        let n: Vec<u16> = digits.map(|s| s.parse().unwrap()).collect();
+        let token = match n[..] {
+            [b] => Token::Literal(b as u8),
+            [len, dist] => Token::Match { len, dist },
+            _ => panic!("not a token: {text}"),
+        };
+        assert_eq!(format!("{token:?}"), text);
+        token
+    }
+
+    /// The plan over the used-symbol bitmaps against the parent stack plan
+    /// (`reference::diff_stack`, and through `diff_plan` the plan before
+    /// that) on the model's blocks: every `Nx::compress` request of 1 KiB to
+    /// 64 KiB is one block of `nx-accel`'s tokens, here 1 000 of 1 KiB and
+    /// 84 larger ones of `nxbench`'s mixed corpus.
+    #[test]
+    fn the_used_symbol_plan_equals_the_stack_parent_on_model_blocks() {
+        let mut engine = nx_accel::matcher::MatchEngine::new(nx_accel::AccelConfig::power9());
+        let sizes = [
+            (1000u64, 1usize << 10),
+            (64, 4 << 10),
+            (16, 16 << 10),
+            (4, 64 << 10),
+        ];
+        for (count, len) in sizes {
+            for i in 0..count {
+                let data = nx_corpus::mixed(i.wrapping_mul(0x9E37_79B9) | 1 << 32, len);
+                let outcome = engine.tokenize(&data);
+                let tokens: Vec<Token> = outcome.tokens.iter().map(own_token).collect();
+                let hist = Histogram::of(&tokens);
+                let what = format!("model block {i} of {len} bytes");
+                reference::diff_plan(&hist, &what);
+                reference::diff_stack(&hist, &tokens, &what);
+            }
+        }
+    }
+
+    /// The cases the bitmaps make special, new plan against the parent
+    /// stack plan: one used symbol and two (the forced codes, at either end
+    /// of the bitmap's first word), an empty distance alphabet, a zero run
+    /// across the literal/length–distance seam (no code past 255, none at
+    /// distance 0) and a repeat run across it, every used symbol in the
+    /// last bitmap word (285, distance 29), all weights equal (every tie
+    /// taken, in the radix sort's one and two passes), Fibonacci weights
+    /// (package-merge) and a weight past 2^16 (the comparison sort).
+    #[test]
+    fn the_used_symbol_plan_equals_the_stack_parent_on_edge_histograms() {
+        let diff = |hist: &Histogram, what: &str| {
+            reference::diff_stack(hist, &reference::covering_tokens(hist), what);
+        };
+        // No code at all, through the lengths door: the code-length alphabet
+        // then holds symbol 18 alone, and the force-two rule adds symbol 0.
+        reference::diff_lengths(&[0; 288], &[0; 32], &[], "no code");
+        for only in [0usize, 1, 62, 63, 64, 127, 255, 256, 284, 285] {
+            let mut hist = Histogram::new();
+            hist.litlen[only] = 9;
+            diff(&hist, "one literal/length symbol, no distance");
+            hist.litlen[256] += 1;
+            diff(&hist, "and end-of-block");
+            hist.dist[only % 30] = 2;
+            diff(&hist, "and one distance symbol");
+            hist.dist[29] += 3;
+            diff(&hist, "two distance symbols");
+        }
+        // The zero run from the last literal to HLIT = 257 runs on into the
+        // distance lengths, whose first is unused.
+        let mut seam = histogram(200, 0, 9, |s| 1 + s as u32 % 5);
+        seam.dist[4] = 7;
+        seam.dist[9] = 2;
+        diff(&seam, "a zero run across the seam");
+        // Equal lengths on both sides of the seam: a repeat run across it.
+        let mut repeat = histogram(286, 30, 1, |_| 1);
+        repeat.litlen[..256].fill(50);
+        diff(&repeat, "a repeat run across the seam");
+        let mut last = Histogram::new();
+        (257..286).for_each(|s| last.litlen[s] = s as u32);
+        last.dist[29] = 1;
+        diff(&last, "the bitmap's last word");
+        for used in [31usize, 32, 33, 120, 286] {
+            for weight in [1u32, 255, 256, 65_535, 65_536] {
+                diff(&histogram(used, 30, 1, |_| weight), "all equal");
+            }
+            diff(
+                &histogram(used, 30, 2, |s| 1 + (s as u32 % 3) * 300),
+                "two digits, ties",
+            );
+        }
+        let mut fib = vec![1u32, 1];
+        while fib.len() < 45 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        diff(&histogram(45, 30, 1, |s| fib[s]), "fibonacci");
+        diff(&histogram(286, 30, 5, |s| fib[s % 45]), "sparse fibonacci");
+        let mut heavy = histogram(286, 30, 3, |s| 1 + s as u32);
+        heavy.litlen[101] = 70_000;
+        diff(&heavy, "a weight past 2^16");
+        // Seeded random sparse histograms, weights over 20 octaves.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..2000 {
+            let mut hist = Histogram::new();
+            for _ in 0..next() % 140 {
+                let r = next();
+                hist.litlen[r as usize % 286] = ((r >> 32) as u32 & 15).max(1) << ((r >> 40) % 20);
+            }
+            for _ in 0..next() % 24 {
+                let r = next();
+                hist.dist[r as usize % 30] = ((r >> 32) as u32 & 15).max(1) << ((r >> 40) % 20);
+            }
+            diff(&hist, &format!("seeded random sparse {round}"));
         }
     }
 
@@ -2175,7 +2728,14 @@ mod tests {
         let want = want.finish();
         let input = [history, chunk].concat();
         let (mut m, mut tokens) = (Hash4Matcher::new(), Vec::new());
-        lz77::batch::tokenize_speculative_into(&input, history.len(), level, &mut m, &mut tokens);
+        parse(
+            &input,
+            history.len(),
+            level,
+            Engine::Speculative,
+            &mut m,
+            &mut tokens,
+        );
         let want_stats = m.take_stats();
         let mut handed = Vec::new();
         for _ in 0..2 {

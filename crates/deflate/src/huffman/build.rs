@@ -1,13 +1,16 @@
 //! Code-length construction: frequency histogram → per-symbol code lengths,
 //! on fixed stack arrays (no allocation) and in time proportional to the
-//! symbols a block *used*.
+//! symbols a block *used*: one branch-free pass marks them (`Used`), and
+//! every step after it walks the marks in symbol order, not the alphabet.
 //!
-//! [`limited_lengths_into`] builds the classic two-queue Huffman tree and,
+//! [`limited_lengths`] builds the classic two-queue Huffman tree and,
 //! when it is deeper than `max_len`, falls back to **package-merge** on the
 //! same sorted leaves. DEFLATE caps literal/length and distance codes at 15
 //! bits and the code-length alphabet at 7, so this is the constructor the
 //! encoder (and the hardware model in `nx-accel`, which mimics the on-chip
-//! table builder) uses; [`huffman_lengths`] is the same with no limit.
+//! table builder) uses, and with no limit (`u8::MAX`) it is plain Huffman. The
+//! leaves are sorted by a stable radix sort on the weight's bytes, and the
+//! build counts the codes of each length: all the first codes need.
 //!
 //! **Lengths are reproducible because ties are.** Code lengths decide stream
 //! bytes and several optimal trees usually exist, so every choice is pinned:
@@ -23,39 +26,123 @@ pub const MAX_SYMBOLS: usize = 288;
 
 /// Scratch size for the two small alphabets (distance, code-length), which
 /// should not pay for clearing the large one's.
-const SMALL_SYMBOLS: usize = 32;
+pub(crate) const SMALL_SYMBOLS: usize = 32;
 
-/// The used symbols of `freqs` as `weight << 16 | symbol` keys, lightest
-/// first (ties in symbol order); returns how many there are.
-fn sorted_leaves<const N: usize>(freqs: &[u32], keys: &mut [u64; N]) -> usize {
-    let mut n = 0;
-    for (symbol, &f) in freqs.iter().enumerate() {
-        if f > 0 {
-            keys[n] = u64::from(f) << 16 | symbol as u64;
-            n += 1;
+/// How many codes there are of each length (`[0]` unused).
+pub(crate) type LengthCounts = super::FirstCodes;
+
+/// The used symbols of an alphabet: bit `s % 64` of word `s / 64` is set
+/// where symbol `s` has a nonzero count (or code length).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Used {
+    words: [u64; MAX_SYMBOLS.div_ceil(64)],
+    /// How many bits are set.
+    pub(crate) count: usize,
+}
+
+impl Used {
+    /// One branch-free pass over `counts` (at most [`MAX_SYMBOLS`]).
+    pub(crate) fn of<T: Copy + Into<u32>>(counts: &[T]) -> Self {
+        let mut words = [0u64; MAX_SYMBOLS.div_ceil(64)];
+        for (word, chunk) in words.iter_mut().zip(counts.chunks(64)) {
+            let bit = |(i, &c): (usize, &T)| u64::from(c.into() != 0) << i;
+            *word = chunk.iter().enumerate().map(bit).fold(0, |w, b| w | b);
+        }
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        Self { words, count }
+    }
+
+    /// One past the highest used symbol (0 when none is).
+    pub(crate) fn end(&self) -> usize {
+        let mut words = self.words.iter().enumerate();
+        let (i, w) = words.rfind(|(_, &w)| w != 0).unwrap_or((0, &0));
+        64 * i + 64 - w.leading_zeros() as usize
+    }
+
+    /// Marks the lowest unused symbols until two are used (zlib's "force at
+    /// least two codes" rule: the code is complete). They are in word 0.
+    pub(crate) fn force_two(&mut self) {
+        for _ in self.count..2 {
+            self.words[0] |= 1 << (!self.words[0]).trailing_zeros();
+        }
+        self.count = self.count.max(2);
+    }
+
+    /// Calls `f` on each used symbol, in order.
+    pub(crate) fn each(&self, mut f: impl FnMut(usize)) {
+        for (i, mut word) in self.words.into_iter().enumerate() {
+            while word != 0 {
+                f(64 * i + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
         }
     }
-    keys[..n].sort_unstable();
+}
+
+/// The symbols `used` marks as `weight << 16 | symbol` keys, lightest first
+/// (ties in symbol order); returns how many there are. A marked symbol
+/// without a count weighs 1 (a code the plan forces). The keys come in
+/// symbol order, so a stable radix sort on the weight's two bytes sorts
+/// them; a few keys, or weights past 16 bits, take `sort_unstable`.
+fn sorted_leaves<const N: usize>(freqs: &[u32], used: &Used, keys: &mut [u64; N]) -> usize {
+    let (mut n, mut heaviest) = (0, 0u32);
+    used.each(|symbol| {
+        let weight = freqs[symbol].max(1);
+        heaviest |= weight;
+        keys[n] = u64::from(weight) << 16 | symbol as u64;
+        n += 1;
+    });
+    if n < 32 || heaviest >> 16 != 0 {
+        keys[..n].sort_unstable();
+    } else {
+        let mut low = [0u64; N];
+        radix_pass(&keys[..n], &mut low[..n], 16, heaviest);
+        if heaviest >> 8 == 0 {
+            keys[..n].copy_from_slice(&low[..n]);
+        } else {
+            radix_pass(&low[..n], &mut keys[..n], 24, heaviest);
+        }
+    }
     n
 }
 
+/// One stable counting-sort pass of `from` into `to` on the byte at key bit
+/// `shift`; `heaviest` (the OR of the weights) bounds its values.
+fn radix_pass(from: &[u64], to: &mut [u64], shift: u32, heaviest: u32) {
+    let mut at = [0u16; 256];
+    for &key in from {
+        at[(key >> shift) as usize & 255] += 1;
+    }
+    let mut sum = 0;
+    for slot in &mut at[..=(u64::from(heaviest) << 16 >> shift).min(255) as usize] {
+        (*slot, sum) = (sum, sum + *slot);
+    }
+    for &key in from {
+        let slot = &mut at[(key >> shift) as usize & 255];
+        to[usize::from(*slot)] = key;
+        *slot += 1;
+    }
+}
+
 /// Two-queue Huffman over the sorted `leaves` (at most `N`), writing each
-/// leaf's depth to its symbol's slot of `lengths`; returns the deepest.
+/// leaf's depth to its symbol's slot of `lengths` and counting the depths
+/// (past 15 in `[15]`); returns the deepest and the counts.
 ///
 /// The leaves are one queue; the packages, made in nondecreasing weight
 /// order, are the other, and `made` of them exist while package `made` is
 /// being paired. A node's parent is always a later package, which is what
 /// lets one backward pass over the packages turn `up[]` into depths in
 /// place before the leaves read theirs.
-fn huffman_depths<const N: usize>(leaves: &[u64], lengths: &mut [u8]) -> u8 {
-    let n = leaves.len();
+fn huffman_depths<const N: usize>(leaves: &[u64], lengths: &mut [u8]) -> (u8, LengthCounts) {
+    let (n, mut counts) = (leaves.len(), LengthCounts::default());
     if n < 2 {
         // A lone symbol still needs one bit: a zero-length code cannot be
         // decoded.
         leaves
             .iter()
             .for_each(|&k| lengths[(k & 0xFFFF) as usize] = 1);
-        return n as u8;
+        counts[1] = n as u16;
+        return (n as u8, counts);
     }
     let mut weight = [0u64; N];
     // The parent (a package index) of each leaf and of each package.
@@ -86,20 +173,15 @@ fn huffman_depths<const N: usize>(leaves: &[u64], lengths: &mut [u8]) -> u8 {
     for (&key, &parent) in leaves.iter().zip(&leaf_up) {
         let depth = up[usize::from(parent)] + 1;
         lengths[(key & 0xFFFF) as usize] = depth as u8;
+        counts[usize::from(depth.min(15))] += 1;
         deepest = deepest.max(depth);
     }
-    deepest.min(255) as u8
+    (deepest.min(255) as u8, counts)
 }
 
-/// Optimal unbounded Huffman code lengths for `freqs`:
-/// [`limited_lengths`] with no limit.
-pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
-    limited_lengths(freqs, u8::MAX)
-}
-
-/// Builds optimal code lengths for `freqs` subject to `max_len` into
-/// `lengths[..freqs.len()]`: the plain Huffman tree when it fits (it is then
-/// optimal), else package-merge.
+/// Optimal code lengths for `freqs` subject to `max_len` (`u8::MAX`: no
+/// limit): the plain Huffman tree when it fits (it is then optimal), else
+/// package-merge.
 ///
 /// Zero-frequency symbols receive length 0; a single used symbol receives
 /// length 1. The result always satisfies the Kraft equality over used
@@ -110,41 +192,44 @@ pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
 /// Panics if the tree is too deep and the constraint infeasible
 /// (`used_symbols > 2^max_len`; DEFLATE's alphabets — ≤ 288 symbols, limit
 /// 15; ≤ 19 symbols, limit 7 — always fit) or `max_len` outside `1..=15`,
-/// and if `freqs` is longer than [`MAX_SYMBOLS`] or than `lengths`.
-pub fn limited_lengths_into(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
-    fn build<const N: usize>(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
-        assert!(freqs.len() <= N, "alphabet larger than DEFLATE's");
-        let mut keys = [0u64; N];
-        let n = sorted_leaves(freqs, &mut keys);
-        lengths.fill(0);
-        if huffman_depths::<N>(&keys[..n], lengths) > max_len {
-            package_merge::<N>(&keys[..n], max_len, lengths);
-        }
-    }
-    let lengths = &mut lengths[..freqs.len()];
-    if freqs.len() <= SMALL_SYMBOLS {
-        build::<SMALL_SYMBOLS>(freqs, max_len, lengths);
-    } else {
-        build::<MAX_SYMBOLS>(freqs, max_len, lengths);
-    }
-}
-
-/// [`limited_lengths_into`] a fresh vector.
+/// and if `freqs` is longer than [`MAX_SYMBOLS`].
 pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
-    let mut lengths = vec![0u8; freqs.len()];
-    limited_lengths_into(freqs, max_len, &mut lengths);
+    let (mut lengths, used) = (vec![0u8; freqs.len()], Used::of(freqs));
+    if freqs.len() <= SMALL_SYMBOLS {
+        used_lengths_into::<SMALL_SYMBOLS>(freqs, &used, max_len, &mut lengths);
+    } else {
+        used_lengths_into::<MAX_SYMBOLS>(freqs, &used, max_len, &mut lengths);
+    }
     lengths
 }
 
+/// [`limited_lengths`] over the symbols `used` marks (at most `N`), into
+/// `lengths` zeroed at the others; returns the counts of each length.
+pub(crate) fn used_lengths_into<const N: usize>(
+    freqs: &[u32],
+    used: &Used,
+    max_len: u8,
+    lengths: &mut [u8],
+) -> LengthCounts {
+    assert!(freqs.len() <= N, "alphabet larger than DEFLATE's");
+    let mut keys = [0u64; N];
+    let n = sorted_leaves(freqs, used, &mut keys);
+    match huffman_depths::<N>(&keys[..n], lengths) {
+        (deepest, _) if deepest > max_len => package_merge::<N>(&keys[..n], max_len, lengths),
+        (_, counts) => counts,
+    }
+}
+
 /// Package-merge in prefix-count form over the sorted `leaves` (at most
-/// `N`), replacing `lengths`. Level 1 is the singles (the leaves); level
-/// k + 1 merges them with the packages (adjacent pairs) of level k, a single
-/// first on equal weight. A level keeps only its items' weights and which of
-/// them are singles: the first `m` items of a level are its first `s`
-/// singles -- the `s` lightest symbols, one bit each -- and its first `m - s`
-/// packages, i.e. the first `2 (m - s)` items of the level below. No leaf
-/// list is ever built; a level is under `2n` items.
-fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]) {
+/// `N`), replacing their `lengths`; returns the counts of each length.
+/// Level 1 is the singles (the leaves); level k + 1 merges them with the
+/// packages (adjacent pairs) of level k, a single first on equal weight. A
+/// level keeps only its items' weights and which of them are singles: the
+/// first `m` items of a level are its first `s` singles -- the `s` lightest
+/// symbols, one bit each -- and its first `m - s` packages, i.e. the first
+/// `2 (m - s)` items of the level below. No leaf list is ever built; a
+/// level is under `2n` items.
+fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]) -> LengthCounts {
     let n = leaves.len();
     assert!(
         (1..=15).contains(&max_len) && n <= 1usize << max_len,
@@ -186,20 +271,22 @@ fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]
     }
 
     // Select the first 2n - 2 items of the top level and follow the
-    // packages down.
-    lengths.fill(0);
+    // packages down: a leaf's length is the count of levels that take it.
+    let mut depth = [0u8; N];
     let mut take = (2 * n - 2).min(level_len);
     for &start in starts[..usize::from(max_len) - 1].iter().rev() {
         let taken = &is_single[start..start + take];
         let s = taken.iter().filter(|&&single| single).count();
-        for &leaf in &leaves[..s] {
-            lengths[(leaf & 0xFFFF) as usize] += 1;
-        }
+        depth[..s].iter_mut().for_each(|d| *d += 1);
         take = 2 * (take - s);
     }
-    for &leaf in &leaves[..take] {
-        lengths[(leaf & 0xFFFF) as usize] += 1;
+    depth[..take].iter_mut().for_each(|d| *d += 1);
+    let mut counts = LengthCounts::default();
+    for (&leaf, &d) in leaves.iter().zip(&depth) {
+        lengths[(leaf & 0xFFFF) as usize] = d;
+        counts[usize::from(d)] += 1;
     }
+    counts
 }
 
 #[cfg(test)]
@@ -207,6 +294,196 @@ fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]
 /// (issue 23): package-merge with every package's leaf list cloned at every
 /// level. Kept verbatim as the oracle the tests below diff against.
 pub(crate) mod reference {
+    /// The stack builder as it stood before the used-symbol bitmap: leaves
+    /// scanned from the whole alphabet and sorted with `sort_unstable`, no
+    /// length counts. Verbatim.
+    #[allow(dead_code)]
+    pub mod stack {
+        /// The largest alphabet the scratch holds: DEFLATE's literal/length one.
+        pub const MAX_SYMBOLS: usize = 288;
+
+        /// Scratch size for the two small alphabets (distance, code-length), which
+        /// should not pay for clearing the large one's.
+        const SMALL_SYMBOLS: usize = 32;
+
+        /// The used symbols of `freqs` as `weight << 16 | symbol` keys, lightest
+        /// first (ties in symbol order); returns how many there are.
+        fn sorted_leaves<const N: usize>(freqs: &[u32], keys: &mut [u64; N]) -> usize {
+            let mut n = 0;
+            for (symbol, &f) in freqs.iter().enumerate() {
+                if f > 0 {
+                    keys[n] = u64::from(f) << 16 | symbol as u64;
+                    n += 1;
+                }
+            }
+            keys[..n].sort_unstable();
+            n
+        }
+
+        /// Two-queue Huffman over the sorted `leaves` (at most `N`), writing each
+        /// leaf's depth to its symbol's slot of `lengths`; returns the deepest.
+        ///
+        /// The leaves are one queue; the packages, made in nondecreasing weight
+        /// order, are the other, and `made` of them exist while package `made` is
+        /// being paired. A node's parent is always a later package, which is what
+        /// lets one backward pass over the packages turn `up[]` into depths in
+        /// place before the leaves read theirs.
+        fn huffman_depths<const N: usize>(leaves: &[u64], lengths: &mut [u8]) -> u8 {
+            let n = leaves.len();
+            if n < 2 {
+                // A lone symbol still needs one bit: a zero-length code cannot be
+                // decoded.
+                leaves
+                    .iter()
+                    .for_each(|&k| lengths[(k & 0xFFFF) as usize] = 1);
+                return n as u8;
+            }
+            let mut weight = [0u64; N];
+            // The parent (a package index) of each leaf and of each package.
+            let (mut leaf_up, mut up) = ([0u16; N], [0u16; N]);
+            let (mut leaf, mut package) = (0usize, 0usize);
+            for made in 0..n - 1 {
+                let mut sum = 0;
+                for _ in 0..2 {
+                    // A leaf goes first on equal weight.
+                    if leaf < n && (package == made || leaves[leaf] >> 16 <= weight[package]) {
+                        sum += leaves[leaf] >> 16;
+                        leaf_up[leaf] = made as u16;
+                        leaf += 1;
+                    } else {
+                        sum += weight[package];
+                        up[package] = made as u16;
+                        package += 1;
+                    }
+                }
+                weight[made] = sum;
+            }
+            let root = n - 2;
+            up[root] = 0;
+            for p in (0..root).rev() {
+                up[p] = up[usize::from(up[p])] + 1;
+            }
+            let mut deepest = 0;
+            for (&key, &parent) in leaves.iter().zip(&leaf_up) {
+                let depth = up[usize::from(parent)] + 1;
+                lengths[(key & 0xFFFF) as usize] = depth as u8;
+                deepest = deepest.max(depth);
+            }
+            deepest.min(255) as u8
+        }
+
+        /// Optimal unbounded Huffman code lengths for `freqs`:
+        /// [`limited_lengths`] with no limit.
+        pub fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
+            limited_lengths(freqs, u8::MAX)
+        }
+
+        /// Builds optimal code lengths for `freqs` subject to `max_len` into
+        /// `lengths[..freqs.len()]`: the plain Huffman tree when it fits (it is then
+        /// optimal), else package-merge.
+        ///
+        /// Zero-frequency symbols receive length 0; a single used symbol receives
+        /// length 1. The result always satisfies the Kraft equality over used
+        /// symbols (a complete code) unless fewer than two symbols are used.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the tree is too deep and the constraint infeasible
+        /// (`used_symbols > 2^max_len`; DEFLATE's alphabets — ≤ 288 symbols, limit
+        /// 15; ≤ 19 symbols, limit 7 — always fit) or `max_len` outside `1..=15`,
+        /// and if `freqs` is longer than [`MAX_SYMBOLS`] or than `lengths`.
+        pub fn limited_lengths_into(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
+            fn build<const N: usize>(freqs: &[u32], max_len: u8, lengths: &mut [u8]) {
+                assert!(freqs.len() <= N, "alphabet larger than DEFLATE's");
+                let mut keys = [0u64; N];
+                let n = sorted_leaves(freqs, &mut keys);
+                lengths.fill(0);
+                if huffman_depths::<N>(&keys[..n], lengths) > max_len {
+                    package_merge::<N>(&keys[..n], max_len, lengths);
+                }
+            }
+            let lengths = &mut lengths[..freqs.len()];
+            if freqs.len() <= SMALL_SYMBOLS {
+                build::<SMALL_SYMBOLS>(freqs, max_len, lengths);
+            } else {
+                build::<MAX_SYMBOLS>(freqs, max_len, lengths);
+            }
+        }
+
+        /// [`limited_lengths_into`] a fresh vector.
+        pub fn limited_lengths(freqs: &[u32], max_len: u8) -> Vec<u8> {
+            let mut lengths = vec![0u8; freqs.len()];
+            limited_lengths_into(freqs, max_len, &mut lengths);
+            lengths
+        }
+
+        /// Package-merge in prefix-count form over the sorted `leaves` (at most
+        /// `N`), replacing `lengths`. Level 1 is the singles (the leaves); level
+        /// k + 1 merges them with the packages (adjacent pairs) of level k, a single
+        /// first on equal weight. A level keeps only its items' weights and which of
+        /// them are singles: the first `m` items of a level are its first `s`
+        /// singles -- the `s` lightest symbols, one bit each -- and its first `m - s`
+        /// packages, i.e. the first `2 (m - s)` items of the level below. No leaf
+        /// list is ever built; a level is under `2n` items.
+        fn package_merge<const N: usize>(leaves: &[u64], max_len: u8, lengths: &mut [u8]) {
+            let n = leaves.len();
+            assert!(
+                (1..=15).contains(&max_len) && n <= 1usize << max_len,
+                "cannot code {n} symbols within {max_len} bits"
+            );
+            let (mut level, mut merged) = ([[0u64; N]; 2], [[0u64; N]; 2]);
+            let (mut level, mut merged) = (level.as_flattened_mut(), merged.as_flattened_mut());
+            let mut is_single = [[false; N]; 28];
+            let is_single = is_single.as_flattened_mut();
+            let mut starts = [0usize; 14];
+            for (slot, &leaf) in level.iter_mut().zip(leaves) {
+                *slot = leaf >> 16;
+            }
+            let (mut level_len, mut flags) = (n, 0usize);
+            for start in starts.iter_mut().take(usize::from(max_len) - 1) {
+                *start = flags;
+                let (mut next, mut len) = (0usize, 0usize);
+                for pair in level[..level_len].chunks_exact(2) {
+                    let package = pair[0] + pair[1];
+                    let lighter = leaves[next..].partition_point(|&leaf| leaf >> 16 <= package);
+                    for &leaf in &leaves[next..next + lighter] {
+                        merged[len] = leaf >> 16;
+                        len += 1;
+                    }
+                    is_single[flags..flags + lighter].fill(true);
+                    flags += lighter + 1; // the package's flag stays false
+                    next += lighter;
+                    merged[len] = package;
+                    len += 1;
+                }
+                for &leaf in &leaves[next..] {
+                    merged[len] = leaf >> 16;
+                    len += 1;
+                }
+                is_single[flags..flags + (n - next)].fill(true);
+                flags += n - next;
+                std::mem::swap(&mut level, &mut merged);
+                level_len = len;
+            }
+
+            // Select the first 2n - 2 items of the top level and follow the
+            // packages down.
+            lengths.fill(0);
+            let mut take = (2 * n - 2).min(level_len);
+            for &start in starts[..usize::from(max_len) - 1].iter().rev() {
+                let taken = &is_single[start..start + take];
+                let s = taken.iter().filter(|&&single| single).count();
+                for &leaf in &leaves[..s] {
+                    lengths[(leaf & 0xFFFF) as usize] += 1;
+                }
+                take = 2 * (take - s);
+            }
+            for &leaf in &leaves[..take] {
+                lengths[(leaf & 0xFFFF) as usize] += 1;
+            }
+        }
+    }
+
     /// The bodies issue 24 replaced (two-queue Huffman on a `Vec<Node>` with a
     /// DFS stack, package-merge on `Vec`s), verbatim.
     pub mod parent {
@@ -540,6 +817,12 @@ pub(crate) mod reference {
 mod tests {
     use super::*;
 
+    /// Optimal unbounded Huffman code lengths: [`limited_lengths`] with no
+    /// limit.
+    fn huffman_lengths(freqs: &[u32]) -> Vec<u8> {
+        limited_lengths(freqs, u8::MAX)
+    }
+
     fn kraft(lengths: &[u8]) -> f64 {
         lengths
             .iter()
@@ -661,9 +944,25 @@ mod tests {
             assert!(lengths[1] > 0 && lengths[3] > 0 && lengths[5] > 0);
         }
     }
-    /// Both constructions against their bodies before issue 24 (`parent`)
-    /// and before issue 23, at every limit that can hold the histogram.
-    /// Returns how many of the calls took the package-merge fallback.
+    /// The lengths of every used symbol of `freqs` at `max_len` through
+    /// the bitmap door the plan takes, and the length counts it returns.
+    fn used_lengths(freqs: &[u32], max_len: u8) -> (Vec<u8>, LengthCounts) {
+        let mut lengths = vec![0u8; freqs.len()];
+        let used = Used::of(freqs);
+        let counts = if freqs.len() <= SMALL_SYMBOLS {
+            used_lengths_into::<SMALL_SYMBOLS>(freqs, &used, max_len, &mut lengths)
+        } else {
+            used_lengths_into::<MAX_SYMBOLS>(freqs, &used, max_len, &mut lengths)
+        };
+        (lengths, counts)
+    }
+
+    /// Both constructions against the stack builder the used-symbol bitmap
+    /// replaced (`stack`), the heap-node bodies before it (`parent`) and
+    /// the leaf-list package-merge, at every limit that can hold the
+    /// histogram; and the length counts the bitmap door returns against the
+    /// lengths. Returns how many of the calls took the package-merge
+    /// fallback.
     fn diff_against_reference(freqs: &[u32], what: &str) -> usize {
         let plain = huffman_lengths(freqs);
         assert_eq!(plain, reference::huffman_lengths(freqs), "{what}");
@@ -672,12 +971,15 @@ mod tests {
         let mut fallbacks = 0;
         for max_len in [7u8, 9, 11, 15] {
             if used <= 1 << max_len {
-                // Into a dirty buffer longer than the alphabet: the tail is
-                // not the builder's to touch.
-                let mut got = vec![0xAAu8; freqs.len() + 3];
-                limited_lengths_into(freqs, max_len, &mut got);
-                assert_eq!(got[freqs.len()..], [0xAA; 3], "{what} limit {max_len}");
-                got.truncate(freqs.len());
+                let got = limited_lengths(freqs, max_len);
+                let stack = reference::stack::limited_lengths(freqs, max_len);
+                assert_eq!(got, stack, "{what} limit {max_len}");
+                let (lengths, counts) = used_lengths(freqs, max_len);
+                assert_eq!(lengths, got, "{what} limit {max_len}");
+                let mut want = LengthCounts::default();
+                got.iter().for_each(|&l| want[usize::from(l)] += 1);
+                want[0] = 0;
+                assert_eq!(counts, want, "{what} limit {max_len}");
                 let want = reference::parent::limited_lengths(freqs, max_len);
                 assert_eq!(got, want, "{what} limit {max_len}");
                 assert_eq!(
@@ -694,7 +996,8 @@ mod tests {
     /// Every alphabet the encoder builds for `data` at `level`: each
     /// block's literal/length and distance histograms (blocks cut where
     /// `Encoder::compress_into` cuts them), the code-length alphabet of
-    /// the header they yield, and the plan made of the three.
+    /// the header they yield, and the plan made of the three, with the body
+    /// it writes of the block's own tokens.
     fn diff_encoder_histograms(data: &[u8], level: u32, what: &str) -> usize {
         use crate::encoder::{self, CompressionLevel, Strategy, MAX_BLOCK_BYTES, MAX_BLOCK_TOKENS};
         let level = CompressionLevel::new(level).unwrap();
@@ -718,6 +1021,8 @@ mod tests {
                 }
                 fallbacks += diff_against_reference(&cl_freq, what);
                 encoder::reference::diff_plan(&hist, what);
+                let block = &tokens[i + 1 - in_block..=i];
+                encoder::reference::diff_stack(&hist, block, what);
                 hist.clear();
                 (in_block, span) = (0, 0);
             }

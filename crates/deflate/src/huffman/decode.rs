@@ -103,7 +103,7 @@ impl Entry {
 
 /// Which alphabet a table decodes — determines the entry encoding.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum TableKind {
+pub(crate) enum TableKind {
     /// Raw symbols (code-length alphabet, tests).
     #[default]
     Plain,
@@ -194,8 +194,8 @@ pub struct DecodeTable {
     /// reads as the all-invalid [`EMPTY_ROOT`].
     root: Option<Box<[Entry; ROOT_SIZE]>>,
     sub: Vec<Entry>,
-    /// Reused canonical-code scratch so [`rebuild_litlen`](Self::rebuild_litlen)
-    /// and friends allocate nothing in steady state.
+    /// Reused canonical-code scratch so [`rebuild`](Self::rebuild) allocates
+    /// nothing in steady state.
     codes: Vec<super::Code>,
     max_len: u8,
     kind: TableKind,
@@ -217,7 +217,7 @@ impl DecodeTable {
     /// space or exceed 15 bits.
     pub fn new(lengths: &[u8]) -> Result<Self> {
         let mut t = Self::default();
-        t.build(lengths, TableKind::Plain)?;
+        t.rebuild(lengths, TableKind::Plain)?;
         Ok(t)
     }
 
@@ -229,7 +229,7 @@ impl DecodeTable {
     /// As [`new`](Self::new).
     pub fn new_litlen(lengths: &[u8]) -> Result<Self> {
         let mut t = Self::default();
-        t.build(lengths, TableKind::Litlen)?;
+        t.rebuild(lengths, TableKind::Litlen)?;
         Ok(t)
     }
 
@@ -240,45 +240,17 @@ impl DecodeTable {
     /// As [`new`](Self::new).
     pub fn new_dist(lengths: &[u8]) -> Result<Self> {
         let mut t = Self::default();
-        t.build(lengths, TableKind::Dist)?;
+        t.rebuild(lengths, TableKind::Dist)?;
         Ok(t)
     }
 
-    /// Rebuilds this table in place as a plain table, reusing its
-    /// allocations — the steady-state path for reusable decode scratch.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn rebuild_plain(&mut self, lengths: &[u8]) -> Result<()> {
-        self.build(lengths, TableKind::Plain)
-    }
-
-    /// Rebuilds this table in place as a merged literal/length table.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn rebuild_litlen(&mut self, lengths: &[u8]) -> Result<()> {
-        self.build(lengths, TableKind::Litlen)
-    }
-
-    /// Rebuilds this table in place as a merged distance table.
-    ///
-    /// # Errors
-    ///
-    /// As [`new`](Self::new).
-    pub fn rebuild_dist(&mut self, lengths: &[u8]) -> Result<()> {
-        self.build(lengths, TableKind::Dist)
-    }
-
-    fn build(&mut self, lengths: &[u8], kind: TableKind) -> Result<()> {
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        if max_len > super::MAX_CODE_LEN {
-            return Err(Error::InvalidCodeLengths);
-        }
-        super::canonical_codes_into(lengths, &mut self.codes)?; // validates Kraft
-        self.max_len = max_len;
+    /// Rebuilds this table in place as a `kind` table, reusing its
+    /// allocations: the steady-state path for reusable decode scratch.
+    /// Errors as [`new`](Self::new).
+    pub(crate) fn rebuild(&mut self, lengths: &[u8], kind: TableKind) -> Result<()> {
+        // Validates: no length past 15 bits, no oversubscribed code.
+        super::canonical_codes_into(lengths, &mut self.codes)?;
+        self.max_len = lengths.iter().copied().max().unwrap_or(0);
         self.kind = kind;
         let root = self
             .root
@@ -463,33 +435,28 @@ impl DecodeTable {
     }
 }
 
-/// Round-trip helper: encodes `symbols` with the canonical code for
-/// `lengths` and decodes them back. Used by property tests.
-#[doc(hidden)]
-pub fn roundtrip_symbols(lengths: &[u8], symbols: &[u16]) -> Result<Vec<u16>> {
-    use crate::bitio::BitWriter;
-    let codes = super::canonical_codes(lengths)?;
-    let mut w = BitWriter::new();
-    for &s in symbols {
-        let c = codes[s as usize];
-        assert!(c.len > 0, "encoding unused symbol {s}");
-        w.write_bits(u64::from(c.bits), u32::from(c.len));
-    }
-    let bytes = w.finish();
-    let table = DecodeTable::new(lengths)?;
-    let mut r = BitReader::new(&bytes);
-    let mut out = Vec::with_capacity(symbols.len());
-    for _ in 0..symbols.len() {
-        out.push(table.decode(&mut r)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
     use crate::bitio::BitWriter;
     use crate::huffman::build::limited_lengths;
+
+    /// Encodes `symbols` with the canonical code for `lengths` and decodes
+    /// them back.
+    fn roundtrip_symbols(lengths: &[u8], symbols: &[u16]) -> Result<Vec<u16>> {
+        let codes = crate::huffman::canonical_codes(lengths)?;
+        let mut w = BitWriter::new();
+        for &s in symbols {
+            let c = codes[s as usize];
+            assert!(c.len > 0, "encoding unused symbol {s}");
+            w.write_bits(u64::from(c.bits), u32::from(c.len));
+        }
+        let bytes = w.finish();
+        let table = DecodeTable::new(lengths)?;
+        let mut r = BitReader::new(&bytes);
+        symbols.iter().map(|_| table.decode(&mut r)).collect()
+    }
 
     #[test]
     fn decodes_short_codes() {
@@ -682,12 +649,12 @@ mod tests {
         }
         let b = limited_lengths(&freqs, 15);
         let mut table = DecodeTable::new_litlen(&a).unwrap();
-        table.rebuild_litlen(&b).unwrap();
+        table.rebuild(&b, TableKind::Litlen).unwrap();
         let fresh = DecodeTable::new_litlen(&b).unwrap();
         assert_eq!(table.root, fresh.root);
         assert_eq!(table.sub, fresh.sub);
         // And rebuilding back restores the original layout.
-        table.rebuild_litlen(&a).unwrap();
+        table.rebuild(&a, TableKind::Litlen).unwrap();
         let orig = DecodeTable::new_litlen(&a).unwrap();
         assert_eq!(table.root, orig.root);
         assert_eq!(table.sub, orig.sub);
@@ -697,7 +664,7 @@ mod tests {
     fn rebuild_rejects_bad_lengths_like_new() {
         let mut table = DecodeTable::new(&[1, 1]).unwrap();
         assert_eq!(
-            table.rebuild_plain(&[1, 1, 1]),
+            table.rebuild(&[1, 1, 1], TableKind::Plain),
             Err(Error::InvalidCodeLengths)
         );
     }

@@ -103,7 +103,7 @@ pub fn first_codes(lengths: &[u8]) -> Result<FirstCodes> {
     }
     // Unused symbols come in long runs, each a chain of dependent
     // increments: count the used ones only.
-    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+    let mut count = build::LengthCounts::default();
     for &l in lengths {
         if l > 0 {
             count[usize::from(l & MAX_CODE_LEN)] += 1;
@@ -111,16 +111,24 @@ pub fn first_codes(lengths: &[u8]) -> Result<FirstCodes> {
     }
     // Kraft inequality in units of 2^-15: oversubscription is a hard error.
     let mut space = 1u32 << MAX_CODE_LEN;
-    let mut first = [0u16; MAX_CODE_LEN as usize + 1];
+    for (len, &n) in count.iter().enumerate().skip(1) {
+        space = space
+            .checked_sub(u32::from(n) << (usize::from(MAX_CODE_LEN) - len))
+            .ok_or(Error::InvalidCodeLengths)?;
+    }
+    Ok(first_codes_of(&count))
+}
+
+/// [`first_codes`] from how many codes there are of each length, which the
+/// length builder counts as it goes: lengths it built need no validating.
+pub(crate) fn first_codes_of(count: &build::LengthCounts) -> FirstCodes {
+    let mut first = FirstCodes::default();
     let mut code = 0u32;
     for len in 1..=usize::from(MAX_CODE_LEN) {
-        space = space
-            .checked_sub(count[len] << (usize::from(MAX_CODE_LEN) - len))
-            .ok_or(Error::InvalidCodeLengths)?;
-        code = (code + count[len - 1]) << 1;
+        code = (code + u32::from(count[len - 1])) << 1;
         first[len] = code as u16;
     }
-    Ok(first)
+    first
 }
 
 /// Hands out the next stream-reversed code of length `len > 0`.

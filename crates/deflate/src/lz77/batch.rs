@@ -58,8 +58,8 @@
 use super::cover::{resolve_cover, Candidate, CoverPicks, WINDOW_LANES};
 use super::hash::match_length;
 use super::hash4::{
-    hash3_value, hash4_value, index_end, index_history, Hash4Matcher, CHAIN_HIST_BUCKETS,
-    SPEC_COVER_BUCKETS, TOO_FAR,
+    hash3_value, hash4_value, index_end, Hash4Matcher, CHAIN_HIST_BUCKETS, SPEC_COVER_BUCKETS,
+    TOO_FAR,
 };
 use super::{MatcherConfig, Sink, Token};
 use crate::{MIN_MATCH, WINDOW_SIZE};
@@ -226,22 +226,6 @@ fn extend_lane(
         cur -= delta;
     }
     (best_len, best_dist, steps)
-}
-
-/// Speculative tokenizer: appends tokens for `data[start..]` with
-/// `data[..start]` as history, using fixed 8-position windows and cover
-/// resolution (see the module docs). Every byte of `data[start..]` is
-/// covered by exactly one token; the caller flushes the accumulated
-/// search/cover statistics.
-pub fn tokenize_speculative_into(
-    data: &[u8],
-    start: usize,
-    level: u32,
-    m: &mut Hash4Matcher,
-    tokens: &mut Vec<Token>,
-) {
-    index_history(m, data, start);
-    run(data, start, level, m, tokens);
 }
 
 /// The batch loop over `data[start..]` on a matcher that indexed the history,
@@ -563,7 +547,19 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lz77::expand_tokens;
+    use crate::lz77::{expand_tokens, hash4::parse, Engine};
+
+    /// The batch matcher's serial parse of `data[start..]` behind
+    /// `data[..start]`, its counters left in `m`.
+    fn tokenize_speculative_into(
+        data: &[u8],
+        start: usize,
+        level: u32,
+        m: &mut Hash4Matcher,
+        tokens: &mut Vec<Token>,
+    ) {
+        parse(data, start, level, Engine::Speculative, m, tokens);
+    }
 
     fn tokenize_spec(data: &[u8], level: u32) -> Vec<Token> {
         let mut m = Hash4Matcher::new();

@@ -123,6 +123,9 @@ pub struct Profile {
     name: String,
     level: CompressionLevel,
     dict: Vec<u8>,
+    /// Adler-32 of `dict`, the RFC 1950 DICTID: a canned zlib request's
+    /// header carries it, so it is summed once here.
+    dict_id: u32,
     image: DictImage,
     litlen_lengths: Vec<u8>,
     dist_lengths: Vec<u8>,
@@ -153,14 +156,8 @@ impl Profile {
         if litlen_lengths[usize::from(crate::lz77::END_OF_BLOCK)] == 0 {
             return Err(Error::InvalidProfile); // every block ends with EOB
         }
-        if litlen_lengths
-            .iter()
-            .chain(&dist_lengths)
-            .any(|&l| l > MAX_CODE_LEN)
-        {
-            return Err(Error::InvalidProfile);
-        }
-        // Pre-validate so DynamicPlan::from_lengths cannot panic.
+        // Pre-validate so DynamicPlan::from_lengths cannot panic: a length
+        // past 15 bits or an oversubscribed code is an error here.
         first_codes(&litlen_lengths).map_err(|_| Error::InvalidProfile)?;
         first_codes(&dist_lengths).map_err(|_| Error::InvalidProfile)?;
         let mut dict = dict;
@@ -172,6 +169,7 @@ impl Profile {
             name: name.into(),
             level,
             image: DictImage::build(&dict),
+            dict_id: adler32(&dict),
             dict,
             litlen_lengths,
             dist_lengths,
@@ -267,7 +265,7 @@ impl Profile {
 
     /// Adler-32 of the dictionary — the RFC 1950 DICTID.
     pub fn dict_id(&self) -> u32 {
-        adler32(&self.dict)
+        self.dict_id
     }
 
     /// The canned literal/length code lengths.
@@ -1162,6 +1160,22 @@ mod tests {
         assert_eq!(back.by_name("fixed-ish").unwrap().0, ProfileId::new(1));
         // Re-serialization is byte-identical (golden stability).
         assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn dict_id_is_the_dictionarys_adler32_for_every_shipped_class() {
+        let mut reg = ProfileRegistry::new();
+        for (kind, level) in SHIPPED {
+            let p = trained(kind, level);
+            assert_eq!(p.dict_id(), adler32(p.dict()), "{}", kind.name());
+            reg.push(p);
+        }
+        let back = ProfileRegistry::from_bytes(&reg.to_bytes()).unwrap();
+        assert_eq!(back.len(), SHIPPED.len());
+        for ((_, p), (_, q)) in back.iter().zip(reg.iter()) {
+            assert_eq!(p.dict_id(), adler32(p.dict()), "{}", p.name());
+            assert_eq!(p.dict_id(), q.dict_id(), "{}", p.name());
+        }
     }
 
     #[test]

@@ -2,13 +2,29 @@
 //! round-trip through every level and container, and arbitrary token
 //! streams / histograms must satisfy the codec invariants.
 
-use nx_deflate::huffman::{build, canonical_codes, decode::roundtrip_symbols};
-use nx_deflate::lz77::batch::tokenize_speculative_into;
+use nx_deflate::bitio::{BitReader, BitWriter};
+use nx_deflate::huffman::{build, canonical_codes, decode::DecodeTable};
 use nx_deflate::lz77::cover::{resolve_cover, Candidate, CoverPicks, MIN_KEEP, WINDOW_LANES};
 use nx_deflate::lz77::expand_tokens;
 use nx_deflate::lz77::hash4::{tokenize_into_with, Hash4Matcher};
 use nx_deflate::{deflate, gzip, inflate, zlib, CompressionLevel, Encoder, Engine};
 use proptest::prelude::*;
+
+/// Encodes `symbols` with the canonical code for `lengths` and decodes them
+/// back.
+fn roundtrip_symbols(lengths: &[u8], symbols: &[u16]) -> nx_deflate::Result<Vec<u16>> {
+    let codes = canonical_codes(lengths)?;
+    let mut w = BitWriter::new();
+    for &s in symbols {
+        let c = codes[usize::from(s)];
+        assert!(c.len > 0, "encoding unused symbol {s}");
+        w.write_bits(u64::from(c.bits), u32::from(c.len));
+    }
+    let bytes = w.finish();
+    let table = DecodeTable::new(lengths)?;
+    let mut r = BitReader::new(&bytes);
+    symbols.iter().map(|_| table.decode(&mut r)).collect()
+}
 
 /// Byte-string strategy biased toward compressible structure: random bytes
 /// interleaved with repeated motifs.
@@ -178,7 +194,7 @@ proptest! {
 
         m.reset();
         let mut spec = Vec::new();
-        tokenize_speculative_into(&data, 0, level, &mut m, &mut spec);
+        tokenize_into_with(&data, 0, level, Engine::Speculative, &mut m, &mut spec);
         prop_assert!(spec.iter().all(|t| t.is_valid()));
         prop_assert_eq!(expand_tokens(&spec), data.clone());
 
@@ -373,7 +389,6 @@ fn complete_tokens(prefix: &[u8]) -> Vec<u8> {
 /// inside each header, each stored LEN/NLEN and each token's bits.
 #[test]
 fn inflate_stream_resumes_at_every_split_of_a_small_stream() {
-    use nx_deflate::bitio::BitWriter;
     use nx_deflate::encoder::{encode_dynamic_block, encode_fixed_block, encode_stored_block};
     let level = CompressionLevel::new(6).unwrap();
     let parts: Vec<Vec<u8>> = (0..3)
